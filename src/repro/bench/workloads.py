@@ -228,29 +228,6 @@ def mixed_rw_scenario(
     return {"ops": result.ops, "errors": result.errors}
 
 
-def eight_site_write_scenario(
-    world: Deployment,
-    n_keys: int = 2000,
-    clients_per_site: int = 12,
-    warmup: float = 0.6,
-    measure: float = 0.8,
-):
-    """The ``eight_site_scaling`` wall-clock workload: write-only
-    single-object transactions against local preferred sites.  Shared by
-    the serial scenario and its parallel twin so both executors run the
-    identical simulated schedule (same populate, same factories, same
-    closed-loop parameters)."""
-    from .harness import run_closed_loop
-
-    keys = populate(world, n_keys=n_keys)
-    factory = write_tx_factory(keys, 1)
-    result = run_closed_loop(
-        world, factory, clients_per_site=clients_per_site,
-        warmup=warmup, measure=measure, name="8site-write",
-    )
-    return {"ops": result.ops, "errors": result.errors, "now": round(world.kernel.now, 9)}
-
-
 def fig17_mixed_scenario(
     world: Deployment,
     n_keys: int = 4000,

@@ -22,7 +22,6 @@ from .net import ClusterGateway, Envelope, Host, Network, Topology
 from .obs import Observability
 from .server import (
     BatchingConfig,
-    LeaseConfig,
     LocalConfig,
     ServerCosts,
     SiteRecoveryCoordinator,
@@ -71,7 +70,6 @@ class Deployment:
         tracing=False,
         trace_capacity: int = 8192,
         lease_sweeper: bool = False,
-        leases: Optional[LeaseConfig] = None,
         cluster=None,
         executor: str = "serial",
         workers: int = 0,
@@ -105,7 +103,6 @@ class Deployment:
                 tracing=tracing,
                 trace_capacity=trace_capacity,
                 lease_sweeper=lease_sweeper,
-                leases=leases,
                 shards=shards,
                 replication=replication,
                 batching=batching,
@@ -186,7 +183,6 @@ class Deployment:
         #: long-lived deployment) turns it on, including for replacement
         #: and re-integrated servers.
         self.lease_sweeper = lease_sweeper
-        self.leases = leases or LeaseConfig()
         self._deploy_id = next(_deploy_seq)
         #: Versions legitimately sacrificed by aggressive site removal
         #: (§5.7): committed at the failed site but never propagated.
@@ -258,7 +254,6 @@ class Deployment:
             anti_starvation=self.anti_starvation,
             takeover=takeover,
             obs=self.obs,
-            leases=self.leases,
             partial_replication=self._partial_replication,
             batching=self.batching,
         )
@@ -487,7 +482,7 @@ class Deployment:
             )
         exchange = self.cluster.exchange
         gateway = self.cluster.gateway
-        lookahead = self.cluster.lookahead_s
+        lookahead = self.cluster.spec.lookahead_s
         # C-level sort key (same canonical order as Envelope.sort_key,
         # without a Python call per envelope -- this sort sees every
         # cross-cluster message of the run).

@@ -69,24 +69,21 @@ def ack_batch_bytes(n: int) -> int:
     return BATCH_HEADER_BYTES + ACK_ENTRY_BYTES * n
 
 
-def encode_propagation_batch(
-    records: List[CommitRecord], delta_vts: bool = True
-) -> Tuple[list, int]:
+def encode_propagation_batch(records: List[CommitRecord]) -> Tuple[list, int]:
     """Encode ``records`` (one origin, seqno order) into wire entries.
 
     Returns ``(entries, size_bytes)``.  Each entry is a tuple
     ``(tid, site, seqno, vts_field, updates, committed_at, touched)``
     where ``vts_field`` is the absolute ``_seqnos`` tuple for the first
-    record (or all of them with ``delta_vts=False``) and a sparse
-    ``((index, value), ...)`` delta against the previous record's vector
-    for the rest.
+    record and a sparse ``((index, value), ...)`` delta against the
+    previous record's vector for the rest.
     """
     entries = []
     size = BATCH_HEADER_BYTES
     prev = None
     for record in records:
         seqnos = record.start_vts._seqnos
-        if prev is None or not delta_vts:
+        if prev is None:
             vts_field = seqnos
             size += VTS_ENTRY_BYTES * len(seqnos)
         else:
@@ -122,10 +119,8 @@ def decode_propagation_batch(entries: list) -> List[CommitRecord]:
     records: List[CommitRecord] = []
     prev = None
     for tid, site, seqno, vts_field, updates, committed_at, touched in entries:
-        if prev is None or (vts_field and not isinstance(vts_field[0], tuple)):
-            # Absolute vector (first record, or delta_vts off).  An empty
-            # delta against no predecessor cannot occur: the first entry
-            # is always absolute.
+        if prev is None:
+            # The first entry is always the absolute vector.
             seqnos = tuple(vts_field)
         else:
             rebuilt = list(prev)

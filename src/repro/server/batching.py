@@ -9,14 +9,14 @@ One frozen config object gates the three batching layers:
   seconds when the log is busy (a previous flush just ended), letting
   near-simultaneous commits ride the same platter revolution.  An idle
   log flushes immediately, so a lone commit never waits.
-* **Propagation stream batching** (``max_batch``/``delta_vts``): runs of
-  consecutive commit records per destination ship as one batched cast
-  with delta-encoded vector timestamps and shared-header trimming for
+* **Propagation stream batching** (``max_batch``): runs of consecutive
+  commit records per destination ship as one batched cast with
+  delta-encoded vector timestamps and shared-header trimming for
   non-replica sites (see :mod:`repro.net.wire`), and the per-record
   ack/DS-DURABLE/VISIBLE chatter collapses into per-batch casts.
-* **Read coalescing** (``read_coalescing``): duplicate in-flight remote
-  reads for the same ``(site, object, snapshot)`` target merge onto one
-  RPC, and multireads fan out per-site batched gets.
+* **Read coalescing**: duplicate in-flight remote reads for the same
+  ``(site, object, snapshot)`` target merge onto one RPC, and multireads
+  fan out per-site batched gets.
 
 All three are behavior-transparent at the isolation level: PSI/chaos
 verdicts are unchanged, and with batching **off** (the default) every
@@ -35,8 +35,8 @@ class BatchingConfig:
     """Tuning knobs for the hot-path batching layer.
 
     Defaults are deliberately conservative: a sub-millisecond WAL window
-    (well under one EC2 flush), a propagation chunk large enough that the
-    ~RTT-period batches of Fig 19 never split, and coalescing on.
+    (well under one EC2 flush) and a propagation chunk large enough that
+    the ~RTT-period batches of Fig 19 never split.
     """
 
     #: Adaptive group-commit window (seconds): how long a *busy* WAL
@@ -47,13 +47,6 @@ class BatchingConfig:
     #: Maximum commit records per encoded propagation cast; longer runs
     #: split into consecutive casts (still one per destination each).
     max_batch: int = 512
-    #: Delta-encode vector timestamps on the propagation wire: the first
-    #: record of a batch carries its snapshot absolutely, subsequent
-    #: records carry only the entries that changed vs their predecessor.
-    delta_vts: bool = True
-    #: Merge duplicate in-flight remote reads and fan multireads out as
-    #: per-site batched gets.
-    read_coalescing: bool = True
 
     def __post_init__(self):
         if self.wal_window < 0:

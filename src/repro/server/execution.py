@@ -177,6 +177,17 @@ class ExecutionMixin:
         )
         return self._compose_value(tx, oid, payload)
 
+    def _remote_read_rpc(self, tx: Transaction, target: int, oid: ObjectId, only_if_current: bool):
+        return self.call(
+            self.peers[target],
+            "remote_read",
+            oid=oid,
+            start_vts=tx.start_vts,
+            only_if_current=only_if_current,
+            timeout=self._rpc_timeout(),
+            span=self._deep_ctx(tx.tid, span.EXECUTE),
+        )
+
     def _remote_read_call(self, tx: Transaction, target: int, oid: ObjectId, only_if_current: bool):
         """One remote_read RPC, coalesced when batching enables it
         (DESIGN.md §14): duplicate in-flight reads for the same
@@ -184,18 +195,8 @@ class ExecutionMixin:
         of issuing their own.  Safe because the payload is a pure
         function of ``(oid, start_vts)`` at the serving site and is never
         mutated by ``_compose_value``."""
-        batching = self.batching
-        if batching is None or not batching.read_coalescing:
-            payload = yield from self.call(
-                self.peers[target],
-                "remote_read",
-                oid=oid,
-                start_vts=tx.start_vts,
-                only_if_current=only_if_current,
-                timeout=self._rpc_timeout(),
-                span=self._deep_ctx(tx.tid, span.EXECUTE),
-            )
-            return payload
+        if self.batching is None:
+            return (yield from self._remote_read_rpc(tx, target, oid, only_if_current))
         key = (target, oid, tx.start_vts, only_if_current)
         waiter = self._read_inflight.get(key)
         if waiter is not None:
@@ -207,15 +208,7 @@ class ExecutionMixin:
         waiter = self.kernel.event(("coalesce:%s", (tx.tid,)))
         self._read_inflight[key] = waiter
         try:
-            payload = yield from self.call(
-                self.peers[target],
-                "remote_read",
-                oid=oid,
-                start_vts=tx.start_vts,
-                only_if_current=only_if_current,
-                timeout=self._rpc_timeout(),
-                span=self._deep_ctx(tx.tid, span.EXECUTE),
-            )
+            payload = yield from self._remote_read_rpc(tx, target, oid, only_if_current)
         except BaseException:
             if self._read_inflight.get(key) is waiter:
                 del self._read_inflight[key]
@@ -399,7 +392,7 @@ class ExecutionMixin:
             self.cpu.release()
         tx = self._ensure_tx(tid, fresh)
         tx.require_active()
-        if self.batching is not None and self.batching.read_coalescing:
+        if self.batching is not None:
             values = yield from self._multiread_values(tx, oids)
         else:
             values = []

@@ -20,6 +20,7 @@ After a transaction commits locally it is propagated in the background:
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Set, Tuple
 
@@ -301,35 +302,36 @@ class PropagationMixin:
             return record
         return record.trimmed(keep)
 
+    def _payloads(self, records: List[CommitRecord], build):
+        """``(site, build(shipped))`` for every other active site, in site
+        order, where ``shipped`` is ``records`` trimmed for that site
+        (:meth:`_record_for`).  ``build(records)`` runs once and is shared
+        by every destination nothing is trimmed for -- all of them under
+        full replication."""
+        whole = None
+        for site in self.config.active_sites():
+            if site == self.site_id:
+                continue
+            shipped = [self._record_for(r, site) for r in records]
+            if any(map(operator.is_not, shipped, records)):
+                yield site, build(shipped)
+                continue
+            if whole is None:
+                whole = build(records)
+            yield site, whole
+
     def _send_batch(self, records: List[CommitRecord]) -> None:
         for record in records:
             self._span(record.tid, span.PROPAGATE_SEND, batch=len(records))
-        if self.batching is not None:
-            self._send_batch_encoded(records)
-            self.stats.inc("batches_sent")
-            return
         # Batch-occupancy observability (DESIGN.md §14): recorded in both
         # modes so batching efficacy is measurable against the unbatched
         # baseline.  Observation only -- no simulated events.
-        self._prop_batch_hist.observe(float(len(records)))
-        if not self.partial_replication:
-            size = sum(r.payload_bytes() for r in records) + 64
-            for site in self.config.active_sites():
-                if site == self.site_id:
-                    continue
-                self.cast(
-                    self.peers[site],
-                    "propagate",
-                    size_bytes=size,
-                    records=records,
-                    from_site=self.site_id,
-                )
-        else:
-            for site in self.config.active_sites():
-                if site == self.site_id:
-                    continue
-                shipped = [self._record_for(r, site) for r in records]
-                size = sum(r.payload_bytes() for r in shipped) + 64
+        observe = self._prop_batch_hist.observe
+        if self.batching is None:
+            observe(float(len(records)))
+            for site, (shipped, size) in self._payloads(
+                records, lambda rs: (rs, sum(r.payload_bytes() for r in rs) + 64)
+            ):
                 self.cast(
                     self.peers[site],
                     "propagate",
@@ -337,43 +339,25 @@ class PropagationMixin:
                     records=shipped,
                     from_site=self.site_id,
                 )
+        else:
+            # One delta-encoded cast (:mod:`repro.net.wire`) per destination
+            # per ``max_batch`` chunk; receivers apply a chunk atomically in
+            # seqno order and reply with a single ``propagate_ack_batch``.
+            max_batch = self.batching.max_batch
+            for start in range(0, len(records), max_batch):
+                chunk = records[start : start + max_batch]
+                observe(float(len(chunk)))
+                for site, (entries, size) in self._payloads(
+                    chunk, encode_propagation_batch
+                ):
+                    self.cast(
+                        self.peers[site],
+                        "propagate_batch",
+                        size_bytes=size,
+                        entries=entries,
+                        from_site=self.site_id,
+                    )
         self.stats.inc("batches_sent")
-
-    def _send_batch_encoded(self, records: List[CommitRecord]) -> None:
-        """Batched-mode PROPAGATE: one delta-encoded cast per destination
-        per ``max_batch`` chunk (see :mod:`repro.net.wire`).  Receivers
-        apply the chunk atomically in seqno order and reply with a single
-        ``propagate_ack_batch``."""
-        cfg = self.batching
-        observe = self._prop_batch_hist.observe
-        for start in range(0, len(records), cfg.max_batch):
-            chunk = records[start : start + cfg.max_batch]
-            observe(float(len(chunk)))
-            if not self.partial_replication:
-                entries, size = encode_propagation_batch(chunk, cfg.delta_vts)
-                for site in self.config.active_sites():
-                    if site == self.site_id:
-                        continue
-                    self.cast(
-                        self.peers[site],
-                        "propagate_batch",
-                        size_bytes=size,
-                        entries=entries,
-                        from_site=self.site_id,
-                    )
-            else:
-                for site in self.config.active_sites():
-                    if site == self.site_id:
-                        continue
-                    shipped = [self._record_for(r, site) for r in chunk]
-                    entries, size = encode_propagation_batch(shipped, cfg.delta_vts)
-                    self.cast(
-                        self.peers[site],
-                        "propagate_batch",
-                        size_bytes=size,
-                        entries=entries,
-                        from_site=self.site_id,
-                    )
 
     def on_propagate_ack(self, src: str, tid: str, site: int):
         tracker = self._trackers.get(tid)

@@ -176,9 +176,7 @@ class WalterServer(
         #: batches with per-batch ack/DS/VISIBLE casts, and read
         #: coalescing.  ``None`` (the default) takes exactly the legacy
         #: per-record paths -- pinned schedule digests depend on it.
-        from .batching import BatchingConfig
-
-        self.batching = BatchingConfig.coerce(batching)
+        self.batching = batching
 
         n_sites = len(network.topology)
         # Fig 9 variables.

@@ -445,8 +445,7 @@ class Kernel:
         # order a heap-only scheduler would produce.
         self._ready: deque = deque()
         self._orphan_failures: List = []
-        #: Total events executed by ``run()`` -- the denominator of the
-        #: wall-clock benchmarks' events/sec figure.
+        #: Total events executed by ``run()``.
         self.events_executed = 0
 
     def call_soon(self, fn: Callable, *args) -> None:

@@ -42,10 +42,8 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import os
 import pickle
 import threading
-import time
 import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -106,10 +104,6 @@ class ClusterSpec:
             site: cid for cid, members in enumerate(self.clusters) for site in members
         }
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
-
 
 class ClusterRuntime:
     """What a cluster-mode :class:`~repro.deployment.Deployment` holds:
@@ -120,14 +114,6 @@ class ClusterRuntime:
         self.spec = spec
         self.exchange = exchange
         self.gateway = None  # set by Deployment after Network construction
-
-    @property
-    def lookahead_s(self) -> float:
-        return self.spec.lookahead_s
-
-    @property
-    def owned_sites(self) -> Tuple[int, ...]:
-        return self.spec.owned_sites
 
 
 # ----------------------------------------------------------------------
@@ -242,41 +228,6 @@ class _InlineExchange:
         return self._engine.sync(self._cluster_id, t, outbox)
 
 
-class _ReplayExchange:
-    """Scripted exchange for the sequential critical-path replay.
-
-    Feeds a worker the exact per-barrier inbound blobs recorded during a
-    live parallel run, so the worker re-executes its identical schedule
-    *alone* -- no sibling workers competing for cores or caches.  The
-    outbox is still pickled (and discarded) so the replayed CPU time
-    includes the worker's real serialization cost; only pipe I/O and
-    barrier waiting are absent.
-    """
-
-    def __init__(self, rounds: List[List[bytes]], cluster_of: Dict[int, int]):
-        self._rounds = rounds
-        self._i = 0
-        self._cluster_of = cluster_of
-
-    def sync(self, t: float, outbox: List[Envelope]) -> List[Envelope]:
-        if self._i >= len(self._rounds):
-            raise ParallelProtocolError(
-                "replay exhausted after %d barriers (worker diverged from "
-                "the recorded run)" % self._i
-            )
-        grouped: Dict[int, List[Envelope]] = {}
-        for envelope in outbox:
-            grouped.setdefault(self._cluster_of[envelope.dst_site], []).append(envelope)
-        for envelopes in grouped.values():
-            pickle.dumps(envelopes, pickle.HIGHEST_PROTOCOL)
-        blobs = self._rounds[self._i]
-        self._i += 1
-        inbox: List[Envelope] = []
-        for blob in blobs:
-            inbox.extend(pickle.loads(blob))
-        return inbox
-
-
 class _PipeExchange:
     """One worker's handle onto the parent process, over a pipe.
 
@@ -368,41 +319,11 @@ def collect_world_payload(world, scenario_result: Any = None) -> Dict[str, Any]:
 def _run_cluster(scenario: ScenarioRef, deploy_kwargs, params, spec: ClusterSpec, exchange):
     from ..deployment import Deployment
 
-    # Debug aid: REPRO_PARALLEL_PROFILE_DIR=<dir> cProfiles every worker
-    # (spawn processes included) and drops cluster-<id>.pstats files.
-    profile_dir = os.environ.get("REPRO_PARALLEL_PROFILE_DIR")
-    profiler = None
-    if profile_dir:
-        import cProfile
-
-        # Thread-CPU timer: profile numbers stay meaningful on a loaded
-        # machine where wall time is mostly descheduling.
-        profiler = cProfile.Profile(time.thread_time)
-        profiler.enable()
-
-    # Resolve (= import) the scenario module *before* starting the CPU
-    # clock: the serial benchmarks import at module load, outside their
-    # timed window, so charging import cost to the worker would skew the
-    # serial-vs-parallel critical-path comparison.  Deployment build and
-    # scenario execution stay inside the window on both sides.
     fn = resolve_scenario(scenario)
-    cpu_start = time.thread_time()
-    wall_start = time.perf_counter()
     runtime = ClusterRuntime(spec, exchange)
     world = Deployment(cluster=runtime, **deploy_kwargs)
     result = fn(world, **(params or {}))
-    payload = collect_world_payload(world, result)
-    # CPU seconds this worker actually consumed (thread time excludes
-    # barrier waits AND descheduling, so on a core-starved machine the
-    # per-worker maximum still estimates the multi-core critical path).
-    payload["cpu_s"] = round(time.thread_time() - cpu_start, 6)
-    payload["wall_s"] = round(time.perf_counter() - wall_start, 6)
-    if profiler is not None:
-        profiler.disable()
-        profiler.dump_stats(
-            os.path.join(profile_dir, "cluster-%d.pstats" % spec.cluster_id)
-        )
-    return payload
+    return collect_world_payload(world, result)
 
 
 def _mp_worker_main(conn, scenario, deploy_kwargs, params, spec) -> None:
@@ -417,57 +338,6 @@ def _mp_worker_main(conn, scenario, deploy_kwargs, params, spec) -> None:
             pass
     finally:
         conn.close()
-
-
-def _replay_worker_main(conn, scenario, deploy_kwargs, params, spec, rounds) -> None:
-    try:
-        exchange = _ReplayExchange(rounds, spec.cluster_of)
-        payload = _run_cluster(scenario, deploy_kwargs, params, spec, exchange)
-        conn.send(("done", payload))
-    except BaseException:  # noqa: BLE001 - shipped to the parent verbatim
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:  # noqa: BLE001 - parent already gone
-            pass
-    finally:
-        conn.close()
-
-
-def _run_replay_solo(scenario, deploy_kwargs, params, spec, rounds) -> Dict[str, Any]:
-    """Re-run one cluster alone in a fresh process, scripted from the
-    recorded barrier traffic.
-
-    Each worker's simulated schedule is fully determined by its inbound
-    envelopes (conservative synchronization), so the replay executes the
-    byte-identical schedule -- but with sole use of a core and a cold,
-    compact heap.  Its ``cpu_s`` is therefore the honest per-worker cost
-    on a machine with at least one core per worker; the live run's
-    concurrent ``cpu_s`` additionally pays for co-scheduling cache
-    pollution whenever workers time-slice the same cores.
-    """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("spawn")
-    parent_conn, child_conn = ctx.Pipe()
-    proc = ctx.Process(
-        target=_replay_worker_main,
-        args=(child_conn, scenario_ref(scenario), deploy_kwargs, params, spec, rounds),
-        name="replay-%d" % spec.cluster_id,
-    )
-    proc.start()
-    child_conn.close()
-    try:
-        msg = parent_conn.recv()
-    except EOFError:
-        msg = ("error", "replay worker died without a result")
-    finally:
-        proc.join()
-        parent_conn.close()
-    if msg[0] != "done":
-        raise WorkerFailed(
-            "replay of cluster %d failed:\n%s" % (spec.cluster_id, msg[1])
-        )
-    return msg[1]
 
 
 # ----------------------------------------------------------------------
@@ -496,9 +366,7 @@ def _run_inline(scenario, deploy_kwargs, params, specs) -> List[Dict[str, Any]]:
     return engine.results()
 
 
-def _run_mp(
-    scenario, deploy_kwargs, params, specs, record=None
-) -> List[Dict[str, Any]]:
+def _run_mp(scenario, deploy_kwargs, params, specs) -> List[Dict[str, Any]]:
     import multiprocessing
 
     ctx = multiprocessing.get_context("spawn")
@@ -575,11 +443,6 @@ def _run_mp(
                     break
             if failure is not None:
                 break
-            if record is not None:
-                # Keep each cluster's inbound blobs per barrier round so
-                # the run can be replayed solo (see _run_replay_solo).
-                for cid in posts:
-                    record[cid].append(inboxes.get(cid, []))
             for cid in posts:
                 conns[cid].send(("inbox", inboxes.get(cid, [])))
     finally:
@@ -611,14 +474,10 @@ def run_scenario(
     """Run ``scenario(world, **params)`` on a deployment partitioned into
     ``workers`` per-site clusters; returns the merged result.
 
-    ``mode``: ``"mp"`` (one spawn-ed process per cluster -- the fast
-    path), ``"inline"`` (threads in this process, deterministic and
-    cheap to start -- what the equivalence tests use), ``"auto"``
-    (mp when there is more than one cluster), or ``"mp-replay"`` (mp,
-    then sequentially replay each cluster solo in a fresh process from
-    the recorded barrier traffic; adds ``solo_cpu_s`` per worker -- the
-    contention-free critical-path measurement used by the wall-clock
-    bench on core-starved machines).
+    ``mode``: ``"mp"`` (one spawn-ed process per cluster), ``"inline"``
+    (threads in this process, deterministic and cheap to start -- what
+    the equivalence tests use), or ``"auto"`` (mp when there is more
+    than one cluster).
 
     Restrictions (enforced or documented in DESIGN.md §12): the scenario
     must drive the world only through ``world.run(until=...)`` /
@@ -654,41 +513,13 @@ def run_scenario(
     ]
     if mode == "auto":
         mode = "mp" if len(clusters) > 1 else "inline"
-    live_start = time.perf_counter()
     if mode == "inline":
         payloads = _run_inline(scenario, deploy_kwargs, params, specs)
     elif mode == "mp":
         payloads = _run_mp(scenario, deploy_kwargs, params, specs)
-    elif mode == "mp-replay":
-        record: Dict[int, List[List[bytes]]] = {spec.cluster_id: [] for spec in specs}
-        payloads = _run_mp(scenario, deploy_kwargs, params, specs, record=record)
-        live_wall = time.perf_counter() - live_start
-        for spec, payload in zip(specs, payloads):
-            solo = _run_replay_solo(
-                scenario, deploy_kwargs, params, spec, record[spec.cluster_id]
-            )
-            if solo["events_executed"] != payload["events_executed"]:
-                raise ParallelProtocolError(
-                    "solo replay of cluster %d executed %d events, live run %d"
-                    % (
-                        spec.cluster_id,
-                        solo["events_executed"],
-                        payload["events_executed"],
-                    )
-                )
-            payload["solo_cpu_s"] = solo["cpu_s"]
     else:
-        raise ValueError(
-            "mode must be 'auto', 'inline', 'mp' or 'mp-replay', got %r" % (mode,)
-        )
-    result = ParallelResult(payloads)
-    # Wall-clock of the *live* executor run only -- the mp-replay mode's
-    # sequential solo replays happen after this window, so benchmarks can
-    # report live wall-clock and contention-free critical path separately.
-    result.live_wall_s = (
-        live_wall if mode == "mp-replay" else time.perf_counter() - live_start
-    )
-    return result
+        raise ValueError("mode must be 'auto', 'mp' or 'inline', got %r" % (mode,))
+    return ParallelResult(payloads)
 
 
 # ----------------------------------------------------------------------
@@ -728,9 +559,6 @@ class ParallelResult:
         if not payloads:
             raise ValueError("no worker payloads")
         self.payloads = list(payloads)
-        #: Wall seconds of the live executor run (set by run_scenario;
-        #: excludes mp-replay's sequential solo replays).
-        self.live_wall_s: Optional[float] = None
         nows = {round(p["now"], 12) for p in self.payloads}
         if len(nows) != 1:
             raise ParallelProtocolError("workers ended at different times: %r" % sorted(nows))
@@ -750,25 +578,6 @@ class ParallelResult:
     @property
     def scenario_results(self) -> List[Any]:
         return [p["scenario"] for p in self.payloads]
-
-    @property
-    def worker_cpu_s(self) -> List[float]:
-        """Per-worker CPU seconds (thread time: excludes barrier waits
-        and descheduling).  ``max()`` of these estimates the multi-core
-        critical path even when the measuring machine is core-starved."""
-        return [p.get("cpu_s", 0.0) for p in self.payloads]
-
-    @property
-    def solo_cpu_s(self) -> Optional[List[float]]:
-        """Per-worker CPU seconds from the contention-free solo replay
-        (mode ``"mp-replay"`` only, else None).  ``max()`` of these is
-        the multi-core critical path unpolluted by workers time-slicing
-        shared cores, so ``serial_cpu / max(solo_cpu_s)`` projects the
-        speedup on a machine with >= one core per worker."""
-        values = [p.get("solo_cpu_s") for p in self.payloads]
-        if any(v is None for v in values):
-            return None
-        return values
 
     @property
     def abandoned_versions(self) -> set:

@@ -122,11 +122,16 @@ def check_no_write_write_conflicts(
     violations = []
     abandoned = abandoned or frozenset()
     txs = [t for t in trace.transactions.values() if t.version not in abandoned]
+    # Only writers of a common object can conflict; pairs still come out
+    # once each, in the (i, j) order of a scan over all pairs.
+    writers: Dict[ObjectId, List[int]] = {}
+    for i, tx in enumerate(txs):
+        for oid in tx.write_set:
+            writers.setdefault(oid, []).append(i)
     for i, t1 in enumerate(txs):
-        for t2 in txs[i + 1:]:
+        for j in sorted({j for oid in t1.write_set for j in writers[oid] if j > i}):
+            t2 = txs[j]
             overlap = t1.write_set & t2.write_set
-            if not overlap:
-                continue
             t1_before_t2 = t2.start_vts.visible(t1.version)
             t2_before_t1 = t1.start_vts.visible(t2.version)
             if not (t1_before_t2 or t2_before_t1):

@@ -27,8 +27,7 @@ def _pinned(fn):
 
     Host names embed the counter, and they leak into injection-error
     strings inside chaos verdicts -- so comparing verdicts across runs
-    requires both runs to see the same counter value, exactly like the
-    wallclock chaos_replay scenario relies on fresh-process replays.
+    requires both runs to see the same counter value.
     """
     old = deployment._deploy_seq
     deployment._deploy_seq = itertools.count(1)

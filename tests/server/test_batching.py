@@ -14,6 +14,10 @@ from repro.core.updates import CSetAdd, DataUpdate
 from repro.core.versions import VectorTimestamp
 from repro.deployment import Deployment
 from repro.net.wire import (
+    BATCH_HEADER_BYTES,
+    RECORD_HEADER_BYTES,
+    TOUCHED_BYTES,
+    VTS_ENTRY_BYTES,
     ack_batch_bytes,
     decode_propagation_batch,
     encode_propagation_batch,
@@ -83,10 +87,9 @@ def _assert_same(decoded, records):
 class TestWireFormat:
     def test_roundtrip_basic(self):
         records = _chain(1)
-        for delta in (True, False):
-            entries, size = encode_propagation_batch(records, delta)
-            assert size > 0
-            _assert_same(decode_propagation_batch(entries), records)
+        entries, size = encode_propagation_batch(records)
+        assert size > 0
+        _assert_same(decode_propagation_batch(entries), records)
 
     def test_delta_encoding_is_smaller_for_similar_snapshots(self):
         # Consecutive commits at one site share almost their whole
@@ -95,13 +98,16 @@ class TestWireFormat:
             _record(0, 10 + k, (10 + k, 7, 3, 9), [], touched=("c",))
             for k in range(8)
         ]
-        _, size_delta = encode_propagation_batch(records, True)
-        _, size_abs = encode_propagation_batch(records, False)
+        _, size_delta = encode_propagation_batch(records)
+        # What the same batch costs with every snapshot sent absolutely.
+        size_abs = BATCH_HEADER_BYTES + len(records) * (
+            RECORD_HEADER_BYTES + 4 * VTS_ENTRY_BYTES + TOUCHED_BYTES
+        )
         assert size_delta < size_abs
 
     def test_single_record_batch_is_absolute(self):
         records = _chain(2, n_records=1)
-        entries, _ = encode_propagation_batch(records, True)
+        entries, _ = encode_propagation_batch(records)
         # The lone record's vts field is the absolute tuple, not a delta.
         assert entries[0][3] == records[0].start_vts._seqnos
         _assert_same(decode_propagation_batch(entries), records)
@@ -110,7 +116,7 @@ class TestWireFormat:
         records = [
             _record(1, 5 + k, (4, 4, 4), [], touched=("c",)) for k in range(3)
         ]
-        entries, _ = encode_propagation_batch(records, True)
+        entries, _ = encode_propagation_batch(records)
         assert entries[1][3] == () and entries[2][3] == ()
         _assert_same(decode_propagation_batch(entries), records)
 
@@ -121,8 +127,7 @@ class TestWireFormat:
         records = _chain(
             seed, n_sites=rng.randint(1, 8), n_records=rng.randint(1, 12)
         )
-        delta = seed % 2 == 0
-        entries, size = encode_propagation_batch(records, delta)
+        entries, size = encode_propagation_batch(records)
         assert size > 0
         _assert_same(decode_propagation_batch(entries), records)
 
@@ -140,8 +145,8 @@ class TestBatchingConfig:
         assert BatchingConfig.coerce(True) == BatchingConfig()
         cfg = BatchingConfig(wal_window=0.002)
         assert BatchingConfig.coerce(cfg) is cfg
-        assert BatchingConfig.coerce({"delta_vts": False}) == BatchingConfig(
-            delta_vts=False
+        assert BatchingConfig.coerce({"max_batch": 8}) == BatchingConfig(
+            max_batch=8
         )
 
     def test_coerce_rejects_garbage(self):

