@@ -46,8 +46,7 @@ def format_site_observability(world) -> str:
     visibility lag (from the ``server.*_lag`` histograms -- replication
     lag is measured at the *receiving* site, the other two at the
     origin), the mean WAL group-commit flush size and propagation batch
-    occupancy (records per PROPAGATE cast; 1.0 unless
-    ``Deployment(batching=...)`` is on), and the cache hit-rate.  All
+    occupancy (records per PROPAGATE cast), and the cache hit-rate.  All
     values come from the shared
     ``repro.obs`` registry; no tracing is required, but when the world
     was built with ``tracing=True`` the trace-derived lag gauges are

@@ -121,8 +121,8 @@ def main(argv=None) -> int:
     parser.add_argument("--horizon", type=float, default=8.0, help="fault window (sim s)")
     parser.add_argument(
         "--batching", action="store_true",
-        help="run with the hot-path batching layer on (DESIGN.md §14); "
-        "PSI verdicts must be independent of it",
+        help="accepted for old command lines; selects nothing -- the "
+        "batched wire (DESIGN.md §14) is the only propagation path",
     )
     parser.add_argument(
         "--bug",

@@ -68,10 +68,10 @@ class ChaosConfig:
     #: Per-shard replication factor (base sites per shard group); None =
     #: full replication.
     replication: Optional[int] = None
-    #: Run with the hot-path batching layer on (DESIGN.md §14): WAL
-    #: group-commit window, encoded propagation batches, read
-    #: coalescing.  Default off keeps stored corpus configs (which
-    #: predate batching) replaying byte-identically.
+    #: Selects nothing: the batched wire (DESIGN.md §14) is the only
+    #: propagation path, so runs with and without this flag are the same
+    #: run.  Kept so stored artifacts and callers that spell it out
+    #: (``batching=True``) keep loading.
     batching: bool = False
 
     def as_dict(self) -> Dict[str, Any]:
@@ -244,7 +244,6 @@ def _run_chaos(
         tracing=bool(monitor),
         shards=config.shards,
         replication=config.replication,
-        batching=True if config.batching else None,
     )
     world.chaos_bug = config.bug
     online = OnlineMonitor(world) if monitor else None

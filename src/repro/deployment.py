@@ -81,6 +81,14 @@ class Deployment:
             raise ValueError("executor must be 'serial' or 'parallel', got %r" % (executor,))
         if shards < 1:
             raise ValueError("shards must be >= 1, got %d" % shards)
+        #: Batch sizes (DESIGN.md §14): the WAL group-commit window and
+        #: the records-per-cast cap of the batched propagation wire.
+        #: Batching is the wire, not a mode: ``batching=`` selects no code
+        #: path, only these two sizes -- ``None``/``True`` mean the
+        #: default :class:`~repro.server.BatchingConfig`, a dict or config
+        #: custom sizes, and ``False`` is rejected (the unbatched wire no
+        #: longer exists).
+        self.batching = batching = BatchingConfig.coerce(batching)
         if executor == "parallel":
             # Driver-handle mode (DESIGN.md §12): no world is built here.
             # Each parallel worker constructs its own cluster-restricted
@@ -152,12 +160,6 @@ class Deployment:
         self._partial_replication = (
             replication is not None and replication < self.n_base_sites
         )
-        #: Hot-path batching (DESIGN.md §14): WAL group-commit window,
-        #: propagation record batching with delta-encoded VTS, and read
-        #: coalescing.  ``None`` (the default) keeps every path
-        #: byte-identical to the unbatched kernel; ``True`` enables the
-        #: default :class:`~repro.server.BatchingConfig`.
-        self.batching = BatchingConfig.coerce(batching)
         #: Shared observability: the metrics registry is always on;
         #: per-transaction span tracing is enabled with ``tracing=True``,
         #: and ``tracing="deep"`` additionally records commit-path
@@ -201,9 +203,7 @@ class Deployment:
                     if cluster is not None
                     else "disk-%d-%d" % (self._deploy_id, site)
                 ),
-                flush_window=(
-                    self.batching.wal_window if self.batching is not None else 0.0
-                ),
+                flush_window=self.batching.wal_window,
             )
             if self.owns(site)
             else None

@@ -11,8 +11,9 @@
 
 ``diff BASELINE CURRENT --outcomes-only``
     Exact-equality check of outcome counters only (commits, aborts,
-    remote applies, durable records); timing metrics are ignored.  CI
-    uses this to pin that batching changes schedules, never results.
+    remote applies, durable records); timing metrics are ignored: the
+    check for changes that may move schedules, never results (the batch
+    size equivalence tests run it as ``diff_outcomes``).
 """
 
 from __future__ import annotations

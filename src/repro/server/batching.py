@@ -1,6 +1,7 @@
-"""Hot-path batching knobs (DESIGN.md §14).
+"""Hot-path batch sizes (DESIGN.md §14).
 
-One frozen config object gates the three batching layers:
+Batching is how the hot path works, not a mode: there is one propagation
+wire and it is batched.  This frozen config only sizes two of its layers:
 
 * **WAL group-commit window** (``wal_window``): concurrent commits at a
   shard share one :class:`~repro.storage.disklog.DiskLog` flush.  The
@@ -10,29 +11,27 @@ One frozen config object gates the three batching layers:
   near-simultaneous commits ride the same platter revolution.  An idle
   log flushes immediately, so a lone commit never waits.
 * **Propagation stream batching** (``max_batch``): runs of consecutive
-  commit records per destination ship as one batched cast with
-  delta-encoded vector timestamps and shared-header trimming for
-  non-replica sites (see :mod:`repro.net.wire`), and the per-record
-  ack/DS-DURABLE/VISIBLE chatter collapses into per-batch casts.
-* **Read coalescing**: duplicate in-flight remote reads for the same
-  ``(site, object, snapshot)`` target merge onto one RPC, and multireads
-  fan out per-site batched gets.
+  commit records per destination ship as one cast with delta-encoded
+  vector timestamps and shared-header trimming for non-replica sites
+  (see :mod:`repro.net.wire`), and the ack/DS-DURABLE/VISIBLE for a run
+  are one cast each.
 
-All three are behavior-transparent at the isolation level: PSI/chaos
-verdicts are unchanged, and with batching **off** (the default) every
-code path is byte-identical to the unbatched kernel -- which is what the
-pinned schedule digests assert.
+Read coalescing (duplicate in-flight remote reads for one ``(site,
+object, snapshot)`` merge onto one RPC; multireads fan out per-site
+batched gets) has no size to set.  None of this is visible at the
+isolation level: ``max_batch=1, wal_window=0`` and the defaults give the
+same PSI/chaos verdicts (``tests/integration/test_batching_equivalence``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 
 @dataclass(frozen=True)
 class BatchingConfig:
-    """Tuning knobs for the hot-path batching layer.
+    """Sizes for the hot-path batching layer.
 
     Defaults are deliberately conservative: a sub-millisecond WAL window
     (well under one EC2 flush) and a propagation chunk large enough that
@@ -57,21 +56,26 @@ class BatchingConfig:
     @classmethod
     def coerce(
         cls, value: Union[None, bool, dict, "BatchingConfig"]
-    ) -> Optional["BatchingConfig"]:
+    ) -> "BatchingConfig":
         """Normalize a ``Deployment(batching=...)`` argument.
 
-        ``None``/``False`` -> batching off (None); ``True`` -> defaults;
-        a dict -> ``BatchingConfig(**dict)``; a config -> itself.
+        ``None``/``True`` -> defaults; a dict -> ``BatchingConfig(**dict)``;
+        a config -> itself.  ``False`` raises: it used to select the
+        per-record wire, which was removed.
         """
-        if value is None or value is False:
-            return None
-        if value is True:
+        if value is None or value is True:
             return cls()
+        if value is False:
+            raise ValueError(
+                "batching=False is gone: the unbatched propagation wire was "
+                "removed and batching is the only path; pass "
+                "BatchingConfig(max_batch=1, wal_window=0) for the smallest sizes"
+            )
         if isinstance(value, cls):
             return value
         if isinstance(value, dict):
             return cls(**value)
         raise TypeError(
-            "batching must be None, bool, dict, or BatchingConfig; got %r"
+            "batching must be None, True, dict, or BatchingConfig; got %r"
             % (value,)
         )

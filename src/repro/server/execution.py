@@ -189,14 +189,11 @@ class ExecutionMixin:
         )
 
     def _remote_read_call(self, tx: Transaction, target: int, oid: ObjectId, only_if_current: bool):
-        """One remote_read RPC, coalesced when batching enables it
-        (DESIGN.md §14): duplicate in-flight reads for the same
-        ``(site, object, snapshot)`` target ride the leader's RPC instead
-        of issuing their own.  Safe because the payload is a pure
-        function of ``(oid, start_vts)`` at the serving site and is never
-        mutated by ``_compose_value``."""
-        if self.batching is None:
-            return (yield from self._remote_read_rpc(tx, target, oid, only_if_current))
+        """One remote_read RPC, coalesced (DESIGN.md §14): duplicate
+        in-flight reads for the same ``(site, object, snapshot)`` target
+        ride the leader's RPC instead of issuing their own.  Safe because
+        the payload is a pure function of ``(oid, start_vts)`` at the
+        serving site and is never mutated by ``_compose_value``."""
         key = (target, oid, tx.start_vts, only_if_current)
         waiter = self._read_inflight.get(key)
         if waiter is not None:
@@ -392,13 +389,7 @@ class ExecutionMixin:
             self.cpu.release()
         tx = self._ensure_tx(tid, fresh)
         tx.require_active()
-        if self.batching is not None:
-            values = yield from self._multiread_values(tx, oids)
-        else:
-            values = []
-            for oid in oids:
-                value = yield from self._read_value(tx, oid)
-                values.append(value)
+        values = yield from self._multiread_values(tx, oids)
         if last:
             status = yield from self._commit_tx(tx, notify=notify)
             return (values, status)
@@ -412,8 +403,8 @@ class ExecutionMixin:
         -- nearest replica under partial replication, else the preferred
         site -- and a None payload (behind replica, or an object the
         group call could not serve) falls back to the classic per-object
-        read path, so visible values are identical to the unbatched
-        fan-out."""
+        read path, so visible values are identical to reading the
+        objects one by one."""
         values: Dict[int, Any] = {}
         groups: Dict[Tuple[int, bool], List[Tuple[int, ObjectId]]] = {}
         for idx, oid in enumerate(oids):

@@ -15,6 +15,12 @@ After a transaction commits locally it is propagated in the background:
    once x is DS-durable and the same causality guards hold against
    CommittedVTS, then replies VISIBLE;
 5. when every site replied, x is **globally visible**.
+
+Every step travels batched (DESIGN.md §14): ``propagate_batch`` carries a
+delta-encoded run of records (:mod:`repro.net.wire`), and the ACK,
+DS-DURABLE and VISIBLE for that run are one ``propagate_ack_batch``,
+``ds_durable_batch`` and ``visible_ack_batch`` each.  These four casts
+are the whole wire; a lone record is a batch of one.
 """
 
 from __future__ import annotations
@@ -53,6 +59,36 @@ class PropagationTracker:
     #: Monotonic per-server enqueue stamp; orders retransmission casts
     #: the way the legacy full-tracker walk did (enqueue order).
     enqueue_seq: int = 0
+
+
+class PropagationBatch:
+    """One encoded PROPAGATE payload (:mod:`repro.net.wire` entries) as
+    it rides in a ``propagate_batch`` cast.
+
+    The origin encodes a run once and hands the *same* payload to every
+    destination nothing was trimmed for, so the receive side decodes it
+    once too: the first receiver to open it pays for the decode and every
+    later one applies the same record objects -- one copy of each
+    ``CommitRecord``/``VectorTimestamp``/update list per batch instead of
+    one per destination (7 of them on an 8-site fan-out).  Records are
+    never mutated after commit, which is what makes the sharing safe.
+    Only the entries pickle, so each parallel-executor worker that
+    receives a copy decodes it for itself.
+    """
+
+    __slots__ = ("entries", "_records")
+
+    def __init__(self, entries: list):
+        self.entries = entries
+        self._records: Optional[List[CommitRecord]] = None
+
+    def __reduce__(self):
+        return (PropagationBatch, (self.entries,))
+
+    def records(self) -> List[CommitRecord]:
+        if self._records is None:
+            self._records = decode_propagation_batch(self.entries)
+        return self._records
 
 
 class PendingIndex:
@@ -246,22 +282,13 @@ class PropagationMixin:
                             # re-integration) may lack the record itself;
                             # it cannot commit what it never received, so
                             # re-PROPAGATE, not just re-announce.
-                            shipped = self._record_for(tracker.record, site)
-                            self.cast(
-                                self.peers[site],
-                                "propagate",
-                                size_bytes=shipped.payload_bytes() + 64,
-                                records=[shipped],
-                                from_site=self.site_id,
+                            self._cast_propagate(
+                                site,
+                                *self._encode([self._record_for(tracker.record, site)]),
                             )
                         if site not in tracker.visible:
                             # VISIBLE acks missing: re-announce DS durability.
-                            self.cast(
-                                self.peers[site],
-                                "ds_durable",
-                                record=tracker.record,
-                                from_site=self.site_id,
-                            )
+                            self._cast_ds_durable(site, [tracker.record])
                     tracker.ds_at = now
         undurable = self._undurable
         resend: List[CommitRecord] = []
@@ -302,76 +329,74 @@ class PropagationMixin:
             return record
         return record.trimmed(keep)
 
-    def _payloads(self, records: List[CommitRecord], build):
-        """``(site, build(shipped))`` for every other active site, in site
-        order, where ``shipped`` is ``records`` trimmed for that site
-        (:meth:`_record_for`).  ``build(records)`` runs once and is shared
-        by every destination nothing is trimmed for -- all of them under
-        full replication."""
-        whole = None
-        for site in self.config.active_sites():
-            if site == self.site_id:
-                continue
-            shipped = [self._record_for(r, site) for r in records]
-            if any(map(operator.is_not, shipped, records)):
-                yield site, build(shipped)
-                continue
-            if whole is None:
-                whole = build(records)
-            yield site, whole
-
     def _send_batch(self, records: List[CommitRecord]) -> None:
+        """One delta-encoded ``propagate_batch`` cast per destination per
+        ``max_batch`` chunk.  Each chunk is encoded once and the same
+        :class:`PropagationBatch` goes to every destination nothing is
+        trimmed for (:meth:`_record_for`) -- all of them under full
+        replication -- so the receivers also share one decode."""
         for record in records:
             self._span(record.tid, span.PROPAGATE_SEND, batch=len(records))
-        # Batch-occupancy observability (DESIGN.md §14): recorded in both
-        # modes so batching efficacy is measurable against the unbatched
-        # baseline.  Observation only -- no simulated events.
-        observe = self._prop_batch_hist.observe
-        if self.batching is None:
-            observe(float(len(records)))
-            for site, (shipped, size) in self._payloads(
-                records, lambda rs: (rs, sum(r.payload_bytes() for r in rs) + 64)
-            ):
-                self.cast(
-                    self.peers[site],
-                    "propagate",
-                    size_bytes=size,
-                    records=shipped,
-                    from_site=self.site_id,
-                )
-        else:
-            # One delta-encoded cast (:mod:`repro.net.wire`) per destination
-            # per ``max_batch`` chunk; receivers apply a chunk atomically in
-            # seqno order and reply with a single ``propagate_ack_batch``.
-            max_batch = self.batching.max_batch
-            for start in range(0, len(records), max_batch):
-                chunk = records[start : start + max_batch]
-                observe(float(len(chunk)))
-                for site, (entries, size) in self._payloads(
-                    chunk, encode_propagation_batch
-                ):
-                    self.cast(
-                        self.peers[site],
-                        "propagate_batch",
-                        size_bytes=size,
-                        entries=entries,
-                        from_site=self.site_id,
-                    )
+        max_batch = self.batching.max_batch
+        for start in range(0, len(records), max_batch):
+            chunk = records[start : start + max_batch]
+            # Batch-occupancy observability (DESIGN.md §14).
+            self._prop_batch_hist.observe(float(len(chunk)))
+            whole = None
+            for site in self.config.active_sites():
+                if site == self.site_id:
+                    continue
+                shipped = [self._record_for(r, site) for r in chunk]
+                if any(map(operator.is_not, shipped, chunk)):
+                    self._cast_propagate(site, *self._encode(shipped))
+                    continue
+                if whole is None:
+                    whole = self._encode(chunk)
+                self._cast_propagate(site, *whole)
         self.stats.inc("batches_sent")
 
-    def on_propagate_ack(self, src: str, tid: str, site: int):
-        tracker = self._trackers.get(tid)
-        if tracker is None:
-            return
-        tracker.acked.add(site)
-        self._maybe_ds(tracker)
+    @staticmethod
+    def _encode(records: List[CommitRecord]) -> Tuple[PropagationBatch, int]:
+        entries, size = encode_propagation_batch(records)
+        return PropagationBatch(entries), size
+
+    # The four protocol messages.  A lone record (a retransmission, a
+    # parked record's late ack) travels as a batch of one: there is no
+    # second, per-record wire.
+    def _cast_propagate(self, site: int, batch: PropagationBatch, size: int) -> None:
+        self.cast(self.peers[site], "propagate_batch", size_bytes=size, batch=batch)
+
+    def _cast_propagate_ack(self, reply_to: str, tids: List[str]) -> None:
+        self.cast(
+            reply_to,
+            "propagate_ack_batch",
+            size_bytes=ack_batch_bytes(len(tids)),
+            tids=tids,
+            site=self.site_id,
+        )
+
+    def _cast_ds_durable(self, site: int, records: List[CommitRecord]) -> None:
+        self.cast(
+            self.peers[site],
+            "ds_durable_batch",
+            size_bytes=ack_batch_bytes(len(records)),
+            records=records,
+        )
+
+    def _cast_visible_ack(self, reply_to: str, tids: List[str]) -> None:
+        self.cast(
+            reply_to,
+            "visible_ack_batch",
+            size_bytes=ack_batch_bytes(len(tids)),
+            tids=tids,
+            site=self.site_id,
+        )
 
     def on_propagate_ack_batch(self, src: str, tids: List[str], site: int):
-        """Batched-mode PROPAGATE acks: one cast acknowledges a whole
-        applied chunk.  DS-DURABLE announcements that fire while the acks
-        are absorbed are buffered (see ``_maybe_ds``) and broadcast as a
-        single ``ds_durable_batch`` per destination, collapsing the
-        per-record fan-out that dominates the unbatched wire."""
+        """One cast acknowledges a whole applied chunk.  DS-DURABLE
+        announcements that fire while the acks are absorbed are buffered
+        (see ``_maybe_ds``) and broadcast as a single
+        ``ds_durable_batch`` per destination."""
         buf: List[CommitRecord] = []
         self._ds_buffer = buf
         try:
@@ -384,24 +409,12 @@ class PropagationMixin:
         finally:
             self._ds_buffer = None
         if buf:
-            size = ack_batch_bytes(len(buf))
-            for peer in self.config.active_sites():
-                if peer == self.site_id:
-                    continue
-                self.cast(
-                    self.peers[peer],
-                    "ds_durable_batch",
-                    size_bytes=size,
-                    records=buf,
-                    from_site=self.site_id,
-                )
+            self._broadcast_ds_durable(buf)
 
-    def on_visible_ack(self, src: str, tid: str, site: int):
-        tracker = self._trackers.get(tid)
-        if tracker is None:
-            return
-        tracker.visible.add(site)
-        self._maybe_visible(tracker)
+    def _broadcast_ds_durable(self, records: List[CommitRecord]) -> None:
+        for site in self.config.active_sites():
+            if site != self.site_id:
+                self._cast_ds_durable(site, records)
 
     def on_visible_ack_batch(self, src: str, tids: List[str], site: int):
         for tid in tids:
@@ -431,19 +444,12 @@ class PropagationMixin:
         self._span(tracker.record.tid, span.DS_DURABLE, acked=len(tracker.acked))
         self.storage.log.append({"kind": "ds_durable", "tid": tracker.record.tid})
         if self._ds_buffer is not None:
-            # Batched ack processing (on_propagate_ack_batch): defer the
-            # broadcast so every record the ack batch made DS-durable
-            # ships in one ds_durable_batch per destination.
+            # Inside on_propagate_ack_batch: defer the broadcast so every
+            # record the ack batch made DS-durable ships in one
+            # ds_durable_batch per destination.
             self._ds_buffer.append(tracker.record)
         else:
-            for site in self.config.active_sites():
-                if site != self.site_id:
-                    self.cast(
-                        self.peers[site],
-                        "ds_durable",
-                        record=tracker.record,
-                        from_site=self.site_id,
-                    )
+            self._broadcast_ds_durable([tracker.record])
         if tracker.client is not None:
             self.cast(tracker.client, "tx_ds_durable", tid=tracker.record.tid)
         self._maybe_visible(tracker)
@@ -505,41 +511,43 @@ class PropagationMixin:
     #: what lets replication keep up under commit saturation (a FIFO lock
     #: grants the apply path one turn per queue rotation) while bounding
     #: how long a batch apply can stall committing transactions.
-    APPLY_CHUNK = 512
+    #:
+    #: A measured constant, not a knob.  Batched acks make every origin's
+    #: cycle rigid, so on an N-site fan-out the N-1 remote batches reach a
+    #: site at the same instant and their appliers take the lock back to
+    #: back; local commits queue behind the whole convoy.  At 512 a turn
+    #: was a whole batch (~230 records x 7.7 us = 1.8 ms) and seven in a
+    #: row 12.4 ms, so commits slipped up to six 2 ms WAL flush steps
+    #: (commit p99 14 ms).  Committed tx per 100 ms window on the ledger's
+    #: write_fanout_8site (seed 23) by chunk size: 512 -> 2003,
+    #: 64 -> 2115, 32 -> 2206, 24 -> 2230, 16 -> 2392, 8 -> 2396,
+    #: 1 -> 2398, at 19 kernel events per transaction for 16 and 29 for
+    #: 1.  16 is the knee: 7 appliers x 16 x 7.7 us stays under one
+    #: flush, so no commit slips a flush-grid step (p99 4 ms).  The other
+    #: side of the trade: on a *saturated* lock a shorter turn is a smaller
+    #: share for replication, which already fell behind there at 512
+    #: (EXPERIMENTS.md Fig 17 write-only row, ROADMAP item 4d).
+    APPLY_CHUNK = 16
 
-    def on_propagate(self, src: str, records: List[CommitRecord], from_site: int):
-        """Apply a propagation batch, acknowledging per record (the
-        legacy wire protocol; byte-identical schedules depend on it)."""
-        to_ack = yield from self._apply_propagate_batch(src, records)
-        for tid in to_ack:
-            self.cast(src, "propagate_ack", tid=tid, site=self.site_id)
-
-    def on_propagate_batch(self, src: str, entries: list, from_site: int):
-        """Batched-mode PROPAGATE: decode the delta-encoded chunk (see
-        :mod:`repro.net.wire`), apply it atomically in seqno order, and
-        acknowledge the whole applied run with one cast."""
-        records = decode_propagation_batch(entries)
-        to_ack = yield from self._apply_propagate_batch(src, records)
+    def on_propagate_batch(self, src: str, batch: PropagationBatch):
+        """PROPAGATE: open the delta-encoded payload (decoded once, shared
+        with the other destinations it went to), apply it in seqno order,
+        and acknowledge the whole applied run with one cast."""
+        to_ack = yield from self._apply_propagate_batch(src, batch.records())
         if to_ack:
-            self.cast(
-                src,
-                "propagate_ack_batch",
-                size_bytes=ack_batch_bytes(len(to_ack)),
-                tids=to_ack,
-                site=self.site_id,
-            )
+            self._cast_propagate_ack(src, to_ack)
 
     def _apply_propagate_batch(self, src: str, records: List[CommitRecord]):
         """Apply a propagation batch; returns the tids to acknowledge.
 
-        Applies run in chunks under one commit-lock acquisition, and
-        durability is awaited once for the whole batch (the WAL
-        group-commits) -- otherwise a large batch would serialize
-        thousands of lock handoffs and flushes.
+        Applies run in chunks of ``APPLY_CHUNK`` under one commit-lock
+        acquisition, and durability is awaited once for the whole batch
+        (the WAL group-commits) -- otherwise a large batch would
+        serialize thousands of lock handoffs and flushes.  ``records``
+        may be shared with other receivers: it is only read.
         """
         to_ack: List[str] = []
         last_durable = None
-        records = list(records)
         i = 0
         while i < len(records):
             record = records[i]
@@ -554,67 +562,40 @@ class PropagationMixin:
                 continue
             yield self.commit_lock.acquire()
             try:
-                if self.batching is not None:
-                    # Batched mode: plan the chunk against a shadow clock,
-                    # charge ONE aggregated apply-cost timeout, then apply
-                    # without further yields.  The legacy per-record
-                    # timeout costs a kernel event per record per
-                    # receiver; the aggregate advances simulated time by
-                    # the same total.  The shadow clock reproduces the
-                    # incremental guard exactly -- records in a batch are
-                    # same-origin contiguous seqnos, so each planned
-                    # apply enables the next one's got guard.
-                    chunk: List[CommitRecord] = []
-                    shadow = self.got_vts
-                    while i < len(records) and len(chunk) < self.APPLY_CHUNK:
-                        record = records[i]
-                        if shadow[record.site] >= record.seqno:
-                            to_ack.append(record.tid)
-                            i += 1
-                            continue
-                        if not (
-                            shadow.dominates(record.start_vts)
-                            and shadow[record.site] == record.seqno - 1
-                        ):
-                            self._park_remote(record, src)
-                            i += 1
-                            continue
-                        chunk.append(record)
-                        shadow = shadow.with_entry(record.site, record.seqno)
+                # Plan the chunk against a shadow clock, charge ONE
+                # aggregated apply-cost timeout, then apply without
+                # further yields (a timeout per record would cost a
+                # kernel event per record per receiver for the same total
+                # simulated time).  The shadow clock reproduces the
+                # incremental guard exactly -- records in a batch are
+                # same-origin contiguous seqnos, so each planned apply
+                # enables the next one's got guard.
+                chunk: List[CommitRecord] = []
+                shadow = self.got_vts
+                while i < len(records) and len(chunk) < self.APPLY_CHUNK:
+                    record = records[i]
+                    if shadow[record.site] >= record.seqno:
+                        to_ack.append(record.tid)
                         i += 1
-                    if chunk:
-                        yield self.kernel.timeout(
-                            self.costs.apply_remote * len(chunk)
-                        )
-                        for record in chunk:
-                            version = record.version
-                            self.histories.apply(record.updates, version)
-                            self.got_vts = self.got_vts.with_entry(
-                                record.site, record.seqno
-                            )
-                            self._records_by_version[version] = record
-                            self.stats.inc("remote_applied")
-                            self._note_remote_apply(record)
-                            last_durable = self.storage.log.append(
-                                {"kind": "remote_apply", "record": record}
-                            )
-                            to_ack.append(record.tid)
-                else:
-                    applied = 0
-                    while i < len(records) and applied < self.APPLY_CHUNK:
-                        record = records[i]
-                        if self.got_vts[record.site] >= record.seqno:
-                            to_ack.append(record.tid)
-                            i += 1
-                            continue
-                        if not self._got_guard(record):
-                            self._park_remote(record, src)
-                            i += 1
-                            continue
-                        yield self.kernel.timeout(self.costs.apply_remote)
+                        continue
+                    if not (
+                        shadow.dominates(record.start_vts)
+                        and shadow[record.site] == record.seqno - 1
+                    ):
+                        self._park_remote(record, src)
+                        i += 1
+                        continue
+                    chunk.append(record)
+                    shadow = shadow.with_entry(record.site, record.seqno)
+                    i += 1
+                if chunk:
+                    yield self.kernel.timeout(self.costs.apply_remote * len(chunk))
+                    for record in chunk:
                         version = record.version
                         self.histories.apply(record.updates, version)
-                        self.got_vts = self.got_vts.with_entry(record.site, record.seqno)
+                        self.got_vts = self.got_vts.with_entry(
+                            record.site, record.seqno
+                        )
                         self._records_by_version[version] = record
                         self.stats.inc("remote_applied")
                         self._note_remote_apply(record)
@@ -622,8 +603,6 @@ class PropagationMixin:
                             {"kind": "remote_apply", "record": record}
                         )
                         to_ack.append(record.tid)
-                        applied += 1
-                        i += 1
             finally:
                 self.commit_lock.release()
             self._drain_pending()
@@ -704,33 +683,22 @@ class PropagationMixin:
         if done is None:
             # Lost the duplicate race: someone else applied this version.
             if reply_to is not None:
-                self.cast(reply_to, "propagate_ack", tid=record.tid, site=self.site_id)
+                self._cast_propagate_ack(reply_to, [record.tid])
             return
         yield done  # durable at this site before acknowledging
         if reply_to is not None:  # recovery-staged: nobody to ack
-            self.cast(reply_to, "propagate_ack", tid=record.tid, site=self.site_id)
+            self._cast_propagate_ack(reply_to, [record.tid])
         self._drain_pending()  # our GotVTS advance may unblock held records
 
-    def on_ds_durable(self, src: str, record: CommitRecord, from_site: int):
-        if self.committed_vts[record.site] >= record.seqno:
-            self._send_visible_ack(src, record.tid)
-            return
-        if not self._committed_guard(record):
-            # Dedup: DS-DURABLE is re-announced periodically while the
-            # origin waits for our visible_ack, which can be a long time
-            # if we are missing the record's causal dependencies.
-            self._pending_ds.add(record, src)
-            return
-        self._commit_remote(record, src)
-        self._drain_pending()
-
-    def on_ds_durable_batch(self, src: str, records: List[CommitRecord], from_site: int):
-        """Batched-mode DS-DURABLE: commit every announced record whose
-        guards pass (parking the rest exactly as the single-record path
-        does), then reply with one ``visible_ack_batch``.  VISIBLE acks
-        raised while processing -- including ones ``_drain_pending``
-        emits for records this batch unblocked -- are buffered via
-        ``_send_visible_ack``."""
+    def on_ds_durable_batch(self, src: str, records: List[CommitRecord]):
+        """DS-DURABLE: commit every announced record whose guards pass,
+        park the rest (deduplicated: DS-DURABLE is re-announced
+        periodically while the origin waits for our VISIBLE ack, which
+        can be a long time if we are missing a record's causal
+        dependencies), then reply with one ``visible_ack_batch``.
+        VISIBLE acks raised while processing -- including ones
+        ``_drain_pending`` emits for records this batch unblocked -- are
+        buffered via ``_send_visible_ack``."""
         buf = (src, [])
         self._vis_ack_buffer = buf
         try:
@@ -745,26 +713,19 @@ class PropagationMixin:
             self._drain_pending()
         finally:
             self._vis_ack_buffer = None
-        tids = buf[1]
-        if tids:
-            self.cast(
-                src,
-                "visible_ack_batch",
-                size_bytes=ack_batch_bytes(len(tids)),
-                tids=tids,
-                site=self.site_id,
-            )
+        if buf[1]:
+            self._cast_visible_ack(src, buf[1])
 
     def _send_visible_ack(self, reply_to: str, tid: str) -> None:
         """Send (or, inside a DS batch, buffer) one VISIBLE ack.  The
         buffer only captures acks aimed at the batch's origin; acks owed
         to a different site (pending records parked by an earlier
-        announcement) go out individually as before."""
+        announcement) go out as batches of one."""
         buf = self._vis_ack_buffer
         if buf is not None and buf[0] == reply_to:
             buf[1].append(tid)
         else:
-            self.cast(reply_to, "visible_ack", tid=tid, site=self.site_id)
+            self._cast_visible_ack(reply_to, [tid])
 
     def _committed_guard(self, record: CommitRecord) -> bool:
         """Fig 13: CommittedVTS_i >= x.startVTS, CommittedVTS_i[j] =
@@ -820,7 +781,6 @@ class PropagationMixin:
         pending_remote = self._pending_remote
         pending_ds = self._pending_ds
         got = self.got_vts
-        site_id = self.site_id
 
         # Remote actions, computable up front because GotVTS is fixed.
         remote_actions = []
@@ -871,7 +831,7 @@ class PropagationMixin:
                 if got[record.site] >= record.seqno:
                     # Duplicate of an already-applied version: re-ACK.
                     if reply_to is not None:  # recovery-staged: nobody to ack
-                        self.cast(reply_to, "propagate_ack", tid=record.tid, site=site_id)
+                        self._cast_propagate_ack(reply_to, [record.tid])
                 else:
                     self.spawn_child(
                         self._apply_remote(record, reply_to),

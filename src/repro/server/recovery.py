@@ -733,6 +733,39 @@ class SiteRecoveryCoordinator:
                 "recovery_commit_upto",
                 site=origin,
                 upto=final_report["committed"][origin])
-        # Hand displaced containers back to their original preferred site.
+        # Hand displaced containers back to their original preferred
+        # site -- under a suspended lease, and only once the returning
+        # site holds everything each temporary holder admitted.  The
+        # rounds above caught it up to the *donor*; a transaction the
+        # holder (the ``reassign_to`` site, not necessarily the donor)
+        # fast-committed on a displaced container may not have reached
+        # the donor yet, and granting the lease back before it arrives
+        # would let the returning site fast-commit over it (chaos seed
+        # 613).  Same rule as ``migrate_preferred_site`` step 3: no site
+        # holds the lease between the revoke and the grant.
+        holder_of = {
+            cid: config.container(cid).preferred_site
+            for cid, original in config.displaced.items()
+            if original == returning_site
+        }
+        for cid in holder_of:
+            config.suspend_lease(cid)
+        try:
+            for holder in sorted(set(holder_of.values())):
+                held = yield from self._call(self.server_addresses[holder], "recovery_report")
+                have = yield from self._call(returning_server_address, "recovery_report")
+                for origin, want in enumerate(held["got"]):
+                    if have["got"][origin] < want:
+                        records = yield from self._fetch_stream(
+                            partial, survivors, holder, origin, have["got"][origin], want)
+                        yield from self._call(returning_server_address,
+                            "recovery_deliver",
+                            records=records)
+        except BaseException:
+            # An unreachable holder must not leave the leases suspended
+            # forever: the containers stay displaced, holders re-granted.
+            for cid, holder in holder_of.items():
+                config.reassign_preferred_site(cid, holder)
+            raise
         config.restore_displaced(returning_site)
         return survive_upto

@@ -23,6 +23,7 @@ from ..obs import trace as span
 from ..sim import Kernel, Lock, Resource, Store
 from ..spec.checker import ExecutionTrace
 from ..storage import SiteStorage
+from .batching import BatchingConfig
 from .execution import ExecutionMixin
 from .fast_commit import FastCommitMixin
 from .propagation import PendingIndex, PropagationMixin, PropagationTracker
@@ -170,13 +171,9 @@ class WalterServer(
         #: the trimmed wire messages and read routing would perturb
         #: pinned schedule digests of full-replication runs.
         self.partial_replication = partial_replication
-        #: Hot-path batching (DESIGN.md §14): a
-        #: :class:`~repro.server.batching.BatchingConfig` enables the
-        #: adaptive WAL group-commit window, delta-encoded propagation
-        #: batches with per-batch ack/DS/VISIBLE casts, and read
-        #: coalescing.  ``None`` (the default) takes exactly the legacy
-        #: per-record paths -- pinned schedule digests depend on it.
-        self.batching = batching
+        #: Batch sizes (DESIGN.md §14); anything
+        #: :meth:`BatchingConfig.coerce` accepts, ``None`` = defaults.
+        self.batching = BatchingConfig.coerce(batching)
 
         n_sites = len(network.topology)
         # Fig 9 variables.
@@ -204,9 +201,8 @@ class WalterServer(
         self._ds_unvisible: Dict[str, PropagationTracker] = {}
         self._enqueue_seq = 0
         self._visible_tids = set()
-        # Batching scratch state (always allocated so the off path pays
-        # only a None check): in-flight coalescable remote reads, and the
-        # per-handler buffers that collapse DS-DURABLE broadcasts and
+        # Batching scratch state: in-flight coalescable remote reads, and
+        # the per-handler buffers that collapse DS-DURABLE broadcasts and
         # VISIBLE acks into per-batch casts (see PropagationMixin).
         self._read_inflight: Dict[tuple, object] = {}
         self._ds_buffer = None
@@ -244,8 +240,7 @@ class WalterServer(
         self._ds_lag = registry.histogram("server.ds_lag", site=site_id)
         self._visibility_lag = registry.histogram("server.visibility_lag", site=site_id)
         #: Propagation batch occupancy (records per PROPAGATE cast per
-        #: destination) -- observed in both modes so batching efficacy is
-        #: comparable against the unbatched baseline (DESIGN.md §14).
+        #: destination; DESIGN.md §14).
         self._prop_batch_hist = registry.histogram(
             "server.propagation_batch", buckets=log_buckets(1.0, 4096.0), site=site_id
         )

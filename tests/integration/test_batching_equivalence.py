@@ -1,16 +1,18 @@
-"""Batching is behavior-transparent (DESIGN.md §14): the same workload
-run with ``Deployment(batching=True)`` and with batching off must agree
-on everything that is *not* timing -- commit outcomes, the final visible
-value of every object at every site, lag-report completeness, and the
-PSI verdict of the recorded trace.
+"""Batch sizes are behavior-transparent (DESIGN.md §14): batching is the
+only wire, so what still varies is its two sizes.  The same workload run
+at the smallest sizes -- ``BatchingConfig(max_batch=1, wal_window=0)``,
+every record its own cast, no group-commit window -- and at the defaults
+must agree on everything that is *not* timing: commit outcomes, the
+final visible value of every object at every site, lag-report
+completeness, and the PSI verdict of the recorded trace.
 
 The workloads here are count-bound and conflict-free by construction
 (each client writes only its own keys), so both arms perform identical
 logical work, every transaction commits in both, and the converged state
 comparison is exact.  Conflict outcomes under contention are
-deliberately *not* compared one-to-one -- batching legitimately shifts
+deliberately *not* compared one-to-one -- batch sizes legitimately shift
 timing, and which racer aborts is schedule-dependent; the chaos suite
-(``--batching``) covers that regime against the PSI oracles instead.
+covers that regime against the PSI oracles instead.
 
 Hypothesis drives the workload shape (seed, keys, transaction mix)
 across the deployment grid the issue names: shards 1 and 4, full and
@@ -24,8 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.deployment import Deployment
+from repro.obs import collect_run, diff_outcomes
+from repro.server import BatchingConfig
 from repro.spec import check_trace
 from repro.storage import FLUSH_MEMORY
+
+#: The smallest batch sizes the wire accepts.
+SMALLEST = BatchingConfig(max_batch=1, wal_window=0)
 
 
 def _run_arm(seed, batching, shards, replication, n_base_sites=2):
@@ -117,6 +124,7 @@ def _run_arm(seed, batching, shards, replication, n_base_sites=2):
         and len({base(int(v)) for k, v in counter.labels if k in ("site", "dst")}) == 2
     )
     return {
+        "artifact": collect_run(world, "batch-sizes"),
         "wan_bytes": wan_bytes,
         "statuses": tuple(sorted(statuses)),
         "reads": reads,
@@ -132,19 +140,23 @@ def _assert_equivalent(seed, shards, replication):
     # Partial replication needs more base sites than the replication
     # factor, or every shard group is stored everywhere anyway.
     n_base = 3 if replication is not None else 2
-    off = _run_arm(seed, None, shards, replication, n_base_sites=n_base)
-    on = _run_arm(seed, True, shards, replication, n_base_sites=n_base)
-    assert set(off["statuses"]) == {"COMMITTED"}
-    assert on["statuses"] == off["statuses"]
-    assert on["reads"] == off["reads"]
+    small = _run_arm(seed, SMALLEST, shards, replication, n_base_sites=n_base)
+    default = _run_arm(seed, None, shards, replication, n_base_sites=n_base)
+    assert set(small["statuses"]) == {"COMMITTED"}
+    assert default["statuses"] == small["statuses"]
+    assert default["reads"] == small["reads"]
     # Lag-report completeness: every commit was applied at every other
     # replica in both arms (the *values* of the lags are timing and may
     # differ; the sample counts may not).
-    assert on["applied"] == off["applied"]
-    assert on["commits"] == off["commits"]
-    # What batching buys on the simulated clock: fewer bytes between
+    assert default["applied"] == small["applied"]
+    assert default["commits"] == small["commits"]
+    # The run artifacts agree on every outcome counter (what
+    # ``python -m repro.obs diff --outcomes-only`` checks).
+    mismatches, _notes = diff_outcomes(small["artifact"], default["artifact"])
+    assert mismatches == []
+    # What bigger batches buy on the simulated clock: fewer bytes between
     # data centers for the same logical work.
-    assert on["wan_bytes"] < off["wan_bytes"]
+    assert default["wan_bytes"] < small["wan_bytes"]
 
 
 class TestBatchingEquivalence:
@@ -171,7 +183,7 @@ class TestBatchingEquivalence:
     def test_contended_runs_stay_psi_in_both_arms(self):
         # Contention regime: identical outcomes are not promised, but
         # both arms must satisfy PSI on their own traces.
-        for batching in (None, True):
+        for batching in (SMALLEST, None):
             world = Deployment(
                 n_sites=2, flush_latency=FLUSH_MEMORY, seed=77,
                 trace=True, batching=batching,

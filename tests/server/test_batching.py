@@ -1,5 +1,5 @@
 """Unit tests for the hot-path batching layer (DESIGN.md §14): the
-propagation wire format, the ``Deployment(batching=...)`` knob, the
+propagation wire format, the ``Deployment(batching=...)`` sizes, the
 adaptive WAL group-commit window, and remote-read coalescing."""
 
 import random
@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from repro.core.objects import ObjectId, ObjectKind
 from repro.core.transaction import CommitRecord
 from repro.core.updates import CSetAdd, DataUpdate
-from repro.core.versions import VectorTimestamp
+from repro.core.versions import VectorTimestamp, Version
+from repro.bench.calibration import walter_costs
 from repro.deployment import Deployment
+from repro.net import Topology
 from repro.net.wire import (
     BATCH_HEADER_BYTES,
     RECORD_HEADER_BYTES,
@@ -22,9 +24,9 @@ from repro.net.wire import (
     decode_propagation_batch,
     encode_propagation_batch,
 )
-from repro.server import BatchingConfig
+from repro.server import BatchingConfig, WalterServer
 from repro.sim import Kernel
-from repro.storage import FLUSH_MEMORY, DiskLog
+from repro.storage import FLUSH_EC2, FLUSH_MEMORY, DiskLog
 
 
 def _oid(name):
@@ -140,8 +142,7 @@ class TestWireFormat:
 
 class TestBatchingConfig:
     def test_coerce(self):
-        assert BatchingConfig.coerce(None) is None
-        assert BatchingConfig.coerce(False) is None
+        assert BatchingConfig.coerce(None) == BatchingConfig()
         assert BatchingConfig.coerce(True) == BatchingConfig()
         cfg = BatchingConfig(wal_window=0.002)
         assert BatchingConfig.coerce(cfg) is cfg
@@ -153,6 +154,21 @@ class TestBatchingConfig:
         with pytest.raises(TypeError):
             BatchingConfig.coerce("yes")
 
+    def test_off_position_is_gone(self):
+        # ``False`` used to select the per-record wire; the error says
+        # that wire was removed instead of silently batching anyway.
+        with pytest.raises(ValueError, match="removed"):
+            BatchingConfig.coerce(False)
+        with pytest.raises(ValueError, match="removed"):
+            Deployment(n_sites=2, batching=False)
+
+    def test_single_record_handlers_are_gone(self):
+        # The four batched casts are the whole wire; a per-record
+        # handler growing back would be a second propagation path.
+        for name in ("propagate", "propagate_ack", "ds_durable", "visible_ack"):
+            assert not hasattr(WalterServer, "on_" + name)
+            assert hasattr(WalterServer, "on_%s_batch" % name)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchingConfig(wal_window=-1.0)
@@ -160,14 +176,20 @@ class TestBatchingConfig:
             BatchingConfig(max_batch=0)
 
     def test_deployment_knob(self):
-        world = Deployment(n_sites=2, flush_latency=FLUSH_MEMORY, seed=1)
-        assert world.batching is None
+        # The knob selects sizes, never a code path: unset and ``True``
+        # are the same deployment.
+        for batching in (None, True):
+            world = Deployment(
+                n_sites=2, flush_latency=FLUSH_MEMORY, seed=1, batching=batching
+            )
+            assert world.batching == BatchingConfig()
+        custom = BatchingConfig(max_batch=8, wal_window=0.0)
         world = Deployment(
-            n_sites=2, flush_latency=FLUSH_MEMORY, seed=1, batching=True
+            n_sites=2, flush_latency=FLUSH_MEMORY, seed=1, batching=custom
         )
-        assert world.batching == BatchingConfig()
-        for server in world.servers:
-            assert server.batching == BatchingConfig()
+        for server, storage in zip(world.servers, world.storages):
+            assert server.batching is custom
+            assert storage.log.flush_window == 0.0
 
 
 class TestAdaptiveWalWindow:
@@ -240,12 +262,10 @@ class TestAdaptiveWalWindow:
         assert durable["chaser"] == pytest.approx(0.031)
 
 
-def _run_readers(batching, n_readers=3):
+def _run_readers(n_readers=3):
     """Readers at site 0 concurrently fetch the same remote-preferred
-    object: with coalescing on, the duplicates ride the leader's RPC."""
-    world = Deployment(
-        n_sites=2, flush_latency=FLUSH_MEMORY, seed=5, batching=batching
-    )
+    object: the duplicates ride the leader's RPC."""
+    world = Deployment(n_sites=2, flush_latency=FLUSH_MEMORY, seed=5)
     # Replicated only at site 1: site 0's readers must fetch remotely.
     world.create_container("remote", preferred_site=1, replica_sites=[1])
     oid = world.config.container("remote").new_id()
@@ -268,15 +288,10 @@ def _run_readers(batching, n_readers=3):
 
 class TestReadCoalescing:
     def test_duplicate_inflight_reads_coalesce(self):
-        assert _run_readers(True) >= 1
-
-    def test_batching_off_never_coalesces(self):
-        assert _run_readers(None) == 0
+        assert _run_readers() >= 1
 
     def test_multiread_fans_out_batched_gets(self):
-        world = Deployment(
-            n_sites=3, flush_latency=FLUSH_MEMORY, seed=6, batching=True
-        )
+        world = Deployment(n_sites=3, flush_latency=FLUSH_MEMORY, seed=6)
         oids, expect = [], []
         for site in range(3):
             world.create_container("c%d" % site, preferred_site=site)
@@ -296,3 +311,113 @@ class TestReadCoalescing:
         world.kernel.spawn(reader(world.new_client(0)))
         world.run(until=10.0)
         assert out["values"] == expect
+
+
+class TestApplyConvoy:
+    def test_remote_appliers_never_convoy_local_commits(self):
+        """8 uniform sites, write-only local commits: the 7 remote
+        batches reach a site at the same instant (batched acks make
+        every origin's cycle rigid) and their appliers take the commit
+        lock back to back.  ``APPLY_CHUNK`` bounds each turn, so a local
+        commit queued behind them slips no more than one WAL flush step.
+        At ``APPLY_CHUNK = 512`` the tail of this run is 12-14 ms."""
+        warm_up, until = 0.35, 0.5  # warm-up covers commit -> visible everywhere
+        world = Deployment(
+            n_sites=8,
+            topology=Topology.uniform(8, rtt_ms=80.0),
+            costs=walter_costs("ec2"),
+            flush_latency=FLUSH_EC2,
+            seed=23,
+        )
+        by_site = {}
+        for site in range(8):
+            container = world.create_container("c%d" % site, preferred_site=site)
+            by_site[site] = [container.new_id() for _ in range(250)]
+        world.preload({o: b"x" * 100 for oids in by_site.values() for o in oids})
+        waits = []
+
+        def writer(client, rng):
+            local = by_site[client.site.id]
+            while True:
+                start = world.kernel.now
+                tx = client.start_tx()
+                yield from client.write(tx, rng.choice(local), b"y" * 100, last=True)
+                if tx.status == "COMMITTED" and start >= warm_up:
+                    waits.append(world.kernel.now - start)
+
+        for index in range(8 * 12):
+            world.kernel.spawn(
+                writer(world.new_client(index // 12), random.Random("convoy:%d" % index))
+            )
+        world.run(until=until)
+        waits.sort()
+        assert len(waits) > 3000
+        assert waits[int(0.99 * len(waits))] <= 0.006
+        # Three flush periods plus the commit RPC's own CPU and LAN hop.
+        assert waits[-1] <= 3 * FLUSH_EC2 + 0.0005
+
+
+def _commit_one(world, site, oid, value=b"v"):
+    def op(client):
+        tx = client.start_tx()
+        yield from client.write(tx, oid, value)
+        status = yield from client.commit(tx)
+        assert status == "COMMITTED"
+
+    world.run_process(op(world.new_client(site)))
+    return Version(site, world.servers[site].curr_seqno)
+
+
+class TestDecodeSharing:
+    def test_full_replication_destinations_share_one_decode(self, monkeypatch):
+        from repro.server import propagation
+
+        decodes = []
+
+        def counting(entries):
+            decodes.append(len(entries))
+            return decode_propagation_batch(entries)
+
+        monkeypatch.setattr(propagation, "decode_propagation_batch", counting)
+        world = Deployment(
+            topology=Topology.uniform(8, rtt_ms=80.0),
+            flush_latency=FLUSH_MEMORY,
+            seed=3,
+        )
+        world.create_container("c", preferred_site=0)
+        version = _commit_one(world, 0, world.config.container("c").new_id())
+        world.settle(2.0)
+        # One payload, seven destinations, one decode.
+        assert decodes == [1]
+        applied = [world.servers[s]._records_by_version[version] for s in range(1, 8)]
+        assert all(record is applied[0] for record in applied)
+        # The origin keeps its own record; the wire copy is a rebuild.
+        assert applied[0] is not world.servers[0]._records_by_version[version]
+        assert applied[0].updates == world.servers[0]._records_by_version[version].updates
+
+    def test_trimmed_destination_gets_its_own_records(self):
+        world = Deployment(
+            n_sites=3, flush_latency=FLUSH_MEMORY, seed=3, replication=2
+        )
+        container = world.create_container("c", preferred_site=0)
+        outsider = next(s for s in range(3) if not container.replicated_at(s))
+        replica = next(s for s in (1, 2) if container.replicated_at(s))
+        version = _commit_one(world, 0, container.new_id())
+        world.settle(2.0)
+        full = world.servers[replica]._records_by_version[version]
+        trimmed = world.servers[outsider]._records_by_version[version]
+        assert full is not trimmed
+        assert len(full.updates) == 1
+        assert trimmed.updates == [] and trimmed.touched == ("c",)
+
+    def test_only_the_entries_pickle(self):
+        import pickle
+
+        from repro.server.propagation import PropagationBatch
+
+        records = _chain(4)
+        batch = PropagationBatch(encode_propagation_batch(records)[0])
+        assert batch.records() is batch.records()  # decoded once, kept
+        shipped = pickle.loads(pickle.dumps(batch))
+        assert shipped._records is None  # a worker decodes for itself
+        _assert_same(shipped.records(), records)

@@ -12,6 +12,8 @@ apply strictly in seqno order.
 from repro.core.transaction import CommitRecord
 from repro.core.versions import VectorTimestamp, Version
 from repro.deployment import Deployment
+from repro.net.wire import encode_propagation_batch
+from repro.server.propagation import PropagationBatch
 from repro.storage import FLUSH_MEMORY
 
 
@@ -92,7 +94,10 @@ def test_out_of_order_batch_applies_in_seqno_order():
     records = [remote_record("t%d" % s, s) for s in (5, 4, 3, 2, 1)]
 
     def deliver():
-        yield from receiver.on_propagate("test-origin", records, from_site=0)
+        entries, _size = encode_propagation_batch(records)
+        yield from receiver.on_propagate_batch(
+            "test-origin", PropagationBatch(entries)
+        )
 
     world.run_process(deliver())
     world.settle(2.0)

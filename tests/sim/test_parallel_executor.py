@@ -223,6 +223,8 @@ from repro.core.updates import CSetAdd, DataUpdate
 from repro.core.versions import VectorTimestamp, Version
 from repro.net.network import Envelope
 from repro.net.rpc import Cast, RpcReply, RpcRequest
+from repro.net.wire import encode_propagation_batch
+from repro.server.propagation import PropagationBatch
 
 oid = ObjectId("bench-site0", "k17")
 cset = ObjectId("bench-site0", "s3", ObjectKind.CSET)
@@ -237,7 +239,11 @@ objects = [
     Version(2, 7),
     VectorTimestamp._wrap((1, 2, 3)),
     record,
-    Cast("propagate", {"records": [record]}, "walter-1"),
+    Cast(
+        "propagate_batch",
+        {"batch": PropagationBatch(encode_propagation_batch([record])[0])},
+        "walter-1",
+    ),
     RpcRequest(3, "tx_read", {"oid": oid}, "client-0", None),
     RpcReply(3, b"value", None),
     Envelope(0.04, 0, 1, 1, "walter-0", "walter-1",
