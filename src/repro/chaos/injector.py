@@ -163,7 +163,7 @@ class FaultInjector:
 
         def op():
             try:
-                yield from self.world.handover_container_gen(cid, to_site)
+                yield from self.world.migrate_preferred_site(cid, to_site)
             except Exception as exc:  # noqa: BLE001
                 self._note_error("handover", exc)
 

@@ -781,12 +781,6 @@ class Deployment:
                 # grant did not.
                 self.config.reassign_preferred_site(cid, old)
 
-    def handover_container_gen(
-        self, cid: str, to_site: int, within: float = 30.0
-    ) -> Generator:
-        """Backwards-compatible alias of :meth:`migrate_preferred_site`."""
-        return (yield from self.migrate_preferred_site(cid, to_site, within=within))
-
     def _coordinator(self, at_site: int = 0) -> SiteRecoveryCoordinator:
         host = Host(
             self.kernel,

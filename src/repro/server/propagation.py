@@ -28,10 +28,12 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Set, Tuple
+from itertools import groupby
+from typing import List, Optional, Set, Tuple
 
 from ..core.transaction import CommitRecord
 from ..core.updates import touched_oids
+from ..core.versions import VectorTimestamp
 from ..net.wire import (
     ack_batch_bytes,
     decode_propagation_batch,
@@ -56,9 +58,6 @@ class PropagationTracker:
     committed_at: float = 0.0
     ds_at: Optional[float] = None
     visible_at: Optional[float] = None
-    #: Monotonic per-server enqueue stamp; orders retransmission casts
-    #: the way the legacy full-tracker walk did (enqueue order).
-    enqueue_seq: int = 0
 
 
 class PropagationBatch:
@@ -92,41 +91,18 @@ class PropagationBatch:
 
 
 class PendingIndex:
-    """Seqno-indexed store of parked ``(record, reply_to)`` entries,
-    grouped by origin site.
+    """Parked ``(record, reply_to)`` entries per origin site, ordered by
+    seqno: a clock advance releases exactly what it unblocks, however
+    much else is parked.  Entries only ever leave from a site's head."""
 
-    Replaces the legacy list + restart-scan in ``_drain_pending``: a
-    vector-clock advance wakes exactly the entries it unblocks (the
-    duplicates at or below the new watermark, plus the next-seqno head)
-    instead of rescanning every parked record.  Every entry is stamped
-    with a monotonic insertion sequence so ``_drain_pending`` can act on
-    candidates in insertion order -- reproducing the legacy scan's
-    action order bit-for-bit.
-    """
-
-    __slots__ = ("_entries", "_heaps", "_next_seq")
+    __slots__ = ("_entries", "_heaps")
 
     def __init__(self):
-        # (site, seqno) -> (record, reply_to, insert_seq)
-        self._entries = {}
-        # site -> min-heap of parked seqnos; acted seqnos are pruned
-        # lazily (they may already have been popped by unblocked()).
-        self._heaps = {}
-        self._next_seq = 0
+        self._entries = {}  # (site, seqno) -> (record, reply_to)
+        self._heaps = {}  # site -> min-heap of that site's parked seqnos
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __iter__(self) -> Iterator[Tuple[CommitRecord, Optional[str]]]:
-        """Yield ``(record, reply_to)`` pairs in insertion order (the
-        legacy list's iteration order; for tests and debugging)."""
-        for record, reply_to, _seq in sorted(
-            self._entries.values(), key=lambda entry: entry[2]
-        ):
-            yield record, reply_to
-
-    def contains_version(self, record: CommitRecord) -> bool:
-        return (record.site, record.seqno) in self._entries
 
     def add(self, record: CommitRecord, reply_to: Optional[str]) -> bool:
         """Park an entry; returns False (a no-op) if this version is
@@ -134,53 +110,44 @@ class PendingIndex:
         key = (record.site, record.seqno)
         if key in self._entries:
             return False
-        self._next_seq += 1
-        self._entries[key] = (record, reply_to, self._next_seq)
-        heap = self._heaps.get(record.site)
-        if heap is None:
-            heap = self._heaps[record.site] = []
-        heapq.heappush(heap, record.seqno)
+        self._entries[key] = (record, reply_to)
+        heapq.heappush(self._heaps.setdefault(record.site, []), record.seqno)
         return True
 
     def get(self, site: int, seqno: int):
         """The entry parked at exactly ``(site, seqno)``, or None."""
         return self._entries.get((site, seqno))
 
-    def remove(self, site: int, seqno: int):
-        """Pop and return the entry at ``(site, seqno)``, or None."""
-        return self._entries.pop((site, seqno), None)
-
     def sites(self) -> List[int]:
         return list(self._heaps)
 
     def parked_head(self, site: int) -> Optional[int]:
-        """The smallest live parked seqno of ``site``, or None.  Prunes
-        stale heap heads (already removed or acted on) lazily; used by
-        the online monitor's propagation-gap check."""
+        """The smallest parked seqno of ``site``, or None."""
         heap = self._heaps.get(site)
-        entries = self._entries
-        while heap:
-            if (site, heap[0]) in entries:
-                return heap[0]
-            heapq.heappop(heap)
-        return None
+        return heap[0] if heap else None
 
-    def unblocked(self, site: int, watermark: int) -> List[tuple]:
-        """Pop and return the entries of ``site`` with seqno <=
-        ``watermark`` (duplicates the clock already covers) in seqno
-        order.  The entries stay in the version map until the caller
-        acts on them via :meth:`remove`."""
+    def pop_head(self, site: int) -> tuple:
+        """Pop and return the entry at ``parked_head(site)``."""
+        return self._entries.pop((site, heapq.heappop(self._heaps[site])))
+
+    def pop_run(self, site: int, clock: VectorTimestamp) -> List[tuple]:
+        """Pop and return, in seqno order, what ``clock`` lets a receiver
+        apply of ``site``: the duplicates it already covers, then the
+        contiguous run of next seqnos, each checked against the clock as
+        the ones before it advance it (the Fig 13 guard).  Stops at the
+        first entry that must wait, so nothing is popped only to be
+        parked again."""
+        run = []
         heap = self._heaps.get(site)
-        if not heap:
-            return []
-        out = []
-        entries = self._entries
-        while heap and heap[0] <= watermark:
-            seqno = heapq.heappop(heap)
-            entry = entries.get((site, seqno))
-            if entry is not None:
-                out.append(entry)
-        return out
+        while heap:
+            seqno = heap[0]
+            if seqno > clock[site]:
+                record = self._entries[(site, seqno)][0]
+                if seqno != clock[site] + 1 or not clock.dominates(record.start_vts):
+                    break
+                clock = clock.with_entry(site, seqno)
+            run.append(self.pop_head(site))
+        return run
 
 
 class PropagationMixin:
@@ -188,7 +155,6 @@ class PropagationMixin:
     # Origin side
     # ------------------------------------------------------------------
     def _enqueue_propagation(self, record: CommitRecord, notify: Optional[str]) -> None:
-        self._enqueue_seq += 1
         tracker = PropagationTracker(
             record=record,
             client=notify,
@@ -197,7 +163,6 @@ class PropagationMixin:
             ds_event=self.kernel.event(("ds:%s", (record.tid,))),
             visible_event=self.kernel.event(("vis:%s", (record.tid,))),
             committed_at=self.kernel.now,
-            enqueue_seq=self._enqueue_seq,
         )
         self._trackers[record.tid] = tracker
         # Resend bookkeeping: entries are appended in committed_at order,
@@ -257,39 +222,32 @@ class PropagationMixin:
 
         Instead of walking every tracker, this consults two focused
         structures the tracker lifecycle maintains: ``_ds_unvisible``
-        (DS-durable trackers still missing VISIBLE acks, re-announced in
-        enqueue order like the legacy full walk) and ``_undurable`` (a
-        committed_at-ordered deque whose stale entries form a prefix;
-        superseded entries -- resent or since-durable trackers -- are
-        dropped lazily as they surface at the head)."""
+        (DS-durable trackers still missing VISIBLE acks, in the order
+        they became DS-durable) and ``_undurable`` (a committed_at-ordered
+        deque whose stale entries form a prefix; superseded entries --
+        resent or since-durable trackers -- are dropped lazily as they
+        surface at the head)."""
         now = self.kernel.now
         stale = 3.0 * self._batch_period()
-        if self._ds_unvisible:
-            # Near-sorted already (trackers become DS-durable roughly in
-            # enqueue order), so the sort is cheap; it exists to pin the
-            # legacy cast order exactly.
-            for tracker in sorted(
-                self._ds_unvisible.values(), key=lambda t: t.enqueue_seq
-            ):
-                if tracker.globally_visible:
+        for tracker in self._ds_unvisible.values():
+            if now - (tracker.ds_at or now) <= stale:
+                continue
+            for site in self.config.active_sites():
+                if site == self.site_id:
                     continue
-                if now - (tracker.ds_at or now) > stale:
-                    for site in self.config.active_sites():
-                        if site == self.site_id:
-                            continue
-                        if site not in tracker.acked:
-                            # A site activated after DS durability (site
-                            # re-integration) may lack the record itself;
-                            # it cannot commit what it never received, so
-                            # re-PROPAGATE, not just re-announce.
-                            self._cast_propagate(
-                                site,
-                                *self._encode([self._record_for(tracker.record, site)]),
-                            )
-                        if site not in tracker.visible:
-                            # VISIBLE acks missing: re-announce DS durability.
-                            self._cast_ds_durable(site, [tracker.record])
-                    tracker.ds_at = now
+                if site not in tracker.acked:
+                    # A site activated after DS durability (site
+                    # re-integration) may lack the record itself; it
+                    # cannot commit what it never received, so
+                    # re-PROPAGATE, not just re-announce.
+                    self._cast_propagate(
+                        site,
+                        *self._encode([self._record_for(tracker.record, site)]),
+                    )
+                if site not in tracker.visible:
+                    # VISIBLE acks missing: re-announce DS durability.
+                    self._cast_ds_durable(site, [tracker.record])
+            tracker.ds_at = now
         undurable = self._undurable
         resend: List[CommitRecord] = []
         while undurable:
@@ -361,8 +319,8 @@ class PropagationMixin:
         return PropagationBatch(entries), size
 
     # The four protocol messages.  A lone record (a retransmission, a
-    # parked record's late ack) travels as a batch of one: there is no
-    # second, per-record wire.
+    # late VISIBLE ack) travels as a batch of one: there is no second,
+    # per-record wire.
     def _cast_propagate(self, site: int, batch: PropagationBatch, size: int) -> None:
         self.cast(self.peers[site], "propagate_batch", size_bytes=size, batch=batch)
 
@@ -526,7 +484,7 @@ class PropagationMixin:
     #: flush, so no commit slips a flush-grid step (p99 4 ms).  The other
     #: side of the trade: on a *saturated* lock a shorter turn is a smaller
     #: share for replication, which already fell behind there at 512
-    #: (EXPERIMENTS.md Fig 17 write-only row, ROADMAP item 4d).
+    #: (EXPERIMENTS.md Fig 17 write-only row, ROADMAP item 2).
     APPLY_CHUNK = 16
 
     def on_propagate_batch(self, src: str, batch: PropagationBatch):
@@ -537,8 +495,13 @@ class PropagationMixin:
         if to_ack:
             self._cast_propagate_ack(src, to_ack)
 
-    def _apply_propagate_batch(self, src: str, records: List[CommitRecord]):
+    def _apply_propagate_batch(self, src: Optional[str], records: List[CommitRecord]):
         """Apply a propagation batch; returns the tids to acknowledge.
+
+        The one place a remote record enters ``histories`` at run time:
+        a fresh ``propagate_batch``, a run ``_drain_pending`` released
+        and a recovery delivery (``src`` None: nobody to ack) all come
+        through here, so they may race each other on the same records.
 
         Applies run in chunks of ``APPLY_CHUNK`` under one commit-lock
         acquisition, and durability is awaited once for the whole batch
@@ -575,6 +538,10 @@ class PropagationMixin:
                 while i < len(records) and len(chunk) < self.APPLY_CHUNK:
                     record = records[i]
                     if shadow[record.site] >= record.seqno:
+                        # The authoritative duplicate check: the guard
+                        # above ran before we queued for the lock, and
+                        # another copy of this version may have won it
+                        # first.  Cset updates are not idempotent.
                         to_ack.append(record.tid)
                         i += 1
                         continue
@@ -613,8 +580,8 @@ class PropagationMixin:
     def _park_remote(self, record: CommitRecord, src: Optional[str]) -> None:
         """Hold back a record whose got guard failed, once: batches can
         carry duplicates (retransmissions, recovery delivery racing
-        normal propagation), and parking a version twice would make
-        ``_drain_pending`` spawn two applies for it."""
+        normal propagation), and a version parked twice would be
+        released twice."""
         self._pending_remote.add(record, src)
 
     def _note_remote_apply(self, record: CommitRecord) -> None:
@@ -648,47 +615,6 @@ class PropagationMixin:
             self.got_vts.dominates(record.start_vts)
             and self.got_vts[record.site] == record.seqno - 1
         )
-
-    def _apply_remote_inner(self, record: CommitRecord):
-        """Apply one remote record; returns its WAL-durability event
-        (not yet awaited).  Holds the commit lock briefly: applying
-        mutates the same histories the commit path does, which is why
-        per-site write throughput shrinks as sites are added even though
-        batched replication is cheaper than committing (§8.3)."""
-        yield self.commit_lock.acquire()
-        try:
-            # Authoritative duplicate check under the lock: the got guard
-            # was evaluated before this process was spawned, and another
-            # apply of the same version may have won the lock first
-            # (e.g. the record arrived both by recovery delivery and by a
-            # retransmitted batch).  Cset updates are not idempotent, so
-            # applying twice would corrupt the site state.
-            if self.got_vts[record.site] >= record.seqno:
-                return None
-            yield self.kernel.timeout(self.costs.apply_remote)
-            version = record.version
-            self.histories.apply(record.updates, version)
-            self.got_vts = self.got_vts.with_entry(record.site, record.seqno)
-        finally:
-            self.commit_lock.release()
-        self._records_by_version[version] = record
-        self.stats.inc("remote_applied")
-        self._note_remote_apply(record)
-        return self.storage.log.append({"kind": "remote_apply", "record": record})
-
-    def _apply_remote(self, record: CommitRecord, reply_to: str):
-        """Apply + await durability + ACK for a single held-back record
-        (the _drain_pending path)."""
-        done = yield from self._apply_remote_inner(record)
-        if done is None:
-            # Lost the duplicate race: someone else applied this version.
-            if reply_to is not None:
-                self._cast_propagate_ack(reply_to, [record.tid])
-            return
-        yield done  # durable at this site before acknowledging
-        if reply_to is not None:  # recovery-staged: nobody to ack
-            self._cast_propagate_ack(reply_to, [record.tid])
-        self._drain_pending()  # our GotVTS advance may unblock held records
 
     def on_ds_durable_batch(self, src: str, records: List[CommitRecord]):
         """DS-DURABLE: commit every announced record whose guards pass,
@@ -754,105 +680,58 @@ class PropagationMixin:
         """Wake held-back PROPAGATE/DS-DURABLE records whose guards now
         pass.  Called whenever GotVTS or CommittedVTS advances.
 
-        The legacy implementation rescanned both pending lists from the
-        start after every action (O(n) per advance, O(n^2) per burst).
-        This version consults the :class:`PendingIndex` so each call
-        touches only the records the current clocks unblock, yet
-        reproduces the legacy action order exactly:
-
-        * the legacy loop took at most one remote action then one
-          DS action per pass, each the first actionable record in list
-          order -- i.e. the lowest insertion stamp;
-        * GotVTS is **fixed** for the whole call (applies are spawned
-          processes that run later), so the remote action sequence is
-          computable up front: per origin site, every parked duplicate
-          at or below GotVTS plus the next-seqno head if its got guard
-          passes, interleaved across sites by insertion stamp;
-        * CommittedVTS **advances** during the call (``_commit_remote``
-          runs inline), so DS candidates accumulate in a heap keyed by
-          insertion stamp: actionability is monotone within a call --
-          once a guard passes it stays passed -- and each commit can
-          only unblock the committing site's next head plus the heads
-          of other sites (whose dominates() test may newly pass).
+        GotVTS is fixed for the whole call (applies are spawned processes
+        that take the commit lock later), so each origin's releasable run
+        is known up front and goes to one :meth:`_apply_parked_run`
+        process.  CommittedVTS advances during the call
+        (``_commit_remote`` runs inline) and a commit of one origin can
+        satisfy the startVTS of another's head, so the DS half sweeps the
+        origins' heads until a pass commits nothing.
 
         ``_drain_scan_steps`` counts examined entries; the perf
         regression tests assert it stays O(unblocked), not O(parked).
         """
         pending_remote = self._pending_remote
-        pending_ds = self._pending_ds
-        got = self.got_vts
-
-        # Remote actions, computable up front because GotVTS is fixed.
-        remote_actions = []
         if len(pending_remote):
             for site in pending_remote.sites():
-                watermark = got[site]
-                for entry in pending_remote.unblocked(site, watermark):
-                    self._drain_scan_steps += 1
-                    remote_actions.append((entry[2], entry[0], entry[1]))
-                head = pending_remote.get(site, watermark + 1)
-                if head is not None:
-                    self._drain_scan_steps += 1
-                    if got.dominates(head[0].start_vts):
-                        remote_actions.append((head[2], head[0], head[1]))
-            remote_actions.sort()
-
-        # DS candidates: a heap keyed by insertion stamp, re-fed as
-        # CommittedVTS advances.
-        candidates: list = []
-        queued = set()
-
-        def queue_ds_candidates(site: int) -> None:
-            watermark = self.committed_vts[site]
-            for entry in pending_ds.unblocked(site, watermark):
-                self._drain_scan_steps += 1
-                key = (site, entry[0].seqno)
-                if key not in queued:
-                    queued.add(key)
-                    heapq.heappush(candidates, (entry[2], site, entry[0].seqno))
-            head = pending_ds.get(site, watermark + 1)
-            if head is not None and (site, watermark + 1) not in queued:
-                self._drain_scan_steps += 1
-                if self._committed_guard(head[0]):
-                    queued.add((site, watermark + 1))
-                    heapq.heappush(candidates, (head[2], site, watermark + 1))
-
-        if len(pending_ds):
-            for site in pending_ds.sites():
-                queue_ds_candidates(site)
-
-        next_remote = 0
-        while True:
-            acted = False
-            if next_remote < len(remote_actions):
-                _stamp, record, reply_to = remote_actions[next_remote]
-                next_remote += 1
-                pending_remote.remove(record.site, record.seqno)
-                if got[record.site] >= record.seqno:
-                    # Duplicate of an already-applied version: re-ACK.
-                    if reply_to is not None:  # recovery-staged: nobody to ack
-                        self._cast_propagate_ack(reply_to, [record.tid])
-                else:
+                run = pending_remote.pop_run(site, self.got_vts)
+                self._drain_scan_steps += len(run) + 1
+                if run:
                     self.spawn_child(
-                        self._apply_remote(record, reply_to),
-                        name=("apply:%s", (record.tid,)),
+                        self._apply_parked_run(run),
+                        name=("apply:%s", (run[0][0].tid,)),
                     )
-                acted = True
-            while candidates:
-                _stamp, site, seqno = heapq.heappop(candidates)
-                entry = pending_ds.remove(site, seqno)
-                if entry is None:
-                    continue
-                record, reply_to = entry[0], entry[1]
-                if self.committed_vts[site] >= seqno:
-                    if reply_to is not None:  # recovery-staged: nobody to ack
-                        self._send_visible_ack(reply_to, record.tid)
-                else:
-                    self._commit_remote(record, reply_to)
-                    if len(pending_ds):
-                        for other in pending_ds.sites():
-                            queue_ds_candidates(other)
-                acted = True
-                break
-            if not acted:
-                break
+
+        pending_ds = self._pending_ds
+        progress = bool(len(pending_ds))
+        while progress:
+            progress = False
+            for site in pending_ds.sites():
+                seqno = pending_ds.parked_head(site)
+                while seqno is not None:
+                    self._drain_scan_steps += 1
+                    record, reply_to = pending_ds.get(site, seqno)
+                    if self.committed_vts[site] >= seqno:
+                        # Already committed here: just (re-)acknowledge.
+                        pending_ds.pop_head(site)
+                        if reply_to is not None:  # recovery-staged: nobody to ack
+                            self._send_visible_ack(reply_to, record.tid)
+                    elif self._committed_guard(record):
+                        pending_ds.pop_head(site)
+                        self._commit_remote(record, reply_to)
+                        progress = True
+                    else:
+                        break
+                    seqno = pending_ds.parked_head(site)
+
+    def _apply_parked_run(self, run: List[tuple]):
+        """Apply one origin's released ``(record, reply_to)`` run -- the
+        same chunked path a fresh batch takes -- and acknowledge each
+        stretch to whoever sent it (recovery-staged entries have nobody
+        to ack)."""
+        for reply_to, entries in groupby(run, key=operator.itemgetter(1)):
+            to_ack = yield from self._apply_propagate_batch(
+                reply_to, [record for record, _reply_to in entries]
+            )
+            if to_ack and reply_to is not None:
+                self._cast_propagate_ack(reply_to, to_ack)

@@ -298,7 +298,9 @@ class RecoveryMixin:
         return record.trimmed(keep)
 
     def rpc_recovery_deliver(self, records: List[CommitRecord]):
-        """Apply fetched records (in order) as if propagated normally.
+        """Apply fetched records (in order) as if propagated normally:
+        re-trimmed to this site, they take the propagation applier with
+        nobody to ack.
 
         "As if propagated" includes the got guard: a record whose causal
         dependencies (startVTS) are not yet applied here is parked in
@@ -308,22 +310,10 @@ class RecoveryMixin:
         resolve "latest visible version" by application order, so an
         origin-grouped recovery sync could serve a causally overwritten
         value.  Cross-origin dependencies settle as the coordinator's
-        per-origin rounds deliver and ``_drain_pending`` re-scans."""
-        for record in records:
-            if self.got_vts[record.site] >= record.seqno:
-                continue
-            record = self._retrim_for_self(record)
-            if not self._got_guard(record):
-                self._pending_remote.add(record, None)
-                continue
-            # _apply_remote_inner holds the commit lock and re-checks for
-            # duplicates under it: this delivery may race normal
-            # propagation of the same records.
-            done = yield from self._apply_remote_inner(record)
-            if done is not None:
-                yield done
-            self._drain_pending()
-        self._drain_pending()
+        per-origin rounds deliver and ``_drain_pending`` releases."""
+        yield from self._apply_propagate_batch(
+            None, [self._retrim_for_self(record) for record in records]
+        )
         return "OK"
 
     def _discard_abandoned_suffix(self, failed_site: int, survive_upto: int) -> int:
@@ -362,12 +352,8 @@ class RecoveryMixin:
         retried request whose original reply was lost may arrive after
         this site resumed committing, and re-truncating at the stale
         bound would discard freshly committed transactions."""
-        if rk is not None:
-            done = getattr(self, "_finalize_done", None)
-            if done is None:
-                done = self._finalize_done = {}
-            if rk in done:
-                return done[rk]
+        if rk in self._finalize_done:
+            return self._finalize_done[rk]
         # Durable first: if this server later rebuilds from its log, the
         # marker repeats the truncation in replay order.
         self.storage.log.append(

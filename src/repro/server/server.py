@@ -199,7 +199,6 @@ class WalterServer(
         # missing VISIBLE acks.
         self._undurable = deque()
         self._ds_unvisible: Dict[str, PropagationTracker] = {}
-        self._enqueue_seq = 0
         self._visible_tids = set()
         # Batching scratch state: in-flight coalescable remote reads, and
         # the per-handler buffers that collapse DS-DURABLE broadcasts and
@@ -220,6 +219,9 @@ class WalterServer(
         #: idempotency token -> (status, recorded_at) for tx_commit
         #: retries whose original reply was lost.
         self._commit_outcomes: Dict[str, tuple] = {}
+        #: coordinator request key -> result of a ``recovery_finalize``
+        #: already performed (a late retry must not truncate again).
+        self._finalize_done: Dict[str, dict] = {}
         #: tids with a commit RPC currently executing (duplicate commit
         #: requests park until the first lands its outcome).
         self._commit_inflight = set()

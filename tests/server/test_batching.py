@@ -169,6 +169,14 @@ class TestBatchingConfig:
             assert not hasattr(WalterServer, "on_" + name)
             assert hasattr(WalterServer, "on_%s_batch" % name)
 
+    def test_per_record_appliers_are_gone(self):
+        # Fresh batches, parked runs and recovery deliveries all go
+        # through ``_apply_propagate_batch``; a per-record applier
+        # growing back would be a second remote-apply path.
+        assert hasattr(WalterServer, "_apply_propagate_batch")
+        for name in ("_apply_remote", "_apply_remote_inner"):
+            assert not hasattr(WalterServer, name)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchingConfig(wal_window=-1.0)

@@ -1,9 +1,14 @@
 """Propagation retransmission: replication self-heals after transient
 partitions and message loss, without a server restart."""
 
+from unittest import mock
+
 import pytest
 
+from repro.core.objects import ObjectKind
 from repro.deployment import Deployment
+from repro.net.wire import encode_propagation_batch
+from repro.server.propagation import PropagationBatch
 from repro.storage import FLUSH_MEMORY
 
 
@@ -104,3 +109,58 @@ def test_propagation_survives_random_message_loss():
     client1 = world.new_client(1)
     for i in committed:
         assert read_value(world, client1, oids[i]) == b"v%d" % i
+
+
+@pytest.mark.parametrize("recovery_first", [True, False])
+def test_recovery_delivery_racing_retransmission_applies_once(recovery_first):
+    """The same records reach a site by ``recovery_deliver`` and by a
+    retransmitted ``propagate_batch`` while its commit lock is busy, so
+    both copies pass the got guard and queue on the lock together.
+    Cset adds are not idempotent: whichever copy gets the lock second
+    must find the versions applied and only re-ACK them."""
+    world = make_world()
+    client0 = world.new_client(0)
+    cset = client0.new_id("c0", ObjectKind.CSET)
+    origin, receiver = world.server(0), world.server(1)
+
+    # Site 1 stays cut off: nothing reaches it but what the test injects.
+    world.network.partition(0, 1)
+    n = 3 * receiver.APPLY_CHUNK + 5  # several lock turns, a ragged tail
+
+    def adds():
+        for elem in range(n):
+            tx = client0.start_tx()
+            yield from client0.set_add(tx, cset, elem)
+            assert (yield from client0.commit(tx)) == "COMMITTED"
+
+    world.run_process(adds(), within=120.0)
+    records = origin.rpc_recovery_fetch(0, 0, n)
+    assert [r.seqno for r in records] == list(range(1, n + 1))
+    entries, _size = encode_propagation_batch(records)
+
+    copies = [
+        receiver.rpc_recovery_deliver(records),
+        receiver.on_propagate_batch(origin.address, PropagationBatch(entries)),
+    ]
+    if not recovery_first:
+        copies.reverse()
+
+    def race():
+        yield receiver.commit_lock.acquire()
+        racers = [world.kernel.spawn(copy) for copy in copies]
+        yield world.kernel.timeout(0.001)
+        assert len(receiver.commit_lock._waiters) == 2
+        receiver.commit_lock.release()
+        for racer in racers:
+            yield racer
+
+    with mock.patch.object(receiver, "_cast_propagate_ack") as cast_ack:
+        world.run_process(race(), within=120.0)
+
+    assert receiver.got_vts[0] == n
+    assert receiver.stats.remote_applied == n
+    counts = receiver.histories.read_cset(cset, receiver.got_vts).counts()
+    assert counts == {elem: 1 for elem in range(n)}
+    # Every record is acknowledged to the origin exactly once, by the
+    # retransmitted copy; the recovery-staged copy has nobody to ack.
+    cast_ack.assert_called_once_with(origin.address, [r.tid for r in records])
