@@ -170,6 +170,39 @@ class VectorTimestamp:
             )
 
 
+class PlanningClock:
+    """A mutable, list-backed scratch copy of a server clock (GotVTS or
+    CommittedVTS) for planning a run of remote applies or commits: Fig 13
+    admits each transaction against a clock the previous one advanced,
+    and :meth:`admit` advances in place where an immutable
+    :class:`VectorTimestamp` would be rebuilt per record.  A plan is
+    never installed as the server's clock."""
+
+    __slots__ = ("_seqnos",)
+
+    def __init__(self, vts: VectorTimestamp):
+        self._seqnos = list(vts._seqnos)
+
+    def __getitem__(self, site: int) -> int:
+        return self._seqnos[site]
+
+    def admit(self, site: int, seqno: int, start_vts: VectorTimestamp) -> bool:
+        """Fig 13's receiver guard for transaction ``<site, seqno>``: the
+        clock holds exactly ``seqno - 1`` of ``site`` and covers the
+        snapshot ``start_vts``.  When it holds, counts the transaction in."""
+        seqnos = self._seqnos
+        if seqnos[site] != seqno - 1:
+            return False
+        needed = start_vts._seqnos
+        if len(needed) != len(seqnos):
+            start_vts._check_same_width(self)
+        for have, need in zip(seqnos, needed):
+            if have < need:
+                return False
+        seqnos[site] = seqno
+        return True
+
+
 def merge_all(vectors: Iterable[VectorTimestamp]) -> VectorTimestamp:
     """Join of a non-empty collection of vector timestamps."""
     result = None

@@ -58,16 +58,29 @@ class SpaceSaving:
 
     def observe(self, key, field: Optional[str] = None, owner: Optional[bool] = None) -> None:
         self.observations += 1
-        entry = self._entries.get(key)
+        entries = self._entries
+        entry = entries.get(key)
         if entry is None:
             self._seq += 1
-            if len(self._entries) >= self.capacity:
-                base = self._evict_min()
-                entry = [base + 1, base, self._seq, {}]
+            heap = self._heap
+            if len(entries) >= self.capacity:
+                # Evict the minimum (count, seq) entry and hand its heap
+                # slot to the new key.  A head whose count grew since it
+                # was pushed is stale: refresh it in place and look again.
+                while True:
+                    count, seq, victim = heap[0]
+                    current = entries[victim][0]
+                    if current == count:
+                        break
+                    heapq.heapreplace(heap, (current, seq, victim))
+                del entries[victim]
+                self.evictions += 1
+                entry = [count + 1, count, self._seq, {}]
+                heapq.heapreplace(heap, (count + 1, self._seq, key))
             else:
                 entry = [1, 0, self._seq, {}]
-            self._entries[key] = entry
-            heapq.heappush(self._heap, (entry[0], entry[2], key))
+                heapq.heappush(heap, (1, self._seq, key))
+            entries[key] = entry
         else:
             entry[0] += 1
         payload = entry[3]
@@ -76,24 +89,6 @@ class SpaceSaving:
         if owner is not None:
             okey = "owner_ops" if owner else "nonowner_ops"
             payload[okey] = payload.get(okey, 0) + 1
-
-    def _evict_min(self) -> int:
-        """Remove and return the count of the minimum ``(count, seq)``
-        entry, lazily refreshing stale heap entries on the way down."""
-        heap = self._heap
-        entries = self._entries
-        while True:
-            count, seq, key = heapq.heappop(heap)
-            entry = entries.get(key)
-            if entry is None:
-                continue  # key already evicted under a fresher heap entry
-            if entry[0] != count or entry[2] != seq:
-                # Stale (count grew since the push): re-push current.
-                heapq.heappush(heap, (entry[0], entry[2], key))
-                continue
-            del entries[key]
-            self.evictions += 1
-            return count
 
     def get(self, key) -> Optional[Dict[str, Any]]:
         entry = self._entries.get(key)

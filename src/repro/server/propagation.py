@@ -33,7 +33,7 @@ from typing import List, Optional, Set, Tuple
 
 from ..core.transaction import CommitRecord
 from ..core.updates import touched_oids
-from ..core.versions import VectorTimestamp
+from ..core.versions import PlanningClock, VectorTimestamp
 from ..net.wire import (
     ack_batch_bytes,
     decode_propagation_batch,
@@ -133,19 +133,19 @@ class PendingIndex:
     def pop_run(self, site: int, clock: VectorTimestamp) -> List[tuple]:
         """Pop and return, in seqno order, what ``clock`` lets a receiver
         apply of ``site``: the duplicates it already covers, then the
-        contiguous run of next seqnos, each checked against the clock as
+        contiguous run of next seqnos, each admitted against the clock as
         the ones before it advance it (the Fig 13 guard).  Stops at the
         first entry that must wait, so nothing is popped only to be
         parked again."""
         run = []
         heap = self._heaps.get(site)
+        plan = PlanningClock(clock)
         while heap:
             seqno = heap[0]
-            if seqno > clock[site]:
+            if seqno > plan[site]:
                 record = self._entries[(site, seqno)][0]
-                if seqno != clock[site] + 1 or not clock.dominates(record.start_vts):
+                if not plan.admit(site, seqno, record.start_vts):
                     break
-                clock = clock.with_entry(site, seqno)
             run.append(self.pop_head(site))
         return run
 
@@ -416,7 +416,7 @@ class PropagationMixin:
         if self.ds_mode == "all_sites":
             # §8.1: "we consider a transaction to be disaster-safe durable
             # when it is committed at all sites in the experiment".
-            return set(self.config.active_sites()) <= tracker.acked
+            return self.config.active_set() <= tracker.acked
         # Spec mode (§4.4/Fig 13): f+1 sites replicating each object,
         # including the object's preferred site.
         for oid in touched_oids(tracker.record.updates):
@@ -433,7 +433,7 @@ class PropagationMixin:
     def _maybe_visible(self, tracker: PropagationTracker) -> None:
         if tracker.globally_visible or not tracker.ds_durable:
             return
-        if not set(self.config.active_sites()) <= tracker.visible:
+        if not self.config.active_set() <= tracker.visible:
             return
         tracker.globally_visible = True
         tracker.visible_at = self.kernel.now
@@ -525,57 +525,83 @@ class PropagationMixin:
                 continue
             yield self.commit_lock.acquire()
             try:
-                # Plan the chunk against a shadow clock, charge ONE
-                # aggregated apply-cost timeout, then apply without
+                # Plan the chunk against a scratch copy of GotVTS, charge
+                # ONE aggregated apply-cost timeout, then apply without
                 # further yields (a timeout per record would cost a
                 # kernel event per record per receiver for the same total
-                # simulated time).  The shadow clock reproduces the
-                # incremental guard exactly -- records in a batch are
-                # same-origin contiguous seqnos, so each planned apply
-                # enables the next one's got guard.
+                # simulated time).  The plan reproduces the incremental
+                # guard exactly -- records in a batch are same-origin
+                # contiguous seqnos, so each admitted record enables the
+                # next one's got guard.
                 chunk: List[CommitRecord] = []
-                shadow = self.got_vts
+                plan = PlanningClock(self.got_vts)
                 while i < len(records) and len(chunk) < self.APPLY_CHUNK:
                     record = records[i]
-                    if shadow[record.site] >= record.seqno:
+                    i += 1
+                    if plan[record.site] >= record.seqno:
                         # The authoritative duplicate check: the guard
                         # above ran before we queued for the lock, and
                         # another copy of this version may have won it
                         # first.  Cset updates are not idempotent.
                         to_ack.append(record.tid)
-                        i += 1
-                        continue
-                    if not (
-                        shadow.dominates(record.start_vts)
-                        and shadow[record.site] == record.seqno - 1
-                    ):
+                    elif plan.admit(record.site, record.seqno, record.start_vts):
+                        chunk.append(record)
+                    else:
                         self._park_remote(record, src)
-                        i += 1
-                        continue
-                    chunk.append(record)
-                    shadow = shadow.with_entry(record.site, record.seqno)
-                    i += 1
                 if chunk:
                     yield self.kernel.timeout(self.costs.apply_remote * len(chunk))
-                    for record in chunk:
-                        version = record.version
-                        self.histories.apply(record.updates, version)
-                        self.got_vts = self.got_vts.with_entry(
-                            record.site, record.seqno
-                        )
-                        self._records_by_version[version] = record
-                        self.stats.inc("remote_applied")
-                        self._note_remote_apply(record)
-                        last_durable = self.storage.log.append(
-                            {"kind": "remote_apply", "record": record}
-                        )
-                        to_ack.append(record.tid)
+                    last_durable = self._apply_chunk(chunk)
+                    to_ack.extend([record.tid for record in chunk])
             finally:
                 self.commit_lock.release()
             self._drain_pending()
         if last_durable is not None:
             yield last_durable  # batch durable before acknowledging
         return to_ack
+
+    def _apply_chunk(self, chunk: List[CommitRecord]):
+        """Apply a planned chunk under the commit lock in one pass.
+        Per record, in order: histories, the record index and the
+        observability (LRU refresh, access profile, replication lag --
+        origin commit to applied here, on the clock the origin stamped
+        into the record -- and span).  Per chunk: one GotVTS replacement
+        per origin, one counter bump, one WAL append; returns the event
+        that fires when the chunk is durable.
+
+        GotVTS advances from its value *now*, not from the plan: that
+        was made before the apply-cost timeout, and recovery moves the
+        clocks without holding the commit lock."""
+        apply = self.histories.apply
+        by_version = self._records_by_version
+        cache_put = self.storage.cache.put
+        profile = self.profiler.record_remote_apply
+        lag = self._replication_lag.observe
+        now = self.kernel.now
+        tracer = self._tracer
+        deep = tracer is not None and tracer.deep
+        payloads = []
+        for record in chunk:
+            version = record.version
+            apply(record.updates, version)
+            by_version[version] = record
+            for oid in touched_oids(record.updates):
+                cache_put(oid, True)
+                profile(oid)
+            if record.committed_at is not None:
+                lag(now - record.committed_at)
+            if deep:
+                # Link the apply back to the origin's send, so the
+                # propagation hop is a causal edge in the span graph.
+                self._deep(
+                    record.tid, span.REMOTE_APPLY, origin=record.site,
+                    parent=tracer.last_seq(record.tid, span.PROPAGATE_SEND),
+                )
+            elif tracer is not None:
+                self._span(record.tid, span.REMOTE_APPLY, origin=record.site)
+            payloads.append({"kind": "remote_apply", "record": record})
+        self.got_vts = self._advanced(self.got_vts, chunk)
+        self.stats.inc("remote_applied", len(chunk))
+        return self.storage.log.append_many(payloads)
 
     def _park_remote(self, record: CommitRecord, src: Optional[str]) -> None:
         """Hold back a record whose got guard failed, once: batches can
@@ -584,36 +610,10 @@ class PropagationMixin:
         released twice."""
         self._pending_remote.add(record, src)
 
-    def _note_remote_apply(self, record: CommitRecord) -> None:
-        """Observability for one applied remote record: refresh the LRU
-        accounting, measure replication lag (origin commit -> applied
-        here, the clock the origin stamped into the record), and span."""
-        profiler = self.profiler
-        for oid in touched_oids(record.updates):
-            self.storage.cache.put(oid, True)
-            profiler.record_remote_apply(oid)
-        if record.committed_at is not None:
-            self._replication_lag.observe(self.kernel.now - record.committed_at)
-        tracer = self._tracer
-        if tracer is not None and tracer.deep:
-            # Deep mode: link the apply back to the origin's send so the
-            # propagation hop appears as a causal edge in the span graph.
-            tracer.record(
-                record.tid,
-                span.REMOTE_APPLY,
-                self.site_id,
-                self.kernel.now,
-                parent=tracer.last_seq(record.tid, span.PROPAGATE_SEND),
-                origin=record.site,
-            )
-        else:
-            self._span(record.tid, span.REMOTE_APPLY, origin=record.site)
-
     def _got_guard(self, record: CommitRecord) -> bool:
         """Fig 13: GotVTS_i >= x.startVTS and GotVTS_i[j] = x.seqno - 1."""
-        return (
-            self.got_vts.dominates(record.start_vts)
-            and self.got_vts[record.site] == record.seqno - 1
+        return PlanningClock(self.got_vts).admit(
+            record.site, record.seqno, record.start_vts
         )
 
     def on_ds_durable_batch(self, src: str, records: List[CommitRecord]):
@@ -625,22 +625,31 @@ class PropagationMixin:
         VISIBLE acks raised while processing -- including ones
         ``_drain_pending`` emits for records this batch unblocked -- are
         buffered via ``_send_visible_ack``."""
-        buf = (src, [])
-        self._vis_ack_buffer = buf
+        acks: List[str] = []
+        self._vis_ack_buffer = (src, acks)
         try:
+            # Triage against a scratch copy of CommittedVTS that each
+            # admitted record advances, as committing it would, and
+            # commit what it admitted as one run.  Acks keep record order.
+            plan = PlanningClock(self.committed_vts)
+            got_vts = self.got_vts
+            run: List[CommitRecord] = []
             for record in records:
-                if self.committed_vts[record.site] >= record.seqno:
-                    self._send_visible_ack(src, record.tid)
-                    continue
-                if not self._committed_guard(record):
+                site, seqno = record.site, record.seqno
+                if plan[site] >= seqno:
+                    acks.append(record.tid)  # committed before: re-ack
+                elif got_vts[site] >= seqno and plan.admit(site, seqno, record.start_vts):
+                    run.append(record)
+                    acks.append(record.tid)
+                else:
                     self._pending_ds.add(record, src)
-                    continue
-                self._commit_remote(record, src)
+            if run:
+                self._commit_remote_run(run)
             self._drain_pending()
         finally:
             self._vis_ack_buffer = None
-        if buf[1]:
-            self._cast_visible_ack(src, buf[1])
+        if acks:
+            self._cast_visible_ack(src, acks)
 
     def _send_visible_ack(self, reply_to: str, tid: str) -> None:
         """Send (or, inside a DS batch, buffer) one VISIBLE ack.  The
@@ -656,22 +665,36 @@ class PropagationMixin:
     def _committed_guard(self, record: CommitRecord) -> bool:
         """Fig 13: CommittedVTS_i >= x.startVTS, CommittedVTS_i[j] =
         x.seqno - 1, and x was received (PROPAGATE applied)."""
-        return (
-            self.got_vts[record.site] >= record.seqno
-            and self.committed_vts.dominates(record.start_vts)
-            and self.committed_vts[record.site] == record.seqno - 1
-        )
+        return self.got_vts[record.site] >= record.seqno and PlanningClock(
+            self.committed_vts
+        ).admit(record.site, record.seqno, record.start_vts)
 
-    def _commit_remote(self, record: CommitRecord, reply_to: Optional[str]) -> None:
-        self.committed_vts = self.committed_vts.with_entry(record.site, record.seqno)
-        self._release_locks(record.tid)
-        self.storage.log.append({"kind": "remote_commit", "version": record.version})
-        self.stats.inc("remote_commits")
-        self._span(record.tid, span.REMOTE_COMMIT, origin=record.site)
-        if self.trace is not None:
-            self.trace.record_site_commit(self.site_id, record.version)
-        if reply_to is not None:
-            self._send_visible_ack(reply_to, record.tid)
+    @staticmethod
+    def _advanced(clock: VectorTimestamp, records: List[CommitRecord]) -> VectorTimestamp:
+        """``clock`` with each origin's entry set to the seqno of its
+        last record in ``records`` -- one replacement per origin."""
+        for site, seqno in {record.site: record.seqno for record in records}.items():
+            clock = clock.with_entry(site, seqno)
+        return clock
+
+    def _commit_remote_run(self, records: List[CommitRecord]) -> None:
+        """Commit, in order, a run of records the committed guard
+        admitted one after the other: CommittedVTS advances once per
+        origin, the ``remote_commit`` WAL records go down as one append
+        and the counter is bumped once.  Acknowledging is the caller's."""
+        self.committed_vts = self._advanced(self.committed_vts, records)
+        # Per record there is only something to do with prepare locks
+        # held here (2PC participant) or a tracer / spec trace bound.
+        if self._prepared or self._tracer is not None or self.trace is not None:
+            for record in records:
+                self._release_locks(record.tid)
+                self._span(record.tid, span.REMOTE_COMMIT, origin=record.site)
+                if self.trace is not None:
+                    self.trace.record_site_commit(self.site_id, record.version)
+        self.storage.log.append_many(
+            [{"kind": "remote_commit", "version": record.version} for record in records]
+        )
+        self.stats.inc("remote_commits", len(records))
 
     # ------------------------------------------------------------------
     # Guard re-evaluation
@@ -684,7 +707,7 @@ class PropagationMixin:
         that take the commit lock later), so each origin's releasable run
         is known up front and goes to one :meth:`_apply_parked_run`
         process.  CommittedVTS advances during the call
-        (``_commit_remote`` runs inline) and a commit of one origin can
+        (``_commit_remote_run`` runs inline) and a commit of one origin can
         satisfy the startVTS of another's head, so the DS half sweeps the
         origins' heads until a pass commits nothing.
 
@@ -712,16 +735,15 @@ class PropagationMixin:
                     self._drain_scan_steps += 1
                     record, reply_to = pending_ds.get(site, seqno)
                     if self.committed_vts[site] >= seqno:
-                        # Already committed here: just (re-)acknowledge.
-                        pending_ds.pop_head(site)
-                        if reply_to is not None:  # recovery-staged: nobody to ack
-                            self._send_visible_ack(reply_to, record.tid)
+                        pass  # already committed here: just (re-)acknowledge
                     elif self._committed_guard(record):
-                        pending_ds.pop_head(site)
-                        self._commit_remote(record, reply_to)
+                        self._commit_remote_run([record])
                         progress = True
                     else:
                         break
+                    pending_ds.pop_head(site)
+                    if reply_to is not None:  # recovery-staged: nobody to ack
+                        self._send_visible_ack(reply_to, record.tid)
                     seqno = pending_ds.parked_head(site)
 
     def _apply_parked_run(self, run: List[tuple]):

@@ -66,6 +66,9 @@ class PreparedLock:
 
     coord_site: int
     deadline: float
+    #: The oids this transaction holds in ``server.locked`` -- the lock
+    #: table's index by owner, so a release never scans the table.
+    oids: List[ObjectId]
     #: An orphan-decision query is already in flight; don't spawn another.
     querying: bool = False
 
@@ -222,6 +225,7 @@ class SlowCommitMixin:
         self._prepared[tid] = PreparedLock(
             coord_site=self.site_id if coord_site is None else coord_site,
             deadline=self.kernel.now + self.leases.lock_lease,
+            oids=list(oids),
         )
         return True
 
@@ -283,19 +287,23 @@ class SlowCommitMixin:
             return
         info.querying = False
         if decision in (ABORTED, UNKNOWN):
-            held = sum(1 for owner in self.locked.values() if owner == tid)
             self._record_decision(tid, ABORTED)
-            self._release_locks(tid)
+            held = self._release_locks(tid)
             self.obs.registry.counter(
                 "locks.leaked_released", site=self.site_id
             ).inc(held)
         else:
             info.deadline = self.kernel.now + self.leases.lock_lease
 
-    def _release_locks(self, tid: str) -> None:
-        for oid in [o for o, owner in self.locked.items() if owner == tid]:
-            del self.locked[oid]
-        self._prepared.pop(tid, None)
+    def _release_locks(self, tid: str) -> int:
+        """Drop ``tid``'s prepare locks, if it holds any here (every
+        remote commit asks; almost none does).  Returns how many."""
+        info = self._prepared.pop(tid, None)
+        if info is None:
+            return 0
+        for oid in info.oids:
+            self.locked.pop(oid, None)
+        return len(info.oids)
 
     # ------------------------------------------------------------------
     # Anti-starvation (§6, optional)

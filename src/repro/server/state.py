@@ -14,7 +14,7 @@ modelled CPU.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, FrozenSet, List
 
 from ..core.objects import Container, ObjectId
 from ..errors import NoSuchContainerError
@@ -86,6 +86,9 @@ class ConfigView:
     def active_sites(self) -> List[int]:
         raise NotImplementedError
 
+    def active_set(self) -> FrozenSet[int]:
+        raise NotImplementedError
+
     def preferred_site(self, oid: ObjectId) -> int:
         """site(oid) in the paper's notation."""
         return self.container(oid.container).preferred_site
@@ -100,7 +103,7 @@ class LocalConfig(ConfigView):
     def __init__(self, n_sites: int):
         self.n_sites = n_sites
         self._containers: Dict[str, Container] = {}
-        self._active: Set[int] = set(range(n_sites))
+        self._set_active(range(n_sites))
         #: cid -> site currently holding the preferred-site lease.
         self._lease_holder: Dict[str, int] = {}
         #: cid -> original preferred site, for containers moved by a site
@@ -125,8 +128,17 @@ class LocalConfig(ConfigView):
     def holds_preferred_lease(self, cid: str, site: int) -> bool:
         return self._lease_holder.get(cid) == site
 
+    def _set_active(self, sites) -> None:
+        """Read per ack and per tracker, changed only by reconfiguration:
+        the active set is kept frozen and sorted between changes."""
+        self._active: FrozenSet[int] = frozenset(sites)
+        self._active_sorted: List[int] = sorted(self._active)
+
     def active_sites(self) -> List[int]:
-        return sorted(self._active)
+        return list(self._active_sorted)
+
+    def active_set(self) -> FrozenSet[int]:
+        return self._active
 
     def is_active(self, site: int) -> bool:
         return site in self._active
@@ -150,11 +162,11 @@ class LocalConfig(ConfigView):
         return revoked
 
     def deactivate_site(self, site: int) -> None:
-        self._active.discard(site)
+        self._set_active(self._active - {site})
         self.epoch += 1
 
     def activate_site(self, site: int) -> None:
-        self._active.add(site)
+        self._set_active(self._active | {site})
         self.epoch += 1
 
     def reassign_preferred_site(

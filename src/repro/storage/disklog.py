@@ -15,7 +15,7 @@ is ``flush_latency=0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from ..sim import Event, Kernel, Store
 
@@ -160,20 +160,33 @@ class DiskLog:
 
     def append(self, payload: Any) -> Event:
         """Enqueue ``payload``; the returned event fires when durable."""
+        return self.append_many((payload,))
+
+    def append_many(self, payloads: Sequence[Any]) -> Event:
+        """Enqueue ``payloads`` in order with a single durability event:
+        it fires with the last record, and the log is FIFO, so every
+        earlier one is durable by then.  The earlier records travel
+        without an event -- nobody could be waiting on one."""
+        if not payloads:
+            raise ValueError("append_many of no payloads")
         done = Event(self.kernel, self._durable_event_name)
-        record = LogRecord(payload, appended_at=self.kernel.now)
-        if self.flush_latency == 0 and self.kernel.now >= self._stalled_until:
+        now = self.kernel.now
+        if self.flush_latency == 0 and now >= self._stalled_until:
             # Memory-speed commit: durable immediately (same kernel step).
-            record.durable_at = self.kernel.now
-            self.entries.append(record)
-            self.stats.records += 1
+            for payload in payloads:
+                record = LogRecord(payload, now, now)
+                self.entries.append(record)
+                if self._tracer is not None:
+                    self._trace_flush(payload, 1)
+            self.stats.records += len(payloads)
             if self._record_counter is not None:
-                self._record_counter.inc()
-            if self._tracer is not None:
-                self._trace_flush(payload, 1)
+                self._record_counter.inc(len(payloads))
             done.trigger(record)
             return done
-        self._queue.put((record, done, self.epoch))
+        put, epoch = self._queue.put, self.epoch
+        for payload in payloads[:-1]:
+            put((LogRecord(payload, now), None, epoch))
+        put((LogRecord(payloads[-1], now), done, epoch))
         return done
 
     def fence(self) -> List[Any]:
@@ -230,17 +243,20 @@ class DiskLog:
             if self._flush_counter is not None:
                 self._flush_counter.inc()
                 self._batch_hist.observe(float(len(batch)))
+            before = len(self.entries)
             for record, done, epoch in batch:
                 if epoch != self.epoch:
                     continue  # fenced while in flight: never lands
                 record.durable_at = self.kernel.now
                 self.entries.append(record)
-                self.stats.records += 1
-                if self._record_counter is not None:
-                    self._record_counter.inc()
                 if self._tracer is not None:
                     self._trace_flush(record.payload, len(batch))
-                done.trigger(record)
+                if done is not None:  # append_many: only a run's last has one
+                    done.trigger(record)
+            landed = len(self.entries) - before
+            self.stats.records += landed
+            if self._record_counter is not None:
+                self._record_counter.inc(landed)
             self._inflight = []
             self._last_flush_end = self.kernel.now
 

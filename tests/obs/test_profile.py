@@ -1,7 +1,55 @@
 """Unit tests for the space-saving sketch and the access profiler."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.objects import ObjectId
 from repro.obs import AccessProfiler, SpaceSaving
+
+
+class NaiveSpaceSaving:
+    """The sketch's definition, executed literally: on a miss with the
+    table full, scan for the minimum ``(count, insertion_seq)`` entry,
+    evict it, and give the newcomer its count + 1 with that count as the
+    error.  The reference the heap-backed :class:`SpaceSaving` must
+    match observation for observation."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = {}  # key -> [count, error, seq, payload]
+        self.seq = self.evictions = self.observations = 0
+
+    def observe(self, key, field=None, owner=None):
+        self.observations += 1
+        entry = self.entries.get(key)
+        if entry is None:
+            self.seq += 1
+            base = 0
+            if len(self.entries) >= self.capacity:
+                victim = min(self.entries, key=lambda k: (self.entries[k][0], self.entries[k][2]))
+                base = self.entries.pop(victim)[0]
+                self.evictions += 1
+            entry = self.entries[key] = [base, base, self.seq, {}]
+        entry[0] += 1
+        for name in (field, owner if owner is None else ("owner_ops" if owner else "nonowner_ops")):
+            if name is not None:
+                entry[3][name] = entry[3].get(name, 0) + 1
+
+    def top(self):
+        ranked = sorted(self.entries.items(), key=lambda kv: (-kv[1][0], str(kv[0])))
+        return [
+            dict({"key": str(k), "count": e[0], "error": e[1]}, **dict(sorted(e[3].items())))
+            for k, e in ranked
+        ]
+
+
+#: Skewed streams (few keys recur: counts grow, heap heads go stale) and
+#: uniform ones over many keys (almost every observation evicts).
+streams = st.one_of(
+    st.lists(st.integers(0, 400), max_size=400),
+    st.lists(st.integers(0, 12) | st.integers(0, 400), max_size=400),
+    st.lists(st.sampled_from([0, 0, 0, 1, 1, 2, 3, 5, 8, 13, 21, 34]), max_size=400),
+)
 
 
 class TestSpaceSaving:
@@ -36,6 +84,25 @@ class TestSpaceSaving:
             return sketch.top()
 
         assert run() == run()
+
+    @given(
+        capacity=st.integers(1, 16),
+        stream=streams,
+        fields=st.lists(st.sampled_from([None, "reads", "writes"]), min_size=1, max_size=7),
+        owners=st.lists(st.sampled_from([None, True, False]), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_min_scan_reference(self, capacity, stream, fields, owners):
+        sketch, naive = SpaceSaving(capacity), NaiveSpaceSaving(capacity)
+        for i, key in enumerate(stream):
+            field, owner = fields[i % len(fields)], owners[i % len(owners)]
+            sketch.observe(key, field, owner=owner)
+            naive.observe(key, field, owner=owner)
+        assert sketch.top() == naive.top()  # keys, counts, errors, payloads
+        assert (sketch.evictions, sketch.observations) == (naive.evictions, naive.observations)
+        assert len(sketch) == len(naive.entries) <= capacity
+        # One heap entry per live key, however many were refreshed.
+        assert len(sketch._heap) == len(sketch)
 
     def test_owner_split(self):
         sketch = SpaceSaving(capacity=4)

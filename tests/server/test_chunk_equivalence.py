@@ -1,0 +1,252 @@
+"""Chunk-at-a-time replication is a regrouping, not a behaviour change.
+
+The receive path plans, applies, logs and counts remote records a chunk
+at a time (``_apply_chunk``) and commits DS-durable records a run at a
+time (``_commit_remote_run``).  Both must leave a server exactly where
+record-at-a-time processing leaves it, so the same inputs are driven
+twice -- ``APPLY_CHUNK`` 1 against 16 for PROPAGATE, one
+``ds_durable_batch`` per record against one for all of them for
+DS-DURABLE -- and everything a later reader could observe is compared:
+histories, clocks, the record index, WAL payloads in order, LRU order,
+the access profile, the counters and the tids of every ack cast.
+"""
+
+from unittest import mock
+
+import pytest
+
+from repro.core.objects import ObjectKind
+from repro.core.transaction import CommitRecord
+from repro.core.updates import CSetAdd, CSetDel, DataUpdate
+from repro.core.versions import VectorTimestamp
+from repro.deployment import Deployment
+from repro.net.wire import encode_propagation_batch
+from repro.server.propagation import PropagationBatch, PropagationMixin
+from repro.storage import FLUSH_MEMORY
+
+FULL = dict(n_sites=3)
+SHARDED = dict(n_sites=3, shards=2, replication=2)  # 6 logical sites, trimmed wire
+RECEIVER = 1
+
+
+def build(flush_latency, **deploy):
+    world = Deployment(flush_latency=flush_latency, jitter_frac=0.0, **deploy)
+    for site in range(world.n_sites):
+        world.create_container("c%d" % site, preferred_site=site)
+    receiver = world.server(RECEIVER)
+    casts = []
+    real_cast = receiver.cast
+
+    def cast(dst, method, **args):
+        if "tids" in args:
+            casts.append((dst, method, list(args["tids"])))
+        real_cast(dst, method, **args)
+
+    receiver.cast = cast
+    return world, receiver, casts
+
+
+def make_records(world):
+    """Two origins' streams for the receiver, covering what the chunk
+    code treats specially: several updates per record (two of them to one
+    object), cset adds and a delete, a record with a causal dependency
+    on the other origin, and -- in the sharded world -- updates to
+    containers the receiver does not replicate, which the origin trims
+    off (some records down to their header)."""
+    n = world.n_sites
+    a, b = 0, n - 1  # the two origins
+    regs = {s: [world.config.container("c%d" % s).new_id() for _ in range(3)] for s in range(n)}
+    csets = {s: world.config.container("c%d" % s).new_id(ObjectKind.CSET) for s in range(n)}
+
+    def updates_of(origin, seqno):
+        here, there = regs[RECEIVER], regs[origin]
+        if seqno % 7 == 0:
+            return [DataUpdate(there[0], b"only-there%d.%d" % (origin, seqno))]
+        ups = [
+            DataUpdate(here[seqno % 3], b"v%d.%d" % (origin, seqno)),
+            DataUpdate(there[seqno % 3], b"w%d.%d" % (origin, seqno)),
+        ]
+        if seqno % 2:
+            ups.append(DataUpdate(here[seqno % 3], b"again%d.%d" % (origin, seqno)))
+        if seqno % 3 == 0:
+            ups += [CSetAdd(csets[RECEIVER], "e%d" % (seqno % 4)), CSetAdd(csets[origin], seqno)]
+        if seqno % 5 == 0:
+            ups.append(CSetDel(csets[RECEIVER], "e%d" % (seqno % 4)))
+        return ups
+
+    def stream(origin, count, depends_on=None):
+        out = []
+        for seqno in range(1, count + 1):
+            start = [0] * n
+            if depends_on is not None and seqno > 4:
+                start[depends_on] = 30
+            record = CommitRecord(
+                tid="t%d.%d" % (origin, seqno), site=origin, seqno=seqno,
+                start_vts=VectorTimestamp(start), updates=updates_of(origin, seqno),
+                committed_at=0.0,
+            )
+            out.append(world.server(origin)._record_for(record, RECEIVER))
+        return out
+
+    return stream(a, 40), stream(b, 24, depends_on=a)
+
+
+def batch_of(records):
+    entries, _size = encode_propagation_batch(records)
+    return PropagationBatch(entries)
+
+
+def drive_propagate(world, receiver, stream_a, stream_b):
+    """Deliveries in a fixed order, each left to finish: a first batch, a
+    batch beyond a gap (parks), origin b's stream (its tail parks until
+    a's seqno 30 is in), a retransmission (applied prefix + the gap,
+    which releases a's parked run and, behind it, b's -- one after the
+    other, so the apply order does not depend on how long a lock turn
+    is), and the rest with a duplicated prefix."""
+    for site, name in ((0, "origin-a"), (world.n_sites - 1, "origin-b")):
+        world.network.register(name, site)
+    deliveries = [
+        ("origin-a", stream_a[:5]),
+        ("origin-a", stream_a[9:30]),
+        ("origin-b", stream_b),
+        ("origin-a", stream_a[:9]),
+        ("origin-a", stream_a[20:]),
+    ]
+
+    def deliver():
+        for src, records in deliveries:
+            yield from receiver.on_propagate_batch(src, batch_of(records))
+            yield world.kernel.timeout(0.05)
+
+    world.run_process(deliver(), within=60.0)
+    world.settle(1.0)
+
+
+def fingerprint(receiver, casts):
+    cache = receiver.storage.cache
+    return {
+        "histories": receiver.histories.dump(),
+        "got_vts": tuple(receiver.got_vts),
+        "committed_vts": tuple(receiver.committed_vts),
+        "records": list(receiver._records_by_version.items()),
+        "wal": receiver.storage.log.payloads(),
+        "lru": (list(cache._regular), list(cache._cset)),
+        "profile": receiver.profiler.as_dict(top=64),
+        "stats": receiver.stats.as_dict(),
+        "locked": dict(receiver.locked),
+        "parked": (len(receiver._pending_remote), len(receiver._pending_ds)),
+        "casts": casts,
+    }
+
+
+def propagate_fingerprint(chunk, flush_latency, deploy):
+    with mock.patch.object(PropagationMixin, "APPLY_CHUNK", chunk):
+        world, receiver, casts = build(flush_latency, **deploy)
+        stream_a, stream_b = make_records(world)
+        drive_propagate(world, receiver, stream_a, stream_b)
+    assert receiver.stats.remote_applied == len(stream_a) + len(stream_b)
+    return fingerprint(receiver, casts)
+
+
+@pytest.mark.parametrize("deploy", [FULL, SHARDED], ids=["full", "sharded-partial"])
+@pytest.mark.parametrize("flush_latency", [0.002, FLUSH_MEMORY], ids=["disk", "memory"])
+def test_apply_chunk_16_equals_record_at_a_time(flush_latency, deploy):
+    one = propagate_fingerprint(1, flush_latency, deploy)
+    sixteen = propagate_fingerprint(16, flush_latency, deploy)
+    for key in one:
+        assert one[key] == sixteen[key], key
+    # The scenario did what it is for: records parked, duplicates were
+    # re-acked, and (sharded) trimmed records reached the WAL.
+    acked = [tid for _dst, method, tids in one["casts"] if method == "propagate_ack_batch" for tid in tids]
+    assert len(acked) > one["stats"]["remote_applied"]
+    if deploy is SHARDED:
+        trimmed = [
+            p["record"] for p in one["wal"]
+            if p["kind"] == "remote_apply" and p["record"].touched is not None
+        ]
+        assert trimmed and not all(r.updates for r in trimmed)
+
+
+def test_apply_chunk_turns_and_clock_replacements():
+    """The regrouping itself: 40 in-order records take ceil(40/16) lock
+    turns, one WAL durability event per turn and one GotVTS replacement
+    per origin per turn."""
+    world, receiver, _casts = build(0.002, **FULL)
+    stream_a, _stream_b = make_records(world)
+    world.network.register("origin-a", 0)
+    replaced = []
+    real_with_entry = VectorTimestamp.with_entry
+
+    def with_entry(vts, site, seqno):
+        replaced.append((site, seqno))
+        return real_with_entry(vts, site, seqno)
+
+    log = receiver.storage.log
+    with mock.patch.object(VectorTimestamp, "with_entry", with_entry), mock.patch.object(
+        log, "append_many", wraps=log.append_many
+    ) as append_many:
+        world.run_process(
+            receiver.on_propagate_batch("origin-a", batch_of(stream_a)), within=60.0
+        )
+    assert replaced == [(0, 16), (0, 32), (0, 40)]
+    assert [len(call.args[0]) for call in append_many.call_args_list] == [16, 16, 8]
+
+
+def record_at_a_time_ds_durable_batch(self, src, records):
+    """The DS-DURABLE handler as it was before runs (PR 18), kept as the
+    reference: every record is checked against the real CommittedVTS and
+    committed on its own before the next one is looked at."""
+    buf = (src, [])
+    self._vis_ack_buffer = buf
+    try:
+        for record in records:
+            if self.committed_vts[record.site] >= record.seqno:
+                self._send_visible_ack(src, record.tid)
+            elif self._committed_guard(record):
+                self._commit_remote_run([record])
+                self._send_visible_ack(src, record.tid)
+            else:
+                self._pending_ds.add(record, src)
+        self._drain_pending()
+    finally:
+        self._vis_ack_buffer = None
+    if buf[1]:
+        self._cast_visible_ack(src, buf[1])
+
+
+def ds_fingerprint(handler):
+    world, receiver, casts = build(0.002, trace=True, **FULL)
+    stream_a, stream_b = make_records(world)
+    drive_propagate(world, receiver, stream_a, stream_b)
+    del casts[:]
+    # A 2PC participant's locks are released by the remote commit.
+    tid, oid = stream_a[2].tid, world.config.container("c%d" % RECEIVER).new_id()
+    vote = world.run_process(
+        receiver.rpc_prepare(tid, [oid], VectorTimestamp.zeros(world.n_sites), coord_site=0)
+    )
+    assert vote and receiver.locked == {oid: tid}
+    # One announcement for both origins: a's records out of order (the
+    # early arrivals park until their predecessors commit, and so does
+    # everything behind them), b's, whose tail needs a's commits first,
+    # and a re-announced prefix; then the same again, all duplicates.
+    announced = stream_a[3:6] + stream_a[:3] + stream_a[6:] + stream_b + stream_a[:4]
+    for _ in range(2):
+        handler(receiver, "origin-a", announced)
+    world.settle(1.0)
+    assert not receiver.locked and not receiver._prepared
+    assert tuple(receiver.committed_vts) == tuple(receiver.got_vts)
+    fp = fingerprint(receiver, casts)
+    fp["site_commit_order"] = world.trace.site_commit_order[RECEIVER]
+    fp["announced"] = [record.tid for record in announced]
+    return fp
+
+
+def test_ds_durable_run_equals_record_at_a_time():
+    run = ds_fingerprint(PropagationMixin.on_ds_durable_batch)
+    reference = ds_fingerprint(record_at_a_time_ds_durable_batch)
+    for key in run:
+        assert run[key] == reference[key], key
+    assert run["stats"]["remote_commits"] == 64
+    # Two announcements, two VISIBLE casts; the second re-acks in order.
+    (_dst, _method, first), (_dst, _method, second) = run["casts"]
+    assert sorted(set(first)) == sorted(set(second)) and second == run["announced"]

@@ -147,6 +147,90 @@ class TestOrphanLockResolution:
         assert w.obs.registry.total("locks.leaked_released") == 0
 
 
+class TestLockIndex:
+    """``_prepared[tid].oids`` is the lock table's index by owner (a
+    release pops it instead of scanning ``locked``): every path that
+    takes or drops prepare locks must leave table and index agreeing."""
+
+    @staticmethod
+    def _agree(server):
+        index = {oid: tid for tid, info in server._prepared.items() for oid in info.oids}
+        assert index == server.locked
+        return len(index)
+
+    def test_commit_abort_and_release_paths_agree(self):
+        w, a, b = _two_site_world()
+        client = w.new_client(0, name="harden-index")
+        participant = w.servers[1]
+        released = []
+        real_release = participant._release_locks
+
+        def release(tid):
+            count = real_release(tid)
+            released.append((tid, count))
+            self._agree(participant)
+            return count
+
+        participant._release_locks = release
+
+        # Commit: the participant holds b until the commit propagates to
+        # it and the remote commit releases it.
+        assert _commit_pair(w, client, a, b, b"seed") == "COMMITTED"
+        assert self._agree(participant) == 1
+        w.settle(2.0)
+        assert self._agree(participant) == 0 and not participant._prepared
+        assert [count for _tid, count in released] == [1]
+
+        # Abort, vote lost: released by the coordinator's retried abort.
+        participant.drop_replies("prepare", 10.0)
+        assert _commit_pair(w, client, a, b, b"lost-vote") == "ABORTED"
+        assert self._agree(participant) == 1
+        w.settle(5.0)
+        assert self._agree(participant) == 0
+
+        # Two owners at once; a duplicate prepare only refreshes the
+        # lease; releasing one owner leaves the other's locks alone.
+        c, d = (w.config.container("c1").new_id() for _ in range(2))
+
+        def prepares():
+            for tid, oids in (("x:1", [b, c]), ("y:1", [d]), ("x:1", [b, c])):
+                vote = yield from participant.rpc_prepare(
+                    tid=tid, oids=oids, start_vts=participant.committed_vts, coord_site=0
+                )
+                assert vote is True
+
+        w.run_process(prepares())
+        assert self._agree(participant) == 3
+        assert participant.rpc_release_prepare("x:1") == "OK"
+        assert self._agree(participant) == 1 and participant.locked == {d: "y:1"}
+        assert participant.rpc_release_prepare("x:1") == "OK"  # idempotent
+        assert participant.rpc_release_prepare("y:1") == "OK"
+        assert self._agree(participant) == 0
+        assert released[-3:] == [("x:1", 2), ("x:1", 0), ("y:1", 1)]
+
+    def test_lease_sweep_and_orphan_decision_agree(self):
+        w, a, b = _two_site_world(lease_sweeper=True)
+        client = w.new_client(0, name="harden-index-orphan")
+        assert _commit_pair(w, client, a, b, b"seed") == "COMMITTED"
+        w.settle(2.0)
+        server = w.servers[1]
+        c = w.config.container("c1").new_id()
+
+        def ghost_prepare():
+            yield from server.rpc_prepare(
+                tid="ghost:2", oids=[b, c], start_vts=server.committed_vts, coord_site=0
+            )
+
+        w.run_process(ghost_prepare())
+        assert self._agree(server) == 2
+        server.lease_sweep()  # before the lease expires: nothing to do
+        assert self._agree(server) == 2
+        w.settle(8.0)  # lease + sweep + decision query (UNKNOWN)
+        assert self._agree(server) == 0 and not server._prepared
+        # The leak counter's ``held`` reads the same index.
+        assert w.obs.registry.total("locks.leaked_released") == 2
+
+
 class TestTransactionReaping:
     """Tentpole piece 1: abandoned transactions stop pinning the GC
     watermark once their lease expires."""

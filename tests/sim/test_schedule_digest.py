@@ -1,11 +1,12 @@
 """Golden-digest schedule regression (ISSUE 5 satellite).
 
 These tests pin a cryptographic digest of the *ordered* event trace of
-two fixed workloads -- a multi-site transactional run and a seeded chaos
-run with faults -- against values recorded before the kernel fast-lane /
-propagation-index optimizations landed.  Any change that perturbs the
-simulated schedule (event ordering, timing, RNG draw order) changes the
-digest; wall-clock-only optimizations must keep it bit-for-bit stable.
+three fixed workloads -- a multi-site transactional run, a seeded chaos
+run with faults, and a write-only fan-out that loses a batch -- against
+values recorded before the optimizations they guard landed.  Any change
+that perturbs the simulated schedule (event ordering, timing, RNG draw
+order) changes the digest; wall-clock-only optimizations must keep it
+bit-for-bit stable.
 
 If one of these digests changes, the simulator's *behaviour* changed:
 either you introduced nondeterminism, or you reordered events.  Do not
@@ -14,8 +15,10 @@ benchmark and the chaos corpus verdicts move with it.
 """
 
 import hashlib
+import json
 
-from repro.bench import PAYLOAD, populate, run_closed_loop
+from repro import Topology
+from repro.bench import PAYLOAD, populate, run_closed_loop, write_tx_factory
 from repro.chaos import ChaosConfig, run_chaos
 from repro.deployment import Deployment
 from repro.obs import trace_events_jsonl
@@ -39,6 +42,12 @@ from repro.obs import trace_events_jsonl
 # CHAOS_DIGEST (seed 9) did not move.
 WORKLOAD_DIGEST = "4b808e6340b58754abe135e2a3df228ab1c4526a7f8e75290bd253a107f5d36e"
 CHAOS_DIGEST = "88820c4d23e653fff46cd69fd8a048e88b6ab75234a59b4ae602e3ea5ea2194b"
+# FANOUT_DIGEST was recorded by PR 19 on its parent's code (PR 18,
+# 943e4bb), before the receive path went chunk-at-a-time: the two
+# workloads above put little weight on propagation, this one is nothing
+# else (duplicates, a parked PROPAGATE run and parked DS-DURABLEs
+# included).
+FANOUT_DIGEST = "a23634a6f686dfb54d61f246b41fa926eb9bbd2c211bbae26262603cac976e5e"
 
 
 def run_digest_workload(tracing=True, **deploy_kwargs):
@@ -81,6 +90,62 @@ def workload_digest(**deploy_kwargs) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def run_fanout_workload():
+    """Five uniform sites, write-only local fast commits (every commit
+    fans out to four sites), and a 20 ms cut of one link mid-run: the
+    batches and acks it drops come back as retransmissions, so site 0
+    and site 1 each see duplicates and park the other's stream behind
+    the gap until it fills (~120 records each)."""
+    world = Deployment(
+        n_sites=5, topology=Topology.uniform(5, rtt_ms=40.0), seed=4321, tracing=True
+    )
+    keys = populate(world, n_keys=200)
+
+    def drop_one_batch():
+        yield world.kernel.timeout(0.30)
+        world.network.partition(0, 1)
+        yield world.kernel.timeout(0.02)
+        world.network.heal(0, 1)
+
+    world.kernel.spawn(drop_one_batch(), name="fanout.cut")
+    run_closed_loop(
+        world, write_tx_factory(keys, 1), clients_per_site=6, warmup=0.05,
+        measure=0.6, name="fanout", seed=7,
+    )
+    world.settle(3.0)
+    return world
+
+
+def fanout_digest() -> str:
+    """Hash the fan-out run's ordered span stream, every server's
+    clocks, counters and WAL (kind and version/tid of each payload, in
+    log order) and the final simulated clock."""
+    world = run_fanout_workload()
+    state = []
+    for server in world.servers:
+        wal = [
+            (p["kind"], str(p["record"].version if "record" in p else p.get("version", p.get("tid"))))
+            for p in server.storage.log.payloads()
+        ]
+        state.append(
+            (
+                server.site_id,
+                tuple(server.got_vts),
+                tuple(server.committed_vts),
+                server.stats.as_dict(),
+                hashlib.sha256(json.dumps(wal).encode()).hexdigest(),
+            )
+        )
+    assert all(s.stats.remote_applied > 3900 for s in world.servers)
+    assert world.server(0).stats.retransmissions and world.server(1)._drain_scan_steps
+    blob = "%s\n%s\nnow=%.9f" % (
+        trace_events_jsonl(world.obs.tracer),
+        json.dumps(state, sort_keys=True),
+        world.kernel.now,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def chaos_digest() -> str:
     """Run a fixed generated chaos schedule (faults included) and hash
     its canonical verdict, which embeds oracle results and the exact
@@ -95,6 +160,9 @@ class TestScheduleDigest:
 
     def test_chaos_schedule_digest_pinned(self):
         assert chaos_digest() == CHAOS_DIGEST
+
+    def test_fanout_schedule_digest_pinned(self):
+        assert fanout_digest() == FANOUT_DIGEST
 
     def test_single_shard_digest_identical_to_unsharded(self):
         """``shards=1`` must take the exact pre-sharding code path --
@@ -119,3 +187,4 @@ class TestScheduleDigest:
 if __name__ == "__main__":
     print("WORKLOAD_DIGEST = %r" % workload_digest())
     print("CHAOS_DIGEST = %r" % chaos_digest())
+    print("FANOUT_DIGEST = %r" % fanout_digest())
