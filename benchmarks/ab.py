@@ -1,6 +1,7 @@
-"""Interleaved A/B of one ledger workload: parent against this tree.
+"""Interleaved A/B of ledger workloads: parent against this tree.
 
-    python3 benchmarks/ab.py --parent <path-or-rev> --workload W [--seed N] [--pairs 10]
+    python3 benchmarks/ab.py --parent <path-or-rev> --workload W|all
+                             [--seed N | --held-out] [--pairs 10]
 
 Runs ``benchmarks/ledger/run.py --workload W --seed N --seconds 10
 --trace 0`` in both trees, one run at a time, alternating which side
@@ -10,6 +11,13 @@ whether every ``sim_*`` value was equal across all runs, and the
 choosing-metrics §8 verdict: a gain is claimed only when the change wins
 at least nine tenths of the pairs *and* the medians differ by more than
 the parent's own quartile distance.
+
+``--workload all`` does that for each of the contract's workloads in
+turn and ends with one table, a row per workload, that answers "is any
+end-to-end metric worse" (choosing-metrics §6.5).  ``--held-out`` takes
+each workload's held-out seed from ``benchmarks/ledger/ledger.json``.
+The exit status is non-zero iff a simulated-clock value differs from the
+parent's; host columns are printed, never gated.
 
 ``--parent`` is a directory holding the parent's tree, or a git revision
 of this repository, which is exported (``git archive``) into a temporary
@@ -70,21 +78,29 @@ def quartiles(values: List[float]):
     return q1, q2, q3
 
 
-def report(contract: dict, parent: List[dict], change: List[dict]) -> bool:
-    """Print the table; returns whether every sim-clock value was equal."""
+#: Summary-cell marks: worse beyond the metric's bound (or an exact value
+#: moved); unresolved -- the parent's own quartile distance exceeds the
+#: bound and not every change run beat every parent run.
+WORSE, UNRESOLVED = "!", "?"
+
+
+def report(contract: dict, parent: List[dict], change: List[dict]) -> Dict[str, str]:
+    """Print one workload's table; returns per metric its summary cell:
+    ``=`` / ``MOVED!`` for exact metrics, else the median's change,
+    marked ``!`` or ``?`` where that applies."""
     pairs = len(parent)
     print("%-22s %-8s %34s %34s %7s %8s  %s" % (
         "metric", "better", "parent median [q1, q3]", "change median [q1, q3]",
         "wins", "delta", "verdict (choosing-metrics §8)",
     ))  # fmt: skip
-    all_equal = True
+    cells: Dict[str, str] = {}
     for spec in contract["end_to_end"]:
         name, lower = spec["name"], spec["better"] == "lower"
         a = [run[name] for run in parent]
         b = [run[name] for run in change]
         if not name.startswith("host_") and name != "setup_s":
             equal = len(set(a + b)) == 1
-            all_equal = all_equal and equal
+            cells[name] = "=" if equal else "MOVED" + WORSE
             print("%-22s %-8s %34.6f %34.6f %7s %8s  %s" % (
                 name, spec["better"], statistics.median(a), statistics.median(b), "-", "-",
                 "exact: equal in all %d runs" % (2 * pairs) if equal else "exact: MOVED",
@@ -104,24 +120,74 @@ def report(contract: dict, parent: List[dict], change: List[dict]) -> bool:
             verdict = "LOSS, beyond bound" if -gain / am > spec["bound"] else "LOSS, within bound"
         else:
             verdict = "no resolved difference"
+        flag = ""
+        if -gain / am > spec["bound"]:
+            flag = WORSE
+        elif (a3 - a1) / am > spec["bound"] and not all(
+            sign * (y - x) > 0 for x in a for y in b
+        ):
+            flag = UNRESOLVED
+        cells[name] = "%+.1f%%%s" % (100.0 * (bm - am) / am, flag)
         print("%-22s %-8s %34s %34s %7s %+7.1f%%  %s" % (
             name, spec["better"],
             "%.3f [%.3f, %.3f]" % (am, a1, a3), "%.3f [%.3f, %.3f]" % (bm, b1, b3),
             "%d/%d" % (wins, pairs), 100.0 * (bm - am) / am, verdict,
         ))  # fmt: skip
-    return all_equal
+    return cells
+
+
+def run_pairs(parent_tree: str, workload: str, seed: Optional[int], pairs: int):
+    """``pairs`` alternating parent / change runs of one workload."""
+    parent_runs: List[dict] = []
+    change_runs: List[dict] = []
+    for pair in range(pairs):
+        order = [(parent_tree, parent_runs), (ROOT, change_runs)]
+        if pair % 2:
+            order.reverse()
+        for tree, runs in order:
+            runs.append(run_once(tree, workload, seed))
+        print("%s pair %2d: host_us_per_tx parent %.1f  change %.1f" % (
+            workload, pair + 1, parent_runs[-1]["host_us_per_tx"], change_runs[-1]["host_us_per_tx"],
+        ), flush=True)  # fmt: skip
+    return parent_runs, change_runs
+
+
+def print_summary(contract: dict, table: Dict[str, Dict[str, str]], pairs: int) -> None:
+    """The no-regression table of ``--workload all``: a row per workload,
+    a column per end-to-end metric, ``report``'s cells."""
+    names = [spec["name"] for spec in contract["end_to_end"]]
+    print("\nchange vs parent, median of %d pair(s); exact metrics: = or MOVED%s" % (pairs, WORSE))
+    print("%-24s" % "workload" + "".join("%21s" % name for name in names))
+    for workload, cells in table.items():
+        print("%-24s" % workload + "".join("%21s" % cells[name] for name in names))
+    cells = [cell for row in table.values() for cell in row.values()]
+    worse = sum(cell.endswith(WORSE) for cell in cells)
+    unresolved = sum(cell.endswith(UNRESOLVED) for cell in cells)
+    print("no end-to-end metric worse beyond its bound: %s (%s worse: %d; %s unresolved, the"
+          " parent's spread is wider than the bound: %d)"
+          % ("NO" if worse else "yes", WORSE, worse, UNRESOLVED, unresolved))  # fmt: skip
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent tree (directory) or git revision")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, help="default: the workload's default seed")
+    parser.add_argument("--workload", required=True, help="a contract workload, or 'all'")
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="default: the workload's default seed")
+    seeds.add_argument("--held-out", action="store_true", help="each workload's held-out seed")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         contract = json.load(handle)
+    workloads = [args.workload]
+    if args.workload == "all":
+        workloads = [entry["name"] for entry in contract["workloads"]]
+    held_out = {}
+    if args.held_out:
+        with open(os.path.join(ROOT, "benchmarks", "ledger", "ledger.json")) as handle:
+            ledger = json.load(handle)["workloads"]
+        held_out = {name: ledger[name]["held_out_seed"] for name in workloads}
 
     scratch = None
     parent_tree = args.parent
@@ -129,22 +195,19 @@ def main() -> int:
         scratch = parent_tree = tempfile.mkdtemp(prefix="ab-parent-")
         export_revision(args.parent, scratch)
     try:
-        parent_runs: List[dict] = []
-        change_runs: List[dict] = []
-        for pair in range(args.pairs):
-            order = [(parent_tree, parent_runs), (ROOT, change_runs)]
-            if pair % 2:
-                order.reverse()
-            for tree, runs in order:
-                runs.append(run_once(tree, args.workload, args.seed))
-            print("pair %2d: host_us_per_tx parent %.1f  change %.1f" % (
-                pair + 1, parent_runs[-1]["host_us_per_tx"], change_runs[-1]["host_us_per_tx"],
-            ), flush=True)  # fmt: skip
-        print("\n%s, %s, %d interleaved pairs (parent: %s)" % (
-            args.workload, "default seed" if args.seed is None else "seed %d" % args.seed,
-            args.pairs, args.parent,
-        ))  # fmt: skip
-        equal = report(contract, parent_runs, change_runs)
+        table: Dict[str, Dict[str, str]] = {}
+        for workload in workloads:
+            seed = held_out.get(workload, args.seed)
+            parent_runs, change_runs = run_pairs(parent_tree, workload, seed, args.pairs)
+            print("\n%s, %s, %d interleaved pairs (parent: %s)" % (
+                workload, "default seed" if seed is None else "seed %d" % seed,
+                args.pairs, args.parent,
+            ))  # fmt: skip
+            table[workload] = report(contract, parent_runs, change_runs)
+            print(flush=True)
+        if len(workloads) > 1:
+            print_summary(contract, table, args.pairs)
+        equal = not any(cell.startswith("MOVED") for row in table.values() for cell in row.values())
         print("simulated-clock metrics equal across all runs: %s" % ("yes" if equal else "NO"))
     finally:
         if scratch is not None:

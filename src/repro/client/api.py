@@ -70,6 +70,8 @@ class TxHandle:
     client: "WalterClient"
     status: Optional[str] = None
     started: bool = False
+    #: An update was issued through this handle (only updates get milestones).
+    wrote: bool = False
     ds_event: Optional[Event] = None
     visible_event: Optional[Event] = None
 
@@ -96,6 +98,8 @@ class WalterClient(Host):
         self.server_address = server_address
         self.config = config
         self.retry = retry
+        # The topology is fixed after construction: one value per client.
+        self._op_timeout = 8.0 * network.topology.max_rtt_from(self.site.id) + 2.0
         # Deep tracing only: the client brackets the commit RPC with
         # send/reply spans so budgets cover the full observed round trip.
         self._tracer = obs.tracer if obs is not None else None
@@ -115,7 +119,7 @@ class WalterClient(Host):
         policy = self.retry
         if policy is None or not idempotent:
             result = yield from self.call(
-                self.server_address, method, timeout=self._op_timeout(),
+                self.server_address, method, timeout=self._op_timeout,
                 span=span, **args
             )
             return result
@@ -123,7 +127,7 @@ class WalterClient(Host):
         for attempt in range(max(1, policy.attempts)):
             try:
                 result = yield from self.call(
-                    self.server_address, method, timeout=self._op_timeout(),
+                    self.server_address, method, timeout=self._op_timeout,
                     span=span, **args
                 )
                 return result
@@ -146,8 +150,8 @@ class WalterClient(Host):
         handle = TxHandle(
             tid=tid,
             client=self,
-            ds_event=self.kernel.event("ds:%s" % tid),
-            visible_event=self.kernel.event("vis:%s" % tid),
+            ds_event=Event(self.kernel, ("ds:%s", (tid,))),
+            visible_event=Event(self.kernel, ("vis:%s", (tid,))),
         )
         self._handles[tid] = handle
         return handle
@@ -213,6 +217,7 @@ class WalterClient(Host):
         return self._unpack(tx, result, last)
 
     def write(self, tx: TxHandle, oid: ObjectId, data: Any, last: bool = False):
+        tx.wrote = True
         result = yield from self._call_op(
             "tx_write",
             tid=tx.tid,
@@ -231,6 +236,7 @@ class WalterClient(Host):
     # Cset objects
     # ------------------------------------------------------------------
     def set_add(self, tx: TxHandle, oid: ObjectId, elem: Hashable, last: bool = False):
+        tx.wrote = True
         result = yield from self._call_op(
             "tx_set_add",
             tid=tx.tid,
@@ -246,6 +252,7 @@ class WalterClient(Host):
         return result
 
     def set_del(self, tx: TxHandle, oid: ObjectId, elem: Hashable, last: bool = False):
+        tx.wrote = True
         result = yield from self._call_op(
             "tx_set_del",
             tid=tx.tid,
@@ -300,6 +307,7 @@ class WalterClient(Host):
         return self._unpack(tx, result, last)
 
     def multiwrite(self, tx: TxHandle, writes, last: bool = False):
+        tx.wrote = True
         result = yield from self._call_op(
             "tx_multiwrite",
             tid=tx.tid,
@@ -380,14 +388,19 @@ class WalterClient(Host):
     # Durability callbacks (server casts)
     # ------------------------------------------------------------------
     def on_tx_ds_durable(self, src: str, tid: str):
-        handle = self._handles.get(tid)
-        if handle is not None and handle.ds_event is not None:
-            handle.ds_event.trigger_once(self.kernel.now)
+        self._milestone(tid, "ds_event")
 
     def on_tx_visible(self, src: str, tid: str):
+        self._milestone(tid, "visible_event")
+
+    def _milestone(self, tid: str, which: str) -> None:
         handle = self._handles.get(tid)
-        if handle is not None and handle.visible_event is not None:
-            handle.visible_event.trigger_once(self.kernel.now)
+        if handle is not None:
+            getattr(handle, which).trigger_once(self.kernel.now)
+            if handle.ds_event.triggered and handle.visible_event.triggered:
+                # Both delivered (in either order): nothing more can
+                # arrive; the application keeps its own reference.
+                del self._handles[tid]
 
     # ------------------------------------------------------------------
     # Helpers
@@ -402,9 +415,7 @@ class WalterClient(Host):
 
     def _finish(self, tx: TxHandle, status: str) -> None:
         tx.status = status
-        if status != COMMITTED:
-            # No durability milestones will ever arrive.
+        if status != COMMITTED or not tx.wrote:
+            # No durability milestone will ever arrive: aborted, or a
+            # read-only commit (the server tracks and casts updates only).
             self._handles.pop(tx.tid, None)
-
-    def _op_timeout(self) -> float:
-        return 8.0 * self.network.topology.max_rtt_from(self.site.id) + 2.0

@@ -1,11 +1,13 @@
 """Message-level network simulation.
 
-Hosts register a mailbox under a string address; :meth:`Network.send`
-delivers a message after the topology's one-way latency, a small jitter,
-and a serialization delay proportional to message size over the pairwise
-bandwidth.  Cross-site links also enforce the bandwidth cap as a shared
-FIFO pipe per (src-site, dst-site) pair, which is what produces the
-paper's batched-propagation behaviour under load.
+Hosts register under a string address; :meth:`Network.send` hands a
+message to the address's receiver -- a started :class:`~repro.net.Host`,
+or the mailbox ``register`` returned -- after the topology's one-way
+latency, a small jitter, and a serialization delay proportional to
+message size over the pairwise bandwidth.  Cross-site links also enforce
+the bandwidth cap as a shared FIFO pipe per (src-site, dst-site) pair,
+which is what produces the paper's batched-propagation behaviour under
+load.
 
 Fault injection (partitions, crashed hosts, message loss) lives here so
 that every protocol in the repository is exercised against the same
@@ -15,7 +17,7 @@ failure model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..obs import MetricsRegistry
 from ..sim import Kernel, RandomStreams, Store
@@ -196,6 +198,9 @@ class Network:
         self.jitter_frac = jitter_frac
         self.loss_rate = loss_rate
         self._mailboxes: Dict[str, Store] = {}
+        # address -> the callable ``_deliver`` hands a message to: the
+        # mailbox's ``put`` until a Host attaches its own receiver.
+        self._receivers: Dict[str, Callable[[Message], None]] = {}
         self._host_sites: Dict[str, Site] = {}
         # address -> site id, mirrored from _host_sites: send/deliver only
         # need the id, and one dict probe beats a lookup plus attribute
@@ -253,20 +258,34 @@ class Network:
     # Host management
     # ------------------------------------------------------------------
     def register(self, address: str, site, takeover: bool = False) -> Store:
-        """Create and return the mailbox for a host at ``site``.
+        """Create and return the mailbox for a host at ``site``: messages
+        queue there unless :meth:`attach` routes them elsewhere.
 
         ``takeover=True`` replaces a dead host at the same address (a
         replacement Walter server keeps its predecessor's identity); the
-        old mailbox is discarded and the crash flag cleared.
+        old mailbox and receiver are discarded and the crash flag cleared.
         """
         if address in self._mailboxes and not takeover:
             raise ValueError("address %r already registered" % (address,))
         mailbox = Store(self.kernel, name="mbox:%s" % address)
         self._mailboxes[address] = mailbox
+        self._receivers[address] = mailbox.put
         self._host_sites[address] = self.topology.site(site)
         self._host_site_ids[address] = self._host_sites[address].id
         self._crashed.discard(address)
         return mailbox
+
+    def attach(self, address: str, receiver: Callable[[Message], None]) -> None:
+        """Deliver ``address``'s messages by calling ``receiver(message)``
+        inside the delivery event instead of queueing them."""
+        self._receivers[address] = receiver
+
+    def detach(self, address: str, receiver: Callable[[Message], None]) -> None:
+        """Queue in the mailbox again -- unless ``receiver`` is no longer
+        the installed one: a host superseded by a takeover must not
+        detach its replacement."""
+        if self._receivers[address] == receiver:
+            self._receivers[address] = self._mailboxes[address].put
 
     def register_remote(self, address: str, site) -> None:
         """Make ``address`` routable without a local mailbox (cluster
@@ -452,4 +471,4 @@ class Network:
                     "net.delivered", site=dst_id
                 )
             delivered.value += 1
-        self._mailboxes[dst].put(message)
+        self._receivers[dst](message)

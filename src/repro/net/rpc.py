@@ -17,54 +17,8 @@ from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Any, Dict, Optional
 
-import heapq
-
-from ..sim import Event, Interrupt, Kernel, Waitable
+from ..sim import Event, Kernel
 from .network import Network
-
-
-class _ReplyOrTimeout(Waitable):
-    """``AnyOf([reply_event, Timeout(delay)])`` specialized for the RPC
-    wait-for-reply race.
-
-    Behaviourally identical to the generic combinator -- the yield value
-    is ``(0, reply)`` or ``(1, None)``, and the subscription order (event
-    first, then the timer) consumes kernel sequence numbers exactly as
-    ``AnyOf`` would -- but avoids its per-call closure factories, child
-    list, and Timeout allocation.  ``call`` runs once per RPC, which makes
-    this one of the hottest allocation sites in the simulator.
-    """
-
-    __slots__ = ("event", "delay", "_callback", "_settled")
-
-    def __init__(self, event: Event, delay: float):
-        self.event = event
-        self.delay = delay
-
-    def _subscribe(self, kernel: Kernel, callback) -> None:
-        self._callback = callback
-        self._settled = False
-        self.event._subscribe(kernel, self._on_reply)
-        kernel._seq += 1
-        heapq.heappush(
-            kernel._heap,
-            (kernel.now + self.delay, kernel._seq, self._on_timeout, (None, None)),
-        )
-
-    def _on_reply(self, value, exc) -> None:
-        if self._settled:
-            return
-        self._settled = True
-        if exc is not None:
-            self._callback(None, exc)
-        else:
-            self._callback((0, value), None)
-
-    def _on_timeout(self, value, exc) -> None:
-        if self._settled:
-            return
-        self._settled = True
-        self._callback((1, value), None)
 
 
 class RpcError(Exception):
@@ -118,7 +72,9 @@ class Cast:
 
 
 class Host:
-    """A networked component: mailbox, dispatch loop, RPC client+server."""
+    """A networked component: RPC client+server over one receive callable
+    (:meth:`_on_message`, which the network calls inside each delivery
+    event) and one deadline timer."""
 
     #: Default request/reply sizes in bytes when the caller does not say.
     DEFAULT_MSG_BYTES = 256
@@ -130,9 +86,14 @@ class Host:
         self.address = name
         self.mailbox = network.register(name, self.site, takeover=takeover)
         self._pending: Dict[int, Event] = {}
+        #: rpc_id -> (deadline, dst, method, timeout) of every outstanding
+        #: call made with a timeout; one live kernel timer serves them all.
+        self._deadlines: Dict[int, tuple] = {}
+        #: When that timer fires (None: not armed); a heap entry for any
+        #: other instant is a superseded one and is ignored.
+        self._armed_at: Optional[float] = None
         self._next_rpc_id = 0
         self._running = False
-        self._loop = None
         self._children: list = []
         # Dead children are pruned when the list reaches this size; the
         # threshold then doubles with the surviving count so pruning is
@@ -151,25 +112,30 @@ class Host:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
+        """Handle what queued in the mailbox while this host was not
+        running, in arrival order, then receive directly."""
         if self._running:
             return
         self._running = True
-        self._loop = self.kernel.spawn(self._dispatch_loop(), name="dispatch:%s" % self.address)
+        for message in self.mailbox.drain():
+            self._on_message(message)
+        self.network.attach(self.address, self._on_message)
 
     def stop(self) -> None:
-        """Stop dispatching (used to model a host crash at the app level)."""
+        """Stop dispatching (used to model a host crash at the app level):
+        messages queue in the mailbox again, outstanding calls fail."""
         self._running = False
-        if self._loop is not None and not self._loop.done:
-            self._loop.interrupt("stopped")
+        self.network.detach(self.address, self._on_message)
         for event in self._pending.values():
             if not event.triggered:
                 event.fail(RpcTimeout("host %s stopped" % self.address))
         self._pending.clear()
+        self._deadlines.clear()
 
     def crash(self) -> None:
         """Crash this host: stop dispatching, drop network traffic, and
         kill in-flight handler processes.  A crashed OS process does not
-        keep executing, so work forked off the dispatch loop must not
+        keep executing, so work forked off a delivered message must not
         either -- only effects already handed to durable storage or the
         network survive the crash."""
         self.network.crash_host(self.address)
@@ -184,54 +150,59 @@ class Host:
         The process absorbs the :class:`~repro.sim.Interrupt` a crash
         throws (``absorb_interrupt``), so killed handlers never surface
         as orphan failures."""
+        return self._adopt(self.kernel.spawn(gen, name=name, absorb_interrupt=True))
+
+    def _adopt(self, proc):
         if len(self._children) >= self._prune_at:
             self._children = [p for p in self._children if not p.done]
             self._prune_at = max(32, 2 * len(self._children))
-        proc = self.kernel.spawn(gen, name=name, absorb_interrupt=True)
         self._children.append(proc)
         return proc
 
-    def _dispatch_loop(self):
-        mailbox_get = self.mailbox.get
-        try:
-            while self._running:
-                message = yield mailbox_get()
-                payload = message.payload
-                # Exact-type dispatch: the three payload classes are final
-                # (slotted dataclasses, never subclassed), and an identity
-                # check is the cheapest test on this per-message path.
-                cls = payload.__class__
-                if cls is RpcRequest:
-                    self.spawn_child(
-                        self._serve(payload),
-                        name=("serve:%s.%s", (self.address, payload.method)),
-                    )
-                elif cls is RpcReply:
-                    event = self._pending.pop(payload.rpc_id, None)
-                    if event is not None and not event.triggered:
-                        if payload.error is not None:
-                            event.fail(RpcRemoteError(payload.error))
-                        else:
-                            event.trigger(payload.value)
-                elif cls is Cast:
-                    method = payload.method
-                    handler = self._cast_handlers.get(method)
-                    if handler is None:
-                        handler = getattr(self, "on_" + method, None)
-                        if handler is None:
-                            raise RpcError(
-                                "%s has no handler on_%s" % (self.address, method)
-                            )
-                        self._cast_handlers[method] = handler
-                    result = handler(payload.src, **payload.args)
-                    if type(result) is GeneratorType:
-                        self.spawn_child(
-                            result, name=("on:%s.%s", (self.address, method))
-                        )
+    def _start_handler(self, gen, name) -> None:
+        """Run a delivered message's handler as a child whose first step
+        is taken here, inside the delivery event: handlers still start in
+        delivery order, one scheduler hop earlier (DESIGN.md §10)."""
+        self._adopt(self.kernel.spawn_now(gen, name=name, absorb_interrupt=True))
+
+    def _on_message(self, message) -> None:
+        """The network's receiver for this host while it runs, called
+        inside each delivery event.  An exception a cast handler raises
+        propagates out of the event, and so out of ``Kernel.run``."""
+        payload = message.payload
+        # Exact-type dispatch: the three payload classes are final
+        # (slotted dataclasses, never subclassed), and an identity
+        # check is the cheapest test on this per-message path.
+        cls = payload.__class__
+        if cls is RpcRequest:
+            self._start_handler(
+                self._serve(payload), ("serve:%s.%s", (self.address, payload.method))
+            )
+        elif cls is RpcReply:
+            # A reply to a call that timed out (or died with stop()) finds
+            # nothing pending and is dropped.  Otherwise the caller resumes
+            # right here; nothing follows the wake, so whatever it does to
+            # this host (new calls, stop) is safe.
+            event = self._pending.pop(payload.rpc_id, None)
+            if event is not None:
+                self._deadlines.pop(payload.rpc_id, None)
+                if payload.error is not None:
+                    event.complete_now(exc=RpcRemoteError(payload.error))
                 else:
-                    raise RpcError("unexpected payload %r" % (payload,))
-        except Interrupt:
-            return
+                    event.complete_now(payload.value)
+        elif cls is Cast:
+            method = payload.method
+            handler = self._cast_handlers.get(method)
+            if handler is None:
+                handler = getattr(self, "on_" + method, None)
+                if handler is None:
+                    raise RpcError("%s has no handler on_%s" % (self.address, method))
+                self._cast_handlers[method] = handler
+            result = handler(payload.src, **payload.args)
+            if type(result) is GeneratorType:
+                self._start_handler(result, ("on:%s.%s", (self.address, method)))
+        else:
+            raise RpcError("unexpected payload %r" % (payload,))
 
     def _serve(self, request: RpcRequest):
         if request.span is not None:
@@ -305,16 +276,37 @@ class Host:
         self.network.send(
             self.address, dst, request, size_bytes=size_bytes or self.DEFAULT_MSG_BYTES
         )
-        if timeout is None:
-            value = yield event
-            return value
-        index, value = yield _ReplyOrTimeout(event, timeout)
-        if index == 1:
-            self._pending.pop(rpc_id, None)
-            raise RpcTimeout(
-                "rpc %s.%s from %s timed out after %gs" % (dst, method, self.address, timeout)
-            )
-        return value
+        if timeout is not None:
+            deadline = self.kernel.now + timeout
+            self._deadlines[rpc_id] = (deadline, dst, method, timeout)
+            if self._armed_at is None or deadline < self._armed_at:
+                self._arm(deadline)
+        return (yield event)
+
+    def _arm(self, at: float) -> None:
+        """Make ``at`` the instant the host's live deadline timer fires.
+        A heap entry cannot be withdrawn: the one this supersedes (if
+        any) no longer matches ``_armed_at`` when it comes due."""
+        self._armed_at = at
+        self.kernel.call_at(at, self._on_deadline, at)
+
+    def _on_deadline(self, at: float) -> None:
+        """Fail every call whose own ``t_call + timeout`` has come, then
+        re-arm at the earliest deadline left (one host mixes timeouts, so
+        deadlines are not in call order; the scan runs about once per
+        timeout period over the few calls in flight).  ``Event.fail``
+        wakes the callers *after* this returns, so none of them can call
+        again -- and arm -- before the re-arm has read the table."""
+        if at != self._armed_at:
+            return
+        self._armed_at = None
+        expired = [rpc_id for rpc_id, entry in self._deadlines.items() if entry[0] <= at]
+        for rpc_id in expired:
+            _, dst, method, timeout = self._deadlines.pop(rpc_id)
+            text = "rpc %s.%s from %s timed out after %gs" % (dst, method, self.address, timeout)
+            self._pending.pop(rpc_id).fail(RpcTimeout(text))
+        if self._deadlines:
+            self._arm(min(entry[0] for entry in self._deadlines.values()))
 
     def cast(self, dst: str, method: str, size_bytes: Optional[int] = None, **args) -> None:
         """Fire-and-forget protocol message to ``dst``."""

@@ -20,7 +20,7 @@ measurements exactly, not approximately.
 Segments (each named for the milestone that ends it):
 
 =================  ====================================================
-``request_net``    client -> server request hop + mailbox queueing
+``request_net``    client -> server request hop to the handler's start
 ``cpu``            CPU admission queueing + the commit op service time
 ``prepare_setup``  slow commit only: vote-collection setup
 ``2pc_votes``      slow commit only: the cross-site prepare round trip

@@ -184,7 +184,7 @@ class ExecutionMixin:
             oid=oid,
             start_vts=tx.start_vts,
             only_if_current=only_if_current,
-            timeout=self._rpc_timeout(),
+            timeout=self._rpc_timeout,
             span=self._deep_ctx(tx.tid, span.EXECUTE),
         )
 
@@ -433,7 +433,7 @@ class ExecutionMixin:
                 start_vts=tx.start_vts,
                 only_if_current=only_if_current,
                 size_bytes=ack_batch_bytes(len(goids)),
-                timeout=self._rpc_timeout(),
+                timeout=self._rpc_timeout,
                 span=self._deep_ctx(tx.tid, span.EXECUTE),
             )
             for (idx, oid), payload in zip(group, payloads):
@@ -502,9 +502,6 @@ class ExecutionMixin:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _rpc_timeout(self) -> float:
-        return 4.0 * self.network.topology.max_rtt_from(self.site_id) + 1.0
-
     def _trace_read(self, tx: Transaction, oid: ObjectId, value) -> None:
         if self.trace is None:
             return

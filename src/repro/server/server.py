@@ -153,6 +153,8 @@ class WalterServer(
         if ds_mode not in ("all_sites", "f_plus_1"):
             raise ValueError("unknown ds_mode %r" % (ds_mode,))
         self.site_id = site_id
+        #: Server->server RPC deadline; the topology never changes.
+        self._rpc_timeout = 4.0 * network.topology.max_rtt_from(site_id) + 1.0
         self.config = config
         self.storage = storage
         self.peers = dict(peers)

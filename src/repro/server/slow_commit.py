@@ -91,7 +91,7 @@ class SlowCommitMixin:
                     oids=oids,
                     start_vts=tx.start_vts,
                     coord_site=self.site_id,
-                    timeout=self._rpc_timeout(),
+                    timeout=self._rpc_timeout,
                     span=span_ctx,
                 )
                 return (site, bool(vote))
@@ -157,7 +157,7 @@ class SlowCommitMixin:
                     "release_prepare",
                     tid=tid,
                     outcome=ABORTED,
-                    timeout=self._rpc_timeout(),
+                    timeout=self._rpc_timeout,
                 )
                 return
             except RpcError:
@@ -277,7 +277,7 @@ class SlowCommitMixin:
                 self.peers[info.coord_site],
                 "tx_decision",
                 tid=tid,
-                timeout=self._rpc_timeout(),
+                timeout=self._rpc_timeout,
             )
         except RpcError:
             # Coordinator unreachable: keep the lock (the decision may

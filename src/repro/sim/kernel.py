@@ -191,10 +191,29 @@ class Event(Waitable):
             for cb in callbacks:
                 call_soon(cb, self._value, self._exc)
 
+    def complete_now(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
+        """:meth:`trigger` (or, with ``exc``, :meth:`fail`) that invokes the
+        waiters inside the caller's kernel event, in subscription order,
+        instead of through one ready-queue entry each.  For a completion
+        that is the last act of its event (a delivered reply completing
+        an RPC): same instant, one scheduler hop fewer.  A woken process
+        runs up to its next ``yield`` before this returns, so the caller
+        must tolerate re-entry."""
+        if self._done:
+            raise SimError("event %r triggered twice" % (self.name,))
+        self._done = True
+        self._value = value
+        self._exc = exc
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            for cb in callbacks:
+                cb(value, exc)
+
     def _subscribe(self, kernel: "Kernel", callback) -> None:
         if self._done:
             # call_soon inlined: yielding an already-completed event is
-            # the common case on mailbox/lock fast paths.
+            # the common case on lock/resource fast paths.
             kernel._seq += 1
             kernel._ready.append((kernel.now, kernel._seq, callback, (self._value, self._exc)))
         elif self._callbacks is None:
@@ -342,7 +361,7 @@ class Process(Waitable):
         self.kernel.call_soon(self._step_cb, None, Interrupt(cause))
 
     def _start(self) -> None:
-        # call_soon inlined: one spawn per RPC served.
+        # call_soon inlined: one fewer call per spawn.
         kernel = self.kernel
         kernel._seq += 1
         kernel._ready.append((kernel.now, kernel._seq, self._step_cb, (None, None)))
@@ -477,6 +496,18 @@ class Kernel:
     ) -> Process:
         proc = Process(self, gen, name=name, absorb_interrupt=absorb_interrupt)
         proc._start()
+        return proc
+
+    def spawn_now(
+        self, gen: Generator, name: Name = "", absorb_interrupt: bool = False
+    ) -> Process:
+        """:meth:`spawn` whose process takes its first step inside the
+        caller's kernel event (it runs up to its first ``yield`` before
+        this returns) instead of through a ready-queue entry -- for a
+        caller that *is* the event the process starts on, such as a
+        message delivery starting its handler."""
+        proc = Process(self, gen, name=name, absorb_interrupt=absorb_interrupt)
+        proc._step(None, None)
         return proc
 
     def event(self, name: Name = "") -> Event:

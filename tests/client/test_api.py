@@ -184,3 +184,44 @@ def test_aborted_tx_gets_no_callbacks(world):
     status, triggered = world.run_process(scenario())
     assert status == "ABORTED"
     assert not triggered
+
+
+def test_client_forgets_handles_once_no_milestone_can_arrive(world):
+    """A handle stays registered only while a durability cast may still
+    name it: a read-only commit is forgotten at commit, an update once
+    both milestones fired -- and they still fire for the handle the
+    application holds."""
+    client = world.new_client(0)
+    cset_oid = client.new_id("c", ObjectKind.CSET)
+    oids = [client.new_id("c") for _ in range(4)]
+    updates = []
+
+    def scenario():
+        for oid in oids:  # update transactions, every commit style
+            tx = client.start_tx()
+            yield from client.write(tx, oid, b"v", last=oid is oids[0])
+            if oid is oids[1]:
+                yield from client.set_add(tx, cset_oid, "x")
+            if tx.status is None:
+                yield from client.commit(tx)
+            updates.append(tx)
+        # The updates are committed but not yet DS-durable / visible.
+        assert set(client._handles) == {tx.tid for tx in updates}
+        for index in range(6):  # read-only transactions
+            tx = client.start_tx()
+            if index % 2:
+                yield from client.read(tx, oids[0], last=True)
+            else:
+                yield from client.multiread(tx, oids[:2])
+                yield from client.commit(tx)
+            assert tx.committed and tx.tid not in client._handles
+        held = updates[-1]
+        ds_at = yield held.ds_event
+        visible_at = yield held.visible_event
+        return (ds_at, visible_at)
+
+    ds_at, visible_at = world.run_process(scenario(), within=120.0)
+    assert ds_at <= visible_at
+    world.settle(5.0)
+    assert all(tx.ds_event.triggered and tx.visible_event.triggered for tx in updates)
+    assert len(client._handles) == 0
