@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TransactionStateError, WalterError
-from ..net import Host, Network
+from ..net import Host, Network, service_time
 from ..server.state import ServerCosts
 from ..sim import Interrupt, Kernel, Lock, Resource
 from ..storage import DiskLog
@@ -102,13 +102,14 @@ class BDBServer(Host):
     # ------------------------------------------------------------------
     # Autocommit single-op transactions (the Fig 16 workload)
     # ------------------------------------------------------------------
+    @service_time("read_op")
     def rpc_get(self, key: str):
-        yield from self.cpu.use(self.costs.read_op)
         return self._read_at(key, self._applied_ts)
 
     def rpc_put(self, key: str, value: Any):
         if self.role != "primary":
             raise ReadOnlyReplicaError("replica %s is read-only" % self.address)
+        # Charged here, not declared: a replica refuses before queueing for a core.
         yield from self.cpu.use(self.costs.write_op)
         yield self.commit_lock.acquire()
         try:
@@ -126,8 +127,8 @@ class BDBServer(Host):
     # ------------------------------------------------------------------
     # Multi-op SI transactions
     # ------------------------------------------------------------------
+    @service_time(lambda server, tid: server.costs.read_op * 0.5)
     def rpc_tx_begin(self, tid: str):
-        yield from self.cpu.use(self.costs.read_op * 0.5)
         tx = BDBTx(tid=tid, start_ts=self._applied_ts)
         self._txs[tid] = tx
         return tx.start_ts
@@ -138,8 +139,8 @@ class BDBServer(Host):
             raise TransactionStateError("unknown/finished tx %r" % (tid,))
         return tx
 
+    @service_time("read_op")
     def rpc_tx_get(self, tid: str, key: str):
-        yield from self.cpu.use(self.costs.read_op)
         tx = self._tx(tid)
         if key in tx.writes:
             return tx.writes[key]
@@ -149,12 +150,13 @@ class BDBServer(Host):
     def rpc_tx_put(self, tid: str, key: str, value: Any):
         if self.role != "primary":
             raise ReadOnlyReplicaError("replica %s is read-only" % self.address)
+        # Charged here, not declared: a replica refuses before queueing for a core.
         yield from self.cpu.use(self.costs.write_op)
         self._tx(tid).writes[key] = value
         return "OK"
 
+    @service_time("commit_op")
     def rpc_tx_commit(self, tid: str):
-        yield from self.cpu.use(self.costs.commit_op)
         tx = self._tx(tid)
         if not tx.writes:
             tx.status = COMMITTED
@@ -218,6 +220,7 @@ class BDBServer(Host):
         for commit_ts, writes in batch:
             if commit_ts <= self.replicated_upto:
                 continue
+            # Charged per applied record (casts declare no service time).
             yield from self.cpu.use(self.costs.apply_remote)
             for key, value in writes.items():
                 self._install(key, commit_ts, value)

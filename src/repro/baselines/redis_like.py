@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..errors import WalterError
-from ..net import Host, Network
+from ..net import Host, Network, service_time
 from ..server.state import ServerCosts
 from ..sim import Interrupt, Kernel, Resource
 
@@ -55,6 +55,9 @@ class RedisServer(Host):
             )
 
     def _write_guard(self) -> None:
+        """A slave refuses a write before queueing for the CPU, which is
+        why the write commands charge for themselves after this guard
+        instead of declaring a ``service_time``."""
         if self.role != "master":
             raise ReadOnlySlaveError("slave %s is read-only" % self.address)
 
@@ -65,8 +68,8 @@ class RedisServer(Host):
     # ------------------------------------------------------------------
     # Commands
     # ------------------------------------------------------------------
+    @service_time("read_op")
     def rpc_get(self, key: str):
-        yield from self.cpu.use(self.costs.read_op)
         return self.data.get(key)
 
     def rpc_set(self, key: str, value: Any):
@@ -92,8 +95,8 @@ class RedisServer(Host):
         self._log("lpush", key, value)
         return len(lst)
 
+    @service_time("read_op")
     def rpc_lrange(self, key: str, start: int, stop: int):
-        yield from self.cpu.use(self.costs.read_op)
         lst = self.data.get(key, [])
         # Redis LRANGE stop is inclusive.
         return list(lst[start: stop + 1])
@@ -116,14 +119,15 @@ class RedisServer(Host):
         self._log("srem", key, member)
         return removed
 
+    @service_time("read_op")
     def rpc_smembers(self, key: str):
-        yield from self.cpu.use(self.costs.read_op)
         return set(self.data.get(key, set()))
 
+    @service_time(
+        lambda server, keys: server.costs.read_op
+        + 0.25 * server.costs.read_op * max(0, len(keys) - 1)
+    )
     def rpc_mget(self, keys: List[str]):
-        yield from self.cpu.use(
-            self.costs.read_op + 0.25 * self.costs.read_op * max(0, len(keys) - 1)
-        )
         return [self.data.get(k) for k in keys]
 
     # ------------------------------------------------------------------
@@ -144,6 +148,7 @@ class RedisServer(Host):
 
     def on_replicate(self, src: str, batch):
         for op in batch:
+            # Charged per applied record (casts declare no service time).
             yield from self.cpu.use(self.costs.apply_remote)
             kind, key = op[0], op[1]
             if kind == "set":

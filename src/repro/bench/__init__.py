@@ -13,7 +13,6 @@ from .harness import find_saturation, run_at_fraction_of_max, run_closed_loop, r
 from .metrics import BenchResult, LatencyRecorder
 from .reporting import (
     format_cdf,
-    format_lag_cdfs,
     format_metric_histogram,
     format_site_observability,
     format_table,
@@ -45,7 +44,6 @@ __all__ = [
     "cset_tx_factory",
     "find_saturation",
     "format_cdf",
-    "format_lag_cdfs",
     "format_metric_histogram",
     "format_site_observability",
     "format_table",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
-from ..obs import compute_lag_report
 from .metrics import LatencyRecorder
 
 
@@ -125,24 +124,6 @@ def format_metric_histogram(hist, unit: str = "ms") -> str:
         bar = "#" * max(1, int(24 * n / peak))
         lines.append("    <=%8.1f %s |%-24s| %d" % (bound * scale, unit, bar, n))
     return "\n".join(lines)
-
-
-def format_lag_cdfs(world, n_points: int = 10) -> str:
-    """Trace-derived lag CDFs (needs ``Deployment(tracing=True)``)."""
-    report = compute_lag_report(world.obs.tracer, world.n_sites)
-    sections = []
-    for family, recorders in (
-        ("replication lag (commit@origin -> applied@site)", report.replication),
-        ("ds-durability lag (commit -> disaster-safe)", report.ds_durability),
-        ("visibility lag (commit -> globally visible)", report.visibility),
-    ):
-        populated = {s: r for s, r in recorders.items() if len(r)}
-        if not populated:
-            continue
-        sections.append(family + ":")
-        for site, recorder in sorted(populated.items()):
-            sections.append(format_cdf(recorder, n_points=n_points))
-    return "\n".join(sections) if sections else "(no lag samples; tracing off?)"
 
 
 def paper_comparison(

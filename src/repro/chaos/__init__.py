@@ -20,7 +20,6 @@ from .harness import (
     ChaosConfig,
     ChaosResult,
     ReproArtifact,
-    run_batch,
     run_chaos,
 )
 from .injector import FaultInjector
@@ -49,7 +48,6 @@ __all__ = [
     "check_convergence",
     "check_durability",
     "generate_schedule",
-    "run_batch",
     "run_chaos",
     "run_protocol_chaos",
     "shrink_schedule",

@@ -23,7 +23,7 @@ failure artifacts.
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..deployment import Deployment
@@ -332,11 +332,3 @@ def _repair(world, injector):
     for site in range(world.n_sites):
         if not world.config.is_active(site):
             yield from world.reintegrate_site_gen(site)
-
-
-def run_batch(
-    seeds, base: Optional[ChaosConfig] = None, **overrides
-) -> List[ChaosResult]:
-    """Run one chaos experiment per seed (used by the CLI and CI smoke)."""
-    base = base or ChaosConfig(seed=0)
-    return [run_chaos(replace(base, seed=seed, **overrides)) for seed in seeds]

@@ -2,6 +2,7 @@
 
 from .network import ClusterGateway, Envelope, Message, Network, NetworkStats
 from .rpc import Cast, Host, RpcError, RpcRemoteError, RpcReply, RpcRequest, RpcTimeout
+from .rpc import service_time
 from .wire import (
     ack_batch_bytes,
     decode_propagation_batch,
@@ -36,6 +37,7 @@ __all__ = [
     "RpcReply",
     "RpcRequest",
     "RpcTimeout",
+    "service_time",
     "Site",
     "Topology",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
-from ..obs import MetricsRegistry
+from ..obs import CounterView, MetricsRegistry
 from ..sim import Kernel, RandomStreams, Store
 from .topology import Site, Topology
 
@@ -116,17 +116,16 @@ class ClusterGateway:
         return out
 
 
-class NetworkStats:
-    """Counters exposed to tests and benchmarks.
-
-    Like :class:`~repro.server.ServerStats`, this is a compatibility view
-    over registry counters (``net.sent``, ``net.delivered``,
-    ``net.dropped_partition``, ``net.dropped_crash``,
-    ``net.dropped_random``), so fault-injection runs surface drop counts
-    in ``metrics_snapshot()``.  ``bytes_by_link`` stays a plain dict
-    (tuple-keyed; per-link bytes are also mirrored as ``net.bytes``).
+class NetworkStats(CounterView):
+    """Counters exposed to tests and benchmarks: registry counters
+    ``net.sent``, ``net.delivered``, ``net.dropped_partition``,
+    ``net.dropped_crash``, ``net.dropped_random``, so fault-injection
+    runs surface drop counts in ``metrics_snapshot()``.
+    ``bytes_by_link`` stays a plain dict (tuple-keyed; per-link bytes
+    are also mirrored as ``net.bytes``).
     """
 
+    PREFIX = "net"
     FIELDS = (
         "sent",
         "delivered",
@@ -135,37 +134,11 @@ class NetworkStats:
         "dropped_random",
     )
 
-    __slots__ = ("_registry", "bytes_by_link", "_handles")
+    __slots__ = ("bytes_by_link",)
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
-        object.__setattr__(self, "_registry", registry or MetricsRegistry())
-        object.__setattr__(self, "bytes_by_link", {})
-        object.__setattr__(self, "_handles", {})
-
-    def _counter(self, name: str):
-        handle = self._handles.get(name)
-        if handle is None:
-            handle = self._handles[name] = self._registry.counter("net.%s" % name)
-        return handle
-
-    def __getattr__(self, name: str) -> int:
-        if name in NetworkStats.FIELDS:
-            return self._counter(name).value
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in NetworkStats.FIELDS:
-            self._counter(name).set(value)
-        else:
-            object.__setattr__(self, name, value)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in NetworkStats.FIELDS}
-
-    def __repr__(self) -> str:
-        return "NetworkStats(%s)" % ", ".join(
-            "%s=%d" % (k, v) for k, v in self.as_dict().items()
-        )
+        super().__init__(registry)
+        self.bytes_by_link = {}
 
 
 class Network:
@@ -301,9 +274,6 @@ class Network:
 
     def attach_gateway(self, gateway: ClusterGateway) -> None:
         self._gateway = gateway
-
-    def site_of(self, address: str) -> Site:
-        return self._host_sites[address]
 
     def crash_host(self, address: str) -> None:
         """Stop delivering to/from a host; queued mail is discarded."""

@@ -8,7 +8,8 @@ DS-DURABLE, VISIBLE -- Fig 13).  Both styles are provided here.
 :class:`Host` is the base class for every networked component.  Subclasses
 expose RPC methods named ``rpc_<method>`` and one-way handlers named
 ``on_<method>``; handlers may be plain functions or generators (which may
-block on simulated I/O).
+block on simulated I/O).  An RPC handler declares its CPU service time with
+:func:`service_time`; :meth:`Host._serve` is the one place that charges it.
 """
 
 from __future__ import annotations
@@ -71,6 +72,20 @@ class Cast:
         return (Cast, (self.method, self.args, self.src))
 
 
+def service_time(cost):
+    """Declare what serving an ``rpc_*`` handler costs at the host's CPU
+    station: :meth:`Host._serve` holds one ``cpu`` slot for that long
+    before it calls the handler.  ``cost`` names a field of the host's
+    ``costs`` table, or is a function ``(host, **request_args) ->
+    seconds`` when the time depends on the request."""
+
+    def declare(handler):
+        handler.service_time = cost
+        return handler
+
+    return declare
+
+
 class Host:
     """A networked component: RPC client+server over one receive callable
     (:meth:`_on_message`, which the network calls inside each delivery
@@ -78,6 +93,9 @@ class Host:
 
     #: Default request/reply sizes in bytes when the caller does not say.
     DEFAULT_MSG_BYTES = 256
+    #: The k-core CPU station (a :class:`~repro.sim.Resource`) of hosts
+    #: whose handlers declare a :func:`service_time`.
+    cpu = None
 
     def __init__(self, kernel: Kernel, network: Network, site, name: str, takeover: bool = False):
         self.kernel = kernel
@@ -99,8 +117,9 @@ class Host:
         # threshold then doubles with the surviving count so pruning is
         # amortized O(1) per spawn (it is count-based, so deterministic).
         self._prune_at = 32
-        # getattr(self, "rpc_..."/"on_...") resolved once per method name.
-        self._rpc_handlers: Dict[str, Any] = {}
+        # getattr(self, "rpc_..."/"on_...") resolved once per method name;
+        # an RPC entry is (handler, its declared service time or None).
+        self._rpc_handlers: Dict[str, tuple] = {}
         self._cast_handlers: Dict[str, Any] = {}
         #: Fault-injection hook: RPC method -> sim time until which this
         #: host's *replies* to that method are suppressed (the request IS
@@ -208,16 +227,36 @@ class Host:
         if request.span is not None:
             self._on_rpc_span(request.method, request.span)
         try:
-            handler = self._rpc_handlers[request.method]
+            handler, cost = self._rpc_handlers[request.method]
         except KeyError:
             handler = getattr(self, "rpc_" + request.method, None)
+            cost = getattr(handler, "service_time", None)
             if handler is not None:
-                self._rpc_handlers[request.method] = handler
+                self._rpc_handlers[request.method] = (handler, cost)
         reply = RpcReply(rpc_id=request.rpc_id)
         if handler is None:
             reply.error = "no such method %r on %s" % (request.method, self.address)
         else:
             try:
+                if cost is not None:
+                    # The station (DESIGN.md §5): queue FIFO for one of the
+                    # k cores, hold it for the service time, then serve.
+                    # A crash mid-service frees the core.
+                    cpu = self.cpu
+                    if cpu is None:
+                        raise RpcError(
+                            "rpc_%s declares a service time but %s has no cpu station"
+                            % (request.method, self.address)
+                        )
+                    if cost.__class__ is str:
+                        seconds = getattr(self.costs, cost)
+                    else:
+                        seconds = cost(self, **request.args)
+                    yield cpu.acquire()
+                    try:
+                        yield self.kernel.timeout(seconds)
+                    finally:
+                        cpu.release()
                 result = handler(**request.args)
                 if type(result) is GeneratorType:
                     result = yield from result

@@ -220,9 +220,6 @@ class Topology:
             return self.sites[ref]
         return self._by_name[ref]
 
-    def site_ids(self) -> List[int]:
-        return [s.id for s in self.sites]
-
     def rtt(self, a, b) -> float:
         """Round-trip time between two sites, in seconds."""
         sa, sb = self.site(a), self.site(b)

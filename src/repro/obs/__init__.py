@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from .export import dump_jsonl, format_timeline, format_timelines, trace_events_jsonl
-from .lag import LagReport, compute_lag_report, lag_summary, update_lag_gauges
+from .export import dump_jsonl, format_timeline, trace_events_jsonl
+from .lag import LagReport, compute_lag_report, update_lag_gauges
 from .metrics import (
     Counter,
+    CounterView,
     DEFAULT_BUCKETS,
     Gauge,
     Histogram,
@@ -114,6 +115,7 @@ __all__ = [
     "COMMIT_RPC_END",
     "COMMIT_VOTES",
     "Counter",
+    "CounterView",
     "DEFAULT_BUCKETS",
     "DISKLOG_FLUSH",
     "DS_DURABLE",
@@ -154,8 +156,6 @@ __all__ = [
     "write_artifact",
     "write_run_artifact",
     "format_timeline",
-    "format_timelines",
-    "lag_summary",
     "log_buckets",
     "trace_events_jsonl",
     "update_lag_gauges",

@@ -9,7 +9,7 @@ from the transaction's first event.
 from __future__ import annotations
 
 import json
-from typing import IO, List, Optional, Union
+from typing import IO, Union
 
 from .trace import Tracer, TxTrace
 
@@ -66,17 +66,3 @@ def format_timeline(trace: TxTrace) -> str:
             % ((event.t - t0) * 1e3, name_width, event.name, event.site, extra)
         )
     return "\n".join(lines)
-
-
-def format_timelines(
-    tracer: Tracer, limit: Optional[int] = None, only_committed: bool = False
-) -> str:
-    """Timelines for the first ``limit`` retained transactions."""
-    out: List[str] = []
-    for trace in tracer.traces():
-        if only_committed and trace.commit_event is None:
-            continue
-        out.append(format_timeline(trace))
-        if limit is not None and len(out) >= limit:
-            break
-    return "\n\n".join(out)

@@ -17,7 +17,7 @@ read counters.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from .trace import Tracer, TxTrace
 
@@ -105,21 +105,3 @@ def update_lag_gauges(
             registry.gauge("%s.mean" % family, site=site).set(recorder.mean, at=at)
             registry.gauge("%s.p95" % family, site=site).set(recorder.p95, at=at)
     return report
-
-
-def lag_summary(report: LagReport) -> List[Dict[str, float]]:
-    """Per-site rows (dicts) for table rendering; milliseconds."""
-    rows = []
-    for site in range(report.n_sites):
-        row: Dict[str, float] = {"site": site}
-        for key, recorder in (
-            ("replication", report.replication[site]),
-            ("ds", report.ds_durability[site]),
-            ("visibility", report.visibility[site]),
-        ):
-            if len(recorder):
-                row["%s_mean_ms" % key] = recorder.mean * 1e3
-                row["%s_p95_ms" % key] = recorder.p95 * 1e3
-                row["%s_n" % key] = float(len(recorder))
-        rows.append(row)
-    return rows

@@ -44,9 +44,8 @@ class Counter:
         self.value += n
 
     def set(self, value: int) -> None:
-        """Direct assignment -- used by the ``ServerStats``/``CacheStats``
-        compatibility views, whose ``stats.x += 1`` idiom reads then
-        writes the counter."""
+        """Direct assignment -- used by :class:`CounterView`, whose
+        ``stats.x += 1`` idiom reads then writes the counter."""
         self.value = value
 
 
@@ -298,3 +297,57 @@ class MetricsRegistry:
                 if mx is not None and (hist.max is None or mx > hist.max):
                     hist.max = mx
         return registry
+
+
+class CounterView:
+    """Registry counters read and written as attributes: each name in
+    ``FIELDS`` proxies (``stats.x += 1`` included) to the counter
+    ``<PREFIX>.<field>`` carrying this view's labels, so the numbers
+    tests and the harness read off a stats object are the ones
+    ``snapshot()`` reports, without double bookkeeping.  Subclasses set
+    ``PREFIX`` and ``FIELDS``; the view owns a private registry when
+    none is given."""
+
+    PREFIX = ""
+    FIELDS: Tuple[str, ...] = ()
+
+    __slots__ = ("_registry", "_labels", "_handles")
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None, **labels):
+        object.__setattr__(self, "_registry", registry or MetricsRegistry())
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_handles", {})
+
+    def _counter(self, name: str) -> Counter:
+        handle = self._handles.get(name)
+        if handle is None:
+            handle = self._handles[name] = self._registry.counter(
+                "%s.%s" % (self.PREFIX, name), **self._labels
+            )
+        return handle
+
+    def inc(self, name: str, n: int = 1) -> None:
+        """Fast-path increment: one handle lookup instead of the
+        ``__getattr__`` read + ``__setattr__`` write that ``+= 1`` costs.
+        Hot protocol paths (commit, propagation apply) use this."""
+        self._counter(name).inc(n)
+
+    def __getattr__(self, name: str) -> int:
+        if name in self.FIELDS:
+            return self._counter(name).value
+        raise AttributeError(name)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in self.FIELDS:
+            self._counter(name).set(value)
+        else:
+            object.__setattr__(self, name, value)
+
+    def as_dict(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join("%s=%d" % (k, v) for k, v in self.as_dict().items()),
+        )

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..errors import TransactionStateError
-from ..net import Host, RpcError
+from ..net import Host, RpcError, service_time
 from ..server.state import ServerCosts
 from ..sim import Interrupt, Resource
 from ..storage import DiskLog
@@ -115,8 +115,8 @@ class NMSIServer(Host):
     # ------------------------------------------------------------------
     # Transaction lifecycle (client-facing)
     # ------------------------------------------------------------------
+    @service_time(lambda server, tid: server.costs.read_op * 0.5)
     def rpc_tx_begin(self, tid: str):
-        yield from self.cpu.use(self.costs.read_op * 0.5)
         self._txs[tid] = NMSITx(tid=tid, depvec=self._zero)
         return "OK"
 
@@ -126,8 +126,8 @@ class NMSIServer(Host):
             raise TransactionStateError("unknown/finished tx %r" % (tid,))
         return tx
 
+    @service_time("read_op")
     def rpc_tx_read(self, tid: str, key: str):
-        yield from self.cpu.use(self.costs.read_op)
         tx = self._tx(tid)
         if key in tx.writes:
             return tx.writes[key]
@@ -153,8 +153,8 @@ class NMSIServer(Host):
         tx.read_vers[key] = chosen.ver
         return chosen.value
 
+    @service_time("write_op")
     def rpc_tx_write(self, tid: str, key: str, value: Any):
-        yield from self.cpu.use(self.costs.write_op)
         self._tx(tid).writes[key] = value
         return "OK"
 
@@ -164,8 +164,8 @@ class NMSIServer(Host):
             tx.status = ABORTED
         return ABORTED
 
+    @service_time("commit_op")
     def rpc_tx_commit(self, tid: str):
-        yield from self.cpu.use(self.costs.commit_op)
         tx = self._tx(tid)
         if tx.doomed:
             tx.status = ABORTED
@@ -292,8 +292,8 @@ class NMSIServer(Host):
         except RpcError:
             return {"ok": False}
 
+    @service_time("commit_op")
     def rpc_nmsi_prepare(self, tid: str, keys: List[str], reads: Dict[str, Optional[Ver]]):
-        yield from self.cpu.use(self.costs.commit_op)
         return self._prepare_local(tid, keys, reads)
 
     def _prepare_local(self, tid: str, keys: List[str], reads) -> dict:
@@ -338,8 +338,8 @@ class NMSIServer(Host):
     # ------------------------------------------------------------------
     # Replication: dependency-gated application
     # ------------------------------------------------------------------
+    @service_time("apply_remote")
     def rpc_nmsi_apply(self, record: dict):
-        yield from self.cpu.use(self.costs.apply_remote)
         self._enqueue(record)
         return "ACK"
 

@@ -18,12 +18,19 @@ from ..core.objects import ObjectId, ObjectKind
 from ..core.transaction import Transaction, TxStatus
 from ..core.updates import CSetAdd, CSetDel, DataUpdate, last_data
 from ..errors import TransactionStateError
+from ..net import service_time
 from ..net.wire import ack_batch_bytes
 from ..spec.checker import TracedRead
 
 #: Failure marker for coalesced reads: a follower woken with this issues
 #: its own RPC instead of inheriting the leader's exception.
 _READ_FAILED = object()
+
+
+def _batch_of(arg: str):
+    """Service time of a combined operation (§6): one RPC shell plus a
+    reduced cost per further element of the request's ``arg`` list."""
+    return lambda server, **args: server._batch_cost(len(args[arg]))
 
 
 class ExecutionMixin:
@@ -72,15 +79,8 @@ class ExecutionMixin:
         self._tx_deadlines.pop(tid, None)
         return self._txs.pop(tid, None)
 
+    @service_time("read_op")
     def rpc_tx_start(self, tid: str):
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self.costs.read_op)
-        finally:
-            self.cpu.release()
         self._ensure_tx(tid)
         return "OK"
 
@@ -98,15 +98,8 @@ class ExecutionMixin:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
+    @service_time("read_op")
     def rpc_tx_read(self, tid: str, oid: ObjectId, last: bool = False, notify: Optional[str] = None, fresh: bool = True):
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self.costs.read_op)
-        finally:
-            self.cpu.release()
         tx = self._ensure_tx(tid, fresh)
         tx.require_active()
         value = yield from self._read_value(tx, oid)
@@ -115,19 +108,11 @@ class ExecutionMixin:
             return (value, status)
         return value
 
-    def rpc_tx_set_read(self, tid: str, oid: ObjectId, last: bool = False, notify: Optional[str] = None, fresh: bool = True):
-        result = yield from self.rpc_tx_read(tid, oid, last=last, notify=notify, fresh=fresh)
-        return result
+    #: A cset read is a read: same handler, so the same declared cost.
+    rpc_tx_set_read = rpc_tx_read
 
+    @service_time("read_op")
     def rpc_tx_set_read_id(self, tid: str, oid: ObjectId, elem: Hashable, last: bool = False, notify: Optional[str] = None, fresh: bool = True):
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self.costs.read_op)
-        finally:
-            self.cpu.release()
         tx = self._ensure_tx(tid, fresh)
         tx.require_active()
         cset = yield from self._read_value(tx, oid)
@@ -230,6 +215,7 @@ class ExecutionMixin:
                 best, best_rtt = site, rtt
         return best
 
+    @service_time("read_op")
     def rpc_remote_read(self, oid: ObjectId, start_vts, only_if_current: bool = False):
         """Serve a read for a site that does not replicate ``oid``: the
         suffix entries visible to the caller's snapshot plus, for csets,
@@ -241,32 +227,17 @@ class ExecutionMixin:
         replica's CommittedVTS dominates the caller's snapshot; a behind
         replica returns None and the caller retries at the preferred
         site, keeping the read non-blocking."""
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self.costs.read_op)
-        finally:
-            self.cpu.release()
         if only_if_current and not self.committed_vts.dominates(start_vts):
             return None
         return self.histories.remote_read_payload(oid, start_vts)
 
+    @service_time(_batch_of("oids"))
     def rpc_remote_multiread(self, oids: List[ObjectId], start_vts, only_if_current: bool = False):
         """Batched remote read (DESIGN.md §14): serve a whole group of
         objects for one caller site in a single RPC.  The currency check
         is evaluated once -- all the caller's objects share one snapshot
         -- and a behind replica answers all-None, after which the caller
         falls back per object exactly as for single reads."""
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self._batch_cost(len(oids)))
-        finally:
-            self.cpu.release()
         if only_if_current and not self.committed_vts.dominates(start_vts):
             return [None] * len(oids)
         payload = self.histories.remote_read_payload
@@ -324,45 +295,24 @@ class ExecutionMixin:
     # ------------------------------------------------------------------
     # Buffered updates
     # ------------------------------------------------------------------
+    @service_time("write_op")
     def rpc_tx_write(self, tid: str, oid: ObjectId, data: Any, last: bool = False, notify: Optional[str] = None, fresh: bool = True):
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self.costs.write_op)
-        finally:
-            self.cpu.release()
         tx = self._ensure_tx(tid, fresh)
         tx.buffer_write(oid, data)
         if last:
             return (yield from self._commit_tx(tx, notify=notify))
         return "OK"
 
+    @service_time("write_op")
     def rpc_tx_set_add(self, tid: str, oid: ObjectId, elem: Hashable, last: bool = False, notify: Optional[str] = None, fresh: bool = True):
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self.costs.write_op)
-        finally:
-            self.cpu.release()
         tx = self._ensure_tx(tid, fresh)
         tx.buffer_set_add(oid, elem)
         if last:
             return (yield from self._commit_tx(tx, notify=notify))
         return "OK"
 
+    @service_time("write_op")
     def rpc_tx_set_del(self, tid: str, oid: ObjectId, elem: Hashable, last: bool = False, notify: Optional[str] = None, fresh: bool = True):
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self.costs.write_op)
-        finally:
-            self.cpu.release()
         tx = self._ensure_tx(tid, fresh)
         tx.buffer_set_del(oid, elem)
         if last:
@@ -378,15 +328,8 @@ class ExecutionMixin:
         """One RPC shell plus a reduced per-extra-object cost."""
         return self.costs.read_op + max(0, n - 1) * self.costs.read_op * 0.25
 
+    @service_time(_batch_of("oids"))
     def rpc_tx_multiread(self, tid: str, oids: List[ObjectId], last: bool = False, notify: Optional[str] = None, fresh: bool = True):
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self._batch_cost(len(oids)))
-        finally:
-            self.cpu.release()
         tx = self._ensure_tx(tid, fresh)
         tx.require_active()
         values = yield from self._multiread_values(tx, oids)
@@ -444,15 +387,8 @@ class ExecutionMixin:
                     values[idx] = self._compose_value(tx, oid, payload)
         return [values[i] for i in range(len(oids))]
 
+    @service_time(_batch_of("writes"))
     def rpc_tx_multiwrite(self, tid: str, writes, last: bool = False, notify: Optional[str] = None, fresh: bool = True):
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self._batch_cost(len(writes)))
-        finally:
-            self.cpu.release()
         tx = self._ensure_tx(tid, fresh)
         for oid, data in writes:
             tx.buffer_write(oid, data)
@@ -484,9 +420,8 @@ class ExecutionMixin:
             elems = sorted(members, key=repr, reverse=newest_first)
         if limit is not None:
             elems = elems[:limit]
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
+        # Charged here, not declared: the cost is the fan-out, known only
+        # once the cset has been read.
         yield self.cpu.acquire()
         try:
             yield self.kernel.timeout(self._batch_cost(1 + len(elems)))

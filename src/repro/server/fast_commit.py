@@ -26,9 +26,8 @@ ABORTED = "ABORTED"
 class FastCommitMixin:
     def rpc_tx_commit(self, tid: str, notify: Optional[str] = None, allow_fresh: bool = True, ck: Optional[str] = None):
         self._deep(tid, span.COMMIT_RPC_BEGIN)
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
+        # Charged here, not declared: the milestones either side of the
+        # charge are what obs/critical_path.py telescopes into its "cpu" stage.
         yield self.cpu.acquire()
         try:
             yield self.kernel.timeout(self.costs.commit_op)

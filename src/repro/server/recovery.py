@@ -277,30 +277,13 @@ class RecoveryMixin:
                 records.append(record)
         return records
 
-    def _retrim_for_self(self, record: CommitRecord) -> CommitRecord:
-        """Recovery deliveries can come from a donor whose replica set
-        differs from this site's: the donor's copy (or a merged copy the
-        coordinator assembled from several donors) may carry data this
-        site does not replicate.  Trim to this site's own containers so
-        recovery never widens what partial replication placed here --
-        otherwise sites would diverge in what a later convergence check
-        (or a future donor role) sees."""
-        if not self.partial_replication or not record.updates:
-            return record
-        config = self.config
-        keep = [
-            u
-            for u in record.updates
-            if config.container(u.oid.container).replicated_at(self.site_id)
-        ]
-        if len(keep) == len(record.updates):
-            return record
-        return record.trimmed(keep)
-
     def rpc_recovery_deliver(self, records: List[CommitRecord]):
         """Apply fetched records (in order) as if propagated normally:
-        re-trimmed to this site, they take the propagation applier with
-        nobody to ack.
+        re-trimmed to this site (a donor's copy, or one the coordinator
+        merged from several donors, may carry data this site does not
+        replicate, and recovery must not widen what partial replication
+        placed here), they take the propagation applier with nobody to
+        ack.
 
         "As if propagated" includes the got guard: a record whose causal
         dependencies (startVTS) are not yet applied here is parked in
@@ -312,7 +295,7 @@ class RecoveryMixin:
         value.  Cross-origin dependencies settle as the coordinator's
         per-origin rounds deliver and ``_drain_pending`` releases."""
         yield from self._apply_propagate_batch(
-            None, [self._retrim_for_self(record) for record in records]
+            None, [self._record_for(record, self.site_id) for record in records]
         )
         return "OK"
 

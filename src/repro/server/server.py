@@ -18,7 +18,7 @@ from ..core.objects import ObjectId
 from ..core.transaction import TxStatus
 from ..core.versions import VectorTimestamp, Version
 from ..net import Host, Network
-from ..obs import AccessProfiler, MetricsRegistry, Observability, log_buckets
+from ..obs import AccessProfiler, CounterView, MetricsRegistry, Observability, log_buckets
 from ..obs import trace as span
 from ..sim import Kernel, Lock, Resource, Store
 from ..spec.checker import ExecutionTrace
@@ -32,17 +32,11 @@ from .slow_commit import PreparedLock, SlowCommitMixin
 from .state import ConfigView, LeaseConfig, ServerCosts
 
 
-class ServerStats:
-    """Counters used by tests and the benchmark harness.
+class ServerStats(CounterView):
+    """Counters used by tests and the benchmark harness: registry
+    counters ``server.<field>`` labelled with this server's site."""
 
-    Historically a flat dataclass; now a compatibility view over
-    per-site counters in the deployment's metrics registry
-    (:mod:`repro.obs`).  Attribute reads/writes (including ``+= 1``)
-    proxy to registry counters named ``server.<field>`` labelled with
-    this server's site, so the same numbers appear in benchmark metric
-    snapshots without double bookkeeping.
-    """
-
+    PREFIX = "server"
     FIELDS = (
         "started",
         "commits",
@@ -61,45 +55,10 @@ class ServerStats:
         "gc_records_removed",
     )
 
-    __slots__ = ("_registry", "_site", "_handles")
+    __slots__ = ()
 
     def __init__(self, registry: Optional[MetricsRegistry] = None, site: int = 0):
-        object.__setattr__(self, "_registry", registry or MetricsRegistry())
-        object.__setattr__(self, "_site", site)
-        object.__setattr__(self, "_handles", {})
-
-    def _counter(self, name: str):
-        handle = self._handles.get(name)
-        if handle is None:
-            handle = self._handles[name] = self._registry.counter(
-                "server.%s" % name, site=self._site
-            )
-        return handle
-
-    def inc(self, name: str, n: int = 1) -> None:
-        """Fast-path increment: one handle lookup instead of the
-        ``__getattr__`` read + ``__setattr__`` write that ``+= 1`` costs.
-        Hot protocol paths (commit, propagation apply) use this."""
-        self._counter(name).inc(n)
-
-    def __getattr__(self, name: str) -> int:
-        if name in ServerStats.FIELDS:
-            return self._counter(name).value
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in ServerStats.FIELDS:
-            self._counter(name).set(value)
-        else:
-            object.__setattr__(self, name, value)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in ServerStats.FIELDS}
-
-    def __repr__(self) -> str:
-        return "ServerStats(%s)" % ", ".join(
-            "%s=%d" % (k, v) for k, v in self.as_dict().items()
-        )
+        super().__init__(registry, site=site)
 
 
 class WalterServer(

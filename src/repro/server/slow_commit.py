@@ -47,7 +47,7 @@ from typing import Dict, List, Optional
 from ..core.objects import ObjectId
 from ..core.transaction import Transaction
 from ..core.versions import VectorTimestamp
-from ..net import RpcError
+from ..net import RpcError, service_time
 from ..obs import trace as span
 from ..sim import AllOf
 
@@ -175,6 +175,7 @@ class SlowCommitMixin:
     # ------------------------------------------------------------------
     # Participant side
     # ------------------------------------------------------------------
+    @service_time("commit_op")
     def rpc_prepare(
         self,
         tid: str,
@@ -186,14 +187,6 @@ class SlowCommitMixin:
         duplicate prepare for an already-prepared tid refreshes the lock
         lease and repeats the YES; one for a decided tid votes NO
         without re-locking."""
-        # cpu.use() inlined: skips the sub-generator frame on the
-        # per-RPC path; the events (acquire, service-time timeout,
-        # release) are identical.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self.costs.commit_op)
-        finally:
-            self.cpu.release()
         if tid in self._decisions:
             return False  # decision already delivered; never re-lock
         if tid in self._prepared:

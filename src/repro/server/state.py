@@ -1,6 +1,7 @@
-"""Walter server state (paper Fig 9) and configuration views.
+"""Walter server cost and lease tables, and configuration views.
 
-Per-site server variables:
+The per-site server variables of paper Fig 9 live on
+:class:`~repro.server.WalterServer` itself:
 
 * ``CurrSeqNo_i`` -- last assigned local sequence number,
 * ``CommittedVTS_i`` -- per site, how many of its transactions committed here,
@@ -71,10 +72,13 @@ class LeaseConfig:
 class ConfigView:
     """A server's view of container placement plus lease checks.
 
-    The default deployment shares one :class:`LocalConfig` among all
-    servers (an always-fresh cache).  Reconfiguration (site removal and
-    re-integration, §5.7) mutates it and revokes leases; a Paxos-backed
-    variant is wired in the failure-handling integration tests.
+    Every deployment shares one :class:`LocalConfig` among all servers
+    (an always-fresh cache).  Reconfiguration (site removal and
+    re-integration, §5.7) mutates it and revokes leases, so every server
+    learns of it at the same simulated instant.  The Paxos configuration
+    service (``repro.config_service``) is not in that loop:
+    ``tests/integration/test_paxos_config_integration.py`` copies its
+    decisions into the shared ``LocalConfig`` by hand (ROADMAP item 5).
     """
 
     def container(self, cid: str) -> Container:
@@ -188,15 +192,3 @@ class LocalConfig(ConfigView):
                 del self.displaced[cid]
                 restored.append(cid)
         return restored
-
-
-@dataclass
-class ServerState:
-    """The Fig 9 variables, bundled so recovery can snapshot/restore them."""
-
-    site: int
-    n_sites: int
-    curr_seqno: int = 0
-
-    def describe(self) -> str:
-        return "site %d, seqno %d" % (self.site, self.curr_seqno)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from ..core.objects import ObjectId, ObjectKind
+from ..obs.metrics import CounterView
 
 
 @dataclass
@@ -33,43 +34,19 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class RegistryCacheStats:
+class RegistryCacheStats(CounterView):
     """The :class:`CacheStats` attribute API backed by per-site counters
     in a :class:`repro.obs.MetricsRegistry` (``cache.<field>{site=s}``),
     so cache hit-rates show up in benchmark metric snapshots instead of
     staying siloed in the storage layer."""
 
+    PREFIX = "cache"
     FIELDS = ("hits", "misses", "evictions_regular", "evictions_cset")
 
-    __slots__ = ("_registry", "_site", "_handles")
+    __slots__ = ()
 
     def __init__(self, registry, site: int):
-        object.__setattr__(self, "_registry", registry)
-        object.__setattr__(self, "_site", site)
-        object.__setattr__(self, "_handles", {})
-
-    def _counter(self, name: str):
-        handle = self._handles.get(name)
-        if handle is None:
-            handle = self._handles[name] = self._registry.counter(
-                "cache.%s" % name, site=self._site
-            )
-        return handle
-
-    def inc(self, name: str, n: int = 1) -> None:
-        """See :meth:`ServerStats.inc` -- one handle lookup per bump."""
-        self._counter(name).inc(n)
-
-    def __getattr__(self, name: str) -> int:
-        if name in RegistryCacheStats.FIELDS:
-            return self._counter(name).value
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in RegistryCacheStats.FIELDS:
-            self._counter(name).set(value)
-        else:
-            object.__setattr__(self, name, value)
+        super().__init__(registry, site=site)
 
     @property
     def hit_rate(self) -> float:

@@ -9,7 +9,7 @@ waits, a delivery back -- and nothing else.
 
 import pytest
 
-from repro.net import Host, Network, Topology
+from repro.net import Host, Network, Topology, service_time
 from repro.sim import Kernel, Resource
 
 
@@ -24,11 +24,10 @@ class Server(Host):
     def rpc_echo(self, text):
         return text
 
+    @service_time(lambda server, text: server.SERVICE_S)
     def rpc_serviced_echo(self, text):
-        # The shape of rpc_tx_read: take the CPU, hold it for a service time.
-        yield self.cpu.acquire()
-        yield self.kernel.timeout(self.SERVICE_S)
-        self.cpu.release()
+        # The shape of rpc_tx_read: Host._serve takes the CPU and holds it
+        # for the declared service time before this runs.
         return text
 
     def on_note(self, src, value):

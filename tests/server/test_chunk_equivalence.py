@@ -222,7 +222,10 @@ def ds_fingerprint(handler):
     # A 2PC participant's locks are released by the remote commit.
     tid, oid = stream_a[2].tid, world.config.container("c%d" % RECEIVER).new_id()
     vote = world.run_process(
-        receiver.rpc_prepare(tid, [oid], VectorTimestamp.zeros(world.n_sites), coord_site=0)
+        world.server(0).call(
+            receiver.address, "prepare", tid=tid, oids=[oid],
+            start_vts=VectorTimestamp.zeros(world.n_sites), coord_site=0,
+        )
     )
     assert vote and receiver.locked == {oid: tid}
     # One announcement for both origins: a's records out of order (the

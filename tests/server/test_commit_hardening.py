@@ -32,6 +32,17 @@ def _two_site_world(seed=7, **kwargs):
     return w, a, b
 
 
+def _prepare(w, participant, tid, oids):
+    """A prepare as production issues one: an RPC from site 0's server,
+    so the participant's CPU station is charged on the way in."""
+    return w.run_process(
+        w.servers[0].call(
+            participant.address, "prepare", tid=tid, oids=oids,
+            start_vts=participant.committed_vts, coord_site=0,
+        )
+    )
+
+
 def _commit_pair(w, client, a, b, payload):
     def tx_gen():
         tx = client.start_tx()
@@ -107,15 +118,7 @@ class TestOrphanLockResolution:
         # has no decision, no live tx, and no commit record for the tid,
         # so the query answers UNKNOWN (presumed abort).
         server = w.servers[1]
-        def ghost_prepare():
-            vote = yield from server.rpc_prepare(
-                tid="ghost:1",
-                oids=[b],
-                start_vts=server.committed_vts,
-                coord_site=0,
-            )
-            assert vote is True
-        w.run_process(ghost_prepare())
+        assert _prepare(w, server, "ghost:1", [b]) is True
         assert server.locked and "ghost:1" in server._prepared
 
         # Lease (5 s) + sweep + query round-trip.
@@ -136,11 +139,7 @@ class TestOrphanLockResolution:
         # Plant a decision at the coordinator first: COMMITTED answers
         # extend the lease and leave the release to propagation.
         w.servers[0]._decisions["slow:1"] = ("COMMITTED", w.kernel.now)
-        def prepare():
-            yield from server.rpc_prepare(
-                tid="slow:1", oids=[b], start_vts=server.committed_vts, coord_site=0
-            )
-        w.run_process(prepare())
+        _prepare(w, server, "slow:1", [b])
         w.settle(8.0)
         # Still locked: only ABORTED/UNKNOWN answers may release.
         assert server.locked
@@ -192,14 +191,9 @@ class TestLockIndex:
         # lease; releasing one owner leaves the other's locks alone.
         c, d = (w.config.container("c1").new_id() for _ in range(2))
 
-        def prepares():
-            for tid, oids in (("x:1", [b, c]), ("y:1", [d]), ("x:1", [b, c])):
-                vote = yield from participant.rpc_prepare(
-                    tid=tid, oids=oids, start_vts=participant.committed_vts, coord_site=0
-                )
-                assert vote is True
-
-        w.run_process(prepares())
+        participant.drop_replies("prepare", 0.0)  # the lost-vote fault is over
+        for tid, oids in (("x:1", [b, c]), ("y:1", [d]), ("x:1", [b, c])):
+            assert _prepare(w, participant, tid, oids) is True
         assert self._agree(participant) == 3
         assert participant.rpc_release_prepare("x:1") == "OK"
         assert self._agree(participant) == 1 and participant.locked == {d: "y:1"}
@@ -216,12 +210,7 @@ class TestLockIndex:
         server = w.servers[1]
         c = w.config.container("c1").new_id()
 
-        def ghost_prepare():
-            yield from server.rpc_prepare(
-                tid="ghost:2", oids=[b, c], start_vts=server.committed_vts, coord_site=0
-            )
-
-        w.run_process(ghost_prepare())
+        _prepare(w, server, "ghost:2", [b, c])
         assert self._agree(server) == 2
         server.lease_sweep()  # before the lease expires: nothing to do
         assert self._agree(server) == 2
