@@ -38,8 +38,7 @@ value the GC may have discarded.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import SnapshotTooOldError, TypeMismatchError
 from .cset import CSet
@@ -48,12 +47,17 @@ from .updates import CSetAdd, CSetDel, DataUpdate, Update
 from .versions import VectorTimestamp, Version
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     """One update plus the version of the transaction that made it."""
 
     update: Update
     version: Version
+
+
+#: ``ObjectHistory.append`` builds one entry per applied update at every
+#: replica, so it constructs the tuple in C, past the generated
+#: Python-level ``__new__``.
+_new_entry = tuple.__new__
 
 
 class _SiteBucket:
@@ -151,7 +155,7 @@ class ObjectHistory:
                 "version %s appended below the GC watermark %r of %s"
                 % (version, self._gc_vts, self.oid)
             )
-        entry = HistoryEntry(update, version)
+        entry = _new_entry(HistoryEntry, (update, version))
         order = self._next_order
         self._next_order += 1
         self._entries.append(entry)

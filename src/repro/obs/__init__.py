@@ -70,7 +70,7 @@ from .critical_path import (
     format_budget_table,
 )
 from .monitor import Alert, OnlineMonitor
-from .profile import AccessProfiler, SpaceSaving
+from .profile import AccessProfiler
 
 
 class Observability:
@@ -135,7 +135,6 @@ __all__ = [
     "RPC_RECV",
     "SLOW_COMMIT_COMMIT",
     "SLOW_COMMIT_PREPARE",
-    "SpaceSaving",
     "SpanEvent",
     "TERMINAL_EVENTS",
     "Tracer",

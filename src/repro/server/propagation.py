@@ -582,9 +582,14 @@ class PropagationMixin:
         payloads = []
         for record in chunk:
             version = record.version
-            apply(record.updates, version)
+            updates = record.updates
+            apply(updates, version)
             by_version[version] = record
-            for oid in touched_oids(record.updates):
+            if len(updates) > 1:
+                oids = touched_oids(updates)  # several may repeat an object
+            else:  # the common record: no set (and no hash) to name one object
+                oids = [update.oid for update in updates]
+            for oid in oids:
                 cache_put(oid, True)
                 profile(oid)
             if record.committed_at is not None:

@@ -296,7 +296,6 @@ class Process(Waitable):
         "_name",
         "_gen",
         "_send",
-        "_throw",
         "_step_cb",
         "_done",
         "_value",
@@ -403,6 +402,10 @@ class Process(Waitable):
         self._done = True
         self._value = value
         self._exc = exc
+        # Break the cycle through the bound-method cache: run() pauses
+        # the cyclic collector, so a finished process must die by
+        # refcount.  Nothing steps or interrupts a done process.
+        self._step_cb = None
         joiners = self._joiners
         self._joiners = None
         if not joiners:
@@ -448,12 +451,15 @@ class Kernel:
         self.now = 0.0
         self._seq = 0
         #: Pause CPython's cyclic collector while ``run()`` executes.  The
-        #: simulation produces no reference cycles (measured: every gen0/1/2
-        #: collection across the benchmark scenarios collects zero objects),
-        #: so all cleanup happens by refcounting and the collector's heap
-        #: scans are pure overhead -- over 40%% of wall time on the larger
-        #: scenarios.  GC state is saved and restored around ``run()``, so
-        #: callers that rely on the collector between runs are unaffected.
+        #: simulation's steady state produces no reference cycles -- a
+        #: finished ``Process`` drops its own bound-method cache, pinned
+        #: by tests/sim/test_no_cyclic_garbage.py -- so cleanup happens by
+        #: refcounting and the collector's heap scans are pure overhead
+        #: (over 40%% of wall time on the larger scenarios).  What is left
+        #: is O(failures): an exception delivered through a failed event
+        #: carries a traceback whose frame names that event.  GC state is
+        #: saved and restored around ``run()``, so callers that rely on
+        #: the collector between runs are unaffected.
         self.pause_gc = pause_gc
         self._heap: List = []
         # Fast lane for zero-delay callbacks.  Entries share the heap's

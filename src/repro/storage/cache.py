@@ -97,11 +97,11 @@ class ObjectCache:
     def put(self, oid: ObjectId, value: Any) -> Optional[ObjectId]:
         """Insert/refresh; returns the evicted oid if any."""
         queue = self._queue_for(oid)
-        if oid in queue:
-            queue[oid] = value
+        before = len(queue)
+        queue[oid] = value
+        if len(queue) == before:  # a refresh: nothing to evict
             queue.move_to_end(oid)
             return None
-        queue[oid] = value
         if len(self) <= self.capacity:
             return None
         return self._evict()

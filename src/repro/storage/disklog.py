@@ -26,9 +26,10 @@ FLUSH_WRITE_CACHING_OFF = 0.008  # private cluster, write cache disabled
 FLUSH_MEMORY = 0.0           # commit to memory only (§8.7 configuration)
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
-    """One durable record with the simulated time it became durable."""
+    """One durable record with the simulated time it became durable.
+    Slotted: the log keeps one per record for the whole run."""
 
     payload: Any
     appended_at: float

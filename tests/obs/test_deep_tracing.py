@@ -26,7 +26,9 @@ from repro.obs import (
     Tracer,
     WAL_FLUSH,
     aggregate_budgets,
+    collect_run,
     compute_budget,
+    summarize_artifact,
     trace_events_jsonl,
 )
 
@@ -144,6 +146,11 @@ class TestDeepSpans:
                     stats["owner_ops"] + stats["nonowner_ops"]
                     == stats["reads"] + stats["writes"]
                 )
+        # The artifact's summary line reads the same snapshot.
+        top = profile[0]["hot_keys"][0]
+        assert "site 0 profile: %d observations, top %s(%d)" % (
+            profile[0]["observations"], top["key"], top["count"]
+        ) in summarize_artifact(collect_run(world, "run"))
 
 
 class TestCompletionAwareRingBuffer:

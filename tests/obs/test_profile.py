@@ -1,116 +1,36 @@
-"""Unit tests for the space-saving sketch and the access profiler."""
+"""Unit tests for the access profiler's exact per-object counters."""
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.objects import ObjectId
-from repro.obs import AccessProfiler, SpaceSaving
+from repro.core.objects import ObjectId, ObjectKind
+from repro.obs import AccessProfiler
+from repro.obs.profile import CONTAINER_FIELDS
 
-
-class NaiveSpaceSaving:
-    """The sketch's definition, executed literally: on a miss with the
-    table full, scan for the minimum ``(count, insertion_seq)`` entry,
-    evict it, and give the newcomer its count + 1 with that count as the
-    error.  The reference the heap-backed :class:`SpaceSaving` must
-    match observation for observation."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.entries = {}  # key -> [count, error, seq, payload]
-        self.seq = self.evictions = self.observations = 0
-
-    def observe(self, key, field=None, owner=None):
-        self.observations += 1
-        entry = self.entries.get(key)
-        if entry is None:
-            self.seq += 1
-            base = 0
-            if len(self.entries) >= self.capacity:
-                victim = min(self.entries, key=lambda k: (self.entries[k][0], self.entries[k][2]))
-                base = self.entries.pop(victim)[0]
-                self.evictions += 1
-            entry = self.entries[key] = [base, base, self.seq, {}]
-        entry[0] += 1
-        for name in (field, owner if owner is None else ("owner_ops" if owner else "nonowner_ops")):
-            if name is not None:
-                entry[3][name] = entry[3].get(name, 0) + 1
-
-    def top(self):
-        ranked = sorted(self.entries.items(), key=lambda kv: (-kv[1][0], str(kv[0])))
-        return [
-            dict({"key": str(k), "count": e[0], "error": e[1]}, **dict(sorted(e[3].items())))
-            for k, e in ranked
-        ]
-
-
-#: Skewed streams (few keys recur: counts grow, heap heads go stale) and
-#: uniform ones over many keys (almost every observation evicts).
-streams = st.one_of(
-    st.lists(st.integers(0, 400), max_size=400),
-    st.lists(st.integers(0, 12) | st.integers(0, 400), max_size=400),
-    st.lists(st.sampled_from([0, 0, 0, 1, 1, 2, 3, 5, 8, 13, 21, 34]), max_size=400),
+#: Few containers and locals, so keys recur, counts tie and containers
+#: sum over several keys of both kinds.
+oids = st.builds(
+    ObjectId,
+    st.sampled_from(["c0", "c1", "c2"]),
+    st.sampled_from(["a", "b", "k1", "k10", "k2"]),
+    st.sampled_from(list(ObjectKind)),
+)
+observations = st.tuples(
+    oids, st.sampled_from(["reads", "writes", "conflicts", "remote_applies"]), st.booleans()
 )
 
 
-class TestSpaceSaving:
-    def test_exact_below_capacity(self):
-        sketch = SpaceSaving(capacity=8)
-        for _ in range(5):
-            sketch.observe("a", "reads")
-        for _ in range(3):
-            sketch.observe("b", "writes")
-        assert sketch.get("a") == {"key": "a", "count": 5, "error": 0, "reads": 5}
-        assert sketch.get("b")["count"] == 3
-        assert sketch.evictions == 0
-
-    def test_heavy_hitter_survives_churn(self):
-        sketch = SpaceSaving(capacity=4)
-        for i in range(200):
-            sketch.observe("hot")
-            sketch.observe("cold-%d" % i)  # 200 one-off keys force churn
-        assert len(sketch) == 4
-        assert sketch.evictions > 0
-        top = sketch.top(1)[0]
-        assert top["key"] == "hot"
-        # Space-saving guarantee: count overestimates by at most error,
-        # and the true count is within [count - error, count].
-        assert top["count"] - top["error"] <= 200 <= top["count"]
-
-    def test_eviction_is_deterministic(self):
-        def run():
-            sketch = SpaceSaving(capacity=3)
-            for key in ("a", "b", "a", "c", "d", "e", "a", "d", "f"):
-                sketch.observe(key)
-            return sketch.top()
-
-        assert run() == run()
-
-    @given(
-        capacity=st.integers(1, 16),
-        stream=streams,
-        fields=st.lists(st.sampled_from([None, "reads", "writes"]), min_size=1, max_size=7),
-        owners=st.lists(st.sampled_from([None, True, False]), min_size=1, max_size=5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_naive_min_scan_reference(self, capacity, stream, fields, owners):
-        sketch, naive = SpaceSaving(capacity), NaiveSpaceSaving(capacity)
-        for i, key in enumerate(stream):
-            field, owner = fields[i % len(fields)], owners[i % len(owners)]
-            sketch.observe(key, field, owner=owner)
-            naive.observe(key, field, owner=owner)
-        assert sketch.top() == naive.top()  # keys, counts, errors, payloads
-        assert (sketch.evictions, sketch.observations) == (naive.evictions, naive.observations)
-        assert len(sketch) == len(naive.entries) <= capacity
-        # One heap entry per live key, however many were refreshed.
-        assert len(sketch._heap) == len(sketch)
-
-    def test_owner_split(self):
-        sketch = SpaceSaving(capacity=4)
-        sketch.observe("k", "reads", owner=True)
-        sketch.observe("k", "writes", owner=False)
-        entry = sketch.get("k")
-        assert entry["owner_ops"] == 1
-        assert entry["nonowner_ops"] == 1
+def observe(profiler, oid, kind, owner):
+    if kind == "reads":
+        profiler.record_read(oid, owner)
+    elif kind == "writes":
+        profiler.record_write(oid, owner)
+    elif kind == "conflicts":
+        profiler.record_conflict(oid)
+    else:
+        profiler.record_remote_apply(oid)
 
 
 class TestAccessProfiler:
@@ -130,3 +50,57 @@ class TestAccessProfiler:
         }
         assert snap["containers"]["c2"]["remote_applies"] == 1
         assert snap["observations"] == 4
+
+    def test_owner_split(self):
+        profiler = AccessProfiler(site=0)
+        oid = ObjectId("c", "k")
+        profiler.record_read(oid, owner=True)
+        profiler.record_write(oid, owner=False)
+        profiler.record_write(oid, owner=False)
+        # Only the non-zero counters are reported on a hot-key entry.
+        assert profiler.as_dict()["hot_keys"] == [
+            {"key": "c/k#r", "count": 3, "reads": 1, "writes": 2, "owner_ops": 1, "nonowner_ops": 2}
+        ]
+
+    def test_heavy_hitter_is_exact_under_churn(self):
+        profiler = AccessProfiler(site=0)
+        hot = ObjectId("c", "hot")
+        for i in range(200):
+            profiler.record_remote_apply(hot)
+            profiler.record_remote_apply(ObjectId("c", "cold-%d" % i))  # 200 one-off keys
+        snap = profiler.as_dict(top=2)
+        assert snap["tracked_keys"] == 201
+        assert snap["hot_keys"] == [
+            {"key": "c/hot#r", "count": 200, "remote_applies": 200},
+            {"key": "c/cold-0#r", "count": 1, "remote_applies": 1},
+        ]
+
+    @given(stream=st.lists(observations, max_size=300), top=st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_counter_reference(self, stream, top):
+        profiler = AccessProfiler(site=3)
+        fields = Counter()  # (oid, field) -> occurrences
+        for oid, kind, owner in stream:
+            observe(profiler, oid, kind, owner)
+            fields[oid, kind] += 1
+            if kind in ("reads", "writes"):
+                fields[oid, "owner_ops" if owner else "nonowner_ops"] += 1
+        seen = Counter(oid for oid, _kind, _owner in stream)
+        containers = {}
+        for (oid, field), n in fields.items():
+            totals = containers.setdefault(oid.container, dict.fromkeys(CONTAINER_FIELDS, 0))
+            totals[field] += n
+        ranked = sorted(seen, key=lambda oid: (-seen[oid], str(oid)))[:top]
+        assert profiler.as_dict(top=top) == {
+            "site": 3,
+            "observations": len(stream),
+            "tracked_keys": len(seen),
+            "hot_keys": [
+                dict(
+                    {"key": str(oid), "count": seen[oid]},
+                    **{f: fields[oid, f] for f in CONTAINER_FIELDS if fields[oid, f]},
+                )
+                for oid in ranked
+            ],
+            "containers": containers,
+        }
