@@ -8,9 +8,9 @@ One :func:`run_chaos` call is one experiment:
    schedule (generated from the same seed unless one is supplied) while
    the clients run;
 3. **repair**: once the schedule is exhausted, heal all partitions,
-   cancel loss bursts, replace any crashed servers, and re-integrate any
-   still-removed sites -- the oracles judge the *converged* system, not
-   the mid-outage one;
+   cancel loss bursts, replace any crashed servers, re-integrate any
+   still-removed sites, and wait for the catch-ups those started -- the
+   oracles judge the *converged* system, not the mid-outage one;
 4. **judge**: feed the recorded trace to the PSI checker (in dual-world
    mode, excusing §4.4-abandoned transactions) and run the convergence,
    durability, and liveness oracles.
@@ -22,13 +22,14 @@ failure artifacts.
 
 from __future__ import annotations
 
+import re
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..deployment import Deployment
 from ..obs import OnlineMonitor
-from ..sim import gc_paused
+from ..sim import AllOf, gc_paused
 from ..spec.checker import Violation, check_trace
 from ..storage import FLUSH_MEMORY
 from .generator import generate_schedule
@@ -253,34 +254,29 @@ def _run_chaos(
     workload = start_workload(world, config, oids, csets)
 
     violations: List[Violation] = []
-    repair_proc = None
     deadline = config.horizon + REPAIR_GRACE
     try:
         world.run(until=config.horizon)
         repair_proc = world.kernel.spawn(
             _repair(world, injector), name="chaos.repair"
         )
-        # stop_when runs before every event; the conjunction is evaluated
-        # cheapest-first (repair is a single process flag, workload.done
-        # walks every client process) -- the stop time is unaffected.
-        # repair_proc._done reads the slot directly, skipping the property
-        # call this per-event check would otherwise pay.
-        world.kernel.run(
-            until=deadline,
-            stop_when=lambda: repair_proc._done and injector.done and workload.done,
+        # One waitable for "nothing left to wait for": the repair (which
+        # also waits for the catch-ups it starts), the injector and its
+        # structural ops, the clients, and the deployment's in-flight
+        # recoveries.  The per-event check is a single slot read.
+        waiting = [repair_proc, injector._proc] + injector._ops + workload.procs
+        quiet = world.kernel.spawn(
+            _join(AllOf(waiting + world.recoveries)), name="chaos.quiet"
         )
+        world.kernel.run(until=deadline, stop_when=lambda: quiet._done)
     except Exception:  # noqa: BLE001 - a crash IS a failing verdict
         violations.append(
             Violation("exception", traceback.format_exc(limit=8).strip())
         )
 
     if not violations:
-        if not (workload.done and repair_proc.done and injector.done):
-            stuck = [
-                p.name
-                for p in workload.procs + [repair_proc, injector._proc] + injector._ops
-                if p is not None and not p.done
-            ]
+        if not quiet.done:
+            stuck = {p.name for p in waiting + world.recoveries if not p.done}
             violations.append(
                 Violation(
                     "liveness",
@@ -313,7 +309,7 @@ def _run_chaos(
         violations=violations,
         outcomes=workload.tally(),
         applied_faults=list(injector.applied),
-        injection_errors=list(injector.errors),
+        injection_errors=_portable(world, injector.errors + world.recovery_errors),
         end_time=world.kernel.now,
         world=world,
         monitor=online,
@@ -332,3 +328,16 @@ def _repair(world, injector):
     for site in range(world.n_sites):
         if not world.config.is_active(site):
             yield from world.reintegrate_site_gen(site)
+    # The oracles judge what the catch-ups delivered, not a half-fed site.
+    yield AllOf(world.recoveries)
+
+
+def _join(waitable):
+    yield waitable
+
+
+def _portable(world, errors):
+    """Drop the process-unique deployment id from host names in error
+    texts (``walter-<id>-<site>``): verdicts replay byte-identically."""
+    tag = re.compile(r"\b(walter|recovery-coord)-%d-" % world._deploy_id)
+    return [(kind, tag.sub(r"\1-", text)) for kind, text in errors]

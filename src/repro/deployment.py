@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 import zlib
-from typing import Dict, Generator, List, Optional, Set
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from .client import WalterClient
 from .core.objects import Container
@@ -190,6 +190,14 @@ class Deployment:
         #: (§5.7): committed at the failed site but never propagated.
         #: The chaos durability oracle excludes these from "lost".
         self.abandoned_versions: Set[Version] = set()
+        #: Background catch-ups (see :meth:`_start_catch_up`) and the
+        #: ``(name, error)`` of each that failed: it records its error
+        #: rather than raise into whatever ``run()`` is current.
+        self.recoveries: List = []
+        self.recovery_errors: List[Tuple[str, str]] = []
+        #: Site removals: site -> (reassign_to, the surviving bound the
+        #: removal agreed, or None while it is unfinished).
+        self._removals: Dict[int, Tuple[int, Optional[int]]] = {}
 
         self.storages: List[Optional[SiteStorage]] = [
             SiteStorage(
@@ -572,12 +580,8 @@ class Deployment:
         # sites had committed at takeover -- the lock, had it survived,
         # would have been released by exactly those records' arrival.
         target = replacement.committed_vts
-        for peer, server in enumerate(self.servers):
-            if peer == site or server is None:
-                continue
-            if self.network.is_crashed(self.addresses[peer]):
-                continue
-            target = target.merge(server.committed_vts)
+        for peer in self._live_peers(site):
+            target = target.merge(self.servers[peer].committed_vts)
         replacement.set_sync_barrier(target)
         self._boot(replacement)
         self.servers[site] = replacement
@@ -588,7 +592,35 @@ class Deployment:
             self.storages[site].attach_checkpointer(
                 replacement.state_snapshot, interval=checkpointer.interval
             )
+        # Feed it those records rather than wait for retransmission: a
+        # peer retires a propagation tracker once the active set acked,
+        # and a predecessor that was mid re-integration was not in that
+        # set, so some records would never be resent.
+        self._start_catch_up(site)
         return replacement
+
+    def _live_peers(self, site: int) -> List[int]:
+        """Active sites other than ``site`` whose server is up."""
+        return [peer for peer in self.config.active_sites()
+                if peer != site and not self.network.is_crashed(self.addresses[peer])]
+
+    def _start_catch_up(self, site: int) -> None:
+        """Spawn a catch-up of ``site``'s (live) server from its live
+        peers; the chaos harness waits for :attr:`recoveries`."""
+        sources = self._live_peers(site)
+        if not sources or self.network.is_crashed(self.addresses[site]):
+            return
+        coordinator = self._coordinator(at_site=site)
+        name = "recovery.catch_up:%d" % site
+
+        def run():
+            try:
+                yield from coordinator.catch_up(self.addresses[site], sources)
+            except Exception as exc:  # noqa: BLE001 - recorded, see recoveries
+                self.recovery_errors.append((name, "%s: %s" % (type(exc).__name__, exc)))
+
+        self.recoveries = [proc for proc in self.recoveries if not proc.done]
+        self.recoveries.append(self.kernel.spawn(run(), name=name))
 
     def _fence_storage(self, site: int) -> List[Version]:
         """Fence a site's storage before a takeover (§5.7): the old
@@ -626,13 +658,15 @@ class Deployment:
         the transactions the aggressive option sacrificed in
         :attr:`abandoned_versions`."""
         coordinator = self._coordinator(at_site=reassign_to)
-        max_seqno = self.servers[failed_site].curr_seqno
-        upto = yield from coordinator.remove_site(
-            self.config, failed_site, reassign_to
-        )
-        for seqno in range(upto + 1, max_seqno + 1):
-            self.abandoned_versions.add(Version(failed_site, seqno))
+        self._removals[failed_site] = (reassign_to, None)
+        upto = yield from coordinator.remove_site(self.config, failed_site, reassign_to)
+        self._removal_agreed(failed_site, upto)
         return upto
+
+    def _removal_agreed(self, site: int, upto: int) -> None:
+        self._removals[site] = (self._removals[site][0], upto)
+        for seqno in range(upto + 1, self.servers[site].curr_seqno + 1):
+            self.abandoned_versions.add(Version(site, seqno))
 
     def reintegrate_site(self, site: int, within: float = 60.0) -> WalterServer:
         """Bring a removed site back: heal links, start a recovered server,
@@ -658,9 +692,24 @@ class Deployment:
         self.servers[site] = replacement
         survivor = next(s for s in self.config.active_sites() if s != site)
         coordinator = self._coordinator(at_site=survivor)
-        yield from coordinator.reintegrate_site(
-            self.config, site, replacement.address
-        )
+        reassign_to, upto = self._removals[site]
+        if upto is None:
+            # A removal that stopped part-way (a survivor unreachable)
+            # left no agreed bound; truncating this site to one
+            # survivor's reading could discard what another one already
+            # committed.  Finish it first.
+            upto = yield from coordinator.finish_removal(self.config, site, reassign_to)
+            self._removal_agreed(site, upto)
+        try:
+            yield from coordinator.reintegrate_site(
+                self.config, site, replacement.address, upto
+            )
+        except Exception:
+            if self.config.is_active(site):
+                # Failed after activation: the survivors' retired trackers
+                # will never resend what the final rounds did not deliver.
+                self._start_catch_up(site)
+            raise
         return replacement
 
     def migrate_preferred_site(

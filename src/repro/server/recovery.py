@@ -5,7 +5,9 @@ Three mechanisms:
 * **Server replacement.**  The transaction log lives in the site's
   replicated cluster storage; a replacement server rebuilds its state
   from the last checkpoint plus the log suffix and resumes propagation of
-  committed-but-not-fully-propagated transactions.
+  committed-but-not-fully-propagated transactions.  It is then caught up
+  from the live sites (:meth:`SiteRecoveryCoordinator.catch_up`, the one
+  routine every recovery protocol uses to feed a server records).
 
 * **Site removal (aggressive option).**  When a whole site fails, the
   configuration service switches to a configuration excluding it.  A
@@ -261,11 +263,20 @@ class RecoveryMixin:
         return "OK"
 
     def rpc_recovery_report(self):
-        """What this site has received/committed, per origin site."""
+        """What this site has received/committed, per origin site.
+        ``durable`` is what another site may commit on this site's word:
+        ``committed`` with the own-stream entry held below the first own
+        commit that is not yet DS-durable (a remote site commits a
+        transaction only once it is)."""
+        durable = list(self.committed_vts)
+        pending = [t.record.seqno for t in self._trackers.values() if not t.ds_durable]
+        if pending:
+            durable[self.site_id] = min(durable[self.site_id], min(pending) - 1)
         return {
             "site": self.site_id,
             "got": list(self.got_vts),
             "committed": list(self.committed_vts),
+            "durable": durable,
         }
 
     def rpc_recovery_fetch(self, site: int, from_seqno: int, to_seqno: int):
@@ -432,36 +443,35 @@ class SiteRecoveryCoordinator:
                 if attempt == self.RPC_RETRIES:
                     raise
 
-    def _is_partial(self, config) -> bool:
-        """True when some container is not replicated at every site.
-        Recovery takes extra care (and extra RPCs) only then; under full
-        replication the legacy paths run byte-for-byte unchanged."""
-        n = len(self.server_addresses)
-        return any(
-            not all(c.replicated_at(s) for s in range(n))
-            for c in config.containers()
-        )
+    def _reports(self, sites: List[int]):
+        """``recovery_report`` of each of ``sites``, in order."""
+        reports = []
+        for site in sites:
+            report = yield from self._call(self.server_addresses[site], "recovery_report")
+            reports.append(report)
+        return reports
 
-    def _fetch_merged(self, stream_site: int, from_seqno: int, to_seqno: int,
-                      sources: List[int]):
-        """``stream_site``'s records in (from, to], merged across copies
-        from every source.  Under partial replication each site stores
-        copies trimmed to its own replica set, so no single donor is
-        guaranteed to hold every surviving update's data; the union of
-        the sources' copies is the most complete record reconstructible
-        from the surviving sites."""
+    @staticmethod
+    def _best(reports, key: str) -> List[int]:
+        """Per-origin maximum of one report vector over ``reports``."""
+        return [max(column) for column in zip(*(report[key] for report in reports))]
+
+    def _fetch(self, sources: List[int], origin: int, from_seqno: int, to_seqno: int):
+        """Records of ``origin``'s stream in (from, to] for a recovery
+        delivery: from the origin itself when it is one of the (live)
+        ``sources`` -- it keeps full records of its own transactions --
+        otherwise merged across the sources' copies.  Under partial
+        replication each site stores copies trimmed to its own replica
+        set, so no single donor is guaranteed to hold every surviving
+        update's data; the union of the copies is the most complete
+        record the sources can reconstruct.  Receivers re-trim to their
+        own replica sets."""
         merged: Dict[int, CommitRecord] = {}
-        for source in sources:
-            records = yield from self._call(self.server_addresses[source],
-                "recovery_fetch",
-                site=stream_site,
-                from_seqno=from_seqno,
-                to_seqno=to_seqno)
+        for source in [origin] if origin in sources else sources:
+            records = yield from self._call(self.server_addresses[source], "recovery_fetch",
+                site=origin, from_seqno=from_seqno, to_seqno=to_seqno)
             for record in records:
-                cur = merged.get(record.seqno)
-                if cur is None:
-                    merged[record.seqno] = record
-                    continue
+                cur = merged.setdefault(record.seqno, record)
                 have = {u.oid for u in cur.updates}
                 extra = [u for u in record.updates if u.oid not in have]
                 if extra:
@@ -472,30 +482,31 @@ class SiteRecoveryCoordinator:
                     )
         return [merged[seqno] for seqno in sorted(merged)]
 
-    def _fetch_stream(self, partial: bool, survivors: List[int], donor: int,
-                      origin: int, from_seqno: int, to_seqno: int):
-        """Records of ``origin``'s stream in (from, to] for a recovery
-        delivery.  Under partial replication prefer the origin itself
-        when it is an active survivor (the origin keeps full records of
-        its own transactions); otherwise merge the survivors' trimmed
-        copies.  Receivers re-trim to their own replica sets."""
-        if not partial:
-            records = yield from self._call(self.server_addresses[donor],
-                "recovery_fetch",
-                site=origin,
-                from_seqno=from_seqno,
-                to_seqno=to_seqno)
-            return records
-        if origin in survivors:
-            records = yield from self._call(self.server_addresses[origin],
-                "recovery_fetch",
-                site=origin,
-                from_seqno=from_seqno,
-                to_seqno=to_seqno)
-            return records
-        records = yield from self._fetch_merged(
-            origin, from_seqno, to_seqno, survivors)
-        return records
+    def catch_up(self, target: str, sources: List[int],
+                 want: Optional[List[int]] = None, commit: bool = True):
+        """Generator: bring the server at ``target`` up to the live
+        ``sources``: deliver each origin's records it lacks, up to ``want``
+        (default: the sources' best got), then -- unless ``commit=False``
+        -- commit where it is behind what a source reports DS-durable.
+        Delivery takes the receiver's got guard, so causal order holds
+        across origins.  Every step is monotone, so a catch-up may race
+        normal propagation and may be re-run after an interrupted one."""
+        have = yield from self._call(target, "recovery_report")
+        reports = []
+        if want is None or commit:
+            reports = yield from self._reports(sources)
+        if want is None:
+            want = self._best(reports, "got")
+        for origin, upto in enumerate(want):
+            if have["got"][origin] < upto:
+                records = yield from self._fetch(
+                    sources, origin, have["got"][origin], upto)
+                yield from self._call(target, "recovery_deliver", records=records)
+        if commit:
+            for origin, upto in enumerate(self._best(reports, "durable")):
+                if have["committed"][origin] < upto:
+                    yield from self._call(target,
+                        "recovery_commit_upto", site=origin, upto=upto)
 
     def remove_site(self, config, failed_site: int, reassign_to: int):
         """Generator implementing §5.7 "Handling a site failure"
@@ -504,37 +515,38 @@ class SiteRecoveryCoordinator:
         #    are postponed until reassignment completes.
         config.suspend_leases_of_site(failed_site)
         config.deactivate_site(failed_site)
-        survivors = [s for s in config.active_sites()]
+        return (yield from self.finish_removal(config, failed_site, reassign_to))
+
+    def finish_removal(self, config, failed_site: int, reassign_to: int):
+        """Steps 2-5 of :meth:`remove_site`, after the failed site is
+        deactivated.  Re-runnable: a removal that stopped part-way (a
+        survivor unreachable) is finished by the site's re-integration,
+        which must truncate the site to the bound every survivor agreed
+        on, not to one survivor's reading."""
+        survivors = config.active_sites()
 
         # 2. Discover what survives: the largest prefix of the failed
         #    site's transactions present at any surviving site.
-        reports = {}
-        for site in survivors:
-            report = yield from self._call(self.server_addresses[site], "recovery_report")
-            reports[site] = report
+        reports = dict(zip(survivors, (yield from self._reports(survivors))))
         survive_upto = max(report["got"][failed_site] for report in reports.values())
 
-        # 2b. Under partial replication "present at a surviving site" is
-        #     not a sufficient survival criterion: survivors store copies
-        #     trimmed to their own replica sets, so a record's metadata
-        #     can survive while its data survives nowhere (the failed
-        #     site's stream reached only non-replicas of a written
+        # 2b. "Present at a surviving site" is not a sufficient survival
+        #     criterion when replication is partial: survivors store
+        #     copies trimmed to their own replica sets, so a record's
+        #     metadata can survive while its data survives nowhere (the
+        #     failed site's stream reached only non-replicas of a written
         #     container before the crash).  Keeping such a transaction
         #     would let a later re-integration of the failed site -- whose
         #     WAL still holds the data -- diverge from the survivors
         #     forever.  Tighten the bound to the longest prefix in which
         #     every written container has a surviving replica that
-        #     received the record.
-        partial = self._is_partial(config)
-        if partial and survive_upto > 0:
+        #     received the record.  With no trimmed copy (full
+        #     replication) the bound never tightens.
+        if survive_upto > 0:
             floor = min(report["got"][failed_site] for report in reports.values())
             best = max(survivors, key=lambda s: reports[s]["got"][failed_site])
-            candidates = yield from self._call(self.server_addresses[best],
-                "recovery_fetch",
-                site=failed_site,
-                from_seqno=floor,
-                to_seqno=survive_upto)
-            for record in sorted(candidates, key=lambda r: r.seqno):
+            candidates = yield from self._fetch([best], failed_site, floor, survive_upto)
+            for record in candidates:
                 containers = record.touched
                 if containers is None:
                     containers = {u.oid.container for u in record.updates}
@@ -550,168 +562,87 @@ class SiteRecoveryCoordinator:
                     survive_upto = record.seqno - 1
                     break
 
-        # 3. Complete propagation of survivors: fetch missing records and
-        #    deliver to the laggards (under partial replication, merged
-        #    across all survivors' trimmed copies; re-trimmed to the
-        #    receiver's replica set on delivery).
-        donor = max(survivors, key=lambda s: reports[s]["got"][failed_site])
+        # 3. Complete propagation of survivors: deliver the failed site's
+        #    surviving records to the laggards.
+        want = [0] * len(self.server_addresses)
+        want[failed_site] = survive_upto
         for site in survivors:
-            have = reports[site]["got"][failed_site]
-            if have < survive_upto:
-                if partial:
-                    records = yield from self._fetch_merged(
-                        failed_site, have, survive_upto, survivors)
-                else:
-                    records = yield from self._call(self.server_addresses[donor],
-                        "recovery_fetch",
-                        site=failed_site,
-                        from_seqno=have,
-                        to_seqno=survive_upto)
-                yield from self._call(self.server_addresses[site],
-                    "recovery_deliver",
-                    records=records)
+            if reports[site]["got"][failed_site] < survive_upto:
+                yield from self.catch_up(
+                    self.server_addresses[site], survivors, want=want, commit=False)
 
         # 4. Discard non-survivors and commit survivors everywhere.
         for site in survivors:
-            yield from self._call(self.server_addresses[site],
-                "recovery_finalize",
-                failed_site=failed_site,
-                survive_upto=survive_upto)
+            yield from self._call(self.server_addresses[site], "recovery_finalize",
+                failed_site=failed_site, survive_upto=survive_upto)
 
         # 5. Reassign the failed site's containers and re-evaluate
         #    durability conditions under the shrunk active set.  Under
         #    partial replication the new preferred site may not replicate
         #    a container -- every record it ever received for it arrived
         #    trimmed -- so it first installs a copy from a surviving
-        #    replica.  The donor must dominate the survivors' committed
-        #    frontier before exporting: the suspended lease admits no new
-        #    writes to the container, so a dominating donor holds every
-        #    committed one and the copy is complete.  (Full replication
-        #    never enters this path: every site replicates everything.)
-        frontier = [
-            max(report["committed"][i] for report in reports.values())
-            for i in range(len(self.server_addresses))
-        ]
-        copied: Dict[int, object] = {}
+        #    replica.  The donor is first caught up to the survivors'
+        #    committed frontier: the suspended lease admits no new writes
+        #    to the container, so it then holds every committed one and
+        #    the copy is complete.
+        frontier = self._best(reports.values(), "committed")
+        caught_up = set()
         for container in config.containers():
-            if container.preferred_site != failed_site:
+            if container.preferred_site != failed_site or container.replicated_at(reassign_to):
                 continue
-            if container.replicated_at(reassign_to):
-                continue
-            donors = [s for s in survivors if container.replicated_at(s)]
-            if not donors:
+            donor_site = next((s for s in survivors if container.replicated_at(s)), None)
+            if donor_site is None:
                 continue  # every replica failed with the site; data lost
-            donor_site = donors[0]
-            if donor_site not in copied:
-                give_up = self.kernel.now + self.RPC_TIMEOUT
-                while True:
-                    report = yield from self._call(
-                        self.server_addresses[donor_site], "recovery_report"
-                    )
-                    if all(g >= t for g, t in zip(report["got"], frontier)):
-                        break
-                    if self.kernel.now >= give_up:
-                        break  # best effort: copy what the donor has
-                    yield self.kernel.timeout(0.05)
-                copied[donor_site] = True
+            if donor_site not in caught_up:
+                yield from self.catch_up(self.server_addresses[donor_site], survivors,
+                                         want=frontier, commit=False)
+                caught_up.add(donor_site)
             dump = yield from self._call(
-                self.server_addresses[donor_site],
-                "container_export",
-                cid=container.id,
-            )
-            yield from self._call(
-                self.server_addresses[reassign_to],
-                "container_install",
-                cid=container.id,
-                dump=dump,
-            )
+                self.server_addresses[donor_site], "container_export", cid=container.id)
+            yield from self._call(self.server_addresses[reassign_to],
+                "container_install", cid=container.id, dump=dump)
         for container in config.containers():
             if container.preferred_site == failed_site:
-                config.reassign_preferred_site(
-                    container.id, reassign_to, remember_original=True
-                )
+                config.reassign_preferred_site(container.id, reassign_to, remember_original=True)
         for site in survivors:
             yield from self._call(self.server_addresses[site], "recheck_durability")
         return survive_upto
 
-    def reintegrate_site(self, config, returning_site: int, returning_server_address: str):
+    def reintegrate_site(self, config, returning_site: int,
+                         returning_server_address: str, survive_upto: int):
         """Generator implementing §5.7 "Re-integrating a previously failed
-        site": synchronize the returning server, then hand leases back."""
+        site": synchronize the returning server, then hand leases back.
+        ``survive_upto`` is the bound the site's removal agreed on."""
         survivors = [s for s in config.active_sites() if s != returning_site]
-        donor = survivors[0]
-        partial = self._is_partial(config)
-        report = yield from self._call(self.server_addresses[donor], "recovery_report")
-        returning_report = yield from self._call(returning_server_address, "recovery_report")
         # The returning site discards transactions the new configuration
-        # abandoned (its own seqnos beyond what survived).
-        survive_upto = report["got"][returning_site]
-        yield from self._call(returning_server_address,
-            "recovery_finalize",
-            failed_site=returning_site,
-            survive_upto=survive_upto)
-        # Catch up on everything committed while it was away.  Under
-        # partial replication the default donor may replicate fewer
-        # containers than the returning site: fetch each stream from its
-        # origin (which keeps full records of its own transactions) or,
-        # for streams of inactive origins, merged across all survivors.
-        for origin in range(len(report["got"])):
-            have = returning_report["got"][origin]
-            if origin == returning_site:
-                have = min(have, survive_upto)
-            want = report["got"][origin]
-            if have < want:
-                records = yield from self._fetch_stream(
-                    partial, survivors, donor, origin, have, want)
-                yield from self._call(returning_server_address,
-                    "recovery_deliver",
-                    records=records)
-        # Commit everything delivered (it is all DS-durable by survival).
-        # Monotone commit rounds only: the one truncation needed (the
-        # returning site's own abandoned suffix) already happened above,
-        # and a repeated finalize would discard the seal no-op it just
-        # created for that suffix.
-        for origin in range(len(report["got"])):
-            yield from self._call(returning_server_address,
-                "recovery_commit_upto",
-                site=origin,
-                upto=report["committed"][origin]
-                if origin != returning_site
-                else survive_upto)
+        # abandoned (its own seqnos beyond what survived).  The bound is
+        # the removal's, not the survivors' current reading: seal no-ops
+        # of an earlier, failed re-integration attempt may have reached a
+        # survivor, and only a re-seal under a live tracker commits them.
+        yield from self._call(returning_server_address, "recovery_finalize",
+            failed_site=returning_site, survive_upto=survive_upto)
+        # Catch up on everything committed while it was away.  Monotone
+        # rounds only: a repeated finalize would discard the seal no-op
+        # the one above just created for the abandoned suffix.
+        yield from self.catch_up(returning_server_address, survivors)
         config.activate_site(returning_site)
         self.server_addresses[returning_site] = returning_server_address
-        # Final catch-up round, AFTER activation.  Transactions that
-        # committed at the survivors during the synchronization above may
-        # have retired their propagation trackers against the old active
-        # set (which excluded the returning site), so nothing will resend
-        # them.  Anything committed after activation propagates normally;
-        # this round covers the window before it.  Only monotone
-        # operations (deliver, commit_upto) are used: the round may race
-        # normal propagation that is now flowing to the returning site.
-        final_report = yield from self._call(self.server_addresses[donor], "recovery_report")
-        final_returning = yield from self._call(returning_server_address, "recovery_report")
-        for origin in range(len(final_report["got"])):
-            have = final_returning["got"][origin]
-            want = final_report["got"][origin]
-            if have < want:
-                records = yield from self._fetch_stream(
-                    partial, survivors, donor, origin, have, want)
-                yield from self._call(returning_server_address,
-                    "recovery_deliver",
-                    records=records)
-            yield from self._call(returning_server_address,
-                "recovery_commit_upto",
-                site=origin,
-                upto=final_report["committed"][origin])
+        # Final round, AFTER activation.  Transactions that committed at
+        # the survivors during the round above may have retired their
+        # propagation trackers against the old active set, so nothing
+        # will resend them; anything committed after activation
+        # propagates normally.  If this round fails the deployment
+        # re-runs it: nothing else would deliver that window.
+        yield from self.catch_up(returning_server_address, survivors)
         # Hand displaced containers back to their original preferred
         # site -- under a suspended lease, and only once the returning
-        # site holds everything each temporary holder admitted.  The
-        # rounds above caught it up to the *donor*; a transaction the
-        # holder (the ``reassign_to`` site, not necessarily the donor)
-        # fast-committed on a displaced container may not have reached
-        # the donor yet, and granting the lease back before it arrives
-        # would let the returning site fast-commit over it (chaos seed
-        # 613).  Same rule as ``migrate_preferred_site`` step 3: no site
-        # holds the lease between the revoke and the grant.
+        # site holds everything each temporary holder admitted: a
+        # transaction the holder fast-committed after the rounds above
+        # read its report, granted back before it arrives, would let the
+        # returning site fast-commit over it (chaos seed 613).  Same rule
+        # as ``migrate_preferred_site`` step 3: no site holds the lease
+        # between the revoke and the grant.  Delivery only: the holder's
+        # newest commits commit here once DS-durable, like any other.
         holder_of = {
             cid: config.container(cid).preferred_site
             for cid, original in config.displaced.items()
@@ -720,16 +651,10 @@ class SiteRecoveryCoordinator:
         for cid in holder_of:
             config.suspend_lease(cid)
         try:
-            for holder in sorted(set(holder_of.values())):
-                held = yield from self._call(self.server_addresses[holder], "recovery_report")
-                have = yield from self._call(returning_server_address, "recovery_report")
-                for origin, want in enumerate(held["got"]):
-                    if have["got"][origin] < want:
-                        records = yield from self._fetch_stream(
-                            partial, survivors, holder, origin, have["got"][origin], want)
-                        yield from self._call(returning_server_address,
-                            "recovery_deliver",
-                            records=records)
+            if holder_of:
+                held = yield from self._reports(sorted(set(holder_of.values())))
+                yield from self.catch_up(returning_server_address, survivors,
+                                         want=self._best(held, "got"), commit=False)
         except BaseException:
             # An unreachable holder must not leave the leases suspended
             # forever: the containers stay displaced, holders re-granted.
