@@ -61,7 +61,7 @@ def run_walter(n_sites, workload):
         frontend = frontends[client.site.id]
 
         def op():
-            yield from frontend.use(FRONTEND_OP_SECONDS)
+            yield frontend.hold(FRONTEND_OP_SECONDS)
             kind = pick_kind(workload, rng)
             user = rng.choice(locals_)
             if kind == "status":
@@ -97,7 +97,7 @@ def run_redis(workload):
 
     def factory(client, rng):
         def op():
-            yield from frontend.use(FRONTEND_OP_SECONDS)
+            yield frontend.hold(FRONTEND_OP_SECONDS)
             kind = pick_kind(workload, rng)
             user = rng.choice(names)
             if kind == "status":

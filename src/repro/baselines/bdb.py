@@ -110,7 +110,7 @@ class BDBServer(Host):
         if self.role != "primary":
             raise ReadOnlyReplicaError("replica %s is read-only" % self.address)
         # Charged here, not declared: a replica refuses before queueing for a core.
-        yield from self.cpu.use(self.costs.write_op)
+        yield self.cpu.hold(self.costs.write_op)
         yield self.commit_lock.acquire()
         try:
             yield self.kernel.timeout(self.costs.commit_critical)
@@ -151,7 +151,7 @@ class BDBServer(Host):
         if self.role != "primary":
             raise ReadOnlyReplicaError("replica %s is read-only" % self.address)
         # Charged here, not declared: a replica refuses before queueing for a core.
-        yield from self.cpu.use(self.costs.write_op)
+        yield self.cpu.hold(self.costs.write_op)
         self._tx(tid).writes[key] = value
         return "OK"
 
@@ -221,7 +221,7 @@ class BDBServer(Host):
             if commit_ts <= self.replicated_upto:
                 continue
             # Charged per applied record (casts declare no service time).
-            yield from self.cpu.use(self.costs.apply_remote)
+            yield self.cpu.hold(self.costs.apply_remote)
             for key, value in writes.items():
                 self._install(key, commit_ts, value)
             self.replicated_upto = commit_ts

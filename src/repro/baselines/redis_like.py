@@ -74,14 +74,14 @@ class RedisServer(Host):
 
     def rpc_set(self, key: str, value: Any):
         self._write_guard()
-        yield from self.cpu.use(self.costs.write_op)
+        yield self.cpu.hold(self.costs.write_op)
         self.data[key] = value
         self._log("set", key, value)
         return "OK"
 
     def rpc_incr(self, key: str):
         self._write_guard()
-        yield from self.cpu.use(self.costs.write_op)
+        yield self.cpu.hold(self.costs.write_op)
         value = int(self.data.get(key, 0)) + 1
         self.data[key] = value
         self._log("set", key, value)
@@ -89,7 +89,7 @@ class RedisServer(Host):
 
     def rpc_lpush(self, key: str, value: Any):
         self._write_guard()
-        yield from self.cpu.use(self.costs.write_op)
+        yield self.cpu.hold(self.costs.write_op)
         lst = self.data.setdefault(key, [])
         lst.insert(0, value)
         self._log("lpush", key, value)
@@ -103,7 +103,7 @@ class RedisServer(Host):
 
     def rpc_sadd(self, key: str, member: Any):
         self._write_guard()
-        yield from self.cpu.use(self.costs.write_op)
+        yield self.cpu.hold(self.costs.write_op)
         members = self.data.setdefault(key, set())
         added = 0 if member in members else 1
         members.add(member)
@@ -112,7 +112,7 @@ class RedisServer(Host):
 
     def rpc_srem(self, key: str, member: Any):
         self._write_guard()
-        yield from self.cpu.use(self.costs.write_op)
+        yield self.cpu.hold(self.costs.write_op)
         members = self.data.setdefault(key, set())
         removed = 1 if member in members else 0
         members.discard(member)
@@ -149,7 +149,7 @@ class RedisServer(Host):
     def on_replicate(self, src: str, batch):
         for op in batch:
             # Charged per applied record (casts declare no service time).
-            yield from self.cpu.use(self.costs.apply_remote)
+            yield self.cpu.hold(self.costs.apply_remote)
             kind, key = op[0], op[1]
             if kind == "set":
                 self.data[key] = op[2]

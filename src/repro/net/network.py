@@ -116,6 +116,31 @@ class ClusterGateway:
         return out
 
 
+class Route:
+    """Everything :meth:`Network.send` needs about one directed site pair,
+    resolved once: path latency and bandwidth, the link's jitter/loss
+    draw (bound whatever the rates, since chaos raises ``loss_rate``
+    mid-run), when its FIFO pipe is next free, and the per-site / per-link
+    counter handles (created on first use, as a send or delivery would).
+    """
+
+    __slots__ = ("src_id", "dst_id", "link", "latency", "bandwidth", "random",
+                 "free_at", "sent", "delivered", "bytes")
+
+    def __init__(self, src_id: int, dst_id: int, latency: float, bandwidth: float, random):
+        self.src_id = src_id
+        self.dst_id = dst_id
+        self.link = (src_id, dst_id)
+        self.latency = latency
+        self.bandwidth = bandwidth
+        self.random = random
+        self.free_at = 0.0
+        self.unbind()
+
+    def unbind(self) -> None:
+        self.sent = self.delivered = self.bytes = None
+
+
 class NetworkStats(CounterView):
     """Counters exposed to tests and benchmarks: registry counters
     ``net.sent``, ``net.delivered``, ``net.dropped_partition``,
@@ -158,15 +183,6 @@ class Network:
         self.kernel = kernel
         self.topology = topology
         self.streams = streams or RandomStreams(0)
-        # One jitter/loss stream per *directed site link*, not one shared
-        # stream: messages on a link draw in their (deterministic) send
-        # order on that link, independent of how sends on other links
-        # interleave globally.  A shared stream would make the draws
-        # depend on the global event order -- impossible to reproduce
-        # when the parallel executor runs each site cluster in its own
-        # worker (the nondeterminism the dual-executor digest gate
-        # flushed out first).  Values are the bound ``random`` methods.
-        self._link_rng: Dict[Tuple[int, int], Any] = {}
         self._call_at = kernel.call_at
         self.jitter_frac = jitter_frac
         self.loss_rate = loss_rate
@@ -181,20 +197,14 @@ class Network:
         self._host_site_ids: Dict[str, int] = {}
         self._crashed: Set[str] = set()
         self._partitioned: Set[Tuple[int, int]] = set()
-        # Next time at which each directed cross-site link is free; models
-        # the 22 Mbps pipe as FIFO serialization.
-        self._link_free_at: Dict[Tuple[int, int], float] = {}
-        # Static per-(src-site, dst-site) path parameters -- (one-way
-        # latency, bandwidth) -- resolved from the topology once.
-        self._path_cache: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        # One Route per directed site pair, and the route of every
+        # (src, dst) address pair that has sent: a message finds its
+        # route with one probe.  Routes outlive the address cache, which
+        # a takeover may invalidate, so link state carries over.
+        self._links: Dict[Tuple[int, int], Route] = {}
+        self._routes: Dict[Tuple[str, str], Route] = {}
         self.stats = NetworkStats()
         self._registry = None
-        # Per-site / per-link counter handles (lazy; keyed by site id or
-        # link tuple) plus aggregate handles, so the hot send/deliver
-        # path never does a registry lookup.
-        self._site_sent: Dict[int, Any] = {}
-        self._site_delivered: Dict[int, Any] = {}
-        self._link_bytes: Dict[Tuple[int, int], Any] = {}
         #: Set in cluster mode (parallel executor): messages to sites in
         #: other clusters become outbox envelopes instead of local events.
         self._gateway: Optional[ClusterGateway] = None
@@ -222,9 +232,8 @@ class Network:
             setattr(stats, name, getattr(old, name))
         stats.bytes_by_link.update(old.bytes_by_link)
         self.stats = stats
-        self._site_sent.clear()
-        self._site_delivered.clear()
-        self._link_bytes.clear()
+        for route in self._links.values():
+            route.unbind()
         self._bind_stat_handles()
 
     # ------------------------------------------------------------------
@@ -238,8 +247,10 @@ class Network:
         replacement Walter server keeps its predecessor's identity); the
         old mailbox and receiver are discarded and the crash flag cleared.
         """
-        if address in self._mailboxes and not takeover:
-            raise ValueError("address %r already registered" % (address,))
+        if address in self._mailboxes:
+            if not takeover:
+                raise ValueError("address %r already registered" % (address,))
+            self._routes.clear()  # the address may have moved site
         mailbox = Store(self.kernel, name="mbox:%s" % address)
         self._mailboxes[address] = mailbox
         self._receivers[address] = mailbox.put
@@ -271,6 +282,7 @@ class Network:
         resolved = self.topology.site(site)
         self._host_sites[address] = resolved
         self._host_site_ids[address] = resolved.id
+        self._routes.clear()
 
     def attach_gateway(self, gateway: ClusterGateway) -> None:
         self._gateway = gateway
@@ -324,60 +336,49 @@ class Network:
         # this path write ``.value`` directly -- one attribute add per
         # message instead of a method call.
         self._c_sent.value += 1
-        src_id = self._host_site_ids[src]
-        if self._registry is not None:
-            try:
-                sent = self._site_sent[src_id]
-            except KeyError:
-                sent = self._site_sent[src_id] = self._registry.counter(
-                    "net.sent", site=src_id
-                )
+        try:
+            route = self._routes[src, dst]
+        except KeyError:
+            route = self._route(src, dst)
+            if route is None:
+                return
+        registry = self._registry
+        if registry is not None:
+            sent = route.sent
+            if sent is None:
+                sent = route.sent = registry.counter("net.sent", site=route.src_id)
             sent.value += 1
         if src in self._crashed:
             self._c_dropped_crash.value += 1
             return
-        dst_id = self._host_site_ids.get(dst)
-        if dst_id is None:
-            raise ValueError("unknown destination %r" % (dst,))
-        if self._partitioned and (src_id, dst_id) in self._partitioned:
+        if self._partitioned and route.link in self._partitioned:
             self._c_dropped_partition.value += 1
             return
-        rng_random = None
-        if self.loss_rate > 0 or self.jitter_frac > 0:
-            try:
-                rng_random = self._link_rng[(src_id, dst_id)]
-            except KeyError:
-                rng_random = self._link_rng[(src_id, dst_id)] = self.streams.stream(
-                    "net.jitter.%d-%d" % (src_id, dst_id)
-                ).random
-        if self.loss_rate > 0 and rng_random() < self.loss_rate:
+        if self.loss_rate > 0 and route.random() < self.loss_rate:
             self._c_dropped_random.value += 1
             return
 
-        try:
-            latency, bandwidth = self._path_cache[(src_id, dst_id)]
-        except KeyError:
-            latency, bandwidth = self._path_cache[(src_id, dst_id)] = (
-                self.topology.one_way(src_id, dst_id),
-                self.topology.bandwidth_bps(src_id, dst_id),
-            )
+        latency = route.latency
         if self.jitter_frac > 0:
-            latency *= 1.0 + rng_random() * self.jitter_frac
-        serialize = size_bytes * 8.0 / bandwidth
+            latency *= 1.0 + route.random() * self.jitter_frac
+        serialize = size_bytes * 8.0 / route.bandwidth
 
         now = self.kernel.now
+        src_id = route.src_id
+        dst_id = route.dst_id
         if src_id != dst_id:
             # FIFO pipe: serialization occupies the shared link.
-            link = (src_id, dst_id)
-            start = max(now, self._link_free_at.get(link, now))
-            self._link_free_at[link] = start + serialize
+            start = route.free_at
+            if start < now:
+                start = now
+            route.free_at = start + serialize
             bytes_by_link = self.stats.bytes_by_link
+            link = route.link
             bytes_by_link[link] = bytes_by_link.get(link, 0) + size_bytes
-            if self._registry is not None:
-                try:
-                    link_bytes = self._link_bytes[link]
-                except KeyError:
-                    link_bytes = self._link_bytes[link] = self._registry.counter(
+            if registry is not None:
+                link_bytes = route.bytes
+                if link_bytes is None:
+                    link_bytes = route.bytes = registry.counter(
                         "net.bytes", site=src_id, dst=dst_id
                     )
                 link_bytes.value += size_bytes
@@ -402,7 +403,38 @@ class Network:
             )
             return
         message = Message(src, dst, payload, size_bytes, sent_at=now)
-        self._call_at(deliver_at, self._deliver, message)
+        self._call_at(deliver_at, self._deliver, message, route)
+
+    def _route(self, src: str, dst: str) -> Optional[Route]:
+        """Resolve and cache the route of a first ``src`` -> ``dst`` send.
+        An unknown destination raises -- unless ``src`` is crashed, whose
+        send is counted and dropped (None) before anyone looks."""
+        src_id = self._host_site_ids[src]
+        dst_id = self._host_site_ids.get(dst)
+        if dst_id is None:
+            if src not in self._crashed:
+                raise ValueError("unknown destination %r" % (dst,))
+            if self._registry is not None:
+                self._registry.counter("net.sent", site=src_id).value += 1
+            self._c_dropped_crash.value += 1
+            return None
+        route = self._links.get((src_id, dst_id))
+        if route is None:
+            # One jitter/loss stream per *directed site link*, not one
+            # shared stream: messages on a link draw in their
+            # (deterministic) send order on that link, independent of how
+            # sends on other links interleave globally -- which the
+            # parallel executor, running each site cluster in its own
+            # worker, could not reproduce.
+            route = self._links[src_id, dst_id] = Route(
+                src_id,
+                dst_id,
+                self.topology.one_way(src_id, dst_id),
+                self.topology.bandwidth_bps(src_id, dst_id),
+                self.streams.stream("net.jitter.%d-%d" % (src_id, dst_id)).random,
+            )
+        self._routes[src, dst] = route
+        return route
 
     def deliver_envelope(self, envelope: Envelope) -> None:
         """Schedule a cross-cluster envelope received at a barrier.  The
@@ -417,28 +449,27 @@ class Network:
         is a measurable slice of the parallel executor's critical path."""
         if envelope.src not in self._host_site_ids:
             self.register_remote(envelope.src, envelope.src_site)
-        self._call_at(envelope.deliver_at, self._deliver, envelope)
+        route = self._routes.get((envelope.src, envelope.dst)) or self._route(
+            envelope.src, envelope.dst
+        )
+        self._call_at(envelope.deliver_at, self._deliver, envelope, route)
 
-    def _deliver(self, message: Message) -> None:
+    def _deliver(self, message: Message, route: Route) -> None:
         dst = message.dst
         if dst in self._crashed:
             self._c_dropped_crash.value += 1
             return
-        if self._partitioned and (
-            (self._host_site_ids[message.src], self._host_site_ids[dst])
-            in self._partitioned
-        ):
+        if self._partitioned and route.link in self._partitioned:
             self._c_dropped_partition.value += 1
             return
         message.delivered_at = self.kernel.now
         self._c_delivered.value += 1
-        if self._registry is not None:
-            dst_id = self._host_site_ids[dst]
-            try:
-                delivered = self._site_delivered[dst_id]
-            except KeyError:
-                delivered = self._site_delivered[dst_id] = self._registry.counter(
-                    "net.delivered", site=dst_id
+        registry = self._registry
+        if registry is not None:
+            delivered = route.delivered
+            if delivered is None:
+                delivered = route.delivered = registry.counter(
+                    "net.delivered", site=route.dst_id
                 )
             delivered.value += 1
         self._receivers[dst](message)

@@ -74,7 +74,7 @@ class Cast:
 
 def service_time(cost):
     """Declare what serving an ``rpc_*`` handler costs at the host's CPU
-    station: :meth:`Host._serve` holds one ``cpu`` slot for that long
+    station: :meth:`Host._serve` books one ``cpu`` core for that long
     before it calls the handler.  ``cost`` names a field of the host's
     ``costs`` table, or is a function ``(host, **request_args) ->
     seconds`` when the time depends on the request."""
@@ -93,7 +93,7 @@ class Host:
 
     #: Default request/reply sizes in bytes when the caller does not say.
     DEFAULT_MSG_BYTES = 256
-    #: The k-core CPU station (a :class:`~repro.sim.Resource`) of hosts
+    #: The k-core CPU station (a :class:`~repro.sim.Resource` calendar) of hosts
     #: whose handlers declare a :func:`service_time`.
     cpu = None
 
@@ -162,6 +162,9 @@ class Host:
         children, self._children = self._children, []
         for proc in children:
             proc.interrupt("crashed")
+        if self.cpu is not None:
+            # Its bookings belonged to the handlers just killed.
+            self.cpu.reset()
 
     def spawn_child(self, gen, name: str = ""):
         """Spawn a process that dies with this host (see :meth:`crash`).
@@ -239,9 +242,9 @@ class Host:
         else:
             try:
                 if cost is not None:
-                    # The station (DESIGN.md §5): queue FIFO for one of the
-                    # k cores, hold it for the service time, then serve.
-                    # A crash mid-service frees the core.
+                    # The station (DESIGN.md §5): book the k-core calendar
+                    # FIFO for the service time, then serve.  A crash
+                    # mid-service frees the core (see crash()).
                     cpu = self.cpu
                     if cpu is None:
                         raise RpcError(
@@ -252,11 +255,7 @@ class Host:
                         seconds = getattr(self.costs, cost)
                     else:
                         seconds = cost(self, **request.args)
-                    yield cpu.acquire()
-                    try:
-                        yield self.kernel.timeout(seconds)
-                    finally:
-                        cpu.release()
+                    yield cpu.hold(seconds)
                 result = handler(**request.args)
                 if type(result) is GeneratorType:
                     result = yield from result

@@ -422,11 +422,7 @@ class ExecutionMixin:
             elems = elems[:limit]
         # Charged here, not declared: the cost is the fan-out, known only
         # once the cset has been read.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self._batch_cost(1 + len(elems)))
-        finally:
-            self.cpu.release()
+        yield self.cpu.hold(self._batch_cost(1 + len(elems)))
         out = []
         for elem in elems:
             target = elem if isinstance(elem, ObjectId) else elem[-1]

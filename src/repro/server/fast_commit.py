@@ -28,11 +28,7 @@ class FastCommitMixin:
         self._deep(tid, span.COMMIT_RPC_BEGIN)
         # Charged here, not declared: the milestones either side of the
         # charge are what obs/critical_path.py telescopes into its "cpu" stage.
-        yield self.cpu.acquire()
-        try:
-            yield self.kernel.timeout(self.costs.commit_op)
-        finally:
-            self.cpu.release()
+        yield self.cpu.hold(self.costs.commit_op)
         self._deep(tid, span.COMMIT_CPU)
         # ``ck`` is the client's at-most-once idempotency token: a commit
         # whose reply was lost can be re-asked safely -- the cached

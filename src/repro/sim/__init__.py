@@ -13,7 +13,7 @@ from .kernel import (
     gc_paused,
 )
 from .rand import RandomStreams, derive_seed
-from .resources import Lock, Resource, Semaphore, Store
+from .resources import Lock, Resource, Store
 
 __all__ = [
     "AllOf",
@@ -25,7 +25,6 @@ __all__ = [
     "Process",
     "RandomStreams",
     "Resource",
-    "Semaphore",
     "SimError",
     "Store",
     "Timeout",

@@ -7,6 +7,7 @@ network, and the disk model are all simulated processes scheduled here.
 Processes are Python generators that ``yield`` *waitables*:
 
 * :class:`Timeout` -- resume after a simulated delay,
+* :class:`At` -- resume at an absolute simulated instant,
 * :class:`Event` -- resume when another process triggers the event,
 * :class:`Process` -- resume when another process finishes (a join); the
   value of the ``yield`` expression is the joined process's return value.
@@ -107,6 +108,25 @@ class Timeout(Waitable):
             heapq.heappush(
                 kernel._heap, (kernel.now + delay, kernel._seq, callback, (self.value, None))
             )
+
+
+class At(Waitable):
+    """Resume the yielding process at the absolute simulated instant
+    ``time`` (not before now): a timer whose end was computed ahead, so
+    no ``now + delay`` rounding moves it."""
+
+    __slots__ = ("time",)
+
+    def __init__(self, time: float):
+        self.time = time
+
+    def _subscribe(self, kernel: "Kernel", callback) -> None:
+        time = self.time
+        kernel._seq += 1
+        if time == kernel.now:
+            kernel._ready.append((time, kernel._seq, callback, (None, None)))
+        else:
+            heapq.heappush(kernel._heap, (time, kernel._seq, callback, (None, None)))
 
 
 class Event(Waitable):

@@ -1,7 +1,7 @@
 """Synchronization and queueing primitives for simulated processes.
 
 These are the building blocks the Walter server uses to model contention:
-the server CPU is a :class:`Resource` with a service time per operation,
+the server CPU is a :class:`Resource` booked for a service time per operation,
 the commit path serializes on a :class:`Lock` (the paper notes commit
 throughput is bounded by "a highly contended lock" inside the server), and
 message queues between components are :class:`Store` instances.
@@ -12,10 +12,11 @@ keeps runs deterministic.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator
 
-from .kernel import Event, Kernel, SimError
+from .kernel import At, Event, Kernel, SimError
 
 
 class Lock:
@@ -60,12 +61,19 @@ class Lock:
 
 
 class Resource:
-    """A counted resource with FIFO admission (models server CPU cores).
+    """A FIFO k-server station kept as a calendar (models server CPU cores).
 
-    ``use(duration)`` is a generator that acquires a slot, holds it for
-    ``duration`` simulated seconds, and releases it -- the standard way to
-    model a service time at a contended station.
+    Every holder knows its service time when it arrives, so a request needs
+    no grant event: :meth:`hold` books the core that frees first, at
+    ``max(now, free_at)``, and returns one timer for the instant its
+    service ends.  That instant is the float a grant-then-timeout queue
+    produces (the core's previous end plus the service time), so FIFO
+    service order and every completion time are those of a waiter queue.
+    A booking cannot be withdrawn: a holder that dies frees its core only
+    through :meth:`reset`, which a crashing host calls.
     """
+
+    __slots__ = ("kernel", "capacity", "name", "_free_at", "total_busy_time")
 
     def __init__(self, kernel: Kernel, capacity: int, name: str = ""):
         if capacity < 1:
@@ -73,58 +81,37 @@ class Resource:
         self.kernel = kernel
         self.capacity = capacity
         self.name = name
-        self._event_name = "res:%s" % name
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        # Min-heap of the instant each core next falls idle.
+        self._free_at = [0.0] * capacity
+        #: Core-seconds booked so far.
         self.total_busy_time = 0.0
-        self._busy_since: Optional[float] = None
 
     @property
     def in_use(self) -> int:
-        return self._in_use
+        """Cores busy now (booked beyond the current instant)."""
+        now = self.kernel.now
+        return sum(1 for at in self._free_at if at > now)
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
+    def hold(self, seconds: float) -> At:
+        """Book one core for ``seconds``; yield the result to wait until
+        the service ends."""
+        free_at = self._free_at
+        start = free_at[0]
+        now = self.kernel.now
+        if start < now:
+            start = now
+        end = start + seconds
+        heapq.heapreplace(free_at, end)
+        self.total_busy_time += seconds
+        return At(end)
 
-    def acquire(self) -> Event:
-        event = Event(self.kernel, self._event_name)
-        if self._in_use < self.capacity and not self._waiters:
-            self._grant(event)
-        else:
-            self._waiters.append(event)
-        return event
+    def use(self, seconds: float) -> Generator:
+        """Generator form of :meth:`hold`, for ``yield from`` callers."""
+        yield self.hold(seconds)
 
-    def _grant(self, event: Event) -> None:
-        if self._in_use == 0:
-            self._busy_since = self.kernel.now
-        self._in_use += 1
-        event.trigger(None)
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimError("release of idle resource %r" % (self.name,))
-        self._in_use -= 1
-        if self._in_use == 0 and self._busy_since is not None:
-            self.total_busy_time += self.kernel.now - self._busy_since
-            self._busy_since = None
-        if self._waiters and self._in_use < self.capacity:
-            self._grant(self._waiters.popleft())
-
-    def use(self, duration: float) -> Generator:
-        """Generator: hold one slot for ``duration`` simulated seconds."""
-        yield self.acquire()
-        try:
-            yield self.kernel.timeout(duration)
-        finally:
-            self.release()
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` during which the resource was busy."""
-        busy = self.total_busy_time
-        if self._busy_since is not None:
-            busy += self.kernel.now - self._busy_since
-        return busy / elapsed if elapsed > 0 else 0.0
+    def reset(self) -> None:
+        """Free every core now: the holders died (a host crash)."""
+        self._free_at = [0.0] * self.capacity
 
 
 class Store:
@@ -169,35 +156,3 @@ class Store:
         items = list(self._items)
         self._items.clear()
         return items
-
-
-class Semaphore:
-    """A counting semaphore; ``acquire`` blocks when the count hits zero."""
-
-    def __init__(self, kernel: Kernel, value: int = 1, name: str = ""):
-        if value < 0:
-            raise ValueError("semaphore value must be >= 0")
-        self.kernel = kernel
-        self.name = name
-        self._event_name = "sem:%s" % name
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Event:
-        event = Event(self.kernel, self._event_name)
-        if self._value > 0 and not self._waiters:
-            self._value -= 1
-            event.trigger(None)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().trigger(None)
-        else:
-            self._value += 1

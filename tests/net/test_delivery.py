@@ -26,8 +26,8 @@ class Server(Host):
 
     @service_time(lambda server, text: server.SERVICE_S)
     def rpc_serviced_echo(self, text):
-        # The shape of rpc_tx_read: Host._serve takes the CPU and holds it
-        # for the declared service time before this runs.
+        # The shape of rpc_tx_read: Host._serve books the CPU for the
+        # declared service time before this runs.
         return text
 
     def on_note(self, src, value):
@@ -68,8 +68,9 @@ def events_for(kernel, gen):
         # request delivery (handler runs, replies) + reply delivery (caller
         # resumes); the +1 is run_process starting the caller.  Parent: 6.
         ("echo", 2),
-        # ... + the cpu grant + the service timeout.  Parent: 8.
-        ("serviced_echo", 4),
+        # ... + the end of the booked cpu service.  Parent: 4 (a grant
+        # event, then a service timeout).
+        ("serviced_echo", 3),
     ],
 )
 def test_rpc_round_trip_event_budget(method, budget):

@@ -225,3 +225,66 @@ def test_sent_counters_consistent_under_faults():
         + net.stats.dropped_random
     )
     assert net.stats.delivered == aggregate - dropped
+
+
+# ----------------------------------------------------------------------
+# Route cache: one route per directed site pair, found with one lookup
+# ----------------------------------------------------------------------
+def test_route_resolved_without_jitter_or_loss_still_drops_when_loss_rises():
+    kernel, topo, net = make_net()
+    net.register("a", "VA")
+    box = net.register("b", "CA")
+    net.send("a", "b", "kept")
+    kernel.run()
+    assert len(box) == 1
+    net.loss_rate = 1.0  # as a chaos loss burst sets it mid-run
+    net.send("a", "b", "lost")
+    kernel.run()
+    assert len(box) == 1 and net.stats.dropped_random == 1
+
+
+def test_bind_metrics_after_traffic_keeps_link_fifo_and_byte_counts():
+    from repro.obs import MetricsRegistry
+
+    kernel, topo, net = make_net()
+    net.register("a", "VA")
+    box = net.register("b", "CA")
+    size = 220_000  # 80 ms of serialization at 22 Mbps
+    net.send("a", "b", 1, size_bytes=size)
+    registry = MetricsRegistry()
+    net.bind_metrics(registry)
+    net.send("a", "b", 2, size_bytes=size)
+
+    def recv():
+        yield box.get()
+        t1 = kernel.now
+        yield box.get()
+        return kernel.now - t1
+
+    assert kernel.run_process(recv()) == pytest.approx(size * 8 / 22e6)
+    va, ca = topo.site("VA").id, topo.site("CA").id
+    assert net.stats.bytes_by_link[(va, ca)] == 2 * size
+    # The registry mirrors what was sent after binding.
+    assert registry.counter("net.bytes", site=va, dst=ca).value == size
+    assert registry.counter("net.sent", site=va).value == 1
+    assert registry.counter("net.delivered", site=ca).value == 2
+
+
+def test_takeover_register_routes_to_the_new_receiver_and_site():
+    kernel, topo, net = make_net(n_sites=3)
+    net.register("a", "VA")
+    old = net.register("b", "CA")
+    net.send("a", "b", "to CA")
+    kernel.run()
+    new = net.register("b", "IE", takeover=True)
+    sent_at = kernel.now
+    net.send("a", "b", "to IE", size_bytes=100)
+
+    def recv():
+        message = yield new.get()
+        return (message.payload, kernel.now - sent_at)
+
+    payload, took = kernel.run_process(recv())
+    assert payload == "to IE" and [m.payload for m in old.drain()] == ["to CA"]
+    expected = topo.one_way("VA", "IE") + 100 * 8 / 22e6 + Network.SOFTWARE_OVERHEAD
+    assert took == pytest.approx(expected)

@@ -1,7 +1,7 @@
 """The CPU station is modelled once, in ``Host._serve``: an ``rpc_*``
-handler declares a :func:`~repro.net.service_time` and the host queues the
-request FIFO for one of its ``cpu`` cores, holds the core for that long,
-then runs the handler (DESIGN.md §5).
+handler declares a :func:`~repro.net.service_time` and the host books one
+of its ``cpu`` cores FIFO for that long, then runs the handler
+(DESIGN.md §5).
 """
 
 from types import SimpleNamespace
@@ -112,6 +112,24 @@ def test_crash_during_service_time_releases_the_slot():
     assert server.cpu.in_use == 1
     server.crash()
     kernel.run()  # the kill reaches the serving process on the next kernel step
+    assert server.cpu.in_use == 0 and server.entered == []
+    net.recover_host("station")
+    server.start()
+    assert kernel.run_process(client.call("station", "work", tag="later", timeout=1.0)) == "later"
+    assert [tag for tag, _at, _in_use in server.entered] == ["later"]
+
+
+def test_crash_with_a_request_queued_frees_the_station():
+    """A request waiting for the core dies with the host too: it must not
+    be handed the core later and keep it forever."""
+    kernel, net, client, server = make_world()
+    wire, _ = round_trip("free")
+    for tag in ("served", "queued"):
+        kernel.spawn(client.call("station", "work", tag=tag))
+    kernel.run(until=wire / 2 + COST / 2)
+    assert server.cpu.in_use == 1
+    server.crash()
+    kernel.run()
     assert server.cpu.in_use == 0 and server.entered == []
     net.recover_host("station")
     server.start()

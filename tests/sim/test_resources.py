@@ -1,8 +1,12 @@
 """Unit tests for simulation synchronization primitives."""
 
-import pytest
+from collections import deque
 
-from repro.sim import Kernel, Lock, Resource, Semaphore, SimError, Store
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import Event, Kernel, Lock, Resource, SimError, Store
 
 
 def test_lock_mutual_exclusion_and_fifo():
@@ -38,13 +42,46 @@ def test_lock_release_unheld_raises():
         lock.release()
 
 
+class ReferenceResource:
+    """The grant-then-timeout station :class:`Resource` replaced: a waiter
+    queue, one grant event per request, then a service timeout."""
+
+    def __init__(self, kernel, capacity):
+        self.kernel = kernel
+        self.capacity = capacity
+        self._in_use = 0
+        self._waiters = deque()
+
+    def acquire(self):
+        event = Event(self.kernel)
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
+            event.trigger(None)
+        else:
+            self._waiters.append(event)
+        return event
+
+    def release(self):
+        self._in_use -= 1
+        if self._waiters:
+            self._in_use += 1
+            self._waiters.popleft().trigger(None)
+
+    def use(self, duration):
+        yield self.acquire()
+        try:
+            yield self.kernel.timeout(duration)
+        finally:
+            self.release()
+
+
 def test_resource_capacity_two_admits_two():
     kernel = Kernel()
     res = Resource(kernel, capacity=2)
     finish_times = {}
 
     def worker(tag):
-        yield from res.use(10.0)
+        yield res.hold(10.0)
         finish_times[tag] = kernel.now
 
     for tag in ["a", "b", "c"]:
@@ -53,23 +90,60 @@ def test_resource_capacity_two_admits_two():
     assert finish_times == {"a": 10.0, "b": 10.0, "c": 20.0}
 
 
-def test_resource_queue_length_and_utilization():
+def test_resource_hold_is_one_event():
     kernel = Kernel()
     res = Resource(kernel, capacity=1)
 
     def worker():
-        yield from res.use(5.0)
+        yield res.hold(5.0)
+
+    kernel.spawn(worker())
+    kernel.spawn(worker())
+    kernel.run()
+    # Two process starts and two service ends; no grant events.
+    assert kernel.events_executed == 4 and kernel.now == 10.0
+
+
+def test_resource_in_use_and_busy_time():
+    kernel = Kernel()
+    res = Resource(kernel, capacity=2)
+
+    def worker(seconds):
+        yield res.hold(seconds)
 
     def observer():
         yield kernel.timeout(1.0)
-        return (res.in_use, res.queue_length)
+        first = res.in_use
+        yield kernel.timeout(3.0)
+        return (first, res.in_use)
 
-    kernel.spawn(worker())
-    kernel.spawn(worker())
+    for seconds in (5.0, 2.0, 1.0):
+        kernel.spawn(worker(seconds))
     obs = kernel.spawn(observer())
     kernel.run()
-    assert obs.value == (1, 1)
-    assert res.utilization(kernel.now) == pytest.approx(1.0)
+    # At 1 both cores are busy (5 s, then 2 s), at 4 only the first is.
+    assert obs.value == (2, 1)
+    assert res.total_busy_time == 8.0
+    assert res.in_use == 0
+
+
+def test_resource_reset_frees_every_core():
+    kernel = Kernel()
+    res = Resource(kernel, capacity=1)
+    res.hold(100.0)
+    res.hold(100.0)
+    assert res.in_use == 1
+    res.reset()
+    assert res.in_use == 0
+    done = []
+
+    def worker():
+        yield res.hold(1.0)
+        done.append(kernel.now)
+
+    kernel.spawn(worker())
+    kernel.run(until=50.0)
+    assert done == [1.0]
 
 
 def test_resource_invalid_capacity():
@@ -78,11 +152,39 @@ def test_resource_invalid_capacity():
         Resource(kernel, capacity=0)
 
 
-def test_resource_release_idle_raises():
-    kernel = Kernel()
-    res = Resource(kernel, capacity=1)
-    with pytest.raises(SimError):
-        res.release()
+_instants = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.3, 1.0, 1.7])
+
+
+@given(
+    capacity=st.integers(1, 4),
+    requests=st.lists(st.tuples(_instants, _instants), min_size=1, max_size=24),
+)
+@settings(max_examples=300, deadline=None)
+def test_hold_matches_the_grant_then_timeout_station(capacity, requests):
+    """Same completion instants (``==``) and the same service order as the
+    station it replaced, for arrivals that tie and durations that are 0."""
+
+    def serve(make_station, charge):
+        kernel = Kernel()
+        station = make_station(kernel, capacity)
+        done = []
+
+        def request(tag, arrival, seconds):
+            yield kernel.timeout(arrival)
+            yield from charge(station, seconds)
+            done.append((tag, kernel.now))
+
+        for tag, (arrival, seconds) in enumerate(requests):
+            kernel.spawn(request(tag, arrival, seconds))
+        kernel.run()
+        return done
+
+    def hold(station, seconds):
+        yield station.hold(seconds)
+
+    calendar = serve(Resource, hold)
+    reference = serve(ReferenceResource, ReferenceResource.use)
+    assert calendar == reference
 
 
 def test_store_put_then_get():
@@ -141,26 +243,3 @@ def test_store_drain_and_nowait():
     assert len(store) == 0
     with pytest.raises(SimError):
         store.get_nowait()
-
-
-def test_semaphore_counts():
-    kernel = Kernel()
-    sem = Semaphore(kernel, value=2)
-    admitted = []
-
-    def worker(tag):
-        yield sem.acquire()
-        admitted.append((tag, kernel.now))
-        yield kernel.timeout(1.0)
-        sem.release()
-
-    for tag in ["a", "b", "c"]:
-        kernel.spawn(worker(tag))
-    kernel.run()
-    assert admitted == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_semaphore_negative_value_rejected():
-    kernel = Kernel()
-    with pytest.raises(ValueError):
-        Semaphore(kernel, value=-1)
