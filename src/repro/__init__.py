@@ -4,8 +4,9 @@ A complete Python reproduction of the paper's system and evaluation:
 
 * :mod:`repro.core` -- versions, vector timestamps, counting sets,
   object histories;
-* :mod:`repro.spec` -- executable SI/PSI specifications, the Fig 8
-  anomaly scenarios, and the PSI trace checker;
+* :mod:`repro.spec` -- the executable PSI specification, the isolation
+  acceptance checkers and the Fig 8 anomaly histories they judge, and
+  the PSI trace checker;
 * :mod:`repro.server` / :mod:`repro.client` -- the distributed Walter
   implementation (fast/slow commit, asynchronous propagation, recovery);
 * :mod:`repro.deployment` -- multi-site assembly on a simulated EC2

@@ -3,9 +3,11 @@
 Where the witness oracles in :mod:`repro.protocols.oracles` verify a run
 against the witness its protocol recorded, these checkers answer the
 pure acceptance question -- "does ANY witness exist?" -- by exhaustive
-search.  They are exponential and only meant for the property-based
-lattice tests (histories of <= ~5 transactions), where they make the
-inclusion lattice executable:
+search.  They are exponential and only meant for histories of <= ~5
+transactions: the anomaly matrix (:mod:`repro.spec.anomalies`, one
+literal history per row, one :data:`ACCEPTS` entry per column) and the
+property-based lattice tests, where they make the inclusion lattice
+executable:
 
     accepts_strict_serializable => accepts_snapshot_isolation
         => accepts_psi => accepts_nmsi => accepts_eventual
@@ -23,8 +25,12 @@ which extra constraints the snapshot assignment must satisfy:
 * PSI -- snapshots are per-site monotone (a transaction sees everything
   a same-site predecessor saw, and the predecessor itself);
 * NMSI -- any dependency-closed, conflict-ordering snapshot;
-* eventual -- reads may observe any written value (or the initial
-  state), but never a fabricated one.
+* eventual -- reads may observe any written value, intermediate or
+  uncommitted ones included, a ``frozenset`` of written values (merged
+  siblings), or the initial state, but never a fabricated value.
+
+In PSI and NMSI a snapshot never holds a transaction that began after
+the reader finished: a read returns ``Log[site]`` up to ``startTs``.
 
 Timing is part of the model: each :class:`LiteTx` carries a real-time
 interval ``[begin, end]``.  This is what makes the chain a chain -- the
@@ -38,7 +44,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Sequence, Tuple
+
+from ..protocols.levels import (
+    EVENTUAL,
+    LATTICE_CHAIN,
+    NMSI,
+    PSI,
+    SERIALIZABILITY,
+    SNAPSHOT_ISOLATION,
+    STRICT_SERIALIZABILITY,
+)
 
 COMMITTED = "COMMITTED"
 ABORTED = "ABORTED"
@@ -100,20 +116,23 @@ def _respects_real_time(order: Sequence[LiteTx]) -> bool:
 
 
 def accepts_eventual(history: Sequence[LiteTx]) -> bool:
-    """Reads never fabricate: every observed value was written by
-    someone (any status; replicas may expose uncommitted state) or is
-    the initial ``None``."""
+    """Reads never fabricate: every observed value was written by some
+    write op (any status, overwritten ones included; replicas may expose
+    uncommitted state), is a non-empty ``frozenset`` of such values (a
+    conflicting fork's merged siblings), or is the initial ``None``."""
     written: Dict[str, set] = {}
     for t in history:
-        for key, value in t.writes().items():
-            written.setdefault(key, set()).add(value)
-    for t in _committed(history):
-        buffered: Dict[str, Any] = {}
         for kind, key, value in t.ops:
             if kind == "write":
-                buffered[key] = value
-            elif key not in buffered:
-                if value is not None and value not in written.get(key, set()):
+                written.setdefault(key, set()).add(value)
+    for t in _committed(history):
+        buffered = set()
+        for kind, key, value in t.ops:
+            if kind == "write":
+                buffered.add(key)
+            elif key not in buffered and value is not None:
+                seen = value if isinstance(value, frozenset) else {value}
+                if not seen or not seen <= written.get(key, set()):
                     return False
     return True
 
@@ -185,12 +204,14 @@ def accepts_snapshot_isolation(history: Sequence[LiteTx]) -> bool:
 def _snapshot_search(history: Sequence[LiteTx], monotonic_sites: bool) -> bool:
     """Shared PSI/NMSI search: a chain order plus per-transaction
     dependency-closed snapshot sets drawn from each transaction's chain
-    past."""
+    past, less what began after the transaction ended."""
     txs = _committed(history)
     for order in itertools.permutations(txs):
         position = {t.tid: i for i, t in enumerate(order)}
-        by_tid = {t.tid: t for t in txs}
-        past = {t.tid: [u.tid for u in order[: position[t.tid]]] for t in txs}
+        past = {
+            t.tid: [u.tid for u in order[: position[t.tid]] if not t.end < u.begin]
+            for t in txs
+        }
         choices = [
             [frozenset(c) for r in range(len(past[t.tid]) + 1)
              for c in itertools.combinations(past[t.tid], r)]
@@ -242,11 +263,15 @@ def accepts_nmsi(history: Sequence[LiteTx]) -> bool:
     return _snapshot_search(history, monotonic_sites=False)
 
 
+#: One checker per isolation level of :mod:`repro.protocols.levels`.
+ACCEPTS: Dict[str, Callable[[Sequence[LiteTx]], bool]] = {
+    STRICT_SERIALIZABILITY: accepts_strict_serializable,
+    SERIALIZABILITY: accepts_serializable,
+    SNAPSHOT_ISOLATION: accepts_snapshot_isolation,
+    PSI: accepts_psi,
+    NMSI: accepts_nmsi,
+    EVENTUAL: accepts_eventual,
+}
+
 #: The operational chain, strongest first, as (level name, checker).
-ACCEPTANCE_CHAIN = [
-    ("strict_serializability", accepts_strict_serializable),
-    ("snapshot_isolation", accepts_snapshot_isolation),
-    ("psi", accepts_psi),
-    ("nmsi", accepts_nmsi),
-    ("eventual", accepts_eventual),
-]
+ACCEPTANCE_CHAIN = [(level, ACCEPTS[level]) for level in LATTICE_CHAIN]

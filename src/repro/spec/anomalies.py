@@ -1,36 +1,33 @@
-"""The anomaly conformance table, demonstrated or refuted per isolation level.
+"""The anomaly conformance table: nine literal histories, judged per level.
 
-For each (anomaly, isolation level) pair this module *executes* a
-scenario against the matching reference model and reports whether the
-anomalous observation was producible:
+Each anomaly is one small :class:`~repro.spec.acceptance.LiteTx` history
+-- sites, real-time intervals and the values its reads observed -- and a
+cell of the table is the column's acceptance checker applied to it::
 
-* strict serializability -- brute-force serial-order check constrained
-  by the scenario's real-time precedence edges,
-* serializability -- brute-force serial-order check over the observation,
-* snapshot isolation -- the Fig 1/2 spec engine,
-* PSI -- the Fig 4/5 spec engine (scenarios place transactions at sites),
-* NMSI -- the non-monotonic snapshot isolation spec engine,
-* eventual consistency -- the lazy-replication store.
+    check_anomaly(anomaly, level) == ACCEPTS[level](HISTORIES[anomaly])
+
+The checkers search exhaustively for a witness (a serial order, a commit
+order with snapshots, or per-transaction snapshot sets), so a "No" means
+no execution of that level produces the observation, not that one
+scripted schedule failed to.  Adding a row is adding one history.
 
 The level constants live in :mod:`repro.protocols.levels`, the single
 registry shared with the protocol zoo; this module re-exports the four
 Fig 8 names for compatibility.
 
-``anomaly_table()`` regenerates Fig 8 from running code and
-``EXPECTED_TABLE`` is the figure as printed in the paper.
-``extended_anomaly_table()`` widens the figure along both axes: two
-extra columns (strict serializability, NMSI) and three extra rows
-(write skew, real-time causality violation, non-monotonic snapshot)
-that separate the levels the paper's six rows cannot -- the test suite
-asserts both tables agree with their expected matrices cell by cell.
+``anomaly_table()`` regenerates Fig 8 and ``EXPECTED_TABLE`` is the
+figure as printed in the paper.  ``extended_anomaly_table()`` widens the
+figure along both axes: two extra columns (strict serializability, NMSI)
+and three extra rows (write skew, real-time causality violation,
+non-monotonic snapshot) that separate the levels the paper's six rows
+cannot -- the test suite asserts both tables agree with their expected
+matrices cell by cell.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict, List
 
-from ..core.objects import ObjectId, ObjectKind
-from ..errors import TransactionStateError
 from ..protocols.levels import (
     ALL_LEVELS,
     EVENTUAL,
@@ -41,20 +38,80 @@ from ..protocols.levels import (
     SNAPSHOT_ISOLATION,
     STRICT_SERIALIZABILITY,
 )
-from .eventual import EventualStore
-from .nmsi_spec import INITIAL, NonMonotonicSnapshotIsolation
-from .psi_spec import COMMITTED, ParallelSnapshotIsolation
-from .serializable import ObservedTx, is_serializable, is_strictly_serializable
-from .si_spec import SnapshotIsolation
-
-A = ObjectId("anomaly", "A", ObjectKind.REGULAR)
-B = ObjectId("anomaly", "B", ObjectKind.REGULAR)
+from .acceptance import ACCEPTS, COMMITTED, LiteOp, LiteTx
 
 #: The paper's four columns, in printed order (compatibility alias).
 ISOLATION_LEVELS = list(FIG8_LEVELS)
 
 #: Every column the extended table can check, strongest first.
 EXTENDED_ISOLATION_LEVELS = list(ALL_LEVELS)
+
+
+def _tx(tid: str, site: int, begin: float, end: float, *ops: LiteOp) -> LiteTx:
+    return LiteTx(tid, site, begin, end, COMMITTED, ops)
+
+
+#: One history per anomaly; the initial value of every key is ``None``.
+HISTORIES: Dict[str, List[LiteTx]] = {
+    # T2 reads T1's intermediate x=1; T1 goes on to write x=2.
+    "dirty_read": [
+        _tx("T1", 0, 0.0, 3.0, ("write", "x", 1), ("write", "x", 2)),
+        _tx("T2", 0, 1.0, 2.0, ("read", "x", 1)),
+    ],
+    # T2 reads x twice, straddling T1's commit of x=1.
+    "non_repeatable_read": [
+        _tx("T1", 0, 1.0, 2.0, ("write", "x", 1)),
+        _tx("T2", 0, 0.0, 3.0, ("read", "x", None), ("read", "x", 1)),
+    ],
+    # T1 and T2 both read the initial x and write it at two sites; both
+    # commit, and T3 sees T1's value: T2's update is lost.
+    "lost_update": [
+        _tx("T1", 0, 0.0, 2.0, ("read", "x", None), ("write", "x", 1)),
+        _tx("T2", 1, 0.0, 2.0, ("read", "x", None), ("write", "x", 2)),
+        _tx("T3", 0, 3.0, 4.0, ("read", "x", 1)),
+    ],
+    # T1 and T2 write disjoint keys from the same snapshot; the state
+    # forks and merges at commit, so T3 reads x=y=1.
+    "short_fork": [
+        _tx("T1", 0, 0.0, 2.0, ("read", "x", None), ("read", "y", None), ("write", "x", 1)),
+        _tx("T2", 0, 0.0, 2.0, ("read", "x", None), ("read", "y", None), ("write", "y", 1)),
+        _tx("T3", 0, 3.0, 4.0, ("read", "x", 1), ("read", "y", 1)),
+    ],
+    # T1 and T2 commit at different sites; after both committed, each
+    # site's reader sees only its own site's write.
+    "long_fork": [
+        _tx("T1", 0, 0.0, 1.0, ("write", "x", 1)),
+        _tx("T2", 1, 0.0, 1.0, ("write", "y", 1)),
+        _tx("T3", 0, 2.0, 3.0, ("read", "x", 1), ("read", "y", None)),
+        _tx("T4", 1, 2.0, 3.0, ("read", "x", None), ("read", "y", 1)),
+    ],
+    # Concurrent conflicting writes both commit and T3 reads the merged
+    # siblings {1, 2}: neither writer saw the other.
+    "conflicting_fork": [
+        _tx("T1", 0, 0.0, 1.0, ("write", "x", 1)),
+        _tx("T2", 1, 0.0, 1.0, ("write", "x", 2)),
+        _tx("T3", 0, 2.0, 3.0, ("read", "x", frozenset({1, 2}))),
+    ],
+    # The two-transaction core of the short fork: "x and y change one
+    # at a time" breaks without any third observer.
+    "write_skew": [
+        _tx("T1", 0, 0.0, 2.0, ("read", "x", None), ("read", "y", None), ("write", "x", 1)),
+        _tx("T2", 0, 0.0, 2.0, ("read", "x", None), ("read", "y", None), ("write", "y", 1)),
+    ],
+    # T2 begins after T1's commit returned, at another site, and reads
+    # the pre-T1 state.
+    "real_time_causality_violation": [
+        _tx("T1", 0, 0.0, 1.0, ("write", "x", 1)),
+        _tx("T2", 1, 2.0, 3.0, ("read", "x", None)),
+    ],
+    # One site observes T1's write, then its next transaction no longer
+    # does.
+    "non_monotonic_snapshot": [
+        _tx("T1", 0, 0.0, 1.0, ("write", "x", 1)),
+        _tx("T2", 1, 2.0, 3.0, ("read", "x", 1)),
+        _tx("T3", 1, 4.0, 5.0, ("read", "x", None)),
+    ],
+}
 
 ANOMALY_NAMES = [
     "dirty_read",
@@ -69,11 +126,7 @@ ANOMALY_NAMES = [
 #: the classic SI-vs-serializability split; the two timing anomalies
 #: split strict from plain serializability, strong SI from PSI, and PSI
 #: from NMSI.
-EXTENDED_ANOMALY_NAMES = ANOMALY_NAMES + [
-    "write_skew",
-    "real_time_causality_violation",
-    "non_monotonic_snapshot",
-]
+EXTENDED_ANOMALY_NAMES = list(HISTORIES)
 
 #: Fig 8 as printed in the paper (True = the level allows the anomaly).
 EXPECTED_TABLE: Dict[str, Dict[str, bool]] = {
@@ -98,7 +151,7 @@ def _row(strict: bool, ser: bool, si: bool, psi: bool, nmsi: bool, ev: bool) -> 
 
 
 #: The extended matrix over all six levels.  Each cell is regenerated by
-#: executing the scenario; the sub-block over Fig 8's rows and columns
+#: judging the row's history; the sub-block over Fig 8's rows and columns
 #: coincides with ``EXPECTED_TABLE`` (asserted by the test suite).
 EXTENDED_EXPECTED_TABLE: Dict[str, Dict[str, bool]] = {
     "dirty_read": _row(False, False, False, False, False, True),
@@ -113,578 +166,17 @@ EXTENDED_EXPECTED_TABLE: Dict[str, Dict[str, bool]] = {
 }
 
 
-# ----------------------------------------------------------------------
-# Dirty read: T2 reads T1's uncommitted A=1; T1 goes on to write A=2.
-# ----------------------------------------------------------------------
-def _dirty_read(level: str) -> bool:
-    if level in (SERIALIZABILITY, STRICT_SERIALIZABILITY):
-        t1 = ObservedTx("T1").write(A, 1).write(A, 2)
-        t2 = ObservedTx("T2").read(A, 1)
-        if level == STRICT_SERIALIZABILITY:
-            # T1 and T2 overlap in real time: no precedence edges.
-            return is_strictly_serializable([t1, t2], {A: 0}, [])
-        return is_serializable([t1, t2], {A: 0})
-    if level == SNAPSHOT_ISOLATION:
-        spec = SnapshotIsolation()
-        t1 = spec.start_tx()
-        spec.write(t1, A, 1)
-        t2 = spec.start_tx()
-        observed = spec.read(t2, A)  # T1 has not committed
-        spec.write(t1, A, 2)
-        spec.commit_tx(t1)
-        return observed == 1
-    if level == PSI:
-        spec = ParallelSnapshotIsolation(n_sites=2)
-        t1 = spec.start_tx(0)
-        spec.write(t1, A, 1)
-        t2 = spec.start_tx(0)
-        observed = spec.read(t2, A)
-        spec.write(t1, A, 2)
-        spec.commit_tx(t1)
-        return observed == 1
-    if level == NMSI:
-        # NMSI reads only pick among *committed* versions.
-        spec = NonMonotonicSnapshotIsolation()
-        t1 = spec.start_tx()
-        spec.write(t1, A, 1)
-        t2 = spec.start_tx()
-        observed = spec.read(t2, A)
-        spec.write(t1, A, 2)
-        spec.commit_tx(t1)
-        return observed == 1
-    store = EventualStore(1)
-    # "Transaction" T1 is two bare writes; T2 reads between them.
-    store.write(0, A, 1)
-    observed = store.read(0, A)
-    store.write(0, A, 2)
-    return observed == 1
-
-
-# ----------------------------------------------------------------------
-# Non-repeatable read: T2 reads A twice straddling T1's commit of A=1.
-# ----------------------------------------------------------------------
-def _non_repeatable_read(level: str) -> bool:
-    if level in (SERIALIZABILITY, STRICT_SERIALIZABILITY):
-        t1 = ObservedTx("T1").write(A, 1)
-        t2 = ObservedTx("T2").read(A, 0).read(A, 1)
-        if level == STRICT_SERIALIZABILITY:
-            return is_strictly_serializable([t1, t2], {A: 0}, [])
-        return is_serializable([t1, t2], {A: 0})
-    if level == SNAPSHOT_ISOLATION:
-        spec = SnapshotIsolation()
-        t2 = spec.start_tx()
-        first = spec.read(t2, A)
-        t1 = spec.start_tx()
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        second = spec.read(t2, A)
-        return first != second
-    if level == PSI:
-        spec = ParallelSnapshotIsolation(n_sites=2)
-        t2 = spec.start_tx(0)
-        first = spec.read(t2, A)
-        t1 = spec.start_tx(0)
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        second = spec.read(t2, A)
-        return first != second
-    if level == NMSI:
-        # Reads are cached per transaction: the snapshot never moves
-        # *within* a transaction, only between them.
-        spec = NonMonotonicSnapshotIsolation()
-        t2 = spec.start_tx()
-        first = spec.read(t2, A)
-        t1 = spec.start_tx()
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        second = spec.read(t2, A)
-        return first != second
-    store = EventualStore(1)
-    first = store.read(0, A)
-    store.write(0, A, 1)
-    second = store.read(0, A)
-    return first != second
-
-
-# ----------------------------------------------------------------------
-# Lost update: T1 and T2 both read A=0 and write A; both commit.
-# ----------------------------------------------------------------------
-def _lost_update(level: str) -> bool:
-    if level in (SERIALIZABILITY, STRICT_SERIALIZABILITY):
-        t1 = ObservedTx("T1").read(A, 0).write(A, 1)
-        t2 = ObservedTx("T2").read(A, 0).write(A, 2)
-        if level == STRICT_SERIALIZABILITY:
-            return is_strictly_serializable([t1, t2], {A: 0}, [])
-        return is_serializable([t1, t2], {A: 0})
-    if level == SNAPSHOT_ISOLATION:
-        spec = SnapshotIsolation()
-        t1 = spec.start_tx()
-        t2 = spec.start_tx()
-        assert spec.read(t1, A) is None and spec.read(t2, A) is None
-        spec.write(t1, A, 1)
-        spec.write(t2, A, 2)
-        s1 = spec.commit_tx(t1)
-        s2 = spec.commit_tx(t2)
-        return s1 == COMMITTED and s2 == COMMITTED
-    if level == PSI:
-        # Concurrent writers at *different* sites: the second committer
-        # sees the first "currently propagating" and aborts (Fig 5).
-        spec = ParallelSnapshotIsolation(n_sites=2)
-        t1 = spec.start_tx(0)
-        t2 = spec.start_tx(1)
-        spec.write(t1, A, 1)
-        spec.write(t2, A, 2)
-        s1 = spec.commit_tx(t1)
-        s2 = spec.commit_tx(t2)
-        return s1 == COMMITTED and s2 == COMMITTED
-    if level == NMSI:
-        # Write-conflict freedom: the second read-modify-write no longer
-        # holds the newest version of A and must abort.
-        spec = NonMonotonicSnapshotIsolation()
-        t1 = spec.start_tx()
-        t2 = spec.start_tx()
-        assert spec.read(t1, A) is None and spec.read(t2, A) is None
-        spec.write(t1, A, 1)
-        spec.write(t2, A, 2)
-        s1 = spec.commit_tx(t1)
-        s2 = spec.commit_tx(t2)
-        return s1 == COMMITTED and s2 == COMMITTED
-    store = EventualStore(2)
-    # Both replicas read A=0 and write; LWW resolution loses one update.
-    assert store.read(0, A) is None and store.read(1, A) is None
-    store.write(0, A, 1)
-    store.write(1, A, 2)
-    store.sync_all()
-    return store.converged(A) and store.read(0, A) in (1, 2)
-
-
-# ----------------------------------------------------------------------
-# Short fork (write skew): disjoint writes from the same snapshot; the
-# state forks and merges at commit.  T3 then reads A=B=1.
-# ----------------------------------------------------------------------
-def _short_fork(level: str) -> bool:
-    if level in (SERIALIZABILITY, STRICT_SERIALIZABILITY):
-        t1 = ObservedTx("T1").read(A, 0).read(B, 0).write(A, 1)
-        t2 = ObservedTx("T2").read(A, 0).read(B, 0).write(B, 1)
-        t3 = ObservedTx("T3").read(A, 1).read(B, 1)
-        if level == STRICT_SERIALIZABILITY:
-            return is_strictly_serializable(
-                [t1, t2, t3], {A: 0, B: 0}, [("T1", "T3"), ("T2", "T3")]
-            )
-        return is_serializable([t1, t2, t3], {A: 0, B: 0})
-    if level == SNAPSHOT_ISOLATION:
-        spec = SnapshotIsolation()
-        t1 = spec.start_tx()
-        t2 = spec.start_tx()
-        forked = (
-            spec.read(t1, A) is None
-            and spec.read(t1, B) is None
-            and spec.read(t2, A) is None
-            and spec.read(t2, B) is None
-        )
-        spec.write(t1, A, 1)
-        spec.write(t2, B, 1)
-        both = spec.commit_tx(t1) == COMMITTED and spec.commit_tx(t2) == COMMITTED
-        t3 = spec.start_tx()
-        merged = spec.read(t3, A) == 1 and spec.read(t3, B) == 1
-        return forked and both and merged
-    if level == PSI:
-        spec = ParallelSnapshotIsolation(n_sites=1)
-        t1 = spec.start_tx(0)
-        t2 = spec.start_tx(0)
-        spec.write(t1, A, 1)
-        spec.write(t2, B, 1)
-        both = spec.commit_tx(t1) == COMMITTED and spec.commit_tx(t2) == COMMITTED
-        t3 = spec.start_tx(0)
-        return both and spec.read(t3, A) == 1 and spec.read(t3, B) == 1
-    if level == NMSI:
-        spec = NonMonotonicSnapshotIsolation()
-        t1 = spec.start_tx()
-        t2 = spec.start_tx()
-        forked = (
-            spec.read(t1, A) is None
-            and spec.read(t1, B) is None
-            and spec.read(t2, A) is None
-            and spec.read(t2, B) is None
-        )
-        spec.write(t1, A, 1)
-        spec.write(t2, B, 1)
-        both = spec.commit_tx(t1) == COMMITTED and spec.commit_tx(t2) == COMMITTED
-        t3 = spec.start_tx()
-        merged = spec.read(t3, A) == 1 and spec.read(t3, B) == 1
-        return forked and both and merged
-    store = EventualStore(2)
-    store.write(0, A, 1)
-    store.write(1, B, 1)
-    store.sync_all()
-    return store.read(0, A) == 1 and store.read(0, B) == 1
-
-
-# ----------------------------------------------------------------------
-# Long fork: after T1 and T3 commit at different sites, T2 sees only
-# T1's write and T4 sees only T3's; the fork persists past commit and
-# merges later (T5 sees both).
-# ----------------------------------------------------------------------
-def _long_fork(level: str) -> bool:
-    if level in (SERIALIZABILITY, STRICT_SERIALIZABILITY):
-        t1 = ObservedTx("T1").read(A, 0).read(B, 0).write(A, 1)
-        t2 = ObservedTx("T2").read(A, 1).read(B, 0)
-        t3 = ObservedTx("T3").read(A, 0).read(B, 0).write(B, 1)
-        t4 = ObservedTx("T4").read(A, 0).read(B, 1)
-        t5 = ObservedTx("T5").read(A, 1).read(B, 1)
-        if level == STRICT_SERIALIZABILITY:
-            precedes = [("T1", "T2"), ("T3", "T4"),
-                        ("T1", "T5"), ("T2", "T5"), ("T3", "T5"), ("T4", "T5")]
-            return is_strictly_serializable([t1, t2, t3, t4, t5], {A: 0, B: 0}, precedes)
-        return is_serializable([t1, t2, t3, t4, t5], {A: 0, B: 0})
-    if level == SNAPSHOT_ISOLATION:
-        # Exhaustively try every interleaving of the commit/start events;
-        # the single commit order of SI makes the four reads unsatisfiable.
-        return _long_fork_si_search()
-    if level == PSI:
-        spec = ParallelSnapshotIsolation(n_sites=2)
-        t1 = spec.start_tx(0)
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        t3 = spec.start_tx(1)
-        spec.write(t3, B, 1)
-        spec.commit_tx(t3)
-        # After both commits, the state remains forked per site.
-        t2 = spec.start_tx(0)
-        fork_a = spec.read(t2, A) == 1 and spec.read(t2, B) is None
-        t4 = spec.start_tx(1)
-        fork_b = spec.read(t4, A) is None and spec.read(t4, B) == 1
-        spec.propagate_all()
-        t5 = spec.start_tx(0)
-        merged = spec.read(t5, A) == 1 and spec.read(t5, B) == 1
-        return fork_a and fork_b and merged
-    if level == NMSI:
-        # Independent blind writers have incomparable dependency sets, so
-        # readers may observe either one without the other -- even after
-        # both committed.
-        spec = NonMonotonicSnapshotIsolation()
-        t1 = spec.start_tx()
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        t3 = spec.start_tx()
-        spec.write(t3, B, 1)
-        spec.commit_tx(t3)
-        t2 = spec.start_tx()
-        fork_a = spec.read(t2, A) == 1 and spec.read(t2, B, at=INITIAL) is None
-        t4 = spec.start_tx()
-        fork_b = spec.read(t4, A, at=INITIAL) is None and spec.read(t4, B) == 1
-        t5 = spec.start_tx()
-        merged = spec.read(t5, A) == 1 and spec.read(t5, B) == 1
-        return fork_a and fork_b and merged
-    store = EventualStore(2)
-    store.write(0, A, 1)
-    fork_a = store.read(0, A) == 1 and store.read(0, B) is None
-    store.write(1, B, 1)
-    fork_b = store.read(1, A) is None and store.read(1, B) == 1
-    store.sync_all()
-    merged = store.read(0, A) == 1 and store.read(0, B) == 1
-    return fork_a and fork_b and merged
-
-
-def _long_fork_si_search() -> bool:
-    """Try every schedule of the long-fork scenario under the SI spec.
-
-    The schedule decision points are when T2 and T4 take their snapshots
-    relative to T1's and T3's commits; enumerate all four combinations
-    (each reader starts either before or after each writer commits) and
-    check whether any produces the forked reads.
-    """
-    for t2_after_t1 in (True, False):
-        for t2_after_t3 in (True, False):
-            for t4_after_t1 in (True, False):
-                for t4_after_t3 in (True, False):
-                    if _try_long_fork_si(
-                        t2_after_t1, t2_after_t3, t4_after_t1, t4_after_t3
-                    ):
-                        return True
-    return False
-
-
-def _try_long_fork_si(t2_after_t1, t2_after_t3, t4_after_t1, t4_after_t3) -> bool:
-    spec = SnapshotIsolation()
-    t1 = spec.start_tx()
-    spec.write(t1, A, 1)
-    t3 = spec.start_tx()
-    spec.write(t3, B, 1)
-    events = []
-    events.append((1 if t2_after_t1 else -1, 1 if t2_after_t3 else -1, "t2"))
-    events.append((1 if t4_after_t1 else -1, 1 if t4_after_t3 else -1, "t4"))
-    readers = {}
-    # Order: readers that start before both commits, then commit t1, then
-    # readers after t1 only, then commit t3, then readers after both.
-    for after1, after3, name in events:
-        if after1 < 0 and after3 < 0:
-            readers[name] = spec.start_tx()
-    spec.commit_tx(t1)
-    for after1, after3, name in events:
-        if after1 > 0 and after3 < 0:
-            readers[name] = spec.start_tx()
-    spec.commit_tx(t3)
-    for after1, after3, name in events:
-        if after3 > 0:
-            readers[name] = spec.start_tx()
-    t2, t4 = readers["t2"], readers["t4"]
-    return (
-        spec.read(t2, A) == 1
-        and spec.read(t2, B) is None
-        and spec.read(t4, A) is None
-        and spec.read(t4, B) == 1
-    )
-
-
-# ----------------------------------------------------------------------
-# Conflicting fork: concurrent conflicting writes both commit; external
-# logic merges (A becomes 3) and a later read observes the merge.
-# ----------------------------------------------------------------------
-def _conflicting_fork(level: str) -> bool:
-    if level in (SERIALIZABILITY, STRICT_SERIALIZABILITY):
-        t1 = ObservedTx("T1").write(A, 1)
-        t2 = ObservedTx("T2").write(A, 2)
-        t3 = ObservedTx("T3").read(A, 3)
-        if level == STRICT_SERIALIZABILITY:
-            return is_strictly_serializable(
-                [t1, t2, t3], {A: 0}, [("T1", "T3"), ("T2", "T3")]
-            )
-        return is_serializable([t1, t2, t3], {A: 0})
-    if level == SNAPSHOT_ISOLATION:
-        spec = SnapshotIsolation()
-        t1 = spec.start_tx()
-        t2 = spec.start_tx()
-        spec.write(t1, A, 1)
-        spec.write(t2, A, 2)
-        return spec.commit_tx(t1) == COMMITTED and spec.commit_tx(t2) == COMMITTED
-    if level == PSI:
-        spec = ParallelSnapshotIsolation(n_sites=2)
-        t1 = spec.start_tx(0)
-        t2 = spec.start_tx(1)
-        spec.write(t1, A, 1)
-        spec.write(t2, A, 2)
-        return spec.commit_tx(t1) == COMMITTED and spec.commit_tx(t2) == COMMITTED
-    if level == NMSI:
-        # A conflicting *fork* needs both writers committed with neither
-        # depending on the other; write-conflict freedom forces the
-        # second blind write to adopt the first into its dependencies, so
-        # the fork (and hence the merged A=3 state) is unproducible.
-        spec = NonMonotonicSnapshotIsolation()
-        t1 = spec.start_tx()
-        t2 = spec.start_tx()
-        spec.write(t1, A, 1)
-        spec.write(t2, A, 2)
-        both = spec.commit_tx(t1) == COMMITTED and spec.commit_tx(t2) == COMMITTED
-        if not both:
-            return False
-        independent = (
-            t1.tid not in spec.by_tid[t2.tid].deps
-            and t2.tid not in spec.by_tid[t1.tid].deps
-        )
-        return independent
-    store = EventualStore(2, merge=lambda x, y: x + y)
-    store.write(0, A, 1)
-    store.write(1, A, 2)
-    store.sync_all()
-    return store.read(0, A) == 3 and store.read(1, A) == 3
-
-
-# ----------------------------------------------------------------------
-# Write skew: T1 reads A,B and writes A; T2 reads A,B and writes B, both
-# from the initial snapshot.  (The two-transaction core of the short
-# fork: the constraint "A+B changed by one writer at a time" breaks
-# without any third observer.)
-# ----------------------------------------------------------------------
-def _write_skew(level: str) -> bool:
-    if level in (SERIALIZABILITY, STRICT_SERIALIZABILITY):
-        t1 = ObservedTx("T1").read(A, 0).read(B, 0).write(A, 1)
-        t2 = ObservedTx("T2").read(A, 0).read(B, 0).write(B, 1)
-        if level == STRICT_SERIALIZABILITY:
-            return is_strictly_serializable([t1, t2], {A: 0, B: 0}, [])
-        return is_serializable([t1, t2], {A: 0, B: 0})
-    if level == SNAPSHOT_ISOLATION:
-        spec = SnapshotIsolation()
-        t1 = spec.start_tx()
-        t2 = spec.start_tx()
-        skewed = (
-            spec.read(t1, A) is None
-            and spec.read(t1, B) is None
-            and spec.read(t2, A) is None
-            and spec.read(t2, B) is None
-        )
-        spec.write(t1, A, 1)
-        spec.write(t2, B, 1)
-        return (
-            skewed
-            and spec.commit_tx(t1) == COMMITTED
-            and spec.commit_tx(t2) == COMMITTED
-        )
-    if level == PSI:
-        spec = ParallelSnapshotIsolation(n_sites=1)
-        t1 = spec.start_tx(0)
-        t2 = spec.start_tx(0)
-        skewed = (
-            spec.read(t1, A) is None
-            and spec.read(t1, B) is None
-            and spec.read(t2, A) is None
-            and spec.read(t2, B) is None
-        )
-        spec.write(t1, A, 1)
-        spec.write(t2, B, 1)
-        return (
-            skewed
-            and spec.commit_tx(t1) == COMMITTED
-            and spec.commit_tx(t2) == COMMITTED
-        )
-    if level == NMSI:
-        spec = NonMonotonicSnapshotIsolation()
-        t1 = spec.start_tx()
-        t2 = spec.start_tx()
-        skewed = (
-            spec.read(t1, A) is None
-            and spec.read(t1, B) is None
-            and spec.read(t2, A) is None
-            and spec.read(t2, B) is None
-        )
-        spec.write(t1, A, 1)
-        spec.write(t2, B, 1)
-        return (
-            skewed
-            and spec.commit_tx(t1) == COMMITTED
-            and spec.commit_tx(t2) == COMMITTED
-        )
-    store = EventualStore(2)
-    first = store.read(0, A) is None and store.read(0, B) is None
-    second = store.read(1, A) is None and store.read(1, B) is None
-    store.write(0, A, 1)
-    store.write(1, B, 1)
-    store.sync_all()
-    return first and second
-
-
-# ----------------------------------------------------------------------
-# Real-time causality violation: T1 commits A=1; T2 *begins after T1's
-# commit returned* yet reads the pre-T1 state.  Timing-blind
-# serializability accepts (order T2 first); strict serializability and
-# strong SI, which bind snapshots to real time, reject; PSI and NMSI
-# allow it at a remote/lagging site.
-# ----------------------------------------------------------------------
-def _real_time_causality_violation(level: str) -> bool:
-    if level in (SERIALIZABILITY, STRICT_SERIALIZABILITY):
-        t1 = ObservedTx("T1").write(A, 1)
-        t2 = ObservedTx("T2").read(A, 0)
-        if level == STRICT_SERIALIZABILITY:
-            return is_strictly_serializable([t1, t2], {A: 0}, [("T1", "T2")])
-        return is_serializable([t1, t2], {A: 0})
-    if level == SNAPSHOT_ISOLATION:
-        # Strong SI: a transaction's snapshot includes every commit that
-        # preceded its start.
-        spec = SnapshotIsolation()
-        t1 = spec.start_tx()
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        t2 = spec.start_tx()
-        return spec.read(t2, A) is None
-    if level == PSI:
-        # T2 starts at a site T1's commit has not propagated to yet.
-        spec = ParallelSnapshotIsolation(n_sites=2)
-        t1 = spec.start_tx(0)
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        t2 = spec.start_tx(1)
-        return spec.read(t2, A) is None
-    if level == NMSI:
-        spec = NonMonotonicSnapshotIsolation()
-        t1 = spec.start_tx()
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        t2 = spec.start_tx()
-        return spec.read(t2, A, at=INITIAL) is None
-    store = EventualStore(2)
-    store.write(0, A, 1)
-    return store.read(1, A) is None
-
-
-# ----------------------------------------------------------------------
-# Non-monotonic snapshot: one session observes T1's write, then a later
-# transaction of the *same session* no longer does.  PSI's site-monotone
-# startVTS forbids it; NMSI's dependency-closed snapshots permit it.
-# ----------------------------------------------------------------------
-def _non_monotonic_snapshot(level: str) -> bool:
-    if level in (SERIALIZABILITY, STRICT_SERIALIZABILITY):
-        t1 = ObservedTx("T1").write(A, 1)
-        t2 = ObservedTx("T2").read(A, 1)
-        t3 = ObservedTx("T3").read(A, 0)
-        if level == STRICT_SERIALIZABILITY:
-            # One session: T1 before T2 before T3 in real time.
-            return is_strictly_serializable(
-                [t1, t2, t3], {A: 0}, [("T1", "T2"), ("T2", "T3")]
-            )
-        return is_serializable([t1, t2, t3], {A: 0})
-    if level == SNAPSHOT_ISOLATION:
-        spec = SnapshotIsolation()
-        t1 = spec.start_tx()
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        t2 = spec.start_tx()
-        seen = spec.read(t2, A) == 1
-        spec.commit_tx(t2)
-        t3 = spec.start_tx()
-        return seen and spec.read(t3, A) is None
-    if level == PSI:
-        # Same site throughout: startVTS only grows, so once T1's write
-        # is in a session's snapshot it stays there.
-        spec = ParallelSnapshotIsolation(n_sites=2)
-        t1 = spec.start_tx(0)
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        t2 = spec.start_tx(0)
-        seen = spec.read(t2, A) == 1
-        spec.commit_tx(t2)
-        t3 = spec.start_tx(0)
-        return seen and spec.read(t3, A) is None
-    if level == NMSI:
-        spec = NonMonotonicSnapshotIsolation()
-        t1 = spec.start_tx()
-        spec.write(t1, A, 1)
-        spec.commit_tx(t1)
-        t2 = spec.start_tx()
-        seen = spec.read(t2, A) == 1
-        spec.commit_tx(t2)
-        t3 = spec.start_tx()
-        return seen and spec.read(t3, A, at=INITIAL) is None
-    store = EventualStore(2)
-    store.write(0, A, 1)
-    seen = store.read(0, A) == 1
-    # The session's next request lands on a lagging replica.
-    return seen and store.read(1, A) is None
-
-
-_CHECKS: Dict[str, Callable[[str], bool]] = {
-    "dirty_read": _dirty_read,
-    "non_repeatable_read": _non_repeatable_read,
-    "lost_update": _lost_update,
-    "short_fork": _short_fork,
-    "long_fork": _long_fork,
-    "conflicting_fork": _conflicting_fork,
-    "write_skew": _write_skew,
-    "real_time_causality_violation": _real_time_causality_violation,
-    "non_monotonic_snapshot": _non_monotonic_snapshot,
-}
-
-
 def check_anomaly(anomaly: str, level: str) -> bool:
-    """Is ``anomaly`` producible under ``level``?  Executes the scenario."""
-    if anomaly not in _CHECKS:
+    """Does ``level`` accept the history of ``anomaly``?"""
+    if anomaly not in HISTORIES:
         raise ValueError("unknown anomaly %r" % (anomaly,))
-    if level not in EXTENDED_ISOLATION_LEVELS:
+    if level not in ACCEPTS:
         raise ValueError("unknown isolation level %r" % (level,))
-    return _CHECKS[anomaly](level)
+    return ACCEPTS[level](HISTORIES[anomaly])
 
 
 def anomaly_table() -> Dict[str, Dict[str, bool]]:
-    """Regenerate Fig 8 by executing every scenario against every model."""
+    """Regenerate Fig 8: every paper row against every paper column."""
     return {
         anomaly: {level: check_anomaly(anomaly, level) for level in ISOLATION_LEVELS}
         for anomaly in ANOMALY_NAMES

@@ -1,7 +1,7 @@
 """Executable specification of Parallel Snapshot Isolation (Figs 4, 5, 7).
 
-Centralized, like the SI spec, but with one log per site and a per-site
-commit timestamp vector for each transaction.  The asynchronous
+Centralized, like the paper's SI specification (Figs 1-2), but with one
+log per site and a per-site commit timestamp vector for each transaction.  The asynchronous
 propagation of the paper's ``upon`` statement is exposed as an explicit
 :meth:`propagate` step so tests can drive any legal propagation schedule;
 :meth:`propagate_all` runs it to fixpoint.

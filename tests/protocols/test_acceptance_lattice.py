@@ -7,14 +7,16 @@ along the chain
     strict serializability => SI => PSI => NMSI => eventual
 
 nor along the side branch strict => serializable => eventual.  The
-canonical separating histories (write skew, long fork, non-monotonic
+anomaly matrix's histories (write skew, long fork, non-monotonic
 snapshot, the real-time stale read) pin each inclusion as *strict*.
 """
 
 import pytest
 
+from repro.protocols.levels import ALL_LEVELS
 from repro.spec.acceptance import (
     ACCEPTANCE_CHAIN,
+    ACCEPTS,
     LiteTx,
     accepts_eventual,
     accepts_nmsi,
@@ -23,6 +25,7 @@ from repro.spec.acceptance import (
     accepts_snapshot_isolation,
     accepts_strict_serializable,
 )
+from repro.spec.anomalies import HISTORIES
 
 hypothesis = pytest.importorskip(
     "hypothesis", reason="property test needs the bundled hypothesis"
@@ -41,36 +44,9 @@ def tx(tid, site, begin, end, ops, status="COMMITTED"):
 
 # ----------------------------------------------------------------------
 # Canonical histories: each strict inclusion has a separating witness.
+# The anomaly rows are the matrix's own histories; only the fabricated
+# read is local.
 # ----------------------------------------------------------------------
-WRITE_SKEW = [
-    tx("t1", 0, 0.0, 2.0, [("read", "x", None), ("read", "y", None), ("write", "x", 1)]),
-    tx("t2", 0, 0.0, 2.0, [("read", "x", None), ("read", "y", None), ("write", "y", 1)]),
-]
-
-LONG_FORK = [
-    tx("w1", 0, 0.0, 1.0, [("write", "x", 1)]),
-    tx("w2", 1, 0.0, 1.0, [("write", "y", 1)]),
-    tx("r1", 0, 2.0, 3.0, [("read", "x", 1), ("read", "y", None)]),
-    tx("r2", 1, 2.0, 3.0, [("read", "x", None), ("read", "y", 1)]),
-]
-
-NON_MONOTONIC = [
-    tx("w", 0, 0.0, 1.0, [("write", "x", 1)]),
-    tx("see", 1, 2.0, 3.0, [("read", "x", 1)]),
-    tx("unsee", 1, 4.0, 5.0, [("read", "x", None)]),
-]
-
-RT_STALE = [
-    tx("w", 0, 0.0, 1.0, [("write", "x", 1)]),
-    tx("r", 1, 2.0, 3.0, [("read", "x", None)]),
-]
-
-LOST_UPDATE = [
-    tx("u1", 0, 0.0, 2.0, [("read", "x", None), ("write", "x", 1)]),
-    tx("u2", 1, 0.0, 2.0, [("read", "x", None), ("write", "x", 2)]),
-    tx("check", 0, 3.0, 4.0, [("read", "x", 1)]),
-]
-
 FABRICATED = [
     tx("r", 0, 0.0, 1.0, [("read", "x", 77)]),
 ]
@@ -79,27 +55,19 @@ FABRICATED = [
 @pytest.mark.parametrize(
     "history,expected",
     [
-        # (strict, ser, si, psi, nmsi, eventual)
-        (WRITE_SKEW, (False, False, True, True, True, True)),
-        (LONG_FORK, (False, False, False, True, True, True)),
-        (NON_MONOTONIC, (False, True, False, False, True, True)),
-        (RT_STALE, (False, True, False, True, True, True)),
-        (LOST_UPDATE, (False, False, False, False, False, True)),
+        # ALL_LEVELS order: (strict, ser, si, psi, nmsi, eventual)
+        (HISTORIES["write_skew"], (False, False, True, True, True, True)),
+        (HISTORIES["long_fork"], (False, False, False, True, True, True)),
+        (HISTORIES["non_monotonic_snapshot"], (False, True, False, False, True, True)),
+        (HISTORIES["real_time_causality_violation"], (False, True, False, True, True, True)),
+        (HISTORIES["lost_update"], (False, False, False, False, False, True)),
         (FABRICATED, (False, False, False, False, False, False)),
     ],
     ids=["write-skew", "long-fork", "non-monotonic", "rt-stale", "lost-update",
          "fabricated"],
 )
 def test_canonical_histories_separate_the_levels(history, expected):
-    got = (
-        accepts_strict_serializable(history),
-        accepts_serializable(history),
-        accepts_snapshot_isolation(history),
-        accepts_psi(history),
-        accepts_nmsi(history),
-        accepts_eventual(history),
-    )
-    assert got == expected
+    assert tuple(ACCEPTS[level](history) for level in ALL_LEVELS) == expected
 
 
 # ----------------------------------------------------------------------
@@ -162,3 +130,68 @@ def test_chain_is_ordered_strongest_first():
         "nmsi",
         "eventual",
     ]
+
+
+def test_accepts_has_one_checker_per_level():
+    assert list(ACCEPTS) == ALL_LEVELS
+
+
+# ----------------------------------------------------------------------
+# A snapshot never holds a transaction that began after the reader ended.
+# ----------------------------------------------------------------------
+READ_FROM_THE_FUTURE = [
+    tx("r", 0, 0.0, 1.0, [("read", "x", 1)]),
+    tx("w", 1, 2.0, 3.0, [("write", "x", 1)]),
+]
+
+
+def test_a_read_from_the_future_is_rejected_by_every_snapshot_level():
+    # Under the paper's spec r reads Log[0] up to its startTs, and w
+    # began after r committed, so no schedule lets r observe w.
+    assert not accepts_strict_serializable(READ_FROM_THE_FUTURE)
+    assert not accepts_snapshot_isolation(READ_FROM_THE_FUTURE)
+    assert not accepts_psi(READ_FROM_THE_FUTURE)
+    assert not accepts_nmsi(READ_FROM_THE_FUTURE)
+    # Timing-blind and eventual levels only ask that the value exists.
+    assert accepts_serializable(READ_FROM_THE_FUTURE)
+    assert accepts_eventual(READ_FROM_THE_FUTURE)
+
+
+def test_a_reader_overlapping_the_writer_may_still_see_it_under_psi():
+    overlapping = [
+        tx("r", 0, 0.0, 2.5, [("read", "x", 1)]),
+        tx("w", 1, 2.0, 3.0, [("write", "x", 1)]),
+    ]
+    assert accepts_psi(overlapping) and accepts_nmsi(overlapping)
+
+
+# ----------------------------------------------------------------------
+# Eventual consistency: any written value, never a fabricated one.
+# ----------------------------------------------------------------------
+def test_eventual_accepts_an_intermediate_write():
+    history = [
+        tx("w", 0, 0.0, 3.0, [("write", "x", 1), ("write", "x", 2)]),
+        tx("r", 1, 1.0, 2.0, [("read", "x", 1)]),
+    ]
+    assert accepts_eventual(history)
+    assert not accepts_nmsi(history)
+
+
+def test_eventual_accepts_a_sibling_set_of_written_values():
+    history = [
+        tx("w1", 0, 0.0, 1.0, [("write", "x", 1)]),
+        tx("w2", 1, 0.0, 1.0, [("write", "x", 2)]),
+        tx("r", 0, 2.0, 3.0, [("read", "x", frozenset({1, 2}))]),
+    ]
+    assert accepts_eventual(history)
+    assert not accepts_nmsi(history)
+
+
+@pytest.mark.parametrize("observed", [77, frozenset({1, 77}), frozenset()],
+                         ids=["value", "sibling-set", "empty-set"])
+def test_eventual_rejects_a_fabricated_read(observed):
+    history = [
+        tx("w", 0, 0.0, 1.0, [("write", "x", 1)]),
+        tx("r", 1, 2.0, 3.0, [("read", "x", observed)]),
+    ]
+    assert not accepts_eventual(history)
