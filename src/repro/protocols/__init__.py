@@ -3,13 +3,14 @@ Consus-style strictly-serializable commit, all on one sim substrate.
 
 Every backend implements the :class:`~repro.protocols.base.ProtocolBackend`
 / :class:`~repro.protocols.base.ProtocolSession` contract, records a
-:class:`~repro.protocols.history.ProtocolHistory`, checks itself with its
-own oracle (``backend.check()``), and re-checks its history at every
-weaker isolation level (``backend.lattice_report()``).
+:class:`~repro.protocols.history.ProtocolHistory`, reads its witness from
+server state (``backend.witness()``), and checks it at its own isolation
+level (``backend.check()``) and at every weaker one
+(``backend.lattice_report()``).
 """
 
-from .base import ProtocolBackend, ProtocolSession, key_site
-from .history import ABORTED, COMMITTED, ERROR, ProtocolHistory, TxRecord
+import importlib
+
 from .levels import (
     ALL_LEVELS,
     EVENTUAL,
@@ -23,19 +24,33 @@ from .levels import (
     WEAKER_THAN,
     weaker_levels,
 )
-# The registry pulls in every backend (and through Walter the whole
+
+# The backends pull in the spec layer (and through Walter the whole
 # deployment stack), while the spec layer needs only the constants above;
-# load it lazily so ``repro.spec.anomalies -> repro.protocols.levels``
-# does not cycle back through ``repro.deployment``.
-_REGISTRY_EXPORTS = ("PROTOCOLS", "PROTOCOL_NAMES", "build", "get_protocol")
+# load them lazily so ``repro.spec.acceptance -> repro.protocols.levels``
+# does not cycle back into a half-initialized ``repro.spec``.
+_LAZY_EXPORTS = {
+    "ProtocolBackend": "base",
+    "ProtocolSession": "base",
+    "key_site": "base",
+    "ABORTED": "history",
+    "COMMITTED": "history",
+    "ERROR": "history",
+    "ProtocolHistory": "history",
+    "TxRecord": "history",
+    "PROTOCOLS": "registry",
+    "PROTOCOL_NAMES": "registry",
+    "build": "registry",
+    "get_protocol": "registry",
+}
 
 
 def __getattr__(name):
-    if name in _REGISTRY_EXPORTS:
-        from . import registry
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + module, __name__), name)
 
-        return getattr(registry, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "ABORTED",

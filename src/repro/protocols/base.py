@@ -10,10 +10,12 @@ one substrate-facing contract:
 * a :class:`ProtocolSession` is a client bound to one site, exposing the
   common transactional surface as simulation generators:
   ``begin`` / ``read`` / ``write`` / ``commit`` / ``abort``;
-* ``backend.check()`` runs the protocol's *own* oracle over the recorded
-  history, and ``backend.lattice_report()`` re-checks the same history
-  against every weaker level's oracle with a mechanically derived
-  witness -- the inclusion-lattice conformance check.
+* ``backend.witness()`` reads, from server state, the order the
+  servers committed transactions in and the writers each snapshot held;
+  ``backend.check()`` hands history and witness to the level's one
+  definition (:func:`repro.spec.acceptance.violations`), and
+  ``backend.lattice_report()`` checks the same witness at every weaker
+  level -- the inclusion-lattice conformance check.
 
 Keys are plain strings.  Backends that spread data across sites (Walter,
 NMSI) place each key deterministically with :func:`key_site`, so
@@ -27,8 +29,10 @@ from typing import Any, Dict, Generator, List, Optional
 
 from ..net import Network, Topology
 from ..sim import Kernel, RandomStreams
+from ..spec.acceptance import Witness, violations
 from ..spec.checker import Violation
 from .history import ABORTED, COMMITTED, ERROR, ProtocolHistory, TxRecord
+from .levels import weaker_levels
 
 
 def key_site(key: str, n_sites: int) -> int:
@@ -55,9 +59,10 @@ class ProtocolSession:
     def begin(self) -> Generator:
         self._seq += 1
         tid = "%s-%d" % (self.name, self._seq)
-        record = self.backend.history.begin(tid, self.site, self.backend.kernel.now)
-        self._records[tid] = record
-        yield from self._do_begin(tid, record)
+        self._records[tid] = self.backend.history.begin(
+            tid, self.site, self.backend.kernel.now
+        )
+        yield from self._do_begin(tid)
         return tid
 
     def read(self, tid: str, key: str) -> Generator:
@@ -73,24 +78,25 @@ class ProtocolSession:
     def commit(self, tid: str) -> Generator:
         record = self._records[tid]
         try:
-            status = yield from self._do_commit(tid, record)
+            status = yield from self._do_commit(tid)
         except Exception:
+            # The outcome is unknown, so the transaction never ends: the
+            # witness alone says whether it committed.
             record.status = ERROR
-            record.end_time = self.backend.kernel.now
             raise
         record.status = status
-        record.end_time = self.backend.kernel.now
+        record.end = self.backend.kernel.now
         return status
 
     def abort(self, tid: str) -> Generator:
         record = self._records[tid]
-        yield from self._do_abort(tid, record)
+        yield from self._do_abort(tid)
         record.status = ABORTED
-        record.end_time = self.backend.kernel.now
+        record.end = self.backend.kernel.now
         return ABORTED
 
     # -- protocol hooks ------------------------------------------------
-    def _do_begin(self, tid: str, record: TxRecord) -> Generator:
+    def _do_begin(self, tid: str) -> Generator:
         return
         yield  # pragma: no cover
 
@@ -100,10 +106,10 @@ class ProtocolSession:
     def _do_write(self, tid: str, key: str, value: Any) -> Generator:
         raise NotImplementedError
 
-    def _do_commit(self, tid: str, record: TxRecord) -> Generator:
+    def _do_commit(self, tid: str) -> Generator:
         raise NotImplementedError
 
-    def _do_abort(self, tid: str, record: TxRecord) -> Generator:
+    def _do_abort(self, tid: str) -> Generator:
         raise NotImplementedError
 
 
@@ -126,7 +132,7 @@ class ProtocolBackend:
         self.n_sites = n_sites
         self.seed = seed
         self.flush_latency = flush_latency
-        self.history = ProtocolHistory(protocol=self.name, n_sites=n_sites)
+        self.history = ProtocolHistory()
         self._build_substrate(topology, jitter_frac)
         self._session_seq = 0
         self._build()
@@ -170,20 +176,26 @@ class ProtocolBackend:
         self.kernel.run(until=self.kernel.now + duration)
 
     # -- oracles -------------------------------------------------------
-    def check(self) -> List[Violation]:
-        """Model-check the recorded history against this protocol's own
-        oracle; empty list means conformant."""
+    def witness(self) -> Witness:
+        """The committed transactions in the order the servers committed
+        them, and the writers each one's snapshot held -- read from
+        server state, so a commit whose reply was lost still counts."""
         raise NotImplementedError
 
-    def lattice_report(self) -> Dict[str, List[Violation]]:
-        """Check the same history against every weaker level's oracle,
-        deriving each weaker witness from this protocol's own.  A
-        non-empty entry is an inclusion-lattice violation: a history this
-        protocol's oracle accepts must be acceptable at every weaker
-        level."""
-        from .oracles import lattice_report
+    def check(self) -> List[Violation]:
+        """Check the recorded history against this protocol's own level;
+        empty list means conformant."""
+        return violations(self.isolation, self.history.transactions, self.witness())
 
-        return lattice_report(self)
+    def lattice_report(self) -> Dict[str, List[Violation]]:
+        """Check the same witness at every weaker level.  A non-empty
+        entry is an inclusion-lattice violation: a witness for a level is
+        a witness for every level below it."""
+        witness = self.witness()
+        return {
+            level: violations(level, self.history.transactions, witness)
+            for level in weaker_levels(self.isolation)
+        }
 
     # -- partitions/faults (used by the protocol chaos harness) --------
     def heal_all(self) -> None:

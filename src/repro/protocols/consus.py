@@ -30,11 +30,10 @@ Read-only transactions also go through consensus: their reads are
 certified at a seq, so they observe a state consistent with the
 real-time commit order (no stale local reads).
 
-Witness per committed transaction: its seq (``meta["slot"]``, kept
-under the historical key) plus the per-key last-writer seqs it read.
-The oracle (:func:`repro.protocols.oracles.check_consus`) replays the
-replicated log deterministically, batch entries in order, and
-re-derives every outcome and read value.
+Witness: the replicated log, replayed deterministically (batch entries
+in order) -- the commands it commits in seq order, each seeing every
+earlier writer.  ``check()`` adds the one log-only check: every
+replica's applied prefix agrees with the merged log.
 """
 
 from __future__ import annotations
@@ -44,8 +43,10 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..config_service.paxos import PaxosNode, ProposalFailed
 from ..net import Host
+from ..spec.acceptance import Witness
+from ..spec.checker import Violation
 from .base import ProtocolBackend, ProtocolSession
-from .history import ABORTED, COMMITTED, TxRecord
+from .history import ABORTED, COMMITTED
 from .levels import STRICT_SERIALIZABILITY
 
 
@@ -66,7 +67,7 @@ class ConsusTx:
 
 def validate_and_apply(kv: Dict[str, Tuple[Any, int]], seq: int, cmd: dict) -> str:
     """The deterministic state-machine transition shared by every
-    replica (and by the oracle's replay): commit iff every read key's
+    replica (and by the witness replay): commit iff every read key's
     last-writer seq is unchanged, then install writes stamped ``seq``."""
     for key, seen_seq in cmd["reads"].items():
         current = kv.get(key)
@@ -105,12 +106,10 @@ class ConsusServer(PaxosNode):
         )
         #: key -> (value, last-writer seq), advanced only in seq order.
         self.kv: Dict[str, Tuple[Any, int]] = {}
-        #: seq -> COMMITTED/ABORTED, the deterministic outcome.
-        self.decided: Dict[int, str] = {}
         #: Commands applied so far = the next command's seq.
         self.applied_seq = 0
-        #: tid -> (status, seq) once its command has been applied.
-        self._outcomes: Dict[str, Tuple[str, int]] = {}
+        #: tid -> COMMITTED/ABORTED once its command has been applied.
+        self._outcomes: Dict[str, Any] = {}
         self._txs: Dict[str, ConsusTx] = {}
         self._waiters: List = []
         #: Commands from local commits waiting for the next proposal.
@@ -124,11 +123,9 @@ class ConsusServer(PaxosNode):
     # -- state machine -------------------------------------------------
     def _apply_cmd(self, slot: int, cmd: Any) -> None:
         for entry in batched_commands(cmd):
-            seq = self.applied_seq
+            status = validate_and_apply(self.kv, self.applied_seq, entry)
             self.applied_seq += 1
-            status = validate_and_apply(self.kv, seq, entry)
-            self.decided[seq] = status
-            self._outcomes[entry["tid"]] = (status, seq)
+            self._outcomes[entry["tid"]] = status
         for event in self._waiters:
             event.trigger_once()
         self._waiters = []
@@ -182,13 +179,13 @@ class ConsusServer(PaxosNode):
             event = self.kernel.event(name="%s.commit:%s" % (self.address, tid))
             self._waiters.append(event)
             yield event
-        status, seq = self._outcomes.pop(tid)
+        status = self._outcomes.pop(tid)
         if status is _PROPOSAL_FAILED:
             raise ProposalFailed(
                 "%s could not get %s's batch chosen" % (self.address, tid)
             )
         tx.status = status
-        return {"status": status, "slot": seq}
+        return status
 
     # -- batcher --------------------------------------------------------
     def _batch_loop(self) -> Generator:
@@ -214,7 +211,7 @@ class ConsusServer(PaxosNode):
                 # (the client sees the same ProposalFailed the unbatched
                 # path used to raise).
                 for entry in batch:
-                    self._outcomes.setdefault(entry["tid"], (_PROPOSAL_FAILED, -1))
+                    self._outcomes.setdefault(entry["tid"], _PROPOSAL_FAILED)
                 for event in self._waiters:
                     event.trigger_once()
                 self._waiters = []
@@ -231,7 +228,7 @@ class ConsusSession(ProtocolSession):
         result = yield from self._host.call(self._server, method, timeout=60.0, **args)
         return result
 
-    def _do_begin(self, tid: str, record: TxRecord) -> Generator:
+    def _do_begin(self, tid: str) -> Generator:
         yield from self._call("tx_begin", tid=tid)
 
     def _do_read(self, tid: str, key: str) -> Generator:
@@ -241,14 +238,11 @@ class ConsusSession(ProtocolSession):
     def _do_write(self, tid: str, key: str, value: Any) -> Generator:
         yield from self._call("tx_write", tid=tid, key=key, value=value)
 
-    def _do_commit(self, tid: str, record: TxRecord) -> Generator:
-        reply = yield from self._call("tx_commit", tid=tid)
-        if reply["status"] == COMMITTED:
-            record.meta["slot"] = reply["slot"]
-            return COMMITTED
-        return ABORTED
+    def _do_commit(self, tid: str) -> Generator:
+        status = yield from self._call("tx_commit", tid=tid)
+        return COMMITTED if status == COMMITTED else ABORTED
 
-    def _do_abort(self, tid: str, record: TxRecord) -> Generator:
+    def _do_abort(self, tid: str) -> Generator:
         yield from self._call("tx_abort", tid=tid)
 
 
@@ -272,7 +266,7 @@ class ConsusProtocol(ProtocolBackend):
 
     def chosen_log(self) -> List[Tuple[int, Any]]:
         """The union of every replica's chosen commands, slot-ordered.
-        (Replicas converge; the oracle additionally checks prefix
+        (Replicas converge; ``check()`` additionally checks prefix
         agreement.)"""
         merged: Dict[int, Any] = {}
         for server in self.servers:
@@ -280,10 +274,33 @@ class ConsusProtocol(ProtocolBackend):
                 merged.setdefault(slot, server.log_prefix()[slot])
         return sorted(merged.items())
 
-    def check(self):
-        from .oracles import check_consus
+    def witness(self) -> Witness:
+        kv: Dict[str, Tuple[Any, int]] = {}
+        writers: List[str] = []
+        visible: Dict[str, frozenset] = {}
+        seq = 0
+        for _slot, cmd in self.chosen_log():
+            for entry in batched_commands(cmd):
+                if validate_and_apply(kv, seq, entry) == COMMITTED:
+                    visible.setdefault(entry["tid"], frozenset(writers))
+                    if entry["writes"]:
+                        writers.append(entry["tid"])
+                seq += 1
+        return Witness(list(visible), visible)
 
-        return check_consus(self.history, self)
+    def check(self) -> List[Violation]:
+        merged = dict(self.chosen_log())
+        disagreements = [
+            Violation(
+                "consus-replica-agreement",
+                "%s applied %r at slot %d but the merged log holds %r"
+                % (server.address, cmd, slot, merged.get(slot)),
+            )
+            for server in self.servers
+            for slot, cmd in enumerate(server.log_prefix())
+            if merged.get(slot) != cmd
+        ]
+        return disagreements + super().check()
 
 
 __all__ = ["ConsusProtocol", "ConsusServer", "ConsusSession", "ProposalFailed",

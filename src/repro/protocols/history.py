@@ -1,70 +1,29 @@
 """Common observed-history format shared by every protocol backend.
 
-A :class:`ProtocolHistory` is the black-box record of one run: for each
-transaction, where it ran, when it began and finished, the reads it
-observed (key and value), the writes it buffered, and its final status.
-Each backend additionally stores its protocol-specific *witness* in
-``TxRecord.meta`` -- commit timestamps for SI, consensus slots for the
-strictly-serializable protocol, dependency vectors for NMSI -- which its
-oracle verifies and which the lattice derivations translate into the
-weaker levels' witnesses.
+A :class:`ProtocolHistory` is the black-box record of one run: one
+:class:`~repro.spec.acceptance.TxRecord` per transaction -- where it
+ran, when it began and finished, the reads it observed (key and value),
+the writes it buffered, and its final status -- filled in place by the
+sessions.  What the servers decided is not recorded here: each backend
+reads its witness from server state (``ProtocolBackend.witness()``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List
 
-COMMITTED = "COMMITTED"
-ABORTED = "ABORTED"
-ERROR = "ERROR"
-
-#: op tuples: ("read", key, observed_value) / ("write", key, value)
-Op = Tuple[str, str, Any]
-
-
-@dataclass
-class TxRecord:
-    """One transaction's externally observed behaviour."""
-
-    tid: str
-    site: int
-    begin_time: float
-    ops: List[Op] = field(default_factory=list)
-    end_time: Optional[float] = None
-    status: Optional[str] = None
-    #: Protocol-specific witness (commit_ts, slot, depvec, ...).
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def committed(self) -> bool:
-        return self.status == COMMITTED
-
-    def reads(self) -> List[Tuple[str, Any]]:
-        return [(key, value) for kind, key, value in self.ops if kind == "read"]
-
-    def writes(self) -> Dict[str, Any]:
-        """Final buffered value per written key (last write wins)."""
-        out: Dict[str, Any] = {}
-        for kind, key, value in self.ops:
-            if kind == "write":
-                out[key] = value
-        return out
-
-    def write_set(self) -> frozenset:
-        return frozenset(k for kind, k, _v in self.ops if kind == "write")
+from ..spec.acceptance import ABORTED, COMMITTED, ERROR, TxRecord
 
 
 @dataclass
 class ProtocolHistory:
     """All transactions of one run, in begin order."""
 
-    protocol: str
-    n_sites: int
     transactions: List[TxRecord] = field(default_factory=list)
 
     def begin(self, tid: str, site: int, now: float) -> TxRecord:
-        record = TxRecord(tid=tid, site=site, begin_time=now)
+        record = TxRecord(tid=tid, site=site, begin=now)
         self.transactions.append(record)
         return record
 
@@ -76,9 +35,6 @@ class ProtocolHistory:
 
     def committed(self) -> List[TxRecord]:
         return [t for t in self.transactions if t.committed]
-
-    def finished(self) -> List[TxRecord]:
-        return [t for t in self.transactions if t.status is not None]
 
     def outcome_tally(self) -> Dict[str, int]:
         tally: Dict[str, int] = {COMMITTED: 0, ABORTED: 0, ERROR: 0}

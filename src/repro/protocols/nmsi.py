@@ -23,14 +23,19 @@ replicated):
   each written key rejects lost updates (a read-modify-write must have
   read the key's latest version) and serializes conflicting writers with
   short-lived locks; blind writes adopt the overwritten version as a
-  dependency so each key's versions form a dependency chain;
+  dependency so each key's versions form a dependency chain -- and
+  abort instead if that version depends on something the transaction's
+  snapshot cannot hold (not applied at its site yet, or newer than a
+  version it read);
 * replication pushes the committed record to every site with retries;
   application is gated on the dependency vector (per-origin seqno order
   plus all dependencies applied), never on a total site order.
 
-Witness recorded per committed transaction: its version id, final
-dependency vector, and the version each read observed -- verified by
-:func:`repro.protocols.oracles.check_nmsi`.
+Witness: the servers' version stores.  A snapshot holds, transitively,
+the writer each read returned (found by the unique written value) and
+every earlier version of a key a writer's dependency vector covers (the
+version it overwrote).  Plain dependency-vector coverage is not causal
+-- per-site seqnos are not chained -- so it is used only within a key.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ from ..net import Host, RpcError, service_time
 from ..server.state import ServerCosts
 from ..sim import Interrupt, Resource
 from ..storage import DiskLog
+from ..spec.acceptance import Witness, witness_by_visibility
 from .base import ProtocolBackend, ProtocolSession, key_site
-from .history import ABORTED, COMMITTED, TxRecord
+from .history import ABORTED, COMMITTED
 from .levels import NMSI
 
 Ver = Tuple[int, int]  # (origin site, per-origin seqno)
@@ -170,16 +176,11 @@ class NMSIServer(Host):
         if tx.doomed:
             tx.status = ABORTED
             self._txs.pop(tid, None)
-            return {"status": ABORTED}
+            return ABORTED
         if not tx.writes:
             tx.status = COMMITTED
             self._txs.pop(tid, None)
-            return {
-                "status": COMMITTED,
-                "ver": None,
-                "depvec": tx.depvec,
-                "read_vers": dict(tx.read_vers),
-            }
+            return COMMITTED
         by_master: Dict[int, List[str]] = {}
         for key in tx.writes:
             by_master.setdefault(key_site(key, self.n_sites), []).append(key)
@@ -193,16 +194,24 @@ class NMSIServer(Host):
                 break
             granted.append(master)
             merges.extend(reply.get("merge", []))
+        # Blind writes adopt the overwritten version (and its deps) so
+        # every key's committed versions form a dependency chain -- which
+        # the snapshot can only hold if this site has applied all of it
+        # and none of it is newer than a version the transaction read.
+        adopted = [with_ver(tuple(depvec), tuple(ver)) for ver, depvec in merges]
+        ok = ok and all(
+            all(d <= a for d, a in zip(depvec, self.applied))
+            and self._compatible(tx, depvec)
+            for depvec in adopted
+        )
         if not ok:
             for master in granted:
                 self._release_at(master, tid)
             tx.status = ABORTED
             self._txs.pop(tid, None)
-            return {"status": ABORTED}
-        # Blind writes adopt the overwritten version (and its deps) so
-        # every key's committed versions form a dependency chain.
-        for ver, depvec in merges:
-            tx.depvec = with_ver(merge_dep(tx.depvec, tuple(depvec)), tuple(ver))
+            return ABORTED
+        for depvec in adopted:
+            tx.depvec = merge_dep(tx.depvec, depvec)
         seq = next(self._seq)
         ver: Ver = (self.site_id, seq)
         record = {
@@ -221,12 +230,7 @@ class NMSIServer(Host):
                 )
         tx.status = COMMITTED
         self._txs.pop(tid, None)
-        return {
-            "status": COMMITTED,
-            "ver": ver,
-            "depvec": tx.depvec,
-            "read_vers": dict(tx.read_vers),
-        }
+        return COMMITTED
 
     # ------------------------------------------------------------------
     # Snapshot reads
@@ -246,10 +250,10 @@ class NMSIServer(Host):
                 return i
         return -1
 
-    def _compatible(self, tx: NMSITx, candidate: VersionRec) -> bool:
-        """May ``tx`` extend its snapshot with ``candidate``?  Not if the
-        candidate's dependencies include a version of an already-read key
-        newer than the one the transaction read."""
+    def _compatible(self, tx: NMSITx, depvec: Tuple[int, ...]) -> bool:
+        """May ``tx`` extend its snapshot with dependencies ``depvec``?
+        Not if they include a version of an already-read key newer than
+        the one the transaction read."""
         for prev_key, read_ver in tx.read_vers.items():
             chain = self.store.get(prev_key, [])
             start = 0
@@ -259,7 +263,7 @@ class NMSIServer(Host):
                         start = i + 1
                         break
             for rec in chain[start:]:
-                if covers(candidate.depvec, rec.ver):
+                if covers(depvec, rec.ver):
                     return False
         return True
 
@@ -267,7 +271,7 @@ class NMSIServer(Host):
         chain = self.store.get(key, [])
         floor = self._floor(tx, key)
         for i in range(len(chain) - 1, max(floor, 0) - 1, -1):
-            if self._compatible(tx, chain[i]):
+            if self._compatible(tx, chain[i].depvec):
                 return chain[i]
         if floor >= 0:
             return _INCONSISTENT
@@ -416,7 +420,7 @@ class NMSISession(ProtocolSession):
         result = yield from self._host.call(self._server, method, timeout=30.0, **args)
         return result
 
-    def _do_begin(self, tid: str, record: TxRecord) -> Generator:
+    def _do_begin(self, tid: str) -> Generator:
         yield from self._call("tx_begin", tid=tid)
 
     def _do_read(self, tid: str, key: str) -> Generator:
@@ -426,21 +430,11 @@ class NMSISession(ProtocolSession):
     def _do_write(self, tid: str, key: str, value: Any) -> Generator:
         yield from self._call("tx_write", tid=tid, key=key, value=value)
 
-    def _do_commit(self, tid: str, record: TxRecord) -> Generator:
-        reply = yield from self._call("tx_commit", tid=tid)
-        if reply["status"] == COMMITTED:
-            record.meta["ver"] = (
-                tuple(reply["ver"]) if reply["ver"] is not None else None
-            )
-            record.meta["depvec"] = tuple(reply["depvec"])
-            record.meta["read_vers"] = {
-                k: (tuple(v) if v is not None else None)
-                for k, v in reply["read_vers"].items()
-            }
-            return COMMITTED
-        return ABORTED
+    def _do_commit(self, tid: str) -> Generator:
+        status = yield from self._call("tx_commit", tid=tid)
+        return COMMITTED if status == COMMITTED else ABORTED
 
-    def _do_abort(self, tid: str, record: TxRecord) -> Generator:
+    def _do_abort(self, tid: str) -> Generator:
         yield from self._call("tx_abort", tid=tid)
 
 
@@ -468,7 +462,38 @@ class NMSIProtocol(ProtocolBackend):
     def _make_session(self, site: int, name: str) -> NMSISession:
         return NMSISession(self, site, name)
 
-    def check(self):
-        from .oracles import check_nmsi
-
-        return check_nmsi(self.history)
+    def witness(self) -> Witness:
+        depvec_of: Dict[str, Tuple[int, ...]] = {}
+        by_key: Dict[str, Dict[str, Ver]] = {}
+        writer_of: Dict[Tuple[str, Any], str] = {}
+        for server in self.servers:
+            for key, chain in server.store.items():
+                for rec in chain:
+                    depvec_of[rec.writer] = rec.depvec
+                    by_key.setdefault(key, {})[rec.writer] = rec.ver
+                    writer_of[(key, rec.value)] = rec.writer
+        # Direct edges: read-from (a read of an unknown value, or of the
+        # transaction's own write, names the reader itself) ...
+        sees: Dict[str, set] = {tid: set() for tid in depvec_of}
+        for t in self.history.transactions:
+            if t.committed or t.tid in sees:
+                sees.setdefault(t.tid, set()).update(
+                    writer_of.get(read, t.tid) for read in t.reads()
+                )
+        # ... and overwrote, within one key's versions.
+        for writers in by_key.values():
+            for tid in writers:
+                sees[tid].update(
+                    u for u, ver in writers.items() if covers(depvec_of[tid], ver)
+                )
+        visible = {}
+        for tid, direct in sees.items():
+            seen: set = set()
+            stack = list(direct - {tid})
+            while stack:
+                u = stack.pop()
+                if u not in seen:
+                    seen.add(u)
+                    stack.extend(sees.get(u, ()))
+            visible[tid] = frozenset(seen)
+        return witness_by_visibility(visible)

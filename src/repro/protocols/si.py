@@ -8,8 +8,9 @@ sites pay the WAN round trip to the primary on every transactional
 operation -- exactly the latency cost Walter's PSI was designed to
 avoid, which is what the zoo benchmark measures.
 
-Witness recorded per transaction: the primary's ``(start_ts,
-commit_ts)`` pair, verified by :func:`repro.protocols.oracles.check_si`.
+Witness: the primary's ``tx_timestamps`` -- ``(start_ts, commit_ts)``
+per committed transaction, in commit order.  A snapshot holds every
+writer whose commit timestamp is at most the reader's start timestamp.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Any, Generator, List
 
 from ..baselines.bdb import BDBServer
 from ..server.state import ServerCosts
+from ..spec.acceptance import Witness
 from .base import ProtocolBackend, ProtocolSession
-from .history import ABORTED, COMMITTED, TxRecord
+from .history import ABORTED, COMMITTED
 from .levels import SNAPSHOT_ISOLATION
 
 
@@ -36,9 +38,8 @@ class SISession(ProtocolSession):
         result = yield from self._host.call(self._primary, method, timeout=30.0, **args)
         return result
 
-    def _do_begin(self, tid: str, record: TxRecord) -> Generator:
-        start_ts = yield from self._call("tx_begin", tid=tid)
-        record.meta["start_ts"] = start_ts
+    def _do_begin(self, tid: str) -> Generator:
+        yield from self._call("tx_begin", tid=tid)
 
     def _do_read(self, tid: str, key: str) -> Generator:
         value = yield from self._call("tx_get", tid=tid, key=key)
@@ -47,14 +48,11 @@ class SISession(ProtocolSession):
     def _do_write(self, tid: str, key: str, value: Any) -> Generator:
         yield from self._call("tx_put", tid=tid, key=key, value=value)
 
-    def _do_commit(self, tid: str, record: TxRecord) -> Generator:
+    def _do_commit(self, tid: str) -> Generator:
         status = yield from self._call("tx_commit", tid=tid)
-        timestamps = self.backend.primary.tx_timestamps.get(tid)
-        if timestamps is not None:
-            record.meta["start_ts"], record.meta["commit_ts"] = timestamps
         return COMMITTED if status == COMMITTED else ABORTED
 
-    def _do_abort(self, tid: str, record: TxRecord) -> Generator:
+    def _do_abort(self, tid: str) -> Generator:
         yield from self._call("tx_abort", tid=tid)
 
 
@@ -100,7 +98,13 @@ class SIProtocol(ProtocolBackend):
         # of centralization is measured, not hidden.
         return [0]
 
-    def check(self):
-        from .oracles import check_si
-
-        return check_si(self.history)
+    def witness(self) -> Witness:
+        stamps = self.primary.tx_timestamps
+        writers = {tid: cts for tid, (sts, cts) in stamps.items() if cts != sts}
+        return Witness(
+            list(stamps),
+            {
+                tid: frozenset(w for w, cts in writers.items() if cts <= sts)
+                for tid, (sts, _cts) in stamps.items()
+            },
+        )

@@ -3,14 +3,14 @@
 Wraps a full traced :class:`~repro.deployment.Deployment`: one container
 per site, keys placed on their :func:`~repro.protocols.base.key_site`
 home container, sessions backed by real :class:`WalterClient` instances.
-The oracle is the existing PSI trace checker
-(:func:`repro.spec.checker.check_trace`) -- the protocol layer adds the
-black-box :class:`ProtocolHistory` on top so Walter runs feed the same
-conformance suite and lattice derivations as every other protocol.
+``check()`` runs the PSI trace checker
+(:func:`repro.spec.checker.check_trace`) besides the level's definition,
+so Walter runs feed the same conformance suite and lattice report as
+every other protocol.
 
-Witness recorded per committed transaction: its commit ``Version`` and
-``startVTS`` (from the execution trace), which the lattice check
-translates into an NMSI dependency vector.
+Witness: the execution trace.  A snapshot holds every committed update
+transaction whose commit ``Version`` its ``startVTS`` covers (a
+read-only transaction's ``startVTS`` comes from its traced reads).
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from typing import Any, Dict, Generator, List, Optional
 from ..core.objects import ObjectId
 from ..deployment import Deployment
 from ..net import Topology
+from ..spec.acceptance import Witness, witness_by_visibility
+from ..spec.checker import Violation, check_trace
 from .base import ProtocolBackend, ProtocolSession, key_site
-from .history import ABORTED, COMMITTED, TxRecord
+from .history import ABORTED, COMMITTED
 from .levels import PSI
 
 
@@ -31,24 +33,16 @@ class WalterSession(ProtocolSession):
         self._client = backend.world.new_client(site, name=name)
         self._handles: Dict[str, Any] = {}
 
-    def _do_begin(self, tid_ignored: str, record: TxRecord) -> Generator:
-        handle = self._client.start_tx()
-        # Use Walter's own tid so the ProtocolHistory rows join directly
-        # with the execution trace rows.
-        record.tid = handle.tid
-        self._records[handle.tid] = record
-        self._handles[handle.tid] = handle
-        return
-        yield  # pragma: no cover
-
     def begin(self) -> Generator:
-        # Override: the Walter tid is minted by the client library, not
-        # by the session counter.
-        record = self.backend.history.begin(
-            "walter-pending", self.site, self.backend.kernel.now
+        # Walter's client library mints the tid, so the ProtocolHistory
+        # rows join directly with the execution trace rows.
+        handle = self._client.start_tx()
+        self._handles[handle.tid] = handle
+        self._records[handle.tid] = self.backend.history.begin(
+            handle.tid, self.site, self.backend.kernel.now
         )
-        yield from self._do_begin(record.tid, record)
-        return record.tid
+        return handle.tid
+        yield  # pragma: no cover
 
     def _do_read(self, tid: str, key: str) -> Generator:
         value = yield from self._client.read(self._handles[tid], self.backend.oid(key))
@@ -57,16 +51,11 @@ class WalterSession(ProtocolSession):
     def _do_write(self, tid: str, key: str, value: Any) -> Generator:
         yield from self._client.write(self._handles[tid], self.backend.oid(key), value)
 
-    def _do_commit(self, tid: str, record: TxRecord) -> Generator:
+    def _do_commit(self, tid: str) -> Generator:
         status = yield from self._client.commit(self._handles[tid])
-        if status == COMMITTED:
-            traced = self.backend.world.trace.transactions.get(tid)
-            if traced is not None:
-                record.meta["version"] = traced.version
-                record.meta["start_vts"] = traced.start_vts
         return COMMITTED if status == COMMITTED else ABORTED
 
-    def _do_abort(self, tid: str, record: TxRecord) -> Generator:
+    def _do_abort(self, tid: str) -> Generator:
         yield from self._client.abort(self._handles[tid])
 
 
@@ -106,7 +95,23 @@ class WalterProtocol(ProtocolBackend):
     def _make_session(self, site: int, name: str) -> WalterSession:
         return WalterSession(self, site, name)
 
-    def check(self) -> List:
-        from ..spec.checker import check_trace
+    def witness(self) -> Witness:
+        trace = self.world.trace
+        start_vts = {read.tid: read.start_vts for read in reversed(trace.reads)}
+        start_vts.update((tid, tx.start_vts) for tid, tx in trace.transactions.items())
+        committed = list(trace.transactions) + [
+            t.tid for t in self.history.transactions
+            if t.committed and t.tid not in trace.transactions
+        ]
+        return witness_by_visibility({
+            tid: frozenset(
+                w for w, tx in trace.transactions.items()
+                if w != tid and tid in start_vts and start_vts[tid].visible(tx.version)
+            )
+            for tid in committed
+        })
 
-        return check_trace(self.world.trace, abandoned=self.world.abandoned_versions)
+    def check(self) -> List[Violation]:
+        return check_trace(
+            self.world.trace, abandoned=self.world.abandoned_versions
+        ) + super().check()

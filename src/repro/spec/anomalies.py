@@ -1,15 +1,16 @@
 """The anomaly conformance table: nine literal histories, judged per level.
 
-Each anomaly is one small :class:`~repro.spec.acceptance.LiteTx` history
+Each anomaly is one small :class:`~repro.spec.acceptance.TxRecord` history
 -- sites, real-time intervals and the values its reads observed -- and a
 cell of the table is the column's acceptance checker applied to it::
 
     check_anomaly(anomaly, level) == ACCEPTS[level](HISTORIES[anomaly])
 
-The checkers search exhaustively for a witness (a serial order, a commit
-order with snapshots, or per-transaction snapshot sets), so a "No" means
-no execution of that level produces the observation, not that one
-scripted schedule failed to.  Adding a row is adding one history.
+The checkers search exhaustively for a witness -- an order plus the
+writers each snapshot holds -- that the level's one definition,
+:func:`~repro.spec.acceptance.violations`, accepts, so a "No" means no
+execution of that level produces the observation, not that one scripted
+schedule failed to.  Adding a row is adding one history.
 
 The level constants live in :mod:`repro.protocols.levels`, the single
 registry shared with the protocol zoo; this module re-exports the four
@@ -38,7 +39,7 @@ from ..protocols.levels import (
     SNAPSHOT_ISOLATION,
     STRICT_SERIALIZABILITY,
 )
-from .acceptance import ACCEPTS, COMMITTED, LiteOp, LiteTx
+from .acceptance import ACCEPTS, COMMITTED, Op, TxRecord
 
 #: The paper's four columns, in printed order (compatibility alias).
 ISOLATION_LEVELS = list(FIG8_LEVELS)
@@ -47,12 +48,12 @@ ISOLATION_LEVELS = list(FIG8_LEVELS)
 EXTENDED_ISOLATION_LEVELS = list(ALL_LEVELS)
 
 
-def _tx(tid: str, site: int, begin: float, end: float, *ops: LiteOp) -> LiteTx:
-    return LiteTx(tid, site, begin, end, COMMITTED, ops)
+def _tx(tid: str, site: int, begin: float, end: float, *ops: Op) -> TxRecord:
+    return TxRecord(tid, site, begin, end, COMMITTED, ops)
 
 
 #: One history per anomaly; the initial value of every key is ``None``.
-HISTORIES: Dict[str, List[LiteTx]] = {
+HISTORIES: Dict[str, List[TxRecord]] = {
     # T2 reads T1's intermediate x=1; T1 goes on to write x=2.
     "dirty_read": [
         _tx("T1", 0, 0.0, 3.0, ("write", "x", 1), ("write", "x", 2)),

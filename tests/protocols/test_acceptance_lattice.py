@@ -6,24 +6,32 @@ along the chain
 
     strict serializability => SI => PSI => NMSI => eventual
 
-nor along the side branch strict => serializable => eventual.  The
-anomaly matrix's histories (write skew, long fork, non-monotonic
-snapshot, the real-time stale read) pin each inclusion as *strict*.
+nor along the side branch strict => serializable => eventual, and the
+witness the search finds for a level must pass the verifier at every
+weaker level -- which is what lets a zoo backend's one witness be
+checked down the lattice without translation.  The anomaly matrix's
+histories (write skew, long fork, non-monotonic snapshot, the real-time
+stale read) pin each inclusion as *strict*.
 """
 
 import pytest
 
-from repro.protocols.levels import ALL_LEVELS
+from repro.protocols.levels import (
+    ALL_LEVELS,
+    EVENTUAL,
+    NMSI,
+    PSI,
+    SERIALIZABILITY,
+    SNAPSHOT_ISOLATION,
+    STRICT_SERIALIZABILITY,
+    weaker_levels,
+)
 from repro.spec.acceptance import (
     ACCEPTANCE_CHAIN,
     ACCEPTS,
-    LiteTx,
-    accepts_eventual,
-    accepts_nmsi,
-    accepts_psi,
-    accepts_serializable,
-    accepts_snapshot_isolation,
-    accepts_strict_serializable,
+    TxRecord,
+    find_witness,
+    violations,
 )
 from repro.spec.anomalies import HISTORIES
 
@@ -37,7 +45,7 @@ VALUES = [1, 2]
 
 
 def tx(tid, site, begin, end, ops, status="COMMITTED"):
-    return LiteTx(
+    return TxRecord(
         tid=tid, site=site, begin=begin, end=end, status=status, ops=tuple(ops)
     )
 
@@ -115,10 +123,24 @@ def test_acceptance_monotone_along_the_chain(history):
 @given(histories())
 @settings(max_examples=120, deadline=None)
 def test_side_branch_strict_implies_serializable_implies_eventual(history):
-    if accepts_strict_serializable(history):
-        assert accepts_serializable(history)
-    if accepts_serializable(history):
-        assert accepts_eventual(history)
+    if ACCEPTS[STRICT_SERIALIZABILITY](history):
+        assert ACCEPTS[SERIALIZABILITY](history)
+    if ACCEPTS[SERIALIZABILITY](history):
+        assert ACCEPTS[EVENTUAL](history)
+
+
+@given(histories())
+@settings(max_examples=120, deadline=None)
+def test_a_found_witness_passes_at_every_weaker_level(history):
+    for level in ALL_LEVELS:
+        witness = find_witness(level, history)
+        if witness is None:
+            continue
+        assert violations(level, history, witness) == []
+        for weaker in weaker_levels(level):
+            assert violations(weaker, history, witness) == [], (
+                "%s witness %r fails at %s" % (level, witness, weaker)
+            )
 
 
 def test_chain_is_ordered_strongest_first():
@@ -148,13 +170,13 @@ READ_FROM_THE_FUTURE = [
 def test_a_read_from_the_future_is_rejected_by_every_snapshot_level():
     # Under the paper's spec r reads Log[0] up to its startTs, and w
     # began after r committed, so no schedule lets r observe w.
-    assert not accepts_strict_serializable(READ_FROM_THE_FUTURE)
-    assert not accepts_snapshot_isolation(READ_FROM_THE_FUTURE)
-    assert not accepts_psi(READ_FROM_THE_FUTURE)
-    assert not accepts_nmsi(READ_FROM_THE_FUTURE)
+    assert not ACCEPTS[STRICT_SERIALIZABILITY](READ_FROM_THE_FUTURE)
+    assert not ACCEPTS[SNAPSHOT_ISOLATION](READ_FROM_THE_FUTURE)
+    assert not ACCEPTS[PSI](READ_FROM_THE_FUTURE)
+    assert not ACCEPTS[NMSI](READ_FROM_THE_FUTURE)
     # Timing-blind and eventual levels only ask that the value exists.
-    assert accepts_serializable(READ_FROM_THE_FUTURE)
-    assert accepts_eventual(READ_FROM_THE_FUTURE)
+    assert ACCEPTS[SERIALIZABILITY](READ_FROM_THE_FUTURE)
+    assert ACCEPTS[EVENTUAL](READ_FROM_THE_FUTURE)
 
 
 def test_a_reader_overlapping_the_writer_may_still_see_it_under_psi():
@@ -162,7 +184,7 @@ def test_a_reader_overlapping_the_writer_may_still_see_it_under_psi():
         tx("r", 0, 0.0, 2.5, [("read", "x", 1)]),
         tx("w", 1, 2.0, 3.0, [("write", "x", 1)]),
     ]
-    assert accepts_psi(overlapping) and accepts_nmsi(overlapping)
+    assert ACCEPTS[PSI](overlapping) and ACCEPTS[NMSI](overlapping)
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +195,8 @@ def test_eventual_accepts_an_intermediate_write():
         tx("w", 0, 0.0, 3.0, [("write", "x", 1), ("write", "x", 2)]),
         tx("r", 1, 1.0, 2.0, [("read", "x", 1)]),
     ]
-    assert accepts_eventual(history)
-    assert not accepts_nmsi(history)
+    assert ACCEPTS[EVENTUAL](history)
+    assert not ACCEPTS[NMSI](history)
 
 
 def test_eventual_accepts_a_sibling_set_of_written_values():
@@ -183,8 +205,8 @@ def test_eventual_accepts_a_sibling_set_of_written_values():
         tx("w2", 1, 0.0, 1.0, [("write", "x", 2)]),
         tx("r", 0, 2.0, 3.0, [("read", "x", frozenset({1, 2}))]),
     ]
-    assert accepts_eventual(history)
-    assert not accepts_nmsi(history)
+    assert ACCEPTS[EVENTUAL](history)
+    assert not ACCEPTS[NMSI](history)
 
 
 @pytest.mark.parametrize("observed", [77, frozenset({1, 77}), frozenset()],
@@ -194,4 +216,4 @@ def test_eventual_rejects_a_fabricated_read(observed):
         tx("w", 0, 0.0, 1.0, [("write", "x", 1)]),
         tx("r", 1, 2.0, 3.0, [("read", "x", observed)]),
     ]
-    assert not accepts_eventual(history)
+    assert not ACCEPTS[EVENTUAL](history)

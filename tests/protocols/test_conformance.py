@@ -2,11 +2,11 @@
 judged by its own oracle and by the inclusion lattice.
 
 The same deterministic workload runs through every backend in the
-registry.  Each run must (a) pass the protocol's own oracle, (b) pass
-the oracle of every *weaker* level with a mechanically derived witness
--- a strict-serializable history is in particular SI/PSI/NMSI-
-acceptable, a PSI history NMSI-acceptable, and everything eventually
-consistent.
+registry.  Each run's witness, read from server state, must (a) pass the
+verifier at the protocol's own level, (b) pass it at every *weaker*
+level too -- a strict-serializable witness is in particular an
+SI/PSI/NMSI witness, a PSI witness an NMSI one, and every run is
+eventually consistent.
 """
 
 import pytest
@@ -59,13 +59,9 @@ def test_lattice_inclusion_holds(name):
 def test_lattice_report_covers_every_weaker_checkable_level(name):
     backend, _errors = driven(name)
     report = backend.lattice_report()
-    # Eventual consistency is checkable for everyone and always covered.
+    # Exactly the levels below the protocol's own, eventual included.
     assert EVENTUAL in report
-    # Each report level must be genuinely weaker than the protocol's own.
-    for level in report:
-        assert level in weaker_levels(backend.isolation), (
-            "%s reported non-weaker level %s" % (name, level)
-        )
+    assert list(report) == weaker_levels(backend.isolation)
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
@@ -82,7 +78,7 @@ def test_every_transaction_reached_a_terminal_state(name):
         assert tx.status in ("COMMITTED", "ABORTED", "ERROR"), (
             "%s left %s in state %s" % (name, tx.tid, tx.status)
         )
-        assert tx.end_time is not None
+        assert tx.end is not None
 
 
 def test_all_protocols_attempted_identical_transaction_counts():

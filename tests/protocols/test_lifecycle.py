@@ -138,7 +138,7 @@ def test_history_records_ops_and_outcomes(backend):
     assert ("read", "lk5", None) in record.ops
     assert ("write", "lk5", "x") in record.ops
     assert record.site == site
-    assert record.end_time >= record.begin_time
+    assert record.end >= record.begin
     assert backend.history.outcome_tally().get("COMMITTED", 0) >= 1
 
 

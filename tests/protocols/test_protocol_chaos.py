@@ -1,5 +1,6 @@
 """Chaos smoke for the protocol zoo: every registry backend survives a
-seeded fault schedule and passes its own oracle plus the lattice report.
+seeded fault schedule and its witness passes the verifier at its own
+level and at every weaker one.
 
 Fixed seeds keep these deterministic; the CI protocol-matrix job runs a
 wider seed range via ``python -m repro.chaos --protocol <name>``.
@@ -36,6 +37,25 @@ def test_protocol_chaos_verdict_deterministic(name):
     first = run_protocol_chaos(config)
     second = run_protocol_chaos(config)
     assert first.verdict_json() == second.verdict_json()
+
+
+#: Full-config seeds where a commit's reply was lost (its client saw
+#: ERROR) but the servers committed it and a committed reader saw its
+#: write.  Judged by the client's record they fail; by the servers'
+#: witness, which lists the writer as committed, they pass.
+INDETERMINATE_COMMITS = [("si", 17), ("consus", 23), ("nmsi", 10), ("walter", 96)]
+
+
+@pytest.mark.parametrize("name,seed", INDETERMINATE_COMMITS,
+                         ids=["%s-%d" % case for case in INDETERMINATE_COMMITS])
+def test_an_indeterminate_commit_is_judged_by_the_servers_witness(name, seed):
+    result = run_protocol_chaos(ProtocolChaosConfig(protocol=name, seed=seed))
+    assert result.passed, result.verdict_json()
+    order = set(result.backend.witness().order)
+    assert any(
+        t.status == "ERROR" and t.tid in order
+        for t in result.backend.history.transactions
+    )
 
 
 def test_fault_schedules_differ_across_protocols_but_not_runs():

@@ -2,9 +2,9 @@
 
 Random schedules of the Fig 4/5 engine -- at most four transactions over
 two sites and two keys, with random partial ``propagate`` steps -- are
-converted to :class:`LiteTx` histories (``begin`` = start timestamp,
+converted to :class:`TxRecord` histories (``begin`` = start timestamp,
 ``end`` = commit timestamp at the home site) and every one must be
-accepted by :func:`accepts_psi`.  A planted spec bug that commits every
+accepted at PSI.  A planted spec bug that commits every
 transaction must be caught on some seed, so the test can fail.
 """
 
@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ObjectId, ObjectKind
-from repro.spec import COMMITTED, LiteTx, ParallelSnapshotIsolation, accepts_psi
+from repro.protocols.levels import PSI
+from repro.spec import ACCEPTS, COMMITTED, ParallelSnapshotIsolation, TxRecord
 
 N_SITES = 2
 MAX_TXS = 4
@@ -23,7 +24,7 @@ KEYS = {name: ObjectId("sound", name, ObjectKind.REGULAR) for name in ("x", "y")
 
 
 def spec_history(seed):
-    """One random spec run as a list of :class:`LiteTx`."""
+    """One random spec run as a list of :class:`TxRecord`."""
     rng = random.Random(seed)
     spec = ParallelSnapshotIsolation(n_sites=N_SITES)
     ops = {}
@@ -56,7 +57,7 @@ def spec_history(seed):
     for tx in active:
         spec.commit_tx(tx)
     return [
-        LiteTx(
+        TxRecord(
             tx.tid,
             tx.site,
             tx.start_ts,
@@ -72,11 +73,11 @@ def spec_history(seed):
 @settings(max_examples=200, deadline=None)
 def test_every_spec_history_is_psi_accepted(seed):
     history = spec_history(seed)
-    assert accepts_psi(history), history
+    assert ACCEPTS[PSI](history), history
 
 
 def test_a_spec_that_never_aborts_is_caught(monkeypatch):
     monkeypatch.setattr(
         ParallelSnapshotIsolation, "_choose_outcome", lambda self, tx: COMMITTED
     )
-    assert any(not accepts_psi(spec_history(seed)) for seed in range(400))
+    assert any(not ACCEPTS[PSI](spec_history(seed)) for seed in range(400))
