@@ -192,18 +192,9 @@ def run_chaos(
     config: ChaosConfig,
     schedule: Optional[Schedule] = None,
     monitor: bool = False,
-    protocol: Optional[str] = None,
 ) -> "ChaosResult":
-    """Run one chaos experiment; see the module docstring.
-
-    ``protocol=<name>`` dispatches to the protocol-zoo harness
-    (:mod:`repro.chaos.protocols`) instead: the named registry backend
-    ("walter", "si", "nmsi", "consus") runs a seeded workload under
-    partitions/loss and is judged by its *own* oracle plus the
-    inclusion-lattice report.  ``protocol=None`` (the default) is the
-    original full Walter-deployment harness, byte-identical to before
-    the zoo existed.  ``schedule``/``monitor`` apply only to the
-    deployment harness.
+    """Run one chaos experiment; see the module docstring.  The protocol
+    zoo has its own harness, :func:`repro.chaos.protocols.run_protocol_chaos`.
 
     ``monitor=True`` attaches an :class:`~repro.obs.OnlineMonitor` (and
     the span tracing that feeds it).  The monitor is passive -- it
@@ -216,16 +207,6 @@ def run_chaos(
     (:func:`repro.sim.gc_paused`): the run/spawn/run structure would
     otherwise trigger a full young-generation scan at every run boundary.
     """
-    if protocol is not None:
-        if schedule is not None or monitor:
-            raise ValueError(
-                "schedule/monitor are deployment-harness options; "
-                "protocol=%r runs use the protocol-zoo harness" % protocol
-            )
-        from .protocols import protocol_config_from, run_protocol_chaos
-
-        with gc_paused():
-            return run_protocol_chaos(protocol_config_from(config, protocol))
     with gc_paused():
         return _run_chaos(config, schedule, monitor)
 

@@ -28,7 +28,7 @@ seed, same verdict, for every protocol in the registry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..spec.checker import Violation
@@ -261,30 +261,10 @@ def run_protocol_chaos(config: ProtocolChaosConfig) -> ProtocolChaosResult:
     )
 
 
-def protocol_config_from(config, protocol: str) -> ProtocolChaosConfig:
-    """Adapt either harness config type to a :class:`ProtocolChaosConfig`
-    (used by ``run_chaos(protocol=...)``)."""
-    if isinstance(config, ProtocolChaosConfig):
-        return replace(config, protocol=protocol)
-    # A ChaosConfig from the Walter harness: map the shared knobs.  The
-    # Walter deployment horizon is tuned for its heavier fault catalog;
-    # the zoo harness keeps its own default settle.
-    return ProtocolChaosConfig(
-        protocol=protocol,
-        seed=config.seed,
-        n_sites=config.n_sites,
-        fault_budget=config.fault_budget,
-        clients_per_site=config.clients_per_site,
-        txs_per_client=config.txs_per_client,
-        n_keys=config.n_objects,
-    )
-
-
 __all__ = [
     "DRAIN_GRACE",
     "ProtocolChaosConfig",
     "ProtocolChaosResult",
     "generate_protocol_faults",
-    "protocol_config_from",
     "run_protocol_chaos",
 ]

@@ -1,15 +1,12 @@
-"""Paxos-replicated configuration service with preferred-site leases."""
+"""Multi-decree Paxos: the substrate of the zoo's Consus member.
 
-from .lease import Lease, LeaseTable
+The deployment's configuration is :class:`repro.server.LocalConfig`;
+nothing here replicates it.
+"""
+
 from .paxos import PaxosNode, ProposalFailed, make_paxos_group
-from .service import ConfigState, ConfigurationService, ContainerInfo
 
 __all__ = [
-    "ConfigState",
-    "ConfigurationService",
-    "ContainerInfo",
-    "Lease",
-    "LeaseTable",
     "PaxosNode",
     "ProposalFailed",
     "make_paxos_group",

@@ -1,10 +1,13 @@
 """Multi-decree Paxos over the simulated network.
 
-The paper's configuration service "tolerates failures by running as a
-Paxos-based state machine replicated across multiple sites" (§5.1).  This
-module implements that substrate: each :class:`PaxosNode` is a combined
-proposer/acceptor/learner for a log of slots; chosen commands are applied
-to a caller-supplied state machine in slot order on every node.
+The paper runs its configuration service as "a Paxos-based state
+machine replicated across multiple sites" (§5.1).  This tree does not:
+the configuration is one shared :class:`repro.server.LocalConfig`
+(DESIGN.md §2).  The Paxos log is the substrate of the zoo's Consus
+member (:mod:`repro.protocols.consus`): each :class:`PaxosNode` is a
+combined proposer/acceptor/learner for a log of slots; chosen commands
+are applied to a caller-supplied state machine in slot order on every
+node.
 
 The implementation is classic single-decree Paxos per slot (no stable
 leader): a proposer runs phase 1 (prepare/promise) and phase 2
@@ -241,26 +244,12 @@ def _unwrap(value: Any) -> Any:
     return value
 
 
-def make_paxos_group(
-    kernel: Kernel,
-    network: Network,
-    sites: List[int],
-    apply_fn_factory: Callable[[int], Optional[Callable[[int, Any], None]]] = lambda i: None,
-    name_prefix: str = "paxos",
-) -> List[PaxosNode]:
+def make_paxos_group(kernel: Kernel, network: Network, sites: List[int]) -> List[PaxosNode]:
     """One PaxosNode per site, fully meshed, started."""
-    names = ["%s-%d" % (name_prefix, i) for i in range(len(sites))]
+    names = ["paxos-%d" % i for i in range(len(sites))]
     nodes = []
     for i, site in enumerate(sites):
-        node = PaxosNode(
-            kernel,
-            network,
-            site,
-            names[i],
-            index=i,
-            peers=names,
-            apply_fn=apply_fn_factory(i),
-        )
+        node = PaxosNode(kernel, network, site, names[i], index=i, peers=names)
         node.start()
         nodes.append(node)
     return nodes

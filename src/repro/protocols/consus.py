@@ -96,7 +96,7 @@ class ConsusServer(PaxosNode):
     coordinator for local clients."""
 
     #: Commit is a consensus round; give contended proposals more room
-    #: than the config service needs before surfacing ProposalFailed --
+    #: than ``PaxosNode``'s default before surfacing ProposalFailed --
     #: especially since a failed proposal now fails a whole batch.
     MAX_ATTEMPTS = 80
 

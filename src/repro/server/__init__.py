@@ -4,11 +4,10 @@ from .batching import BatchingConfig
 from .propagation import PropagationTracker
 from .recovery import SiteRecoveryCoordinator
 from .server import ServerStats, WalterServer
-from .state import ConfigView, LeaseConfig, LocalConfig, ServerCosts
+from .state import LeaseConfig, LocalConfig, ServerCosts
 
 __all__ = [
     "BatchingConfig",
-    "ConfigView",
     "LeaseConfig",
     "LocalConfig",
     "PropagationTracker",

@@ -79,8 +79,8 @@ class FastCommitMixin:
             return COMMITTED
         if not self.config.is_active(self.site_id):
             # §5.7: a site under re-integration must not commit update
-            # transactions until the configuration service re-activates
-            # it -- its surviving prefix is still being finalized, and a
+            # transactions until the configuration re-activates it --
+            # its surviving prefix is still being finalized, and a
             # seqno handed out now could be truncated by the in-flight
             # finalize as if it were part of the abandoned suffix.
             tx.mark_aborted()

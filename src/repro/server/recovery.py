@@ -10,7 +10,7 @@ Three mechanisms:
   routine every recovery protocol uses to feed a server records).
 
 * **Site removal (aggressive option).**  When a whole site fails, the
-  configuration service switches to a configuration excluding it.  A
+  configuration switches to one excluding it.  A
   transaction x of the failed site *survives* iff x, every transaction
   that causally precedes x, and every transaction of the failed site with
   a smaller seqno reached some surviving site.  Non-surviving replicated
@@ -401,9 +401,11 @@ class RecoveryMixin:
 class SiteRecoveryCoordinator:
     """Drives the aggressive site-removal and re-integration protocols.
 
-    In the paper this logic lives in the configuration service; here it is
-    a coordinator object whose methods are simulated processes run by the
-    deployment (which also updates the shared configuration view).
+    In the paper this logic lives in the Paxos-replicated configuration
+    service; here it is a coordinator object whose methods are simulated
+    processes run by the deployment, which applies each decision to the
+    shared :class:`~repro.server.LocalConfig` at one simulated instant
+    (DESIGN.md §2).
     """
 
     #: Per-RPC timeout and retry budget.  Coordinator RPCs must survive

@@ -29,7 +29,7 @@ from .fast_commit import FastCommitMixin
 from .propagation import PendingIndex, PropagationMixin, PropagationTracker
 from .recovery import RecoveryMixin
 from .slow_commit import PreparedLock, SlowCommitMixin
-from .state import ConfigView, LeaseConfig, ServerCosts
+from .state import LeaseConfig, LocalConfig, ServerCosts
 
 
 class ServerStats(CounterView):
@@ -74,7 +74,8 @@ class WalterServer(
     Parameters
     ----------
     config:
-        The server's view of container placement and leases.
+        The deployment's shared configuration: container placement,
+        preferred-site leases and the active-site set.
     storage:
         The site's replicated cluster storage (WAL + checkpoints); owned
         by the deployment so replacement servers can recover from it.
@@ -93,7 +94,7 @@ class WalterServer(
         network: Network,
         site_id: int,
         name: str,
-        config: ConfigView,
+        config: LocalConfig,
         storage: SiteStorage,
         peers: Dict[int, str],
         costs: Optional[ServerCosts] = None,

@@ -1,4 +1,4 @@
-"""Walter server cost and lease tables, and configuration views.
+"""Walter server cost and lease tables, and the configuration.
 
 The per-site server variables of paper Fig 9 live on
 :class:`~repro.server.WalterServer` itself:
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List
 
 from ..core.objects import Container, ObjectId
-from ..errors import NoSuchContainerError
+from ..errors import ConfigurationError, NoSuchContainerError
 
 
 @dataclass
@@ -69,40 +69,16 @@ class LeaseConfig:
     outcome_retention: float = 30.0
 
 
-class ConfigView:
-    """A server's view of container placement plus lease checks.
+class LocalConfig:
+    """The configuration: container placement, preferred-site leases and
+    the active-site set, shared in-process by every server and client.
 
-    Every deployment shares one :class:`LocalConfig` among all servers
-    (an always-fresh cache).  Reconfiguration (site removal and
-    re-integration, §5.7) mutates it and revokes leases, so every server
-    learns of it at the same simulated instant.  The Paxos configuration
-    service (``repro.config_service``) is not in that loop:
-    ``tests/integration/test_paxos_config_integration.py`` copies its
-    decisions into the shared ``LocalConfig`` by hand (ROADMAP item 5).
+    This is the only configuration state machine.  The paper replicates
+    it with Paxos (§5.1); here it is one shared, always-fresh view, so
+    reconfiguration (site removal and re-integration, §5.7) mutates it
+    and revokes leases, and every server learns of it at the same
+    simulated instant (DESIGN.md §2, a named deviation).
     """
-
-    def container(self, cid: str) -> Container:
-        raise NotImplementedError
-
-    def holds_preferred_lease(self, cid: str, site: int) -> bool:
-        raise NotImplementedError
-
-    def active_sites(self) -> List[int]:
-        raise NotImplementedError
-
-    def active_set(self) -> FrozenSet[int]:
-        raise NotImplementedError
-
-    def preferred_site(self, oid: ObjectId) -> int:
-        """site(oid) in the paper's notation."""
-        return self.container(oid.container).preferred_site
-
-    def replicated_at(self, oid: ObjectId, site: int) -> bool:
-        return self.container(oid.container).replicated_at(site)
-
-
-class LocalConfig(ConfigView):
-    """Shared in-process configuration (the common deployment mode)."""
 
     def __init__(self, n_sites: int):
         self.n_sites = n_sites
@@ -113,9 +89,15 @@ class LocalConfig(ConfigView):
         #: cid -> original preferred site, for containers moved by a site
         #: removal (so re-integration can hand them back, §5.7).
         self.displaced: Dict[str, int] = {}
-        self.epoch = 0
 
     def register(self, container: Container) -> Container:
+        placement = container.replica_sites | {container.preferred_site}
+        unknown = sorted(site for site in placement if not 0 <= site < self.n_sites)
+        if unknown:
+            raise ConfigurationError(
+                "container %r placed at sites %s outside [0, %d)"
+                % (container.id, unknown, self.n_sites)
+            )
         self._containers[container.id] = container
         self._lease_holder[container.id] = container.preferred_site
         return container
@@ -128,6 +110,13 @@ class LocalConfig(ConfigView):
 
     def containers(self) -> List[Container]:
         return list(self._containers.values())
+
+    def preferred_site(self, oid: ObjectId) -> int:
+        """site(oid) in the paper's notation."""
+        return self.container(oid.container).preferred_site
+
+    def replicated_at(self, oid: ObjectId, site: int) -> bool:
+        return self.container(oid.container).replicated_at(site)
 
     def holds_preferred_lease(self, cid: str, site: int) -> bool:
         return self._lease_holder.get(cid) == site
@@ -167,11 +156,9 @@ class LocalConfig(ConfigView):
 
     def deactivate_site(self, site: int) -> None:
         self._set_active(self._active - {site})
-        self.epoch += 1
 
     def activate_site(self, site: int) -> None:
         self._set_active(self._active | {site})
-        self.epoch += 1
 
     def reassign_preferred_site(
         self, cid: str, new_site: int, remember_original: bool = False

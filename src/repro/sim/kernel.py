@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel.
 
 The kernel is the substrate on which every distributed component of the
-reproduction runs: Walter servers, clients, the configuration service, the
+reproduction runs: Walter servers, clients, recovery coordinators, the
 network, and the disk model are all simulated processes scheduled here.
 
 Processes are Python generators that ``yield`` *waitables*:

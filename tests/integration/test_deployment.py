@@ -28,10 +28,28 @@ def test_create_container_defaults_replicate_everywhere():
     assert world.config.container(container.id) is container
 
 
+#: (preferred site, replica sites) placements a 3-site deployment rejects:
+#: a preferred site outside the replica set, or any site that does not exist.
+INVALID_PLACEMENTS = [
+    (1, {0}),
+    (5, {5}),
+    (-1, {-1}),
+    (0, {0, 9}),
+    (0, {0, 3}),
+]
+
+
 def test_create_container_validates_replicas():
-    world = Deployment(n_sites=2)
+    world = Deployment(n_sites=3)
+    for preferred, replicas in INVALID_PLACEMENTS:
+        with pytest.raises(ConfigurationError):
+            world.create_container(preferred_site=preferred, replica_sites=replicas)
+    assert world.config.containers() == []
+    # With shards, placement is by logical site: 2 sites x 2 shards = 4.
+    sharded = Deployment(n_sites=2, shards=2)
+    assert sharded.create_container(preferred_site=3, replica_sites={1, 3}).preferred_site == 3
     with pytest.raises(ConfigurationError):
-        world.create_container(preferred_site=1, replica_sites={0})
+        sharded.create_container(preferred_site=4, replica_sites={4})
 
 
 def test_auto_generated_container_ids_unique():

@@ -8,7 +8,7 @@ wider seed range via ``python -m repro.chaos --protocol <name>``.
 
 import pytest
 
-from repro.chaos import ChaosConfig, ProtocolChaosConfig, run_chaos, run_protocol_chaos
+from repro.chaos import ProtocolChaosConfig, run_protocol_chaos
 from repro.chaos.protocols import generate_protocol_faults
 from repro.protocols.registry import PROTOCOL_NAMES
 
@@ -64,17 +64,3 @@ def test_fault_schedules_differ_across_protocols_but_not_runs():
     c = generate_protocol_faults(ProtocolChaosConfig(protocol="nmsi", seed=2))
     assert a == b
     assert a != c
-
-
-def test_run_chaos_protocol_dispatch():
-    result = run_chaos(
-        ChaosConfig(seed=5, fault_budget=3, clients_per_site=1, txs_per_client=3),
-        protocol="nmsi",
-    )
-    assert result.config.protocol == "nmsi"
-    assert result.passed, result.verdict_json()
-
-
-def test_run_chaos_rejects_schedule_with_protocol():
-    with pytest.raises(ValueError):
-        run_chaos(ChaosConfig(seed=1), schedule="anything", protocol="nmsi")

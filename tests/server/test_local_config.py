@@ -40,16 +40,14 @@ def test_lease_lifecycle():
     assert config.holds_preferred_lease("b", 1)
 
 
-def test_activate_deactivate_bumps_epoch():
+def test_activate_deactivate_toggles_is_active():
     config = make_config()
     assert config.active_sites() == [0, 1, 2]
     config.deactivate_site(2)
     assert config.active_sites() == [0, 1]
-    assert config.epoch == 1
     assert not config.is_active(2)
     config.activate_site(2)
     assert config.is_active(2)
-    assert config.epoch == 2
 
 
 def test_active_views_refresh_on_reconfiguration():
