@@ -565,8 +565,8 @@ class PropagationMixin:
         observability (LRU refresh, access profile, replication lag --
         origin commit to applied here, on the clock the origin stamped
         into the record -- and span).  Per chunk: one GotVTS replacement
-        per origin, one counter bump, one WAL append; returns the event
-        that fires when the chunk is durable.
+        per origin, one counter bump, one WAL entry holding the chunk
+        itself; returns the event that fires when it is durable.
 
         GotVTS advances from its value *now*, not from the plan: that
         was made before the apply-cost timeout, and recovery moves the
@@ -579,7 +579,6 @@ class PropagationMixin:
         now = self.kernel.now
         tracer = self._tracer
         deep = tracer is not None and tracer.deep
-        payloads = []
         for record in chunk:
             version = record.version
             updates = record.updates
@@ -603,10 +602,9 @@ class PropagationMixin:
                 )
             elif tracer is not None:
                 self._span(record.tid, span.REMOTE_APPLY, origin=record.site)
-            payloads.append({"kind": "remote_apply", "record": record})
         self.got_vts = self._advanced(self.got_vts, chunk)
         self.stats.inc("remote_applied", len(chunk))
-        return self.storage.log.append_many(payloads)
+        return self.storage.log.append({"kind": "remote_apply", "records": chunk}, len(chunk))
 
     def _park_remote(self, record: CommitRecord, src: Optional[str]) -> None:
         """Hold back a record whose got guard failed, once: batches can
@@ -685,8 +683,9 @@ class PropagationMixin:
     def _commit_remote_run(self, records: List[CommitRecord]) -> None:
         """Commit, in order, a run of records the committed guard
         admitted one after the other: CommittedVTS advances once per
-        origin, the ``remote_commit`` WAL records go down as one append
-        and the counter is bumped once.  Acknowledging is the caller's."""
+        origin, the run's versions go down as one ``remote_commit`` WAL
+        entry and the counter is bumped once.  Acknowledging is the
+        caller's."""
         self.committed_vts = self._advanced(self.committed_vts, records)
         # Per record there is only something to do with prepare locks
         # held here (2PC participant) or a tracer / spec trace bound.
@@ -696,8 +695,9 @@ class PropagationMixin:
                 self._span(record.tid, span.REMOTE_COMMIT, origin=record.site)
                 if self.trace is not None:
                     self.trace.record_site_commit(self.site_id, record.version)
-        self.storage.log.append_many(
-            [{"kind": "remote_commit", "version": record.version} for record in records]
+        self.storage.log.append(
+            {"kind": "remote_commit", "versions": [record.version for record in records]},
+            len(records),
         )
         self.stats.inc("remote_commits", len(records))
 

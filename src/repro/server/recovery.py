@@ -100,7 +100,7 @@ class RecoveryMixin:
 
     def restore_from_storage(self, resume_propagation: bool = True) -> int:
         """Rebuild Fig 9 state from checkpoint + log suffix; returns the
-        number of log records replayed.
+        number of log entries replayed.
 
         ``resume_propagation=False`` is used for site re-integration: the
         returning server must NOT re-propagate its own logged commits,
@@ -142,18 +142,20 @@ class RecoveryMixin:
             self.got_vts = self.got_vts.with_entry(record.site, record.seqno)
             self._records_by_version[version] = record
         elif kind == "remote_apply":
-            record = payload["record"]
-            if self.got_vts[record.site] >= record.seqno:
-                return
-            self.histories.apply(record.updates, record.version)
-            self.got_vts = self.got_vts.with_entry(record.site, record.seqno)
-            self._records_by_version[record.version] = record
+            # One entry per applied chunk: the checkpoint may cover its
+            # head and not its tail, so skip record by record.
+            for record in payload["records"]:
+                if self.got_vts[record.site] >= record.seqno:
+                    continue
+                self.histories.apply(record.updates, record.version)
+                self.got_vts = self.got_vts.with_entry(record.site, record.seqno)
+                self._records_by_version[record.version] = record
         elif kind == "remote_commit":
-            version: Version = payload["version"]
-            if self.committed_vts[version.site] < version.seqno:
-                self.committed_vts = self.committed_vts.with_entry(
-                    version.site, version.seqno
-                )
+            for version in payload["versions"]:
+                if self.committed_vts[version.site] < version.seqno:
+                    self.committed_vts = self.committed_vts.with_entry(
+                        version.site, version.seqno
+                    )
         elif kind == "container_backfill":
             # Replica-join copy (partial replication, DESIGN.md §13).
             # Propagation will never redeliver the trimmed-away history,

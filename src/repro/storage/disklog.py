@@ -15,7 +15,7 @@ is ``flush_latency=0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from ..sim import Event, Kernel, Store
 
@@ -28,8 +28,10 @@ FLUSH_MEMORY = 0.0           # commit to memory only (§8.7 configuration)
 
 @dataclass(slots=True)
 class LogRecord:
-    """One durable record with the simulated time it became durable.
-    Slotted: the log keeps one per record for the whole run."""
+    """One durable entry with the simulated time it became durable.
+    Slotted: the log keeps one per entry for the whole run.  An entry
+    may group several records (a receiver's applied chunk or committed
+    run); :class:`DiskStats` counts records, not entries."""
 
     payload: Any
     appended_at: float
@@ -123,7 +125,7 @@ class DiskLog:
         return any(
             isinstance(record.payload, dict)
             and record.payload.get("kind") == "local_commit"
-            for record, _done, _epoch in batch
+            for record, _done, _epoch, _records in batch
         )
 
     def _trace_flush(self, payload: Any, batch: int) -> None:
@@ -159,35 +161,29 @@ class DiskLog:
             self._stall_counter.inc()
         return self._stalled_until
 
-    def append(self, payload: Any) -> Event:
-        """Enqueue ``payload``; the returned event fires when durable."""
-        return self.append_many((payload,))
-
-    def append_many(self, payloads: Sequence[Any]) -> Event:
-        """Enqueue ``payloads`` in order with a single durability event:
-        it fires with the last record, and the log is FIFO, so every
-        earlier one is durable by then.  The earlier records travel
-        without an event -- nobody could be waiting on one."""
-        if not payloads:
-            raise ValueError("append_many of no payloads")
+    def append(self, payload: Any, records: int = 1) -> Event:
+        """Enqueue ``payload`` as one entry holding ``records`` records;
+        the returned event fires when it is durable.  A receiver logs an
+        applied chunk or a committed run as one entry.  The count rides
+        with the entry, and every count the log keeps or exports -- the
+        flush window's lone-record test, stats, metrics, fencing -- is
+        of records, so grouping them changes no flush decision."""
+        if records < 1:
+            raise ValueError("a log entry holds at least one record")
         done = Event(self.kernel, self._durable_event_name)
         now = self.kernel.now
         if self.flush_latency == 0 and now >= self._stalled_until:
             # Memory-speed commit: durable immediately (same kernel step).
-            for payload in payloads:
-                record = LogRecord(payload, now, now)
-                self.entries.append(record)
-                if self._tracer is not None:
-                    self._trace_flush(payload, 1)
-            self.stats.records += len(payloads)
+            record = LogRecord(payload, now, now)
+            self.entries.append(record)
+            if self._tracer is not None:
+                self._trace_flush(payload, 1)
+            self.stats.records += records
             if self._record_counter is not None:
-                self._record_counter.inc(len(payloads))
+                self._record_counter.inc(records)
             done.trigger(record)
             return done
-        put, epoch = self._queue.put, self.epoch
-        for payload in payloads[:-1]:
-            put((LogRecord(payload, now), None, epoch))
-        put((LogRecord(payloads[-1], now), done, epoch))
+        self._queue.put((LogRecord(payload, now), done, self.epoch, records))
         return done
 
     def fence(self) -> List[Any]:
@@ -199,14 +195,14 @@ class DiskLog:
         (otherwise a zombie write could resurface after the replacement
         already rebuilt its state, or collide with a reused seqno).
         Returns the discarded payloads so the deployment can account for
-        the never-durable local commits.
+        the never-durable local commits; ``stats.fenced`` counts their
+        records.
         """
         self.epoch += 1
-        doomed = [record.payload for record, _done, _epoch in self._queue.drain()]
-        doomed += [record.payload for record, _done, _epoch in self._inflight]
+        doomed = self._queue.drain() + self._inflight
         self._inflight = []
-        self.stats.fenced += len(doomed)
-        return doomed
+        self.stats.fenced += sum(records for _record, _done, _epoch, records in doomed)
+        return [record.payload for record, _done, _epoch, _records in doomed]
 
     def _flush_loop(self):
         while True:
@@ -216,6 +212,7 @@ class DiskLog:
             if (
                 self.flush_window > 0.0
                 and len(batch) == 1
+                and first[3] == 1  # one record, not one entry
                 and self.kernel.now - self._last_flush_end <= self._busy_window
                 and not self._latency_critical(batch)
             ):
@@ -239,22 +236,22 @@ class DiskLog:
                 batch.extend(self._queue.drain())
                 self._inflight = batch
             yield self.kernel.timeout(self.flush_latency)
+            size = sum(records for _record, _done, _epoch, records in batch)
             self.stats.flushes += 1
-            self.stats.max_batch = max(self.stats.max_batch, len(batch))
+            self.stats.max_batch = max(self.stats.max_batch, size)
             if self._flush_counter is not None:
                 self._flush_counter.inc()
-                self._batch_hist.observe(float(len(batch)))
-            before = len(self.entries)
-            for record, done, epoch in batch:
+                self._batch_hist.observe(float(size))
+            landed = 0
+            for record, done, epoch, records in batch:
                 if epoch != self.epoch:
                     continue  # fenced while in flight: never lands
                 record.durable_at = self.kernel.now
                 self.entries.append(record)
+                landed += records
                 if self._tracer is not None:
-                    self._trace_flush(record.payload, len(batch))
-                if done is not None:  # append_many: only a run's last has one
-                    done.trigger(record)
-            landed = len(self.entries) - before
+                    self._trace_flush(record.payload, size)
+                done.trigger(record)
             self.stats.records += landed
             if self._record_counter is not None:
                 self._record_counter.inc(landed)

@@ -7,7 +7,7 @@ record-at-a-time processing leaves it, so the same inputs are driven
 twice -- ``APPLY_CHUNK`` 1 against 16 for PROPAGATE, one
 ``ds_durable_batch`` per record against one for all of them for
 DS-DURABLE -- and everything a later reader could observe is compared:
-histories, clocks, the record index, WAL payloads in order, LRU order,
+histories, clocks, the record index, WAL records in order, LRU order,
 the access profile, the counters and the tids of every ack cast.
 """
 
@@ -122,6 +122,25 @@ def drive_propagate(world, receiver, stream_a, stream_b):
     world.settle(1.0)
 
 
+def wal_records(log):
+    """The WAL as one ``(kind, item)`` per record, in log order: the
+    commit record of a ``remote_apply`` or ``local_commit``, the version
+    of a ``remote_commit``, the tid of the rest.  A grouped entry (an
+    applied chunk, a committed run) contributes each of its records, so
+    any two groupings of the same logged work compare equal -- and
+    nothing else does."""
+    out = []
+    for payload in log.payloads():
+        kind = payload["kind"]
+        if kind == "remote_apply":
+            out += [(kind, record) for record in payload["records"]]
+        elif kind == "remote_commit":
+            out += [(kind, version) for version in payload["versions"]]
+        else:
+            out.append((kind, payload.get("record", payload.get("tid"))))
+    return out
+
+
 def fingerprint(receiver, casts):
     cache = receiver.storage.cache
     return {
@@ -129,7 +148,8 @@ def fingerprint(receiver, casts):
         "got_vts": tuple(receiver.got_vts),
         "committed_vts": tuple(receiver.committed_vts),
         "records": list(receiver._records_by_version.items()),
-        "wal": receiver.storage.log.payloads(),
+        "wal": wal_records(receiver.storage.log),
+        "wal_record_count": receiver.storage.log.stats.records,
         "lru": (list(cache._regular), list(cache._cset)),
         "profile": receiver.profiler.as_dict(top=64),
         "stats": receiver.stats.as_dict(),
@@ -161,16 +181,16 @@ def test_apply_chunk_16_equals_record_at_a_time(flush_latency, deploy):
     assert len(acked) > one["stats"]["remote_applied"]
     if deploy is SHARDED:
         trimmed = [
-            p["record"] for p in one["wal"]
-            if p["kind"] == "remote_apply" and p["record"].touched is not None
+            record for kind, record in one["wal"]
+            if kind == "remote_apply" and record.touched is not None
         ]
         assert trimmed and not all(r.updates for r in trimmed)
 
 
 def test_apply_chunk_turns_and_clock_replacements():
     """The regrouping itself: 40 in-order records take ceil(40/16) lock
-    turns, one WAL durability event per turn and one GotVTS replacement
-    per origin per turn."""
+    turns, one WAL entry (holding the turn's records) per turn and one
+    GotVTS replacement per origin per turn."""
     world, receiver, _casts = build(0.002, **FULL)
     stream_a, _stream_b = make_records(world)
     world.network.register("origin-a", 0)
@@ -182,14 +202,15 @@ def test_apply_chunk_turns_and_clock_replacements():
         return real_with_entry(vts, site, seqno)
 
     log = receiver.storage.log
-    with mock.patch.object(VectorTimestamp, "with_entry", with_entry), mock.patch.object(
-        log, "append_many", wraps=log.append_many
-    ) as append_many:
+    with mock.patch.object(VectorTimestamp, "with_entry", with_entry):
         world.run_process(
             receiver.on_propagate_batch("origin-a", batch_of(stream_a)), within=60.0
         )
     assert replaced == [(0, 16), (0, 32), (0, 40)]
-    assert [len(call.args[0]) for call in append_many.call_args_list] == [16, 16, 8]
+    entries = log.payloads()
+    assert [entry["kind"] for entry in entries] == ["remote_apply"] * 3
+    assert [len(entry["records"]) for entry in entries] == [16, 16, 8]
+    assert log.stats.records == 40
 
 
 def record_at_a_time_ds_durable_batch(self, src, records):

@@ -6,6 +6,8 @@ from repro.core import ObjectKind
 from repro.deployment import Deployment
 from repro.storage import FLUSH_MEMORY
 
+from .test_chunk_equivalence import FULL, RECEIVER, batch_of, build, make_records
+
 
 def make_world(n_sites=1, **kwargs):
     kwargs.setdefault("flush_latency", FLUSH_MEMORY)
@@ -127,6 +129,41 @@ class TestRestoreFromStorage:
             return value.counts()
 
         assert world.run_process(counts()) == {"early": 1, "late": 1}
+
+    def test_checkpoint_covering_the_head_of_a_grouped_entry(self):
+        # An applied chunk is one WAL entry.  When the checkpoint already
+        # covers the head of such an entry, replay must skip exactly the
+        # covered records (cset adds are not idempotent) and still apply
+        # the entry's tail.
+        world, receiver, _casts = build(FLUSH_MEMORY, **FULL)
+        receiver.enable_checkpointing(interval=1e6)
+        stream, _other = make_records(world)
+        world.network.register("origin-a", 0)
+
+        def deliver(records):
+            world.run_process(
+                receiver.on_propagate_batch("origin-a", batch_of(records)), within=60.0
+            )
+
+        def state():
+            return (
+                receiver.histories.dump(),
+                tuple(receiver.got_vts),
+                dict(receiver._records_by_version),
+            )
+
+        deliver(stream[:4])
+        assert force_checkpoint(world, RECEIVER).log_position == 1
+        deliver(stream[4:10])
+        expected = state()
+        log = world.storages[RECEIVER].log
+        assert [len(p["records"]) for p in log.payloads()] == [4, 6]
+        # Regroup the suffix into one entry that straddles the
+        # checkpoint: records 3-4 are covered, 5-10 are not.
+        log.entries[-1].payload = {"kind": "remote_apply", "records": stream[2:10]}
+        assert receiver.restore_from_storage(resume_propagation=False) == 1
+        assert receiver.got_vts[0] == 10
+        assert state() == expected
 
     def test_double_restart_is_idempotent(self):
         # Crash/replace twice with no traffic in between: the second

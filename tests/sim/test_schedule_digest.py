@@ -116,17 +116,30 @@ def run_fanout_workload():
     return world
 
 
+def wal_records(log):
+    """(kind, version or tid) of each WAL record in log order; an entry
+    that groups records (an applied chunk, a committed run) contributes
+    one pair per record, so the pin does not depend on the grouping."""
+    out = []
+    for p in log.payloads():
+        kind = p["kind"]
+        if "records" in p:
+            out += [(kind, str(record.version)) for record in p["records"]]
+        elif "versions" in p:
+            out += [(kind, str(version)) for version in p["versions"]]
+        else:
+            out.append((kind, str(p["record"].version if "record" in p else p.get("tid"))))
+    return out
+
+
 def fanout_digest() -> str:
     """Hash the fan-out run's ordered span stream, every server's
-    clocks, counters and WAL (kind and version/tid of each payload, in
+    clocks, counters and WAL (kind and version/tid of each record, in
     log order) and the final simulated clock."""
     world = run_fanout_workload()
     state = []
     for server in world.servers:
-        wal = [
-            (p["kind"], str(p["record"].version if "record" in p else p.get("version", p.get("tid"))))
-            for p in server.storage.log.payloads()
-        ]
+        wal = wal_records(server.storage.log)
         state.append(
             (
                 server.site_id,

@@ -108,14 +108,14 @@ def test_throughput_exceeds_one_over_latency_with_group_commit():
 
 
 # ----------------------------------------------------------------------
-# append_many: N appends with one durability event
+# Grouped entries: many records appended as one entry count as records
 # ----------------------------------------------------------------------
 RUNS = [["a1", "a2", "a3"], ["b1"], ["c1", "c2", "c3", "c4", "c5"]]
 
 
 def drive_runs(many, flush_latency=0.004, flush_window=0.0, stall=None, fence_at=None):
     """Three runs of payloads appended 1 ms apart (so they straddle
-    flushes), as ``append_many`` calls or as one ``append`` per payload;
+    flushes), each as one grouped entry or as one ``append`` per payload;
     returns the log and when each run's last record was seen durable."""
     kernel = Kernel()
     log = DiskLog(kernel, flush_latency=flush_latency, flush_window=flush_window)
@@ -124,15 +124,15 @@ def drive_runs(many, flush_latency=0.004, flush_window=0.0, stall=None, fence_at
     def writer():
         for run in RUNS:
             if many:
-                done = log.append_many(run)
+                done = log.append(run, len(run))
             else:
                 done = [log.append(payload) for payload in run][-1]
             kernel.spawn(waiter(run, done))
             yield kernel.timeout(0.001)
 
     def waiter(run, done):
-        record = yield done
-        seen.append((run[-1], record.payload, kernel.now))
+        yield done
+        seen.append((run[-1], kernel.now))
 
     kernel.spawn(writer())
     if stall is not None:
@@ -143,11 +143,19 @@ def drive_runs(many, flush_latency=0.004, flush_window=0.0, stall=None, fence_at
     return kernel, log, seen
 
 
+def flat_records(log):
+    """``(payload, appended_at, durable_at)`` per record in log order: a
+    grouped entry's records share its times."""
+    out = []
+    for entry in log.entries:
+        payloads = entry.payload if isinstance(entry.payload, list) else [entry.payload]
+        out += [(payload, entry.appended_at, entry.durable_at) for payload in payloads]
+    return out
+
+
 def log_state(kernel, log, seen):
     return {
-        "payloads": log.payloads(),
-        "durable_at": [entry.durable_at for entry in log.entries],
-        "appended_at": [entry.appended_at for entry in log.entries],
+        "records_in_order": flat_records(log),
         "records": log.stats.records,
         "flushes": log.stats.flushes,
         "max_batch": log.stats.max_batch,
@@ -170,44 +178,50 @@ def log_state(kernel, log, seen):
     ids=["disk", "window", "memory", "stalled", "memory-stalled", "fenced"],
 )
 def test_append_many_equals_n_appends(kwargs):
+    """A run appended as one grouped entry makes every flush, count,
+    durability time and kernel event of the same run appended record by
+    record."""
     many = log_state(*drive_runs(True, **kwargs))
     single = log_state(*drive_runs(False, **kwargs))
     assert many == single
     flat = [payload for run in RUNS for payload in run]
     if "fence_at" not in kwargs:
-        assert many["payloads"] == flat
-        assert [last for last, _payload, _at in many["seen"]] == ["a3", "b1", "c5"]
+        assert [payload for payload, _app, _dur in many["records_in_order"]] == flat
+        assert [last for last, _at in many["seen"]] == ["a3", "b1", "c5"]
 
 
 def test_append_many_event_fires_with_last_record_after_earlier_ones():
+    """A grouped entry's records become durable together, when its one
+    event fires."""
     kernel, log, seen = drive_runs(True)
-    by_payload = {entry.payload: entry.durable_at for entry in log.entries}
-    for last, payload, at in seen:
-        assert payload == last and at == by_payload[last]
+    assert [len(payload) for payload in log.payloads()] == [len(run) for run in RUNS]
+    durable = {payload: at for payload, _app, at in flat_records(log)}
+    for last, at in seen:
+        assert at == durable[last]
     for run in RUNS:
-        assert all(by_payload[p] <= by_payload[run[-1]] for p in run)
+        assert {durable[p] for p in run} == {durable[run[-1]]}
 
 
 def test_append_many_zero_latency_is_immediate():
     kernel = Kernel()
     log = DiskLog(kernel, flush_latency=FLUSH_MEMORY)
-    done = log.append_many(["x", "y", "z"])
-    assert done.triggered and done.value.payload == "z"
-    assert log.payloads() == ["x", "y", "z"] and log.stats.records == 3
-    assert [entry.durable_at for entry in log.entries] == [0.0, 0.0, 0.0]
+    done = log.append(["x", "y", "z"], 3)
+    assert done.triggered and done.value.payload == ["x", "y", "z"]
+    assert log.payloads() == [["x", "y", "z"]] and log.stats.records == 3
+    assert [entry.durable_at for entry in log.entries] == [0.0]
     assert log.stats.flushes == 0
 
 
 def test_fence_mid_flight_drops_a_whole_run():
     kernel = Kernel()
     log = DiskLog(kernel, flush_latency=0.004)
-    first = log.append_many(["old1", "old2", "old3"])  # taken by the flusher
+    first = log.append(["old1", "old2", "old3"], 3)  # taken by the flusher
     kernel.run(until=0.001)
-    second = log.append_many(["old4", "old5"])  # still queued
-    assert log.fence() == ["old4", "old5", "old1", "old2", "old3"]
-    after = log.append_many(["new1", "new2"])
+    second = log.append(["old4", "old5"], 2)  # still queued
+    assert log.fence() == [["old4", "old5"], ["old1", "old2", "old3"]]
+    after = log.append(["new1", "new2"], 2)
     kernel.run(until=1.0)
-    assert log.payloads() == ["new1", "new2"]
+    assert log.payloads() == [["new1", "new2"]]
     assert not first.triggered and not second.triggered and after.triggered
     assert log.stats.fenced == 5 and log.stats.records == 2
 
@@ -216,15 +230,36 @@ def test_injected_stall_holds_a_run():
     kernel = Kernel()
     log = DiskLog(kernel, flush_latency=0.001)
     log.inject_stall(0.05)
-    done = log.append_many(["s1", "s2"])
+    done = log.append(["s1", "s2"], 2)
     kernel.run(until=0.04)
     assert not done.triggered and log.payloads() == []
     kernel.run(until=1.0)
-    assert done.triggered and log.payloads() == ["s1", "s2"]
-    assert [entry.durable_at for entry in log.entries] == [pytest.approx(0.051)] * 2
+    assert done.triggered and log.payloads() == [["s1", "s2"]]
+    assert [entry.durable_at for entry in log.entries] == [pytest.approx(0.051)]
 
 
 def test_append_many_rejects_an_empty_run():
     log = DiskLog(Kernel(), flush_latency=0.001)
     with pytest.raises(ValueError):
-        log.append_many([])
+        log.append([], 0)
+
+
+def test_flush_window_counts_records_not_entries():
+    """A busy log holds a lone one-record entry open for company, but
+    not a lone entry that already groups several records."""
+    kernel = Kernel()
+    log = DiskLog(kernel, flush_latency=0.010, flush_window=0.002)
+    durable = {}
+
+    def writer(delay, key, payload, records):
+        yield kernel.timeout(delay)
+        yield log.append(payload, records)
+        durable[key] = kernel.now
+
+    kernel.spawn(writer(0.0, "warm", "w", 1))
+    kernel.spawn(writer(0.011, "chunk", ["c1", "c2"], 2))  # busy log, lone entry
+    kernel.spawn(writer(0.032, "single", "s", 1))  # busy log, lone record
+    kernel.run(until=1.0)
+    assert durable["chunk"] == pytest.approx(0.021)
+    assert durable["single"] == pytest.approx(0.044)
+    assert log.stats.records == 4 and log.stats.max_batch == 2
