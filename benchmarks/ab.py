@@ -2,6 +2,7 @@
 
     python3 benchmarks/ab.py --parent <path-or-rev> --workload W|all
                              [--seed N | --held-out] [--pairs 10]
+                             [--record]
 
 Runs ``benchmarks/ledger/run.py --workload W --seed N --seconds 10
 --trace 0`` in both trees, one run at a time, alternating which side
@@ -23,6 +24,15 @@ parent's; host columns are printed, never gated.
 of this repository, which is exported (``git archive``) into a temporary
 directory for the duration of the run.  Each tree runs its *own* copy of
 ``benchmarks/ledger/``; a PR that claims a gain may not have edited it.
+
+``--record`` appends two rows to ``BENCH_history.jsonl`` at the root of
+the repository, the parent's and then this tree's: per workload the
+median of every end-to-end metric, plus the tree's ``src/`` line count
+and collected test count.  The parent (a revision, for ``--record``)
+row carries its commit and the PR number of its subject line; this
+tree's row carries the number of the ``# ISSUE N`` title of its
+``ISSUE.md`` and its parent's commit (its own commit is the one that
+adds the row).
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -41,6 +52,7 @@ from typing import Dict, List, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join("benchmarks", "ledger", "run.py")
+HISTORY = os.path.join(ROOT, "BENCH_history.jsonl")
 
 
 def export_revision(rev: str, into: str) -> None:
@@ -50,6 +62,47 @@ def export_revision(rev: str, into: str) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", ROOT, *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def tree_size(tree: str) -> Dict[str, int]:
+    """``src/`` physical lines and collected tests: the two numbers CI's
+    tree-size step prints."""
+    lines = 0
+    for folder, _dirs, files in os.walk(os.path.join(tree, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as handle:
+                    lines += handle.read().count(b"\n")
+    collect = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-o", "addopts="],
+        cwd=tree, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH="src"),
+    )  # fmt: skip
+    found = re.search(r"(\d+) tests? collected", collect.stdout)
+    if found is None:
+        raise SystemExit("test collection failed in %s:\n%s" % (tree, collect.stdout[-2000:]))
+    return {"src_lines": lines, "tests": int(found.group(1))}
+
+
+def issue_number() -> int:
+    """This tree's PR number: the ``N`` of ``ISSUE.md``'s ``# ISSUE N`` title."""
+    with open(os.path.join(ROOT, "ISSUE.md")) as handle:
+        found = re.match(r"# ISSUE (\d+)\b", handle.readline())
+    if found is None:
+        raise SystemExit("ISSUE.md does not open with a '# ISSUE N' title")
+    return int(found.group(1))
+
+
+def record(rows: List[dict]) -> None:
+    with open(HISTORY, "a") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, sort_keys=True) + "\n")
+    print("appended %d rows to %s" % (len(rows), HISTORY))
 
 
 def run_once(tree: str, workload: str, seed: Optional[int]) -> Dict[str, float]:
@@ -176,7 +229,11 @@ def main() -> int:
     seeds.add_argument("--seed", type=int, help="default: the workload's default seed")
     seeds.add_argument("--held-out", action="store_true", help="each workload's held-out seed")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--record", action="store_true", help="append medians to BENCH_history.jsonl")
     args = parser.parse_args()
+    if args.record and os.path.isdir(args.parent):
+        parser.error("--record needs a parent revision, not a directory")
+    pr = issue_number() if args.record else None
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         contract = json.load(handle)
@@ -196,9 +253,15 @@ def main() -> int:
         export_revision(args.parent, scratch)
     try:
         table: Dict[str, Dict[str, str]] = {}
+        medians: Dict[str, Dict[str, dict]] = {"parent": {}, "change": {}}
         for workload in workloads:
             seed = held_out.get(workload, args.seed)
             parent_runs, change_runs = run_pairs(parent_tree, workload, seed, args.pairs)
+            for side, runs in (("parent", parent_runs), ("change", change_runs)):
+                medians[side][workload] = {
+                    spec["name"]: statistics.median(run[spec["name"]] for run in runs)
+                    for spec in contract["end_to_end"]
+                }
             print("\n%s, %s, %d interleaved pairs (parent: %s)" % (
                 workload, "default seed" if seed is None else "seed %d" % seed,
                 args.pairs, args.parent,
@@ -209,6 +272,17 @@ def main() -> int:
             print_summary(contract, table, args.pairs)
         equal = not any(cell.startswith("MOVED") for row in table.values() for cell in row.values())
         print("simulated-clock metrics equal across all runs: %s" % ("yes" if equal else "NO"))
+        if args.record:
+            commit = git("rev-parse", args.parent)
+            subject = re.match(r"PR (\d+)\b", git("log", "-1", "--format=%s", commit))
+            label = "held-out" if args.held_out else args.seed
+            common = {"seed": "default" if label is None else label, "pairs": args.pairs}
+            record([
+                dict(common, commit=commit, pr=subject and int(subject.group(1)),
+                     medians=medians["parent"], **tree_size(parent_tree)),
+                dict(common, commit=None, parent=commit, pr=pr,
+                     medians=medians["change"], **tree_size(ROOT)),
+            ])  # fmt: skip
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)

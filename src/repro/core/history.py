@@ -10,19 +10,20 @@ with that causal order.  Hence "the last update in the history visible to
 startVTS" (Fig 10) is well-defined.
 
 Snapshot reads and the commit-time ``unmodified`` check are the hot
-paths (Fig 10/Fig 11), so the history is indexed rather than scanned:
+paths (Fig 10/Fig 11), so the history is indexed rather than scanned.
+Its one index is a list of entries **per origin site in seqno order**,
+each entry carrying its apply index within the history:
 
-* entries are bucketed **per origin site in seqno order** (apply order
-  guarantees per-site seqnos are strictly increasing), so the latest
-  entry visible to a vector timestamp is one binary search per site
-  instead of a scan of the full history;
-* a per-object **max-seqno-per-site summary** makes ``unmodified_since``
-  an O(sites) comparison;
+* the latest entry visible to a vector timestamp is one binary search
+  per site, then the per-site winner with the largest apply index;
+* ``unmodified_since`` compares each site's last entry: O(sites);
 * cset histories carry an **incremental materialization**: a cached base
   :class:`CSet` equal to the fold of every entry visible at a GC
   watermark, plus the suffix of newer entries.  ``cset_value`` copies
   the base and folds only the suffix, so a hot cset's read cost is
-  bounded by the churn since the last GC, not its lifetime update count.
+  bounded by the churn since the last GC, not its lifetime update count;
+* apply-order walks (remote reads, checkpoints, GC) merge the site lists
+  by apply index; a history written from one site is walked in place.
 
 Garbage collection (:meth:`ObjectHistory.gc_before`) advances the
 watermark: superseded regular versions are dropped and visible cset
@@ -37,8 +38,9 @@ value the GC may have discarded.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from itertools import chain, islice
+from operator import attrgetter
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import SnapshotTooOldError, TypeMismatchError
 from .cset import CSet
@@ -48,57 +50,59 @@ from .versions import VectorTimestamp, Version
 
 
 class HistoryEntry(NamedTuple):
-    """One update plus the version of the transaction that made it."""
+    """One update, the version of the transaction that made it, and its
+    apply index: its position in the history's apply order (entries
+    dropped by GC or truncation leave no gap)."""
 
     update: Update
     version: Version
+    order: int
 
 
 #: ``ObjectHistory.append`` builds one entry per applied update at every
-#: replica, so it constructs the tuple in C, past the generated
-#: Python-level ``__new__``.
+#: replica, so it builds the tuple in C, past the generated ``__new__``.
 _new_entry = tuple.__new__
 
+_ORDER = attrgetter("order")
 
-class _SiteBucket:
-    """One origin site's entries, in (strictly increasing) seqno order.
 
-    ``seqnos`` is kept as a parallel list so visibility lookups are a
-    plain ``bisect`` over ints; ``orders`` holds each entry's global
-    apply index, used to order the per-site winners of a snapshot read.
-    """
+def _visible_count(run: Sequence[HistoryEntry], seqno: int) -> int:
+    """How many of ``run``'s entries a snapshot that has seen ``seqno``
+    of their site sees: a right bisection over the entries' seqnos,
+    after checking the common case that it sees them all."""
+    if run[-1].version.seqno <= seqno:
+        return len(run)
+    lo, hi = 0, len(run) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if run[mid].version.seqno <= seqno:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
-    __slots__ = ("seqnos", "entries", "orders")
 
-    def __init__(self):
-        self.seqnos: List[int] = []
-        self.entries: List[HistoryEntry] = []
-        self.orders: List[int] = []
+def _in_apply_order(runs: List[Iterable[HistoryEntry]]) -> Iterable[HistoryEntry]:
+    """Merge per-site runs by apply index; a lone run is returned as is."""
+    if len(runs) == 1:
+        return runs[0]
+    return sorted(chain.from_iterable(runs), key=_ORDER)
 
 
 class ObjectHistory:
     """The ordered update sequence of a single object at one site."""
 
-    __slots__ = (
-        "oid",
-        "_entries",
-        "_orders",
-        "_buckets",
-        "_next_order",
-        "_base",
-        "_base_max_seqno",
-        "_floor",
-        "_gc_vts",
-    )
+    __slots__ = ("oid", "_sites", "_count", "_base", "_base_max_seqno", "_floor", "_gc_vts")
 
     def __init__(self, oid: ObjectId):
         self.oid = oid
-        #: Suffix entries in apply order (for csets: entries newer than
-        #: the base; for regular objects: everything not yet GC'd).
-        self._entries: List[HistoryEntry] = []
-        self._orders: List[int] = []
-        self._buckets: Dict[int, _SiteBucket] = {}
-        self._next_order = 0
+        #: Suffix entries (for csets: entries newer than the base; for
+        #: regular objects: everything not yet GC'd), indexed by origin
+        #: site: ``_sites[s]`` is site ``s``'s run in seqno order, or
+        #: ``None`` if the suffix holds nothing from ``s``.
+        self._sites: List[Optional[List[HistoryEntry]]] = []
+        #: Number of suffix entries, which is also the next apply index.
+        self._count = 0
         #: Cset base: fold of every entry visible at ``_gc_vts`` (csets
         #: only; ``None`` until the first fold).
         self._base: Optional[CSet] = None
@@ -106,7 +110,8 @@ class ObjectHistory:
         #: folded into the base, or regular versions pruned as
         #: superseded.  Keeps ``unmodified_since`` exact for *any*
         #: snapshot and makes the too-old check object-precise.
-        self._base_max_seqno: Dict[int, int] = {}
+        #: ``None`` until GC first absorbs an entry.
+        self._base_max_seqno: Optional[Dict[int, int]] = None
         #: Regular objects: the version GC kept as the watermark-visible
         #: value at the most recent prune.  A snapshot that sees it (or
         #: that saw nothing pruned) still reads exactly.
@@ -118,10 +123,14 @@ class ObjectHistory:
     def __len__(self) -> int:
         """Number of *suffix* entries (entries folded into a cset base
         are no longer individually retained)."""
-        return len(self._entries)
+        return self._count
 
     def __iter__(self) -> Iterator[HistoryEntry]:
-        return iter(self._entries)
+        return iter(self._entries())
+
+    def _entries(self) -> Iterable[HistoryEntry]:
+        """Every suffix entry, in apply order."""
+        return _in_apply_order([run for run in self._sites if run])
 
     @property
     def gc_vts(self) -> Optional[VectorTimestamp]:
@@ -140,29 +149,31 @@ class ObjectHistory:
         # short-circuiting the dataclass field comparison.
         if update.oid is not self.oid and update.oid != self.oid:
             raise ValueError("update for %s appended to history of %s" % (update.oid, self.oid))
-        bucket = self._buckets.get(version.site)
-        if bucket is None:
-            bucket = self._buckets[version.site] = _SiteBucket()
+        sites = self._sites
+        site = version.site
+        if site < 0:
+            raise ValueError("version %s outside the site universe" % (version,))
+        run = sites[site] if site < len(sites) else None
         # Equal seqnos are one transaction's multiple updates to the same
-        # object; only going backwards breaks the bucket's sort order.
-        if bucket.seqnos and version.seqno < bucket.seqnos[-1]:
+        # object; only going backwards breaks the run's sort order.
+        if run is not None and version.seqno < run[-1].version.seqno:
             raise ValueError(
                 "non-monotonic apply: %s after seqno %d of site %d in history of %s"
-                % (version, bucket.seqnos[-1], version.site, self.oid)
+                % (version, run[-1].version.seqno, site, self.oid)
             )
         if self._gc_vts is not None and self._gc_vts.visible(version):
             raise ValueError(
                 "version %s appended below the GC watermark %r of %s"
                 % (version, self._gc_vts, self.oid)
             )
-        entry = _new_entry(HistoryEntry, (update, version))
-        order = self._next_order
-        self._next_order += 1
-        self._entries.append(entry)
-        self._orders.append(order)
-        bucket.seqnos.append(version.seqno)
-        bucket.entries.append(entry)
-        bucket.orders.append(order)
+        entry = _new_entry(HistoryEntry, (update, version, self._count))
+        self._count += 1
+        if run is not None:
+            run.append(entry)
+            return
+        if site >= len(sites):
+            self._sites = sites = sites + [None] * (site + 1 - len(sites))
+        sites[site] = [entry]
 
     # ------------------------------------------------------------------
     # Snapshot reads
@@ -171,45 +182,61 @@ class ObjectHistory:
         """Suffix entries whose version is visible to snapshot ``vts``,
         in apply order.  (Cset entries folded into the base are not
         enumerable; use :meth:`cset_value` for the materialized state.)"""
-        return (e for e in self._entries if vts.visible(e.version))
+        runs = [islice(run, _visible_count(run, seqno)) for run, seqno in self._runs(vts) if run]
+        return iter(_in_apply_order(runs))
 
     def latest_visible(self, vts: VectorTimestamp) -> Optional[HistoryEntry]:
         """The last visible entry (regular-object snapshot read): one
         binary search per origin site, then the apply-order maximum of
         the per-site winners."""
-        best_entry = None
-        best_order = -1
-        for site, bucket in self._buckets.items():
-            i = bisect_right(bucket.seqnos, vts[site]) - 1
-            if i >= 0 and bucket.orders[i] > best_order:
-                best_order = bucket.orders[i]
-                best_entry = bucket.entries[i]
-        return best_entry
+        best = None
+        for run, seqno in self._runs(vts):
+            if not run:
+                continue
+            # Every snapshot read lands here: skip the call if all are visible.
+            entry = run[-1]
+            if entry.version.seqno > seqno:
+                i = _visible_count(run, seqno)
+                if not i:
+                    continue
+                entry = run[i - 1]
+            if best is None or entry.order > best.order:
+                best = entry
+        return best
 
     def unmodified_since(self, vts: VectorTimestamp) -> bool:
         """Fig 11's ``unmodified(oid, VTS)``: every version of the object
         in the local history is visible to ``vts`` -- i.e. nothing was
         committed here after the snapshot.  O(sites): all entries of a
-        site are visible iff its maximum seqno is."""
-        for site, bucket in self._buckets.items():
-            if bucket.seqnos and not vts.visible(Version(site, bucket.seqnos[-1])):
+        site are visible iff its last one is."""
+        for run, seqno in self._runs(vts):
+            if run and run[-1].version.seqno > seqno:
                 return False
-        for site, seqno in self._base_max_seqno.items():
-            if not vts.visible(Version(site, seqno)):
-                return False
-        return True
+        absorbed = self._base_max_seqno or {}
+        return all(vts.visible(Version(site, seqno)) for site, seqno in absorbed.items())
 
     def cset_value(self, vts: VectorTimestamp) -> CSet:
         """Materialize a cset snapshot: copy of the base plus the fold of
         suffix entries visible to ``vts``.  Cset folds commute, so the
-        suffix can be folded per site via the same bisect index."""
+        suffix is folded per site via the same bisect index; sites fold
+        in the order they first appear in the suffix, which fixes the
+        element order of the result independently of site numbering."""
         self._check_not_below_watermark(vts)
         cset = self._base.copy() if self._base is not None else CSet()
-        for site, bucket in self._buckets.items():
-            upto = bisect_right(bucket.seqnos, vts[site])
-            for entry in bucket.entries[:upto]:
+        runs = [(run, seqno) for run, seqno in self._runs(vts) if run]
+        if len(runs) > 1:
+            runs.sort(key=lambda pair: pair[0][0].order)
+        for run, seqno in runs:
+            for entry in islice(run, _visible_count(run, seqno)):
                 _apply_cset_update(cset, entry.update)
         return cset
+
+    def _runs(self, vts: VectorTimestamp) -> Iterator[Tuple[Optional[List[HistoryEntry]], int]]:
+        """Each site's run (``None`` if none) beside ``vts``'s seqno of that site;
+        a run outside ``vts``'s sites is an error, as in ``vts.visible``."""
+        if len(self._sites) > len(vts) and any(self._sites[len(vts):]):
+            raise ValueError("%s holds versions outside the site universe of %r" % (self.oid, vts))
+        return zip(self._sites, vts)
 
     def _check_not_below_watermark(self, vts: VectorTimestamp) -> None:
         """Object-precise too-old check (not the full site watermark:
@@ -238,7 +265,7 @@ class ObjectHistory:
             )
 
     def versions(self) -> List[Version]:
-        return [e.version for e in self._entries]
+        return [e.version for e in self._entries()]
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -251,12 +278,8 @@ class ObjectHistory:
         guarantees abandoned versions are never below the GC watermark
         by not GC'ing while its site is inactive."""
         keep_set = set(keep)
-        kept = [
-            (e, o)
-            for e, o in zip(self._entries, self._orders)
-            if e.version in keep_set
-        ]
-        removed = len(self._entries) - len(kept)
+        kept = [e for e in self._entries() if e.version in keep_set]
+        removed = self._count - len(kept)
         if removed:
             self._rebuild(kept)
         return removed
@@ -269,58 +292,37 @@ class ObjectHistory:
         entries into the cached base (their sum *is* the visible state);
         otherwise leave csets untouched (the caller cannot guarantee the
         base would stay mergeable, e.g. for objects it does not
-        replicate).  Returns the number of entries removed/folded."""
-        if self.oid.kind is ObjectKind.CSET:
-            if not fold_cset:
-                return 0
-            return self._fold_base(vts)
-        last = self.latest_visible(vts)
-        if last is None:
+        replicate).  Any version visible at ``vts`` has already been
+        applied here (per-site apply order is contiguous below
+        ``CommittedVTS``), so no future append lands below the new
+        watermark.  Returns the number of entries removed/folded."""
+        cset = self.oid.kind is ObjectKind.CSET
+        if cset and not fold_cset:
             return 0
-        kept = [
-            (e, o)
-            for e, o in zip(self._entries, self._orders)
-            if e is last or not vts.visible(e.version)
-        ]
-        removed = len(self._entries) - len(kept)
-        if removed:
-            for entry, _order in zip(self._entries, self._orders):
-                if entry is last or not vts.visible(entry.version):
-                    continue
-                site, seqno = entry.version.site, entry.version.seqno
-                if seqno > self._base_max_seqno.get(site, -1):
-                    self._base_max_seqno[site] = seqno
-            self._floor = last.version
-            self._rebuild(kept)
-        self._advance_watermark(vts)
-        return removed
-
-    def _fold_base(self, vts: VectorTimestamp) -> int:
-        """Fold every entry visible at ``vts`` into the cset base.  Any
-        version visible at ``vts`` has already been applied here (per-site
-        apply order is contiguous below ``CommittedVTS``), so no future
-        append can land below the new watermark."""
-        folded = [
-            (e, o) for e, o in zip(self._entries, self._orders) if vts.visible(e.version)
-        ]
-        if not folded:
-            self._advance_watermark(vts)
+        last = None if cset else self.latest_visible(vts)
+        if not cset and last is None:
             return 0
-        if self._base is None:
-            self._base = CSet()
-        for entry, _order in folded:
-            _apply_cset_update(self._base, entry.update)
+        kept = []
+        for entry in self._entries():
+            if entry is last or not vts.visible(entry.version):
+                kept.append(entry)
+                continue
+            if cset:
+                if self._base is None:
+                    self._base = CSet()
+                _apply_cset_update(self._base, entry.update)
+            if self._base_max_seqno is None:
+                self._base_max_seqno = {}
             site, seqno = entry.version.site, entry.version.seqno
             if seqno > self._base_max_seqno.get(site, -1):
                 self._base_max_seqno[site] = seqno
-        kept = [
-            (e, o)
-            for e, o in zip(self._entries, self._orders)
-            if not vts.visible(e.version)
-        ]
-        self._rebuild(kept)
+        removed = self._count - len(kept)
+        if removed:
+            if not cset:
+                self._floor = last.version
+            self._rebuild(kept)
         self._advance_watermark(vts)
-        return len(folded)
+        return removed
 
     def _advance_watermark(self, vts: VectorTimestamp) -> None:
         # Monotone join: a returning site's committed frontier can be
@@ -328,22 +330,18 @@ class ObjectHistory:
         # move backwards (the base cannot be unfolded).
         self._gc_vts = vts if self._gc_vts is None else self._gc_vts.merge(vts)
 
-    def _rebuild(self, kept: List[Tuple[HistoryEntry, int]]) -> None:
-        """Reset the suffix structures to ``kept`` (entry, order) pairs,
-        preserving apply order and original apply indices."""
-        self._entries = [e for e, _o in kept]
-        self._orders = [o for _e, o in kept]
-        self._buckets = {}
-        for entry, order in kept:
-            bucket = self._buckets.get(entry.version.site)
-            if bucket is None:
-                bucket = self._buckets[entry.version.site] = _SiteBucket()
-            bucket.seqnos.append(entry.version.seqno)
-            bucket.entries.append(entry)
-            bucket.orders.append(order)
+    def _rebuild(self, kept: List[HistoryEntry]) -> None:
+        """Reset the suffix to ``kept`` (in apply order), renumbering
+        apply indices from zero.  A regular history keeps its floor,
+        which the watermark covers, so the append guard is off meanwhile."""
+        self._sites, self._count = [], 0
+        gc_vts, self._gc_vts = self._gc_vts, None
+        for update, version, _order in kept:
+            self.append(update, version)
+        self._gc_vts = gc_vts
 
     def is_empty(self) -> bool:
-        return not self._entries and self._base is None
+        return not self._count and self._base is None
 
     # ------------------------------------------------------------------
     # Serialization (checkpointing)
@@ -353,10 +351,10 @@ class ObjectHistory:
         deep-copies, so returning live references is fine."""
         return {
             "base": self._base.counts() if self._base is not None else None,
-            "base_max_seqno": dict(self._base_max_seqno),
+            "base_max_seqno": dict(self._base_max_seqno or ()),
             "floor": self._floor,
             "gc_vts": self._gc_vts,
-            "entries": [(e.update, e.version) for e in self._entries],
+            "entries": [(e.update, e.version) for e in self._entries()],
         }
 
     @classmethod
@@ -364,7 +362,7 @@ class ObjectHistory:
         hist = cls(oid)
         if state["base"] is not None:
             hist._base = CSet(state["base"])
-        hist._base_max_seqno = dict(state["base_max_seqno"])
+        hist._base_max_seqno = dict(state["base_max_seqno"]) or None
         hist._floor = state["floor"]
         # Entries first, watermark after: a regular history retains its
         # watermark-visible floor entry, which the append-time guard
