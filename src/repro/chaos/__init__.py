@@ -10,6 +10,7 @@ Programmatic::
     from repro.chaos import ChaosConfig, run_chaos
     result = run_chaos(ChaosConfig(seed=1))
     assert result.passed, result.verdict_json()
+    zoo = run_chaos(ChaosConfig(seed=1, protocol="consus"))
 
 See DESIGN.md §"Chaos testing" for the schedule DSL, the oracles, and
 the shrink/artifact workflow.
@@ -24,11 +25,6 @@ from .harness import (
 )
 from .injector import FaultInjector
 from .oracles import check_convergence, check_durability
-from .protocols import (
-    ProtocolChaosConfig,
-    ProtocolChaosResult,
-    run_protocol_chaos,
-)
 from .schedule import FAULT_CATALOG, FaultEvent, Schedule, ScheduleError, canonical_json
 from .shrinker import ShrinkReport, shrink_schedule
 
@@ -38,8 +34,6 @@ __all__ = [
     "ChaosResult",
     "FaultEvent",
     "FaultInjector",
-    "ProtocolChaosConfig",
-    "ProtocolChaosResult",
     "ReproArtifact",
     "Schedule",
     "ScheduleError",
@@ -49,6 +43,5 @@ __all__ = [
     "check_durability",
     "generate_schedule",
     "run_chaos",
-    "run_protocol_chaos",
     "shrink_schedule",
 ]

@@ -15,6 +15,7 @@ Examples::
     PYTHONPATH=src python -m repro.chaos --seed 1
     PYTHONPATH=src python -m repro.chaos --seed 100 --runs 25 --budget 8
     PYTHONPATH=src python -m repro.chaos --seed 1 --bug skip_resume_propagation
+    PYTHONPATH=src python -m repro.chaos --protocol consus --seed 0 --runs 300
     PYTHONPATH=src python -m repro.chaos --corpus tests/chaos/seeds
 """
 
@@ -44,15 +45,14 @@ def replay_corpus(directory: str) -> int:
         result = artifact.replay()
         fresh = result.verdict_obj()
         ok = result.passed and fresh == artifact.verdict
-        print(
-            "%s: %s  locks=%d active_txs=%d"
-            % (
-                os.path.basename(path),
-                "PASS" if ok else "FAIL",
-                sum(len(s.locked) for s in result.world.servers),
-                sum(len(s._txs) for s in result.world.servers),
+        line = "%s: %s" % (os.path.basename(path), "PASS" if ok else "FAIL")
+        if artifact.config.protocol is None:
+            servers = result.world.servers
+            line += "  locks=%d active_txs=%d" % (
+                sum(len(s.locked) for s in servers),
+                sum(len(s._txs) for s in servers),
             )
-        )
+        print(line)
         if not ok:
             failed += 1
             for violation in result.violations:
@@ -61,44 +61,6 @@ def replay_corpus(directory: str) -> int:
                 print("  verdict drift:\n    stored: %s\n    fresh:  %s"
                       % (canonical_json(artifact.verdict), canonical_json(fresh)))
     return 1 if failed else 0
-
-
-def run_protocol_batch(args) -> int:
-    """Run the protocol-zoo harness for each seed; fail on the first
-    verdict with oracle or lattice violations."""
-    from .protocols import ProtocolChaosConfig, run_protocol_chaos
-
-    for seed in range(args.seed, args.seed + args.runs):
-        config = ProtocolChaosConfig(
-            protocol=args.protocol,
-            seed=seed,
-            n_sites=args.sites,
-            fault_budget=args.budget,
-        )
-        result = run_protocol_chaos(config)
-        tally = result.outcomes
-        print(
-            "%s seed %d: %s  faults=%d committed=%d aborted=%d errors=%d  t=%.2fs"
-            % (
-                args.protocol,
-                seed,
-                "PASS" if result.passed else "FAIL",
-                len(result.applied_faults),
-                tally.get("COMMITTED", 0),
-                tally.get("ABORTED", 0),
-                tally.get("ERROR", 0),
-                result.end_time,
-            )
-        )
-        if result.passed:
-            continue
-        for violation in result.violations:
-            print("  %s" % violation)
-        for level, violations in sorted(result.lattice.items()):
-            for violation in violations:
-                print("  [lattice:%s] %s" % (level, violation))
-        return 1
-    return 0
 
 
 def main(argv=None) -> int:
@@ -119,11 +81,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--budget", type=int, default=6, help="fault budget per schedule")
     parser.add_argument("--horizon", type=float, default=8.0, help="fault window (sim s)")
-    parser.add_argument(
-        "--batching", action="store_true",
-        help="accepted for old command lines; selects nothing -- the "
-        "batched wire (DESIGN.md §14) is the only propagation path",
-    )
     parser.add_argument(
         "--bug",
         default=None,
@@ -146,28 +103,28 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--protocol",
         default=None,
-        help="run the protocol-zoo harness against this registry backend "
-        "(walter, si, nmsi, consus) instead of the full Walter deployment; "
-        "the run is judged by the protocol's own oracle + lattice report",
+        help="run against this registry backend (walter, si, nmsi, consus) "
+        "instead of the full Walter deployment; the run takes partitions and "
+        "loss bursts and is judged by the protocol's own oracle + lattice report",
     )
     args = parser.parse_args(argv)
 
     if args.corpus is not None:
         return replay_corpus(args.corpus)
 
-    if args.protocol is not None:
-        return run_protocol_batch(args)
-
-    base = ChaosConfig(
-        seed=args.seed,
-        n_sites=args.sites,
-        fault_budget=args.budget,
-        horizon=args.horizon,
-        bug=args.bug,
-        shards=args.shards,
-        replication=args.replication,
-        batching=args.batching,
-    )
+    try:
+        base = ChaosConfig(
+            seed=args.seed,
+            n_sites=args.sites,
+            fault_budget=args.budget,
+            horizon=args.horizon,
+            bug=args.bug,
+            shards=args.shards,
+            replication=args.replication,
+            protocol=args.protocol,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     for seed in range(args.seed, args.seed + args.runs):
         config = replace(base, seed=seed)
         result = run_chaos(config)

@@ -11,6 +11,13 @@ land anywhere.
 Generation draws only on :class:`~repro.chaos.harness.ChaosConfig` (never
 on simulation state) from a stream derived from the config seed, so the
 same config always yields the byte-identical schedule.
+
+The run's fault set (``config.faults``) never changes the draws: a
+structural scenario outside the set falls through to ``partition_heal``,
+a light fault outside it to ``loss_burst``, and a side-stream fault
+outside it is skipped.  So one seed gives every protocol-zoo backend the
+same schedule, and the Walter deployment, whose set is the whole
+catalog, the schedule it always had.
 """
 
 from __future__ import annotations
@@ -24,6 +31,13 @@ from .schedule import FaultEvent, Schedule
 #: Single-event faults a budget point buys directly.
 LIGHT_FAULTS = ("loss_burst", "flush_stall", "handover")
 
+#: The faults each structural scenario injects.
+SCENARIOS = {
+    "site_outage": ("fail_site", "remove_site", "reintegrate"),
+    "crash_replace": ("crash", "replace"),
+    "partition_heal": ("partition", "heal"),
+}
+
 #: Minimum window (seconds) a full site outage needs: removal is several
 #: coordinator RPC rounds, and re-integration several more.
 MIN_OUTAGE_WINDOW = 2.5
@@ -34,11 +48,12 @@ def generate_schedule(config) -> Schedule:
     costs 3, crash/replace and partition/heal cost 2, light faults 1)
     and lay them out over ``[0.05, 0.95] * horizon``."""
     rng = random.Random(derive_seed(config.seed, "chaos.schedule"))
+    faults = config.faults
     # Faults target *logical* sites: a sharded config (shards > 1) runs
     # n_sites * shards shard servers, and every one is fair game.  At
     # shards=1 this is exactly config.n_sites, so unsharded schedules
     # are unchanged.
-    n = config.n_sites * getattr(config, "shards", 1)
+    n = config.n_sites * config.shards
     horizon = config.horizon
     structural: List[str] = []
     light: List[str] = []
@@ -66,6 +81,8 @@ def generate_schedule(config) -> Schedule:
         for i, kind in enumerate(structural):
             w0 = start + i * width
             w1 = w0 + width * 0.8  # 20% gap before the next scenario
+            if not faults.issuperset(SCENARIOS[kind]):
+                kind = "partition_heal"
             if kind == "site_outage" and (w1 - w0) < MIN_OUTAGE_WINDOW:
                 # Too cramped for removal + re-integration: downgrade.
                 kind = "crash_replace" if rng.random() < 0.5 else "partition_heal"
@@ -73,13 +90,13 @@ def generate_schedule(config) -> Schedule:
                 kind = "crash_replace"
             events.extend(_structural(rng, kind, n, w0, w1))
     for kind in light:
-        events.append(_light(rng, kind, n, start, end))
+        events.append(_light(rng, kind if kind in faults else "loss_burst", n, start, end))
 
     # Prepare-reply loss rides on a dedicated stream (not the budget):
     # drawing it from the main stream would reshuffle every existing
     # schedule, invalidating the whole recorded seed corpus at once.
     prng = random.Random(derive_seed(config.seed, "chaos.prepare_loss"))
-    if prng.random() < 0.35:
+    if "prepare_reply_loss" in faults and prng.random() < 0.35:
         events.append(
             FaultEvent(
                 _uniform(prng, start, end),
@@ -95,7 +112,7 @@ def generate_schedule(config) -> Schedule:
     # the same reason as prepare_reply_loss above -- existing schedules
     # must not reshuffle.
     mrng = random.Random(derive_seed(config.seed, "chaos.migration_crash"))
-    if mrng.random() < 0.25:
+    if "migration_crash" in faults and mrng.random() < 0.25:
         events.append(
             FaultEvent(
                 _uniform(mrng, start, end),
@@ -109,7 +126,7 @@ def generate_schedule(config) -> Schedule:
         )
 
     schedule = Schedule(events)
-    schedule.validate(n)
+    schedule.validate(n, faults)
     return schedule
 
 

@@ -1,19 +1,23 @@
 """The chaos run loop: workload + fault schedule + repair + oracles.
 
-One :func:`run_chaos` call is one experiment:
+One :func:`run_chaos` call is one experiment, against the full Walter
+:class:`~repro.deployment.Deployment` or, when ``config.protocol`` names
+one, a protocol-zoo backend (:class:`~repro.chaos.protocols.ZooRun`):
 
-1. build a traced :class:`~repro.deployment.Deployment` from the config
-   seed, plus the randomized client workload;
+1. build the target from the config seed, plus its randomized client
+   workload;
 2. let the :class:`~repro.chaos.injector.FaultInjector` walk the
    schedule (generated from the same seed unless one is supplied) while
    the clients run;
 3. **repair**: once the schedule is exhausted, heal all partitions,
-   cancel loss bursts, replace any crashed servers, re-integrate any
-   still-removed sites, and wait for the catch-ups those started -- the
-   oracles judge the *converged* system, not the mid-outage one;
-4. **judge**: feed the recorded trace to the PSI checker (in dual-world
-   mode, excusing §4.4-abandoned transactions) and run the convergence,
-   durability, and liveness oracles.
+   cancel loss bursts and, on the deployment, replace any crashed
+   servers, re-integrate any still-removed sites, and wait for the
+   catch-ups those started -- the oracles judge the *converged* system,
+   not the mid-outage one;
+4. **judge**: the deployment feeds the recorded trace to the PSI checker
+   (in dual-world mode, excusing §4.4-abandoned transactions) and runs
+   the convergence, durability, and quiescence oracles; a zoo backend
+   checks its witness at its own level and every weaker one.
 
 Everything is a deterministic function of ``(config, schedule)``: two
 runs with the same seed produce byte-identical schedules, verdicts, and
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import re
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..deployment import Deployment
@@ -35,13 +39,19 @@ from ..storage import FLUSH_MEMORY
 from .generator import generate_schedule
 from .injector import FaultInjector
 from .oracles import check_convergence, check_durability, check_quiescence
-from .schedule import Schedule, canonical_json
+from .protocols import ZooRun
+from .schedule import FAULT_CATALOG, ZOO_FAULTS, Schedule, canonical_json
 from .workload import make_objects, start_workload
 
 #: Extra sim-time allowed past the horizon for repair + draining client
 #: timeouts before a run is declared non-live.  Client op timeouts are a
-#: few seconds; removal/re-integration a few RPC rounds each.
+#: few seconds (the SI baseline's cross-site RPCs 30 s); removal/re-
+#: integration a few RPC rounds each.
 REPAIR_GRACE = 300.0
+
+#: Settings only the Walter deployment reads; a zoo config must leave
+#: them at their defaults.  (``batching`` selects nothing either way.)
+WALTER_ONLY = ("n_csets", "flush_latency", "bug", "shards", "replication")
 
 
 @dataclass(frozen=True)
@@ -74,24 +84,37 @@ class ChaosConfig:
     #: run.  Kept so stored artifacts and callers that spell it out
     #: (``batching=True``) keep loading.
     batching: bool = False
+    #: Registry backend to run (``walter``, ``si``, ``nmsi``, ``consus``)
+    #: instead of the full Walter deployment; see :mod:`.protocols`.
+    protocol: Optional[str] = None
+
+    def __post_init__(self):
+        if self.protocol is None:
+            return
+        from ..protocols.registry import PROTOCOL_NAMES
+
+        if self.protocol not in PROTOCOL_NAMES:
+            raise ValueError(
+                "protocol %r is not one of %s" % (self.protocol, ", ".join(PROTOCOL_NAMES))
+            )
+        for f in fields(self):
+            if f.name in WALTER_ONLY and getattr(self, f.name) != f.default:
+                raise ValueError(
+                    "%s=%r is a Walter deployment setting; protocol=%r cannot use it"
+                    % (f.name, getattr(self, f.name), self.protocol)
+                )
+        if self.n_sites < 2:
+            raise ValueError("a zoo run's faults are partitions, which need two sites")
+
+    @property
+    def faults(self):
+        """The faults this run can take: the whole catalog on the
+        deployment, :data:`~repro.chaos.schedule.ZOO_FAULTS` on a zoo
+        backend."""
+        return frozenset(FAULT_CATALOG) if self.protocol is None else ZOO_FAULTS
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "n_sites": self.n_sites,
-            "horizon": self.horizon,
-            "fault_budget": self.fault_budget,
-            "clients_per_site": self.clients_per_site,
-            "txs_per_client": self.txs_per_client,
-            "n_objects": self.n_objects,
-            "n_csets": self.n_csets,
-            "flush_latency": self.flush_latency,
-            "settle": self.settle,
-            "bug": self.bug,
-            "shards": self.shards,
-            "replication": self.replication,
-            "batching": self.batching,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: Dict[str, Any]) -> "ChaosConfig":
@@ -109,7 +132,7 @@ class ChaosResult:
     applied_faults: List[str] = field(default_factory=list)
     injection_errors: List[Tuple[str, str]] = field(default_factory=list)
     end_time: float = 0.0
-    world: Any = None  # the Deployment, for post-mortem inspection
+    world: Any = None  # the Deployment or zoo backend, for post-mortem inspection
     #: The OnlineMonitor when the run was monitored (run_chaos
     #: ``monitor=True``); excluded from the verdict so monitored and
     #: unmonitored runs stay byte-identical.
@@ -193,14 +216,13 @@ def run_chaos(
     schedule: Optional[Schedule] = None,
     monitor: bool = False,
 ) -> "ChaosResult":
-    """Run one chaos experiment; see the module docstring.  The protocol
-    zoo has its own harness, :func:`repro.chaos.protocols.run_protocol_chaos`.
+    """Run one chaos experiment; see the module docstring.
 
     ``monitor=True`` attaches an :class:`~repro.obs.OnlineMonitor` (and
-    the span tracing that feeds it).  The monitor is passive -- it
-    creates no kernel events -- so a monitored run produces the
-    byte-identical verdict of an unmonitored one; its alerts are
-    returned on ``ChaosResult.monitor``.
+    the span tracing that feeds it) to the Walter deployment.  The
+    monitor is passive -- it creates no kernel events -- so a monitored
+    run produces the byte-identical verdict of an unmonitored one; its
+    alerts are returned on ``ChaosResult.monitor``.
 
     The whole experiment -- world construction, the fault run, repair,
     settling, and the oracle checks -- executes with the cyclic GC paused
@@ -216,38 +238,28 @@ def _run_chaos(
 ) -> ChaosResult:
     if schedule is None:
         schedule = generate_schedule(config)
-    world = Deployment(
-        n_sites=config.n_sites,
-        flush_latency=config.flush_latency,
-        seed=config.seed,
-        trace=True,
-        jitter_frac=0.10,
-        lease_sweeper=True,
-        tracing=bool(monitor),
-        shards=config.shards,
-        replication=config.replication,
-    )
-    world.chaos_bug = config.bug
-    online = OnlineMonitor(world) if monitor else None
-    oids, csets = make_objects(world, config)
+    if config.protocol is None:
+        run = WalterRun(config, monitor)
+    else:
+        run = ZooRun(config, monitor)
+    world = run.world
+    schedule.validate(world.n_sites, config.faults)
     injector = FaultInjector(world, schedule)
     injector.start()
-    workload = start_workload(world, config, oids, csets)
+    clients = run.start_clients()
 
     violations: List[Violation] = []
     deadline = config.horizon + REPAIR_GRACE
     try:
         world.run(until=config.horizon)
-        repair_proc = world.kernel.spawn(
-            _repair(world, injector), name="chaos.repair"
-        )
+        repair_proc = world.kernel.spawn(run.repair(injector), name="chaos.repair")
         # One waitable for "nothing left to wait for": the repair (which
         # also waits for the catch-ups it starts), the injector and its
         # structural ops, the clients, and the deployment's in-flight
         # recoveries.  The per-event check is a single slot read.
-        waiting = [repair_proc, injector._proc] + injector._ops + workload.procs
+        waiting = [repair_proc, injector._proc] + injector._ops + clients
         quiet = world.kernel.spawn(
-            _join(AllOf(waiting + world.recoveries)), name="chaos.quiet"
+            _join(AllOf(waiting + run.recoveries())), name="chaos.quiet"
         )
         world.kernel.run(until=deadline, stop_when=lambda: quiet._done)
     except Exception:  # noqa: BLE001 - a crash IS a failing verdict
@@ -257,7 +269,7 @@ def _run_chaos(
 
     if not violations:
         if not quiet.done:
-            stuck = {p.name for p in waiting + world.recoveries if not p.done}
+            stuck = {p.name for p in waiting + run.recoveries() if not p.done}
             violations.append(
                 Violation(
                     "liveness",
@@ -268,57 +280,92 @@ def _run_chaos(
         else:
             try:
                 world.settle(config.settle)
-                violations.extend(
-                    check_trace(world.trace, abandoned=world.abandoned_versions)
-                )
-                violations.extend(check_convergence(world))
-                violations.extend(check_durability(world))
-                violations.extend(check_quiescence(world))
+                run.judge(violations)
             except Exception:  # noqa: BLE001
                 violations.append(
                     Violation("exception", traceback.format_exc(limit=8).strip())
                 )
 
-    if online is not None:
+    if run.monitor is not None:
         # One last evaluation over the settled world: healed breaches
         # resolve, planted-bug breaches stay active.
-        online.finalize(world.kernel.now)
+        run.monitor.finalize(world.kernel.now)
 
     return ChaosResult(
         config=config,
         schedule=schedule,
         violations=violations,
-        outcomes=workload.tally(),
+        outcomes=run.outcomes(),
         applied_faults=list(injector.applied),
-        injection_errors=_portable(world, injector.errors + world.recovery_errors),
+        injection_errors=run.errors(injector),
         end_time=world.kernel.now,
         world=world,
-        monitor=online,
+        monitor=run.monitor,
     )
 
 
-def _repair(world, injector):
-    """Put the deployment back together so the convergence/durability
-    oracles judge a healed system."""
-    yield from injector.quiesce()
-    injector.cancel_bursts()
-    world.network.heal_all()
-    for site in world.config.active_sites():
-        if world.network.is_crashed(world.addresses[site]):
-            world.replace_server(site)
-    for site in range(world.n_sites):
-        if not world.config.is_active(site):
-            yield from world.reintegrate_site_gen(site)
-    # The oracles judge what the catch-ups delivered, not a half-fed site.
-    yield AllOf(world.recoveries)
+class WalterRun:
+    """One chaos run against the full Walter deployment."""
+
+    def __init__(self, config: ChaosConfig, monitor: bool):
+        self.config = config
+        self.world = world = Deployment(
+            n_sites=config.n_sites,
+            flush_latency=config.flush_latency,
+            seed=config.seed,
+            trace=True,
+            jitter_frac=0.10,
+            lease_sweeper=True,
+            tracing=bool(monitor),
+            shards=config.shards,
+            replication=config.replication,
+        )
+        world.chaos_bug = config.bug
+        self.monitor = OnlineMonitor(world) if monitor else None
+        self.oids, self.csets = make_objects(world, config)
+
+    def start_clients(self) -> List:
+        self.workload = start_workload(self.world, self.config, self.oids, self.csets)
+        return self.workload.procs
+
+    def repair(self, injector):
+        """Put the deployment back together so the convergence/durability
+        oracles judge a healed system."""
+        world = self.world
+        yield from injector.repair()
+        for site in world.config.active_sites():
+            if world.network.is_crashed(world.addresses[site]):
+                world.replace_server(site)
+        for site in range(world.n_sites):
+            if not world.config.is_active(site):
+                yield from world.reintegrate_site_gen(site)
+        # The oracles judge what the catch-ups delivered, not a half-fed site.
+        yield AllOf(world.recoveries)
+
+    def recoveries(self) -> List:
+        return self.world.recoveries
+
+    def judge(self, violations: List[Violation]) -> None:
+        world = self.world
+        violations.extend(check_trace(world.trace, abandoned=world.abandoned_versions))
+        violations.extend(check_convergence(world))
+        violations.extend(check_durability(world))
+        violations.extend(check_quiescence(world))
+
+    def outcomes(self) -> Dict[str, int]:
+        return self.workload.tally()
+
+    def errors(self, injector) -> List[Tuple[str, str]]:
+        """Injection and recovery errors, without the process-unique
+        deployment id in host names (``walter-<id>-<site>``), so verdicts
+        replay byte-identically."""
+        world = self.world
+        tag = re.compile(r"\b(walter|recovery-coord)-%d-" % world._deploy_id)
+        return [
+            (kind, tag.sub(r"\1-", text))
+            for kind, text in injector.errors + world.recovery_errors
+        ]
 
 
 def _join(waitable):
     yield waitable
-
-
-def _portable(world, errors):
-    """Drop the process-unique deployment id from host names in error
-    texts (``walter-<id>-<site>``): verdicts replay byte-identically."""
-    tag = re.compile(r"\b(walter|recovery-coord)-%d-" % world._deploy_id)
-    return [(kind, tag.sub(r"\1-", text)) for kind, text in errors]

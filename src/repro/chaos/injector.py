@@ -1,5 +1,7 @@
 """The fault injector: a simulated process that walks a schedule and
-applies each fault to a live :class:`~repro.deployment.Deployment`.
+applies each fault to a live :class:`~repro.deployment.Deployment` or
+protocol-zoo backend (which has only a kernel and a network, so a zoo
+run's schedule holds only :data:`~repro.chaos.schedule.ZOO_FAULTS`).
 
 Structural operations that are themselves multi-step protocols (site
 removal, re-integration) are spawned as sub-processes -- the injector
@@ -7,9 +9,9 @@ does not block the rest of the schedule on them -- and ``reintegrate``
 waits for any in-flight removal of the same site, so hand-written
 schedules need not get the spacing exactly right.
 
-Every applied fault bumps a ``chaos.faults{kind=...}`` counter and, when
-tracing is on, lands on the transaction timeline as a ``fault`` span
-under the pseudo-tid ``chaos``.  A fault whose preconditions do not hold
+On a deployment, every applied fault bumps a ``chaos.faults{kind=...}``
+counter and, when tracing is on, lands on the transaction timeline as a
+``fault`` span under the pseudo-tid ``chaos``.  A fault whose preconditions do not hold
 (e.g. replacing a server at a removed site) is recorded in
 :attr:`FaultInjector.errors` rather than aborting the run: random
 schedules may race their own structural operations, and the oracles --
@@ -38,7 +40,8 @@ class FaultInjector:
         self._removals: Dict[int, object] = {}
         self._base_loss = world.network.loss_rate
         self._bursts: List[Tuple[float, float]] = []  # (rate, until)
-        self._registry = world.obs.registry
+        # Only the Walter deployment has observability to report into.
+        self._obs = getattr(world, "obs", None)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -65,6 +68,13 @@ class FaultInjector:
             if not op.done:
                 yield op
 
+    def repair(self):
+        """Generator: wait for the schedule to finish, then undo its
+        network faults -- every loss burst and every partition."""
+        yield from self.quiesce()
+        self.cancel_bursts()
+        self.world.network.heal_all()
+
     def cancel_bursts(self) -> None:
         """Drop active loss bursts and restore the base loss rate (the
         harness repair phase must not fight injected loss)."""
@@ -88,8 +98,10 @@ class FaultInjector:
             self._note_error(event.fault, exc)
             return
         self.applied.append(event.fault)
-        self._registry.counter("chaos.faults", kind=event.fault).inc()
-        tracer = self.world.obs.tracer
+        if self._obs is None:
+            return
+        self._obs.registry.counter("chaos.faults", kind=event.fault).inc()
+        tracer = self._obs.tracer
         if tracer is not None:
             site = event.args.get("site", event.args.get("a", -1))
             tracer.record(
@@ -103,7 +115,8 @@ class FaultInjector:
 
     def _note_error(self, fault: str, exc: Exception) -> None:
         self.errors.append((fault, "%s: %s" % (type(exc).__name__, exc)))
-        self._registry.counter("chaos.fault_errors", kind=fault).inc()
+        if self._obs is not None:
+            self._obs.registry.counter("chaos.fault_errors", kind=fault).inc()
 
     def _spawn_op(self, gen, name: str):
         proc = self.kernel.spawn(gen, name=name)

@@ -30,6 +30,7 @@ network/disk gremlins:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
@@ -49,6 +50,10 @@ FAULT_CATALOG: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "remove_site": (("site", "reassign_to"), ("site", "reassign_to")),
     "reintegrate": (("site",), ("site",)),
 }
+
+#: The faults a protocol-zoo backend can take: it has a kernel and a
+#: network, but no Walter servers to crash, remove or hand over.
+ZOO_FAULTS = frozenset({"partition", "heal", "loss_burst"})
 
 
 def canonical_json(obj: Any) -> str:
@@ -95,15 +100,18 @@ class Schedule:
     def __iter__(self):
         return iter(self.events)
 
-    def validate(self, n_sites: int) -> None:
-        """Check every event against :data:`FAULT_CATALOG` (unknown
-        faults, missing/extra args, out-of-range sites, bad rates)."""
+    def validate(self, n_sites: int, faults=FAULT_CATALOG) -> None:
+        """Check every event against :data:`FAULT_CATALOG` and the run's
+        fault set (unknown or excluded faults, missing/extra args,
+        out-of-range sites, bad times, durations and rates)."""
         for event in self.events:
-            if event.at < 0:
-                raise ScheduleError("event time %r < 0" % (event.at,))
+            if not _nonnegative(event.at):
+                raise ScheduleError("event time %r is not a finite time >= 0" % (event.at,))
             spec = FAULT_CATALOG.get(event.fault)
             if spec is None:
                 raise ScheduleError("unknown fault %r" % (event.fault,))
+            if event.fault not in faults:
+                raise ScheduleError("fault %r is outside this run's fault set" % (event.fault,))
             required, site_args = spec
             if set(event.args) != set(required):
                 raise ScheduleError(
@@ -112,7 +120,7 @@ class Schedule:
                 )
             for name in site_args:
                 site = event.args[name]
-                if not isinstance(site, int) or not (0 <= site < n_sites):
+                if not (_number(site) and isinstance(site, int) and 0 <= site < n_sites):
                     raise ScheduleError(
                         "%s.%s=%r is not a site id in [0, %d)"
                         % (event.fault, name, site, n_sites)
@@ -123,8 +131,12 @@ class Schedule:
                 raise ScheduleError("remove_site reassigns to the removed site")
             if event.fault == "loss_burst" and not (0.0 <= event.args["rate"] <= 1.0):
                 raise ScheduleError("loss_burst rate %r not in [0, 1]" % (event.args["rate"],))
-            if "duration" in event.args and event.args["duration"] < 0:
-                raise ScheduleError("%s duration < 0" % (event.fault,))
+            for name in ("duration", "kill_after"):
+                if name in event.args and not _nonnegative(event.args[name]):
+                    raise ScheduleError(
+                        "%s.%s=%r is not a finite time >= 0"
+                        % (event.fault, name, event.args[name])
+                    )
 
     # ------------------------------------------------------------------
     # Canonical (de)serialization
@@ -142,3 +154,11 @@ class Schedule:
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
         return cls.from_obj(json.loads(text))
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _nonnegative(x) -> bool:
+    return _number(x) and math.isfinite(x) and x >= 0

@@ -55,6 +55,24 @@ class TestScheduleDSL:
         with pytest.raises(ScheduleError):
             s.validate(3)
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            FaultEvent(float("inf"), "heal_all", {}),
+            FaultEvent(float("nan"), "heal_all", {}),
+            FaultEvent(1.0, "crash", {"site": True}),
+            FaultEvent(1.0, "loss_burst", {"rate": 0.1, "duration": float("inf")}),
+            FaultEvent(1.0, "flush_stall", {"site": 0, "duration": float("nan")}),
+            FaultEvent(1.0, "migration_crash", {"cid": "c0", "to_site": 1, "kill_after": -1.0}),
+            FaultEvent(1.0, "migration_crash", {"cid": "c0", "to_site": 1, "kill_after": float("nan")}),
+        ],
+        ids=["at-inf", "at-nan", "site-bool", "duration-inf", "duration-nan",
+             "kill-after-negative", "kill-after-nan"],
+    )
+    def test_validate_rejects_an_event_it_cannot_run(self, event):
+        with pytest.raises(ScheduleError):
+            Schedule(events=[event]).validate(3)
+
     def test_catalog_covers_issue_fault_kinds(self):
         for kind in (
             "crash",
