@@ -25,6 +25,9 @@ each entry carrying its apply index within the history:
 * apply-order walks (remote reads, checkpoints, GC) merge the site lists
   by apply index; a history written from one site is walked in place.
 
+A preloaded object is one :class:`SharedHistory` that every replicating
+site holds until its first mutation there copies it.
+
 Garbage collection (:meth:`ObjectHistory.gc_before`) advances the
 watermark: superseded regular versions are dropped and visible cset
 entries are folded into the base.  The contract is that **every snapshot
@@ -343,6 +346,31 @@ class ObjectHistory:
     def is_empty(self) -> bool:
         return not self._count and self._base is None
 
+    def collectible(self, vts: VectorTimestamp, fold_cset: bool = False) -> bool:
+        """Whether :meth:`gc_before` at ``vts`` would drop or fold an entry."""
+        if self.oid.kind is ObjectKind.CSET and not fold_cset:
+            return False
+        keep = 1 if self.oid.kind is ObjectKind.REGULAR else 0
+        return sum(_visible_count(run, seqno) for run, seqno in self._runs(vts) if run) > keep
+
+    def copy(self) -> "ObjectHistory":
+        """A private copy (entries are immutable and shared with it).
+        A site's first write to a preloaded object pays for one, so it
+        skips ``__init__`` and copies a base only where one exists."""
+        new = object.__new__(ObjectHistory)
+        new.oid = self.oid
+        new._sites = [None if run is None else run[:] for run in self._sites]
+        new._count = self._count
+        new._base = self._base
+        new._base_max_seqno = self._base_max_seqno
+        new._floor = self._floor
+        new._gc_vts = self._gc_vts
+        if new._base is not None:
+            new._base = new._base.copy()
+        if new._base_max_seqno is not None:
+            new._base_max_seqno = dict(new._base_max_seqno)
+        return new
+
     # ------------------------------------------------------------------
     # Serialization (checkpointing)
     # ------------------------------------------------------------------
@@ -373,6 +401,18 @@ class ObjectHistory:
         return hist
 
 
+class SharedHistory(ObjectHistory):
+    """A read-only history several sites hold (a preloaded object,
+    DESIGN.md §8); built private, then switched to this class."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("the shared history of %s is read-only" % (self.oid,))
+
+    append = truncate_versions = gc_before = _read_only
+
+
 def _apply_cset_update(cset: CSet, update: Update) -> None:
     if isinstance(update, CSetAdd):
         cset.add(update.elem)
@@ -390,13 +430,18 @@ class SiteHistories:
 
     def history(self, oid: ObjectId) -> ObjectHistory:
         """Allocating accessor: the apply path (and tests) may create the
-        history of a first-touched object.  Read paths must use
-        :meth:`get` -- reading a nonexistent oid must not allocate."""
+        history of a first-touched object, or copy a shared one.  Read
+        paths must use :meth:`get` -- a read must not allocate."""
         hist = self._histories.get(oid)
         if hist is None:
             hist = ObjectHistory(oid)
             self._histories[oid] = hist
+        elif hist.__class__ is SharedHistory:
+            hist = self._histories[oid] = hist.copy()
         return hist
+
+    def adopt(self, hist: SharedHistory) -> None:
+        self._histories[hist.oid] = hist
 
     def get(self, oid: ObjectId) -> Optional[ObjectHistory]:
         """Non-mutating lookup for read paths."""
@@ -480,13 +525,18 @@ class SiteHistories:
     def gc(self, vts: VectorTimestamp, fold_cset=None) -> int:
         """GC below watermark ``vts``: drop superseded regular versions,
         and fold cset histories for which ``fold_cset(oid)`` is true into
-        their cached base.  Also drops fully-empty histories."""
+        their cached base.  Also drops fully-empty histories.  A shared
+        history is copied only if GC would drop or fold one of its
+        entries; one left shared keeps no watermark (DESIGN.md §8)."""
         removed = 0
         empty: List[ObjectId] = []
         for oid, hist in self._histories.items():
-            removed += hist.gc_before(
-                vts, fold_cset=bool(fold_cset and fold_cset(oid))
-            )
+            fold = bool(fold_cset and fold_cset(oid))
+            if hist.__class__ is SharedHistory:
+                if not hist.collectible(vts, fold):
+                    continue
+                hist = self._histories[oid] = hist.copy()
+            removed += hist.gc_before(vts, fold_cset=fold)
             if hist.is_empty():
                 empty.append(oid)
         for oid in empty:
@@ -507,7 +557,9 @@ class SiteHistories:
     # Serialization (checkpointing)
     # ------------------------------------------------------------------
     def dump(self) -> Dict[ObjectId, Dict[str, Any]]:
-        return {oid: hist.dump() for oid, hist in self._histories.items()}
+        """The checkpoint: private histories (shared ones are the preload image)."""
+        return {oid: hist.dump() for oid, hist in self._histories.items()
+                if hist.__class__ is not SharedHistory}
 
     def export_container(self, cid: str) -> Dict[ObjectId, Dict[str, Any]]:
         """Dump the retained histories of one container's objects --
@@ -519,13 +571,11 @@ class SiteHistories:
             if oid.container == cid
         }
 
-    def install_container(self, dumped: Dict[ObjectId, Dict[str, Any]]) -> int:
-        """Install a replica backfill from :meth:`export_container`.
-
-        Replaces this site's histories of the dumped objects: the
-        installer was not a replica until now, so every record it
-        received for them arrived trimmed and its local histories are
-        empty."""
+    def install(self, dumped: Dict[ObjectId, Dict[str, Any]]) -> int:
+        """Replace this site's histories of the dumped objects: with a
+        checkpoint, or with a replica backfill from :meth:`export_container`
+        (the installer was not a replica until now, so every record it
+        received for them arrived trimmed and its histories are empty)."""
         for oid, state in dumped.items():
             self._histories[oid] = ObjectHistory.load(oid, state)
         return len(dumped)
@@ -533,6 +583,5 @@ class SiteHistories:
     @classmethod
     def load(cls, state: Dict[ObjectId, Dict[str, Any]]) -> "SiteHistories":
         hists = cls()
-        for oid, hist_state in state.items():
-            hists._histories[oid] = ObjectHistory.load(oid, hist_state)
+        hists.install(state)
         return hists

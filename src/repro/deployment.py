@@ -217,9 +217,12 @@ class Deployment:
             else None
             for site in range(self.n_sites)
         ]
+        #: The preload image every storage shares (see :meth:`preload`).
+        self._image: Dict = {}
         for storage in self.storages:
             if storage is None:
                 continue
+            storage.image = self._image
             storage.bind_metrics(self.obs.registry)
             if self.obs.tracer is not None:
                 storage.bind_tracer(self.obs.tracer)
@@ -402,26 +405,33 @@ class Deployment:
         return client
 
     def preload(self, values) -> None:
-        """Seed objects as already-committed, fully-propagated site-0
-        transactions (used by benchmarks to populate the store without
-        simulating millions of warm-up writes).
+        """Seed objects as committed, fully-propagated state: an initial
+        durable image that every storage shares, not transactions
+        (benchmarks populate the store this way instead of simulating
+        millions of warm-up writes; DESIGN.md §8).  Each object gets the
+        next site-0 version and one read-only history that every replica
+        holds until it writes the object.  No commit record is created;
+        the trace records one transaction per object.  An object that
+        already has a history takes its new version like a write.
 
         ``values`` maps ObjectId -> bytes (regular) or, for csets, an
         iterable of elements, a ``{elem: count}`` dict, or a CSet.
         """
         from .core.cset import CSet
-        from .core.transaction import CommitRecord
+        from .core.history import ObjectHistory, SharedHistory
         from .core.updates import CSetAdd, CSetDel, DataUpdate
         from .core.versions import VectorTimestamp, Version
 
+        servers = self._owned_servers()
         if self.servers[0] is not None:
             seq = self.servers[0].curr_seqno
             start_vts = self.servers[0].committed_vts
         else:
             # Cluster mode without site 0: shadow the seqno stream so
-            # every worker mints identical preload versions/records.
+            # every worker mints identical preload versions.
             seq = self._preload_shadow_seq
             start_vts = VectorTimestamp.zeros(self.n_sites).with_entry(0, seq)
+        image = self._image
         for oid, value in values.items():
             seq += 1
             version = Version(0, seq)
@@ -436,27 +446,29 @@ class Deployment:
                     updates = [CSetAdd(oid, elem) for elem in counts]
             else:
                 updates = [DataUpdate(oid, value)]
-            record = CommitRecord(
-                tid="preload-%d" % seq,
-                site=0,
-                seqno=seq,
-                start_vts=start_vts,
-                updates=updates,
-            )
-            for server in self._owned_servers():
+            held = not updates or oid in image or any(oid in s.histories for s in servers)
+            if updates:
+                hist = image[oid].copy() if oid in image else ObjectHistory(oid)
+                for update in updates:
+                    hist.append(update, version)
+                hist.__class__ = SharedHistory
+                image[oid] = hist
+            for server in servers:
                 # Partial replication: a site only stores the shards it
                 # replicates; preloaded data follows the same placement.
                 if self._partial_replication and not self.config.container(
                     oid.container
                 ).replicated_at(server.site_id):
                     continue
-                server.histories.apply(updates, version)
-                server._records_by_version[version] = record
+                if held:
+                    server.histories.apply(updates, version)
+                else:
+                    server.histories.adopt(hist)
             if self.trace is not None:
                 from .spec.checker import TracedTx
 
                 self.trace.record_commit(
-                    TracedTx(record.tid, 0, start_vts, version, updates, frozenset(
+                    TracedTx("preload-%d" % seq, 0, start_vts, version, updates, frozenset(
                         u.oid for u in updates if isinstance(u, DataUpdate)
                     ))
                 )
@@ -464,9 +476,12 @@ class Deployment:
                 # commit order, so the merged trace has each site once.
                 for site in self.owned_sites():
                     self.trace.record_site_commit(site, version)
-        for server in self._owned_servers():
+        for server in servers:
             server.got_vts = server.got_vts.with_entry(0, seq)
             server.committed_vts = server.committed_vts.with_entry(0, seq)
+        for storage in self.storages:
+            if storage is not None:
+                storage.image_seqno = seq
         if self.servers[0] is not None:
             self.servers[0].curr_seqno = seq
         self._preload_shadow_seq = seq

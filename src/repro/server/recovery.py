@@ -111,6 +111,15 @@ class RecoveryMixin:
         removal protocol, so there is nothing to resume.)"""
         state, suffix = self.storage.recover()
         ds_tids, visible_tids = set(), set()
+        # Start from the preload image, the initial durable state.
+        self.histories = SiteHistories()
+        for hist in self.storage.image.values():
+            if not self.partial_replication or self.config.replicated_at(hist.oid, self.site_id):
+                self.histories.adopt(hist)
+        frontier = self.storage.image_seqno
+        self.got_vts = VectorTimestamp.zeros(len(self.got_vts)).with_entry(0, frontier)
+        self.committed_vts = self.got_vts
+        self.curr_seqno = frontier if self.site_id == 0 else 0
         if state is not None:
             self.curr_seqno = state["curr_seqno"]
             self.committed_vts = VectorTimestamp(state["committed_vts"])
@@ -119,9 +128,10 @@ class RecoveryMixin:
             ds_tids = set(state["ds_tids"])
             visible_tids = set(state["visible_tids"])
             # The history dump is taken atomically with the vectors, so
-            # it is exactly the applied state at GotVTS (including any
-            # cset bases the GC folded, which records cannot rebuild).
-            self.histories = SiteHistories.load(state["histories"])
+            # over the image it is exactly the applied state at GotVTS
+            # (including any cset bases the GC folded, which records
+            # cannot rebuild).
+            self.histories.install(state["histories"])
         for payload in suffix:
             self._replay_log_record(payload, ds_tids, visible_tids)
         self._visible_tids = set(visible_tids)
@@ -161,7 +171,7 @@ class RecoveryMixin:
             # Propagation will never redeliver the trimmed-away history,
             # so the logged copy is its only durable source; replayed at
             # its log position like any other record.
-            self.histories.install_container(payload["dump"])
+            self.histories.install(payload["dump"])
         elif kind == "ds_durable":
             ds_tids.add(payload["tid"])
         elif kind == "globally_visible":
@@ -187,7 +197,7 @@ class RecoveryMixin:
         every record sent before the membership change.  Returns the
         log-append event so the caller can await durability before
         acting on the installed copy."""
-        self.histories.install_container(dumped)
+        self.histories.install(dumped)
         return self.storage.log.append(
             {"kind": "container_backfill", "cid": cid, "dump": dumped}
         )
@@ -322,10 +332,10 @@ class RecoveryMixin:
 
         dropped = 0
         for oid in self.histories.known_oids():
-            history = self.histories.history(oid)
-            dropped += history.truncate_versions(
-                [e.version for e in history if survives(e.version)]
-            )
+            history = self.histories.get(oid)
+            keep = [e.version for e in history if survives(e.version)]
+            if len(keep) < len(history):  # truncating copies a shared history
+                dropped += self.histories.history(oid).truncate_versions(keep)
         for version in [v for v in self._records_by_version if not survives(v)]:
             del self._records_by_version[version]
         if self.got_vts[failed_site] > survive_upto:

@@ -53,6 +53,11 @@ class SiteStorage:
         self._checkpointer: Optional[Checkpointer] = None
         #: Small durable key-value area for server metadata (leases etc.).
         self.metadata: Dict[str, Any] = {}
+        #: The preload image, the initial durable state a restart starts
+        #: from (DESIGN.md §8): oid -> shared history, one dict for all of
+        #: a deployment's storages, and the site-0 seqno it covers.
+        self.image: Dict[Any, Any] = {}
+        self.image_seqno = 0
 
     def bind_metrics(self, registry) -> None:
         """Expose this site's cache and WAL stats through the shared
