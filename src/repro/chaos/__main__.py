@@ -1,8 +1,10 @@
 """CLI for the chaos harness.
 
-Run a batch of seeded chaos experiments; on the first failure, shrink
-the schedule and write a reproduction artifact (seed + shrunk schedule
-as canonical JSON) next to the working directory, then exit non-zero.
+Run a batch of seeded chaos experiments and print every seed's verdict
+line (a census: the batch does not stop at a failure); exit non-zero if
+any seed failed.  A single failing seed (``--runs 1``) is also shrunk,
+and its reproduction artifact (seed + shrunk schedule as canonical
+JSON) is written next to the working directory.
 
 With ``--corpus DIR`` it instead replays every stored reproduction
 artifact (``seed-*.json``) in that directory and verifies the run still
@@ -69,7 +71,10 @@ def main(argv=None) -> int:
         description="seeded fault-injection runs checked against the PSI model",
     )
     parser.add_argument("--seed", type=int, default=1, help="first seed (default 1)")
-    parser.add_argument("--runs", type=int, default=1, help="number of seeds to run")
+    parser.add_argument(
+        "--runs", type=int, default=1,
+        help="number of seeds to run; each prints its verdict (only --runs 1 shrinks)",
+    )
     parser.add_argument("--sites", type=int, default=3, help="sites in the deployment")
     parser.add_argument(
         "--shards", type=int, default=1,
@@ -125,6 +130,7 @@ def main(argv=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    failed = 0
     for seed in range(args.seed, args.seed + args.runs):
         config = replace(base, seed=seed)
         result = run_chaos(config)
@@ -143,8 +149,11 @@ def main(argv=None) -> int:
         )
         if result.passed:
             continue
+        failed += 1
         for violation in result.violations:
             print("  %s" % violation)
+        if args.runs > 1:
+            continue
         print("shrinking schedule (%d events)..." % len(result.schedule))
         report = shrink_schedule(config, result.schedule, max_runs=args.shrink_runs)
         print(
@@ -154,8 +163,7 @@ def main(argv=None) -> int:
         out = args.out or ("chaos-repro-%d.json" % seed)
         report.result.artifact().save(out)
         print("  wrote %s  (replay: ReproArtifact.load(path).replay())" % out)
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -727,130 +727,36 @@ class Deployment:
             raise
         return replacement
 
-    def migrate_preferred_site(
-        self, cid: str, to_site: int, within: float = 30.0
-    ) -> Generator:
-        """Planned preferred-site migration of one container, using the
-        same lease mechanism §5.7 uses for reassignment after a site
-        failure.  The fast-commit conflict check is only sound at a site
-        whose history is complete for the container, so the migration
-        must not take effect before the target caught up with
-        everything the old preferred site admitted:
-
-        1. revoke the lease -- new writes to the container abort until
-           the migration lands (or is rolled back);
-        2. wait for both endpoints to be up: a crashed target cannot
-           catch up, and a crashed old server only re-establishes its
-           admitted frontier once replaced and recovered;
-        3. wait until the target's GotVTS dominates the old preferred
-           site's CommittedVTS;
-        4. re-check the target is still alive -- it may have crashed
-           *during* the catch-up wait with its GotVTS already dominant,
-           and granting the lease to a dead server would stall the
-           container until a manual reassignment;
-        5. reassign, which also grants the lease to the target.
-
-        The rollback path re-grants the old site's lease **exactly
-        once** on *any* failure -- not just the deadline TimeoutError:
-        an unexpected exception (or an interrupt delivered to the
-        generator, e.g. the driving process being killed by a chaos
-        fault) must not leave the lease suspended forever, and must not
-        open a window where both sites hold it.  Between revoke and the
-        single terminal grant no site holds the lease, so at no point
-        can two sites fast-commit the container.
-        """
+    def migrate_preferred_site(self, cid: str, to_site: int, within: float = 30.0) -> Generator:
+        """Planned preferred-site migration of one container by the §5.7
+        hand-over (:meth:`SiteRecoveryCoordinator.handover`): revoke the
+        lease, so writes to the container abort, and grant once the target
+        holds what every live site had received; each coordinator call
+        gives up ``within`` seconds from now.  On *any* failure -- the
+        deadline, a crashed target, an interrupt of the driving process --
+        the old site's lease comes back exactly once, so no two sites can
+        ever fast-commit the container."""
         old = self.config.container(cid).preferred_site
         if old == to_site:
             self.config.reassign_preferred_site(cid, to_site)  # re-grant lease
             return
+        coordinator = self._coordinator(at_site=to_site)
+        coordinator.deadline = self.kernel.now + within
+        # The old site is a source even while it is down: a replacement
+        # re-establishes what it admitted, and the calls wait for it.
+        sources = [old] + [peer for peer in self._live_peers(to_site) if peer != old]
         self.config.suspend_lease(cid)
-        deadline = self.kernel.now + within
         granted = False
         try:
-            while self.network.is_crashed(
-                self.addresses[old]
-            ) or self.network.is_crashed(self.addresses[to_site]):
-                if self.kernel.now >= deadline:
-                    raise TimeoutError(
-                        "migration of %r to site %d: endpoint down past deadline"
-                        % (cid, to_site)
-                    )
-                yield self.kernel.timeout(0.05)
-            backfill = self._partial_replication and not self.config.container(
-                cid
-            ).replicated_at(to_site)
-            needed = self.servers[old].committed_vts
-            if backfill:
-                # The target is *joining* the replica set: every record
-                # it received so far arrived trimmed, so it holds no
-                # data for the container and must install a copy from
-                # the old replica before the grant.  Freeze the commit
-                # frontier of every live site -- the revoked lease
-                # refuses new writes to the container -- and wait for
-                # BOTH endpoints to dominate it: only then does the old
-                # site's history hold every committed write to the
-                # container (including ones slow-committed at third
-                # sites still propagating), making the copy complete.
-                for peer, server in enumerate(self.servers):
-                    if server is None or self.network.is_crashed(
-                        self.addresses[peer]
-                    ):
-                        continue
-                    needed = needed.merge(server.committed_vts)
-
-            def caught_up() -> bool:
-                if not self.servers[to_site].got_vts.dominates(needed):
-                    return False
-                if backfill and not self.servers[old].got_vts.dominates(needed):
-                    return False
-                return True
-
-            while not caught_up():
-                if self.kernel.now >= deadline:
-                    raise TimeoutError(
-                        "migration of %r to site %d: target never caught up"
-                        % (cid, to_site)
-                    )
-                yield self.kernel.timeout(0.01)
-            if backfill:
-                # Install the copy and wait for its WAL flush: granting
-                # before durability would let a target crash fence the
-                # copy away -- and propagation can never redeliver it.
-                # Polled, not yielded: fencing drops the flush's done
-                # event without firing it, and a wedged wait here would
-                # leave the lease suspended forever.
-                durable = self.servers[to_site].install_container_backfill(
-                    cid, self.servers[old].histories.export_container(cid)
-                )
-                while not durable.triggered:
-                    if self.kernel.now >= deadline or self.network.is_crashed(
-                        self.addresses[to_site]
-                    ):
-                        raise TimeoutError(
-                            "migration of %r to site %d: backfill never durable"
-                            % (cid, to_site)
-                        )
-                    yield self.kernel.timeout(0.01)
-            if self.network.is_crashed(self.addresses[to_site]):
-                raise TimeoutError(
-                    "migration of %r to site %d: target crashed during catch-up"
-                    % (cid, to_site)
-                )
-            self.config.reassign_preferred_site(cid, to_site)
+            yield from coordinator.handover(self.config, [cid], to_site, sources, "migrate")
             granted = True
         finally:
             if not granted:
-                # Exactly-once rollback: this is the only other grant
-                # after the revoke above, and it runs iff the terminal
-                # grant did not.
                 self.config.reassign_preferred_site(cid, old)
 
     def _coordinator(self, at_site: int = 0) -> SiteRecoveryCoordinator:
-        host = Host(
-            self.kernel,
-            self.network,
-            at_site,
-            "recovery-coord-%d-%d" % (self._deploy_id, next(self._client_seq)),
-        )
+        name = "recovery-coord-%d-%d" % (self._deploy_id, next(self._client_seq))
+        host = Host(self.kernel, self.network, at_site, name)
         host.start()
-        return SiteRecoveryCoordinator(self.kernel, host, self.addresses)
+        return SiteRecoveryCoordinator(
+            self.kernel, host, self.addresses, self.servers, self.obs.registry)

@@ -100,15 +100,19 @@ class FastCommitMixin:
             self._span(tx.tid, span.ABORT, phase="site_synchronizing")
             return ABORTED
         writeset = tx.write_set
-        self._check_leases(writeset)
         preferred_site = self.config.preferred_site
         site_id = self.site_id
-        all_local = True
-        for oid in writeset:
-            if preferred_site(oid) != site_id:
-                all_local = False
-                break
-        if all_local:
+        local = {oid: site_id for oid in writeset if preferred_site(oid) == site_id}
+        if not self._leases_held(tx, local):
+            if not self.partial_replication:
+                raise PreferredSiteUnavailableError(
+                    "%s writes a container with no valid preferred-site lease" % (tx.tid,))
+            tx.mark_aborted()
+            self._drop_tx(tx.tid)
+            self.stats.inc("aborts")
+            self._span(tx.tid, span.ABORT, phase="lease_suspended")
+            return ABORTED
+        if len(local) == len(writeset):
             status = yield from self._fast_commit(tx, notify)
         else:
             status = yield from self._slow_commit(tx, notify)
@@ -120,23 +124,26 @@ class FastCommitMixin:
             self._commit_latency.observe(self.kernel.now - started_at)
         return status
 
-    def _check_leases(self, writeset) -> None:
-        """Reject writes to locally-preferred containers whose lease is
-        suspended (site failed, reassignment pending -- §5.7).  Objects
-        with remote preferred sites are checked authoritatively by the
-        participant's prepare vote; the coordinator's cache may be stale
-        (§5.1)."""
-        preferred_site = self.config.preferred_site
+    def _leases_held(self, tx: Transaction, holders) -> bool:
+        """Whether the preferred-site leases this commit relies on are
+        held (§5.7): each written object's by the site ``holders`` maps
+        it to (this site for a fast commit, the voter for a slow one) and,
+        under partial replication, every touched container's, cset adds
+        included -- a hand-over copies a joining replica from the frontier
+        it read at the revoke, so a later add would reach it trimmed.
+        Checked again under the commit lock: the hand-over grants on the
+        premise that nothing commits under a revoked lease, and a new
+        holder never saw the old one's prepare locks (DESIGN.md §13)."""
         holds_lease = self.config.holds_preferred_lease
-        site_id = self.site_id
-        for oid in writeset:
-            preferred = preferred_site(oid)
-            if preferred != site_id:
-                continue
-            if not holds_lease(oid.container, preferred):
-                raise PreferredSiteUnavailableError(
-                    "container %r has no valid preferred-site lease" % (oid.container,)
-                )
+        for oid, site in holders.items():
+            if not holds_lease(oid.container, site):
+                return False
+        if self.partial_replication:
+            preferred_site = self.config.preferred_site
+            for oid in tx.touched:
+                if not holds_lease(oid.container, preferred_site(oid)):
+                    return False
+        return True
 
     def _fast_commit(self, tx: Transaction, notify: Optional[str] = None):
         """Fig 11 fastCommit."""
@@ -152,16 +159,18 @@ class FastCommitMixin:
             locked = self.locked
             delayed = self._is_access_delayed
             start_vts = tx.start_vts
+            write_set = tx.write_set
             conflict = False
-            for oid in tx.write_set:
+            for oid in write_set:
                 if not unmodified(oid, start_vts) or oid in locked or delayed(oid):
                     self.profiler.record_conflict(oid)
                     conflict = True
                     break
-            if conflict:
+            if conflict or not self._leases_held(tx, dict.fromkeys(write_set, self.site_id)):
                 tx.mark_aborted()
                 self.stats.inc("aborts")
-                self._span(tx.tid, span.ABORT, phase="fast_commit")
+                self._span(tx.tid, span.ABORT,
+                           phase="fast_commit" if conflict else "lease_suspended")
                 return ABORTED
             version = self._apply_local_commit(tx)
         finally:

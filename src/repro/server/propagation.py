@@ -177,13 +177,17 @@ class PropagationMixin:
         batch, then wait for that batch to become DS-durable before the
         next -- this serialization is what yields the [RTTmax, 2·RTTmax]
         DS-durability latency distribution (Fig 19)."""
+        getter = None
         try:
             while True:
-                if len(self._outbox):
+                if getter is None and len(self._outbox):
                     first = self._outbox.get_nowait()
                 else:
+                    # One pending getter at a time: an idle tick keeps it
+                    # for the next wait, so no put lands in a dead one.
+                    getter = getter or self._outbox.get()
                     index, first = yield AnyOf(
-                        [self._outbox.get(), self.kernel.timeout(self._batch_period() * 4)]
+                        [getter, self.kernel.timeout(self._batch_period() * 4)]
                     )
                     if index == 1:
                         # Idle tick: retransmit anything stuck un-acked
@@ -191,6 +195,7 @@ class PropagationMixin:
                         # for new work again.
                         self._resend_unacked()
                         continue
+                    getter = None
                 records: List[CommitRecord] = [first] + self._outbox.drain()
                 self._send_batch(records)
                 waits = [

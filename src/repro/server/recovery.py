@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional
 from ..core.history import SiteHistories
 from ..core.transaction import CommitRecord
 from ..core.versions import VectorTimestamp, Version
+from ..sim import AllOf
 
 
 class RecoveryMixin:
@@ -167,10 +168,8 @@ class RecoveryMixin:
                         version.site, version.seqno
                     )
         elif kind == "container_backfill":
-            # Replica-join copy (partial replication, DESIGN.md §13).
-            # Propagation will never redeliver the trimmed-away history,
-            # so the logged copy is its only durable source; replayed at
-            # its log position like any other record.
+            # Replica-join copy (DESIGN.md §13): the only durable source
+            # of the history propagation trimmed away.
             self.histories.install(payload["dump"])
         elif kind == "ds_durable":
             ds_tids.add(payload["tid"])
@@ -187,20 +186,6 @@ class RecoveryMixin:
             self._discard_abandoned_suffix(
                 payload["failed_site"], payload["survive_upto"]
             )
-
-    def install_container_backfill(self, cid: str, dumped) -> "Any":
-        """Install a replica backfill: this site is joining ``cid``'s
-        replica set (partial replication) and receives a copy of the
-        container's retained histories from an existing replica.  The
-        copy is WAL-logged -- a replacement server cannot re-fetch it
-        from propagation, which trims this container's updates out of
-        every record sent before the membership change.  Returns the
-        log-append event so the caller can await durability before
-        acting on the installed copy."""
-        self.histories.install(dumped)
-        return self.storage.log.append(
-            {"kind": "container_backfill", "cid": cid, "dump": dumped}
-        )
 
     def seal_seqno_holes(self) -> int:
         """Fill own-site seqno holes with no-op commits.
@@ -268,10 +253,11 @@ class RecoveryMixin:
         return self.histories.export_container(cid)
 
     def rpc_container_install(self, cid: str, dump):
-        """Install a replica-join copy; acks only after the WAL flush
-        (the coordinator retries on timeout, and install is idempotent:
-        it replaces the same objects with the same dump)."""
-        yield self.install_container_backfill(cid, dump)
+        """Install a replica-join copy, WAL-logged (propagation trimmed
+        the container out of every record sent here before the join) and
+        acked after the flush; idempotent, so the coordinator retries."""
+        self.histories.install(dump)
+        yield self.storage.log.append({"kind": "container_backfill", "cid": cid, "dump": dump})
         return "OK"
 
     def rpc_recovery_report(self):
@@ -411,7 +397,8 @@ class RecoveryMixin:
 
 
 class SiteRecoveryCoordinator:
-    """Drives the aggressive site-removal and re-integration protocols.
+    """Drives the aggressive site-removal and re-integration protocols
+    and every preferred-site hand-over (:meth:`handover`).
 
     In the paper this logic lives in the Paxos-replicated configuration
     service; here it is a coordinator object whose methods are simulated
@@ -428,17 +415,26 @@ class SiteRecoveryCoordinator:
     RPC_TIMEOUT = 5.0
     RPC_RETRIES = 8
 
-    def __init__(self, kernel, coordinator_host, server_addresses: Dict[int, str]):
+    def __init__(self, kernel, coordinator_host, server_addresses: Dict[int, str],
+                 servers, registry):
         self.kernel = kernel
         self.host = coordinator_host  # any Host able to issue RPCs
         self.server_addresses = dict(server_addresses)
+        #: The deployment's server list: a hand-over reads its endpoints'
+        #: reports in process when all are up (DESIGN.md Known deviation #5).
+        self.servers = servers
+        self.registry = registry
+        #: Simulated time past which :meth:`_call` raises ``TimeoutError``
+        #: instead of sending (a migration's ``within``); None: no deadline.
+        self.deadline: Optional[float] = None
         self._rk_counter = 0
 
     def _call(self, address: str, method: str, **kwargs):
         """RPC with bounded retries on timeout.  Reports are reads and
         deliver/commit_upto are monotone, so resending those is safe;
         finalize is made at-most-once with a request key (a late
-        duplicate would re-truncate at a stale bound)."""
+        duplicate would re-truncate at a stale bound).  Under a
+        :attr:`deadline` no attempt waits past it."""
         from ..net import RpcTimeout
 
         if method == "recovery_finalize":
@@ -448,22 +444,25 @@ class SiteRecoveryCoordinator:
                 "%s:%d" % (getattr(self.host, "address", "coord"), self._rk_counter),
             )
         for attempt in range(self.RPC_RETRIES + 1):
+            timeout = self.RPC_TIMEOUT
+            if self.deadline is not None:
+                timeout = min(timeout, self.deadline - self.kernel.now)
+                if timeout <= 0:
+                    raise TimeoutError("%s to %s: past the deadline" % (method, address))
             try:
-                result = yield from self.host.call(
-                    address, method, timeout=self.RPC_TIMEOUT, **kwargs
-                )
-                return result
+                return (yield from self.host.call(address, method, timeout=timeout, **kwargs))
             except RpcTimeout:
                 if attempt == self.RPC_RETRIES:
                     raise
 
     def _reports(self, sites: List[int]):
-        """``recovery_report`` of each of ``sites``, in order."""
-        reports = []
-        for site in sites:
-            report = yield from self._call(self.server_addresses[site], "recovery_report")
-            reports.append(report)
-        return reports
+        """``recovery_report`` of each of ``sites``, in order, asked in
+        one parallel round."""
+        return (yield AllOf([
+            self.kernel.spawn(self._call(self.server_addresses[site], "recovery_report"),
+                              name="recovery.report:%d" % site)
+            for site in sites
+        ]))
 
     @staticmethod
     def _best(reports, key: str) -> List[int]:
@@ -511,16 +510,81 @@ class SiteRecoveryCoordinator:
             reports = yield from self._reports(sources)
         if want is None:
             want = self._best(reports, "got")
-        for origin, upto in enumerate(want):
-            if have["got"][origin] < upto:
-                records = yield from self._fetch(
-                    sources, origin, have["got"][origin], upto)
-                yield from self._call(target, "recovery_deliver", records=records)
+        yield from self._deliver(target, have, sources, want)
         if commit:
             for origin, upto in enumerate(self._best(reports, "durable")):
                 if have["committed"][origin] < upto:
                     yield from self._call(target,
                         "recovery_commit_upto", site=origin, upto=upto)
+
+    def _deliver(self, target: str, have, sources: List[int], want: List[int]):
+        """Deliver to ``target`` (whose report is ``have``) each origin's
+        records it lacks, up to ``want``, fetched in one parallel round."""
+        fetches = [
+            self.kernel.spawn(self._fetch(sources, origin, have["got"][origin], upto),
+                              name="recovery.fetch:%d" % origin)
+            for origin, upto in enumerate(want) if have["got"][origin] < upto
+        ]
+        for records in ((yield AllOf(fetches)) if fetches else []):
+            yield from self._call(target, "recovery_deliver", records=records)
+
+    def _live_server(self, site: int):
+        down = self.host.network.is_crashed(self.server_addresses[site])
+        return None if down else self.servers[site]
+
+    def handover(self, config, cids: List[str], to_site: int, sources: List[int],
+                 caller: str, remember_original: bool = False):
+        """Generator: the one preferred-site hand-over (§5.7), behind
+        migration, site removal and the re-integration hand-back.  The
+        caller has revoked the leases of ``cids``; they are granted to
+        ``to_site`` once it holds the frontier, the best GotVTS over it
+        and ``sources``.  A revoked lease admits no write the target could
+        miss (under partial replication not even a cset add, see
+        ``_leases_held``).  The target is caught up to the frontier, and
+        each container it does not replicate is copied from a replica
+        caught up to the same frontier; a container with no replica among
+        the sources keeps its lease revoked until one returns.  The
+        reports are read in process when every endpoint is up (DESIGN.md
+        Known deviation #5), so a target already there that replicates
+        every container is granted at once, with no RPC.  If this raises
+        nothing was granted, and the caller re-grants.  Each call is one
+        ``recovery.handover_s`` sample, labelled by caller and outcome."""
+        started, outcome, cids = self.kernel.now, "failed", list(cids)
+        # The target is a source too: a copy must hold its own commits.
+        sites = [to_site] + [site for site in sources if site != to_site]
+        try:
+            servers = [self._live_server(site) for site in sites]
+            if None in servers:
+                reports = yield from self._reports(sites)
+            else:
+                reports = [server.rpc_recovery_report() for server in servers]
+            frontier = self._best(reports, "got")
+            target = self.server_addresses[to_site]
+            yield from self._deliver(target, reports[0], sites, frontier)
+            caught_up = set()
+            for cid in list(cids):
+                container = config.container(cid)
+                if container.replicated_at(to_site):
+                    continue
+                donor = next((s for s in sources if container.replicated_at(s)), None)
+                if donor is None:
+                    cids.remove(cid)
+                    continue
+                address = self.server_addresses[donor]
+                if donor not in caught_up:
+                    yield from self._deliver(address, reports[sites.index(donor)],
+                                             sites, frontier)
+                    caught_up.add(donor)
+                dump = yield from self._call(address, "container_export", cid=cid)
+                yield from self._call(target, "container_install", cid=cid, dump=dump)
+            if self._live_server(to_site) is None:
+                raise TimeoutError("hand-over to site %d: target crashed" % to_site)
+            for cid in cids:
+                config.reassign_preferred_site(cid, to_site, remember_original=remember_original)
+            outcome = "granted"
+        finally:
+            self.registry.histogram("recovery.handover_s", caller=caller, outcome=outcome
+                                    ).observe(self.kernel.now - started)
 
     def remove_site(self, config, failed_site: int, reassign_to: int):
         """Generator implementing §5.7 "Handling a site failure"
@@ -590,34 +654,15 @@ class SiteRecoveryCoordinator:
             yield from self._call(self.server_addresses[site], "recovery_finalize",
                 failed_site=failed_site, survive_upto=survive_upto)
 
-        # 5. Reassign the failed site's containers and re-evaluate
-        #    durability conditions under the shrunk active set.  Under
-        #    partial replication the new preferred site may not replicate
-        #    a container -- every record it ever received for it arrived
-        #    trimmed -- so it first installs a copy from a surviving
-        #    replica.  The donor is first caught up to the survivors'
-        #    committed frontier: the suspended lease admits no new writes
-        #    to the container, so it then holds every committed one and
-        #    the copy is complete.
-        frontier = self._best(reports.values(), "committed")
-        caught_up = set()
-        for container in config.containers():
-            if container.preferred_site != failed_site or container.replicated_at(reassign_to):
-                continue
-            donor_site = next((s for s in survivors if container.replicated_at(s)), None)
-            if donor_site is None:
-                continue  # every replica failed with the site; data lost
-            if donor_site not in caught_up:
-                yield from self.catch_up(self.server_addresses[donor_site], survivors,
-                                         want=frontier, commit=False)
-                caught_up.add(donor_site)
-            dump = yield from self._call(
-                self.server_addresses[donor_site], "container_export", cid=container.id)
-            yield from self._call(self.server_addresses[reassign_to],
-                "container_install", cid=container.id, dump=dump)
-        for container in config.containers():
-            if container.preferred_site == failed_site:
-                config.reassign_preferred_site(container.id, reassign_to, remember_original=True)
+        # 5. Hand the failed site's containers (leases revoked at step 1)
+        #    to ``reassign_to`` -- from the sites active *now*: one back
+        #    since step 2 may hold a container's only replica -- and
+        #    re-check durability under the shrunk active set.  No holder
+        #    to re-grant on failure: the re-integration re-runs this.
+        moved = [c.id for c in config.containers() if c.preferred_site == failed_site]
+        if moved:
+            yield from self.handover(config, moved, reassign_to, config.active_sites(),
+                                     "removal", remember_original=True)
         for site in survivors:
             yield from self._call(self.server_addresses[site], "recheck_durability")
         return survive_upto
@@ -648,30 +693,18 @@ class SiteRecoveryCoordinator:
         # propagates normally.  If this round fails the deployment
         # re-runs it: nothing else would deliver that window.
         yield from self.catch_up(returning_server_address, survivors)
-        # Hand displaced containers back to their original preferred
-        # site -- under a suspended lease, and only once the returning
-        # site holds everything each temporary holder admitted: a
-        # transaction the holder fast-committed after the rounds above
-        # read its report, granted back before it arrives, would let the
-        # returning site fast-commit over it (chaos seed 613).  Same rule
-        # as ``migrate_preferred_site`` step 3: no site holds the lease
-        # between the revoke and the grant.  Delivery only: the holder's
-        # newest commits commit here once DS-durable, like any other.
-        holder_of = {
-            cid: config.container(cid).preferred_site
-            for cid, original in config.displaced.items()
-            if original == returning_site
-        }
+        # Hand displaced containers back: the holders may have admitted
+        # commits the rounds above did not read (chaos seed 613).
+        holder_of = {cid: config.container(cid).preferred_site
+                     for cid, original in config.displaced.items() if original == returning_site}
         for cid in holder_of:
             config.suspend_lease(cid)
         try:
             if holder_of:
-                held = yield from self._reports(sorted(set(holder_of.values())))
-                yield from self.catch_up(returning_server_address, survivors,
-                                         want=self._best(held, "got"), commit=False)
+                yield from self.handover(config, list(holder_of), returning_site,
+                                         survivors, "handback")
         except BaseException:
-            # An unreachable holder must not leave the leases suspended
-            # forever: the containers stay displaced, holders re-granted.
+            # The containers stay displaced, their holders re-granted.
             for cid, holder in holder_of.items():
                 config.reassign_preferred_site(cid, holder)
             raise

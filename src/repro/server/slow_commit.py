@@ -77,12 +77,13 @@ class SlowCommitMixin:
     def _slow_commit(self, tx: Transaction, notify: Optional[str] = None):
         """Fig 12 slowCommit: 2PC among preferred sites of written objects."""
         self.stats.inc("slow_commit_attempts")
-        sites = sorted({self.config.preferred_site(oid) for oid in tx.write_set})
+        placement = {oid: self.config.preferred_site(oid) for oid in tx.write_set}
+        sites = sorted(set(placement.values()))
         self._span(tx.tid, span.SLOW_COMMIT_PREPARE, participants=len(sites))
         span_ctx = self._deep_ctx(tx.tid, span.SLOW_COMMIT_PREPARE)
 
         def ask(site: int):
-            oids = [o for o in sorted(tx.write_set, key=str) if self.config.preferred_site(o) == site]
+            oids = [o for o in sorted(placement, key=str) if placement[o] == site]
             try:
                 vote = yield from self.call(
                     self.peers[site],
@@ -105,14 +106,20 @@ class SlowCommitMixin:
         votes: Dict[int, bool] = dict((yield AllOf(procs)))
         self._deep(tx.tid, span.COMMIT_VOTES, yes=sum(votes.values()), asked=len(votes))
 
-        if all(votes.values()):
+        yes = committed = all(votes.values())
+        if yes:
             yield self.commit_lock.acquire()
             self._deep(tx.tid, span.COMMIT_LOCK_ACQUIRED)
             try:
                 yield self.kernel.timeout(self.costs.commit_critical)
-                version = self._apply_local_commit(tx)
+                # A voter whose lease moved since its vote: the new holder
+                # never saw the vote's locks (see ``_leases_held``).
+                committed = self._leases_held(tx, placement)
+                if committed:
+                    version = self._apply_local_commit(tx)
             finally:
                 self.commit_lock.release()
+        if committed:
             # Decision point: participants learn COMMIT from propagation
             # (reliably retransmitted), orphan queries from this table.
             self._record_decision(tx.tid, COMMITTED)
@@ -142,7 +149,7 @@ class SlowCommitMixin:
                 )
         tx.mark_aborted()
         self.stats.inc("aborts")
-        self._span(tx.tid, span.ABORT, phase="slow_commit")
+        self._span(tx.tid, span.ABORT, phase="lease_suspended" if yes else "slow_commit")
         return ABORTED
 
     def _deliver_abort(self, tid: str, site: int):

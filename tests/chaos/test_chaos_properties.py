@@ -68,3 +68,17 @@ def test_failing_artifact_round_trips(tmp_path):
 def test_planted_bug_passes_without_the_bug():
     """Same seed, bug disabled: the protocol is actually correct."""
     assert run_chaos(ChaosConfig(seed=2)).passed
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ChaosConfig(seed=0), ChaosConfig(seed=0, shards=2, replication=2)],
+    ids=["default", "sharded"],
+)
+def test_an_idle_propagation_loop_leaves_at_most_one_outbox_getter(config):
+    """An idle tick of the propagation loop keeps its pending outbox
+    getter for the next wait instead of abandoning it, so no commit
+    record lands in a dead getter and leaves the batch path."""
+    result = run_chaos(config)
+    for server in result.world.servers:
+        assert len(server._outbox._getters) <= 1, server.site_id

@@ -7,8 +7,8 @@ the ``reassign_to`` site, which need not be the donor.  A transaction the
 holder fast-committed on a displaced container that has not reached the
 donor yet is in neither catch-up round, so granting the lease straight
 back let the returning site fast-commit over it.  The hand-back now
-suspends the lease, catches the returning site up to each holder's own
-GotVTS, and only then grants.
+suspends the lease, catches the returning site up to the best GotVTS
+over the survivors (the holder's included), and only then grants.
 """
 
 import pytest
@@ -81,17 +81,40 @@ def test_returning_site_has_the_holders_commits_before_its_first_fast_commit():
     seqno = world.servers[HOLDER].curr_seqno
     assert world.servers[DONOR].got_vts[HOLDER] < seqno
 
+    # A second holder commit lands inside the final catch-up round: the
+    # holder has answered its report, and the reply is still crossing
+    # the slow link when the commit happens.  The record reaches the
+    # returning site at once, but its DS durability waits on the donor's
+    # ack over that link, so it is applied there and not yet committed
+    # when the hand-back grants.
+    holder_client = world.new_client(HOLDER)
+    late = []
+
+    def holder_writes_during_the_final_round():
+        while not world.config.is_active(RETURNING):
+            yield world.kernel.timeout(0.001)
+        yield world.kernel.timeout(1.5)
+        tx = holder_client.start_tx()
+        yield from holder_client.write(tx, oid, b"late")
+        late.append((yield from holder_client.commit(tx)))
+        late.append(world.servers[HOLDER].curr_seqno)
+
+    world.kernel.spawn(holder_writes_during_the_final_round(), name="late-holder-write")
     world.reintegrate_site(RETURNING, within=120.0)
     assert world.config.container("c0").preferred_site == RETURNING
     assert world.config.holds_preferred_lease("c0", RETURNING)
     # The lease is back, so the next write fast-commits here: the
-    # conflict check is only sound if the holder's commit is applied.
-    assert world.servers[RETURNING].got_vts[HOLDER] >= seqno
+    # conflict check is only sound if the holder's commits are applied.
+    assert late and late[0] == "COMMITTED"
+    late_seqno = late[1]
+    returning = world.servers[RETURNING]
+    assert returning.got_vts[HOLDER] >= late_seqno > seqno
+    assert returning.committed_vts[HOLDER] < late_seqno
 
     client = world.new_client(RETURNING)
-    # Applied but not yet committed here (DS durability waits on the slow
-    # donor link), so it is outside a new snapshot: a blind overwrite
-    # right now is a write-write conflict and must be refused.
+    # Applied but not yet committed here, so it is outside a new
+    # snapshot: a blind overwrite right now is a write-write conflict
+    # and must be refused.
     assert commit_write(world, client, oid, b"too-early") == "ABORTED"
     world.settle(15.0)
     assert commit_write(world, client, oid, b"back-home") == "COMMITTED"

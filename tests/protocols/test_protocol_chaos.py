@@ -53,7 +53,7 @@ def test_protocol_chaos_verdict_deterministic(name):
 #: the client's record they fail; by the servers' witness, which lists
 #: the writer as committed, they pass.  Each is a stored artifact, so the
 #: schedule that produced it stays fixed.
-INDETERMINATE_COMMITS = [("si", 17), ("consus", 23), ("nmsi", 10), ("walter", 96)]
+INDETERMINATE_COMMITS = [("si", 17), ("consus", 23), ("nmsi", 10), ("walter", 108)]
 
 
 def _artifact(name, seed):
