@@ -604,9 +604,7 @@ class Deployment:
         if checkpointer is not None:
             # The old server's checkpointer died with it; the replacement
             # resumes checkpointing at the same cadence.
-            self.storages[site].attach_checkpointer(
-                replacement.state_snapshot, interval=checkpointer.interval
-            )
+            replacement.enable_checkpointing(interval=checkpointer.interval)
         # Feed it those records rather than wait for retransmission: a
         # peer retires a propagation tracker once the active set acked,
         # and a predecessor that was mid re-integration was not in that

@@ -16,11 +16,12 @@ failure model.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from ..obs import CounterView, MetricsRegistry
-from ..sim import Kernel, RandomStreams, Store
+from ..sim import Kernel, RandomStreams
 from .topology import Site, Topology
 
 
@@ -186,9 +187,9 @@ class Network:
         self._call_at = kernel.call_at
         self.jitter_frac = jitter_frac
         self.loss_rate = loss_rate
-        self._mailboxes: Dict[str, Store] = {}
+        self._mailboxes: Dict[str, Deque[Message]] = {}
         # address -> the callable ``_deliver`` hands a message to: the
-        # mailbox's ``put`` until a Host attaches its own receiver.
+        # mailbox's ``append`` until a Host attaches its own receiver.
         self._receivers: Dict[str, Callable[[Message], None]] = {}
         self._host_sites: Dict[str, Site] = {}
         # address -> site id, mirrored from _host_sites: send/deliver only
@@ -239,7 +240,7 @@ class Network:
     # ------------------------------------------------------------------
     # Host management
     # ------------------------------------------------------------------
-    def register(self, address: str, site, takeover: bool = False) -> Store:
+    def register(self, address: str, site, takeover: bool = False) -> Deque[Message]:
         """Create and return the mailbox for a host at ``site``: messages
         queue there unless :meth:`attach` routes them elsewhere.
 
@@ -251,9 +252,9 @@ class Network:
             if not takeover:
                 raise ValueError("address %r already registered" % (address,))
             self._routes.clear()  # the address may have moved site
-        mailbox = Store(self.kernel, name="mbox:%s" % address)
+        mailbox: Deque[Message] = deque()
         self._mailboxes[address] = mailbox
-        self._receivers[address] = mailbox.put
+        self._receivers[address] = mailbox.append
         self._host_sites[address] = self.topology.site(site)
         self._host_site_ids[address] = self._host_sites[address].id
         self._crashed.discard(address)
@@ -269,7 +270,7 @@ class Network:
         the installed one: a host superseded by a takeover must not
         detach its replacement."""
         if self._receivers[address] == receiver:
-            self._receivers[address] = self._mailboxes[address].put
+            self._receivers[address] = self._mailboxes[address].append
 
     def register_remote(self, address: str, site) -> None:
         """Make ``address`` routable without a local mailbox (cluster
@@ -290,7 +291,7 @@ class Network:
     def crash_host(self, address: str) -> None:
         """Stop delivering to/from a host; queued mail is discarded."""
         self._crashed.add(address)
-        self._mailboxes[address].drain()
+        self._mailboxes[address].clear()
 
     def recover_host(self, address: str) -> None:
         self._crashed.discard(address)

@@ -136,8 +136,9 @@ class Host:
         if self._running:
             return
         self._running = True
-        for message in self.mailbox.drain():
-            self._on_message(message)
+        mailbox = self.mailbox
+        while mailbox:
+            self._on_message(mailbox.popleft())
         self.network.attach(self.address, self._on_message)
 
     def stop(self) -> None:

@@ -40,7 +40,6 @@ from ..net.wire import (
     encode_propagation_batch,
 )
 from ..obs import trace as span
-from ..sim import AllOf, AnyOf, Interrupt
 
 
 @dataclass
@@ -53,11 +52,11 @@ class PropagationTracker:
     visible: Set[int] = field(default_factory=set)
     ds_durable: bool = False
     globally_visible: bool = False
-    ds_event: Optional[object] = None
-    visible_event: Optional[object] = None
     committed_at: float = 0.0
     ds_at: Optional[float] = None
-    visible_at: Optional[float] = None
+    #: Sender generation of the batch in flight that waits for this
+    #: tracker's DS durability (see ``_send_next``), or None.
+    awaited: Optional[int] = None
 
 
 class PropagationBatch:
@@ -150,6 +149,12 @@ class PendingIndex:
         return run
 
 
+#: The origin's sender states (DESIGN.md §14): not started (or stopped);
+#: a zero-delay wake armed; waiting for work with the idle tick armed; a
+#: batch in flight, waiting for its DS durability or its deadline.
+STOPPED, WOKEN, IDLE, IN_FLIGHT = range(4)
+
+
 class PropagationMixin:
     # ------------------------------------------------------------------
     # Origin side
@@ -160,61 +165,61 @@ class PropagationMixin:
             client=notify,
             acked={self.site_id},
             visible={self.site_id},
-            ds_event=self.kernel.event(("ds:%s", (record.tid,))),
-            visible_event=self.kernel.event(("vis:%s", (record.tid,))),
             committed_at=self.kernel.now,
         )
         self._trackers[record.tid] = tracker
         # Resend bookkeeping: entries are appended in committed_at order,
         # so the stale ones _resend_unacked looks for form a prefix.
         self._undurable.append((tracker.committed_at, tracker))
-        self._outbox.put(record)
+        self._outbox.append(record)
+        if self._sender == IDLE:
+            self._arm_sender(WOKEN, 0.0)
         # A 1-site deployment (or f=0) may already satisfy durability.
         self._maybe_ds(tracker)
 
-    def _propagation_loop(self):
+    def _arm_sender(self, state: int, delay: float) -> None:
+        """Enter ``state`` with its one timer.  Every arm bumps the
+        generation, so whatever timer was armed before finds itself
+        superseded when it fires and returns at once."""
+        self._sender = state
+        self._sender_gen += 1
+        self.kernel.call_after(delay, self._sender_fired, self._sender_gen)
+
+    def _sender_fired(self, gen: int) -> None:
+        """A wake sends what queued.  A release (the batch in flight is
+        DS-durable, or its deadline passed) and an idle tick first
+        retransmit what partitions or crashes left un-acked."""
+        if gen == self._sender_gen:
+            if self._sender != WOKEN:
+                self._resend_unacked()
+            self._send_next()
+
+    def _send_next(self) -> None:
         """Batched propagation: ship everything committed since the last
         batch, then wait for that batch to become DS-durable before the
         next -- this serialization is what yields the [RTTmax, 2·RTTmax]
         DS-durability latency distribution (Fig 19)."""
-        getter = None
-        try:
-            while True:
-                if getter is None and len(self._outbox):
-                    first = self._outbox.get_nowait()
-                else:
-                    # One pending getter at a time: an idle tick keeps it
-                    # for the next wait, so no put lands in a dead one.
-                    getter = getter or self._outbox.get()
-                    index, first = yield AnyOf(
-                        [getter, self.kernel.timeout(self._batch_period() * 4)]
-                    )
-                    if index == 1:
-                        # Idle tick: retransmit anything stuck un-acked
-                        # (messages lost to partitions/crashes), then wait
-                        # for new work again.
-                        self._resend_unacked()
-                        continue
-                    getter = None
-                records: List[CommitRecord] = [first] + self._outbox.drain()
-                self._send_batch(records)
-                waits = [
-                    self._trackers[r.tid].ds_event
-                    for r in records
-                    if r.tid in self._trackers and not self._trackers[r.tid].ds_durable
-                ]
-                if waits:
-                    # Wait for the batch to become DS-durable, but no
-                    # longer than ~one max round trip: under load a
-                    # receiver may still be applying the previous batch,
-                    # and stalling dispatch would make the batch period
-                    # grow without bound instead of staying ~RTTmax.
-                    yield AnyOf(
-                        [AllOf(waits), self.kernel.timeout(self._batch_period())]
-                    )
-                self._resend_unacked()
-        except Interrupt:
-            return
+        while self._outbox:
+            records, self._outbox = self._outbox, []
+            self._send_batch(records)
+            gen = self._sender_gen + 1  # what _arm_sender will give it
+            self._ds_awaited = 0
+            for record in records:
+                tracker = self._trackers.get(record.tid)
+                if tracker is not None and not tracker.ds_durable and tracker.awaited != gen:
+                    tracker.awaited = gen
+                    self._ds_awaited += 1
+            if self._ds_awaited:
+                # Wait for the batch to become DS-durable (_maybe_ds
+                # counts it down), but no longer than ~one max round
+                # trip: under load a receiver may still be applying the
+                # previous batch, and stalling dispatch would make the
+                # batch period grow without bound instead of staying
+                # ~RTTmax.
+                self._arm_sender(IN_FLIGHT, self._batch_period())
+                return
+            self._resend_unacked()
+        self._arm_sender(IDLE, self._batch_period() * 4)
 
     def _batch_period(self) -> float:
         """~One maximum round trip from this site (min 5 ms)."""
@@ -402,7 +407,10 @@ class PropagationMixin:
         tracker.ds_durable = True
         tracker.ds_at = self.kernel.now
         self._ds_unvisible[tracker.record.tid] = tracker
-        tracker.ds_event.trigger_once(None)
+        if tracker.awaited == self._sender_gen:
+            self._ds_awaited -= 1
+            if not self._ds_awaited:
+                self.kernel.call_soon(self._sender_fired, self._sender_gen)
         self._ds_lag.observe(self.kernel.now - self._commit_time(tracker))
         self._span(tracker.record.tid, span.DS_DURABLE, acked=len(tracker.acked))
         self.storage.log.append({"kind": "ds_durable", "tid": tracker.record.tid})
@@ -441,8 +449,6 @@ class PropagationMixin:
         if not self.config.active_set() <= tracker.visible:
             return
         tracker.globally_visible = True
-        tracker.visible_at = self.kernel.now
-        tracker.visible_event.trigger_once(None)
         self._visibility_lag.observe(self.kernel.now - self._commit_time(tracker))
         self._span(tracker.record.tid, span.GLOBALLY_VISIBLE)
         self.storage.log.append(

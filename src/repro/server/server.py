@@ -11,22 +11,22 @@ protocol mixins that mirror the paper's figures:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..core.history import SiteHistories
 from ..core.objects import ObjectId
-from ..core.transaction import TxStatus
+from ..core.transaction import CommitRecord, TxStatus
 from ..core.versions import VectorTimestamp, Version
 from ..net import Host, Network
 from ..obs import AccessProfiler, CounterView, MetricsRegistry, Observability, log_buckets
 from ..obs import trace as span
-from ..sim import Kernel, Lock, Resource, Store
+from ..sim import Kernel, Lock, Resource
 from ..spec.checker import ExecutionTrace
 from ..storage import SiteStorage
 from .batching import BatchingConfig
 from .execution import ExecutionMixin
 from .fast_commit import FastCommitMixin
-from .propagation import PendingIndex, PropagationMixin, PropagationTracker
+from .propagation import STOPPED, WOKEN, PendingIndex, PropagationMixin, PropagationTracker
 from .recovery import RecoveryMixin
 from .slow_commit import PreparedLock, SlowCommitMixin
 from .state import LeaseConfig, LocalConfig, ServerCosts
@@ -150,7 +150,13 @@ class WalterServer(
         self._txs: Dict[str, object] = {}
         self._records_by_version: Dict[Version, object] = {}
         self._trackers: Dict[str, PropagationTracker] = {}
-        self._outbox = Store(kernel, name="%s.outbox" % name)
+        #: Records committed since the last batch, and the sender that
+        #: ships them (see PropagationMixin._send_next).
+        self._outbox: List[CommitRecord] = []
+        self._sender = STOPPED
+        self._sender_gen = 0
+        #: Trackers of the batch in flight still short of DS durability.
+        self._ds_awaited = 0
         self._pending_remote = PendingIndex()
         self._pending_ds = PendingIndex()
         #: Entries examined by _drain_pending; perf regression tests
@@ -209,31 +215,40 @@ class WalterServer(
             "server.propagation_batch", buckets=log_buckets(1.0, 4096.0), site=site_id
         )
         self.stats = ServerStats(registry, site_id)
-        self._prop_loop = None
-        self._gc_loop = None
-        self._sweep_loop = None
+        self._checkpointer = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
         super().start()
-        if self._prop_loop is None or self._prop_loop.done:
-            self._prop_loop = self.kernel.spawn(
-                self._propagation_loop(), name="%s.propagation" % self.address
-            )
+        if self._sender == STOPPED:
+            self._arm_sender(WOKEN, 0.0)
 
     def stop(self) -> None:
-        if self._prop_loop is not None and not self._prop_loop.done:
-            self._prop_loop.interrupt("stopped")
-        if self._gc_loop is not None and not self._gc_loop.done:
-            self._gc_loop.interrupt("stopped")
-        if self._sweep_loop is not None and not self._sweep_loop.done:
-            self._sweep_loop.interrupt("stopped")
+        """Void the sender's timer and stop the checkpointer; the GC and
+        sweeper chains end at their next tick (they need ``_running``)."""
+        self._sender = STOPPED
+        self._sender_gen += 1
+        if self._checkpointer is not None:
+            self._checkpointer.stop()
         super().stop()
 
     def enable_checkpointing(self, interval: float = 30.0) -> None:
-        self.storage.attach_checkpointer(self.state_snapshot, interval=interval)
+        self._checkpointer = self.storage.attach_checkpointer(
+            self.state_snapshot, interval=interval
+        )
+
+    def _every(self, period: float, work) -> None:
+        """Call ``work()`` every ``period`` simulated seconds while this
+        server runs: one timer, re-armed after each call."""
+
+        def tick():
+            if self._running:
+                work()
+                self.kernel.call_after(period, tick)
+
+        self.kernel.call_after(period, tick)
 
     # ------------------------------------------------------------------
     # Observability
@@ -359,17 +374,11 @@ class WalterServer(
     def start_gc(self, interval: float = 5.0) -> None:
         """Run history garbage collection periodically (§6: "the
         persistent log is periodically garbage collected")."""
-        from ..sim import Interrupt
 
-        def loop():
-            try:
-                while True:
-                    yield self.kernel.timeout(interval)
-                    self.stats.gc_removed += self.gc_histories()
-            except Interrupt:
-                return
+        def collect():
+            self.stats.gc_removed += self.gc_histories()
 
-        self._gc_loop = self.kernel.spawn(loop(), name="%s.gc" % self.address)
+        self._every(interval, collect)
 
     def lease_sweep(self) -> int:
         """One pass of the commit-path lease sweeper (DESIGN.md §9):
@@ -436,21 +445,12 @@ class WalterServer(
         return reaped
 
     def start_sweeper(self, interval: Optional[float] = None) -> None:
-        """Run :meth:`lease_sweep` periodically (alongside the GC loop);
+        """Run :meth:`lease_sweep` periodically (alongside the GC chain);
         interval defaults to ``leases.sweep_interval``."""
-        from ..sim import Interrupt
-
-        period = self.leases.sweep_interval if interval is None else interval
-
-        def loop():
-            try:
-                while True:
-                    yield self.kernel.timeout(period)
-                    self.lease_sweep()
-            except Interrupt:
-                return
-
-        self._sweep_loop = self.kernel.spawn(loop(), name="%s.sweeper" % self.address)
+        self._every(
+            self.leases.sweep_interval if interval is None else interval,
+            self.lease_sweep,
+        )
 
     def _reply_dropped(self, method: str) -> None:
         self.obs.registry.counter(

@@ -2,7 +2,6 @@
 
 from .kernel import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Kernel,
@@ -13,11 +12,10 @@ from .kernel import (
     gc_paused,
 )
 from .rand import RandomStreams, derive_seed
-from .resources import Lock, Resource, Store
+from .resources import Lock, Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "Kernel",
@@ -26,7 +24,6 @@ __all__ = [
     "RandomStreams",
     "Resource",
     "SimError",
-    "Store",
     "Timeout",
     "Waitable",
     "derive_seed",

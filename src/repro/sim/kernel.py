@@ -277,33 +277,6 @@ class AllOf(Waitable):
             child._subscribe(kernel, make_child_cb(i))
 
 
-class AnyOf(Waitable):
-    """Completes when the first child completes; value is ``(index, value)``."""
-
-    def __init__(self, children: Iterable[Waitable]):
-        self.children = list(children)
-        if not self.children:
-            raise ValueError("AnyOf requires at least one child")
-
-    def _subscribe(self, kernel: "Kernel", callback) -> None:
-        state = [False]
-
-        def make_child_cb(index: int):
-            def child_cb(value, exc):
-                if state[0]:
-                    return
-                state[0] = True
-                if exc is not None:
-                    callback(None, exc)
-                else:
-                    callback((index, value), None)
-
-            return child_cb
-
-        for i, child in enumerate(self.children):
-            child._subscribe(kernel, make_child_cb(i))
-
-
 class Process(Waitable):
     """A running simulated process wrapping a generator.
 

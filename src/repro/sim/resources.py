@@ -1,10 +1,9 @@
-"""Synchronization and queueing primitives for simulated processes.
+"""Synchronization primitives for simulated processes.
 
 These are the building blocks the Walter server uses to model contention:
 the server CPU is a :class:`Resource` booked for a service time per operation,
-the commit path serializes on a :class:`Lock` (the paper notes commit
-throughput is bounded by "a highly contended lock" inside the server), and
-message queues between components are :class:`Store` instances.
+and the commit path serializes on a :class:`Lock` (the paper notes commit
+throughput is bounded by "a highly contended lock" inside the server).
 
 All primitives are FIFO-fair: waiters are served in arrival order, which
 keeps runs deterministic.
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, Generator
+from typing import Deque, Generator
 
 from .kernel import At, Event, Kernel, SimError
 
@@ -112,47 +111,3 @@ class Resource:
     def reset(self) -> None:
         """Free every core now: the holders died (a host crash)."""
         self._free_at = [0.0] * self.capacity
-
-
-class Store:
-    """An unbounded FIFO queue between processes.
-
-    ``put`` never blocks; ``get`` returns an Event that fires with the next
-    item.  This is the mailbox abstraction used for network delivery and
-    for the disk's group-commit batch queue.
-    """
-
-    def __init__(self, kernel: Kernel, name: str = ""):
-        self.kernel = kernel
-        self.name = name
-        self._event_name = "store:%s" % name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().trigger(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event(self.kernel, self._event_name)
-        if self._items:
-            event.trigger(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def get_nowait(self) -> Any:
-        if not self._items:
-            raise SimError("store %r is empty" % (self.name,))
-        return self._items.popleft()
-
-    def drain(self) -> list:
-        """Remove and return all queued items without blocking."""
-        items = list(self._items)
-        self._items.clear()
-        return items

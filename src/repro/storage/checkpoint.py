@@ -18,7 +18,7 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
-from ..sim import Interrupt, Kernel
+from ..sim import Kernel
 from .disklog import DiskLog
 
 
@@ -50,27 +50,26 @@ class Checkpointer:
         self.interval = interval
         self.write_latency = write_latency
         self.checkpoints: List[Checkpoint] = []
-        self._proc = None
+        self._running = False
 
     def start(self) -> None:
-        if self._proc is None or self._proc.done:
-            self._proc = self.kernel.spawn(self._loop(), name="checkpointer")
+        if not self._running:
+            self._running = True
+            self.kernel.call_after(self.interval, self._take)
 
     def stop(self) -> None:
-        if self._proc is not None and not self._proc.done:
-            self._proc.interrupt("stopped")
+        self._running = False
 
-    def _loop(self):
-        try:
-            while True:
-                yield self.kernel.timeout(self.interval)
-                self.take_checkpoint_sync_start()
-                # The write happens in the background; model its latency
-                # without blocking the caller (we *are* the background).
-                yield self.kernel.timeout(self.write_latency)
-                self._finish_pending()
-        except Interrupt:
-            return
+    def _take(self) -> None:
+        if self._running:
+            self.take_checkpoint_sync_start()
+            # The write happens in the background; model its latency.
+            self.kernel.call_after(self.write_latency, self._write)
+
+    def _write(self) -> None:
+        if self._running:
+            self._finish_pending()
+            self.kernel.call_after(self.interval, self._take)
 
     def take_checkpoint_sync_start(self) -> None:
         self._pending = Checkpoint(

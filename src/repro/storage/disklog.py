@@ -14,10 +14,11 @@ is ``flush_latency=0``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from ..sim import Event, Kernel, Store
+from ..sim import Event, Kernel
 
 #: Flush latencies (seconds) for the three disk configurations of Fig 18.
 FLUSH_EC2 = 0.002            # EC2 instance storage (write cache state unknown)
@@ -51,8 +52,8 @@ class DiskLog:
     """An append-only durable log with group commit.
 
     :meth:`append` enqueues a record and returns an event that fires when
-    the record is on disk.  A single flusher process drains the queue in
-    batches of whatever accumulated during the previous flush.
+    the record is on disk.  One flush at a time (a chain of timers) drains
+    the queue in batches of whatever accumulated during the previous flush.
     """
 
     def __init__(
@@ -93,9 +94,9 @@ class DiskLog:
         #: Fencing epoch (§5.7): bumped by :meth:`fence` at server
         #: takeover; queued writes from an older epoch never land.
         self.epoch = 0
-        self._inflight: List = []
-        self._queue = Store(kernel, name="%s.queue" % name)
-        self._flusher = kernel.spawn(self._flush_loop(), name="%s.flusher" % name)
+        self._queue: deque = deque()
+        #: The flush in progress, or None while the log is idle.
+        self._batch: Optional[List] = None
 
     def bind_metrics(self, registry, site: int) -> None:
         """Mirror flush/record counts into ``disklog.*{site=s}`` metrics
@@ -183,7 +184,10 @@ class DiskLog:
                 self._record_counter.inc(records)
             done.trigger(record)
             return done
-        self._queue.put((LogRecord(payload, now), done, self.epoch, records))
+        self._queue.append((LogRecord(payload, now), done, self.epoch, records))
+        if self._batch is None:
+            self._batch = []
+            self.kernel.call_soon(self._flush_start)
         return done
 
     def fence(self) -> List[Any]:
@@ -198,65 +202,80 @@ class DiskLog:
         the never-durable local commits; ``stats.fenced`` counts their
         records.
         """
+        # An older epoch in the flush in progress: an earlier fence's.
+        doomed = list(self._queue) + [
+            entry for entry in self._batch or () if entry[2] == self.epoch
+        ]
+        self._queue.clear()
         self.epoch += 1
-        doomed = self._queue.drain() + self._inflight
-        self._inflight = []
         self.stats.fenced += sum(records for _record, _done, _epoch, records in doomed)
         return [record.payload for record, _done, _epoch, _records in doomed]
 
-    def _flush_loop(self):
-        while True:
-            first = yield self._queue.get()
-            batch = [first] + self._queue.drain()
-            self._inflight = batch
-            if (
-                self.flush_window > 0.0
-                and len(batch) == 1
-                and first[3] == 1  # one record, not one entry
-                and self.kernel.now - self._last_flush_end <= self._busy_window
-                and not self._latency_critical(batch)
-            ):
-                # Busy log, lone background record (remote apply /
-                # checkpoint -- nothing is blocked on its durability):
-                # flushes are arriving back-to-back but this one caught
-                # only a single record, so hold it open briefly --
-                # records racing in during the window share the flush
-                # instead of forcing the next one.  A batch that already
-                # collected company flushes now (the in-progress-flush
-                # queue is group commit enough); a local commit flushes
-                # now (a client is waiting on the ack); and an idle log
-                # (no recent flush) skips the wait entirely.
-                yield self.kernel.timeout(self.flush_window)
-                batch.extend(self._queue.drain())
-                self._inflight = batch
-            while self.kernel.now < self._stalled_until:
-                # Injected stall: wait it out (it may be extended while
-                # we wait), absorbing records that queue up meanwhile.
-                yield self.kernel.timeout(self._stalled_until - self.kernel.now)
-                batch.extend(self._queue.drain())
-                self._inflight = batch
-            yield self.kernel.timeout(self.flush_latency)
-            size = sum(records for _record, _done, _epoch, records in batch)
-            self.stats.flushes += 1
-            self.stats.max_batch = max(self.stats.max_batch, size)
-            if self._flush_counter is not None:
-                self._flush_counter.inc()
-                self._batch_hist.observe(float(size))
-            landed = 0
-            for record, done, epoch, records in batch:
-                if epoch != self.epoch:
-                    continue  # fenced while in flight: never lands
-                record.durable_at = self.kernel.now
-                self.entries.append(record)
-                landed += records
-                if self._tracer is not None:
-                    self._trace_flush(record.payload, size)
-                done.trigger(record)
-            self.stats.records += landed
-            if self._record_counter is not None:
-                self._record_counter.inc(landed)
-            self._inflight = []
-            self._last_flush_end = self.kernel.now
+    def _flush_start(self) -> None:
+        batch = self._batch
+        batch.extend(self._queue)
+        self._queue.clear()
+        if not batch:  # fenced before it started
+            self._batch = None
+            return
+        if (
+            self.flush_window > 0.0
+            and len(batch) == 1
+            and batch[0][3] == 1  # one record, not one entry
+            and self.kernel.now - self._last_flush_end <= self._busy_window
+            and not self._latency_critical(batch)
+        ):
+            # Busy log, lone background record (remote apply /
+            # checkpoint -- nothing is blocked on its durability):
+            # flushes are arriving back-to-back but this one caught
+            # only a single record, so hold it open briefly -- records
+            # racing in during the window share the flush instead of
+            # forcing the next one.  A batch that already collected
+            # company flushes now (the in-progress-flush queue is group
+            # commit enough); a local commit flushes now (a client is
+            # waiting on the ack); and an idle log (no recent flush)
+            # skips the wait entirely.
+            self.kernel.call_after(self.flush_window, self._flush_write)
+        else:
+            self._flush_write()
+
+    def _flush_write(self) -> None:
+        self._batch.extend(self._queue)  # what queued meanwhile
+        self._queue.clear()
+        now = self.kernel.now
+        if now < self._stalled_until:
+            # Injected stall: wait it out (it may be extended while we
+            # wait), absorbing records that queue up meanwhile.
+            self.kernel.call_after(self._stalled_until - now, self._flush_write)
+        else:
+            self.kernel.call_after(self.flush_latency, self._flush_land)
+
+    def _flush_land(self) -> None:
+        batch = self._batch
+        size = sum(records for _record, _done, _epoch, records in batch)
+        self.stats.flushes += 1
+        self.stats.max_batch = max(self.stats.max_batch, size)
+        if self._flush_counter is not None:
+            self._flush_counter.inc()
+            self._batch_hist.observe(float(size))
+        landed = 0
+        for record, done, epoch, records in batch:
+            if epoch != self.epoch:
+                continue  # fenced while in flight: never lands
+            record.durable_at = self.kernel.now
+            self.entries.append(record)
+            landed += records
+            if self._tracer is not None:
+                self._trace_flush(record.payload, size)
+            done.trigger(record)
+        self.stats.records += landed
+        if self._record_counter is not None:
+            self._record_counter.inc(landed)
+        self._last_flush_end = self.kernel.now
+        self._batch = None
+        if self._queue:
+            self._batch = []
+            self.kernel.call_soon(self._flush_start)
 
     def payloads(self) -> List[Any]:
         """Durable payloads in append order (used by recovery)."""

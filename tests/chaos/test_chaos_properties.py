@@ -12,6 +12,8 @@ import json
 import pytest
 
 from repro.chaos import ChaosConfig, ReproArtifact, generate_schedule, run_chaos
+from repro.server import WalterServer
+from repro.server.propagation import IDLE, STOPPED
 
 #: Satellite #1 requires >= 50 random schedules through check_trace.
 PROPERTY_SEEDS = list(range(1, 51))
@@ -76,9 +78,23 @@ def test_planted_bug_passes_without_the_bug():
     ids=["default", "sharded"],
 )
 def test_an_idle_propagation_loop_leaves_at_most_one_outbox_getter(config):
-    """An idle tick of the propagation loop keeps its pending outbox
-    getter for the next wait instead of abandoning it, so no commit
-    record lands in a dead getter and leaves the batch path."""
+    """The sender's idle tick re-arms its one timer instead of leaving
+    another waiter behind: after a full chaos run every server has at
+    most one sender timer queued, a running sender's one timer is live
+    (not superseded), and no commit record sits in the outbox behind
+    an idle sender."""
     result = run_chaos(config)
+    kernel = result.world.kernel
+    queued = list(kernel._heap) + list(kernel._ready)
     for server in result.world.servers:
-        assert len(server._outbox._getters) <= 1, server.site_id
+        timers = [
+            args[0]
+            for _, _, fn, args in queued
+            if getattr(fn, "__self__", None) is server
+            and getattr(fn, "__func__", None) is WalterServer._sender_fired
+        ]
+        assert len(timers) <= 1, (server.site_id, timers)
+        if server._sender != STOPPED:
+            assert timers == [server._sender_gen], server.site_id
+        if server._sender == IDLE:
+            assert not server._outbox, server.site_id

@@ -204,7 +204,7 @@ def test_cast_without_handler_surfaces_from_run():
         kernel.run()
 
 
-def test_raw_endpoint_still_receives_into_its_store():
+def test_raw_endpoint_still_receives_into_its_mailbox():
     kernel = Kernel()
     net = Network(kernel, Topology.ec2(2), jitter_frac=0.0)
     net.register("a", 0)
@@ -212,11 +212,13 @@ def test_raw_endpoint_still_receives_into_its_store():
     net.send("a", "b", "first")
     net.send("a", "b", "second")
     kernel.run()
-    assert [m.payload for m in box.drain()] == ["first", "second"]
+    assert [m.payload for m in box] == ["first", "second"]
+    box.clear()
 
-    def reader():
-        message = yield box.get()
-        return (message.payload, message.delivered_at == kernel.now)
-
+    received = []
+    net.attach("b", lambda message: received.append((message, kernel.now)))
     net.send("a", "b", "third")
-    assert kernel.run_process(reader()) == ("third", True)
+    kernel.run()
+    [(message, at)] = received
+    assert (message.payload, message.delivered_at) == ("third", at)
+    assert not box

@@ -18,12 +18,9 @@ def test_delivery_latency_cross_site():
     net.register("a", "VA")
     box = net.register("b", "CA")
     net.send("a", "b", "hello", size_bytes=100)
-
-    def recv():
-        message = yield box.get()
-        return (message.payload, kernel.now)
-
-    payload, at = kernel.run_process(recv())
+    kernel.run()
+    message = box.popleft()
+    payload, at = message.payload, message.delivered_at
     assert payload == "hello"
     expected = topo.one_way("VA", "CA") + 100 * 8 / 22e6 + Network.SOFTWARE_OVERHEAD
     assert at == pytest.approx(expected)
@@ -34,13 +31,8 @@ def test_delivery_latency_intra_site_is_fast():
     net.register("a", "VA")
     box = net.register("b", "VA")
     net.send("a", "b", "x", size_bytes=100)
-
-    def recv():
-        yield box.get()
-        return kernel.now
-
-    at = kernel.run_process(recv())
-    assert at < 0.001  # sub-millisecond within a site
+    kernel.run()
+    assert box.popleft().delivered_at < 0.001  # sub-millisecond within a site
 
 
 def test_cross_site_link_serializes_fifo():
@@ -52,15 +44,10 @@ def test_cross_site_link_serializes_fifo():
     size = 220_000  # 80 ms of serialization at 22 Mbps
     net.send("a", "b", 1, size_bytes=size)
     net.send("a", "b", 2, size_bytes=size)
-
-    def recv():
-        m1 = yield box.get()
-        t1 = kernel.now
-        m2 = yield box.get()
-        return (m1.payload, t1, m2.payload, kernel.now)
-
-    p1, t1, p2, t2 = kernel.run_process(recv())
-    assert (p1, p2) == (1, 2)
+    kernel.run()
+    m1, m2 = box
+    assert (m1.payload, m2.payload) == (1, 2)
+    t1, t2 = m1.delivered_at, m2.delivered_at
     serialize = size * 8 / 22e6
     assert t2 - t1 == pytest.approx(serialize)
 
@@ -161,15 +148,8 @@ def test_jitter_is_deterministic_per_seed():
         box = net.register("b", "CA")
         for i in range(5):
             net.send("a", "b", i)
-        times = []
-
-        def recv():
-            for _ in range(5):
-                message = yield box.get()
-                times.append(kernel.now)
-
-        kernel.run_process(recv())
-        return times
+        kernel.run()
+        return [message.delivered_at for message in box]
 
     assert one_run() == one_run()
 
@@ -254,14 +234,9 @@ def test_bind_metrics_after_traffic_keeps_link_fifo_and_byte_counts():
     registry = MetricsRegistry()
     net.bind_metrics(registry)
     net.send("a", "b", 2, size_bytes=size)
-
-    def recv():
-        yield box.get()
-        t1 = kernel.now
-        yield box.get()
-        return kernel.now - t1
-
-    assert kernel.run_process(recv()) == pytest.approx(size * 8 / 22e6)
+    kernel.run()
+    m1, m2 = box
+    assert m2.delivered_at - m1.delivered_at == pytest.approx(size * 8 / 22e6)
     va, ca = topo.site("VA").id, topo.site("CA").id
     assert net.stats.bytes_by_link[(va, ca)] == 2 * size
     # The registry mirrors what was sent after binding.
@@ -279,12 +254,9 @@ def test_takeover_register_routes_to_the_new_receiver_and_site():
     new = net.register("b", "IE", takeover=True)
     sent_at = kernel.now
     net.send("a", "b", "to IE", size_bytes=100)
-
-    def recv():
-        message = yield new.get()
-        return (message.payload, kernel.now - sent_at)
-
-    payload, took = kernel.run_process(recv())
-    assert payload == "to IE" and [m.payload for m in old.drain()] == ["to CA"]
+    kernel.run()
+    message = new.popleft()
+    payload, took = message.payload, message.delivered_at - sent_at
+    assert payload == "to IE" and [m.payload for m in old] == ["to CA"]
     expected = topo.one_way("VA", "IE") + 100 * 8 / 22e6 + Network.SOFTWARE_OVERHEAD
     assert took == pytest.approx(expected)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Kernel, SimError, Timeout
+from repro.sim import AllOf, Interrupt, Kernel, SimError, Timeout
 
 
 def test_timeout_advances_clock():
@@ -222,21 +222,6 @@ def test_all_of_empty_completes_immediately():
         return values
 
     assert kernel.run_process(parent()) == []
-
-
-def test_any_of_returns_first():
-    kernel = Kernel()
-
-    def child(delay, value):
-        yield kernel.timeout(delay)
-        return value
-
-    def parent():
-        procs = [kernel.spawn(child(3.0, "slow")), kernel.spawn(child(1.0, "fast"))]
-        index, value = yield AnyOf(procs)
-        return (index, value, kernel.now)
-
-    assert kernel.run_process(parent()) == (1, "fast", 1.0)
 
 
 def test_interrupt_raises_in_process():

@@ -205,7 +205,7 @@ class TestJitterStreamIndependence:
             net.send("h0", "h1", ("probe", i), size_bytes=200)
         kernel.run()
         return [
-            m.delivered_at for m in boxes[1]._items if m.payload[0] == "probe"
+            m.delivered_at for m in boxes[1] if m.payload[0] == "probe"
         ]
 
     def test_cross_traffic_does_not_move_link_draws(self):

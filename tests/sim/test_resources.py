@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Event, Kernel, Lock, Resource, SimError, Store
+from repro.sim import Event, Kernel, Lock, Resource, SimError
 
 
 def test_lock_mutual_exclusion_and_fifo():
@@ -185,61 +185,3 @@ def test_hold_matches_the_grant_then_timeout_station(capacity, requests):
     calendar = serve(Resource, hold)
     reference = serve(ReferenceResource, ReferenceResource.use)
     assert calendar == reference
-
-
-def test_store_put_then_get():
-    kernel = Kernel()
-    store = Store(kernel)
-    store.put("x")
-
-    def getter():
-        item = yield store.get()
-        return item
-
-    assert kernel.run_process(getter()) == "x"
-
-
-def test_store_get_blocks_until_put():
-    kernel = Kernel()
-    store = Store(kernel)
-
-    def getter():
-        item = yield store.get()
-        return (item, kernel.now)
-
-    def putter():
-        yield kernel.timeout(4.0)
-        store.put("late")
-
-    proc = kernel.spawn(getter())
-    kernel.spawn(putter())
-    kernel.run()
-    assert proc.value == ("late", 4.0)
-
-
-def test_store_fifo_order():
-    kernel = Kernel()
-    store = Store(kernel)
-    for i in range(3):
-        store.put(i)
-
-    def getter():
-        out = []
-        for _ in range(3):
-            item = yield store.get()
-            out.append(item)
-        return out
-
-    assert kernel.run_process(getter()) == [0, 1, 2]
-
-
-def test_store_drain_and_nowait():
-    kernel = Kernel()
-    store = Store(kernel)
-    store.put(1)
-    store.put(2)
-    assert store.get_nowait() == 1
-    assert store.drain() == [2]
-    assert len(store) == 0
-    with pytest.raises(SimError):
-        store.get_nowait()

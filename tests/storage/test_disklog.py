@@ -226,6 +226,22 @@ def test_fence_mid_flight_drops_a_whole_run():
     assert log.stats.fenced == 5 and log.stats.records == 2
 
 
+def test_a_second_fence_does_not_report_the_first_ones_writes_again():
+    # The flush a fence emptied resumes when its stall ends; a second
+    # takeover inside that flush owns nothing of it.
+    kernel = Kernel()
+    log = DiskLog(kernel, flush_latency=0.2)
+    log.inject_stall(1.0)
+    done = log.append({"kind": "local_commit", "tid": "t1"})
+    fenced = {}
+    kernel.call_at(0.5, lambda: fenced.setdefault("first", log.fence()))
+    kernel.call_at(1.1, lambda: fenced.setdefault("second", log.fence()))
+    kernel.run(until=2.0)
+    assert fenced == {"first": [{"kind": "local_commit", "tid": "t1"}], "second": []}
+    assert log.stats.fenced == 1
+    assert not done.triggered and log.payloads() == []
+
+
 def test_injected_stall_holds_a_run():
     kernel = Kernel()
     log = DiskLog(kernel, flush_latency=0.001)
