@@ -49,7 +49,6 @@ from .deployment import Deployment
 from .errors import (
     ConfigurationError,
     NoSuchContainerError,
-    PreferredSiteUnavailableError,
     TransactionAborted,
     TransactionStateError,
     TypeMismatchError,
@@ -69,7 +68,6 @@ __all__ = [
     "NoSuchContainerError",
     "ObjectId",
     "ObjectKind",
-    "PreferredSiteUnavailableError",
     "ServerCosts",
     "Topology",
     "Transaction",

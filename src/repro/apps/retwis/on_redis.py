@@ -56,7 +56,7 @@ class RedisReTwis(ReTwisBackend):
         yield from client.call(
             self.master, "lpush", key="timeline:%s" % username, value=post_id
         )
-        for follower in followers:
+        for follower in sorted(followers):
             yield from client.call(
                 self.master, "lpush", key="timeline:%s" % follower, value=post_id
             )

@@ -315,7 +315,6 @@ class WalterRun:
             seed=config.seed,
             trace=True,
             jitter_frac=0.10,
-            lease_sweeper=True,
             tracing=bool(monitor),
             shards=config.shards,
             replication=config.replication,

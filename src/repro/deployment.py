@@ -69,7 +69,6 @@ class Deployment:
         anti_starvation: bool = False,
         tracing=False,
         trace_capacity: int = 8192,
-        lease_sweeper: bool = False,
         cluster=None,
         executor: str = "serial",
         workers: int = 0,
@@ -110,7 +109,6 @@ class Deployment:
                 anti_starvation=anti_starvation,
                 tracing=tracing,
                 trace_capacity=trace_capacity,
-                lease_sweeper=lease_sweeper,
                 shards=shards,
                 replication=replication,
                 batching=batching,
@@ -179,12 +177,6 @@ class Deployment:
         self.f = f
         self.ds_mode = ds_mode
         self.anti_starvation = anti_starvation
-        #: Lease-based commit-path reaping (DESIGN.md §9).  Off by
-        #: default -- unit tests may legitimately hold transactions open
-        #: across long stretches of sim time; the chaos harness (and any
-        #: long-lived deployment) turns it on, including for replacement
-        #: and re-integrated servers.
-        self.lease_sweeper = lease_sweeper
         self._deploy_id = next(_deploy_seq)
         #: Versions legitimately sacrificed by aggressive site removal
         #: (§5.7): committed at the failed site but never propagated.
@@ -244,7 +236,7 @@ class Deployment:
                     self.network.register_remote(self.addresses[site], site)
         for server in self.servers:
             if server is not None:
-                self._boot(server)
+                server.start()
         self._client_seq = itertools.count(1)
         self._container_seq = itertools.count(1)
         self._preload_shadow_seq = 0
@@ -269,12 +261,6 @@ class Deployment:
             batching=self.batching,
         )
         server.chaos_bug = self.chaos_bug
-        return server
-
-    def _boot(self, server: WalterServer) -> WalterServer:
-        server.start()
-        if self.lease_sweeper:
-            server.start_sweeper()
         return server
 
     # ------------------------------------------------------------------
@@ -598,7 +584,7 @@ class Deployment:
         for peer in self._live_peers(site):
             target = target.merge(self.servers[peer].committed_vts)
         replacement.set_sync_barrier(target)
-        self._boot(replacement)
+        replacement.start()
         self.servers[site] = replacement
         checkpointer = self.storages[site].checkpointer
         if checkpointer is not None:
@@ -701,7 +687,7 @@ class Deployment:
         replacement.restore_from_storage(resume_propagation=False)
         for version in doomed:
             replacement.curr_seqno = max(replacement.curr_seqno, version.seqno)
-        self._boot(replacement)
+        replacement.start()
         self.servers[site] = replacement
         survivor = next(s for s in self.config.active_sites() if s != site)
         coordinator = self._coordinator(at_site=survivor)

@@ -26,11 +26,6 @@ class NoSuchContainerError(WalterError):
     """Object id refers to a container the configuration does not know."""
 
 
-class PreferredSiteUnavailableError(WalterError):
-    """Writes to objects whose preferred site has failed are postponed
-    until reconfiguration assigns a new preferred site (§5.7)."""
-
-
 class ConfigurationError(WalterError):
     """Invalid deployment or container configuration."""
 

@@ -147,6 +147,7 @@ class ExecutionMixin:
         target = container.preferred_site
         if self.partial_replication:
             target = self._nearest_replica(container)
+        payload = None
         if target != container.preferred_site:
             # PaRiS-style non-blocking read (DESIGN.md §13): fetch from
             # the closest replica holding the shard.  The replica serves
@@ -155,12 +156,13 @@ class ExecutionMixin:
             # there -- and a behind replica answers None, after which we
             # fall back to the classic preferred-site read.
             payload = yield from self._remote_read_call(tx, target, oid, True)
-            if payload is not None:
-                return self._compose_value(tx, oid, payload)
-        payload = yield from self._remote_read_call(
-            tx, container.preferred_site, oid, False
-        )
-        return self._compose_value(tx, oid, payload)
+        if payload is None:
+            payload = yield from self._remote_read_call(
+                tx, container.preferred_site, oid, False
+            )
+        value = self._compose_value(tx, oid, payload)
+        self._trace_read(tx, oid, value)
+        return value
 
     def _remote_read_rpc(self, tx: Transaction, target: int, oid: ObjectId, only_if_current: bool):
         return self.call(
@@ -385,6 +387,7 @@ class ExecutionMixin:
                 else:
                     self.profiler.record_read(oid, False)
                     values[idx] = self._compose_value(tx, oid, payload)
+                    self._trace_read(tx, oid, values[idx])
         return [values[i] for i in range(len(oids))]
 
     @service_time(_batch_of("writes"))

@@ -15,7 +15,6 @@ from typing import Optional
 
 from ..core.transaction import CommitRecord, Transaction
 from ..core.versions import Version
-from ..errors import PreferredSiteUnavailableError
 from ..obs import trace as span
 from ..spec.checker import TracedTx
 
@@ -35,15 +34,16 @@ class FastCommitMixin:
         # outcome is returned instead of re-running the commit (which,
         # the transaction being gone, would otherwise "commit" a fresh
         # empty transaction and report a bogus COMMITTED).
+        landed = None
         if ck is not None:
             while tid in self._commit_inflight:
                 # A duplicate overtook the original request (delayed in
-                # the network past the client timeout): wait it out.
-                yield self.kernel.timeout(0.01)
+                # the network past the client timeout): wait until it lands.
+                yield self._commit_inflight[tid]
             cached = self._commit_outcomes.get(ck)
             if cached is not None:
                 return cached[0]
-            self._commit_inflight.add(tid)
+            landed = self._commit_inflight[tid] = self.kernel.event()
         try:
             # A commit may be the transaction's first server contact (an
             # empty transaction): start it like any piggybacked first
@@ -56,10 +56,12 @@ class FastCommitMixin:
                 self._get_tx(tid)  # raises TransactionStateError
             tx = self._ensure_tx(tid)
             status = yield from self._commit_tx(tx, notify=notify)
+            if ck is not None:
+                self._commit_outcomes[ck] = (status, self.kernel.now)
         finally:
-            self._commit_inflight.discard(tid)
-        if ck is not None:
-            self._commit_outcomes[ck] = (status, self.kernel.now)
+            if landed is not None:
+                del self._commit_inflight[tid]
+                landed.trigger()
         self._deep(tid, span.COMMIT_RPC_END, status=status)
         return status
 
@@ -77,43 +79,18 @@ class FastCommitMixin:
                 # complete so the ring buffer may evict it.
                 self._tracer.finish(tx.tid)
             return COMMITTED
-        if not self.config.is_active(self.site_id):
-            # §5.7: a site under re-integration must not commit update
-            # transactions until the configuration re-activates it --
-            # its surviving prefix is still being finalized, and a
-            # seqno handed out now could be truncated by the in-flight
-            # finalize as if it were part of the abandoned suffix.
-            tx.mark_aborted()
-            self._drop_tx(tx.tid)
-            self.stats.inc("aborts")
-            self._span(tx.tid, span.ABORT, phase="site_inactive")
-            return ABORTED
-        if not self.commit_admission_open():
-            # §5.7: a replacement server forgot the predecessor's
-            # prepared locks (they are volatile); until propagation
-            # catches up to the takeover frontier, an admitted write
-            # could conflict with a transaction the old server voted
-            # YES for whose commit record is still in flight.
-            tx.mark_aborted()
-            self._drop_tx(tx.tid)
-            self.stats.inc("aborts")
-            self._span(tx.tid, span.ABORT, phase="site_synchronizing")
-            return ABORTED
         writeset = tx.write_set
-        preferred_site = self.config.preferred_site
-        site_id = self.site_id
-        local = {oid: site_id for oid in writeset if preferred_site(oid) == site_id}
-        if not self._leases_held(tx, local):
-            if not self.partial_replication:
-                raise PreferredSiteUnavailableError(
-                    "%s writes a container with no valid preferred-site lease" % (tx.tid,))
-            tx.mark_aborted()
-            self._drop_tx(tx.tid)
-            self.stats.inc("aborts")
-            self._span(tx.tid, span.ABORT, phase="lease_suspended")
-            return ABORTED
-        if len(local) == len(writeset):
-            status = yield from self._fast_commit(tx, notify)
+        phase = self._refusal()
+        if phase is None:
+            preferred_site = self.config.preferred_site
+            site_id = self.site_id
+            local = {oid: site_id for oid in writeset if preferred_site(oid) == site_id}
+            if not self._leases_held(tx, local):
+                phase = "lease_suspended"
+        if phase is not None:
+            status = self._abort(tx, phase)
+        elif len(local) == len(writeset):
+            status = yield from self._fast_commit(tx, local, notify)
         else:
             status = yield from self._slow_commit(tx, notify)
         self._drop_tx(tx.tid)
@@ -124,6 +101,31 @@ class FastCommitMixin:
             self._commit_latency.observe(self.kernel.now - started_at)
         return status
 
+    def _refusal(self) -> Optional[str]:
+        """§5.7 admission for an update commit or a prepare vote: the
+        abort phase that refuses it at this site now, or None.
+
+        * ``site_inactive``: the site is under re-integration; its
+          surviving prefix is still being finalized, and a seqno handed
+          out now could be truncated as part of the abandoned suffix.
+        * ``site_synchronizing``: a replacement server forgot its
+          predecessor's prepare locks (they are volatile); until
+          propagation catches up to the takeover frontier, an admitted
+          write could conflict with a transaction the old server voted
+          YES for whose commit record is still in flight."""
+        if not self.config.is_active(self.site_id):
+            return "site_inactive"
+        if not self.commit_admission_open():
+            return "site_synchronizing"
+        return None
+
+    def _abort(self, tx: Transaction, phase: str) -> str:
+        """Mark ``tx`` aborted, count it and emit its ABORT span."""
+        tx.mark_aborted()
+        self.stats.inc("aborts")
+        self._span(tx.tid, span.ABORT, phase=phase)
+        return ABORTED
+
     def _leases_held(self, tx: Transaction, holders) -> bool:
         """Whether the preferred-site leases this commit relies on are
         held (§5.7): each written object's by the site ``holders`` maps
@@ -131,9 +133,10 @@ class FastCommitMixin:
         under partial replication, every touched container's, cset adds
         included -- a hand-over copies a joining replica from the frontier
         it read at the revoke, so a later add would reach it trimmed.
-        Checked again under the commit lock: the hand-over grants on the
-        premise that nothing commits under a revoked lease, and a new
-        holder never saw the old one's prepare locks (DESIGN.md §13)."""
+        Checked at dispatch and again under the commit lock: the
+        hand-over grants on the premise that nothing commits under a
+        revoked lease, and a new holder never saw the old one's prepare
+        locks (DESIGN.md §13)."""
         holds_lease = self.config.holds_preferred_lease
         for oid, site in holders.items():
             if not holds_lease(oid.container, site):
@@ -145,36 +148,39 @@ class FastCommitMixin:
                     return False
         return True
 
-    def _fast_commit(self, tx: Transaction, notify: Optional[str] = None):
-        """Fig 11 fastCommit."""
+    def _commit_locked(self, tx: Transaction, holders, check_conflicts: bool):
+        """The serialized step fast and slow commit both end in (Fig 11,
+        Fig 12): under the commit lock, charge ``commit_critical``, check
+        for write-write conflicts (fast commit only; a slow commit's
+        voters checked theirs), re-check the leases and apply.  Returns
+        ``(None, version)``, or ``(phase, None)`` for an abort."""
         yield self.commit_lock.acquire()
         self._deep(tx.tid, span.COMMIT_LOCK_ACQUIRED)
         try:
-            # The serialized conflict check -- the contended region that
-            # bounds per-site write throughput (§8.3).  ``unmodified`` is
-            # O(sites) per object (per-site max-seqno summary), so the
-            # critical section does not grow with history length.
+            # The contended region that bounds per-site write throughput
+            # (§8.3).  ``unmodified`` is O(sites) per object (per-site
+            # max-seqno summary), so it does not grow with history length.
             yield self.kernel.timeout(self.costs.commit_critical)
-            unmodified = self.histories.unmodified
-            locked = self.locked
-            delayed = self._is_access_delayed
-            start_vts = tx.start_vts
-            write_set = tx.write_set
-            conflict = False
-            for oid in write_set:
-                if not unmodified(oid, start_vts) or oid in locked or delayed(oid):
-                    self.profiler.record_conflict(oid)
-                    conflict = True
-                    break
-            if conflict or not self._leases_held(tx, dict.fromkeys(write_set, self.site_id)):
-                tx.mark_aborted()
-                self.stats.inc("aborts")
-                self._span(tx.tid, span.ABORT,
-                           phase="fast_commit" if conflict else "lease_suspended")
-                return ABORTED
-            version = self._apply_local_commit(tx)
+            if check_conflicts:
+                unmodified = self.histories.unmodified
+                locked = self.locked
+                delayed = self._is_access_delayed
+                start_vts = tx.start_vts
+                for oid in tx.write_set:
+                    if not unmodified(oid, start_vts) or oid in locked or delayed(oid):
+                        self.profiler.record_conflict(oid)
+                        return ("fast_commit", None)
+            if not self._leases_held(tx, holders):
+                return ("lease_suspended", None)
+            return (None, self._apply_local_commit(tx))
         finally:
             self.commit_lock.release()
+
+    def _fast_commit(self, tx: Transaction, holders, notify: Optional[str] = None):
+        """Fig 11 fastCommit."""
+        phase, version = yield from self._commit_locked(tx, holders, True)
+        if phase is not None:
+            return self._abort(tx, phase)
         self._span(tx.tid, span.FAST_COMMIT, seqno=version.seqno)
         yield from self._finish_local_commit(tx, version, notify)
         return COMMITTED

@@ -20,7 +20,7 @@ from ..core.versions import VectorTimestamp, Version
 from ..net import Host, Network
 from ..obs import AccessProfiler, CounterView, MetricsRegistry, Observability, log_buckets
 from ..obs import trace as span
-from ..sim import Kernel, Lock, Resource
+from ..sim import Event, Kernel, Lock, Resource
 from ..spec.checker import ExecutionTrace
 from ..storage import SiteStorage
 from .batching import BatchingConfig
@@ -88,6 +88,12 @@ class WalterServer(
         ``"f_plus_1"`` (the Fig 13 condition).
     """
 
+    #: Commit-path lease deadlines (DESIGN.md §9), shared by every server.
+    leases = LeaseConfig()
+    #: How long §6 anti-starvation delays fast commits to an object that
+    #: aborted a slow commit.
+    anti_starvation_delay = 0.010
+
     def __init__(
         self,
         kernel: Kernel,
@@ -102,10 +108,8 @@ class WalterServer(
         ds_mode: str = "all_sites",
         trace: Optional[ExecutionTrace] = None,
         anti_starvation: bool = False,
-        anti_starvation_delay: float = 0.010,
         takeover: bool = False,
         obs: Optional[Observability] = None,
-        leases: Optional[LeaseConfig] = None,
         partial_replication: bool = False,
         batching=None,
     ):
@@ -123,8 +127,6 @@ class WalterServer(
         self.ds_mode = ds_mode
         self.trace = trace
         self.anti_starvation = anti_starvation
-        self.anti_starvation_delay = anti_starvation_delay
-        self.leases = leases or LeaseConfig()
         #: Partial replication (DESIGN.md §13): propagation trims commit
         #: records down to the updates each destination replicates (the
         #: seqno/commit metadata still reaches every site, so vector
@@ -155,6 +157,8 @@ class WalterServer(
         self._outbox: List[CommitRecord] = []
         self._sender = STOPPED
         self._sender_gen = 0
+        #: Generation of the ``_every`` chains; ``stop()`` ends them.
+        self._every_gen = 0
         #: Trackers of the batch in flight still short of DS durability.
         self._ds_awaited = 0
         self._pending_remote = PendingIndex()
@@ -190,9 +194,9 @@ class WalterServer(
         #: coordinator request key -> result of a ``recovery_finalize``
         #: already performed (a late retry must not truncate again).
         self._finalize_done: Dict[str, dict] = {}
-        #: tids with a commit RPC currently executing (duplicate commit
-        #: requests park until the first lands its outcome).
-        self._commit_inflight = set()
+        #: tid -> event of a commit RPC with a token currently executing:
+        #: a duplicate request waits on it until the first lands its outcome.
+        self._commit_inflight: Dict[str, Event] = {}
         # Observability: a deployment shares one Observability across its
         # servers; a standalone server gets a private one so the stats
         # view always has a registry behind it.
@@ -221,15 +225,18 @@ class WalterServer(
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
+        """Start serving: wake the sender and arm the lease sweeper."""
         super().start()
         if self._sender == STOPPED:
             self._arm_sender(WOKEN, 0.0)
+            self._every(self.leases.sweep_interval, self.lease_sweep)
 
     def stop(self) -> None:
-        """Void the sender's timer and stop the checkpointer; the GC and
-        sweeper chains end at their next tick (they need ``_running``)."""
+        """Void the sender's timer, end every ``_every`` chain (GC, the
+        sweeper) and stop the checkpointer."""
         self._sender = STOPPED
         self._sender_gen += 1
+        self._every_gen += 1
         if self._checkpointer is not None:
             self._checkpointer.stop()
         super().stop()
@@ -240,11 +247,14 @@ class WalterServer(
         )
 
     def _every(self, period: float, work) -> None:
-        """Call ``work()`` every ``period`` simulated seconds while this
-        server runs: one timer, re-armed after each call."""
+        """Call ``work()`` every ``period`` simulated seconds until this
+        server stops: one timer, re-armed after each call.  ``stop()``
+        bumps the generation, so a chain armed before it never runs
+        beside one a later ``start()`` arms."""
+        gen = self._every_gen
 
         def tick():
-            if self._running:
+            if self._running and gen == self._every_gen:
                 work()
                 self.kernel.call_after(period, tick)
 
@@ -396,12 +406,13 @@ class WalterServer(
 
         Returns the number of transactions reaped.  The sweep itself
         sends no messages -- orphan queries run as child processes -- so
-        an idle sweeper does not perturb simulated timings."""
+        an idle sweeper does not perturb simulated timings.  Every
+        server runs it from ``start()``."""
         now = self.kernel.now
         reaped = 0
-        # Every table is guarded by a truthiness check: the sweeper runs
-        # a few times per simulated second on every server, and an idle
-        # sweep must not allocate five list copies of empty dicts.
+        # Every table the sweep copies is guarded by a truthiness check:
+        # the sweeper runs a few times per simulated second on every
+        # server, and an idle sweep must not copy empty dicts.
         if self._tx_deadlines:
             for tid, deadline in list(self._tx_deadlines.items()):
                 if tid not in self._txs:
@@ -432,25 +443,18 @@ class WalterServer(
             for oid, until in list(self._delayed_until.items()):
                 if until <= now:
                     del self._delayed_until[oid]
-        if self._commit_outcomes:
-            retention = self.leases.outcome_retention
-            for key, (_status, at) in list(self._commit_outcomes.items()):
-                if at + retention <= now:
-                    del self._commit_outcomes[key]
-        if self._decisions:
-            retention = self.leases.outcome_retention
-            for tid, (_outcome, at) in list(self._decisions.items()):
-                if at + retention <= now:
-                    del self._decisions[tid]
+        # Both at-most-once tables are written once per key, in time
+        # order, so what expired is a prefix: stop at the first live entry.
+        retention = self.leases.outcome_retention
+        for table in (self._commit_outcomes, self._decisions):
+            expired = []
+            for key, (_outcome, at) in table.items():
+                if at + retention > now:
+                    break
+                expired.append(key)
+            for key in expired:
+                del table[key]
         return reaped
-
-    def start_sweeper(self, interval: Optional[float] = None) -> None:
-        """Run :meth:`lease_sweep` periodically (alongside the GC chain);
-        interval defaults to ``leases.sweep_interval``."""
-        self._every(
-            self.leases.sweep_interval if interval is None else interval,
-            self.lease_sweep,
-        )
 
     def _reply_dropped(self, method: str) -> None:
         self.obs.registry.counter(

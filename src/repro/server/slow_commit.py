@@ -106,20 +106,12 @@ class SlowCommitMixin:
         votes: Dict[int, bool] = dict((yield AllOf(procs)))
         self._deep(tx.tid, span.COMMIT_VOTES, yes=sum(votes.values()), asked=len(votes))
 
-        yes = committed = all(votes.values())
-        if yes:
-            yield self.commit_lock.acquire()
-            self._deep(tx.tid, span.COMMIT_LOCK_ACQUIRED)
-            try:
-                yield self.kernel.timeout(self.costs.commit_critical)
-                # A voter whose lease moved since its vote: the new holder
-                # never saw the vote's locks (see ``_leases_held``).
-                committed = self._leases_held(tx, placement)
-                if committed:
-                    version = self._apply_local_commit(tx)
-            finally:
-                self.commit_lock.release()
-        if committed:
+        phase = "slow_commit"
+        if all(votes.values()):
+            # Re-checks each voter's lease: a voter whose lease moved
+            # since its vote never told the new holder about its locks.
+            phase, version = yield from self._commit_locked(tx, placement, False)
+        if phase is None:
             # Decision point: participants learn COMMIT from propagation
             # (reliably retransmitted), orphan queries from this table.
             self._record_decision(tx.tid, COMMITTED)
@@ -147,10 +139,7 @@ class SlowCommitMixin:
                     self._deliver_abort(tx.tid, site),
                     name="release:%s@%d" % (tx.tid, site),
                 )
-        tx.mark_aborted()
-        self.stats.inc("aborts")
-        self._span(tx.tid, span.ABORT, phase="lease_suspended" if yes else "slow_commit")
-        return ABORTED
+        return self._abort(tx, phase)
 
     def _deliver_abort(self, tid: str, site: int):
         """Retry the abort release to one participant until acked or its
@@ -199,13 +188,8 @@ class SlowCommitMixin:
         if tid in self._prepared:
             self._prepared[tid].deadline = self.kernel.now + self.leases.lock_lease
             return True
-        if not self.config.is_active(self.site_id):
-            return False  # still synchronizing after re-integration (§5.7)
-        if not self.commit_admission_open():
-            # Replacement server, lock table lost with the predecessor:
-            # a YES now could double-grant a lock an in-flight commit
-            # still holds (§5.7).  Vote NO until caught up.
-            return False
+        if self._refusal() is not None:
+            return False  # a YES now could double-grant a lock (§5.7)
         for oid in oids:
             if self.config.preferred_site(oid) != self.site_id:
                 return False  # stale coordinator cache; refuse (§5.1)

@@ -1,5 +1,10 @@
 """Tests for ReTwis on both backends (paper §7, §8.7)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps.retwis import RedisReTwis, WalterReTwis, TIMELINE_SIZE
@@ -152,3 +157,25 @@ class TestRedisReTwis:
         kernel, client, server, retwis = app
         retwis.register("loner", 0)
         assert self.run(kernel, retwis.status(client, "loner")) == []
+
+
+def test_fig23_redis_cell_is_independent_of_hash_seed():
+    """String hashing is salted per process; the Fig 23 Redis ``mixed``
+    cell must not depend on it (a post fans out over a follower set)."""
+    root = Path(__file__).resolve().parents[2]
+    code = (
+        "from bench_fig23_retwis import run_redis; print(run_redis('mixed'))"
+    )
+    cells = []
+    for hash_seed in ("0", "1"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "benchmarks")]),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        cells.append(float(out.stdout))
+    assert cells[0] == cells[1]

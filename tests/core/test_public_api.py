@@ -43,7 +43,6 @@ def test_error_hierarchy():
         errors.TransactionStateError,
         errors.TypeMismatchError,
         errors.NoSuchContainerError,
-        errors.PreferredSiteUnavailableError,
         errors.ConfigurationError,
     ]
     for exc in subclasses:

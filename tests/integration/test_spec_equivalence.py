@@ -49,6 +49,9 @@ def run_differential(seed):
     def impl(gen):
         return world.run_process(gen, within=120.0)
 
+    def quiescent():
+        return not any(s._trackers or s._pending_remote for s in world.servers)
+
     for step in range(OPS_PER_RUN):
         action = rng.random()
         if action < 0.25 or not active:
@@ -102,8 +105,10 @@ def run_differential(seed):
             spec_status = spec.commit_tx(spec_tx)
             if impl_status != spec_status:
                 mismatches.append((step, "commit", handle.tid, impl_status, spec_status))
-            # Synchronize propagation on both sides.
-            world.settle(3.0)
+            # Synchronize propagation on both sides: run until no server
+            # has a commit in flight or a record parked (at most 3 s), so
+            # open transactions never idle past their lease.
+            world.kernel.run(until=world.kernel.now + 3.0, stop_when=quiescent)
             spec.propagate_all()
     return mismatches
 

@@ -92,7 +92,7 @@ class TestAbortReleaseDelivery:
         """Harness self-test: with ``leak_prepare_locks`` the old
         fire-and-forget abort path runs and the orphan sweeper is off,
         so the lock survives arbitrarily long."""
-        w, a, b = _two_site_world(lease_sweeper=True)
+        w, a, b = _two_site_world()
         w.chaos_bug = "leak_prepare_locks"
         client = w.new_client(0, name="harden-bug")
         assert _commit_pair(w, client, a, b, b"seed") == "COMMITTED"
@@ -109,7 +109,7 @@ class TestOrphanLockResolution:
     decision query, never a blind release."""
 
     def test_orphaned_lock_released_after_decision_query(self):
-        w, a, b = _two_site_world(lease_sweeper=True)
+        w, a, b = _two_site_world()
         client = w.new_client(0, name="harden-orphan")
         assert _commit_pair(w, client, a, b, b"seed") == "COMMITTED"
         w.settle(2.0)
@@ -130,7 +130,7 @@ class TestOrphanLockResolution:
     def test_decision_query_preserves_pending_2pc(self):
         """A lock whose coordinator answers PENDING/COMMITTED is *not*
         released early -- presumed abort must never break a live 2PC."""
-        w, a, b = _two_site_world(lease_sweeper=True)
+        w, a, b = _two_site_world()
         client = w.new_client(0, name="harden-pending")
         assert _commit_pair(w, client, a, b, b"seed") == "COMMITTED"
         w.settle(2.0)
@@ -203,7 +203,7 @@ class TestLockIndex:
         assert released[-3:] == [("x:1", 2), ("x:1", 0), ("y:1", 1)]
 
     def test_lease_sweep_and_orphan_decision_agree(self):
-        w, a, b = _two_site_world(lease_sweeper=True)
+        w, a, b = _two_site_world()
         client = w.new_client(0, name="harden-index-orphan")
         assert _commit_pair(w, client, a, b, b"seed") == "COMMITTED"
         w.settle(2.0)
@@ -244,10 +244,10 @@ class TestTransactionReaping:
         w.settle(2.0)
         assert server.gc_watermark() == pinned
 
-        # After the tx lease (5 s) expires, one sweep reaps it.
+        # After the tx lease (5 s) expires, the background sweep reaps it.
         w.settle(server.leases.tx_lease)
-        assert server.lease_sweep() == 1
         assert w.obs.registry.total("tx.reaped") == 1
+        assert server.lease_sweep() == 0
         assert server.gc_watermark() != pinned
         # Reaps are not client-visible aborts; the stats don't conflate
         # them (the gauge refresh is what the GC loop reports).
@@ -293,6 +293,37 @@ class TestClientRetry:
         w.settle(2.0)
         assert server.stats.commits == commits_before + 1
         assert len(server.histories.history(a).versions()) == versions_before + 1
+
+    def test_duplicate_commit_returns_when_the_original_lands(self):
+        """A retried commit that overtakes its original waits for it and
+        answers the cached outcome at the instant it lands."""
+        w = Deployment(n_sites=1, seed=3, jitter_frac=0.0)
+        w.create_container("c0", preferred_site=0)
+        client = w.new_client(0, name="harden-overtake")
+        oid = w.config.container("c0").new_id()
+        server = w.servers[0]
+        landed = {}
+
+        def commit(label, delay):
+            yield w.kernel.timeout(delay)
+            status = yield from client.call(
+                server.address, "tx_commit", tid="t:1", ck="t:1#commit",
+                allow_fresh=False,
+            )
+            landed[label] = (status, w.kernel.now)
+
+        def scenario():
+            yield from client.call(server.address, "tx_write", tid="t:1", oid=oid, data=b"v")
+            # The duplicate arrives while the original is mid-commit.
+            original = w.kernel.spawn(commit("original", 0.0))
+            duplicate = w.kernel.spawn(commit("duplicate", 0.001))
+            yield original
+            yield duplicate
+
+        w.run_process(scenario())
+        assert landed["duplicate"] == landed["original"]
+        assert landed["original"][0] == "COMMITTED"
+        assert server.stats.commits == 1
 
     def test_no_retry_policy_means_no_token_no_retry(self):
         w, a, b = _two_site_world()

@@ -5,6 +5,7 @@ import pytest
 from repro.core import ObjectKind, VectorTimestamp
 from repro.deployment import Deployment
 from repro.net import RpcRemoteError
+from repro.spec.checker import check_site_snapshot_reads
 from repro.storage import FLUSH_MEMORY
 
 
@@ -30,15 +31,8 @@ class TestLeases:
         client = world.new_client(0)
         oid = client.new_id("c0")
         world.config.suspend_leases_of_site(0)
-
-        def scenario():
-            tx = client.start_tx()
-            yield from client.write(tx, oid, b"v")
-            with pytest.raises(RpcRemoteError, match="PreferredSiteUnavailable"):
-                yield from client.commit(tx)
-            return True
-
-        assert world.run_process(scenario()) is True
+        assert commit_write(world, client, oid, b"v") == "ABORTED"
+        assert world.servers[0].stats.aborts == 1
 
     def test_suspended_lease_votes_no_in_prepare(self):
         world = make_world(2)
@@ -341,6 +335,31 @@ class TestTrace:
         world.run_process(scenario())
         assert len(world.trace.reads) == 1
         assert world.trace.reads[0].oid == oid
+
+    def test_remote_reads_traced(self):
+        """A read served by another site -- alone or in a grouped
+        multiread -- reaches the PSI checker like a local one."""
+        world = Deployment(
+            n_sites=2, replication=1, flush_latency=FLUSH_MEMORY, trace=True
+        )
+        world.create_container("c1", preferred_site=1)
+        writer, reader = world.new_client(1), world.new_client(0)
+        x, y, z = (writer.new_id("c1") for _ in range(3))
+        for oid in (x, y, z):
+            assert commit_write(world, writer, oid, b"v") == "COMMITTED"
+        world.settle(2.0)
+
+        def scenario():
+            tx = reader.start_tx()
+            read = yield from reader.read(tx, x)
+            multiread = yield from reader.multiread(tx, [y, z])
+            yield from reader.commit(tx)
+            return [read] + list(multiread)
+
+        assert world.run_process(scenario()) == [b"v"] * 3
+        traced = [(r.site, r.oid, r.value) for r in world.trace.reads]
+        assert traced == [(0, x, b"v"), (0, y, b"v"), (0, z, b"v")]
+        assert check_site_snapshot_reads(world.trace) == []
 
 
 class TestPreload:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import ObjectKind
 from repro.deployment import Deployment
-from repro.errors import PreferredSiteUnavailableError
 from repro.net import RpcError, RpcRemoteError, RpcTimeout
 from repro.storage import FLUSH_MEMORY
 

@@ -49,7 +49,7 @@ def test_stopping_a_server_voids_all_its_timers(monkeypatch):
 
         monkeypatch.setattr(WalterServer, name, counted)
 
-    world = Deployment(n_sites=2, seed=5, lease_sweeper=True)
+    world = Deployment(n_sites=2, seed=5)
     for server in world.servers:
         server.start_gc(interval=0.5)
         server.enable_checkpointing(interval=0.5)
@@ -88,3 +88,23 @@ def test_stopping_a_server_voids_all_its_timers(monkeypatch):
     later = counts(0)
     assert later[1] > survivor[1]  # retransmissions into the partition
     assert all(after > before for after, before in zip(later[3:], survivor[3:]))
+
+
+def test_restart_within_one_interval_runs_one_sweeper(monkeypatch):
+    sweeps = Counter()
+    original = WalterServer.lease_sweep
+
+    def counted(self):
+        sweeps[self.site_id] += 1
+        return original(self)
+
+    monkeypatch.setattr(WalterServer, "lease_sweep", counted)
+    world = Deployment(n_sites=2, seed=5)
+    interval = WalterServer.leases.sweep_interval
+    world.settle(interval * 1.5)
+    restarted = world.server(1)
+    restarted.stop()
+    restarted.start()  # before the stopped chain's next tick
+    sweeps.clear()
+    world.settle(interval * 10)
+    assert sweeps[1] == sweeps[0] == 10
