@@ -20,18 +20,14 @@ from repro.bench import (
     walter_costs,
 )
 from repro.deployment import Deployment
-from repro.obs import compute_lag_report
 from repro.storage import FLUSH_EC2
 
 SITE_COUNTS = [2, 3, 4]
 
 
 def measure_ds_latency(n_sites):
-    # Tracing on: Fig 19's latency decomposes from the span events too
-    # (see EXPERIMENTS.md "Observability").
     world = Deployment(
         n_sites=n_sites, costs=walter_costs("ec2"), flush_latency=FLUSH_EC2, seed=19,
-        tracing=True,
     )
     keys = populate(world, n_keys=1000)
     recorder = LatencyRecorder("ds-%dsites" % n_sites)
@@ -85,12 +81,15 @@ def test_fig19_ds_durability_latency(once):
     print()
     print(format_site_observability(worlds[4]))
 
-    # The trace-derived ds lag agrees with the client-observed latency:
-    # the client adds one local notification hop on top of the span.
-    report = compute_lag_report(worlds[4].obs.tracer, worlds[4].n_sites)
-    traced = report.ds_durability[0]
-    assert len(traced) > 50
-    assert abs(traced.p50 - results[4].p50) < 0.010
+    # The server's ds lag agrees with the client-observed latency: the
+    # client adds one local notification hop on top of it.  The exact
+    # mean of the always-on histogram is compared (its bucketed
+    # percentiles are too coarse for a 10 ms check).
+    server_ds = worlds[4].obs.registry.histogram("server.ds_lag", site=0)
+    assert server_ds.count > 50
+    print("ds lag mean at 4 sites: client %.1f ms, server %.1f ms"
+          % (results[4].mean * 1000, server_ds.mean * 1000))
+    assert abs(server_ds.mean - results[4].mean) < 0.010
 
     for n in SITE_COUNTS:
         rec = results[n]

@@ -46,15 +46,10 @@ def format_site_observability(world) -> str:
     lag is measured at the *receiving* site, the other two at the
     origin), the mean WAL group-commit flush size and propagation batch
     occupancy (records per PROPAGATE cast), and the cache hit-rate.  All
-    values come from the shared
-    ``repro.obs`` registry; no tracing is required, but when the world
-    was built with ``tracing=True`` the trace-derived lag gauges are
-    refreshed too.
+    values come from the shared ``repro.obs`` registry; no tracing is
+    required.
     """
     registry = world.obs.registry
-    if world.obs.tracing:
-        # Keep the lag.* gauges in sync with the retained trace window.
-        world.obs.lag_report(world.n_sites, at=world.kernel.now)
     rows = []
     for site in range(world.n_sites):
         commit = registry.histogram("server.commit_latency", site=site)

@@ -143,9 +143,6 @@ class FaultInjector:
     def _fault_heal(self, a: int, b: int) -> None:
         self.world.network.heal(a, b)
 
-    def _fault_heal_all(self) -> None:
-        self.world.network.heal_all()
-
     def _fault_loss_burst(self, rate: float, duration: float) -> None:
         until = self.kernel.now + duration
         self._bursts.append((rate, until))

@@ -14,7 +14,6 @@ network/disk gremlins:
 ``replace``             start a replacement server over the site's storage
 ``partition``           sever links between sites ``a`` and ``b``
 ``heal``                restore links between sites ``a`` and ``b``
-``heal_all``            restore every link
 ``loss_burst``          random message loss at ``rate`` for ``duration``
 ``flush_stall``         hold WAL flushes at ``site`` for ``duration``
 ``prepare_reply_loss``  drop ``site``'s prepare replies for ``duration``
@@ -40,7 +39,6 @@ FAULT_CATALOG: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "replace": (("site",), ("site",)),
     "partition": (("a", "b"), ("a", "b")),
     "heal": (("a", "b"), ("a", "b")),
-    "heal_all": ((), ()),
     "loss_burst": (("rate", "duration"), ()),
     "flush_stall": (("site", "duration"), ("site",)),
     "prepare_reply_loss": (("site", "duration"), ("site",)),

@@ -164,9 +164,12 @@ class Deployment:
         #: milestones and causal parent edges (critical-path input).
         self.obs = Observability(tracing=tracing, trace_capacity=trace_capacity)
         self.network = Network(
-            self.kernel, self.topology, streams=self.streams, jitter_frac=jitter_frac
+            self.kernel,
+            self.topology,
+            streams=self.streams,
+            jitter_frac=jitter_frac,
+            registry=self.obs.registry,
         )
-        self.network.bind_metrics(self.obs.registry)
         if cluster is not None:
             gateway = ClusterGateway(cluster.spec.cluster_id, cluster.spec.cluster_of)
             self.network.attach_gateway(gateway)
@@ -204,6 +207,8 @@ class Deployment:
                     else "disk-%d-%d" % (self._deploy_id, site)
                 ),
                 flush_window=self.batching.wal_window,
+                registry=self.obs.registry,
+                tracer=self.obs.tracer,
             )
             if self.owns(site)
             else None
@@ -215,9 +220,6 @@ class Deployment:
             if storage is None:
                 continue
             storage.image = self._image
-            storage.bind_metrics(self.obs.registry)
-            if self.obs.tracer is not None:
-                storage.bind_tracer(self.obs.tracer)
         self.addresses: Dict[int, str] = {
             site: (
                 "walter-p-%d" % site
@@ -546,11 +548,6 @@ class Deployment:
             for site, server in enumerate(self.servers)
             if server is not None
         }
-
-    def lag_report(self):
-        """Per-site replication/ds/visibility lag from retained traces
-        (requires ``tracing=True``); refreshes the ``lag.*`` gauges."""
-        return self.obs.lag_report(self.n_sites, at=self.kernel.now)
 
     # ------------------------------------------------------------------
     # Failure handling (§5.7)

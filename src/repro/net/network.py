@@ -122,13 +122,14 @@ class Route:
     resolved once: path latency and bandwidth, the link's jitter/loss
     draw (bound whatever the rates, since chaos raises ``loss_rate``
     mid-run), when its FIFO pipe is next free, and the per-site / per-link
-    counter handles (created on first use, as a send or delivery would).
+    counter handles.
     """
 
     __slots__ = ("src_id", "dst_id", "link", "latency", "bandwidth", "random",
                  "free_at", "sent", "delivered", "bytes")
 
-    def __init__(self, src_id: int, dst_id: int, latency: float, bandwidth: float, random):
+    def __init__(self, src_id: int, dst_id: int, latency: float, bandwidth: float,
+                 random, registry: MetricsRegistry):
         self.src_id = src_id
         self.dst_id = dst_id
         self.link = (src_id, dst_id)
@@ -136,19 +137,23 @@ class Route:
         self.bandwidth = bandwidth
         self.random = random
         self.free_at = 0.0
-        self.unbind()
-
-    def unbind(self) -> None:
-        self.sent = self.delivered = self.bytes = None
+        self.sent = registry.counter("net.sent", site=src_id)
+        self.delivered = registry.counter("net.delivered", site=dst_id)
+        #: Bytes are counted on cross-site links only.
+        self.bytes = (
+            registry.counter("net.bytes", site=src_id, dst=dst_id)
+            if src_id != dst_id
+            else None
+        )
 
 
 class NetworkStats(CounterView):
-    """Counters exposed to tests and benchmarks: registry counters
-    ``net.sent``, ``net.delivered``, ``net.dropped_partition``,
-    ``net.dropped_crash``, ``net.dropped_random``, so fault-injection
-    runs surface drop counts in ``metrics_snapshot()``.
-    ``bytes_by_link`` stays a plain dict (tuple-keyed; per-link bytes
-    are also mirrored as ``net.bytes``).
+    """The deployment-wide counters ``net.sent``, ``net.delivered``,
+    ``net.dropped_partition``, ``net.dropped_crash`` and
+    ``net.dropped_random`` (no labels), so fault-injection runs surface
+    drop counts in ``metrics_snapshot()``.  Per-site and per-link
+    traffic is ``net.sent{site}``, ``net.delivered{site}`` and
+    ``net.bytes{site,dst}``.
     """
 
     PREFIX = "net"
@@ -160,11 +165,7 @@ class NetworkStats(CounterView):
         "dropped_random",
     )
 
-    __slots__ = ("bytes_by_link",)
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        super().__init__(registry)
-        self.bytes_by_link = {}
+    __slots__ = ()
 
 
 class Network:
@@ -180,6 +181,7 @@ class Network:
         streams: Optional[RandomStreams] = None,
         jitter_frac: float = 0.05,
         loss_rate: float = 0.0,
+        registry: Optional[MetricsRegistry] = None,
     ):
         self.kernel = kernel
         self.topology = topology
@@ -204,38 +206,19 @@ class Network:
         # a takeover may invalidate, so link state carries over.
         self._links: Dict[Tuple[int, int], Route] = {}
         self._routes: Dict[Tuple[str, str], Route] = {}
-        self.stats = NetworkStats()
-        self._registry = None
+        #: Traffic counters live in ``registry`` (the deployment's, or a
+        #: private one for a standalone network).
+        self._registry = registry = registry or MetricsRegistry()
+        self.stats = NetworkStats(registry)
         #: Set in cluster mode (parallel executor): messages to sites in
         #: other clusters become outbox envelopes instead of local events.
         self._gateway: Optional[ClusterGateway] = None
-        self._bind_stat_handles()
-
-    def _bind_stat_handles(self) -> None:
         counter = self.stats._counter
         self._c_sent = counter("sent")
         self._c_delivered = counter("delivered")
         self._c_dropped_partition = counter("dropped_partition")
         self._c_dropped_crash = counter("dropped_crash")
         self._c_dropped_random = counter("dropped_random")
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror per-site traffic into the shared metrics registry:
-        ``net.sent{site=src}``, ``net.delivered{site=dst}``, and
-        ``net.bytes{site=src,dst=dst}`` for cross-site links.  The
-        aggregate :class:`NetworkStats` view (including the drop
-        counters) is rebound onto the same registry, migrating any
-        counts accumulated before binding."""
-        self._registry = registry
-        old = self.stats
-        stats = NetworkStats(registry)
-        for name in NetworkStats.FIELDS:
-            setattr(stats, name, getattr(old, name))
-        stats.bytes_by_link.update(old.bytes_by_link)
-        self.stats = stats
-        for route in self._links.values():
-            route.unbind()
-        self._bind_stat_handles()
 
     # ------------------------------------------------------------------
     # Host management
@@ -333,9 +316,9 @@ class Network:
         # Both the aggregate and the per-site sent counters count
         # *attempted* sends: they are incremented together, before any
         # drop check, so ``net.sent`` always equals the sum of
-        # ``net.sent{site=*}`` once metrics are bound.  Counter bumps on
-        # this path write ``.value`` directly -- one attribute add per
-        # message instead of a method call.
+        # ``net.sent{site=*}``.  Counter bumps on this path write
+        # ``.value`` directly -- one attribute add per message instead
+        # of a method call.
         self._c_sent.value += 1
         try:
             route = self._routes[src, dst]
@@ -343,12 +326,7 @@ class Network:
             route = self._route(src, dst)
             if route is None:
                 return
-        registry = self._registry
-        if registry is not None:
-            sent = route.sent
-            if sent is None:
-                sent = route.sent = registry.counter("net.sent", site=route.src_id)
-            sent.value += 1
+        route.sent.value += 1
         if src in self._crashed:
             self._c_dropped_crash.value += 1
             return
@@ -373,16 +351,7 @@ class Network:
             if start < now:
                 start = now
             route.free_at = start + serialize
-            bytes_by_link = self.stats.bytes_by_link
-            link = route.link
-            bytes_by_link[link] = bytes_by_link.get(link, 0) + size_bytes
-            if registry is not None:
-                link_bytes = route.bytes
-                if link_bytes is None:
-                    link_bytes = route.bytes = registry.counter(
-                        "net.bytes", site=src_id, dst=dst_id
-                    )
-                link_bytes.value += size_bytes
+            route.bytes.value += size_bytes
             deliver_at = start + serialize + latency + self.SOFTWARE_OVERHEAD
         else:
             deliver_at = now + serialize + latency + self.SOFTWARE_OVERHEAD
@@ -415,8 +384,7 @@ class Network:
         if dst_id is None:
             if src not in self._crashed:
                 raise ValueError("unknown destination %r" % (dst,))
-            if self._registry is not None:
-                self._registry.counter("net.sent", site=src_id).value += 1
+            self._registry.counter("net.sent", site=src_id).value += 1
             self._c_dropped_crash.value += 1
             return None
         route = self._links.get((src_id, dst_id))
@@ -433,6 +401,7 @@ class Network:
                 self.topology.one_way(src_id, dst_id),
                 self.topology.bandwidth_bps(src_id, dst_id),
                 self.streams.stream("net.jitter.%d-%d" % (src_id, dst_id)).random,
+                self._registry,
             )
         self._routes[src, dst] = route
         return route
@@ -465,12 +434,5 @@ class Network:
             return
         message.delivered_at = self.kernel.now
         self._c_delivered.value += 1
-        registry = self._registry
-        if registry is not None:
-            delivered = route.delivered
-            if delivered is None:
-                delivered = route.delivered = registry.counter(
-                    "net.delivered", site=route.dst_id
-                )
-            delivered.value += 1
+        route.delivered.value += 1
         self._receivers[dst](message)

@@ -1,4 +1,4 @@
-"""Sim-time observability: metrics registry, transaction tracing, lag.
+"""Sim-time observability: metrics registry and transaction tracing.
 
 One :class:`Observability` instance is shared by every component of a
 deployment (servers, network, storage, benchmarks).  The metrics
@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from .export import dump_jsonl, format_timeline, trace_events_jsonl
-from .lag import LagReport, compute_lag_report, update_lag_gauges
 from .metrics import (
     Counter,
     CounterView,
@@ -97,10 +96,6 @@ class Observability:
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         return self.registry.snapshot()
 
-    def lag_report(self, n_sites: int, at: Optional[float] = None) -> LagReport:
-        """Recompute lag from retained traces and refresh the gauges."""
-        return update_lag_gauges(self.registry, self.tracer, n_sites, at=at)
-
 
 __all__ = [
     "ABORT",
@@ -125,7 +120,6 @@ __all__ = [
     "GLOBALLY_VISIBLE",
     "Gauge",
     "Histogram",
-    "LagReport",
     "MetricsRegistry",
     "Observability",
     "OnlineMonitor",
@@ -144,7 +138,6 @@ __all__ = [
     "aggregate_budgets",
     "collect_run",
     "compute_budget",
-    "compute_lag_report",
     "diff_artifacts",
     "diff_outcomes",
     "dump_jsonl",
@@ -157,5 +150,4 @@ __all__ = [
     "format_timeline",
     "log_buckets",
     "trace_events_jsonl",
-    "update_lag_gauges",
 ]

@@ -1,8 +1,7 @@
 """Per-site access profiling: hot keys and per-container traffic.
 
-ROADMAP item 5 (workload-adaptive preferred-site placement) needs to
-know, per site, which objects are hot, who writes them, and where the
-conflicts are.  :class:`AccessProfiler` -- one per server -- keeps six
+Workload-adaptive preferred-site placement needs to know, per site,
+which objects are hot, who writes them, and where the conflicts are.  :class:`AccessProfiler` -- one per server -- keeps six
 exact counters per touched object (reads, writes, conflicts, remote
 applies, owner vs non-owner traffic).  The server already holds a whole
 history per object, so a handful of ints per object is no new memory

@@ -200,27 +200,6 @@ class TxTrace:
             return None
         return "fast" if event.name == FAST_COMMIT else "slow"
 
-    def _lag_from_commit(self, name: str, site: Optional[int] = None) -> Optional[float]:
-        commit = self.commit_event
-        if commit is None:
-            return None
-        event = self.first(name, site)
-        if event is None:
-            return None
-        return event.t - commit.t
-
-    def ds_lag(self) -> Optional[float]:
-        """Commit -> disaster-safe durable at the origin (Fig 19)."""
-        return self._lag_from_commit(DS_DURABLE)
-
-    def visibility_lag(self) -> Optional[float]:
-        """Commit -> globally visible (every site committed it)."""
-        return self._lag_from_commit(GLOBALLY_VISIBLE)
-
-    def replication_lag(self, site: int) -> Optional[float]:
-        """Commit at origin -> updates applied at ``site``."""
-        return self._lag_from_commit(REMOTE_APPLY, site)
-
 
 class Tracer:
     """Bounded collector of transaction traces.

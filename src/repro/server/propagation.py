@@ -495,7 +495,8 @@ class PropagationMixin:
     #: flush, so no commit slips a flush-grid step (p99 4 ms).  The other
     #: side of the trade: on a *saturated* lock a shorter turn is a smaller
     #: share for replication, which already fell behind there at 512
-    #: (EXPERIMENTS.md Fig 17 write-only row, ROADMAP item 2).
+    #: (EXPERIMENTS.md Fig 17 write-only row; the open work is
+    #: replication that keeps up under commit saturation).
     APPLY_CHUNK = 16
 
     def on_propagate_batch(self, src: str, batch: PropagationBatch):

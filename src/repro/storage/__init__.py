@@ -1,6 +1,6 @@
 """Durable storage substrate: WAL with group commit, cache, checkpoints."""
 
-from .cache import CacheStats, ObjectCache, RegistryCacheStats
+from .cache import CacheStats, ObjectCache
 from .checkpoint import Checkpoint, Checkpointer
 from .cluster import DEFAULT_CACHE_CAPACITY, SiteStorage
 from .disklog import (
@@ -16,7 +16,6 @@ from .disklog import (
 __all__ = [
     "CacheStats",
     "DEFAULT_CACHE_CAPACITY",
-    "RegistryCacheStats",
     "Checkpoint",
     "Checkpointer",
     "DiskLog",

@@ -11,42 +11,21 @@ regular queue first and touches csets only when no regular entry remains.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from ..core.objects import ObjectId, ObjectKind
-from ..obs.metrics import CounterView
+from ..obs.metrics import CounterView, MetricsRegistry
 
 
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    evictions_regular: int = 0
-    evictions_cset: int = 0
-
-    def inc(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class RegistryCacheStats(CounterView):
-    """The :class:`CacheStats` attribute API backed by per-site counters
-    in a :class:`repro.obs.MetricsRegistry` (``cache.<field>{site=s}``),
-    so cache hit-rates show up in benchmark metric snapshots instead of
-    staying siloed in the storage layer."""
+class CacheStats(CounterView):
+    """The cache's registry counters, labelled with its site:
+    ``cache.hits``, ``cache.misses``, ``cache.evictions_regular`` and
+    ``cache.evictions_cset``."""
 
     PREFIX = "cache"
     FIELDS = ("hits", "misses", "evictions_regular", "evictions_cset")
 
     __slots__ = ()
-
-    def __init__(self, registry, site: int):
-        super().__init__(registry, site=site)
 
     @property
     def hit_rate(self) -> float:
@@ -57,23 +36,22 @@ class RegistryCacheStats(CounterView):
 class ObjectCache:
     """LRU cache keyed by ObjectId, preferring to evict regular objects."""
 
-    def __init__(self, capacity: int):
+    def __init__(
+        self, capacity: int, registry: Optional[MetricsRegistry] = None, site: int = 0
+    ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._regular: "OrderedDict[ObjectId, Any]" = OrderedDict()
         self._cset: "OrderedDict[ObjectId, Any]" = OrderedDict()
-        self.stats = CacheStats()
-
-    def bind_metrics(self, registry, site: int) -> None:
-        """Mirror this cache's stats into registry counters; existing
-        counts carry over.  Idempotent (a replacement server rebinding
-        the same storage keeps the same counters)."""
-        stats = RegistryCacheStats(registry, site)
-        if not isinstance(self.stats, RegistryCacheStats):
-            for field_name in RegistryCacheStats.FIELDS:
-                stats._counter(field_name).inc(getattr(self.stats, field_name))
-        self.stats = stats
+        #: Counts live in ``registry`` (the deployment's, or a private
+        #: one for a standalone cache), labelled ``site=<site>``.
+        self.stats = CacheStats(registry, site=site)
+        counter = self.stats._counter
+        self._hits = counter("hits")
+        self._misses = counter("misses")
+        self._evictions_regular = counter("evictions_regular")
+        self._evictions_cset = counter("evictions_cset")
 
     def __len__(self) -> int:
         return len(self._regular) + len(self._cset)
@@ -89,9 +67,9 @@ class ObjectCache:
         queue = self._queue_for(oid)
         if oid in queue:
             queue.move_to_end(oid)
-            self.stats.inc("hits")
+            self._hits.value += 1
             return True, queue[oid]
-        self.stats.inc("misses")
+        self._misses.value += 1
         return False, None
 
     def put(self, oid: ObjectId, value: Any) -> Optional[ObjectId]:
@@ -109,10 +87,10 @@ class ObjectCache:
     def _evict(self) -> ObjectId:
         if self._regular:
             victim, _ = self._regular.popitem(last=False)
-            self.stats.inc("evictions_regular")
+            self._evictions_regular.value += 1
         else:
             victim, _ = self._cset.popitem(last=False)
-            self.stats.inc("evictions_cset")
+            self._evictions_cset.value += 1
         return victim
 
     def invalidate(self, oid: ObjectId) -> None:

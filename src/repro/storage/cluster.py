@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
+from ..obs.metrics import MetricsRegistry
 from ..sim import Kernel
 from .cache import ObjectCache
 from .checkpoint import Checkpointer
@@ -29,7 +30,11 @@ DEFAULT_CACHE_CAPACITY = 50_000
 
 
 class SiteStorage:
-    """The durable state of one site, surviving Walter-server restarts."""
+    """The durable state of one site, surviving Walter-server restarts.
+
+    The WAL and cache count into ``registry`` (``disklog.*`` and
+    ``cache.*``, labelled ``site=<site>``); with a ``tracer`` in deep
+    mode the WAL emits ``wal.flush`` spans."""
 
     def __init__(
         self,
@@ -39,6 +44,8 @@ class SiteStorage:
         name: str = "",
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         flush_window: float = 0.0,
+        registry: Optional[MetricsRegistry] = None,
+        tracer=None,
     ):
         self.kernel = kernel
         self.site = site
@@ -47,9 +54,12 @@ class SiteStorage:
             flush_latency=flush_latency,
             name=name or ("disk-site%d" % site),
             flush_window=flush_window,
+            registry=registry,
+            tracer=tracer,
+            site=site,
         )
         #: In-memory object cache with cset-preferring LRU eviction (§6).
-        self.cache = ObjectCache(cache_capacity)
+        self.cache = ObjectCache(cache_capacity, registry=registry, site=site)
         self._checkpointer: Optional[Checkpointer] = None
         #: Small durable key-value area for server metadata (leases etc.).
         self.metadata: Dict[str, Any] = {}
@@ -58,17 +68,6 @@ class SiteStorage:
         #: a deployment's storages, and the site-0 seqno it covers.
         self.image: Dict[Any, Any] = {}
         self.image_seqno = 0
-
-    def bind_metrics(self, registry) -> None:
-        """Expose this site's cache and WAL stats through the shared
-        metrics registry (labelled ``site=<id>``)."""
-        self.cache.bind_metrics(registry, self.site)
-        self.log.bind_metrics(registry, self.site)
-
-    def bind_tracer(self, tracer) -> None:
-        """Attach the deployment tracer so the WAL can emit deep-mode
-        ``wal.flush`` spans (no-op outside deep tracing)."""
-        self.log.bind_tracer(tracer, self.site)
 
     def inject_flush_stall(self, duration: float) -> float:
         """Fault injection: stall WAL flushes for ``duration`` simulated

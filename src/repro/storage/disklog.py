@@ -18,7 +18,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from ..obs.metrics import CounterView, Histogram, MetricsRegistry, log_buckets
 from ..sim import Event, Kernel
+
+#: Buckets of the ``disklog.flush_batch`` histogram (records per flush).
+FLUSH_BATCH_BUCKETS = log_buckets(1.0, 4096.0)
 
 #: Flush latencies (seconds) for the three disk configurations of Fig 18.
 FLUSH_EC2 = 0.002            # EC2 instance storage (write cache state unknown)
@@ -39,13 +43,27 @@ class LogRecord:
     durable_at: Optional[float] = None
 
 
-@dataclass
-class DiskStats:
-    flushes: int = 0
-    records: int = 0
-    max_batch: int = 0
-    stalls: int = 0
-    fenced: int = 0
+class DiskStats(CounterView):
+    """The log's registry counters, labelled with its site:
+    ``disklog.flushes``, ``disklog.records``, ``disklog.stalls`` and
+    ``disklog.fenced`` (records a takeover discarded)."""
+
+    PREFIX = "disklog"
+    FIELDS = ("flushes", "records", "stalls", "fenced")
+
+    __slots__ = ()
+
+    @property
+    def flush_batch(self) -> Histogram:
+        """Records per flush: the ``disklog.flush_batch`` histogram."""
+        return self._registry.histogram(
+            "disklog.flush_batch", buckets=FLUSH_BATCH_BUCKETS, **self._labels
+        )
+
+    @property
+    def max_batch(self) -> int:
+        """Records in the largest flush so far."""
+        return int(self.flush_batch.max or 0)
 
 
 class DiskLog:
@@ -62,6 +80,9 @@ class DiskLog:
         flush_latency: float = FLUSH_EC2,
         name: str = "disk",
         flush_window: float = 0.0,
+        registry: Optional[MetricsRegistry] = None,
+        tracer=None,
+        site: int = 0,
     ):
         if flush_latency < 0:
             raise ValueError("flush latency must be >= 0")
@@ -81,13 +102,19 @@ class DiskLog:
         self.name = name
         self._durable_event_name = "%s.durable" % name
         self.entries: List[LogRecord] = []
-        self.stats = DiskStats()
-        self._flush_counter = None
-        self._record_counter = None
-        self._stall_counter = None
-        self._batch_hist = None
-        self._tracer = None
-        self._trace_site = 0
+        #: Counts live in ``registry`` (the deployment's, or a private
+        #: one for a standalone log), labelled ``site=<site>``.
+        self.stats = DiskStats(registry, site=site)
+        counter = self.stats._counter
+        self._flushes = counter("flushes")
+        self._records = counter("records")
+        self._stalls = counter("stalls")
+        self._batch_hist = self.stats.flush_batch
+        #: Deep tracing: a ``wal.flush`` span when a local commit record
+        #: lands on disk, parented to the transaction's commit span (the
+        #: flush is the group-commit leg of the critical path).
+        self._tracer = tracer
+        self._site = site
         #: Fault injection: flushes (even memory-speed ones) are held
         #: until this simulated time -- models a slow/saturated disk.
         self._stalled_until = 0.0
@@ -97,25 +124,6 @@ class DiskLog:
         self._queue: deque = deque()
         #: The flush in progress, or None while the log is idle.
         self._batch: Optional[List] = None
-
-    def bind_metrics(self, registry, site: int) -> None:
-        """Mirror flush/record counts into ``disklog.*{site=s}`` metrics
-        (batch sizes as a log-bucket histogram)."""
-        self._flush_counter = registry.counter("disklog.flushes", site=site)
-        self._record_counter = registry.counter("disklog.records", site=site)
-        from ..obs import log_buckets
-
-        self._batch_hist = registry.histogram(
-            "disklog.flush_batch", buckets=log_buckets(1.0, 4096.0), site=site
-        )
-        self._stall_counter = registry.counter("disklog.stalls", site=site)
-
-    def bind_tracer(self, tracer, site: int) -> None:
-        """Deep tracing: emit a ``wal.flush`` span when a local commit
-        record lands on disk, parented to the transaction's commit span
-        (the flush is the group-commit leg of the critical path)."""
-        self._tracer = tracer
-        self._trace_site = site
 
     @staticmethod
     def _latency_critical(batch: List) -> bool:
@@ -142,7 +150,7 @@ class DiskLog:
             tid, SLOW_COMMIT_COMMIT
         )
         tracer.record(
-            tid, WAL_FLUSH, self._trace_site, self.kernel.now,
+            tid, WAL_FLUSH, self._site, self.kernel.now,
             parent=parent, batch=batch,
         )
 
@@ -157,18 +165,16 @@ class DiskLog:
         if duration < 0:
             raise ValueError("stall duration must be >= 0")
         self._stalled_until = max(self._stalled_until, self.kernel.now + duration)
-        self.stats.stalls += 1
-        if self._stall_counter is not None:
-            self._stall_counter.inc()
+        self._stalls.value += 1
         return self._stalled_until
 
     def append(self, payload: Any, records: int = 1) -> Event:
         """Enqueue ``payload`` as one entry holding ``records`` records;
         the returned event fires when it is durable.  A receiver logs an
         applied chunk or a committed run as one entry.  The count rides
-        with the entry, and every count the log keeps or exports -- the
-        flush window's lone-record test, stats, metrics, fencing -- is
-        of records, so grouping them changes no flush decision."""
+        with the entry, and every count the log keeps -- the flush
+        window's lone-record test, its counters, fencing -- is of
+        records, so grouping them changes no flush decision."""
         if records < 1:
             raise ValueError("a log entry holds at least one record")
         done = Event(self.kernel, self._durable_event_name)
@@ -179,9 +185,7 @@ class DiskLog:
             self.entries.append(record)
             if self._tracer is not None:
                 self._trace_flush(payload, 1)
-            self.stats.records += records
-            if self._record_counter is not None:
-                self._record_counter.inc(records)
+            self._records.value += records
             done.trigger(record)
             return done
         self._queue.append((LogRecord(payload, now), done, self.epoch, records))
@@ -199,8 +203,8 @@ class DiskLog:
         (otherwise a zombie write could resurface after the replacement
         already rebuilt its state, or collide with a reused seqno).
         Returns the discarded payloads so the deployment can account for
-        the never-durable local commits; ``stats.fenced`` counts their
-        records.
+        the never-durable local commits; ``disklog.fenced`` counts
+        their records.
         """
         # An older epoch in the flush in progress: an earlier fence's.
         doomed = list(self._queue) + [
@@ -208,7 +212,9 @@ class DiskLog:
         ]
         self._queue.clear()
         self.epoch += 1
-        self.stats.fenced += sum(records for _record, _done, _epoch, records in doomed)
+        self.stats.inc(
+            "fenced", sum(records for _record, _done, _epoch, records in doomed)
+        )
         return [record.payload for record, _done, _epoch, _records in doomed]
 
     def _flush_start(self) -> None:
@@ -253,11 +259,8 @@ class DiskLog:
     def _flush_land(self) -> None:
         batch = self._batch
         size = sum(records for _record, _done, _epoch, records in batch)
-        self.stats.flushes += 1
-        self.stats.max_batch = max(self.stats.max_batch, size)
-        if self._flush_counter is not None:
-            self._flush_counter.inc()
-            self._batch_hist.observe(float(size))
+        self._flushes.value += 1
+        self._batch_hist.observe(float(size))
         landed = 0
         for record, done, epoch, records in batch:
             if epoch != self.epoch:
@@ -268,9 +271,7 @@ class DiskLog:
             if self._tracer is not None:
                 self._trace_flush(record.payload, size)
             done.trigger(record)
-        self.stats.records += landed
-        if self._record_counter is not None:
-            self._record_counter.inc(landed)
+        self._records.value += landed
         self._last_flush_end = self.kernel.now
         self._batch = None
         if self._queue:

@@ -20,7 +20,7 @@ class TestScheduleDSL:
         s = Schedule(
             events=[
                 FaultEvent(at=2.0, fault="crash", args={"site": 0}),
-                FaultEvent(at=1.0, fault="heal_all", args={}),
+                FaultEvent(at=1.0, fault="heal", args={"a": 0, "b": 1}),
             ]
         )
         assert [e.at for e in s.events] == [1.0, 2.0]
@@ -58,8 +58,8 @@ class TestScheduleDSL:
     @pytest.mark.parametrize(
         "event",
         [
-            FaultEvent(float("inf"), "heal_all", {}),
-            FaultEvent(float("nan"), "heal_all", {}),
+            FaultEvent(float("inf"), "heal", {"a": 0, "b": 1}),
+            FaultEvent(float("nan"), "heal", {"a": 0, "b": 1}),
             FaultEvent(1.0, "crash", {"site": True}),
             FaultEvent(1.0, "loss_burst", {"rate": 0.1, "duration": float("inf")}),
             FaultEvent(1.0, "flush_stall", {"site": 0, "duration": float("nan")}),

@@ -3,13 +3,14 @@
 import pytest
 
 from repro.net import Network, Topology
+from repro.obs import MetricsRegistry
 from repro.sim import Kernel
 
 
-def make_net(n_sites=2, jitter=0.0, loss=0.0):
+def make_net(n_sites=2, jitter=0.0, loss=0.0, registry=None):
     kernel = Kernel()
     topo = Topology.ec2(n_sites)
-    net = Network(kernel, topo, jitter_frac=jitter, loss_rate=loss)
+    net = Network(kernel, topo, jitter_frac=jitter, loss_rate=loss, registry=registry)
     return kernel, topo, net
 
 
@@ -155,13 +156,14 @@ def test_jitter_is_deterministic_per_seed():
 
 
 def test_stats_byte_accounting():
-    kernel, topo, net = make_net()
+    registry = MetricsRegistry()
+    kernel, topo, net = make_net(registry=registry)
     net.register("a", "VA")
     net.register("b", "CA")
     net.send("a", "b", "x", size_bytes=1000)
     kernel.run()
     va, ca = topo.site("VA").id, topo.site("CA").id
-    assert net.stats.bytes_by_link[(va, ca)] == 1000
+    assert registry.counter("net.bytes", site=va, dst=ca).value == 1000
 
 
 def test_sent_counters_consistent_under_faults():
@@ -170,11 +172,8 @@ def test_sent_counters_consistent_under_faults():
     before any drop check, so the aggregate always equals the sum of
     the per-site counters -- even when partitions, crashes, and random
     loss drop most of the traffic."""
-    from repro.obs import MetricsRegistry
-
-    kernel, topo, net = make_net(n_sites=3, loss=0.5)
     registry = MetricsRegistry()
-    net.bind_metrics(registry)
+    kernel, topo, net = make_net(n_sites=3, loss=0.5, registry=registry)
     net.register("a", "VA")
     net.register("b", "CA")
     net.register("c", "IE")
@@ -223,26 +222,23 @@ def test_route_resolved_without_jitter_or_loss_still_drops_when_loss_rises():
     assert len(box) == 1 and net.stats.dropped_random == 1
 
 
-def test_bind_metrics_after_traffic_keeps_link_fifo_and_byte_counts():
-    from repro.obs import MetricsRegistry
-
-    kernel, topo, net = make_net()
+def test_link_fifo_spacing_and_byte_counts_in_registry():
+    registry = MetricsRegistry()
+    kernel, topo, net = make_net(registry=registry)
     net.register("a", "VA")
     box = net.register("b", "CA")
     size = 220_000  # 80 ms of serialization at 22 Mbps
     net.send("a", "b", 1, size_bytes=size)
-    registry = MetricsRegistry()
-    net.bind_metrics(registry)
     net.send("a", "b", 2, size_bytes=size)
     kernel.run()
     m1, m2 = box
     assert m2.delivered_at - m1.delivered_at == pytest.approx(size * 8 / 22e6)
     va, ca = topo.site("VA").id, topo.site("CA").id
-    assert net.stats.bytes_by_link[(va, ca)] == 2 * size
-    # The registry mirrors what was sent after binding.
-    assert registry.counter("net.bytes", site=va, dst=ca).value == size
-    assert registry.counter("net.sent", site=va).value == 1
+    assert registry.counter("net.bytes", site=va, dst=ca).value == 2 * size
+    assert registry.counter("net.sent", site=va).value == 2
     assert registry.counter("net.delivered", site=ca).value == 2
+    # The deployment-wide view counts into the same registry.
+    assert registry.counter("net.sent").value == net.stats.sent == 2
 
 
 def test_takeover_register_routes_to_the_new_receiver_and_site():

@@ -39,10 +39,11 @@ class TestTracer:
         tracer = Tracer()
         _lifecycle(tracer, "t1")
         trace = tracer.get("t1")
-        assert trace.ds_lag() == 0.088
-        assert trace.visibility_lag() == 0.168
-        assert trace.replication_lag(1) == 0.043
-        assert trace.replication_lag(0) is None  # no remote_apply at origin
+        commit = trace.commit_event.t
+        assert trace.first(DS_DURABLE).t - commit == 0.088
+        assert trace.first(GLOBALLY_VISIBLE).t - commit == 0.168
+        assert trace.first(REMOTE_APPLY, 1).t - commit == 0.043
+        assert trace.first(REMOTE_APPLY, 0) is None  # no remote_apply at origin
 
     def test_ring_buffer_evicts_oldest(self):
         tracer = Tracer(capacity=3)

@@ -99,6 +99,30 @@ class TestServerReplacement:
         client2 = world.new_client(0)
         assert read_value(world, client2, oid) is None
 
+    def test_takeover_counts_fenced_records_in_the_registry(self):
+        world = make_world(1)
+        client = world.new_client(0)
+        oid = client.new_id("c0")
+        world.storages[0].inject_flush_stall(60.0)
+        outcome = []
+
+        def scenario():
+            tx = client.start_tx()
+            yield from client.write(tx, oid, b"never durable")
+            try:
+                outcome.append((yield from client.commit(tx)))
+            except RpcError as exc:
+                outcome.append(exc)
+
+        world.kernel.spawn(scenario(), name="stalled-commit")
+        world.kernel.run(until=world.kernel.now + 1.0)
+        assert not outcome  # the commit record waits on the stalled WAL
+        world.crash_server(0)
+        world.replace_server(0)
+        fenced = world.metrics_snapshot()["counters"]["disklog.fenced{site=0}"]
+        assert fenced >= 1
+        assert world.storages[0].log.stats.fenced == fenced
+
     def test_recovery_with_checkpoint(self):
         world = make_world(1)
         world.server(0).enable_checkpointing(interval=0.5)
