@@ -129,10 +129,19 @@ class Transaction:
         return "Transaction(%s@site%d %s)" % (self.tid, self.site, self.status.value)
 
 
-@dataclass
+@dataclass(init=False)
 class CommitRecord:
     """What propagation ships between sites: the committed transaction's
-    identity, origin version, snapshot, and updates (Fig 13's ``x``)."""
+    identity, origin version, snapshot, and updates (Fig 13's ``x``).
+
+    Never mutated after commit, so every receiver of one payload may
+    share one object.  Slotted by hand (``dataclass(slots=True)`` needs
+    Python 3.10), which is why ``__init__`` is written out: a slot
+    cannot have a class-level default."""
+
+    __slots__ = (
+        "tid", "site", "seqno", "start_vts", "updates", "committed_at", "touched", "_version",
+    )
 
     tid: str
     site: int
@@ -141,17 +150,26 @@ class CommitRecord:
     updates: List[Update]
     #: Simulated time the transaction committed at its origin; carried on
     #: the wire so receivers can measure replication lag (repro.obs).
-    committed_at: Optional[float] = None
+    committed_at: Optional[float]
     #: Trimmed records only: the container ids the ORIGINAL record's
     #: updates touched.  Partial replication drops non-replica updates
     #: from a site's wire copy, so recovery cannot tell from ``updates``
     #: alone what the transaction wrote; site removal needs the full
     #: footprint to judge whether every written container still has a
     #: surviving replica holding the data.  ``None`` on full records.
-    touched: Optional[Tuple[str, ...]] = None
-    #: Cached ``Version(site, seqno)`` -- site/seqno are fixed at
-    #: construction and the property is on several hot paths.
-    _version: Optional[Version] = field(default=None, repr=False, compare=False)
+    touched: Optional[Tuple[str, ...]]
+
+    def __init__(self, tid, site, seqno, start_vts, updates, committed_at=None, touched=None):
+        self.tid = tid
+        self.site = site
+        self.seqno = seqno
+        self.start_vts = start_vts
+        self.updates = updates
+        self.committed_at = committed_at
+        self.touched = touched
+        #: Cached ``Version(site, seqno)`` (not a field: no repr, no
+        #: compare) -- site/seqno are fixed and the property is hot.
+        self._version: Optional[Version] = None
 
     @property
     def version(self) -> Version:

@@ -25,7 +25,11 @@ class Version:
 
     Ordering (site-major) is defined only so versions can be sorted for
     stable test output; protocol code never relies on cross-site order.
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): every
+    record, history entry and WAL run holds one.
     """
+
+    __slots__ = ("site", "seqno", "_hash")
 
     site: int
     seqno: int

@@ -527,17 +527,19 @@ class Deployment:
     # Observability
     # ------------------------------------------------------------------
     def metrics_snapshot(self):
-        """Deterministic dump of every counter/gauge/histogram.  GC
+        """Deterministic dump of every counter/gauge/histogram, plus the
+        per-site ``access_profile`` when the deployment traces.  GC
         gauges (watermark, history entries, commit records) are refreshed
         first so they are current even if a server's GC loop is off."""
         for server in self._owned_servers():
             server._refresh_gc_gauges()
         snap = self.obs.snapshot()
-        snap["access_profile"] = {
-            site: server.profiler.as_dict()
-            for site, server in enumerate(self.servers)
-            if server is not None
-        }
+        if self.obs.tracer is not None:
+            snap["access_profile"] = {
+                site: server.profiler.as_dict()
+                for site, server in enumerate(self.servers)
+                if server is not None
+            }
         return snap
 
     def gc_watermarks(self) -> Dict[int, "VectorTimestamp"]:

@@ -115,28 +115,23 @@ def encode_propagation_batch(records: List[CommitRecord]) -> Tuple[list, int]:
 
 
 def decode_propagation_batch(entries: list) -> List[CommitRecord]:
-    """Rebuild the commit records of one encoded batch, in order."""
+    """Rebuild the commit records of one encoded batch, in order.
+
+    The records take each entry's update list as it is, not a copy:
+    records are never mutated after commit.  A record whose snapshot
+    delta is empty shares its predecessor's vector object."""
     records: List[CommitRecord] = []
-    prev = None
+    vts = None
     for tid, site, seqno, vts_field, updates, committed_at, touched in entries:
-        if prev is None:
+        if vts is None:
             # The first entry is always the absolute vector.
-            seqnos = tuple(vts_field)
-        else:
-            rebuilt = list(prev)
+            vts = VectorTimestamp._wrap(tuple(vts_field))
+        elif vts_field:
+            rebuilt = list(vts._seqnos)
             for index, value in vts_field:
                 rebuilt[index] = value
-            seqnos = tuple(rebuilt)
-        prev = seqnos
+            vts = VectorTimestamp._wrap(tuple(rebuilt))
         records.append(
-            CommitRecord(
-                tid,
-                site,
-                seqno,
-                VectorTimestamp._wrap(seqnos),
-                list(updates),
-                committed_at,
-                touched=touched,
-            )
+            CommitRecord(tid, site, seqno, vts, updates, committed_at, touched)
         )
     return records

@@ -11,7 +11,8 @@ end of a run, one JSON object per line:
 * ``hist`` -- every registry histogram, reduced to count/mean/quantiles;
 * ``budget`` -- the per-commit-class latency-budget table (deep tracing
   only; see :mod:`repro.obs.critical_path`);
-* ``profile`` -- the per-site access profiler snapshot.
+* ``profile`` -- the per-site access profiler snapshot (traced runs
+  only).
 
 Artifacts are byte-identical across same-seed runs (every value derives
 from simulated time), which is what makes :func:`diff_artifacts` a
@@ -54,9 +55,10 @@ def collect_run(world, name: str, meta: Optional[Dict[str, Any]] = None) -> Dict
             }
             for key, h in snap["histograms"].items()
         },
-        "profiles": {str(site): prof for site, prof in snap["access_profile"].items()},
         "budgets": {},
     }
+    if "access_profile" in snap:
+        out["profiles"] = {str(site): prof for site, prof in snap["access_profile"].items()}
     tracer = world.obs.tracer
     if tracer is not None and tracer.deep:
         table = aggregate_budgets(tracer.traces())
@@ -83,7 +85,7 @@ def write_artifact(path, data: Dict[str, Any]) -> None:
         lines.append(_line({"kind": "hist", "key": key, **data["hists"][key]}))
     for cls in sorted(data["budgets"]):
         lines.append(_line({"kind": "budget", "class": cls, **data["budgets"][cls]}))
-    for site in sorted(data["profiles"], key=int):
+    for site in sorted(data.get("profiles", ()), key=int):
         lines.append(_line({"kind": "profile", **data["profiles"][site]}))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -101,7 +103,6 @@ def load_artifact(path) -> Dict[str, Any]:
         "gauges": {},
         "hists": {},
         "budgets": {},
-        "profiles": {},
     }
     with open(path) as fh:
         for raw in fh:
@@ -121,7 +122,7 @@ def load_artifact(path) -> Dict[str, Any]:
             elif kind == "budget":
                 data["budgets"][obj.pop("class")] = obj
             elif kind == "profile":
-                data["profiles"][str(obj["site"])] = obj
+                data.setdefault("profiles", {})[str(obj["site"])] = obj
     return data
 
 
@@ -167,7 +168,7 @@ def summarize_artifact(data: Dict[str, Any]) -> str:
             "  %s: n=%d mean %.3fms p99 %.3fms p99.9 %.3fms"
             % (key, h["count"], h["mean"] * 1e3, h["p99"] * 1e3, h["p999"] * 1e3)
         )
-    for site in sorted(data["profiles"], key=int):
+    for site in sorted(data.get("profiles", ()), key=int):
         prof = data["profiles"][site]
         hot = prof["hot_keys"][:3]
         lines.append(

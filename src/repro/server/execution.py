@@ -140,10 +140,12 @@ class ExecutionMixin:
                 value = self.histories.read_regular(oid, tx.start_vts, tx.updates)
             if not hit:
                 self.storage.cache.put(oid, True)
-            self.profiler.record_read(oid, owner)
+            if self.profiler is not None:
+                self.profiler.record_read(oid, owner)
             self._trace_read(tx, oid, value)
             return value
-        self.profiler.record_read(oid, owner)
+        if self.profiler is not None:
+            self.profiler.record_read(oid, owner)
         target = container.preferred_site
         if self.partial_replication:
             target = self._nearest_replica(container)
@@ -385,7 +387,8 @@ class ExecutionMixin:
                 if payload is None:
                     values[idx] = yield from self._read_value(tx, oid)
                 else:
-                    self.profiler.record_read(oid, False)
+                    if self.profiler is not None:
+                        self.profiler.record_read(oid, False)
                     values[idx] = self._compose_value(tx, oid, payload)
                     self._trace_read(tx, oid, values[idx])
         return [values[i] for i in range(len(oids))]

@@ -168,7 +168,8 @@ class FastCommitMixin:
                 start_vts = tx.start_vts
                 for oid in tx.write_set:
                     if not unmodified(oid, start_vts) or oid in locked or delayed(oid):
-                        self.profiler.record_conflict(oid)
+                        if self.profiler is not None:
+                            self.profiler.record_conflict(oid)
                         return ("fast_commit", None)
             if not self._leases_held(tx, holders):
                 return ("lease_suspended", None)
@@ -190,9 +191,11 @@ class FastCommitMixin:
         advance CommittedVTS.  Runs with no yields (hence atomically)."""
         self.curr_seqno += 1
         version = Version(self.site_id, self.curr_seqno)
-        preferred_site = self.config.preferred_site
-        for oid in tx.touched:
-            self.profiler.record_write(oid, preferred_site(oid) == self.site_id)
+        profiler = self.profiler
+        if profiler is not None:
+            preferred_site = self.config.preferred_site
+            for oid in tx.touched:
+                profiler.record_write(oid, preferred_site(oid) == self.site_id)
         self.histories.apply(tx.updates, version)
         self.committed_vts = self.committed_vts.with_entry(self.site_id, self.curr_seqno)
         self.got_vts = self.got_vts.with_entry(self.site_id, self.curr_seqno)

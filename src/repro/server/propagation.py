@@ -63,13 +63,15 @@ class PropagationBatch:
     """One encoded PROPAGATE payload (:mod:`repro.net.wire` entries) as
     it rides in a ``propagate_batch`` cast.
 
-    The origin encodes a run once and hands the *same* payload to every
-    destination nothing was trimmed for, so the receive side decodes it
-    once too: the first receiver to open it pays for the decode and every
-    later one applies the same record objects -- one copy of each
-    ``CommitRecord``/``VectorTimestamp``/update list per batch instead of
-    one per destination (7 of them on an 8-site fan-out).  Records are
-    never mutated after commit, which is what makes the sharing safe.
+    The origin encodes a run once per distinct trim and hands the *same*
+    payload to every destination with that trim -- all of them under
+    full replication, every non-replica under partial replication -- so
+    the receive side decodes it once too: the first receiver to open it
+    pays for the decode and every later one applies the same record
+    objects -- one copy of each ``CommitRecord``/``VectorTimestamp``/
+    update list per payload instead of one per destination (7 of them on
+    an 8-site fan-out).  Records are never mutated after commit, which is
+    what makes the sharing safe.
     Only the entries pickle, so each parallel-executor worker that
     receives a copy decodes it for itself.
     """
@@ -278,6 +280,26 @@ class PropagationMixin:
             self._send_batch(resend)
             self.stats.inc("retransmissions", len(resend))
 
+    def _kept(self, record: CommitRecord, site: int) -> Optional[Tuple[int, ...]]:
+        """Indices of the updates of ``record`` whose containers ``site``
+        replicates, or None when it keeps them all -- always under full
+        replication."""
+        updates = record.updates
+        if not self.partial_replication or not updates:
+            return None
+        container = self.config.container
+        keep = tuple(
+            i for i, u in enumerate(updates) if container(u.oid.container).replicated_at(site)
+        )
+        return None if len(keep) == len(updates) else keep
+
+    @staticmethod
+    def _trim(record: CommitRecord, kept: Optional[Tuple[int, ...]]) -> CommitRecord:
+        if kept is None:
+            return record
+        updates = record.updates
+        return record.trimmed([updates[i] for i in kept])
+
     def _record_for(self, record: CommitRecord, site: int) -> CommitRecord:
         """The form of ``record`` shipped to ``site``: the record itself
         under full replication, else trimmed to the updates whose
@@ -285,42 +307,35 @@ class PropagationMixin:
         keep tid/site/seqno/startVTS, so the destination still advances
         its clocks through the full contiguous stream -- only the data a
         site does not store stays off its wire and out of its WAL."""
-        if not self.partial_replication or not record.updates:
-            return record
-        config = self.config
-        keep = [
-            u
-            for u in record.updates
-            if config.container(u.oid.container).replicated_at(site)
-        ]
-        if len(keep) == len(record.updates):
-            return record
-        return record.trimmed(keep)
+        return self._trim(record, self._kept(record, site))
 
     def _send_batch(self, records: List[CommitRecord]) -> None:
         """One delta-encoded ``propagate_batch`` cast per destination per
-        ``max_batch`` chunk.  Each chunk is encoded once and the same
-        :class:`PropagationBatch` goes to every destination nothing is
-        trimmed for (:meth:`_record_for`) -- all of them under full
-        replication -- so the receivers also share one decode."""
+        ``max_batch`` chunk.  A chunk's trim signature for a destination
+        is what :meth:`_kept` keeps of each record; the trimmed copies
+        are built and encoded once per distinct signature, and every
+        destination with that signature gets the same
+        :class:`PropagationBatch`, so its receivers also share one
+        decode.  Under full replication there is one signature."""
         for record in records:
             self._span(record.tid, span.PROPAGATE_SEND, batch=len(records))
+        kept = self._kept
         max_batch = self.batching.max_batch
         for start in range(0, len(records), max_batch):
             chunk = records[start : start + max_batch]
             # Batch-occupancy observability (DESIGN.md §14).
             self._prop_batch_hist.observe(float(len(chunk)))
-            whole = None
+            payloads = {}
             for site in self.config.active_sites():
                 if site == self.site_id:
                     continue
-                shipped = [self._record_for(r, site) for r in chunk]
-                if any(map(operator.is_not, shipped, chunk)):
-                    self._cast_propagate(site, *self._encode(shipped))
-                    continue
-                if whole is None:
-                    whole = self._encode(chunk)
-                self._cast_propagate(site, *whole)
+                signature = tuple([kept(record, site) for record in chunk])
+                payload = payloads.get(signature)
+                if payload is None:
+                    payload = payloads[signature] = self._encode(
+                        list(map(self._trim, chunk, signature))
+                    )
+                self._cast_propagate(site, *payload)
         self.stats.inc("batches_sent")
 
     @staticmethod
@@ -574,11 +589,12 @@ class PropagationMixin:
     def _apply_chunk(self, chunk: List[CommitRecord]):
         """Apply a planned chunk under the commit lock in one pass.
         Per record, in order: histories, the record index and the
-        observability (LRU refresh, access profile, replication lag --
-        origin commit to applied here, on the clock the origin stamped
-        into the record -- and span).  Per chunk: one GotVTS replacement
-        per origin, one counter bump, one WAL entry holding the chunk
-        itself; returns the event that fires when it is durable.
+        observability (LRU refresh, replication lag -- origin commit to
+        applied here, on the clock the origin stamped into the record --
+        and, on traced servers, access profile and span).  Per chunk:
+        one GotVTS replacement per origin, one counter bump, one WAL
+        entry holding the chunk itself; returns the event that fires
+        when it is durable.
 
         GotVTS advances from its value *now*, not from the plan: that
         was made before the apply-cost timeout, and recovery moves the
@@ -586,11 +602,12 @@ class PropagationMixin:
         apply = self.histories.apply
         by_version = self._records_by_version
         cache_put = self.storage.cache.put
-        profile = self.profiler.record_remote_apply
         lag = self._replication_lag.observe
         now = self.kernel.now
         tracer = self._tracer
         deep = tracer is not None and tracer.deep
+        # The access profiler exists exactly on traced servers.
+        profile = self.profiler.record_remote_apply if tracer is not None else None
         for record in chunk:
             version = record.version
             updates = record.updates
@@ -602,9 +619,12 @@ class PropagationMixin:
                 oids = [update.oid for update in updates]
             for oid in oids:
                 cache_put(oid, True)
-                profile(oid)
             if record.committed_at is not None:
                 lag(now - record.committed_at)
+            if tracer is None:
+                continue
+            for oid in oids:
+                profile(oid)
             if deep:
                 # Link the apply back to the origin's send, so the
                 # propagation hop is a causal edge in the span graph.
@@ -612,7 +632,7 @@ class PropagationMixin:
                     record.tid, span.REMOTE_APPLY, origin=record.site,
                     parent=tracer.last_seq(record.tid, span.PROPAGATE_SEND),
                 )
-            elif tracer is not None:
+            else:
                 self._span(record.tid, span.REMOTE_APPLY, origin=record.site)
         self.got_vts = self._advanced(self.got_vts, chunk)
         self.stats.inc("remote_applied", len(chunk))

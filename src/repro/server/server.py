@@ -202,9 +202,10 @@ class WalterServer(
         # view always has a registry behind it.
         self.obs = obs or Observability()
         self._tracer = self.obs.tracer
-        #: Per-site access profiler (hot keys, per-container traffic);
-        #: exported via Deployment.metrics_snapshot()["access_profile"].
-        self.profiler = AccessProfiler(site_id)
+        #: Per-site access profiler (hot keys, per-container traffic) on
+        #: traced deployments, else None; exported via
+        #: Deployment.metrics_snapshot()["access_profile"].
+        self.profiler = AccessProfiler(site_id) if self._tracer is not None else None
         registry = self.obs.registry
         self._commit_latency = registry.histogram("server.commit_latency", site=site_id)
         # Always-on lag histograms (the tracer, when enabled, additionally

@@ -196,12 +196,14 @@ class SlowCommitMixin:
             if not self.config.holds_preferred_lease(oid.container, self.site_id):
                 return False
             if oid in self.locked and self.locked[oid] != tid:
-                self.profiler.record_conflict(oid)
+                if self.profiler is not None:
+                    self.profiler.record_conflict(oid)
                 return False
             if not self.histories.unmodified(oid, start_vts):
                 # A fast commit beat this slow commit; mark the object so
                 # the retry can win (§6 anti-starvation).
-                self.profiler.record_conflict(oid)
+                if self.profiler is not None:
+                    self.profiler.record_conflict(oid)
                 self.mark_slow_commit_abort([oid])
                 return False
         for oid in oids:

@@ -305,7 +305,9 @@ def collect_world_payload(world, scenario_result: Any = None) -> Dict[str, Any]:
         "events_executed": world.kernel.events_executed,
         "metrics": world.obs.registry.dump_state(),
         "access_profile": {
-            site: world.servers[site].profiler.as_dict() for site in owned
+            site: world.servers[site].profiler.as_dict()
+            for site in owned
+            if world.servers[site].profiler is not None
         },
         "span_events": (
             [event.to_dict() for event in tracer.events()] if tracer is not None else None
@@ -594,7 +596,8 @@ class ParallelResult:
         profile: Dict[int, Any] = {}
         for p in self.payloads:
             profile.update(p["access_profile"])
-        snap["access_profile"] = {site: profile[site] for site in sorted(profile)}
+        if profile:  # traced runs only
+            snap["access_profile"] = {site: profile[site] for site in sorted(profile)}
         return snap
 
     def span_lines(self) -> Optional[List[str]]:

@@ -1,5 +1,7 @@
 """Tests for the Transaction and CommitRecord data types."""
 
+import pickle
+
 import pytest
 
 from repro.core import (
@@ -97,3 +99,17 @@ def test_commit_record_size_grows_with_data():
     small = CommitRecord("t", 0, 1, VectorTimestamp([0]), [DataUpdate(REG, b"x")])
     large = CommitRecord("t", 0, 1, VectorTimestamp([0]), [DataUpdate(REG, b"x" * 1000)])
     assert large.payload_bytes() > small.payload_bytes()
+
+
+def test_commit_record_is_slim_and_pickles():
+    from repro.core import DataUpdate
+
+    record = CommitRecord(
+        "t", 1, 4, VectorTimestamp([2, 3]), [DataUpdate(REG, b"x")], 0.5, touched=("c",)
+    )
+    assert not hasattr(record, "__dict__")
+    assert record.version == Version(1, 4)  # fills the cached version slot
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and copy is not record
+    assert copy.version == record.version and copy.touched == ("c",)
+    assert copy != CommitRecord("t", 1, 4, VectorTimestamp([2, 3]), [], 0.5, touched=("c",))

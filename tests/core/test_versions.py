@@ -1,5 +1,7 @@
 """Tests for Version and VectorTimestamp (paper §5.2)."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -90,6 +92,27 @@ def test_version_ordering_stable():
 
 def test_version_str():
     assert str(Version(2, 7)) == "<2:7>"
+    assert repr(Version(2, 7)) == "Version(site=2, seqno=7)"
+
+
+def test_version_is_slim_immutable_and_pickles():
+    v = Version(1, 2)
+    assert not hasattr(v, "__dict__")
+    with pytest.raises(AttributeError):
+        v.seqno = 3
+    copy = pickle.loads(pickle.dumps(v))
+    assert copy == v and copy is not v
+    assert hash(copy) == hash(v) == hash((1, 2))
+    assert {v: "x"}[Version(1, 2)] == "x"
+    assert Version(1, 2) != (1, 2)
+
+
+def test_version_orders_site_major():
+    assert Version(0, 9) < Version(1, 1) <= Version(1, 1) < Version(1, 2)
+    assert Version(1, 2) > Version(1, 1) >= Version(1, 1) > Version(0, 9)
+    assert max([Version(0, 9), Version(1, 2), Version(1, 1)]) == Version(1, 2)
+    with pytest.raises(TypeError):
+        Version(0, 1) < (0, 2)
 
 
 vts_strategy = st.lists(st.integers(0, 50), min_size=1, max_size=5).map(VectorTimestamp)

@@ -14,6 +14,7 @@ from repro.obs import (
     write_run_artifact,
 )
 from repro.obs.__main__ import main as obs_main
+from repro.obs.artifact import summarize_artifact
 
 
 def _run(seed=11):
@@ -58,6 +59,18 @@ class TestArtifactDeterminism:
         assert loaded["meta"]["name"] == "rt"
         assert loaded["meta"]["seed"] == 11
         assert loaded["budgets"]["fast"]["count"] > 0
+
+    def test_untraced_run_keeps_no_access_profile(self, tmp_path):
+        world = Deployment(n_sites=2, seed=11)
+        populate(world, n_keys=10)
+        world.settle(0.5)
+        assert all(server.profiler is None for server in world.servers)
+        assert "access_profile" not in world.metrics_snapshot()
+        path = tmp_path / "untraced.jsonl"
+        data = write_run_artifact(path, world, "untraced")
+        loaded = load_artifact(path)
+        assert "profiles" not in data and "profiles" not in loaded
+        assert "profile" not in summarize_artifact(loaded)
 
 
 class TestDiff:

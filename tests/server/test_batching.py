@@ -376,17 +376,23 @@ def _commit_one(world, site, oid, value=b"v"):
     return Version(site, world.servers[site].curr_seqno)
 
 
+def _count_decodes(monkeypatch):
+    """Patch the receive path's decoder to log each decode's length."""
+    from repro.server import propagation
+
+    decodes = []
+
+    def counting(entries):
+        decodes.append(len(entries))
+        return decode_propagation_batch(entries)
+
+    monkeypatch.setattr(propagation, "decode_propagation_batch", counting)
+    return decodes
+
+
 class TestDecodeSharing:
     def test_full_replication_destinations_share_one_decode(self, monkeypatch):
-        from repro.server import propagation
-
-        decodes = []
-
-        def counting(entries):
-            decodes.append(len(entries))
-            return decode_propagation_batch(entries)
-
-        monkeypatch.setattr(propagation, "decode_propagation_batch", counting)
+        decodes = _count_decodes(monkeypatch)
         world = Deployment(
             topology=Topology.uniform(8, rtt_ms=80.0),
             flush_latency=FLUSH_MEMORY,
@@ -417,6 +423,26 @@ class TestDecodeSharing:
         assert full is not trimmed
         assert len(full.updates) == 1
         assert trimmed.updates == [] and trimmed.touched == ("c",)
+
+    def test_equal_trims_share_one_decode(self, monkeypatch):
+        decodes = _count_decodes(monkeypatch)
+        world = Deployment(
+            n_sites=4, flush_latency=FLUSH_MEMORY, seed=3, replication=2
+        )
+        container = world.create_container("c", preferred_site=0)
+        replica = next(s for s in range(1, 4) if container.replicated_at(s))
+        outsiders = [s for s in range(4) if not container.replicated_at(s)]
+        assert len(outsiders) == 2
+        version = _commit_one(world, 0, container.new_id())
+        world.settle(2.0)
+        # Two distinct trims -- the whole record, its bare header -- so
+        # two payloads and two decodes for three destinations.
+        assert decodes == [1, 1]
+        header = world.servers[outsiders[0]]._records_by_version[version]
+        assert all(world.servers[s]._records_by_version[version] is header for s in outsiders)
+        assert header.updates == [] and header.touched == ("c",)
+        full = world.servers[replica]._records_by_version[version]
+        assert full is not header and len(full.updates) == 1
 
     def test_only_the_entries_pickle(self):
         import pickle

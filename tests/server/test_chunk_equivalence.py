@@ -30,7 +30,8 @@ RECEIVER = 1
 
 
 def build(flush_latency, **deploy):
-    world = Deployment(flush_latency=flush_latency, jitter_frac=0.0, **deploy)
+    # Traced, so the receiver keeps the access profile the fingerprint reads.
+    world = Deployment(flush_latency=flush_latency, jitter_frac=0.0, tracing=True, **deploy)
     for site in range(world.n_sites):
         world.create_container("c%d" % site, preferred_site=site)
     receiver = world.server(RECEIVER)
