@@ -62,23 +62,61 @@ class RetryPolicy:
     jitter: float = 0.1
 
 
-@dataclass
 class TxHandle:
-    """Client-side transaction handle."""
+    """Client-side transaction handle.
 
-    tid: str
-    client: "WalterClient"
-    status: Optional[str] = None
-    started: bool = False
-    #: An update was issued through this handle (only updates get milestones).
-    wrote: bool = False
-    ds_event: Optional[Event] = None
-    visible_event: Optional[Event] = None
+    The §4.2 callbacks are :attr:`ds_event` and :attr:`visible_event`.
+    The handle records the simulated time each milestone arrived and
+    builds an event only when one is asked for -- already triggered,
+    with that time, if the milestone has passed -- so a transaction
+    nobody waits on carries no events.  Slotted: a client holds a handle
+    per transaction until both milestones arrive."""
+
+    __slots__ = (
+        "tid", "client", "status", "started", "wrote",
+        "ds_at", "visible_at", "_ds_event", "_visible_event",
+    )
+
+    def __init__(self, tid: str, client: "WalterClient"):
+        self.tid = tid
+        self.client = client
+        self.status: Optional[str] = None
+        self.started = False
+        #: An update was issued through this handle (only updates get milestones).
+        self.wrote = False
+        #: Simulated time the transaction became disaster-safe durable /
+        #: globally visible, or None until then.
+        self.ds_at: Optional[float] = None
+        self.visible_at: Optional[float] = None
+        self._ds_event: Optional[Event] = None
+        self._visible_event: Optional[Event] = None
+
+    def __repr__(self) -> str:
+        return "TxHandle(%s, status=%s)" % (self.tid, self.status)
 
     @property
     def committed(self) -> bool:
         return self.status == COMMITTED
 
+    @property
+    def ds_event(self) -> Event:
+        """Fires with the time the transaction became disaster-safe durable."""
+        if self._ds_event is None:
+            self._ds_event = self._milestone_event("ds:%s", self.ds_at)
+        return self._ds_event
+
+    @property
+    def visible_event(self) -> Event:
+        """Fires with the time the transaction became globally visible."""
+        if self._visible_event is None:
+            self._visible_event = self._milestone_event("vis:%s", self.visible_at)
+        return self._visible_event
+
+    def _milestone_event(self, name: str, at: Optional[float]) -> Event:
+        event = Event(self.client.kernel, (name, (self.tid,)))
+        if at is not None:
+            event.trigger(at)
+        return event
 
 class WalterClient(Host):
     """An application client bound to its site's Walter server."""
@@ -108,8 +146,9 @@ class WalterClient(Host):
         # address is already unique on the network).
         self._tid_seq = itertools.count(1)
         # Deterministic backoff jitter: seeded by the unique address so
-        # same-seed runs retry at identical sim times.
-        self._retry_rng = random.Random("retry:%s" % name)
+        # same-seed runs retry at identical sim times.  Built only for a
+        # client that retries (a Random is 2.5 KiB).
+        self._retry_rng = random.Random("retry:%s" % name) if retry is not None else None
         #: Retries actually performed (observability for tests).
         self.retries_attempted = 0
 
@@ -147,12 +186,7 @@ class WalterClient(Host):
         """Local-only start; the server starts the transaction on the
         first access RPC (piggybacked start)."""
         tid = "%s:%d" % (self.address, next(self._tid_seq))
-        handle = TxHandle(
-            tid=tid,
-            client=self,
-            ds_event=Event(self.kernel, ("ds:%s", (tid,))),
-            visible_event=Event(self.kernel, ("vis:%s", (tid,))),
-        )
+        handle = TxHandle(tid, self)
         self._handles[tid] = handle
         return handle
 
@@ -388,19 +422,26 @@ class WalterClient(Host):
     # Durability callbacks (server casts)
     # ------------------------------------------------------------------
     def on_tx_ds_durable(self, src: str, tid: str):
-        self._milestone(tid, "ds_event")
+        handle = self._handles.get(tid)
+        if handle is not None and handle.ds_at is None:
+            handle.ds_at = self.kernel.now
+            if handle._ds_event is not None:
+                handle._ds_event.trigger(handle.ds_at)
+            self._forget_if_done(handle)
 
     def on_tx_visible(self, src: str, tid: str):
-        self._milestone(tid, "visible_event")
-
-    def _milestone(self, tid: str, which: str) -> None:
         handle = self._handles.get(tid)
-        if handle is not None:
-            getattr(handle, which).trigger_once(self.kernel.now)
-            if handle.ds_event.triggered and handle.visible_event.triggered:
-                # Both delivered (in either order): nothing more can
-                # arrive; the application keeps its own reference.
-                del self._handles[tid]
+        if handle is not None and handle.visible_at is None:
+            handle.visible_at = self.kernel.now
+            if handle._visible_event is not None:
+                handle._visible_event.trigger(handle.visible_at)
+            self._forget_if_done(handle)
+
+    def _forget_if_done(self, handle: TxHandle) -> None:
+        if handle.ds_at is not None and handle.visible_at is not None:
+            # Both delivered (in either order): nothing more can arrive;
+            # the application keeps its own reference.
+            del self._handles[handle.tid]
 
     # ------------------------------------------------------------------
     # Helpers

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
 
 from ..errors import TransactionStateError
 from .objects import ObjectId
@@ -159,7 +160,8 @@ class CommitRecord:
     #: surviving replica holding the data.  ``None`` on full records.
     touched: Optional[Tuple[str, ...]]
 
-    def __init__(self, tid, site, seqno, start_vts, updates, committed_at=None, touched=None):
+    def __init__(self, tid, site, seqno, start_vts, updates, committed_at=None, touched=None,
+                 version=None):
         self.tid = tid
         self.site = site
         self.seqno = seqno
@@ -168,8 +170,10 @@ class CommitRecord:
         self.committed_at = committed_at
         self.touched = touched
         #: Cached ``Version(site, seqno)`` (not a field: no repr, no
-        #: compare) -- site/seqno are fixed and the property is hot.
-        self._version: Optional[Version] = None
+        #: compare) -- site/seqno are fixed and the property is hot.  The
+        #: origin passes the version its commit already built, so one
+        #: commit has one ``Version`` object.
+        self._version: Optional[Version] = version
 
     @property
     def version(self) -> Version:
@@ -207,21 +211,6 @@ class CommitRecord:
             self.committed_at, touched=touched,
         )
 
-    def payload_bytes(self) -> int:
-        """Rough wire size, used by the network bandwidth model."""
-        base = 64
-        per_update = 0
-        for u in self.updates:
-            if isinstance(u, DataUpdate):
-                data = u.data
-                if isinstance(data, (bytes, str)):
-                    per_update += 32 + len(data)
-                else:
-                    per_update += 96
-            else:
-                per_update += 48
-        return base + per_update
-
 
 def _restore_record(tid, site, seqno, seqnos, updates, committed_at, touched=None):
     """Unpickle target of :meth:`CommitRecord.__reduce__`."""
@@ -229,3 +218,117 @@ def _restore_record(tid, site, seqno, seqnos, updates, committed_at, touched=Non
         tid, site, seqno, VectorTimestamp._wrap(seqnos), updates, committed_at,
         touched=touched,
     )
+
+
+class RecordIndex(MutableMapping):
+    """Commit records keyed by :class:`Version`, stored as one
+    seqno-indexed run per origin site.
+
+    A server keeps every record it committed or applied until GC prunes
+    it, so the map holds one entry per transaction of the whole system.
+    A dict entry costs about 50 bytes; here a record is one pointer in
+    its origin's run: ``_runs[site] = [base, head, slots]`` holds the
+    record of seqno ``base + i`` at ``slots[i]``.  A hole -- a record GC
+    pruned or recovery truncated, or a seqno never applied here -- is
+    None.  ``slots[:head]`` is a dead prefix that prefix deletion (GC)
+    leaves behind and compacts once it is half the run, so deleting a
+    run in seqno order stays O(1) a record.  Iteration is in (site,
+    seqno) order."""
+
+    __slots__ = ("_runs", "_len")
+
+    def __init__(self, records=()):
+        self._runs: Dict[int, list] = {}
+        self._len = 0
+        self.update(records)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, version: Version):
+        run = self._runs.get(version.site)
+        if run is not None:
+            i = version.seqno - run[0]
+            slots = run[2]
+            if 0 <= i < len(slots) and slots[i] is not None:
+                return slots[i]
+        raise KeyError(version)
+
+    def __setitem__(self, version: Version, record) -> None:
+        if record is None:
+            raise ValueError("a record index holds records, not None")
+        seqno = version.seqno
+        run = self._runs.get(version.site)
+        if run is None:
+            self._runs[version.site] = [seqno, 0, [record]]
+            self._len += 1
+            return
+        base, head, slots = run
+        i = seqno - base
+        if i == len(slots):  # the common case: the origin's next seqno
+            slots.append(record)
+            self._len += 1
+            return
+        if i < 0:  # below the base: open a gap of holes at the front
+            slots[0:0] = [None] * -i
+            run[0] = seqno
+            run[1] = i = 0
+        elif i > len(slots):
+            slots.extend([None] * (i - len(slots) + 1))
+        elif i < head:
+            run[1] = i
+        if slots[i] is None:
+            self._len += 1
+        slots[i] = record
+
+    def __delitem__(self, version: Version) -> None:
+        self[version]  # KeyError if absent
+        run = self._runs[version.site]
+        base, head, slots = run
+        i = version.seqno - base
+        slots[i] = None
+        self._len -= 1
+        while slots and slots[-1] is None:
+            slots.pop()
+        if not slots:
+            del self._runs[version.site]
+            return
+        if i == head:
+            while slots[head] is None:
+                head += 1
+            if 2 * head > len(slots):
+                del slots[:head]
+                run[0] = base + head
+                head = 0
+            run[1] = head
+
+    def __iter__(self) -> Iterator[Version]:
+        for site in sorted(self._runs):
+            base, head, slots = self._runs[site]
+            for i in range(head, len(slots)):
+                if slots[i] is not None:
+                    yield Version(site, base + i)
+
+    def __repr__(self) -> str:
+        return "RecordIndex(%d records)" % self._len
+
+    def records(self) -> Iterator["CommitRecord"]:
+        """Every record, in (site, seqno) order."""
+        for site in sorted(self._runs):
+            _base, head, slots = self._runs[site]
+            for i in range(head, len(slots)):
+                if slots[i] is not None:
+                    yield slots[i]
+
+    def run(self, site: int, after: int = 0, upto: Optional[int] = None) -> List["CommitRecord"]:
+        """The records of ``site`` with seqno in ``(after, upto]`` (no
+        upper bound if ``upto`` is None), in seqno order: a slice of the
+        run, holes skipped."""
+        run = self._runs.get(site)
+        if run is None:
+            return []
+        base, head, slots = run
+        lo = max(after + 1 - base, head)
+        hi = len(slots) if upto is None else max(0, min(upto + 1 - base, len(slots)))
+        return [record for record in slots[lo:hi] if record is not None]
+

@@ -628,9 +628,9 @@ class Deployment:
         count them as lost) and returned so the replacement can avoid
         reusing their seqnos."""
         doomed: List[Version] = []
-        for payload in self.storages[site].fence():
-            if isinstance(payload, dict) and payload.get("kind") == "local_commit":
-                doomed.append(payload["record"].version)
+        for kind, body in self.storages[site].fence():
+            if kind == "local_commit":
+                doomed.append(body.version)
         self.abandoned_versions.update(doomed)
         return doomed
 

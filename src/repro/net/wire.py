@@ -22,9 +22,9 @@ updates a destination receives.  Decoding rebuilds real
 :class:`~repro.core.transaction.CommitRecord` objects, so everything
 downstream of delivery (got-guard, apply, WAL) is unchanged.
 
-The byte accounting mirrors :meth:`CommitRecord.payload_bytes` for
-update payloads; headers and vector entries use the same rough per-field
-costs the rest of the network model uses.  Only the simulated
+Update payloads are costed by :func:`_updates_bytes`; headers and
+vector entries use the same rough per-field costs the rest of the
+network model uses.  Only the simulated
 ``size_bytes`` is derived from it -- the entries themselves carry the
 update objects by reference, like every other simulated message.
 """
@@ -50,7 +50,9 @@ ACK_ENTRY_BYTES = 24
 
 
 def _updates_bytes(updates) -> int:
-    """Per-update wire cost, matching ``CommitRecord.payload_bytes``."""
+    """Wire cost of an update list: a data update's payload plus a
+    32-byte header (96 bytes for non-string data), 48 bytes a cset
+    update."""
     per = 0
     for u in updates:
         if isinstance(u, DataUpdate):

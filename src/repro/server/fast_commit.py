@@ -222,11 +222,12 @@ class FastCommitMixin:
             start_vts=tx.start_vts,
             updates=list(tx.updates),
             committed_at=self.kernel.now,
+            version=version,
         )
         self._records_by_version[version] = record
         for oid in tx.touched:
             self.storage.cache.put(oid, True)
-        yield self.storage.log.append({"kind": "local_commit", "record": record})
+        yield self.storage.log.append(("local_commit", record), commit_tid=tx.tid)
         self._span(tx.tid, span.DISKLOG_FLUSH)
         tx.mark_committed(version, at=self.kernel.now)
         self.stats.inc("commits")

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field
 from itertools import groupby
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.transaction import CommitRecord
 from ..core.updates import touched_oids
@@ -42,21 +41,34 @@ from ..net.wire import (
 from ..obs import trace as span
 
 
-@dataclass
 class PropagationTracker:
-    """Origin-side state for one committed transaction in flight."""
+    """Origin-side state for one committed transaction in flight.
 
-    record: CommitRecord
-    client: Optional[str] = None
-    acked: Set[int] = field(default_factory=set)
-    visible: Set[int] = field(default_factory=set)
-    ds_durable: bool = False
-    globally_visible: bool = False
-    committed_at: float = 0.0
-    ds_at: Optional[float] = None
-    #: Sender generation of the batch in flight that waits for this
-    #: tracker's DS durability (see ``_send_next``), or None.
-    awaited: Optional[int] = None
+    ``acked`` and ``visible`` are site bitmasks: bit ``s`` is set once
+    site ``s`` acknowledged the PROPAGATE (resp. replied VISIBLE).  An
+    origin keeps one tracker per commit until it is globally visible,
+    thousands at once on a fan-out, so the tracker is slotted (by hand:
+    ``dataclass(slots=True)`` needs Python 3.10) and holds two ints
+    where sets would resize as the acks arrive."""
+
+    __slots__ = (
+        "record", "client", "acked", "visible", "ds_durable", "globally_visible",
+        "committed_at", "ds_at", "awaited",
+    )
+
+    def __init__(self, record: CommitRecord, client: Optional[str] = None,
+                 acked: int = 0, visible: int = 0, committed_at: float = 0.0):
+        self.record = record
+        self.client = client
+        self.acked = acked
+        self.visible = visible
+        self.ds_durable = False
+        self.globally_visible = False
+        self.committed_at = committed_at
+        self.ds_at: Optional[float] = None
+        #: Sender generation of the batch in flight that waits for this
+        #: tracker's DS durability (see ``_send_next``), or None.
+        self.awaited: Optional[int] = None
 
 
 class PropagationBatch:
@@ -162,12 +174,9 @@ class PropagationMixin:
     # Origin side
     # ------------------------------------------------------------------
     def _enqueue_propagation(self, record: CommitRecord, notify: Optional[str]) -> None:
+        own = 1 << self.site_id
         tracker = PropagationTracker(
-            record=record,
-            client=notify,
-            acked={self.site_id},
-            visible={self.site_id},
-            committed_at=self.kernel.now,
+            record, notify, acked=own, visible=own, committed_at=self.kernel.now
         )
         self._trackers[record.tid] = tracker
         # Resend bookkeeping: entries are appended in committed_at order,
@@ -247,7 +256,7 @@ class PropagationMixin:
             for site in self.config.active_sites():
                 if site == self.site_id:
                     continue
-                if site not in tracker.acked:
+                if not tracker.acked >> site & 1:
                     # A site activated after DS durability (site
                     # re-integration) may lack the record itself; it
                     # cannot commit what it never received, so
@@ -256,7 +265,7 @@ class PropagationMixin:
                         site,
                         *self._encode([self._record_for(tracker.record, site)]),
                     )
-                if site not in tracker.visible:
+                if not tracker.visible >> site & 1:
                     # VISIBLE acks missing: re-announce DS durability.
                     self._cast_ds_durable(site, [tracker.record])
             tracker.ds_at = now
@@ -382,12 +391,13 @@ class PropagationMixin:
         ``ds_durable_batch`` per destination."""
         buf: List[CommitRecord] = []
         self._ds_buffer = buf
+        bit = 1 << site
         try:
             for tid in tids:
                 tracker = self._trackers.get(tid)
                 if tracker is None:
                     continue
-                tracker.acked.add(site)
+                tracker.acked |= bit
                 self._maybe_ds(tracker)
         finally:
             self._ds_buffer = None
@@ -400,11 +410,12 @@ class PropagationMixin:
                 self._cast_ds_durable(site, records)
 
     def on_visible_ack_batch(self, src: str, tids: List[str], site: int):
+        bit = 1 << site
         for tid in tids:
             tracker = self._trackers.get(tid)
             if tracker is None:
                 continue
-            tracker.visible.add(site)
+            tracker.visible |= bit
             self._maybe_visible(tracker)
 
     @staticmethod
@@ -427,8 +438,8 @@ class PropagationMixin:
             if not self._ds_awaited:
                 self.kernel.call_soon(self._sender_fired, self._sender_gen)
         self._ds_lag.observe(self.kernel.now - self._commit_time(tracker))
-        self._span(tracker.record.tid, span.DS_DURABLE, acked=len(tracker.acked))
-        self.storage.log.append({"kind": "ds_durable", "tid": tracker.record.tid})
+        self._span(tracker.record.tid, span.DS_DURABLE, acked=bin(tracker.acked).count("1"))
+        self.storage.log.append(("ds_durable", tracker.record.tid))
         if self._ds_buffer is not None:
             # Inside on_propagate_ack_batch: defer the broadcast so every
             # record the ack batch made DS-durable ships in one
@@ -441,34 +452,34 @@ class PropagationMixin:
         self._maybe_visible(tracker)
 
     def _ds_condition(self, tracker: PropagationTracker) -> bool:
+        acked = tracker.acked
         if self.ds_mode == "all_sites":
             # §8.1: "we consider a transaction to be disaster-safe durable
             # when it is committed at all sites in the experiment".
-            return self.config.active_set() <= tracker.acked
+            active = self.config.active_mask()
+            return acked & active == active
         # Spec mode (§4.4/Fig 13): f+1 sites replicating each object,
         # including the object's preferred site.
+        acked_sites = [s for s in range(acked.bit_length()) if acked >> s & 1]
         for oid in touched_oids(tracker.record.updates):
             container = self.config.container(oid.container)
-            replicating_acks = {
-                s for s in tracker.acked if container.replicated_at(s)
-            }
-            if len(replicating_acks) < self.f + 1:
+            replicating = sum(1 for s in acked_sites if container.replicated_at(s))
+            if replicating < self.f + 1:
                 return False
-            if container.preferred_site not in tracker.acked:
+            if not acked >> container.preferred_site & 1:
                 return False
         return True
 
     def _maybe_visible(self, tracker: PropagationTracker) -> None:
         if tracker.globally_visible or not tracker.ds_durable:
             return
-        if not self.config.active_set() <= tracker.visible:
+        active = self.config.active_mask()
+        if tracker.visible & active != active:
             return
         tracker.globally_visible = True
         self._visibility_lag.observe(self.kernel.now - self._commit_time(tracker))
         self._span(tracker.record.tid, span.GLOBALLY_VISIBLE)
-        self.storage.log.append(
-            {"kind": "globally_visible", "tid": tracker.record.tid}
-        )
+        self.storage.log.append(("globally_visible", tracker.record.tid))
         if tracker.client is not None:
             self.cast(tracker.client, "tx_visible", tid=tracker.record.tid)
         # Fully propagated: retire the tracker (late duplicate acks are
@@ -636,7 +647,7 @@ class PropagationMixin:
                 self._span(record.tid, span.REMOTE_APPLY, origin=record.site)
         self.got_vts = self._advanced(self.got_vts, chunk)
         self.stats.inc("remote_applied", len(chunk))
-        return self.storage.log.append({"kind": "remote_apply", "records": chunk}, len(chunk))
+        return self.storage.log.append(("remote_apply", chunk), len(chunk))
 
     def _park_remote(self, record: CommitRecord, src: Optional[str]) -> None:
         """Hold back a record whose got guard failed, once: batches can
@@ -728,8 +739,7 @@ class PropagationMixin:
                 if self.trace is not None:
                     self.trace.record_site_commit(self.site_id, record.version)
         self.storage.log.append(
-            {"kind": "remote_commit", "versions": [record.version for record in records]},
-            len(records),
+            ("remote_commit", [record.version for record in records]), len(records)
         )
         self.stats.inc("remote_commits", len(records))
 

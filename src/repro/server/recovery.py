@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..core.history import SiteHistories
-from ..core.transaction import CommitRecord
+from ..core.transaction import CommitRecord, RecordIndex
 from ..core.versions import VectorTimestamp, Version
 from ..sim import AllOf
 
@@ -92,7 +92,7 @@ class RecoveryMixin:
             "committed_vts": list(self.committed_vts),
             "got_vts": list(self.got_vts),
             "histories": self.histories.dump(),
-            "records": dict(self._records_by_version),
+            "records": self._records_by_version,
             "ds_tids": {
                 tid for tid, t in self._trackers.items() if t.ds_durable
             },
@@ -125,7 +125,7 @@ class RecoveryMixin:
             self.curr_seqno = state["curr_seqno"]
             self.committed_vts = VectorTimestamp(state["committed_vts"])
             self.got_vts = VectorTimestamp(state["got_vts"])
-            self._records_by_version = dict(state["records"])
+            self._records_by_version = RecordIndex(state["records"])
             ds_tids = set(state["ds_tids"])
             visible_tids = set(state["visible_tids"])
             # The history dump is taken atomically with the vectors, so
@@ -140,10 +140,16 @@ class RecoveryMixin:
             self._resume_propagation(ds_tids, visible_tids)
         return len(suffix)
 
-    def _replay_log_record(self, payload: Dict[str, Any], ds_tids, visible_tids) -> None:
-        kind = payload["kind"]
+    def _replay_log_record(self, payload: tuple, ds_tids, visible_tids) -> None:
+        """Re-perform one WAL entry, a ``(kind, body)`` pair: the record
+        of a ``local_commit``, the chunk of a ``remote_apply``, the
+        version list of a ``remote_commit``, the tid of a ``ds_durable``
+        or ``globally_visible``, the history dump of a
+        ``container_backfill`` and ``(failed_site, survive_upto)`` of a
+        ``recovery_finalize``."""
+        kind, body = payload
         if kind == "local_commit":
-            record: CommitRecord = payload["record"]
+            record: CommitRecord = body
             version = record.version
             if self.got_vts[record.site] >= record.seqno:
                 return  # already covered by the checkpoint
@@ -155,14 +161,14 @@ class RecoveryMixin:
         elif kind == "remote_apply":
             # One entry per applied chunk: the checkpoint may cover its
             # head and not its tail, so skip record by record.
-            for record in payload["records"]:
+            for record in body:
                 if self.got_vts[record.site] >= record.seqno:
                     continue
                 self.histories.apply(record.updates, record.version)
                 self.got_vts = self.got_vts.with_entry(record.site, record.seqno)
                 self._records_by_version[record.version] = record
         elif kind == "remote_commit":
-            for version in payload["versions"]:
+            for version in body:
                 if self.committed_vts[version.site] < version.seqno:
                     self.committed_vts = self.committed_vts.with_entry(
                         version.site, version.seqno
@@ -170,11 +176,11 @@ class RecoveryMixin:
         elif kind == "container_backfill":
             # Replica-join copy (DESIGN.md §13): the only durable source
             # of the history propagation trimmed away.
-            self.histories.install(payload["dump"])
+            self.histories.install(body)
         elif kind == "ds_durable":
-            ds_tids.add(payload["tid"])
+            ds_tids.add(body)
         elif kind == "globally_visible":
-            visible_tids.add(payload["tid"])
+            visible_tids.add(body)
         elif kind == "recovery_finalize":
             # Re-perform the truncation at the same point in log order it
             # originally happened.  Without this marker a full-log replay
@@ -183,9 +189,7 @@ class RecoveryMixin:
             # restarts the survivors may have sealed those seqnos with
             # no-ops -- so a later finalize round sees nothing beyond the
             # surviving bound and never re-truncates.
-            self._discard_abandoned_suffix(
-                payload["failed_site"], payload["survive_upto"]
-            )
+            self._discard_abandoned_suffix(*body)
 
     def seal_seqno_holes(self) -> int:
         """Fill own-site seqno holes with no-op commits.
@@ -211,11 +215,12 @@ class RecoveryMixin:
                 start_vts=self.committed_vts,
                 updates=[],
                 committed_at=self.kernel.now,
+                version=version,
             )
             self.got_vts = self.got_vts.with_entry(self.site_id, seqno)
             self.committed_vts = self.committed_vts.with_entry(self.site_id, seqno)
             self._records_by_version[version] = record
-            self.storage.log.append({"kind": "local_commit", "record": record})
+            self.storage.log.append(("local_commit", record), commit_tid=record.tid)
             if self.trace is not None:
                 from ..spec.checker import TracedTx
 
@@ -234,10 +239,7 @@ class RecoveryMixin:
     def _resume_propagation(self, ds_tids, visible_tids) -> None:
         """Re-enqueue local commits that are not yet globally visible --
         receivers treat duplicates idempotently and re-ACK."""
-        for version in sorted(self._records_by_version):
-            if version.site != self.site_id:
-                continue
-            record = self._records_by_version[version]
+        for record in self._records_by_version.run(self.site_id):
             if record.tid in visible_tids:
                 continue
             self._enqueue_propagation(record, notify=None)
@@ -257,7 +259,7 @@ class RecoveryMixin:
         the container out of every record sent here before the join) and
         acked after the flush; idempotent, so the coordinator retries."""
         self.histories.install(dump)
-        yield self.storage.log.append({"kind": "container_backfill", "cid": cid, "dump": dump})
+        yield self.storage.log.append(("container_backfill", dump))
         return "OK"
 
     def rpc_recovery_report(self):
@@ -279,12 +281,7 @@ class RecoveryMixin:
 
     def rpc_recovery_fetch(self, site: int, from_seqno: int, to_seqno: int):
         """Return the commit records of ``site`` in (from, to]."""
-        records = []
-        for seqno in range(from_seqno + 1, to_seqno + 1):
-            record = self._records_by_version.get(Version(site, seqno))
-            if record is not None:
-                records.append(record)
-        return records
+        return self._records_by_version.run(site, from_seqno, to_seqno)
 
     def rpc_recovery_deliver(self, records: List[CommitRecord]):
         """Apply fetched records (in order) as if propagated normally:
@@ -322,8 +319,8 @@ class RecoveryMixin:
             keep = [e.version for e in history if survives(e.version)]
             if len(keep) < len(history):  # truncating copies a shared history
                 dropped += self.histories.history(oid).truncate_versions(keep)
-        for version in [v for v in self._records_by_version if not survives(v)]:
-            del self._records_by_version[version]
+        for record in self._records_by_version.run(failed_site, survive_upto):
+            del self._records_by_version[record.version]
         if self.got_vts[failed_site] > survive_upto:
             self.got_vts = self.got_vts.with_entry(failed_site, survive_upto)
         if self.committed_vts[failed_site] > survive_upto:
@@ -348,13 +345,7 @@ class RecoveryMixin:
             return self._finalize_done[rk]
         # Durable first: if this server later rebuilds from its log, the
         # marker repeats the truncation in replay order.
-        self.storage.log.append(
-            {
-                "kind": "recovery_finalize",
-                "failed_site": failed_site,
-                "survive_upto": survive_upto,
-            }
-        )
+        self.storage.log.append(("recovery_finalize", (failed_site, survive_upto)))
         dropped = self._discard_abandoned_suffix(failed_site, survive_upto)
         if self.committed_vts[failed_site] < survive_upto:
             # Commit surviving transactions that were stuck mid-propagation.
@@ -390,10 +381,8 @@ class RecoveryMixin:
         its guard passes; records whose dependencies arrive later (e.g.
         via another per-origin recovery round, or normal propagation)
         commit at that point."""
-        for seqno in range(self.committed_vts[site] + 1, upto + 1):
-            record = self._records_by_version.get(Version(site, seqno))
-            if record is not None:
-                self._pending_ds.add(record, None)  # add() dedups by version
+        for record in self._records_by_version.run(site, self.committed_vts[site], upto):
+            self._pending_ds.add(record, None)  # add() dedups by version
 
 
 class SiteRecoveryCoordinator:

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional
 
 from ..core.history import SiteHistories
 from ..core.objects import ObjectId
-from ..core.transaction import CommitRecord, TxStatus
-from ..core.versions import VectorTimestamp, Version
+from ..core.transaction import CommitRecord, RecordIndex, TxStatus
+from ..core.versions import VectorTimestamp
 from ..net import Host, Network
 from ..obs import AccessProfiler, CounterView, MetricsRegistry, Observability, log_buckets
 from ..obs import trace as span
@@ -150,7 +150,9 @@ class WalterServer(
         self.commit_lock = Lock(kernel, name="%s.commit" % name)
         self.cpu = Resource(kernel, self.costs.cores, name="%s.cpu" % name)
         self._txs: Dict[str, object] = {}
-        self._records_by_version: Dict[Version, object] = {}
+        #: Commit records committed or applied here, by version: one
+        #: seqno-indexed run per origin.
+        self._records_by_version = RecordIndex()
         self._trackers: Dict[str, PropagationTracker] = {}
         #: Records committed since the last batch, and the sender that
         #: ships them (see PropagationMixin._send_next).
@@ -357,14 +359,14 @@ class WalterServer(
         bounds ``_records_by_version``; the cost is that this site can no
         longer serve ``recovery_fetch`` below its pruned frontier."""
         drop = [
-            version
-            for version, record in self._records_by_version.items()
-            if watermark.visible(version)
+            record
+            for record in self._records_by_version.records()
+            if record.seqno <= watermark[record.site]
             and record.tid not in self._trackers
-            and (version.site != self.site_id or record.tid in self._visible_tids)
+            and (record.site != self.site_id or record.tid in self._visible_tids)
         ]
-        for version in drop:
-            record = self._records_by_version.pop(version)
+        for record in drop:
+            del self._records_by_version[record.version]
             self._visible_tids.discard(record.tid)
         return len(drop)
 

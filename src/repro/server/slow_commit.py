@@ -243,7 +243,8 @@ class SlowCommitMixin:
             return entry[0]
         if tid in self._txs:
             return PENDING
-        for record in self._records_by_version.values():
+        # A coordinator's committed record is one of its own commits.
+        for record in self._records_by_version.run(self.site_id):
             if record.tid == tid:
                 return COMMITTED
         return UNKNOWN

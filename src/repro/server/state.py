@@ -123,15 +123,19 @@ class LocalConfig:
 
     def _set_active(self, sites) -> None:
         """Read per ack and per tracker, changed only by reconfiguration:
-        the active set is kept frozen and sorted between changes."""
+        the active set is kept frozen, sorted and as a site bitmask
+        between changes."""
         self._active: FrozenSet[int] = frozenset(sites)
         self._active_sorted: List[int] = sorted(self._active)
+        self._active_mask = sum(1 << site for site in self._active)
 
     def active_sites(self) -> List[int]:
         return list(self._active_sorted)
 
-    def active_set(self) -> FrozenSet[int]:
-        return self._active
+    def active_mask(self) -> int:
+        """The active set as a bitmask: bit ``s`` set iff site ``s`` is
+        active (what propagation trackers' ack masks are checked against)."""
+        return self._active_mask
 
     def is_active(self, site: int) -> bool:
         return site in self._active

@@ -121,36 +121,31 @@ class DiskLog:
         #: Fencing epoch (§5.7): bumped by :meth:`fence` at server
         #: takeover; queued writes from an older epoch never land.
         self.epoch = 0
+        #: Queued entries: ``(LogRecord, done, epoch, records, commit_tid)``.
         self._queue: deque = deque()
         #: The flush in progress, or None while the log is idle.
         self._batch: Optional[List] = None
 
     @staticmethod
     def _latency_critical(batch: List) -> bool:
-        """Whether any queued record is one a transaction is blocked on
-        (a local commit's WAL append gates the client's commit ack);
-        background records -- remote applies, remote commits,
-        checkpoints -- only need durability eventually."""
-        return any(
-            isinstance(record.payload, dict)
-            and record.payload.get("kind") == "local_commit"
-            for record, _done, _epoch, _records in batch
-        )
+        """Whether any queued entry is one a transaction is blocked on
+        (appended with a ``commit_tid``: a local commit's WAL append
+        gates the client's commit ack); background entries -- remote
+        applies, remote commits, checkpoints -- only need durability
+        eventually."""
+        return any(entry[4] is not None for entry in batch)
 
-    def _trace_flush(self, payload: Any, batch: int) -> None:
+    def _trace_flush(self, commit_tid: str, batch: int) -> None:
         tracer = self._tracer
-        if tracer is None or not tracer.deep:
-            return
-        if not (isinstance(payload, dict) and payload.get("kind") == "local_commit"):
+        if not tracer.deep:
             return
         from ..obs.trace import FAST_COMMIT, SLOW_COMMIT_COMMIT, WAL_FLUSH
 
-        tid = payload["record"].tid
-        parent = tracer.last_seq(tid, FAST_COMMIT) or tracer.last_seq(
-            tid, SLOW_COMMIT_COMMIT
+        parent = tracer.last_seq(commit_tid, FAST_COMMIT) or tracer.last_seq(
+            commit_tid, SLOW_COMMIT_COMMIT
         )
         tracer.record(
-            tid, WAL_FLUSH, self._site, self.kernel.now,
+            commit_tid, WAL_FLUSH, self._site, self.kernel.now,
             parent=parent, batch=batch,
         )
 
@@ -168,13 +163,20 @@ class DiskLog:
         self._stalls.value += 1
         return self._stalled_until
 
-    def append(self, payload: Any, records: int = 1) -> Event:
+    def append(
+        self, payload: Any, records: int = 1, commit_tid: Optional[str] = None
+    ) -> Event:
         """Enqueue ``payload`` as one entry holding ``records`` records;
         the returned event fires when it is durable.  A receiver logs an
         applied chunk or a committed run as one entry.  The count rides
         with the entry, and every count the log keeps -- the flush
         window's lone-record test, its counters, fencing -- is of
-        records, so grouping them changes no flush decision."""
+        records, so grouping them changes no flush decision.
+
+        ``commit_tid`` names the transaction whose commit waits on this
+        entry (a local commit record): such an entry never waits out the
+        flush window, and a deep tracer gets a ``wal.flush`` span for it.
+        The payload itself is opaque to the log."""
         if records < 1:
             raise ValueError("a log entry holds at least one record")
         done = Event(self.kernel, self._durable_event_name)
@@ -183,12 +185,12 @@ class DiskLog:
             # Memory-speed commit: durable immediately (same kernel step).
             record = LogRecord(payload, now, now)
             self.entries.append(record)
-            if self._tracer is not None:
-                self._trace_flush(payload, 1)
+            if self._tracer is not None and commit_tid is not None:
+                self._trace_flush(commit_tid, 1)
             self._records.value += records
             done.trigger(record)
             return done
-        self._queue.append((LogRecord(payload, now), done, self.epoch, records))
+        self._queue.append((LogRecord(payload, now), done, self.epoch, records, commit_tid))
         if self._batch is None:
             self._batch = []
             self.kernel.call_soon(self._flush_start)
@@ -212,10 +214,8 @@ class DiskLog:
         ]
         self._queue.clear()
         self.epoch += 1
-        self.stats.inc(
-            "fenced", sum(records for _record, _done, _epoch, records in doomed)
-        )
-        return [record.payload for record, _done, _epoch, _records in doomed]
+        self.stats.inc("fenced", sum(entry[3] for entry in doomed))
+        return [entry[0].payload for entry in doomed]
 
     def _flush_start(self) -> None:
         batch = self._batch
@@ -258,18 +258,18 @@ class DiskLog:
 
     def _flush_land(self) -> None:
         batch = self._batch
-        size = sum(records for _record, _done, _epoch, records in batch)
+        size = sum(entry[3] for entry in batch)
         self._flushes.value += 1
         self._batch_hist.observe(float(size))
         landed = 0
-        for record, done, epoch, records in batch:
+        for record, done, epoch, records, commit_tid in batch:
             if epoch != self.epoch:
                 continue  # fenced while in flight: never lands
             record.durable_at = self.kernel.now
             self.entries.append(record)
             landed += records
-            if self._tracer is not None:
-                self._trace_flush(record.payload, size)
+            if self._tracer is not None and commit_tid is not None:
+                self._trace_flush(commit_tid, size)
             done.trigger(record)
         self._records.value += landed
         self._last_flush_end = self.kernel.now

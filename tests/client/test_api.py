@@ -225,3 +225,49 @@ def test_client_forgets_handles_once_no_milestone_can_arrive(world):
     world.settle(5.0)
     assert all(tx.ds_event.triggered and tx.visible_event.triggered for tx in updates)
     assert len(client._handles) == 0
+
+
+def test_milestone_event_requested_before_its_cast(world):
+    """An event asked for while the milestone is pending is built
+    untriggered and fires with the milestone's time when the cast lands."""
+    client = world.new_client(0)
+    oid = client.new_id("c")
+
+    def scenario():
+        tx = client.start_tx()
+        yield from client.write(tx, oid, b"v")
+        yield from client.commit(tx)
+        assert tx.ds_at is None and tx._ds_event is None  # nothing built yet
+        event = tx.ds_event
+        assert not event.triggered and tx.ds_event is event
+        ds_at = yield event
+        return tx, ds_at
+
+    tx, ds_at = world.run_process(scenario(), within=120.0)
+    assert ds_at == tx.ds_at == tx.ds_event.value
+    assert tx._visible_event is None or tx.visible_event.value == tx.visible_at
+
+
+def test_milestone_event_requested_after_its_cast(world):
+    """An event asked for once the milestone passed is built already
+    triggered with the recorded time; waiting on it returns that time."""
+    client = world.new_client(0)
+    oid = client.new_id("c")
+
+    def commit():
+        tx = client.start_tx()
+        yield from client.write(tx, oid, b"v")
+        yield from client.commit(tx)
+        return tx
+
+    tx = world.run_process(commit(), within=120.0)
+    world.settle(2.0)
+    assert tx._ds_event is None and tx._visible_event is None
+    assert tx.ds_at is not None and tx.ds_at <= tx.visible_at
+    assert tx.tid not in client._handles  # both milestones arrived
+    assert tx.visible_event.triggered and tx.visible_event.value == tx.visible_at
+
+    def wait():
+        return (yield tx.ds_event)
+
+    assert world.run_process(wait(), within=1.0) == tx.ds_at

@@ -77,30 +77,6 @@ def test_operations_after_abort_rejected():
         tx.mark_committed(Version(0, 1), at=0.0)
 
 
-def test_commit_record_version_and_size():
-    from repro.core import CSetAdd, DataUpdate
-
-    record = CommitRecord(
-        tid="t1",
-        site=2,
-        seqno=7,
-        start_vts=VectorTimestamp([0, 0, 0]),
-        updates=[DataUpdate(REG, b"x" * 100), CSetAdd(SET, "e")],
-    )
-    assert record.version == Version(2, 7)
-    size = record.payload_bytes()
-    assert size >= 100  # at least the data payload
-    assert size < 1000
-
-
-def test_commit_record_size_grows_with_data():
-    from repro.core import DataUpdate
-
-    small = CommitRecord("t", 0, 1, VectorTimestamp([0]), [DataUpdate(REG, b"x")])
-    large = CommitRecord("t", 0, 1, VectorTimestamp([0]), [DataUpdate(REG, b"x" * 1000)])
-    assert large.payload_bytes() > small.payload_bytes()
-
-
 def test_commit_record_is_slim_and_pickles():
     from repro.core import DataUpdate
 

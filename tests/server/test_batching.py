@@ -214,11 +214,11 @@ class TestAdaptiveWalWindow:
             yield log.append(payload)
             durable[key] = kernel.now
 
-        kernel.spawn(writer(0.0, "warm", {"kind": "remote_apply", "n": 0}))
+        kernel.spawn(writer(0.0, "warm", ("remote_apply", 0)))
         # Both arrive just after the warm flush ends (busy log): the lone
         # leader holds the window open and the chaser rides its flush.
-        kernel.spawn(writer(0.011, "leader", {"kind": "remote_apply", "n": 1}))
-        kernel.spawn(writer(0.012, "chaser", {"kind": "remote_apply", "n": 2}))
+        kernel.spawn(writer(0.011, "leader", ("remote_apply", 1)))
+        kernel.spawn(writer(0.012, "chaser", ("remote_apply", 2)))
         kernel.run(until=1.0)
         assert durable["leader"] == durable["chaser"] == pytest.approx(0.023)
         assert log.stats.flushes == 2
@@ -230,13 +230,13 @@ class TestAdaptiveWalWindow:
         kernel, log = self._log(0.002)
         durable = {}
 
-        def writer(delay, key, payload):
+        def writer(delay, key, payload, commit_tid=None):
             yield kernel.timeout(delay)
-            yield log.append(payload)
+            yield log.append(payload, commit_tid=commit_tid)
             durable[key] = kernel.now
 
-        kernel.spawn(writer(0.0, "warm", {"kind": "remote_apply", "n": 0}))
-        kernel.spawn(writer(0.011, "commit", {"kind": "local_commit", "n": 1}))
+        kernel.spawn(writer(0.0, "warm", ("remote_apply", 0)))
+        kernel.spawn(writer(0.011, "commit", ("local_commit", 1), commit_tid="t1"))
         kernel.run(until=1.0)
         assert durable["commit"] == pytest.approx(0.021)
 
@@ -246,7 +246,7 @@ class TestAdaptiveWalWindow:
         kernel, log = self._log(0.002)
 
         def writer():
-            yield log.append({"kind": "remote_apply", "n": 0})
+            yield log.append(("remote_apply", 0))
             return kernel.now
 
         assert kernel.run_process(writer(), until=1.0) == pytest.approx(0.010)
@@ -260,9 +260,9 @@ class TestAdaptiveWalWindow:
             yield log.append(payload)
             durable[key] = kernel.now
 
-        kernel.spawn(writer(0.0, "warm", {"kind": "remote_apply", "n": 0}))
-        kernel.spawn(writer(0.011, "leader", {"kind": "remote_apply", "n": 1}))
-        kernel.spawn(writer(0.012, "chaser", {"kind": "remote_apply", "n": 2}))
+        kernel.spawn(writer(0.0, "warm", ("remote_apply", 0)))
+        kernel.spawn(writer(0.011, "leader", ("remote_apply", 1)))
+        kernel.spawn(writer(0.012, "chaser", ("remote_apply", 2)))
         kernel.run(until=1.0)
         # Without the window the leader flushes alone; the chaser (which
         # arrived during the leader's flush) lands in the next flush.

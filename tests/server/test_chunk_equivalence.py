@@ -126,19 +126,16 @@ def drive_propagate(world, receiver, stream_a, stream_b):
 def wal_records(log):
     """The WAL as one ``(kind, item)`` per record, in log order: the
     commit record of a ``remote_apply`` or ``local_commit``, the version
-    of a ``remote_commit``, the tid of the rest.  A grouped entry (an
-    applied chunk, a committed run) contributes each of its records, so
-    any two groupings of the same logged work compare equal -- and
-    nothing else does."""
+    of a ``remote_commit``, the body of the rest (a tid, a dump, a
+    finalize bound).  A grouped entry (an applied chunk, a committed
+    run) contributes each of its records, so any two groupings of the
+    same logged work compare equal -- and nothing else does."""
     out = []
-    for payload in log.payloads():
-        kind = payload["kind"]
-        if kind == "remote_apply":
-            out += [(kind, record) for record in payload["records"]]
-        elif kind == "remote_commit":
-            out += [(kind, version) for version in payload["versions"]]
+    for kind, body in log.payloads():
+        if kind in ("remote_apply", "remote_commit"):
+            out += [(kind, item) for item in body]
         else:
-            out.append((kind, payload.get("record", payload.get("tid"))))
+            out.append((kind, body))
     return out
 
 
@@ -209,8 +206,8 @@ def test_apply_chunk_turns_and_clock_replacements():
         )
     assert replaced == [(0, 16), (0, 32), (0, 40)]
     entries = log.payloads()
-    assert [entry["kind"] for entry in entries] == ["remote_apply"] * 3
-    assert [len(entry["records"]) for entry in entries] == [16, 16, 8]
+    assert [kind for kind, _chunk in entries] == ["remote_apply"] * 3
+    assert [len(chunk) for _kind, chunk in entries] == [16, 16, 8]
     assert log.stats.records == 40
 
 

@@ -157,10 +157,10 @@ class TestRestoreFromStorage:
         deliver(stream[4:10])
         expected = state()
         log = world.storages[RECEIVER].log
-        assert [len(p["records"]) for p in log.payloads()] == [4, 6]
+        assert [len(chunk) for _kind, chunk in log.payloads()] == [4, 6]
         # Regroup the suffix into one entry that straddles the
         # checkpoint: records 3-4 are covered, 5-10 are not.
-        log.entries[-1].payload = {"kind": "remote_apply", "records": stream[2:10]}
+        log.entries[-1].payload = ("remote_apply", stream[2:10])
         assert receiver.restore_from_storage(resume_propagation=False) == 1
         assert receiver.got_vts[0] == 10
         assert state() == expected

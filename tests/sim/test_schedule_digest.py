@@ -23,6 +23,8 @@ from repro.chaos import ChaosConfig, run_chaos
 from repro.deployment import Deployment
 from repro.obs import trace_events_jsonl
 
+from ..server.test_chunk_equivalence import wal_records
+
 # Digests re-recorded when network jitter moved from one shared RNG
 # stream to a per-directed-link stream ("net.jitter.<src>-<dst>"),
 # which the parallel executor needs: a link's jitter draws must not
@@ -116,22 +118,6 @@ def run_fanout_workload():
     return world
 
 
-def wal_records(log):
-    """(kind, version or tid) of each WAL record in log order; an entry
-    that groups records (an applied chunk, a committed run) contributes
-    one pair per record, so the pin does not depend on the grouping."""
-    out = []
-    for p in log.payloads():
-        kind = p["kind"]
-        if "records" in p:
-            out += [(kind, str(record.version)) for record in p["records"]]
-        elif "versions" in p:
-            out += [(kind, str(version)) for version in p["versions"]]
-        else:
-            out.append((kind, str(p["record"].version if "record" in p else p.get("tid"))))
-    return out
-
-
 def fanout_digest() -> str:
     """Hash the fan-out run's ordered span stream, every server's
     clocks, counters and WAL (kind and version/tid of each record, in
@@ -139,7 +125,12 @@ def fanout_digest() -> str:
     world = run_fanout_workload()
     state = []
     for server in world.servers:
-        wal = wal_records(server.storage.log)
+        # (kind, version or tid) of each record: the pin does not
+        # depend on how entries group records.
+        wal = [
+            (kind, str(getattr(item, "version", item)))
+            for kind, item in wal_records(server.storage.log)
+        ]
         state.append(
             (
                 server.site_id,
