@@ -25,19 +25,31 @@ from ..sim import Kernel, RandomStreams
 from .topology import Site, Topology
 
 
-@dataclass(slots=True)
+@dataclass(init=False)
 class Message:
-    """An addressed message in flight or delivered."""
+    """An addressed message in flight or delivered.  Slotted by hand
+    (``dataclass(slots=True)`` needs Python 3.10), hence the written
+    ``__init__``: a slot cannot have a class-level default."""
+
+    __slots__ = ("src", "dst", "payload", "size_bytes", "sent_at", "delivered_at")
 
     src: str
     dst: str
     payload: Any
     size_bytes: int
     sent_at: float
-    delivered_at: Optional[float] = None
+    delivered_at: Optional[float]
+
+    def __init__(self, src, dst, payload, size_bytes, sent_at, delivered_at=None):
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.sent_at = sent_at
+        self.delivered_at = delivered_at
 
 
-@dataclass(slots=True)
+@dataclass(init=False)
 class Envelope:
     """A cross-cluster message in the parallel executor (DESIGN.md §12).
 
@@ -48,8 +60,14 @@ class Envelope:
     sequence number: together with ``(deliver_at, src_site, dst_site)``
     it gives every envelope batch a total order that is identical no
     matter which worker produced or observed it, which is what makes the
-    parallel schedule bit-reproducible.
+    parallel schedule bit-reproducible.  Slotted by hand like
+    :class:`Message`.
     """
+
+    __slots__ = (
+        "deliver_at", "src_site", "dst_site", "link_seq", "src", "dst", "payload",
+        "size_bytes", "sent_at", "delivered_at",
+    )
 
     deliver_at: float
     src_site: int
@@ -63,7 +81,20 @@ class Envelope:
     #: Stamped by ``_deliver``: an envelope doubles as the delivered
     #: :class:`Message` (same field names), so the receive path schedules
     #: it directly instead of materializing a second object per message.
-    delivered_at: Optional[float] = None
+    delivered_at: Optional[float]
+
+    def __init__(self, deliver_at, src_site, dst_site, link_seq, src, dst, payload,
+                 size_bytes, sent_at, delivered_at=None):
+        self.deliver_at = deliver_at
+        self.src_site = src_site
+        self.dst_site = dst_site
+        self.link_seq = link_seq
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.sent_at = sent_at
+        self.delivered_at = delivered_at
 
     def sort_key(self):
         return (self.deliver_at, self.src_site, self.dst_site, self.link_seq)

@@ -14,7 +14,7 @@ block on simulated I/O).  An RPC handler declares its CPU service time with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Dict, Optional
 
@@ -34,15 +34,27 @@ class RpcRemoteError(RpcError):
     """The remote handler raised; carries the remote error string."""
 
 
-@dataclass(slots=True)
+# The wire messages are slotted by hand (``dataclass(slots=True)`` needs
+# Python 3.10), which is why each ``__init__`` is written out: a slot
+# cannot have a class-level default.
+@dataclass(init=False)
 class RpcRequest:
+    __slots__ = ("rpc_id", "method", "args", "reply_to", "span")
+
     rpc_id: int
     method: str
     args: Dict[str, Any]
     reply_to: str
     #: Deep-tracing span context: ``(tid, parent_seq)`` linking the
     #: handler's spans back to the caller's span graph, or None.
-    span: Optional[tuple] = None
+    span: Optional[tuple]
+
+    def __init__(self, rpc_id, method, args, reply_to, span=None):
+        self.rpc_id = rpc_id
+        self.method = method
+        self.args = args
+        self.reply_to = reply_to
+        self.span = span
 
     def __reduce__(self):
         # Wire messages cross process boundaries at every parallel
@@ -50,23 +62,37 @@ class RpcRequest:
         return (RpcRequest, (self.rpc_id, self.method, self.args, self.reply_to, self.span))
 
 
-@dataclass(slots=True)
+@dataclass(init=False)
 class RpcReply:
+    __slots__ = ("rpc_id", "value", "error")
+
     rpc_id: int
-    value: Any = None
-    error: Optional[str] = None
+    value: Any
+    error: Optional[str]
+
+    def __init__(self, rpc_id, value=None, error=None):
+        self.rpc_id = rpc_id
+        self.value = value
+        self.error = error
 
     def __reduce__(self):
         return (RpcReply, (self.rpc_id, self.value, self.error))
 
 
-@dataclass(slots=True)
+@dataclass(init=False)
 class Cast:
     """A one-way protocol message (no reply)."""
 
+    __slots__ = ("method", "args", "src")
+
     method: str
-    args: Dict[str, Any] = field(default_factory=dict)
-    src: str = ""
+    args: Dict[str, Any]
+    src: str
+
+    def __init__(self, method, args=None, src=""):
+        self.method = method
+        self.args = {} if args is None else args
+        self.src = src
 
     def __reduce__(self):
         return (Cast, (self.method, self.args, self.src))

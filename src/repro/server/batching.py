@@ -16,11 +16,12 @@ wire and it is batched.  This frozen config only sizes two of its layers:
   (see :mod:`repro.net.wire`), and the ack/DS-DURABLE/VISIBLE for a run
   are one cast each.
 
-Read coalescing (duplicate in-flight remote reads for one ``(site,
-object, snapshot)`` merge onto one RPC; multireads fan out per-site
-batched gets) has no size to set.  None of this is visible at the
-isolation level: ``max_batch=1, wal_window=0`` and the defaults give the
-same PSI/chaos verdicts (``tests/integration/test_batching_equivalence``).
+None of this is visible at the isolation level: ``max_batch=1,
+wal_window=0`` and the defaults give the same PSI/chaos verdicts
+(``tests/integration/test_batching_equivalence``).  Remote reads are not
+batched: ``read``, ``multiread`` and ``read_cset_objects`` all reach an
+object this site does not replicate through one ``remote_read`` per
+object, to the nearest replica and then to the preferred site.
 """
 
 from __future__ import annotations

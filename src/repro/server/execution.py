@@ -16,15 +16,10 @@ from ..obs import trace as span
 from ..core.cset import CSet
 from ..core.objects import ObjectId, ObjectKind
 from ..core.transaction import Transaction, TxStatus
-from ..core.updates import CSetAdd, CSetDel, DataUpdate, last_data
+from ..core.updates import apply_cset_ops, last_data
 from ..errors import TransactionStateError
 from ..net import service_time
-from ..net.wire import ack_batch_bytes
 from ..spec.checker import TracedRead
-
-#: Failure marker for coalesced reads: a follower woken with this issues
-#: its own RPC instead of inheriting the leader's exception.
-_READ_FAILED = object()
 
 
 def _batch_of(arg: str):
@@ -157,9 +152,9 @@ class ExecutionMixin:
             # version visible at startVTS is then guaranteed applied
             # there -- and a behind replica answers None, after which we
             # fall back to the classic preferred-site read.
-            payload = yield from self._remote_read_call(tx, target, oid, True)
+            payload = yield from self._remote_read_rpc(tx, target, oid, True)
         if payload is None:
-            payload = yield from self._remote_read_call(
+            payload = yield from self._remote_read_rpc(
                 tx, container.preferred_site, oid, False
             )
         value = self._compose_value(tx, oid, payload)
@@ -176,34 +171,6 @@ class ExecutionMixin:
             timeout=self._rpc_timeout,
             span=self._deep_ctx(tx.tid, span.EXECUTE),
         )
-
-    def _remote_read_call(self, tx: Transaction, target: int, oid: ObjectId, only_if_current: bool):
-        """One remote_read RPC, coalesced (DESIGN.md §14): duplicate
-        in-flight reads for the same ``(site, object, snapshot)`` target
-        ride the leader's RPC instead of issuing their own.  Safe because
-        the payload is a pure function of ``(oid, start_vts)`` at the
-        serving site and is never mutated by ``_compose_value``."""
-        key = (target, oid, tx.start_vts, only_if_current)
-        waiter = self._read_inflight.get(key)
-        if waiter is not None:
-            self.stats.inc("coalesced_reads")
-            payload = yield waiter
-            if payload is not _READ_FAILED:
-                return payload
-            # The leader's RPC failed; fall through and try ourselves.
-        waiter = self.kernel.event(("coalesce:%s", (tx.tid,)))
-        self._read_inflight[key] = waiter
-        try:
-            payload = yield from self._remote_read_rpc(tx, target, oid, only_if_current)
-        except BaseException:
-            if self._read_inflight.get(key) is waiter:
-                del self._read_inflight[key]
-            waiter.trigger(_READ_FAILED)
-            raise
-        if self._read_inflight.get(key) is waiter:
-            del self._read_inflight[key]
-        waiter.trigger(payload)
-        return payload
 
     def _nearest_replica(self, container) -> int:
         """The active replica of ``container`` closest to this site (by
@@ -235,18 +202,6 @@ class ExecutionMixin:
             return None
         return self.histories.remote_read_payload(oid, start_vts)
 
-    @service_time(_batch_of("oids"))
-    def rpc_remote_multiread(self, oids: List[ObjectId], start_vts, only_if_current: bool = False):
-        """Batched remote read (DESIGN.md §14): serve a whole group of
-        objects for one caller site in a single RPC.  The currency check
-        is evaluated once -- all the caller's objects share one snapshot
-        -- and a behind replica answers all-None, after which the caller
-        falls back per object exactly as for single reads."""
-        if only_if_current and not self.committed_vts.dominates(start_vts):
-            return [None] * len(oids)
-        payload = self.histories.remote_read_payload
-        return [payload(oid, start_vts) for oid in oids]
-
     def _compose_value(self, tx: Transaction, oid: ObjectId, payload: Dict):
         """Merge preferred-site versions with local-history versions (the
         local history of a non-replicated object holds updates committed
@@ -267,34 +222,18 @@ class ExecutionMixin:
         remote_gc_vts = payload["gc_vts"]
         remote_versions = {version for _update, version in remote_entries}
         hist = self.histories.get(oid)
-        local_only = [
-            (e.update, e.version)
+        updates = [update for update, _version in remote_entries]
+        updates += [
+            e.update
             for e in (hist.visible_entries(tx.start_vts) if hist is not None else ())
             if e.version not in remote_versions
             and (remote_gc_vts is None or not remote_gc_vts.visible(e.version))
         ]
-        entries = list(remote_entries) + local_only
+        # The transaction's own buffer comes last: it shadows the snapshot.
+        updates += tx.updates
         if oid.kind is ObjectKind.CSET:
-            cset = CSet(payload["base"]) if payload["base"] else CSet()
-            for update, _version in entries:
-                if isinstance(update, CSetAdd):
-                    cset.add(update.elem)
-                elif isinstance(update, CSetDel):
-                    cset.rem(update.elem)
-            for update in tx.updates:
-                if isinstance(update, CSetAdd) and update.oid == oid:
-                    cset.add(update.elem)
-                elif isinstance(update, CSetDel) and update.oid == oid:
-                    cset.rem(update.elem)
-            return cset
-        found, data = last_data(tx.updates, oid)
-        if found:
-            return data
-        value = None
-        for update, _version in entries:
-            if isinstance(update, DataUpdate):
-                value = update.data
-        return value
+            return apply_cset_ops(CSet(payload["base"]), updates, oid)
+        return last_data(updates, oid)[1]
 
     # ------------------------------------------------------------------
     # Buffered updates
@@ -336,62 +275,15 @@ class ExecutionMixin:
     def rpc_tx_multiread(self, tid: str, oids: List[ObjectId], last: bool = False, notify: Optional[str] = None, fresh: bool = True):
         tx = self._ensure_tx(tid, fresh)
         tx.require_active()
-        values = yield from self._multiread_values(tx, oids)
+        # Each object is read exactly as by ``rpc_tx_read``; the combined
+        # operation saves client round trips and per-RPC CPU, not reads.
+        values = []
+        for oid in oids:
+            values.append((yield from self._read_value(tx, oid)))
         if last:
             status = yield from self._commit_tx(tx, notify=notify)
             return (values, status)
         return values
-
-    def _multiread_values(self, tx: Transaction, oids: List[ObjectId]):
-        """Batched multiread fan-out (DESIGN.md §14): objects not
-        replicated locally are grouped by serving site and fetched with
-        one ``remote_multiread`` RPC per group instead of one
-        ``remote_read`` each.  Groups keep the single-read target choice
-        -- nearest replica under partial replication, else the preferred
-        site -- and a None payload (behind replica, or an object the
-        group call could not serve) falls back to the classic per-object
-        read path, so visible values are identical to reading the
-        objects one by one."""
-        values: Dict[int, Any] = {}
-        groups: Dict[Tuple[int, bool], List[Tuple[int, ObjectId]]] = {}
-        for idx, oid in enumerate(oids):
-            container = self.config.container(oid.container)
-            if container.replicated_at(self.site_id):
-                values[idx] = yield from self._read_value(tx, oid)
-                continue
-            target = container.preferred_site
-            if self.partial_replication:
-                target = self._nearest_replica(container)
-            only_if_current = target != container.preferred_site
-            groups.setdefault((target, only_if_current), []).append((idx, oid))
-        for (target, only_if_current), group in sorted(groups.items()):
-            if len(group) == 1:
-                # A lone remote object gains nothing from the batched
-                # RPC; the single-read path also coalesces with other
-                # transactions' in-flight reads.
-                idx, oid = group[0]
-                values[idx] = yield from self._read_value(tx, oid)
-                continue
-            goids = [oid for _idx, oid in group]
-            payloads = yield from self.call(
-                self.peers[target],
-                "remote_multiread",
-                oids=goids,
-                start_vts=tx.start_vts,
-                only_if_current=only_if_current,
-                size_bytes=ack_batch_bytes(len(goids)),
-                timeout=self._rpc_timeout,
-                span=self._deep_ctx(tx.tid, span.EXECUTE),
-            )
-            for (idx, oid), payload in zip(group, payloads):
-                if payload is None:
-                    values[idx] = yield from self._read_value(tx, oid)
-                else:
-                    if self.profiler is not None:
-                        self.profiler.record_read(oid, False)
-                    values[idx] = self._compose_value(tx, oid, payload)
-                    self._trace_read(tx, oid, values[idx])
-        return [values[i] for i in range(len(oids))]
 
     @service_time(_batch_of("writes"))
     def rpc_tx_multiwrite(self, tid: str, writes, last: bool = False, notify: Optional[str] = None, fresh: bool = True):

@@ -47,7 +47,6 @@ class ServerStats(CounterView):
         "remote_applied",
         "remote_commits",
         "batches_sent",
-        "coalesced_reads",
         "resumed_propagations",
         "retransmissions",
         "sealed_holes",
@@ -174,10 +173,9 @@ class WalterServer(
         self._undurable = deque()
         self._ds_unvisible: Dict[str, PropagationTracker] = {}
         self._visible_tids = set()
-        # Batching scratch state: in-flight coalescable remote reads, and
-        # the per-handler buffers that collapse DS-DURABLE broadcasts and
-        # VISIBLE acks into per-batch casts (see PropagationMixin).
-        self._read_inflight: Dict[tuple, object] = {}
+        # Batching scratch state: the per-handler buffers that collapse
+        # DS-DURABLE broadcasts and VISIBLE acks into per-batch casts (see
+        # PropagationMixin).
         self._ds_buffer = None
         self._vis_ack_buffer = None
         self._delayed_until: Dict[ObjectId, float] = {}

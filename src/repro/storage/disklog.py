@@ -31,16 +31,25 @@ FLUSH_WRITE_CACHING_OFF = 0.008  # private cluster, write cache disabled
 FLUSH_MEMORY = 0.0           # commit to memory only (§8.7 configuration)
 
 
-@dataclass(slots=True)
+@dataclass(init=False)
 class LogRecord:
     """One durable entry with the simulated time it became durable.
-    Slotted: the log keeps one per entry for the whole run.  An entry
+    Slotted: the log keeps one per entry for the whole run (by hand:
+    ``dataclass(slots=True)`` needs Python 3.10, and a slot cannot have
+    a class-level default, hence the written ``__init__``).  An entry
     may group several records (a receiver's applied chunk or committed
     run); :class:`DiskStats` counts records, not entries."""
 
+    __slots__ = ("payload", "appended_at", "durable_at")
+
     payload: Any
     appended_at: float
-    durable_at: Optional[float] = None
+    durable_at: Optional[float]
+
+    def __init__(self, payload, appended_at, durable_at=None):
+        self.payload = payload
+        self.appended_at = appended_at
+        self.durable_at = durable_at
 
 
 class DiskStats(CounterView):

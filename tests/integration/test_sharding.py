@@ -25,9 +25,11 @@ import pytest
 import zlib
 
 from repro.chaos import ChaosConfig, run_chaos
+from repro.core import ObjectKind
 from repro.deployment import Deployment
 from repro.errors import SnapshotTooOldError
 from repro.net import Topology
+from repro.spec.checker import check_site_snapshot_reads
 from repro.storage import FLUSH_MEMORY
 
 
@@ -247,6 +249,68 @@ class TestPartialReplication:
             for s in sorted(container.replica_sites)
         }
         assert rtts[best] == min(rtts.values())
+
+    def test_behind_nearest_replica_falls_back_to_preferred_site(self, monkeypatch):
+        """Reader site 0 is 20 ms from replica 2 and 100 ms from the
+        preferred site 1.  With the 1-2 link cut, replica 2 misses a
+        commit that is DS-durable at replicas 1 and 3 and in site 0's
+        snapshot: replica 2 answers None (once per object) and every read
+        is served by the preferred site."""
+        names = ["A", "B", "C", "D"]
+        rtt = {(a, b): 60.0 for a in names for b in names if a < b}
+        rtt.update({(a, a): 0.5 for a in names})
+        rtt.update({("A", "B"): 100.0, ("A", "C"): 20.0, ("A", "D"): 150.0})
+        world = Deployment(
+            topology=Topology(names, rtt), replication=3, f=1, ds_mode="f_plus_1",
+            flush_latency=FLUSH_MEMORY, jitter_frac=0.0, trace=True,
+        )
+        world.create_container("r", preferred_site=1, replica_sites=[1, 2, 3])
+        reader, writer = world.new_client(0), world.new_client(1)
+        x, y = writer.new_id("r"), writer.new_id("r")
+        s = writer.new_id("r", ObjectKind.CSET)
+        assert world.servers[0]._nearest_replica(world.config.container("r")) == 2
+
+        def commit(tag):
+            def op():
+                tx = writer.start_tx()
+                yield from writer.write(tx, x, b"x" + tag)
+                yield from writer.write(tx, y, b"y" + tag)
+                yield from writer.set_add(tx, s, tag)
+                return (yield from writer.commit(tx))
+
+            assert world.run_process(op()) == "COMMITTED"
+            world.settle(2.0)
+
+        commit(b"1")
+        world.network.partition(1, 2)
+        commit(b"2")
+        replica = world.servers[2]
+        assert replica.committed_vts[1] < world.servers[0].committed_vts[1]
+
+        answers = []
+        serve = replica.rpc_remote_read
+
+        def counting(oid, start_vts, only_if_current=False):
+            payload = serve(oid, start_vts, only_if_current)
+            answers.append((oid, payload))
+            return payload
+
+        counting.service_time = serve.service_time
+        monkeypatch.setattr(replica, "rpc_remote_read", counting)
+
+        def op():
+            tx = reader.start_tx()
+            single = yield from reader.read(tx, x)
+            multi = yield from reader.multiread(tx, [y, s])
+            yield from reader.commit(tx)
+            return [single, multi[0], sorted(multi[1].members())]
+
+        assert world.run_process(op()) == [b"x2", b"y2", [b"1", b"2"]]
+        assert [payload for _oid, payload in answers] == [None] * 3
+        assert sorted(oid.local for oid, _payload in answers) == sorted(
+            oid.local for oid in (x, y, s)
+        )
+        assert check_site_snapshot_reads(world.trace) == []
 
 
 class TestStalledShardWatermarkPrecision:

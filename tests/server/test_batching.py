@@ -1,6 +1,6 @@
 """Unit tests for the hot-path batching layer (DESIGN.md §14): the
-propagation wire format, the ``Deployment(batching=...)`` sizes, the
-adaptive WAL group-commit window, and remote-read coalescing."""
+propagation wire format, the ``Deployment(batching=...)`` sizes and the
+adaptive WAL group-commit window."""
 
 import random
 
@@ -268,57 +268,6 @@ class TestAdaptiveWalWindow:
         # arrived during the leader's flush) lands in the next flush.
         assert durable["leader"] == pytest.approx(0.021)
         assert durable["chaser"] == pytest.approx(0.031)
-
-
-def _run_readers(n_readers=3):
-    """Readers at site 0 concurrently fetch the same remote-preferred
-    object: the duplicates ride the leader's RPC."""
-    world = Deployment(n_sites=2, flush_latency=FLUSH_MEMORY, seed=5)
-    # Replicated only at site 1: site 0's readers must fetch remotely.
-    world.create_container("remote", preferred_site=1, replica_sites=[1])
-    oid = world.config.container("remote").new_id()
-    world.preload({oid: b"remote-value"})
-    values = []
-
-    def reader(client):
-        tx = client.start_tx()
-        value = yield from client.read(tx, oid)
-        yield from client.commit(tx)
-        values.append(value)
-
-    for _ in range(n_readers):
-        world.kernel.spawn(reader(world.new_client(0)))
-    world.run(until=10.0)
-    world.settle(2.0)
-    assert values == [b"remote-value"] * n_readers
-    return world.servers[0].stats.coalesced_reads
-
-
-class TestReadCoalescing:
-    def test_duplicate_inflight_reads_coalesce(self):
-        assert _run_readers() >= 1
-
-    def test_multiread_fans_out_batched_gets(self):
-        world = Deployment(n_sites=3, flush_latency=FLUSH_MEMORY, seed=6)
-        oids, expect = [], []
-        for site in range(3):
-            world.create_container("c%d" % site, preferred_site=site)
-            for k in range(2):
-                oid = world.config.container("c%d" % site).new_id()
-                oids.append(oid)
-                expect.append(("s%d-%d" % (site, k)).encode())
-        world.preload(dict(zip(oids, expect)))
-        out = {}
-
-        def reader(client):
-            tx = client.start_tx()
-            values = yield from client.multiread(tx, oids)
-            yield from client.commit(tx)
-            out["values"] = values
-
-        world.kernel.spawn(reader(world.new_client(0)))
-        world.run(until=10.0)
-        assert out["values"] == expect
 
 
 class TestApplyConvoy:

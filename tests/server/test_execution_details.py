@@ -337,8 +337,8 @@ class TestTrace:
         assert world.trace.reads[0].oid == oid
 
     def test_remote_reads_traced(self):
-        """A read served by another site -- alone or in a grouped
-        multiread -- reaches the PSI checker like a local one."""
+        """A read served by another site -- alone or in a multiread --
+        reaches the PSI checker like a local one."""
         world = Deployment(
             n_sites=2, replication=1, flush_latency=FLUSH_MEMORY, trace=True
         )
@@ -360,6 +360,63 @@ class TestTrace:
         traced = [(r.site, r.oid, r.value) for r in world.trace.reads]
         assert traced == [(0, x, b"v"), (0, y, b"v"), (0, z, b"v")]
         assert check_site_snapshot_reads(world.trace) == []
+
+
+class TestRemoteMultiread:
+    def test_multiread_matches_single_reads(self):
+        """``multiread`` reads each object as ``read`` does: a local
+        object, one replicated here but preferred elsewhere, and remote
+        regular and cset objects, with and without the transaction's own
+        write, add or del on top of the fetched versions."""
+        world = make_world(2)
+        world.create_container("r1", preferred_site=1, replica_sites=[1])
+        client0, client1 = world.new_client(0), world.new_client(1)
+        local, far = client0.new_id("c0"), client0.new_id("c1")
+        x = client0.new_id("r1")
+        s = client0.new_id("r1", ObjectKind.CSET)
+        oids = [local, x, s, far]
+
+        def commit(client, *ops):
+            def scenario():
+                tx = client.start_tx()
+                for op, oid, arg in ops:
+                    yield from getattr(client, op)(tx, oid, arg)
+                return (yield from client.commit(tx))
+
+            assert world.run_process(scenario()) == "COMMITTED"
+            world.settle(2.0)
+
+        # Site 0 commits to r1 too (slow commit), so its local history of
+        # the non-replicated objects is merged with the preferred site's.
+        commit(client1, ("write", x, b"x1"), ("set_add", s, "a"), ("write", far, b"f"))
+        commit(client0, ("write", x, b"x2"), ("set_add", s, "b"), ("write", local, b"l"))
+
+        def values(own, multi):
+            def scenario():
+                tx = client0.start_tx()
+                for op, oid, arg in own:
+                    yield from getattr(client0, op)(tx, oid, arg)
+                if multi:
+                    out = yield from client0.multiread(tx, oids)
+                else:
+                    out = []
+                    for oid in oids:
+                        out.append((yield from client0.read(tx, oid)))
+                yield from client0.abort(tx)
+                return [v.counts() if oid is s else v for oid, v in zip(oids, out)]
+
+            return world.run_process(scenario())
+
+        ab = {"a": 1, "b": 1}
+        cases = [
+            ((), [b"l", b"x2", ab, b"f"]),
+            ((("write", x, b"mine"),), [b"l", b"mine", ab, b"f"]),
+            ((("set_add", s, "z"),), [b"l", b"x2", dict(ab, z=1), b"f"]),
+            ((("set_del", s, "a"),), [b"l", b"x2", {"b": 1}, b"f"]),
+        ]
+        for own, expect in cases:
+            assert values(own, multi=False) == expect
+            assert values(own, multi=True) == expect
 
 
 class TestPreload:
