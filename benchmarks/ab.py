@@ -131,16 +131,40 @@ def quartiles(values: List[float]):
     return q1, q2, q3
 
 
-#: Summary-cell marks: worse beyond the metric's bound (or an exact value
-#: moved); unresolved -- the parent's own quartile distance exceeds the
-#: bound and not every change run beat every parent run.
+#: Summary-cell marks: worse beyond the metric's bound; unresolved -- the
+#: parent's own quartile distance exceeds the bound and not every change
+#: run beat every parent run.
 WORSE, UNRESOLVED = "!", "?"
 
 
+def is_exact(name: str) -> bool:
+    """Simulated-clock metrics: one value per seed, no run-to-run spread."""
+    return not name.startswith("host_") and name != "setup_s"
+
+
+def cell(spec: dict, parent: List[float], change: List[float]) -> str:
+    """One metric's summary cell: the signed change of the median, marked
+    ``!`` when it is worse than the parent's by more than the metric's
+    bound, and, for a host metric, ``?`` when the parent's own quartile
+    distance exceeds the bound and not every change run beat every
+    parent run.  An exact metric that did not move is ``=``."""
+    sign = -1.0 if spec["better"] == "lower" else 1.0  # positive means better
+    (a1, am, a3), bm = quartiles(parent), statistics.median(change)
+    if is_exact(spec["name"]) and len(set(parent + change)) == 1:
+        return "="
+    flag = ""
+    if -sign * (bm - am) / am > spec["bound"]:
+        flag = WORSE
+    elif not is_exact(spec["name"]) and (a3 - a1) / am > spec["bound"] and not all(
+        sign * (y - x) > 0 for x in parent for y in change
+    ):
+        flag = UNRESOLVED
+    return "%+.2f%%%s" % (100.0 * (bm - am) / am, flag)
+
+
 def report(contract: dict, parent: List[dict], change: List[dict]) -> Dict[str, str]:
-    """Print one workload's table; returns per metric its summary cell:
-    ``=`` / ``MOVED!`` for exact metrics, else the median's change,
-    marked ``!`` or ``?`` where that applies."""
+    """Print one workload's table; returns per metric its summary cell
+    (:func:`cell`)."""
     pairs = len(parent)
     print("%-22s %-8s %34s %34s %7s %8s  %s" % (
         "metric", "better", "parent median [q1, q3]", "change median [q1, q3]",
@@ -151,12 +175,12 @@ def report(contract: dict, parent: List[dict], change: List[dict]) -> Dict[str, 
         name, lower = spec["name"], spec["better"] == "lower"
         a = [run[name] for run in parent]
         b = [run[name] for run in change]
-        if not name.startswith("host_") and name != "setup_s":
-            equal = len(set(a + b)) == 1
-            cells[name] = "=" if equal else "MOVED" + WORSE
+        cells[name] = cell(spec, a, b)
+        if is_exact(name):
+            equal = cells[name] == "="
             print("%-22s %-8s %34.6f %34.6f %7s %8s  %s" % (
                 name, spec["better"], statistics.median(a), statistics.median(b), "-", "-",
-                "exact: equal in all %d runs" % (2 * pairs) if equal else "exact: MOVED",
+                "exact: equal in all %d runs" % (2 * pairs) if equal else "exact: MOVED " + cells[name],
             ))  # fmt: skip
             continue
         sign = -1.0 if lower else 1.0  # so that positive means better
@@ -173,14 +197,6 @@ def report(contract: dict, parent: List[dict], change: List[dict]) -> Dict[str, 
             verdict = "LOSS, beyond bound" if -gain / am > spec["bound"] else "LOSS, within bound"
         else:
             verdict = "no resolved difference"
-        flag = ""
-        if -gain / am > spec["bound"]:
-            flag = WORSE
-        elif (a3 - a1) / am > spec["bound"] and not all(
-            sign * (y - x) > 0 for x in a for y in b
-        ):
-            flag = UNRESOLVED
-        cells[name] = "%+.1f%%%s" % (100.0 * (bm - am) / am, flag)
         print("%-22s %-8s %34s %34s %7s %+7.1f%%  %s" % (
             name, spec["better"],
             "%.3f [%.3f, %.3f]" % (am, a1, a3), "%.3f [%.3f, %.3f]" % (bm, b1, b3),
@@ -209,7 +225,7 @@ def print_summary(contract: dict, table: Dict[str, Dict[str, str]], pairs: int) 
     """The no-regression table of ``--workload all``: a row per workload,
     a column per end-to-end metric, ``report``'s cells."""
     names = [spec["name"] for spec in contract["end_to_end"]]
-    print("\nchange vs parent, median of %d pair(s); exact metrics: = or MOVED%s" % (pairs, WORSE))
+    print("\nchange vs parent, median of %d pair(s); an exact metric that did not move: =" % pairs)
     print("%-24s" % "workload" + "".join("%21s" % name for name in names))
     for workload, cells in table.items():
         print("%-24s" % workload + "".join("%21s" % cells[name] for name in names))
@@ -270,7 +286,9 @@ def main() -> int:
             print(flush=True)
         if len(workloads) > 1:
             print_summary(contract, table, args.pairs)
-        equal = not any(cell.startswith("MOVED") for row in table.values() for cell in row.values())
+        equal = all(
+            row[name] == "=" for row in table.values() for name in row if is_exact(name)
+        )
         print("simulated-clock metrics equal across all runs: %s" % ("yes" if equal else "NO"))
         if args.record:
             commit = git("rev-parse", args.parent)

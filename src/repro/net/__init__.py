@@ -4,7 +4,7 @@ from .network import ClusterGateway, Envelope, Message, Network, NetworkStats
 from .rpc import Cast, Host, RpcError, RpcRemoteError, RpcReply, RpcRequest, RpcTimeout
 from .rpc import service_time
 from .wire import (
-    ack_batch_bytes,
+    FRONTIER_BYTES,
     decode_propagation_batch,
     encode_propagation_batch,
 )
@@ -18,7 +18,6 @@ from .topology import (
 )
 
 __all__ = [
-    "ack_batch_bytes",
     "Cast",
     "ClusterGateway",
     "decode_propagation_batch",
@@ -28,6 +27,7 @@ __all__ = [
     "EC2_INTRA_SITE_BANDWIDTH_BPS",
     "EC2_RTT_MS",
     "EC2_SITE_NAMES",
+    "FRONTIER_BYTES",
     "Host",
     "Message",
     "Network",

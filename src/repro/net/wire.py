@@ -45,8 +45,11 @@ RECORD_HEADER_BYTES = 24
 VTS_ENTRY_BYTES = 8
 #: Footprint digest on trimmed records (``touched`` container ids).
 TOUCHED_BYTES = 8
-#: One tid in an ack/DS/VISIBLE batch (tid hash + site).
+#: One frontier entry: origin seqno, tid hash and acknowledging site.
 ACK_ENTRY_BYTES = 24
+#: An ACK, DS-DURABLE or VISIBLE cast: one per-origin frontier, however
+#: many records it covers.
+FRONTIER_BYTES = BATCH_HEADER_BYTES + ACK_ENTRY_BYTES
 
 
 def _updates_bytes(updates) -> int:
@@ -64,11 +67,6 @@ def _updates_bytes(updates) -> int:
         else:
             per += 48
     return per
-
-
-def ack_batch_bytes(n: int) -> int:
-    """Wire size of an ack/DS-DURABLE/VISIBLE batch of ``n`` entries."""
-    return BATCH_HEADER_BYTES + ACK_ENTRY_BYTES * n
 
 
 def encode_propagation_batch(records: List[CommitRecord]) -> Tuple[list, int]:

@@ -17,24 +17,30 @@ After a transaction commits locally it is propagated in the background:
 5. when every site replied, x is **globally visible**.
 
 Every step travels batched (DESIGN.md §14): ``propagate_batch`` carries a
-delta-encoded run of records (:mod:`repro.net.wire`), and the ACK,
-DS-DURABLE and VISIBLE for that run are one ``propagate_ack_batch``,
-``ds_durable_batch`` and ``visible_ack_batch`` each.  These four casts
-are the whole wire; a lone record is a batch of one.
+delta-encoded run of records (:mod:`repro.net.wire`), and ACK,
+DS-DURABLE and VISIBLE are each one per-origin **frontier** -- a
+``propagate_ack``, ``ds_durable`` or ``visible_ack`` cast naming the
+highest seqno ``q`` of one origin such that every record of that origin
+up to ``q`` is applied and WAL-durable at the receiver, DS-durable at
+the origin, or committed at the receiver.  Receivers apply and commit
+each origin's records in seqno order (the Fig 13 guards), so an
+acknowledgement is cumulative, and a frontier says it in one entry.
+A frontier also names the tid of the record at ``q``, and one whose
+named record is not the one held at that seqno is ignored: recovery
+reuses the seqnos site removal abandoned for no-op records.  These four
+casts are the whole wire; a lone record is a batch of one.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
-from itertools import groupby
 from typing import List, Optional, Tuple
 
 from ..core.transaction import CommitRecord
 from ..core.updates import touched_oids
-from ..core.versions import PlanningClock, VectorTimestamp
+from ..core.versions import PlanningClock, VectorTimestamp, Version
 from ..net.wire import (
-    ack_batch_bytes,
+    FRONTIER_BYTES,
     decode_propagation_batch,
     encode_propagation_batch,
 )
@@ -42,28 +48,23 @@ from ..obs import trace as span
 
 
 class PropagationTracker:
-    """Origin-side state for one committed transaction in flight.
+    """Origin-side state for one committed transaction in flight, held
+    in ``_trackers`` under its seqno until it is globally visible.
 
-    ``acked`` and ``visible`` are site bitmasks: bit ``s`` is set once
-    site ``s`` acknowledged the PROPAGATE (resp. replied VISIBLE).  An
-    origin keeps one tracker per commit until it is globally visible,
+    Which sites acknowledged it is not stored here: site ``s`` ACKed
+    (resp. replied VISIBLE for) record ``q`` iff the origin's
+    ``_acked_through[s]`` (``_visible_through[s]``) is at least ``q``.
+    An origin keeps one tracker per commit until it is globally visible,
     thousands at once on a fan-out, so the tracker is slotted (by hand:
-    ``dataclass(slots=True)`` needs Python 3.10) and holds two ints
-    where sets would resize as the acks arrive."""
+    ``dataclass(slots=True)`` needs Python 3.10)."""
 
-    __slots__ = (
-        "record", "client", "acked", "visible", "ds_durable", "globally_visible",
-        "committed_at", "ds_at", "awaited",
-    )
+    __slots__ = ("record", "client", "ds_durable", "committed_at", "ds_at", "awaited")
 
     def __init__(self, record: CommitRecord, client: Optional[str] = None,
-                 acked: int = 0, visible: int = 0, committed_at: float = 0.0):
+                 committed_at: float = 0.0):
         self.record = record
         self.client = client
-        self.acked = acked
-        self.visible = visible
         self.ds_durable = False
-        self.globally_visible = False
         self.committed_at = committed_at
         self.ds_at: Optional[float] = None
         #: Sender generation of the batch in flight that waits for this
@@ -104,32 +105,25 @@ class PropagationBatch:
 
 
 class PendingIndex:
-    """Parked ``(record, reply_to)`` entries per origin site, ordered by
-    seqno: a clock advance releases exactly what it unblocks, however
-    much else is parked.  Entries only ever leave from a site's head."""
+    """Parked records per origin site, ordered by seqno: a clock advance
+    releases exactly what it unblocks, however much else is parked.
+    Records only ever leave from a site's head."""
 
     __slots__ = ("_entries", "_heaps")
 
     def __init__(self):
-        self._entries = {}  # (site, seqno) -> (record, reply_to)
+        self._entries = {}  # (site, seqno) -> record
         self._heaps = {}  # site -> min-heap of that site's parked seqnos
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def add(self, record: CommitRecord, reply_to: Optional[str]) -> bool:
-        """Park an entry; returns False (a no-op) if this version is
-        already parked -- batches can carry duplicates."""
+    def add(self, record: CommitRecord) -> None:
+        """Park a record, once -- batches can carry duplicates."""
         key = (record.site, record.seqno)
-        if key in self._entries:
-            return False
-        self._entries[key] = (record, reply_to)
-        heapq.heappush(self._heaps.setdefault(record.site, []), record.seqno)
-        return True
-
-    def get(self, site: int, seqno: int):
-        """The entry parked at exactly ``(site, seqno)``, or None."""
-        return self._entries.get((site, seqno))
+        if key not in self._entries:
+            self._entries[key] = record
+            heapq.heappush(self._heaps.setdefault(record.site, []), record.seqno)
 
     def sites(self) -> List[int]:
         return list(self._heaps)
@@ -139,27 +133,23 @@ class PendingIndex:
         heap = self._heaps.get(site)
         return heap[0] if heap else None
 
-    def pop_head(self, site: int) -> tuple:
-        """Pop and return the entry at ``parked_head(site)``."""
-        return self._entries.pop((site, heapq.heappop(self._heaps[site])))
-
-    def pop_run(self, site: int, clock: VectorTimestamp) -> List[tuple]:
+    def pop_run(self, site: int, clock: VectorTimestamp) -> List[CommitRecord]:
         """Pop and return, in seqno order, what ``clock`` lets a receiver
         apply of ``site``: the duplicates it already covers, then the
         contiguous run of next seqnos, each admitted against the clock as
         the ones before it advance it (the Fig 13 guard).  Stops at the
-        first entry that must wait, so nothing is popped only to be
+        first record that must wait, so nothing is popped only to be
         parked again."""
         run = []
         heap = self._heaps.get(site)
         plan = PlanningClock(clock)
         while heap:
             seqno = heap[0]
-            if seqno > plan[site]:
-                record = self._entries[(site, seqno)][0]
-                if not plan.admit(site, seqno, record.start_vts):
-                    break
-            run.append(self.pop_head(site))
+            record = self._entries[(site, seqno)]
+            if seqno > plan[site] and not plan.admit(site, seqno, record.start_vts):
+                break
+            del self._entries[(site, heapq.heappop(heap))]
+            run.append(record)
         return run
 
 
@@ -174,19 +164,24 @@ class PropagationMixin:
     # Origin side
     # ------------------------------------------------------------------
     def _enqueue_propagation(self, record: CommitRecord, notify: Optional[str]) -> None:
-        own = 1 << self.site_id
-        tracker = PropagationTracker(
-            record, notify, acked=own, visible=own, committed_at=self.kernel.now
-        )
-        self._trackers[record.tid] = tracker
+        trackers = self._trackers
+        if not trackers:
+            # Trackers enter in seqno order (local commits land in WAL
+            # order), so with none in flight every own seqno below this
+            # one is retired -- or predates the stream (the preload
+            # image, survivors of a site removal).
+            self._visible_prefix = self._ds_prefix = record.seqno - 1
+        tracker = PropagationTracker(record, notify, committed_at=self.kernel.now)
+        trackers[record.seqno] = tracker
         # Resend bookkeeping: entries are appended in committed_at order,
         # so the stale ones _resend_unacked looks for form a prefix.
         self._undurable.append((tracker.committed_at, tracker))
         self._outbox.append(record)
         if self._sender == IDLE:
             self._arm_sender(WOKEN, 0.0)
-        # A 1-site deployment (or f=0) may already satisfy durability.
-        self._maybe_ds(tracker)
+        # Alone in the active set (or with f=0) it may be DS-durable now.
+        if self.ds_mode != "all_sites" or self.config.active_mask() == 1 << self.site_id:
+            self._settle(record.seqno - 1, record.seqno)
 
     def _arm_sender(self, state: int, delay: float) -> None:
         """Enter ``state`` with its one timer.  Every arm bumps the
@@ -216,12 +211,12 @@ class PropagationMixin:
             gen = self._sender_gen + 1  # what _arm_sender will give it
             self._ds_awaited = 0
             for record in records:
-                tracker = self._trackers.get(record.tid)
+                tracker = self._trackers.get(record.seqno)
                 if tracker is not None and not tracker.ds_durable and tracker.awaited != gen:
                     tracker.awaited = gen
                     self._ds_awaited += 1
             if self._ds_awaited:
-                # Wait for the batch to become DS-durable (_maybe_ds
+                # Wait for the batch to become DS-durable (_mark_ds
                 # counts it down), but no longer than ~one max round
                 # trip: under load a receiver may still be applying the
                 # previous batch, and stalling dispatch would make the
@@ -237,38 +232,20 @@ class PropagationMixin:
         return max(0.005, self.network.topology.max_rtt_from(self.site_id))
 
     def _resend_unacked(self) -> None:
-        """Retransmit records whose PROPAGATE (or DS-DURABLE) may have
-        been lost -- e.g. dropped by a partition that has since healed.
-        Receivers treat duplicates idempotently and simply re-ACK.
+        """Retransmit to each site what it has not acknowledged (e.g.
+        batches a partition dropped) once stale, three batch periods:
+        records short of DS durability and, when the oldest record in
+        flight has been DS-durable that long, the DS frontier to each
+        site whose VISIBLE frontier lags it, with the records it never
+        ACKed (a site re-integrated since may lack them).  Receivers
+        treat duplicates idempotently and re-ACK their frontier.
 
-        Instead of walking every tracker, this consults two focused
-        structures the tracker lifecycle maintains: ``_ds_unvisible``
-        (DS-durable trackers still missing VISIBLE acks, in the order
-        they became DS-durable) and ``_undurable`` (a committed_at-ordered
-        deque whose stale entries form a prefix; superseded entries --
-        resent or since-durable trackers -- are dropped lazily as they
-        surface at the head)."""
+        ``_undurable`` is a committed_at-ordered deque whose stale
+        entries form a prefix; superseded entries -- resent or
+        since-durable trackers -- are dropped lazily as they surface at
+        the head."""
         now = self.kernel.now
         stale = 3.0 * self._batch_period()
-        for tracker in self._ds_unvisible.values():
-            if now - (tracker.ds_at or now) <= stale:
-                continue
-            for site in self.config.active_sites():
-                if site == self.site_id:
-                    continue
-                if not tracker.acked >> site & 1:
-                    # A site activated after DS durability (site
-                    # re-integration) may lack the record itself; it
-                    # cannot commit what it never received, so
-                    # re-PROPAGATE, not just re-announce.
-                    self._cast_propagate(
-                        site,
-                        *self._encode([self._record_for(tracker.record, site)]),
-                    )
-                if not tracker.visible >> site & 1:
-                    # VISIBLE acks missing: re-announce DS durability.
-                    self._cast_ds_durable(site, [tracker.record])
-            tracker.ds_at = now
         undurable = self._undurable
         resend: List[CommitRecord] = []
         while undurable:
@@ -284,10 +261,30 @@ class PropagationMixin:
             resend.append(tracker.record)
             tracker.committed_at = now  # back off further resends
             undurable.append((now, tracker))
+        head = self._trackers.get(self._visible_prefix + 1)
+        if head is not None and head.ds_durable and now - head.ds_at > stale:
+            head.ds_at = now  # back off further re-announcements
+            upto = self._ds_prefix
+            for site in self._others():
+                if self._visible_through[site] < upto:
+                    self._cast_ds_durable(site)
+            floor = max(self._floor(self._acked_through), self._visible_prefix)
+            if floor < upto:
+                resend += self._records_by_version.run(self.site_id, floor, upto)
         if resend:
             resend.sort(key=lambda r: r.seqno)
             self._send_batch(resend)
             self.stats.inc("retransmissions", len(resend))
+
+    def _others(self) -> List[int]:
+        """The active sites other than this one."""
+        return [site for site in self.config.active_sites() if site != self.site_id]
+
+    def _floor(self, frontiers: List[int]) -> float:
+        """The lowest of ``frontiers`` over the other active sites
+        (infinite when there are none)."""
+        others = self.config.active_mask() & ~(1 << self.site_id)
+        return min([q for s, q in enumerate(frontiers) if others >> s & 1], default=float("inf"))
 
     def _kept(self, record: CommitRecord, site: int) -> Optional[Tuple[int, ...]]:
         """Indices of the updates of ``record`` whose containers ``site``
@@ -325,7 +322,11 @@ class PropagationMixin:
         are built and encoded once per distinct signature, and every
         destination with that signature gets the same
         :class:`PropagationBatch`, so its receivers also share one
-        decode.  Under full replication there is one signature."""
+        decode.  Under full replication there is one signature.
+
+        ``records`` are in seqno order, and each destination gets only
+        those above its ACK frontier (a retransmission skips what it
+        ACKed): a suffix of each chunk, part of the signature."""
         for record in records:
             self._span(record.tid, span.PROPAGATE_SEND, batch=len(records))
         kept = self._kept
@@ -335,14 +336,18 @@ class PropagationMixin:
             # Batch-occupancy observability (DESIGN.md §14).
             self._prop_batch_hist.observe(float(len(chunk)))
             payloads = {}
-            for site in self.config.active_sites():
-                if site == self.site_id:
+            for site in self._others():
+                first, acked = 0, self._acked_through[site]
+                while first < len(chunk) and chunk[first].seqno <= acked:
+                    first += 1
+                if first == len(chunk):
                     continue
-                signature = tuple([kept(record, site) for record in chunk])
+                mine = chunk[first:] if first else chunk
+                signature = (first, tuple([kept(record, site) for record in mine]))
                 payload = payloads.get(signature)
                 if payload is None:
                     payload = payloads[signature] = self._encode(
-                        list(map(self._trim, chunk, signature))
+                        list(map(self._trim, mine, signature[1]))
                     )
                 self._cast_propagate(site, *payload)
         self.stats.inc("batches_sent")
@@ -352,71 +357,44 @@ class PropagationMixin:
         entries, size = encode_propagation_batch(records)
         return PropagationBatch(entries), size
 
-    # The four protocol messages.  A lone record (a retransmission, a
-    # late VISIBLE ack) travels as a batch of one: there is no second,
-    # per-record wire.
+    # The four protocol messages: a record batch and three frontiers.
     def _cast_propagate(self, site: int, batch: PropagationBatch, size: int) -> None:
         self.cast(self.peers[site], "propagate_batch", size_bytes=size, batch=batch)
 
-    def _cast_propagate_ack(self, reply_to: str, tids: List[str]) -> None:
-        self.cast(
-            reply_to,
-            "propagate_ack_batch",
-            size_bytes=ack_batch_bytes(len(tids)),
-            tids=tids,
-            site=self.site_id,
-        )
+    def _cast_frontier(self, site: int, method: str, frontier: Tuple[int, Optional[str]]) -> None:
+        """Send ``site`` a ``(seqno, tid)`` frontier; nothing while no
+        record has reached it (its tid is None)."""
+        seqno, tid = frontier
+        if tid is not None:
+            self.cast(self.peers[site], method, size_bytes=FRONTIER_BYTES,
+                      site=self.site_id, seqno=seqno, tid=tid)
 
-    def _cast_ds_durable(self, site: int, records: List[CommitRecord]) -> None:
-        self.cast(
-            self.peers[site],
-            "ds_durable_batch",
-            size_bytes=ack_batch_bytes(len(records)),
-            records=records,
-        )
+    def _cast_ds_durable(self, site: int) -> None:
+        seqno = self._ds_prefix
+        self._cast_frontier(site, "ds_durable", (seqno, self._trackers[seqno].record.tid))
 
-    def _cast_visible_ack(self, reply_to: str, tids: List[str]) -> None:
-        self.cast(
-            reply_to,
-            "visible_ack_batch",
-            size_bytes=ack_batch_bytes(len(tids)),
-            tids=tids,
-            site=self.site_id,
-        )
+    def _holds(self, site: int, seqno: int, tid: str) -> bool:
+        """Whether the record held here at ``(site, seqno)`` is ``tid``."""
+        tracker = self._trackers.get(seqno) if site == self.site_id else None
+        if tracker is not None:
+            return tracker.record.tid == tid
+        record = self._records_by_version.get(Version(site, seqno))
+        return record is not None and record.tid == tid
 
-    def on_propagate_ack_batch(self, src: str, tids: List[str], site: int):
-        """One cast acknowledges a whole applied chunk.  DS-DURABLE
-        announcements that fire while the acks are absorbed are buffered
-        (see ``_maybe_ds``) and broadcast as a single
-        ``ds_durable_batch`` per destination."""
-        buf: List[CommitRecord] = []
-        self._ds_buffer = buf
-        bit = 1 << site
-        try:
-            for tid in tids:
-                tracker = self._trackers.get(tid)
-                if tracker is None:
-                    continue
-                tracker.acked |= bit
-                self._maybe_ds(tracker)
-        finally:
-            self._ds_buffer = None
-        if buf:
-            self._broadcast_ds_durable(buf)
+    def on_propagate_ack(self, src: str, site: int, seqno: int, tid: str):
+        """ACK frontier: ``site`` applied, durably, every record of this
+        origin through ``seqno``.  Re-evaluate what it advanced over."""
+        acked = self._acked_through[site]
+        if seqno > acked and self._holds(self.site_id, seqno, tid):
+            self._acked_through[site] = seqno
+            self._settle(acked, seqno)
 
-    def _broadcast_ds_durable(self, records: List[CommitRecord]) -> None:
-        for site in self.config.active_sites():
-            if site != self.site_id:
-                self._cast_ds_durable(site, records)
-
-    def on_visible_ack_batch(self, src: str, tids: List[str], site: int):
-        bit = 1 << site
-        for tid in tids:
-            tracker = self._trackers.get(tid)
-            if tracker is None:
-                continue
-            tracker.visible |= bit
-            self._maybe_visible(tracker)
+    def on_visible_ack(self, src: str, site: int, seqno: int, tid: str):
+        """VISIBLE frontier: ``site`` committed every record of this
+        origin through ``seqno``."""
+        if seqno > self._visible_through[site] and self._holds(self.site_id, seqno, tid):
+            self._visible_through[site] = seqno
+            self._retire()
 
     @staticmethod
     def _commit_time(tracker: PropagationTracker) -> float:
@@ -427,73 +405,102 @@ class PropagationMixin:
             return tracker.record.committed_at
         return tracker.committed_at
 
-    def _maybe_ds(self, tracker: PropagationTracker) -> None:
-        if tracker.ds_durable or not self._ds_condition(tracker):
-            return
+    def _settle(self, lo: int, hi: int) -> None:
+        """Mark DS-durable the trackers with seqno in ``(lo, hi]`` that
+        now are -- an ACK frontier advanced over them -- then announce
+        the DS prefix to every other active site if it grew, and retire
+        what became globally visible.
+
+        The prefix, not each DS-durable record, is what receivers learn:
+        under ``f_plus_1`` a record can be DS-durable before its
+        predecessor, and is then announced with it."""
+        trackers = self._trackers
+        if self.ds_mode == "all_sites":
+            # §8.1: "we consider a transaction to be disaster-safe durable
+            # when it is committed at all sites in the experiment" -- the
+            # records every other active site ACKed, a prefix.
+            durable = None
+            lo, hi = max(lo, self._ds_prefix), min(hi, self._floor(self._acked_through))
+        else:
+            durable = self._f_plus_1_durable
+            lo = max(lo, self._visible_prefix)
+        for seqno in range(lo + 1, hi + 1):
+            tracker = trackers.get(seqno)
+            if tracker is not None and not tracker.ds_durable and (
+                durable is None or durable(tracker.record)
+            ):
+                self._mark_ds(tracker)
+        seqno = self._ds_prefix
+        tracker = trackers.get(seqno + 1)
+        while tracker is not None and tracker.ds_durable:
+            seqno += 1
+            tracker = trackers.get(seqno + 1)
+        if seqno > self._ds_prefix:
+            self._ds_prefix = seqno
+            for site in self._others():
+                self._cast_ds_durable(site)
+        self._retire()
+
+    def _f_plus_1_durable(self, record: CommitRecord) -> bool:
+        """Spec mode (§4.4/Fig 13): f+1 sites replicating each object
+        ACKed, including the object's preferred site."""
+        seqno = record.seqno
+        acked = [s for s, q in enumerate(self._acked_through) if s == self.site_id or q >= seqno]
+        for oid in touched_oids(record.updates):
+            container = self.config.container(oid.container)
+            if container.preferred_site not in acked:
+                return False
+            if sum(1 for s in acked if container.replicated_at(s)) < self.f + 1:
+                return False
+        return True
+
+    def _mark_ds(self, tracker: PropagationTracker) -> None:
+        """One record became DS-durable: its lag, span, WAL entry and
+        client notification are per record."""
+        now = self.kernel.now
+        record = tracker.record
         tracker.ds_durable = True
-        tracker.ds_at = self.kernel.now
-        self._ds_unvisible[tracker.record.tid] = tracker
+        tracker.ds_at = now
         if tracker.awaited == self._sender_gen:
             self._ds_awaited -= 1
             if not self._ds_awaited:
                 self.kernel.call_soon(self._sender_fired, self._sender_gen)
-        self._ds_lag.observe(self.kernel.now - self._commit_time(tracker))
-        self._span(tracker.record.tid, span.DS_DURABLE, acked=bin(tracker.acked).count("1"))
-        self.storage.log.append(("ds_durable", tracker.record.tid))
-        if self._ds_buffer is not None:
-            # Inside on_propagate_ack_batch: defer the broadcast so every
-            # record the ack batch made DS-durable ships in one
-            # ds_durable_batch per destination.
-            self._ds_buffer.append(tracker.record)
-        else:
-            self._broadcast_ds_durable([tracker.record])
+        self._ds_lag.observe(now - self._commit_time(tracker))
+        if self._tracer is not None:
+            acked = sum(1 for s, q in enumerate(self._acked_through)
+                        if s == self.site_id or q >= record.seqno)
+            self._span(record.tid, span.DS_DURABLE, acked=acked)
+        self.storage.log.append(("ds_durable", record.tid))
         if tracker.client is not None:
-            self.cast(tracker.client, "tx_ds_durable", tid=tracker.record.tid)
-        self._maybe_visible(tracker)
+            self.cast(tracker.client, "tx_ds_durable", tid=record.tid)
 
-    def _ds_condition(self, tracker: PropagationTracker) -> bool:
-        acked = tracker.acked
-        if self.ds_mode == "all_sites":
-            # §8.1: "we consider a transaction to be disaster-safe durable
-            # when it is committed at all sites in the experiment".
-            active = self.config.active_mask()
-            return acked & active == active
-        # Spec mode (§4.4/Fig 13): f+1 sites replicating each object,
-        # including the object's preferred site.
-        acked_sites = [s for s in range(acked.bit_length()) if acked >> s & 1]
-        for oid in touched_oids(tracker.record.updates):
-            container = self.config.container(oid.container)
-            replicating = sum(1 for s in acked_sites if container.replicated_at(s))
-            if replicating < self.f + 1:
-                return False
-            if not acked >> container.preferred_site & 1:
-                return False
-        return True
-
-    def _maybe_visible(self, tracker: PropagationTracker) -> None:
-        if tracker.globally_visible or not tracker.ds_durable:
+    def _retire(self) -> None:
+        """Retire, in seqno order, the DS-durable trackers every other
+        active site committed: they are globally visible.  The commit
+        record stays in ``_records_by_version``."""
+        trackers = self._trackers
+        seqno = self._visible_prefix + 1
+        tracker = trackers.get(seqno)
+        if tracker is None or not tracker.ds_durable:
             return
-        active = self.config.active_mask()
-        if tracker.visible & active != active:
-            return
-        tracker.globally_visible = True
-        self._visibility_lag.observe(self.kernel.now - self._commit_time(tracker))
-        self._span(tracker.record.tid, span.GLOBALLY_VISIBLE)
-        self.storage.log.append(("globally_visible", tracker.record.tid))
-        if tracker.client is not None:
-            self.cast(tracker.client, "tx_visible", tid=tracker.record.tid)
-        # Fully propagated: retire the tracker (late duplicate acks are
-        # ignored; the commit record stays in _records_by_version).
-        self._visible_tids.add(tracker.record.tid)
-        self._trackers.pop(tracker.record.tid, None)
-        self._ds_unvisible.pop(tracker.record.tid, None)
+        floor = self._floor(self._visible_through)
+        while tracker is not None and tracker.ds_durable and seqno <= floor:
+            del trackers[seqno]
+            self._visible_prefix = seqno
+            tid = tracker.record.tid
+            self._visibility_lag.observe(self.kernel.now - self._commit_time(tracker))
+            self._span(tid, span.GLOBALLY_VISIBLE)
+            self.storage.log.append(("globally_visible", tid))
+            if tracker.client is not None:
+                self.cast(tracker.client, "tx_visible", tid=tid)
+            seqno += 1
+            tracker = trackers.get(seqno)
 
     def recheck_durability(self) -> None:
         """Re-evaluate DS/visibility conditions, e.g. after the active-site
         set shrank during reconfiguration (§5.7)."""
-        for tracker in list(self._trackers.values()):
-            self._maybe_ds(tracker)
-            self._maybe_visible(tracker)
+        if self._trackers:
+            self._settle(self._visible_prefix, max(self._trackers))
 
     def rpc_recheck_durability(self):
         self.recheck_durability()
@@ -505,41 +512,27 @@ class PropagationMixin:
     #: Remote records applied per commit-lock acquisition.  Chunking is
     #: what lets replication keep up under commit saturation (a FIFO lock
     #: grants the apply path one turn per queue rotation) while bounding
-    #: how long a batch apply can stall committing transactions.
-    #:
-    #: A measured constant, not a knob.  Batched acks make every origin's
-    #: cycle rigid, so on an N-site fan-out the N-1 remote batches reach a
-    #: site at the same instant and their appliers take the lock back to
-    #: back; local commits queue behind the whole convoy.  At 512 a turn
-    #: was a whole batch (~230 records x 7.7 us = 1.8 ms) and seven in a
-    #: row 12.4 ms, so commits slipped up to six 2 ms WAL flush steps
-    #: (commit p99 14 ms).  Committed tx per 100 ms window on the ledger's
-    #: write_fanout_8site (seed 23) by chunk size: 512 -> 2003,
-    #: 64 -> 2115, 32 -> 2206, 24 -> 2230, 16 -> 2392, 8 -> 2396,
-    #: 1 -> 2398, at 19 kernel events per transaction for 16 and 29 for
-    #: 1.  16 is the knee: 7 appliers x 16 x 7.7 us stays under one
-    #: flush, so no commit slips a flush-grid step (p99 4 ms).  The other
-    #: side of the trade: on a *saturated* lock a shorter turn is a smaller
-    #: share for replication, which already fell behind there at 512
-    #: (EXPERIMENTS.md Fig 17 write-only row; the open work is
-    #: replication that keeps up under commit saturation).
+    #: how long a batch apply can stall committing transactions.  A
+    #: measured constant, not a knob: 16 is the knee of the commit-lock
+    #: convoy on write_fanout_8site (DESIGN.md §14 has the table).
     APPLY_CHUNK = 16
 
     def on_propagate_batch(self, src: str, batch: PropagationBatch):
         """PROPAGATE: open the delta-encoded payload (decoded once, shared
-        with the other destinations it went to), apply it in seqno order,
-        and acknowledge the whole applied run with one cast."""
-        to_ack = yield from self._apply_propagate_batch(src, batch.records())
-        if to_ack:
-            self._cast_propagate_ack(src, to_ack)
+        with the other destinations it went to) and apply it in seqno
+        order; the origin gets one ACK frontier."""
+        yield from self._apply_propagate_batch(batch.records())
 
-    def _apply_propagate_batch(self, src: Optional[str], records: List[CommitRecord]):
-        """Apply a propagation batch; returns the tids to acknowledge.
+    def _apply_propagate_batch(self, records: List[CommitRecord]):
+        """Apply a propagation batch (one origin's records) and, once the
+        applies are durable, send the origin this site's ACK frontier if
+        it covers any of them: a batch of duplicates re-ACKs (its origin
+        resent it because an ACK was lost), but only what has landed.
 
         The one place a remote record enters ``histories`` at run time:
         a fresh ``propagate_batch``, a run ``_drain_pending`` released
-        and a recovery delivery (``src`` None: nobody to ack) all come
-        through here, so they may race each other on the same records.
+        and a recovery delivery all come through here, so they may race
+        each other on the same records.
 
         Applies run in chunks of ``APPLY_CHUNK`` under one commit-lock
         acquisition, and durability is awaited once for the whole batch
@@ -547,18 +540,15 @@ class PropagationMixin:
         serialize thousands of lock handoffs and flushes.  ``records``
         may be shared with other receivers: it is only read.
         """
-        to_ack: List[str] = []
-        last_durable = None
+        last_durable = last = None
         i = 0
         while i < len(records):
             record = records[i]
             if self.got_vts[record.site] >= record.seqno:
-                # Duplicate (origin re-propagating after recovery): re-ACK.
-                to_ack.append(record.tid)
-                i += 1
+                i += 1  # duplicate: a retransmission, or recovery's copy
                 continue
             if not self._got_guard(record):
-                self._park_remote(record, src)
+                self._park_remote(record)
                 i += 1
                 continue
             yield self.commit_lock.acquire()
@@ -581,31 +571,43 @@ class PropagationMixin:
                         # above ran before we queued for the lock, and
                         # another copy of this version may have won it
                         # first.  Cset updates are not idempotent.
-                        to_ack.append(record.tid)
-                    elif plan.admit(record.site, record.seqno, record.start_vts):
+                        continue
+                    if plan.admit(record.site, record.seqno, record.start_vts):
                         chunk.append(record)
                     else:
-                        self._park_remote(record, src)
+                        self._park_remote(record)
                 if chunk:
                     yield self.kernel.timeout(self.costs.apply_remote * len(chunk))
                     last_durable = self._apply_chunk(chunk)
-                    to_ack.extend([record.tid for record in chunk])
+                    last = chunk[-1]
             finally:
                 self.commit_lock.release()
             self._drain_pending()
         if last_durable is not None:
-            yield last_durable  # batch durable before acknowledging
-        return to_ack
+            yield last_durable  # the ACK frontier moves once the apply lands
+            # Every record of the origin below ``last`` was applied, and
+            # so logged, before it: the FIFO WAL made them durable too.
+            # Unless recovery truncated it meanwhile.
+            origin = last.site
+            if (
+                last.seqno > self._ack_frontier[origin][0]
+                and self._records_by_version.get(last.version) is last
+            ):
+                self._ack_frontier[origin] = (last.seqno, last.tid)
+        if records:
+            first = records[0]
+            if self._ack_frontier[first.site][0] >= first.seqno:
+                self._cast_frontier(first.site, "propagate_ack", self._ack_frontier[first.site])
 
     def _apply_chunk(self, chunk: List[CommitRecord]):
         """Apply a planned chunk under the commit lock in one pass.
         Per record, in order: histories, the record index and the
         observability (LRU refresh, replication lag -- origin commit to
         applied here, on the clock the origin stamped into the record --
-        and, on traced servers, access profile and span).  Per chunk:
-        one GotVTS replacement per origin, one counter bump, one WAL
-        entry holding the chunk itself; returns the event that fires
-        when it is durable.
+        and, on traced servers, access profile and span).  Per chunk (of
+        one origin's records): one GotVTS replacement, one counter bump,
+        one WAL entry holding the chunk itself; returns the event that
+        fires when it is durable.
 
         GotVTS advances from its value *now*, not from the plan: that
         was made before the apply-cost timeout, and recovery moves the
@@ -645,16 +647,17 @@ class PropagationMixin:
                 )
             else:
                 self._span(record.tid, span.REMOTE_APPLY, origin=record.site)
-        self.got_vts = self._advanced(self.got_vts, chunk)
+        last = chunk[-1]
+        self.got_vts = self.got_vts.with_entry(last.site, last.seqno)
         self.stats.inc("remote_applied", len(chunk))
         return self.storage.log.append(("remote_apply", chunk), len(chunk))
 
-    def _park_remote(self, record: CommitRecord, src: Optional[str]) -> None:
+    def _park_remote(self, record: CommitRecord) -> None:
         """Hold back a record whose got guard failed, once: batches can
         carry duplicates (retransmissions, recovery delivery racing
         normal propagation), and a version parked twice would be
         released twice."""
-        self._pending_remote.add(record, src)
+        self._pending_remote.add(record)
 
     def _got_guard(self, record: CommitRecord) -> bool:
         """Fig 13: GotVTS_i >= x.startVTS and GotVTS_i[j] = x.seqno - 1."""
@@ -662,74 +665,32 @@ class PropagationMixin:
             record.site, record.seqno, record.start_vts
         )
 
-    def on_ds_durable_batch(self, src: str, records: List[CommitRecord]):
-        """DS-DURABLE: commit every announced record whose guards pass,
-        park the rest (deduplicated: DS-DURABLE is re-announced
-        periodically while the origin waits for our VISIBLE ack, which
-        can be a long time if we are missing a record's causal
-        dependencies), then reply with one ``visible_ack_batch``.
-        VISIBLE acks raised while processing -- including ones
-        ``_drain_pending`` emits for records this batch unblocked -- are
-        buffered via ``_send_visible_ack``."""
-        acks: List[str] = []
-        self._vis_ack_buffer = (src, acks)
-        try:
-            # Triage against a scratch copy of CommittedVTS that each
-            # admitted record advances, as committing it would, and
-            # commit what it admitted as one run.  Acks keep record order.
-            plan = PlanningClock(self.committed_vts)
-            got_vts = self.got_vts
-            run: List[CommitRecord] = []
-            for record in records:
-                site, seqno = record.site, record.seqno
-                if plan[site] >= seqno:
-                    acks.append(record.tid)  # committed before: re-ack
-                elif got_vts[site] >= seqno and plan.admit(site, seqno, record.start_vts):
-                    run.append(record)
-                    acks.append(record.tid)
-                else:
-                    self._pending_ds.add(record, src)
-            if run:
-                self._commit_remote_run(run)
-            self._drain_pending()
-        finally:
-            self._vis_ack_buffer = None
-        if acks:
-            self._cast_visible_ack(src, acks)
-
-    def _send_visible_ack(self, reply_to: str, tid: str) -> None:
-        """Send (or, inside a DS batch, buffer) one VISIBLE ack.  The
-        buffer only captures acks aimed at the batch's origin; acks owed
-        to a different site (pending records parked by an earlier
-        announcement) go out as batches of one."""
-        buf = self._vis_ack_buffer
-        if buf is not None and buf[0] == reply_to:
-            buf[1].append(tid)
-        else:
-            self._cast_visible_ack(reply_to, [tid])
-
-    def _committed_guard(self, record: CommitRecord) -> bool:
-        """Fig 13: CommittedVTS_i >= x.startVTS, CommittedVTS_i[j] =
-        x.seqno - 1, and x was received (PROPAGATE applied)."""
-        return self.got_vts[record.site] >= record.seqno and PlanningClock(
-            self.committed_vts
-        ).admit(record.site, record.seqno, record.start_vts)
-
-    @staticmethod
-    def _advanced(clock: VectorTimestamp, records: List[CommitRecord]) -> VectorTimestamp:
-        """``clock`` with each origin's entry set to the seqno of its
-        last record in ``records`` -- one replacement per origin."""
-        for site, seqno in {record.site: record.seqno for record in records}.items():
-            clock = clock.with_entry(site, seqno)
-        return clock
+    def on_ds_durable(self, src: str, site: int, seqno: int, tid: str):
+        """DS-DURABLE frontier: every record of origin ``site`` through
+        ``seqno`` is DS-durable.  Accepted once the record it names is
+        applied here (the newest waits in ``_ds_heard``), it lets
+        ``_drain_pending`` commit what it covers.  One that finds all of
+        it committed is a resend (our VISIBLE was lost): re-ack."""
+        if seqno > self._ds_through[site]:
+            if self.got_vts[site] >= seqno:
+                if self._holds(site, seqno, tid):
+                    self._ds_through[site] = seqno
+            elif seqno > self._ds_heard.get(site, (0, None))[0]:
+                self._ds_heard[site] = (seqno, tid)
+        committed = self.committed_vts[site]
+        self._drain_pending()
+        if self.committed_vts[site] == committed >= seqno:
+            self._cast_frontier(site, "visible_ack", self._visible_frontier[site])
 
     def _commit_remote_run(self, records: List[CommitRecord]) -> None:
-        """Commit, in order, a run of records the committed guard
-        admitted one after the other: CommittedVTS advances once per
-        origin, the run's versions go down as one ``remote_commit`` WAL
-        entry and the counter is bumped once.  Acknowledging is the
-        caller's."""
-        self.committed_vts = self._advanced(self.committed_vts, records)
+        """Commit, in order, a run of one origin's records the committed
+        guard admitted one after the other: CommittedVTS and the VISIBLE
+        frontier advance once, the run's versions go down as one
+        ``remote_commit`` WAL entry and the counter is bumped once.
+        Acknowledging is the caller's."""
+        last = records[-1]
+        self.committed_vts = self.committed_vts.with_entry(last.site, last.seqno)
+        self._visible_frontier[last.site] = (last.seqno, last.tid)
         # Per record there is only something to do with prepare locks
         # held here (2PC participant) or a tracer / spec trace bound.
         if self._prepared or self._tracer is not None or self.trace is not None:
@@ -747,18 +708,21 @@ class PropagationMixin:
     # Guard re-evaluation
     # ------------------------------------------------------------------
     def _drain_pending(self) -> None:
-        """Wake held-back PROPAGATE/DS-DURABLE records whose guards now
-        pass.  Called whenever GotVTS or CommittedVTS advances.
+        """Apply parked PROPAGATE records and commit DS-durable ones
+        whose guards now pass.  Called whenever GotVTS or CommittedVTS
+        (or a DS frontier) advances.
 
         GotVTS is fixed for the whole call (applies are spawned processes
         that take the commit lock later), so each origin's releasable run
-        is known up front and goes to one :meth:`_apply_parked_run`
-        process.  CommittedVTS advances during the call
-        (``_commit_remote_run`` runs inline) and a commit of one origin can
-        satisfy the startVTS of another's head, so the DS half sweeps the
-        origins' heads until a pass commits nothing.
+        is known up front and goes to one :meth:`_apply_propagate_batch`
+        process.  The commit half runs inline: per origin, the applied
+        records up to its DS frontier (Fig 13's committed guard: x
+        received, CommittedVTS at x.seqno - 1 and covering x.startVTS),
+        and a commit of one origin can satisfy the startVTS of another's
+        next record, so it sweeps the origins until a pass commits
+        nothing; then each origin it advanced gets one VISIBLE frontier.
 
-        ``_drain_scan_steps`` counts examined entries; the perf
+        ``_drain_scan_steps`` counts examined records; the perf
         regression tests assert it stays O(unblocked), not O(parked).
         """
         pending_remote = self._pending_remote
@@ -768,39 +732,37 @@ class PropagationMixin:
                 self._drain_scan_steps += len(run) + 1
                 if run:
                     self.spawn_child(
-                        self._apply_parked_run(run),
-                        name=("apply:%s", (run[0][0].tid,)),
+                        self._apply_propagate_batch(run),
+                        name=("apply:%s", (run[0].tid,)),
                     )
 
-        pending_ds = self._pending_ds
-        progress = bool(len(pending_ds))
+        ds_through = self._ds_through
+        heard = self._ds_heard
+        if heard:
+            for site in [s for s, (seqno, _tid) in heard.items() if self.got_vts[s] >= seqno]:
+                seqno, tid = heard.pop(site)
+                if seqno > ds_through[site] and self._holds(site, seqno, tid):
+                    ds_through[site] = seqno
+        advanced: List[int] = []
+        progress = any(map(int.__gt__, ds_through, self.committed_vts))
         while progress:
             progress = False
-            for site in pending_ds.sites():
-                seqno = pending_ds.parked_head(site)
-                while seqno is not None:
+            for site, upto in enumerate(ds_through):
+                have = self.committed_vts[site]
+                if upto <= have:
+                    continue
+                upto = min(upto, self.got_vts[site])
+                plan = PlanningClock(self.committed_vts)
+                run = []
+                for record in self._records_by_version.run(site, have, upto):
                     self._drain_scan_steps += 1
-                    record, reply_to = pending_ds.get(site, seqno)
-                    if self.committed_vts[site] >= seqno:
-                        pass  # already committed here: just (re-)acknowledge
-                    elif self._committed_guard(record):
-                        self._commit_remote_run([record])
-                        progress = True
-                    else:
+                    if not plan.admit(site, record.seqno, record.start_vts):
                         break
-                    pending_ds.pop_head(site)
-                    if reply_to is not None:  # recovery-staged: nobody to ack
-                        self._send_visible_ack(reply_to, record.tid)
-                    seqno = pending_ds.parked_head(site)
-
-    def _apply_parked_run(self, run: List[tuple]):
-        """Apply one origin's released ``(record, reply_to)`` run -- the
-        same chunked path a fresh batch takes -- and acknowledge each
-        stretch to whoever sent it (recovery-staged entries have nobody
-        to ack)."""
-        for reply_to, entries in groupby(run, key=operator.itemgetter(1)):
-            to_ack = yield from self._apply_propagate_batch(
-                reply_to, [record for record, _reply_to in entries]
-            )
-            if to_ack and reply_to is not None:
-                self._cast_propagate_ack(reply_to, to_ack)
+                    run.append(record)
+                if run:
+                    self._commit_remote_run(run)
+                    progress = True
+                    if site not in advanced:
+                        advanced.append(site)
+        for site in advanced:
+            self._cast_frontier(site, "visible_ack", self._visible_frontier[site])

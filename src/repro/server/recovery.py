@@ -93,10 +93,9 @@ class RecoveryMixin:
             "got_vts": list(self.got_vts),
             "histories": self.histories.dump(),
             "records": self._records_by_version,
-            "ds_tids": {
-                tid for tid, t in self._trackers.items() if t.ds_durable
-            },
-            "visible_tids": set(self._visible_tids),
+            "visible_prefix": self._visible_prefix,
+            "frontiers": (self._ack_frontier, self._visible_frontier, self._ds_through),
+            "finalized": self._finalized,
         }
 
     def restore_from_storage(self, resume_propagation: bool = True) -> int:
@@ -111,7 +110,6 @@ class RecoveryMixin:
         that *did* survive was already committed at every survivor by the
         removal protocol, so there is nothing to resume.)"""
         state, suffix = self.storage.recover()
-        ds_tids, visible_tids = set(), set()
         # Start from the preload image, the initial durable state.
         self.histories = SiteHistories()
         for hist in self.storage.image.values():
@@ -120,33 +118,35 @@ class RecoveryMixin:
         frontier = self.storage.image_seqno
         self.got_vts = VectorTimestamp.zeros(len(self.got_vts)).with_entry(0, frontier)
         self.committed_vts = self.got_vts
-        self.curr_seqno = frontier if self.site_id == 0 else 0
+        self.curr_seqno = self._visible_prefix = frontier if self.site_id == 0 else 0
         if state is not None:
             self.curr_seqno = state["curr_seqno"]
             self.committed_vts = VectorTimestamp(state["committed_vts"])
             self.got_vts = VectorTimestamp(state["got_vts"])
             self._records_by_version = RecordIndex(state["records"])
-            ds_tids = set(state["ds_tids"])
-            visible_tids = set(state["visible_tids"])
+            self._visible_prefix = state["visible_prefix"]
+            self._ack_frontier, self._visible_frontier, self._ds_through = state["frontiers"]
+            self._finalized = state["finalized"]
             # The history dump is taken atomically with the vectors, so
             # over the image it is exactly the applied state at GotVTS
             # (including any cset bases the GC folded, which records
             # cannot rebuild).
             self.histories.install(state["histories"])
         for payload in suffix:
-            self._replay_log_record(payload, ds_tids, visible_tids)
-        self._visible_tids = set(visible_tids)
+            self._replay_log_record(payload)
         if resume_propagation and self.chaos_bug != "skip_resume_propagation":
-            self._resume_propagation(ds_tids, visible_tids)
+            self._resume_propagation()
         return len(suffix)
 
-    def _replay_log_record(self, payload: tuple, ds_tids, visible_tids) -> None:
+    def _replay_log_record(self, payload: tuple) -> None:
         """Re-perform one WAL entry, a ``(kind, body)`` pair: the record
         of a ``local_commit``, the chunk of a ``remote_apply``, the
         version list of a ``remote_commit``, the tid of a ``ds_durable``
-        or ``globally_visible``, the history dump of a
-        ``container_backfill`` and ``(failed_site, survive_upto)`` of a
-        ``recovery_finalize``."""
+        (nothing to redo: a resumed record gathers its ACKs again) or
+        ``globally_visible`` (logged in seqno order), the history dump
+        of a ``container_backfill`` and ``(failed_site, survive_upto,
+        epoch)`` of a ``recovery_finalize``.  What was logged is durable, so the
+        ACK and VISIBLE frontiers follow the replayed records."""
         kind, body = payload
         if kind == "local_commit":
             record: CommitRecord = body
@@ -167,20 +167,26 @@ class RecoveryMixin:
                 self.histories.apply(record.updates, record.version)
                 self.got_vts = self.got_vts.with_entry(record.site, record.seqno)
                 self._records_by_version[record.version] = record
+                self._ack_frontier[record.site] = (record.seqno, record.tid)
         elif kind == "remote_commit":
             for version in body:
                 if self.committed_vts[version.site] < version.seqno:
                     self.committed_vts = self.committed_vts.with_entry(
                         version.site, version.seqno
                     )
+                    self._visible_frontier[version.site] = self._frontier_at(version)
         elif kind == "container_backfill":
             # Replica-join copy (DESIGN.md §13): the only durable source
             # of the history propagation trimmed away.
             self.histories.install(body)
-        elif kind == "ds_durable":
-            ds_tids.add(body)
         elif kind == "globally_visible":
-            visible_tids.add(body)
+            # Usually the next own record; after a re-integration the
+            # prefix jumped over the removal's survivors.
+            seqno = self._visible_prefix + 1
+            while seqno <= self.curr_seqno and not self._holds(self.site_id, seqno, body):
+                seqno += 1
+            if seqno <= self.curr_seqno:
+                self._visible_prefix = seqno
         elif kind == "recovery_finalize":
             # Re-perform the truncation at the same point in log order it
             # originally happened.  Without this marker a full-log replay
@@ -236,12 +242,10 @@ class RecoveryMixin:
             self._drain_pending()
         return sealed
 
-    def _resume_propagation(self, ds_tids, visible_tids) -> None:
+    def _resume_propagation(self) -> None:
         """Re-enqueue local commits that are not yet globally visible --
         receivers treat duplicates idempotently and re-ACK."""
-        for record in self._records_by_version.run(self.site_id):
-            if record.tid in visible_tids:
-                continue
+        for record in self._records_by_version.run(self.site_id, self._visible_prefix):
             self._enqueue_propagation(record, notify=None)
             self.stats.resumed_propagations += 1
 
@@ -265,13 +269,12 @@ class RecoveryMixin:
     def rpc_recovery_report(self):
         """What this site has received/committed, per origin site.
         ``durable`` is what another site may commit on this site's word:
-        ``committed`` with the own-stream entry held below the first own
-        commit that is not yet DS-durable (a remote site commits a
-        transaction only once it is)."""
+        ``committed`` with the own-stream entry held at the DS-durable
+        prefix while a commit beyond it is in flight (a remote site
+        commits a transaction only once it is DS-durable)."""
         durable = list(self.committed_vts)
-        pending = [t.record.seqno for t in self._trackers.values() if not t.ds_durable]
-        if pending:
-            durable[self.site_id] = min(durable[self.site_id], min(pending) - 1)
+        if self._ds_prefix + 1 in self._trackers:
+            durable[self.site_id] = min(durable[self.site_id], self._ds_prefix)
         return {
             "site": self.site_id,
             "got": list(self.got_vts),
@@ -280,16 +283,18 @@ class RecoveryMixin:
         }
 
     def rpc_recovery_fetch(self, site: int, from_seqno: int, to_seqno: int):
-        """Return the commit records of ``site`` in (from, to]."""
-        return self._records_by_version.run(site, from_seqno, to_seqno)
+        """Return the epoch of the last finalize of ``site`` applied here
+        and the commit records of ``site`` in (from, to]."""
+        epoch = self._finalized.get(site, (0, 0))[0]
+        return epoch, self._records_by_version.run(site, from_seqno, to_seqno)
 
-    def rpc_recovery_deliver(self, records: List[CommitRecord]):
+    def rpc_recovery_deliver(self, records: List[CommitRecord], epoch: int):
         """Apply fetched records (in order) as if propagated normally:
         re-trimmed to this site (a donor's copy, or one the coordinator
         merged from several donors, may carry data this site does not
         replicate, and recovery must not widen what partial replication
-        placed here), they take the propagation applier with nobody to
-        ack.
+        placed here), they take the propagation applier, which ACKs the
+        origin its frontier once they are durable.
 
         "As if propagated" includes the got guard: a record whose causal
         dependencies (startVTS) are not yet applied here is parked in
@@ -299,26 +304,42 @@ class RecoveryMixin:
         resolve "latest visible version" by application order, so an
         origin-grouped recovery sync could serve a causally overwritten
         value.  Cross-origin dependencies settle as the coordinator's
-        per-origin rounds deliver and ``_drain_pending`` releases."""
+        per-origin rounds deliver and ``_drain_pending`` releases.
+
+        ``epoch`` is the oldest finalize epoch of the records' origin
+        among their sources.  A finalize round reaches the survivors one
+        by one, so a source behind this site's last finalize of the
+        origin may have sent its abandoned suffix: what lies beyond that
+        finalize's bound is dropped (sharded chaos seed 444)."""
+        if records:
+            applied, bound = self._finalized.get(records[0].site, (0, 0))
+            if epoch < applied:
+                records = [record for record in records if record.seqno <= bound]
         yield from self._apply_propagate_batch(
-            None, [self._record_for(record, self.site_id) for record in records]
+            [self._record_for(record, self.site_id) for record in records]
         )
         return "OK"
 
-    def _discard_abandoned_suffix(self, failed_site: int, survive_upto: int) -> int:
+    def _discard_abandoned_suffix(self, failed_site: int, survive_upto: int,
+                                  epoch: int) -> None:
         """Drop every transaction of ``failed_site`` beyond
         ``survive_upto`` from histories and records, lowering the vector
-        entries accordingly.  Shared by ``rpc_recovery_finalize`` (live)
-        and log replay (the durable ``recovery_finalize`` marker)."""
+        entries and the propagation frontiers accordingly: a no-op that
+        ``seal_seqno_holes`` writes at an abandoned seqno is a new record,
+        which no frontier reached before may cover.  Remembers the
+        finalize ``epoch`` and bound for recovery deliveries.  Shared by
+        ``rpc_recovery_finalize`` (live) and log replay (the durable
+        ``recovery_finalize`` marker)."""
+        self._finalized[failed_site] = (epoch, survive_upto)
+
         def survives(version: Version) -> bool:
             return version.site != failed_site or version.seqno <= survive_upto
 
-        dropped = 0
         for oid in self.histories.known_oids():
             history = self.histories.get(oid)
             keep = [e.version for e in history if survives(e.version)]
             if len(keep) < len(history):  # truncating copies a shared history
-                dropped += self.histories.history(oid).truncate_versions(keep)
+                self.histories.history(oid).truncate_versions(keep)
         for record in self._records_by_version.run(failed_site, survive_upto):
             del self._records_by_version[record.version]
         if self.got_vts[failed_site] > survive_upto:
@@ -330,59 +351,69 @@ class RecoveryMixin:
             self.committed_vts = self.committed_vts.with_entry(
                 failed_site, survive_upto
             )
-        return dropped
+        if failed_site == self.site_id:
+            self._acked_through = [min(q, survive_upto) for q in self._acked_through]
+            self._visible_through = [min(q, survive_upto) for q in self._visible_through]
+            self._ds_prefix = min(self._ds_prefix, survive_upto)
+            self._visible_prefix = min(self._visible_prefix, survive_upto)
+        else:
+            bound = self._frontier_at(Version(failed_site, survive_upto))
+            for frontiers in (self._ack_frontier, self._visible_frontier):
+                if frontiers[failed_site][0] > survive_upto:
+                    frontiers[failed_site] = bound
+            self._ds_through[failed_site] = min(self._ds_through[failed_site], survive_upto)
+            self._ds_heard.pop(failed_site, None)
 
-    def rpc_recovery_finalize(self, failed_site: int, survive_upto: int, rk=None):
+    def _frontier_at(self, version: Version) -> tuple:
+        """The ``(seqno, tid)`` frontier at ``version``; its tid is None
+        (nothing a frontier check accepts) if the record is gone."""
+        record = self._records_by_version.get(version)
+        return (version.seqno, record.tid if record is not None else None)
+
+    def rpc_recovery_finalize(self, failed_site: int, survive_upto: int, epoch: int):
         """Discard non-surviving transactions of ``failed_site`` (those
         with seqno > ``survive_upto``) and commit the survivors here.
 
-        ``rk`` is the coordinator's at-most-once request key.  Finalize
-        is the one recovery RPC that is NOT idempotent over time: a
-        retried request whose original reply was lost may arrive after
-        this site resumed committing, and re-truncating at the stale
-        bound would discard freshly committed transactions."""
-        if rk in self._finalize_done:
-            return self._finalize_done[rk]
+        ``epoch`` numbers the finalize round (``LocalConfig.next_epoch``).
+        Finalize is the one recovery RPC that is NOT idempotent over
+        time: a retried request whose original reply was lost may arrive
+        after this site resumed committing, and re-truncating at the
+        stale bound would discard freshly committed transactions.  So a
+        round no newer than the last one applied here is ignored."""
+        if epoch <= self._finalized.get(failed_site, (0, 0))[0]:
+            return "OK"
         # Durable first: if this server later rebuilds from its log, the
         # marker repeats the truncation in replay order.
-        self.storage.log.append(("recovery_finalize", (failed_site, survive_upto)))
-        dropped = self._discard_abandoned_suffix(failed_site, survive_upto)
-        if self.committed_vts[failed_site] < survive_upto:
-            # Commit surviving transactions that were stuck mid-propagation.
-            self._queue_recovery_commits(failed_site, survive_upto)
+        self.storage.log.append(("recovery_finalize", (failed_site, survive_upto, epoch)))
+        self._discard_abandoned_suffix(failed_site, survive_upto, epoch)
+        # Commit surviving transactions that were stuck mid-propagation.
+        self._ds_through[failed_site] = max(self._ds_through[failed_site], survive_upto)
         if failed_site == self.site_id:
             # Re-integration: this server just truncated its own abandoned
             # suffix; seal the resulting seqno gap before anything new
             # commits here.
             self.seal_seqno_holes()
         self._drain_pending()
-        result = {"dropped": dropped}
-        if rk is not None:
-            self._finalize_done[rk] = result
-        return result
+        return "OK"
 
     def rpc_recovery_commit_upto(self, site: int, upto: int):
         """Commit already-delivered transactions of ``site`` through
         ``upto``.  Unlike ``recovery_finalize`` this is purely monotone --
         it never truncates history or lowers vector entries -- so the
         coordinator can use it for catch-up rounds that may race normal
-        propagation."""
-        self._queue_recovery_commits(site, upto)
+        propagation.
+
+        It raises ``site``'s DS frontier and leaves the commits to the
+        normal path: committing directly would bypass the committed
+        guard and order this site's commits by origin rather than
+        causally -- a reader here could then observe a transaction
+        without its causal dependencies (PSI Property 3).
+        ``_drain_pending`` commits each record once its guard passes;
+        records delivered, or whose dependencies arrive, later commit at
+        that point."""
+        self._ds_through[site] = max(self._ds_through[site], upto)
         self._drain_pending()
         return "OK"
-
-    def _queue_recovery_commits(self, site: int, upto: int) -> None:
-        """Stage delivered-but-uncommitted records of ``site`` for commit
-        via the normal pending-DS path.  Committing them directly would
-        bypass ``_committed_guard`` and put them into this site's commit
-        order grouped by origin rather than causally -- a reader here
-        could then observe a transaction without its causal dependencies
-        (PSI Property 3).  ``_drain_pending`` commits each record once
-        its guard passes; records whose dependencies arrive later (e.g.
-        via another per-origin recovery round, or normal propagation)
-        commit at that point."""
-        for record in self._records_by_version.run(site, self.committed_vts[site], upto):
-            self._pending_ds.add(record, None)  # add() dedups by version
 
 
 class SiteRecoveryCoordinator:
@@ -416,22 +447,15 @@ class SiteRecoveryCoordinator:
         #: Simulated time past which :meth:`_call` raises ``TimeoutError``
         #: instead of sending (a migration's ``within``); None: no deadline.
         self.deadline: Optional[float] = None
-        self._rk_counter = 0
 
     def _call(self, address: str, method: str, **kwargs):
         """RPC with bounded retries on timeout.  Reports are reads and
         deliver/commit_upto are monotone, so resending those is safe;
-        finalize is made at-most-once with a request key (a late
-        duplicate would re-truncate at a stale bound).  Under a
-        :attr:`deadline` no attempt waits past it."""
+        finalize is at-most-once per epoch (a late duplicate would
+        re-truncate at a stale bound).  Under a :attr:`deadline` no
+        attempt waits past it."""
         from ..net import RpcTimeout
 
-        if method == "recovery_finalize":
-            self._rk_counter += 1
-            kwargs.setdefault(
-                "rk",
-                "%s:%d" % (getattr(self.host, "address", "coord"), self._rk_counter),
-            )
         for attempt in range(self.RPC_RETRIES + 1):
             timeout = self.RPC_TIMEOUT
             if self.deadline is not None:
@@ -467,11 +491,14 @@ class SiteRecoveryCoordinator:
         set, so no single donor is guaranteed to hold every surviving
         update's data; the union of the copies is the most complete
         record the sources can reconstruct.  Receivers re-trim to their
-        own replica sets."""
+        own replica sets.  Returns the oldest finalize epoch of ``origin``
+        among the sources asked, and the records."""
         merged: Dict[int, CommitRecord] = {}
+        epochs = []
         for source in [origin] if origin in sources else sources:
-            records = yield from self._call(self.server_addresses[source], "recovery_fetch",
-                site=origin, from_seqno=from_seqno, to_seqno=to_seqno)
+            epoch, records = yield from self._call(self.server_addresses[source],
+                "recovery_fetch", site=origin, from_seqno=from_seqno, to_seqno=to_seqno)
+            epochs.append(epoch)
             for record in records:
                 cur = merged.setdefault(record.seqno, record)
                 have = {u.oid for u in cur.updates}
@@ -482,7 +509,7 @@ class SiteRecoveryCoordinator:
                         list(cur.updates) + extra, cur.committed_at,
                         touched=cur.touched,
                     )
-        return [merged[seqno] for seqno in sorted(merged)]
+        return min(epochs, default=0), [merged[seqno] for seqno in sorted(merged)]
 
     def catch_up(self, target: str, sources: List[int],
                  want: Optional[List[int]] = None, commit: bool = True):
@@ -514,8 +541,8 @@ class SiteRecoveryCoordinator:
                               name="recovery.fetch:%d" % origin)
             for origin, upto in enumerate(want) if have["got"][origin] < upto
         ]
-        for records in ((yield AllOf(fetches)) if fetches else []):
-            yield from self._call(target, "recovery_deliver", records=records)
+        for epoch, records in ((yield AllOf(fetches)) if fetches else []):
+            yield from self._call(target, "recovery_deliver", records=records, epoch=epoch)
 
     def _live_server(self, site: int):
         down = self.host.network.is_crashed(self.server_addresses[site])
@@ -535,7 +562,8 @@ class SiteRecoveryCoordinator:
         the sources keeps its lease revoked until one returns.  The
         reports are read in process when every endpoint is up (DESIGN.md
         Known deviation #5), so a target already there that replicates
-        every container is granted at once, with no RPC.  If this raises
+        every container is granted at once, with no RPC.  A container
+        another hand-over granted meanwhile stays with it.  If this raises
         nothing was granted, and the caller re-grants.  Each call is one
         ``recovery.handover_s`` sample, labelled by caller and outcome."""
         started, outcome, cids = self.kernel.now, "failed", list(cids)
@@ -569,7 +597,10 @@ class SiteRecoveryCoordinator:
             if self._live_server(to_site) is None:
                 raise TimeoutError("hand-over to site %d: target crashed" % to_site)
             for cid in cids:
-                config.reassign_preferred_site(cid, to_site, remember_original=remember_original)
+                # A hand-over running beside this one may have granted it
+                # since, admitting writes this frontier does not hold.
+                if config.lease_revoked(cid):
+                    config.reassign_preferred_site(cid, to_site, remember_original=remember_original)
             outcome = "granted"
         finally:
             self.registry.histogram("recovery.handover_s", caller=caller, outcome=outcome
@@ -612,7 +643,7 @@ class SiteRecoveryCoordinator:
         if survive_upto > 0:
             floor = min(report["got"][failed_site] for report in reports.values())
             best = max(survivors, key=lambda s: reports[s]["got"][failed_site])
-            candidates = yield from self._fetch([best], failed_site, floor, survive_upto)
+            _, candidates = yield from self._fetch([best], failed_site, floor, survive_upto)
             for record in candidates:
                 containers = record.touched
                 if containers is None:
@@ -639,9 +670,10 @@ class SiteRecoveryCoordinator:
                     self.server_addresses[site], survivors, want=want, commit=False)
 
         # 4. Discard non-survivors and commit survivors everywhere.
+        epoch = config.next_epoch()
         for site in survivors:
             yield from self._call(self.server_addresses[site], "recovery_finalize",
-                failed_site=failed_site, survive_upto=survive_upto)
+                failed_site=failed_site, survive_upto=survive_upto, epoch=epoch)
 
         # 5. Hand the failed site's containers (leases revoked at step 1)
         #    to ``reassign_to`` -- from the sites active *now*: one back
@@ -668,7 +700,7 @@ class SiteRecoveryCoordinator:
         # of an earlier, failed re-integration attempt may have reached a
         # survivor, and only a re-seal under a live tracker commits them.
         yield from self._call(returning_server_address, "recovery_finalize",
-            failed_site=returning_site, survive_upto=survive_upto)
+            failed_site=returning_site, survive_upto=survive_upto, epoch=config.next_epoch())
         # Catch up on everything committed while it was away.  Monotone
         # rounds only: a repeated finalize would discard the seal no-op
         # the one above just created for the abandoned suffix.

@@ -152,7 +152,9 @@ class WalterServer(
         #: Commit records committed or applied here, by version: one
         #: seqno-indexed run per origin.
         self._records_by_version = RecordIndex()
-        self._trackers: Dict[str, PropagationTracker] = {}
+        #: Own commits in flight (committed here, not yet globally
+        #: visible), by seqno.
+        self._trackers: Dict[int, PropagationTracker] = {}
         #: Records committed since the last batch, and the sender that
         #: ships them (see PropagationMixin._send_next).
         self._outbox: List[CommitRecord] = []
@@ -163,21 +165,26 @@ class WalterServer(
         #: Trackers of the batch in flight still short of DS durability.
         self._ds_awaited = 0
         self._pending_remote = PendingIndex()
-        self._pending_ds = PendingIndex()
         #: Entries examined by _drain_pending; perf regression tests
         #: assert it stays proportional to unblocked work, not queue size.
         self._drain_scan_steps = 0
-        # Resend bookkeeping (see _resend_unacked): trackers awaiting DS
-        # durability in committed_at order, and DS-durable trackers still
-        # missing VISIBLE acks.
+        #: Trackers awaiting DS durability in committed_at order (see
+        #: _resend_unacked).
         self._undurable = deque()
-        self._ds_unvisible: Dict[str, PropagationTracker] = {}
-        self._visible_tids = set()
-        # Batching scratch state: the per-handler buffers that collapse
-        # DS-DURABLE broadcasts and VISIBLE acks into per-batch casts (see
-        # PropagationMixin).
-        self._ds_buffer = None
-        self._vis_ack_buffer = None
+        # Propagation frontiers (see PropagationMixin).  As an origin:
+        # per site, the highest own seqno it ACKed and replied VISIBLE
+        # for; the own DS-durable prefix and globally visible prefix.
+        self._acked_through = [0] * n_sites
+        self._visible_through = [0] * n_sites
+        self._ds_prefix = 0
+        self._visible_prefix = 0
+        # As a receiver, per origin: the (seqno, tid) ACK and VISIBLE
+        # frontiers reached here, the DS frontier accepted, and the
+        # newest announced one not checkable yet (origin -> pair).
+        self._ack_frontier = [(0, None)] * n_sites
+        self._visible_frontier = [(0, None)] * n_sites
+        self._ds_through = [0] * n_sites
+        self._ds_heard: Dict[int, tuple] = {}
         self._delayed_until: Dict[ObjectId, float] = {}
         # Commit-path hardening state (DESIGN.md §9).
         #: tid -> lease deadline of the active transaction (refreshed on
@@ -191,9 +198,9 @@ class WalterServer(
         #: idempotency token -> (status, recorded_at) for tx_commit
         #: retries whose original reply was lost.
         self._commit_outcomes: Dict[str, tuple] = {}
-        #: coordinator request key -> result of a ``recovery_finalize``
-        #: already performed (a late retry must not truncate again).
-        self._finalize_done: Dict[str, dict] = {}
+        #: failed site -> (epoch, bound) of the last ``recovery_finalize``
+        #: of it applied here (see RecoveryMixin.rpc_recovery_deliver).
+        self._finalized: Dict[int, tuple] = {}
         #: tid -> event of a commit RPC with a token currently executing:
         #: a duplicate request waits on it until the first lands its outcome.
         self._commit_inflight: Dict[str, Event] = {}
@@ -316,15 +323,8 @@ class WalterServer(
         watermark = self.committed_vts
         for tx in self._txs.values():
             watermark = watermark.meet(tx.start_vts)
-        in_flight = [
-            t.record.seqno
-            for t in self._trackers.values()
-            if t.record.site == self.site_id
-        ]
-        if in_flight:
-            bound = min(in_flight) - 1
-            if bound < watermark[self.site_id]:
-                watermark = watermark.with_entry(self.site_id, bound)
+        if self._trackers and self._visible_prefix < watermark[self.site_id]:
+            watermark = watermark.with_entry(self.site_id, self._visible_prefix)
         return watermark
 
     def gc_histories(self) -> int:
@@ -360,12 +360,10 @@ class WalterServer(
             record
             for record in self._records_by_version.records()
             if record.seqno <= watermark[record.site]
-            and record.tid not in self._trackers
-            and (record.site != self.site_id or record.tid in self._visible_tids)
+            and (record.site != self.site_id or record.seqno <= self._visible_prefix)
         ]
         for record in drop:
             del self._records_by_version[record.version]
-            self._visible_tids.discard(record.tid)
         return len(drop)
 
     def _refresh_gc_gauges(self, watermark: Optional[VectorTimestamp] = None) -> None:

@@ -89,6 +89,7 @@ class LocalConfig:
         #: cid -> original preferred site, for containers moved by a site
         #: removal (so re-integration can hand them back, §5.7).
         self.displaced: Dict[str, int] = {}
+        self._epoch = 0
 
     def register(self, container: Container) -> Container:
         placement = container.replica_sites | {container.preferred_site}
@@ -120,6 +121,9 @@ class LocalConfig:
 
     def holds_preferred_lease(self, cid: str, site: int) -> bool:
         return self._lease_holder.get(cid) == site
+
+    def lease_revoked(self, cid: str) -> bool:
+        return cid not in self._lease_holder
 
     def _set_active(self, sites) -> None:
         """Read per ack and per tracker, changed only by reconfiguration:
@@ -157,6 +161,11 @@ class LocalConfig:
                 del self._lease_holder[cid]
                 revoked.append(cid)
         return revoked
+
+    def next_epoch(self) -> int:
+        """Number a new recovery-finalize round, in decision order."""
+        self._epoch += 1
+        return self._epoch
 
     def deactivate_site(self, site: int) -> None:
         self._set_active(self._active - {site})

@@ -204,3 +204,23 @@ def test_chaos_migration_crash_fault_rolls_back():
     # ... and the rollback restored the old site's lease exactly once.
     assert world.config.container("c0").preferred_site == 0
     assert holder(world, "c0") == 0
+
+
+def test_hand_over_leaves_a_container_another_one_granted_meanwhile():
+    """Two hand-overs of one container overlap (a migration and a site
+    removal's reassignment): the one granting second must not take the
+    lease from the first, whose site may already have admitted writes
+    that the second one's frontier, read earlier, does not hold."""
+    world = Deployment(n_sites=3, flush_latency=FLUSH_MEMORY, seed=11, jitter_frac=0.0)
+    world.create_container("c0", preferred_site=0, replica_sites={0, 2})
+    migration = world.kernel.spawn(world.migrate_preferred_site("c0", 1), name="migrate")
+
+    def regrant():
+        yield world.kernel.timeout(0.001)  # mid-way: site 1 gets a copy first
+        assert holder(world, "c0") is None and not migration.done
+        world.config.reassign_preferred_site("c0", 2)
+
+    world.run_process(regrant())
+    world.settle(2.0)
+    assert migration.done
+    assert world.config.container("c0").preferred_site == 2 and holder(world, "c0") == 2

@@ -20,7 +20,7 @@ from repro.net.wire import (
     RECORD_HEADER_BYTES,
     TOUCHED_BYTES,
     VTS_ENTRY_BYTES,
-    ack_batch_bytes,
+    FRONTIER_BYTES,
     decode_propagation_batch,
     encode_propagation_batch,
 )
@@ -133,11 +133,36 @@ class TestWireFormat:
         assert size > 0
         _assert_same(decode_propagation_batch(entries), records)
 
-    def test_ack_batch_bytes_scale_linearly(self):
-        assert ack_batch_bytes(1) < ack_batch_bytes(2) < ack_batch_bytes(100)
-        assert ack_batch_bytes(10) - ack_batch_bytes(9) == ack_batch_bytes(
-            2
-        ) - ack_batch_bytes(1)
+    def test_frontier_casts_are_constant_size(self):
+        """ACK, DS-DURABLE and VISIBLE carry one frontier whatever the
+        batch they acknowledge holds: 88 bytes for one record or many."""
+        assert FRONTIER_BYTES == BATCH_HEADER_BYTES + 24 == 88
+        world = Deployment(n_sites=2, flush_latency=FLUSH_MEMORY, jitter_frac=0.0)
+        world.create_container("c0", preferred_site=0)
+        sizes = {}
+        for server in world.servers:
+            real_cast = server.cast
+
+            def cast(dst, method, real_cast=real_cast, **args):
+                if method in ("propagate_ack", "ds_durable", "visible_ack"):
+                    sizes.setdefault(method, set()).add(args["size_bytes"])
+                return real_cast(dst, method, **args)
+
+            server.cast = cast
+        clients = [world.new_client(0) for _ in range(12)]
+
+        def commit(client):
+            tx = client.start_tx()
+            yield from client.write(tx, client.new_id("c0"), b"v")
+            yield from client.commit(tx)
+
+        world.run_process(commit(clients[0]), within=10.0)  # a batch of one
+        for client in clients[1:]:  # then one batch of eleven
+            world.kernel.spawn(commit(client), name="commit")
+        world.settle(2.0)
+        assert world.server(1).committed_vts[0] == 12
+        assert world.server(0).stats.batches_sent >= 2
+        assert sizes == {m: {88} for m in ("propagate_ack", "ds_durable", "visible_ack")}
 
 
 class TestBatchingConfig:
@@ -163,11 +188,14 @@ class TestBatchingConfig:
             Deployment(n_sites=2, batching=False)
 
     def test_single_record_handlers_are_gone(self):
-        # The four batched casts are the whole wire; a per-record
-        # handler growing back would be a second propagation path.
-        for name in ("propagate", "propagate_ack", "ds_durable", "visible_ack"):
-            assert not hasattr(WalterServer, "on_" + name)
-            assert hasattr(WalterServer, "on_%s_batch" % name)
+        # A record batch and three frontiers are the whole wire; a
+        # per-record handler (or a per-record ack batch) growing back
+        # would be a second propagation path.
+        assert hasattr(WalterServer, "on_propagate_batch")
+        assert not hasattr(WalterServer, "on_propagate")
+        for name in ("propagate_ack", "ds_durable", "visible_ack"):
+            assert hasattr(WalterServer, "on_" + name)
+            assert not hasattr(WalterServer, "on_%s_batch" % name)
 
     def test_per_record_appliers_are_gone(self):
         # Fresh batches, parked runs and recovery deliveries all go

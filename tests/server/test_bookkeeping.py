@@ -1,6 +1,7 @@
-"""Per-transaction bookkeeping at its real size: the origin's tracker
-site bitmasks, ``(kind, body)`` WAL entries and their replay, slotted
-handles and trackers, and a retained-bytes bound over a small fan-out."""
+"""Per-transaction bookkeeping at its real size: the origin's per-site
+propagation frontiers, ``(kind, body)`` WAL entries and their replay,
+slotted handles and trackers, and a retained-bytes bound over a small
+fan-out."""
 
 import tracemalloc
 
@@ -23,7 +24,7 @@ def commit_write(world, client, oid, data):
     return world.run_process(scenario(), within=60.0)
 
 
-def test_tracker_masks_through_site_removal_and_reintegration():
+def test_frontiers_through_site_removal_and_reintegration():
     world = Deployment(n_sites=3, flush_latency=FLUSH_MEMORY, jitter_frac=0.0)
     world.create_container("c0", preferred_site=0)
     origin = world.server(0)
@@ -31,23 +32,22 @@ def test_tracker_masks_through_site_removal_and_reintegration():
     world.network.partition(0, 2)
     tx = commit_write(world, client, client.new_id("c0"), b"v")
     world.settle(0.5)
-    tracker = origin._trackers[tx.tid]
-    assert tracker.acked == 0b011 and not tracker.ds_durable  # site 2 cut off
+    tracker = origin._trackers[1]
+    assert origin._acked_through == [0, 1, 0] and not tracker.ds_durable  # site 2 cut off
 
-    # Removal: without site 2 the acks it holds are all the active mask asks.
+    # Removal: without site 2 the ACKs in are all the active set asks.
     world.config.deactivate_site(2)
-    assert world.config.active_mask() == 0b011
     origin.recheck_durability()
-    assert tracker.ds_durable and tx.tid in origin._ds_unvisible
+    assert tracker.ds_durable and origin._ds_prefix == 1
 
-    # Re-integration before the VISIBLE acks are in: the mask grows back,
-    # so the tracker waits for site 2, which the resend sweep re-feeds.
+    # Re-integration before the VISIBLE frontiers are in: the active set
+    # grows back, so the tracker waits for site 2, which the resend
+    # sweep re-feeds (the record and the DS frontier).
     world.config.activate_site(2)
     world.network.heal(0, 2)
-    assert world.config.active_mask() == 0b111
     world.settle(3.0)
-    assert tracker.acked == tracker.visible == 0b111 and tracker.globally_visible
-    assert tx.tid not in origin._trackers and tx.tid in origin._visible_tids
+    assert origin._acked_through == origin._visible_through == [0, 1, 1]
+    assert not origin._trackers and origin._visible_prefix == 1
     assert world.server(2).committed_vts[0] == 1
     assert tx.ds_at <= tx.visible_at
 
@@ -75,7 +75,7 @@ def test_wal_replay_covers_every_entry_kind():
         ("globally_visible", "a"),
         ("local_commit", record("b", 0, 2, mine, b"b")),
         ("container_backfill", donor.export_container("c2")),
-        ("recovery_finalize", (1, 2)),  # site 1's seqno 3 did not survive
+        ("recovery_finalize", (1, 2, 1)),  # site 1's seqno 3 did not survive
     ]:
         log.append(entry)
 
@@ -90,8 +90,13 @@ def test_wal_replay_covers_every_entry_kind():
     assert server.histories.read_regular(theirs, snapshot) == b"r2"
     assert server.histories.read_regular(joined, snapshot) == b"backfill"
     # "a" is globally visible; "b" is not, so its propagation resumes.
-    assert server._visible_tids == {"a"}
-    assert set(server._trackers) == {"b"} and server.stats.resumed_propagations == 1
+    assert server._visible_prefix == 1
+    assert [t.record.tid for t in server._trackers.values()] == ["b"]
+    assert server.stats.resumed_propagations == 1
+    # The replayed frontiers follow the records, and the finalize
+    # clamped them to the surviving bound and left its epoch.
+    assert server._ack_frontier[1] == server._visible_frontier[1] == (2, "r2")
+    assert server._finalized == {1: (1, 2)}
 
 
 def test_bookkeeping_objects_carry_no_dict():
@@ -99,7 +104,7 @@ def test_bookkeeping_objects_carry_no_dict():
     world.create_container("c0", preferred_site=0)
     client = world.new_client(0)
     tx = commit_write(world, client, client.new_id("c0"), b"v")
-    tracker = world.server(0)._trackers[tx.tid]
+    tracker = world.server(0)._trackers[1]
     for obj in (tx, tracker):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
     world.settle(2.0)

@@ -4,13 +4,14 @@ The receive path plans, applies, logs and counts remote records a chunk
 at a time (``_apply_chunk``) and commits DS-durable records a run at a
 time (``_commit_remote_run``).  Both must leave a server exactly where
 record-at-a-time processing leaves it, so the same inputs are driven
-twice -- ``APPLY_CHUNK`` 1 against 16 for PROPAGATE, one
-``ds_durable_batch`` per record against one for all of them for
-DS-DURABLE -- and everything a later reader could observe is compared:
-histories, clocks, the record index, WAL records in order, LRU order,
-the access profile, the counters and the tids of every ack cast.
+twice -- ``APPLY_CHUNK`` 1 against 16 for PROPAGATE, one DS-DURABLE
+frontier per record against one per origin for DS-DURABLE -- and
+everything a later reader could observe is compared: histories, clocks,
+the record index, WAL records in order, LRU order, the access profile,
+the counters and the frontiers every ACK cast named.
 """
 
+import types
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from repro.core.objects import ObjectKind
 from repro.core.transaction import CommitRecord
 from repro.core.updates import CSetAdd, CSetDel, DataUpdate
-from repro.core.versions import VectorTimestamp
+from repro.core.versions import VectorTimestamp, Version
 from repro.deployment import Deployment
 from repro.net.wire import encode_propagation_batch
 from repro.server.propagation import PropagationBatch, PropagationMixin
@@ -37,10 +38,11 @@ def build(flush_latency, **deploy):
     receiver = world.server(RECEIVER)
     casts = []
     real_cast = receiver.cast
+    site_of = {address: site for site, address in world.addresses.items()}
 
     def cast(dst, method, **args):
-        if "tids" in args:
-            casts.append((dst, method, list(args["tids"])))
+        if method in ("propagate_ack", "visible_ack"):
+            casts.append((site_of[dst], method, args["seqno"], args["tid"]))
         real_cast(dst, method, **args)
 
     receiver.cast = cast
@@ -152,7 +154,8 @@ def fingerprint(receiver, casts):
         "profile": receiver.profiler.as_dict(top=64),
         "stats": receiver.stats.as_dict(),
         "locked": dict(receiver.locked),
-        "parked": (len(receiver._pending_remote), len(receiver._pending_ds)),
+        "parked": len(receiver._pending_remote),
+        "frontiers": (receiver._ack_frontier, receiver._visible_frontier, receiver._ds_through),
         "casts": casts,
     }
 
@@ -173,10 +176,16 @@ def test_apply_chunk_16_equals_record_at_a_time(flush_latency, deploy):
     sixteen = propagate_fingerprint(16, flush_latency, deploy)
     for key in one:
         assert one[key] == sixteen[key], key
-    # The scenario did what it is for: records parked, duplicates were
-    # re-acked, and (sharded) trimmed records reached the WAL.
-    acked = [tid for _dst, method, tids in one["casts"] if method == "propagate_ack_batch" for tid in tids]
-    assert len(acked) > one["stats"]["remote_applied"]
+    # The scenario did what it is for: records parked and were released
+    # (each origin's ACK frontier rose to its stream's end, and only
+    # ever rose), and (sharded) trimmed records reached the WAL.
+    for origin, count in ((0, 40), (deploy["n_sites"] * deploy.get("shards", 1) - 1, 24)):
+        acked = [
+            (seqno, tid) for dst, method, seqno, tid in one["casts"]
+            if method == "propagate_ack" and dst == origin
+        ]
+        assert acked == sorted(set(acked)) and len(acked) >= 2
+        assert acked[-1] == (count, "t%d.%d" % (origin, count))
     if deploy is SHARDED:
         trimmed = [
             record for kind, record in one["wal"]
@@ -211,30 +220,57 @@ def test_apply_chunk_turns_and_clock_replacements():
     assert log.stats.records == 40
 
 
-def record_at_a_time_ds_durable_batch(self, src, records):
-    """The DS-DURABLE handler as it was before runs (PR 18), kept as the
-    reference: every record is checked against the real CommittedVTS and
-    committed on its own before the next one is looked at."""
-    buf = (src, [])
-    self._vis_ack_buffer = buf
-    try:
-        for record in records:
-            if self.committed_vts[record.site] >= record.seqno:
-                self._send_visible_ack(src, record.tid)
-            elif self._committed_guard(record):
-                self._commit_remote_run([record])
-                self._send_visible_ack(src, record.tid)
-            else:
-                self._pending_ds.add(record, src)
-        self._drain_pending()
-    finally:
-        self._vis_ack_buffer = None
-    if buf[1]:
-        self._cast_visible_ack(src, buf[1])
+def record_at_a_time_ds_durable(self, src, site, seqno, tid):
+    """The reference DS-DURABLE handler, sharing nothing with the
+    production sweep (``_drain_pending``): raise the origin's DS frontier
+    if it names the applied record held at its seqno, then commit
+    applied records one at a time, each checked against the real
+    CommittedVTS with Fig 13's committed guard (DS-durable, seqno one
+    past CommittedVTS[j], startVTS covered), origin by origin until a
+    pass over all of them commits nothing.  Each origin that advanced
+    gets one VISIBLE frontier; an announcement that finds everything it
+    covers committed is re-acked."""
+    record = self._records_by_version.get(Version(site, seqno))
+    if seqno > self._ds_through[site] and record is not None and record.tid == tid:
+        self._ds_through[site] = seqno
+    before = list(self.committed_vts)
+    progress = True
+    while progress:
+        progress = False
+        for origin, upto in enumerate(self._ds_through):
+            while self.committed_vts[origin] < upto:
+                nxt = self._records_by_version.get(Version(origin, self.committed_vts[origin] + 1))
+                if nxt is None or not self.committed_vts.dominates(nxt.start_vts):
+                    break
+                self._commit_remote_run([nxt])
+                progress = True
+    for origin, have in enumerate(before):
+        if self.committed_vts[origin] > have:
+            self._cast_frontier(origin, "visible_ack", self._visible_frontier[origin])
+    if before[site] == self.committed_vts[site] >= seqno:
+        self._cast_frontier(site, "visible_ack", self._visible_frontier[site])
 
 
-def ds_fingerprint(handler):
+def frontier_per_record(receiver, announced):
+    """One DS-DURABLE frontier per announced record, in the order given
+    -- what a tid-per-record announcement said."""
+    for record in announced:
+        receiver.on_ds_durable("origin-a", record.site, record.seqno, record.tid)
+
+
+def frontier_per_origin(receiver, announced):
+    """One frontier per origin: its highest announced record."""
+    top = {}
+    for record in sorted(announced, key=lambda record: record.seqno):
+        top[record.site] = record
+    for record in top.values():
+        receiver.on_ds_durable("origin-a", record.site, record.seqno, record.tid)
+
+
+def ds_fingerprint(announce, handler=None):
     world, receiver, casts = build(0.002, trace=True, **FULL)
+    if handler is not None:
+        receiver.on_ds_durable = types.MethodType(handler, receiver)
     stream_a, stream_b = make_records(world)
     drive_propagate(world, receiver, stream_a, stream_b)
     del casts[:]
@@ -247,28 +283,35 @@ def ds_fingerprint(handler):
         )
     )
     assert vote and receiver.locked == {oid: tid}
-    # One announcement for both origins: a's records out of order (the
-    # early arrivals park until their predecessors commit, and so does
-    # everything behind them), b's, whose tail needs a's commits first,
-    # and a re-announced prefix; then the same again, all duplicates.
+    # One announcement for both origins: a's records out of order (a
+    # frontier covers everything below it, so the late low ones are
+    # re-announcements), b's, whose tail needs a's commits first, and a
+    # re-announced prefix; then the same again, all duplicates.
     announced = stream_a[3:6] + stream_a[:3] + stream_a[6:] + stream_b + stream_a[:4]
     for _ in range(2):
-        handler(receiver, "origin-a", announced)
+        announce(receiver, announced)
     world.settle(1.0)
     assert not receiver.locked and not receiver._prepared
     assert tuple(receiver.committed_vts) == tuple(receiver.got_vts)
     fp = fingerprint(receiver, casts)
     fp["site_commit_order"] = world.trace.site_commit_order[RECEIVER]
-    fp["announced"] = [record.tid for record in announced]
     return fp
 
 
 def test_ds_durable_run_equals_record_at_a_time():
-    run = ds_fingerprint(PropagationMixin.on_ds_durable_batch)
-    reference = ds_fingerprint(record_at_a_time_ds_durable_batch)
+    run = ds_fingerprint(frontier_per_origin)
+    fine = ds_fingerprint(frontier_per_record)
+    reference = ds_fingerprint(frontier_per_record, record_at_a_time_ds_durable)
+    # Announced the same way, the production sweep and the reference
+    # agree on everything, VISIBLE casts included.
+    for key in reference:
+        assert fine[key] == reference[key], key
+    run_casts = run.pop("casts")
     for key in run:
         assert run[key] == reference[key], key
     assert run["stats"]["remote_commits"] == 64
-    # Two announcements, two VISIBLE casts; the second re-acks in order.
-    (_dst, _method, first), (_dst, _method, second) = run["casts"]
-    assert sorted(set(first)) == sorted(set(second)) and second == run["announced"]
+    # One VISIBLE frontier per origin per announcement, the second round
+    # re-acking; the per-record announcements end on the same frontiers.
+    last = [(0, "visible_ack", 40, "t0.40"), (2, "visible_ack", 24, "t2.24")]
+    assert run_casts == last * 2
+    assert {cast[0]: cast for cast in reference["casts"]} == {0: last[0], 2: last[1]}

@@ -58,7 +58,7 @@ def test_drain_scan_is_o_unblocked_not_o_parked():
     # Park seqnos 2..N+1 from site 0; seqno 1 never arrived, so every
     # record fails the GotVTS guard.
     for seqno in range(2, N_PARKED + 2):
-        receiver._park_remote(remote_record("t%d" % seqno, seqno), None)
+        receiver._park_remote(remote_record("t%d" % seqno, seqno))
     assert len(receiver._pending_remote) == N_PARKED
 
     # Nothing is unblocked: the drain must not walk the backlog.
@@ -98,8 +98,7 @@ def test_drain_never_pops_what_it_cannot_apply():
 
     for k in range(1, n + 1):
         receiver._park_remote(
-            remote_record("a%d" % k, k, start_vts=VectorTimestamp([0, 0, k])),
-            None,
+            remote_record("a%d" % k, k, start_vts=VectorTimestamp([0, 0, k]))
         )
     receiver._drain_scan_steps = 0
 
@@ -129,8 +128,8 @@ def test_duplicate_park_is_noop():
     world = make_world(2)
     receiver = world.server(1)
     record = remote_record("dup", 2)
-    receiver._park_remote(record, None)
-    receiver._park_remote(record, None)  # retransmitted batch
+    receiver._park_remote(record)
+    receiver._park_remote(record)  # retransmitted batch
     assert len(receiver._pending_remote) == 1
 
 

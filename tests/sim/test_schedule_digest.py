@@ -42,7 +42,17 @@ from ..server.test_chunk_equivalence import wal_records
 # 645cec0b...f4ff7d0, exactly what the parent produced with
 # ``batching=True``: the collapse itself moved nothing on that path.)
 # CHAOS_DIGEST (seed 9) did not move.
-WORKLOAD_DIGEST = "4b808e6340b58754abe135e2a3df228ab1c4526a7f8e75290bd253a107f5d36e"
+#
+# WORKLOAD_DIGEST and FANOUT_DIGEST re-pinned once more when ACK,
+# DS-DURABLE and VISIBLE became per-origin frontiers (``propagate_ack``,
+# ``ds_durable``, ``visible_ack``): each is one 88-byte entry instead of
+# 24 bytes per record, so the ack casts' transmission times, and with
+# them every later event, moved; the fan-out also resends only to the
+# cut-off site and ACKs a duplicate only once its apply is durable.  The
+# old pins, 4b808e63...253a107f5d36e and 3052b404...bf4b23e1d3caa61,
+# held on the parent.  CHAOS_DIGEST (seed 9) did not move: its verdict
+# hashes outcomes and the end time, not bytes, and neither moved.
+WORKLOAD_DIGEST = "318079734c630e025c37a1fe121a27a0e59cbaaad506d2136cedb8499b81f476"
 CHAOS_DIGEST = "88820c4d23e653fff46cd69fd8a048e88b6ab75234a59b4ae602e3ea5ea2194b"
 # FANOUT_DIGEST was recorded by PR 19 on its parent's code (PR 18,
 # 943e4bb), before the receive path went chunk-at-a-time: the two
@@ -52,7 +62,7 @@ CHAOS_DIGEST = "88820c4d23e653fff46cd69fd8a048e88b6ab75234a59b4ae602e3ea5ea2194b
 # hashes ``ServerStats.as_dict()``, which lost its ``coalesced_reads``
 # key.  The schedule did not move: with that key kept, the tree still
 # hashes to the old pin, a23634a6...ac976e5e.
-FANOUT_DIGEST = "3052b404222753c0c27057333e4d40d1fa2d3b28a958d3699bf4b23e1d3caa61"
+FANOUT_DIGEST = "e35d078ea806d75e19690fbbe7812c96da20fcff25729fae39f60497923daf1d"
 
 
 def run_digest_workload(tracing=True, **deploy_kwargs):
