@@ -375,7 +375,7 @@ class ObjectHistory:
     # Serialization (checkpointing)
     # ------------------------------------------------------------------
     def dump(self) -> Dict[str, Any]:
-        """Checkpointable state: base + suffix.  The checkpointer
+        """Checkpointable state: base + suffix.  A checkpoint
         deep-copies, so returning live references is fine."""
         return {
             "base": self._base.counts() if self._base is not None else None,

@@ -44,8 +44,8 @@ class Transaction:
 
     Mirrors the attributes of the paper's pseudocode: ``tid``, ``site``,
     ``startVTS`` (Fig 10), the update buffer, and on commit a version
-    ``⟨site, seqno⟩``.  Durability milestones (disaster-safe durable,
-    globally visible) are tracked for the client callbacks of §4.2.
+    ``⟨site, seqno⟩``.  Its durability milestones (disaster-safe
+    durable, globally visible) reach the client as casts (§4.2).
     """
 
     tid: str
@@ -55,8 +55,6 @@ class Transaction:
     status: TxStatus = TxStatus.ACTIVE
     version: Optional[Version] = None
     commit_time: Optional[float] = None
-    disaster_safe: bool = False
-    globally_visible: bool = False
 
     # ------------------------------------------------------------------
     # Buffering operations
@@ -119,8 +117,6 @@ class Transaction:
             )
         self.status = TxStatus.COMMITTED
         self.commit_time = at
-        self.disaster_safe = True
-        self.globally_visible = True
 
     def mark_aborted(self) -> None:
         self.require_active()

@@ -20,13 +20,7 @@ from .core.objects import Container
 from .core.versions import Version
 from .net import ClusterGateway, Envelope, Host, Network, Topology
 from .obs import Observability
-from .server import (
-    BatchingConfig,
-    LocalConfig,
-    ServerCosts,
-    SiteRecoveryCoordinator,
-    WalterServer,
-)
+from .server import LocalConfig, ServerCosts, SiteRecoveryCoordinator, WalterServer
 from .sim import Kernel, RandomStreams
 from .spec.checker import ExecutionTrace
 from .storage import FLUSH_EC2, SiteStorage
@@ -80,14 +74,15 @@ class Deployment:
             raise ValueError("executor must be 'serial' or 'parallel', got %r" % (executor,))
         if shards < 1:
             raise ValueError("shards must be >= 1, got %d" % shards)
-        #: Batch sizes (DESIGN.md §14): the WAL group-commit window and
-        #: the records-per-cast cap of the batched propagation wire.
-        #: Batching is the wire, not a mode: ``batching=`` selects no code
-        #: path, only these two sizes -- ``None``/``True`` mean the
-        #: default :class:`~repro.server.BatchingConfig`, a dict or config
-        #: custom sizes, and ``False`` is rejected (the unbatched wire no
-        #: longer exists).
-        self.batching = batching = BatchingConfig.coerce(batching)
+        # Batching is the wire, not a mode (DESIGN.md §14), and its two
+        # sizes are constants: ``batching=`` selects nothing and is kept
+        # only for callers that spell out ``batching=True``.
+        if batching is not None and batching is not True:
+            raise ValueError(
+                "batching= takes only None or True: the unbatched propagation "
+                "wire was removed, and the batch sizes are constants "
+                "(PropagationMixin.MAX_BATCH, SiteStorage.WAL_WINDOW)"
+            )
         if executor == "parallel":
             # Driver-handle mode (DESIGN.md §12): no world is built here.
             # Each parallel worker constructs its own cluster-restricted
@@ -111,7 +106,6 @@ class Deployment:
                 trace_capacity=trace_capacity,
                 shards=shards,
                 replication=replication,
-                batching=batching,
             )
             return
         self.executor = "serial"
@@ -206,7 +200,6 @@ class Deployment:
                     if cluster is not None
                     else "disk-%d-%d" % (self._deploy_id, site)
                 ),
-                flush_window=self.batching.wal_window,
                 registry=self.obs.registry,
                 tracer=self.obs.tracer,
             )
@@ -260,7 +253,6 @@ class Deployment:
             takeover=takeover,
             obs=self.obs,
             partial_replication=self._partial_replication,
-            batching=self.batching,
         )
         server.chaos_bug = self.chaos_bug
         return server
@@ -585,11 +577,6 @@ class Deployment:
         replacement.set_sync_barrier(target)
         replacement.start()
         self.servers[site] = replacement
-        checkpointer = self.storages[site].checkpointer
-        if checkpointer is not None:
-            # The old server's checkpointer died with it; the replacement
-            # resumes checkpointing at the same cadence.
-            replacement.enable_checkpointing(interval=checkpointer.interval)
         # Feed it those records rather than wait for retransmission: a
         # peer retires a propagation tracker once the active set acked,
         # and a predecessor that was mid re-integration was not in that

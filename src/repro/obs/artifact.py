@@ -256,9 +256,9 @@ def diff_artifacts(
 #: Counters that describe *what happened* in a run rather than how fast
 #: it happened: transaction verdicts, replication application counts,
 #: and durable-record totals.  Two runs of the same workload that differ
-#: only in scheduling efficiency (e.g. different ``BatchingConfig``
-#: sizes) must agree on every one of these exactly -- batch sizes may
-#: move latencies and message counts, never outcomes.
+#: only in scheduling efficiency (e.g. different batch sizes) must agree
+#: on every one of these exactly -- batch sizes may move latencies and
+#: message counts, never outcomes.
 OUTCOME_COUNTER_PREFIXES = (
     "server.commits",
     "server.aborts",

@@ -317,7 +317,7 @@ class PropagationMixin:
 
     def _send_batch(self, records: List[CommitRecord]) -> None:
         """One delta-encoded ``propagate_batch`` cast per destination per
-        ``max_batch`` chunk.  A chunk's trim signature for a destination
+        ``MAX_BATCH`` chunk.  A chunk's trim signature for a destination
         is what :meth:`_kept` keeps of each record; the trimmed copies
         are built and encoded once per distinct signature, and every
         destination with that signature gets the same
@@ -330,7 +330,7 @@ class PropagationMixin:
         for record in records:
             self._span(record.tid, span.PROPAGATE_SEND, batch=len(records))
         kept = self._kept
-        max_batch = self.batching.max_batch
+        max_batch = self.MAX_BATCH
         for start in range(0, len(records), max_batch):
             chunk = records[start : start + max_batch]
             # Batch-occupancy observability (DESIGN.md §14).
@@ -516,6 +516,10 @@ class PropagationMixin:
     #: measured constant, not a knob: 16 is the knee of the commit-lock
     #: convoy on write_fanout_8site (DESIGN.md §14 has the table).
     APPLY_CHUNK = 16
+    #: Commit records per ``propagate_batch`` cast; a longer run splits
+    #: into consecutive casts (DESIGN.md §14).  Large enough that the
+    #: ~RTT-period batches of Fig 19 never split.
+    MAX_BATCH = 512
 
     def on_propagate_batch(self, src: str, batch: PropagationBatch):
         """PROPAGATE: open the delta-encoded payload (decoded once, shared

@@ -4,7 +4,7 @@ Three mechanisms:
 
 * **Server replacement.**  The transaction log lives in the site's
   replicated cluster storage; a replacement server rebuilds its state
-  from the last checkpoint plus the log suffix and resumes propagation of
+  from the current checkpoint plus the log after it and resumes propagation of
   committed-but-not-fully-propagated transactions.  It is then caught up
   from the live sites (:meth:`SiteRecoveryCoordinator.catch_up`, the one
   routine every recovery protocol uses to feed a server records).
@@ -81,12 +81,12 @@ class RecoveryMixin:
     # Replacement-server restart
     # ------------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, Any]:
-        """What the background checkpointer captures (§6).
+        """What a checkpoint captures (§6).
 
         Histories are checkpointed as their own state (suffix entries
         plus cset GC bases) rather than rebuilt from commit records at
         restore: the record map is watermark-pruned, so it no longer
-        covers the full object state.  The checkpointer deep-copies."""
+        covers the full object state.  The storage deep-copies."""
         return {
             "curr_seqno": self.curr_seqno,
             "committed_vts": list(self.committed_vts),
@@ -99,8 +99,9 @@ class RecoveryMixin:
         }
 
     def restore_from_storage(self, resume_propagation: bool = True) -> int:
-        """Rebuild Fig 9 state from checkpoint + log suffix; returns the
-        number of log entries replayed.
+        """Rebuild Fig 9 state from the preload image, the storage's
+        current checkpoint and the log after it; returns the number of
+        log entries replayed.
 
         ``resume_propagation=False`` is used for site re-integration: the
         returning server must NOT re-propagate its own logged commits,
@@ -132,6 +133,11 @@ class RecoveryMixin:
             # (including any cset bases the GC folded, which records
             # cannot rebuild).
             self.histories.install(state["histories"])
+            # Everything the checkpoint holds is durable, applies that
+            # had not landed when it was taken included: ACK them.
+            for origin, got in enumerate(self.got_vts):
+                if origin != self.site_id and got > self._ack_frontier[origin][0]:
+                    self._ack_frontier[origin] = self._frontier_at(Version(origin, got))
         for payload in suffix:
             self._replay_log_record(payload)
         if resume_propagation and self.chaos_bug != "skip_resume_propagation":

@@ -22,8 +22,7 @@ from ..obs import AccessProfiler, CounterView, MetricsRegistry, Observability, l
 from ..obs import trace as span
 from ..sim import Event, Kernel, Lock, Resource
 from ..spec.checker import ExecutionTrace
-from ..storage import SiteStorage
-from .batching import BatchingConfig
+from ..storage import Checkpoint, SiteStorage
 from .execution import ExecutionMixin
 from .fast_commit import FastCommitMixin
 from .propagation import STOPPED, WOKEN, PendingIndex, PropagationMixin, PropagationTracker
@@ -110,7 +109,6 @@ class WalterServer(
         takeover: bool = False,
         obs: Optional[Observability] = None,
         partial_replication: bool = False,
-        batching=None,
     ):
         super().__init__(kernel, network, site_id, name, takeover=takeover)
         if ds_mode not in ("all_sites", "f_plus_1"):
@@ -134,9 +132,6 @@ class WalterServer(
         #: the trimmed wire messages and read routing would perturb
         #: pinned schedule digests of full-replication runs.
         self.partial_replication = partial_replication
-        #: Batch sizes (DESIGN.md §14); anything
-        #: :meth:`BatchingConfig.coerce` accepts, ``None`` = defaults.
-        self.batching = BatchingConfig.coerce(batching)
 
         n_sites = len(network.topology)
         # Fig 9 variables.
@@ -227,32 +222,40 @@ class WalterServer(
             "server.propagation_batch", buckets=log_buckets(1.0, 4096.0), site=site_id
         )
         self.stats = ServerStats(registry, site_id)
-        self._checkpointer = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start serving: wake the sender and arm the lease sweeper."""
+        """Start serving: wake the sender and arm the lease sweeper, and
+        the checkpoints if the site's storage takes them."""
         super().start()
         if self._sender == STOPPED:
             self._arm_sender(WOKEN, 0.0)
             self._every(self.leases.sweep_interval, self.lease_sweep)
+            if self.storage.checkpoint_interval is not None:
+                self._every(self.storage.checkpoint_interval, self.take_checkpoint)
 
     def stop(self) -> None:
-        """Void the sender's timer, end every ``_every`` chain (GC, the
-        sweeper) and stop the checkpointer."""
+        """Void the sender's timer and end every ``_every`` chain (GC,
+        the sweeper, the checkpoints)."""
         self._sender = STOPPED
         self._sender_gen += 1
         self._every_gen += 1
-        if self._checkpointer is not None:
-            self._checkpointer.stop()
         super().stop()
 
     def enable_checkpointing(self, interval: float = 30.0) -> None:
-        self._checkpointer = self.storage.attach_checkpointer(
-            self.state_snapshot, interval=interval
-        )
+        """Checkpoint the index every ``interval`` simulated seconds
+        (§6).  Call it once per site: the period is the storage's, and a
+        replacement server's ``start()`` re-arms it."""
+        if interval <= 0:
+            raise ValueError("interval must be > 0")
+        self.storage.checkpoint_interval = interval
+        self._every(interval, self.take_checkpoint)
+
+    def take_checkpoint(self) -> Checkpoint:
+        """Hand the storage a checkpoint of :meth:`state_snapshot`."""
+        return self.storage.take_checkpoint(self.state_snapshot())
 
     def _every(self, period: float, work) -> None:
         """Call ``work()`` every ``period`` simulated seconds until this

@@ -1,7 +1,7 @@
 """Durable storage substrate: WAL with group commit, cache, checkpoints."""
 
 from .cache import CacheStats, ObjectCache
-from .checkpoint import Checkpoint, Checkpointer
+from .checkpoint import Checkpoint
 from .cluster import DEFAULT_CACHE_CAPACITY, SiteStorage
 from .disklog import (
     FLUSH_EC2,
@@ -17,7 +17,6 @@ __all__ = [
     "CacheStats",
     "DEFAULT_CACHE_CAPACITY",
     "Checkpoint",
-    "Checkpointer",
     "DiskLog",
     "DiskStats",
     "FLUSH_EC2",

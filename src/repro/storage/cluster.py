@@ -16,12 +16,13 @@ over the same SiteStorage recovers the previous server's durable state.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+import copy
+from typing import Any, Optional
 
 from ..obs.metrics import MetricsRegistry
-from ..sim import Kernel
+from ..sim import AllOf, Kernel
 from .cache import ObjectCache
-from .checkpoint import Checkpointer
+from .checkpoint import Checkpoint
 from .disklog import DiskLog
 
 #: Default in-memory object-cache capacity (paper §6 sizes the cache to
@@ -36,14 +37,17 @@ class SiteStorage:
     ``cache.*``, labelled ``site=<site>``); with a ``tracer`` in deep
     mode the WAL emits ``wal.flush`` spans."""
 
+    #: Adaptive group-commit window of the WAL (DESIGN.md §14): a busy
+    #: log holds a lone background record's flush open this long so
+    #: near-simultaneous records share it.  Well under one EC2 flush.
+    WAL_WINDOW = 0.0005
+
     def __init__(
         self,
         kernel: Kernel,
         site: int,
         flush_latency: float,
         name: str = "",
-        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        flush_window: float = 0.0,
         registry: Optional[MetricsRegistry] = None,
         tracer=None,
     ):
@@ -53,20 +57,25 @@ class SiteStorage:
             kernel,
             flush_latency=flush_latency,
             name=name or ("disk-site%d" % site),
-            flush_window=flush_window,
+            flush_window=self.WAL_WINDOW,
             registry=registry,
             tracer=tracer,
             site=site,
         )
         #: In-memory object cache with cset-preferring LRU eviction (§6).
-        self.cache = ObjectCache(cache_capacity, registry=registry, site=site)
-        self._checkpointer: Optional[Checkpointer] = None
-        #: Small durable key-value area for server metadata (leases etc.).
-        self.metadata: Dict[str, Any] = {}
+        self.cache = ObjectCache(DEFAULT_CACHE_CAPACITY, registry=registry, site=site)
+        #: Checkpoint period, set by the server's ``enable_checkpointing``;
+        #: a replacement server's ``start()`` keeps the cadence.
+        self.checkpoint_interval: Optional[float] = None
+        #: The current checkpoint: everything it covers landed, and the
+        #: log holds only what it does not cover.
+        self.checkpoint: Optional[Checkpoint] = None
+        #: The newest checkpoint taken; it installs only if still newest.
+        self._newest: Optional[Checkpoint] = None
         #: The preload image, the initial durable state a restart starts
         #: from (DESIGN.md §8): oid -> shared history, one dict for all of
         #: a deployment's storages, and the site-0 seqno it covers.
-        self.image: Dict[Any, Any] = {}
+        self.image: dict = {}
         self.image_seqno = 0
 
     def inject_flush_stall(self, duration: float) -> float:
@@ -76,30 +85,42 @@ class SiteStorage:
 
     def fence(self) -> list:
         """Fence this storage before a replacement server takes over
-        (§5.7): the old server's checkpointer stops (it died with the
-        server process) and its not-yet-durable WAL writes are discarded.
-        Returns the discarded payloads.  Already-taken checkpoints stay
-        available for :meth:`recover`."""
-        if self._checkpointer is not None:
-            self._checkpointer.stop()
+        (§5.7): the old server's not-yet-durable WAL writes are discarded
+        -- and with them every checkpoint still waiting for one of them
+        to land.  Returns the discarded payloads."""
         return self.log.fence()
 
-    def attach_checkpointer(
-        self, state_fn: Callable[[], Any], interval: float = 30.0
-    ) -> Checkpointer:
-        """(Re)create the background checkpointer for the current server."""
-        if self._checkpointer is not None:
-            self._checkpointer.stop()
-        self._checkpointer = Checkpointer(self.kernel, self.log, state_fn, interval)
-        self._checkpointer.start()
-        return self._checkpointer
+    def take_checkpoint(self, state: Any) -> Checkpoint:
+        """Checkpoint (a deep copy of) ``state``.  Every state change is
+        logged at the instant it is made, so the checkpoint covers the
+        log entries appended before it; it becomes the current one once
+        all of those have landed -- at once when none is in flight --
+        and its install truncates the log below it.  A newer checkpoint
+        supersedes one still waiting (whose ``log_position`` would be
+        stale after the newer one's install)."""
+        checkpoint = Checkpoint(self.kernel.now, len(self.log.entries), copy.deepcopy(state))
+        self._newest = checkpoint
+        unlanded = self.log.unlanded()
+        if unlanded:
+            self.kernel.spawn(self._install_when_landed(checkpoint, unlanded),
+                              name="checkpoint:%d" % self.site)
+        else:
+            self._install(checkpoint, ())
+        return checkpoint
 
-    @property
-    def checkpointer(self) -> Optional[Checkpointer]:
-        return self._checkpointer
+    def _install_when_landed(self, checkpoint: Checkpoint, unlanded):
+        yield AllOf([done for _record, done in unlanded])
+        if self._newest is checkpoint:
+            self._install(checkpoint, [record for record, _done in unlanded])
+
+    def _install(self, checkpoint: Checkpoint, landed) -> None:
+        self.checkpoint = checkpoint
+        self.log.truncate(checkpoint.log_position, landed)
 
     def recover(self):
-        """``(checkpoint_state, log_suffix)`` for a replacement server."""
-        if self._checkpointer is not None:
-            return self._checkpointer.recover()
-        return None, self.log.payloads()
+        """``(checkpoint_state, log)`` for a replacement server: a copy of
+        the current checkpoint's state (None without one) and the durable
+        log, which holds only what the checkpoint does not cover."""
+        checkpoint = self.checkpoint
+        state = None if checkpoint is None else copy.deepcopy(checkpoint.state)
+        return state, self.log.payloads()

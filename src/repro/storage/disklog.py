@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Iterable, List, Optional, Tuple
 
 from ..obs.metrics import CounterView, Histogram, MetricsRegistry, log_buckets
 from ..sim import Event, Kernel
@@ -291,9 +291,22 @@ class DiskLog:
         """Durable payloads in append order (used by recovery)."""
         return [r.payload for r in self.entries]
 
-    def truncate(self, keep_from: int) -> int:
-        """Garbage-collect entries before index ``keep_from`` (§6: "the
-        persistent log is periodically garbage collected")."""
-        dropped = min(keep_from, len(self.entries))
-        self.entries = self.entries[dropped:]
-        return dropped
+    def unlanded(self) -> List[Tuple[LogRecord, Event]]:
+        """The entries appended in this epoch that are not durable yet,
+        in append order, each with the event that fires when it lands."""
+        return [
+            (entry[0], entry[1])
+            for entry in (*(self._batch or ()), *self._queue)
+            if entry[2] == self.epoch
+        ]
+
+    def truncate(self, keep_from: int, landed: Iterable[LogRecord] = ()) -> int:
+        """Garbage-collect what a checkpoint covers (§6: "the persistent
+        log is periodically garbage collected"): the entries before index
+        ``keep_from`` and the ``landed`` ones, which were in flight when
+        it was taken (a memory-speed append may have landed among them
+        since).  Returns how many entries were dropped."""
+        covered = {id(record) for record in landed}
+        before = len(self.entries)
+        self.entries = [r for r in self.entries[keep_from:] if id(r) not in covered]
+        return before - len(self.entries)

@@ -1,7 +1,8 @@
 """Batch sizes are behavior-transparent (DESIGN.md §14): batching is the
 only wire, so what still varies is its two sizes.  The same workload run
-at the smallest sizes -- ``BatchingConfig(max_batch=1, wal_window=0)``,
-every record its own cast, no group-commit window -- and at the defaults
+at the smallest sizes -- ``PropagationMixin.MAX_BATCH = 1`` and
+``SiteStorage.WAL_WINDOW = 0`` patched in, every record its own cast, no
+group-commit window -- and at the constants
 must agree on everything that is *not* timing: commit outcomes, the
 final visible value of every object at every site, lag-report
 completeness, and the PSI verdict of the recorded trace.
@@ -19,6 +20,7 @@ across the deployment grid the issue names: shards 1 and 4, full and
 partial replication.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -27,15 +29,21 @@ from hypothesis import strategies as st
 
 from repro.deployment import Deployment
 from repro.obs import collect_run, diff_outcomes
-from repro.server import BatchingConfig
+from repro.server.propagation import PropagationMixin
 from repro.spec import check_trace
-from repro.storage import FLUSH_MEMORY
-
-#: The smallest batch sizes the wire accepts.
-SMALLEST = BatchingConfig(max_batch=1, wal_window=0)
+from repro.storage import FLUSH_MEMORY, SiteStorage
 
 
-def _run_arm(seed, batching, shards, replication, n_base_sites=2):
+@contextlib.contextmanager
+def smallest_sizes():
+    """Patch in the smallest batch sizes the wire accepts."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PropagationMixin, "MAX_BATCH", 1)
+        patch.setattr(SiteStorage, "WAL_WINDOW", 0.0)
+        yield
+
+
+def _run_arm(seed, shards, replication, n_base_sites=2):
     """One arm: per-client private-key writers plus shared readers, run
     to completion, then settled until propagation drains everywhere."""
     world = Deployment(
@@ -45,7 +53,6 @@ def _run_arm(seed, batching, shards, replication, n_base_sites=2):
         trace=True,
         shards=shards,
         replication=replication,
-        batching=batching,
     )
     rng = random.Random(seed)
     n_logical = world.n_sites
@@ -140,8 +147,9 @@ def _assert_equivalent(seed, shards, replication):
     # Partial replication needs more base sites than the replication
     # factor, or every shard group is stored everywhere anyway.
     n_base = 3 if replication is not None else 2
-    small = _run_arm(seed, SMALLEST, shards, replication, n_base_sites=n_base)
-    default = _run_arm(seed, None, shards, replication, n_base_sites=n_base)
+    with smallest_sizes():
+        small = _run_arm(seed, shards, replication, n_base_sites=n_base)
+    default = _run_arm(seed, shards, replication, n_base_sites=n_base)
     assert set(small["statuses"]) == {"COMMITTED"}
     assert default["statuses"] == small["statuses"]
     assert default["reads"] == small["reads"]
@@ -183,36 +191,39 @@ class TestBatchingEquivalence:
     def test_contended_runs_stay_psi_in_both_arms(self):
         # Contention regime: identical outcomes are not promised, but
         # both arms must satisfy PSI on their own traces.
-        for batching in (SMALLEST, None):
-            world = Deployment(
-                n_sites=2, flush_latency=FLUSH_MEMORY, seed=77,
-                trace=True, batching=batching,
-            )
-            world.create_container("hot", preferred_site=0)
-            oid = world.config.container("hot").new_id()
-            statuses = []
+        for sizes in (smallest_sizes, contextlib.nullcontext):
+            with sizes():
+                self._contended_run()
 
-            def hammer(client, crng):
-                for _ in range(10):
-                    yield client.kernel.timeout(crng.random() * 0.02)
-                    tx = client.start_tx()
-                    yield from client.read(tx, oid)
-                    yield from client.write(
-                        tx, oid, ("%s" % crng.random()).encode()
-                    )
-                    status = yield from client.commit(tx)
-                    statuses.append(status)
+    def _contended_run(self):
+        world = Deployment(
+            n_sites=2, flush_latency=FLUSH_MEMORY, seed=77, trace=True,
+        )
+        world.create_container("hot", preferred_site=0)
+        oid = world.config.container("hot").new_id()
+        statuses = []
 
-            for site in range(2):
-                for c in range(2):
-                    world.kernel.spawn(
-                        hammer(
-                            world.new_client(site),
-                            random.Random(site * 13 + c),
-                        )
+        def hammer(client, crng):
+            for _ in range(10):
+                yield client.kernel.timeout(crng.random() * 0.02)
+                tx = client.start_tx()
+                yield from client.read(tx, oid)
+                yield from client.write(
+                    tx, oid, ("%s" % crng.random()).encode()
+                )
+                status = yield from client.commit(tx)
+                statuses.append(status)
+
+        for site in range(2):
+            for c in range(2):
+                world.kernel.spawn(
+                    hammer(
+                        world.new_client(site),
+                        random.Random(site * 13 + c),
                     )
-            world.run(until=30.0)
-            world.settle(5.0)
-            assert "COMMITTED" in statuses
-            violations = check_trace(world.trace)
-            assert violations == [], "\n".join(str(v) for v in violations)
+                )
+        world.run(until=30.0)
+        world.settle(5.0)
+        assert "COMMITTED" in statuses
+        violations = check_trace(world.trace)
+        assert violations == [], "\n".join(str(v) for v in violations)

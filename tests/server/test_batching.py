@@ -1,6 +1,6 @@
 """Unit tests for the hot-path batching layer (DESIGN.md §14): the
-propagation wire format, the ``Deployment(batching=...)`` sizes and the
-adaptive WAL group-commit window."""
+propagation wire format, its two size constants and the adaptive WAL
+group-commit window."""
 
 import random
 
@@ -24,9 +24,9 @@ from repro.net.wire import (
     decode_propagation_batch,
     encode_propagation_batch,
 )
-from repro.server import BatchingConfig, WalterServer
+from repro.server import WalterServer
 from repro.sim import Kernel
-from repro.storage import FLUSH_EC2, FLUSH_MEMORY, DiskLog
+from repro.storage import FLUSH_EC2, FLUSH_MEMORY, DiskLog, SiteStorage
 
 
 def _oid(name):
@@ -166,24 +166,16 @@ class TestWireFormat:
 
 
 class TestBatchingConfig:
-    def test_coerce(self):
-        assert BatchingConfig.coerce(None) == BatchingConfig()
-        assert BatchingConfig.coerce(True) == BatchingConfig()
-        cfg = BatchingConfig(wal_window=0.002)
-        assert BatchingConfig.coerce(cfg) is cfg
-        assert BatchingConfig.coerce({"max_batch": 8}) == BatchingConfig(
-            max_batch=8
-        )
-
     def test_coerce_rejects_garbage(self):
-        with pytest.raises(TypeError):
-            BatchingConfig.coerce("yes")
+        # Sizes are constants now: a dict or a size-carrying object is
+        # refused, not silently ignored.
+        for batching in ("yes", {"max_batch": 8}, 1.0):
+            with pytest.raises(ValueError, match="only None or True"):
+                Deployment(n_sites=2, batching=batching)
 
     def test_off_position_is_gone(self):
         # ``False`` used to select the per-record wire; the error says
         # that wire was removed instead of silently batching anyway.
-        with pytest.raises(ValueError, match="removed"):
-            BatchingConfig.coerce(False)
         with pytest.raises(ValueError, match="removed"):
             Deployment(n_sites=2, batching=False)
 
@@ -205,27 +197,17 @@ class TestBatchingConfig:
         for name in ("_apply_remote", "_apply_remote_inner"):
             assert not hasattr(WalterServer, name)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchingConfig(wal_window=-1.0)
-        with pytest.raises(ValueError):
-            BatchingConfig(max_batch=0)
-
     def test_deployment_knob(self):
-        # The knob selects sizes, never a code path: unset and ``True``
-        # are the same deployment.
+        # The knob selects nothing: unset and ``True`` are the same
+        # deployment, whose sizes are the two constants.
         for batching in (None, True):
             world = Deployment(
                 n_sites=2, flush_latency=FLUSH_MEMORY, seed=1, batching=batching
             )
-            assert world.batching == BatchingConfig()
-        custom = BatchingConfig(max_batch=8, wal_window=0.0)
-        world = Deployment(
-            n_sites=2, flush_latency=FLUSH_MEMORY, seed=1, batching=custom
-        )
-        for server, storage in zip(world.servers, world.storages):
-            assert server.batching is custom
-            assert storage.log.flush_window == 0.0
+            assert not hasattr(world, "batching")
+            for server, storage in zip(world.servers, world.storages):
+                assert server.MAX_BATCH == 512
+                assert storage.log.flush_window == SiteStorage.WAL_WINDOW == 0.0005
 
 
 class TestAdaptiveWalWindow:

@@ -132,7 +132,7 @@ class TestServerReplacement:
             commit_write(world, client, oid, b"v%d" % i)
             world.settle(0.3)
         world.settle(1.0)  # let a checkpoint cover a prefix
-        assert world.storages[0].checkpointer.latest() is not None
+        assert world.storages[0].checkpoint is not None
         world.crash_server(0)
         world.replace_server(0)
         client2 = world.new_client(0)

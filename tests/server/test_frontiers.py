@@ -224,10 +224,9 @@ def test_checkpoint_round_trip_carries_the_frontiers():
 
     for round_, suffix in enumerate((False, True)):
         write_everywhere(round_)
-        checkpointer = world.storages[1].checkpointer
-        checkpointer.take_checkpoint_sync_start()
-        checkpointer._finish_pending()
-        assert "frontiers" in checkpointer.latest().state
+        checkpoint = world.server(1).take_checkpoint()
+        assert world.storages[1].checkpoint is checkpoint
+        assert "frontiers" in checkpoint.state
         if suffix:  # then replay a logged suffix on top of it
             write_everywhere(round_ + 10)
         before = frontiers(world.server(1), suffix)

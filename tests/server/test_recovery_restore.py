@@ -1,10 +1,11 @@
 """Edge cases of ``RecoveryMixin.restore_from_storage`` (§5.7, §6):
 restart with no checkpoint, restart whose checkpoint already covers the
-whole log, and restart-of-a-restart idempotence."""
+whole log, restart-of-a-restart idempotence, and checkpoints taken while
+log entries were still in flight."""
 
 from repro.core import ObjectKind
 from repro.deployment import Deployment
-from repro.storage import FLUSH_MEMORY
+from repro.storage import FLUSH_EC2, FLUSH_MEMORY
 
 from .test_chunk_equivalence import FULL, RECEIVER, batch_of, build, make_records
 
@@ -38,11 +39,10 @@ def read_value(world, client, oid):
 
 
 def force_checkpoint(world, site):
-    """Take one checkpoint synchronously at current log position."""
-    checkpointer = world.storages[site].checkpointer
-    checkpointer.take_checkpoint_sync_start()
-    checkpointer._finish_pending()
-    return checkpointer.latest()
+    """Take one checkpoint now; with nothing in flight it is current."""
+    checkpoint = world.server(site).take_checkpoint()
+    assert world.storages[site].checkpoint is checkpoint
+    return checkpoint
 
 
 def fig9_state(server):
@@ -56,7 +56,7 @@ def fig9_state(server):
 
 class TestRestoreFromStorage:
     def test_empty_checkpoint_with_nonempty_log_suffix(self):
-        # Checkpointer enabled but it never fired before the crash: the
+        # Checkpointing enabled but it never fired before the crash: the
         # replacement must rebuild purely from the log.
         world = make_world(1)
         world.server(0).enable_checkpointing(interval=1e6)
@@ -65,7 +65,7 @@ class TestRestoreFromStorage:
         for i, oid in enumerate(oids):
             assert commit_write(world, client, oid, b"v%d" % i) == "COMMITTED"
         world.settle(0.5)
-        assert world.storages[0].checkpointer.latest() is None
+        assert world.storages[0].checkpoint is None
         assert len(world.storages[0].log.entries) > 0
 
         world.crash_server(0)
@@ -78,7 +78,7 @@ class TestRestoreFromStorage:
 
     def test_checkpoint_newer_than_log_tail(self):
         # A checkpoint taken after the last log append covers everything:
-        # the log suffix is empty and restore replays zero records, but
+        # it truncates the whole log and restore replays zero records, but
         # the checkpointed state alone must be complete.
         world = make_world(1)
         world.server(0).enable_checkpointing(interval=1e6)
@@ -86,8 +86,8 @@ class TestRestoreFromStorage:
         oid = client.new_id("c0")
         assert commit_write(world, client, oid, b"checkpointed") == "COMMITTED"
         world.settle(0.5)
-        checkpoint = force_checkpoint(world, 0)
-        assert checkpoint.log_position == len(world.storages[0].log.entries)
+        force_checkpoint(world, 0)
+        assert world.storages[0].log.entries == []
         state, suffix = world.storages[0].recover()
         assert state is not None and suffix == []
 
@@ -131,9 +131,9 @@ class TestRestoreFromStorage:
         assert world.run_process(counts()) == {"early": 1, "late": 1}
 
     def test_checkpoint_covering_the_head_of_a_grouped_entry(self):
-        # An applied chunk is one WAL entry.  When the checkpoint already
-        # covers the head of such an entry, replay must skip exactly the
-        # covered records (cset adds are not idempotent) and still apply
+        # An applied chunk is one WAL entry.  If an entry left in the log
+        # covers records the checkpoint already holds, replay must skip
+        # exactly those (cset adds are not idempotent) and still apply
         # the entry's tail.
         world, receiver, _casts = build(FLUSH_MEMORY, **FULL)
         receiver.enable_checkpointing(interval=1e6)
@@ -157,8 +157,9 @@ class TestRestoreFromStorage:
         deliver(stream[4:10])
         expected = state()
         log = world.storages[RECEIVER].log
-        assert [len(chunk) for _kind, chunk in log.payloads()] == [4, 6]
-        # Regroup the suffix into one entry that straddles the
+        # The install truncated the first chunk's entry.
+        assert [len(chunk) for _kind, chunk in log.payloads()] == [6]
+        # Regroup what is left into one entry that straddles the
         # checkpoint: records 3-4 are covered, 5-10 are not.
         log.entries[-1].payload = ("remote_apply", stream[2:10])
         assert receiver.restore_from_storage(resume_propagation=False) == 1
@@ -253,3 +254,74 @@ class TestRestoreFromStorage:
         # And traffic continues past the restored watermark.
         assert commit_write(world, client2, oid, b"after") == "COMMITTED"
         assert read_value(world, client2, oid) == b"after"
+
+
+def two_ec2_sites():
+    world = make_world(2, flush_latency=FLUSH_EC2)
+    client = world.new_client(0)
+    return world, client, client.new_id("c0")
+
+
+def start_commit(world, client, oid, data):
+    """Spawn a write-and-commit whose server may crash under it; the
+    returned dict gets its status and handle."""
+    outcome = {}
+
+    def scenario():
+        tx = client.start_tx()
+        yield from client.write(tx, oid, data)
+        try:
+            outcome["status"] = yield from client.commit(tx)
+        except Exception as exc:  # noqa: BLE001 - the crash is the point
+            outcome["status"] = type(exc).__name__
+        outcome["handle"] = tx
+
+    world.kernel.spawn(scenario())
+    return outcome
+
+
+class TestCheckpointsOverLandedEntries:
+    """A checkpoint counts only once every log entry appended before it
+    has landed: memory runs ahead of the log."""
+
+    def test_a_checkpoint_over_a_stalled_commit_dies_with_the_fence(self):
+        # The commit is applied in memory while its WAL entry is stalled;
+        # the checkpoints taken meanwhile cover it, so the takeover's
+        # fence must discard them with it, or the replacement restores
+        # (and propagates) a commit that never became durable.
+        world, client, oid = two_ec2_sites()
+        world.preload({oid: b"before"})
+        world.server(0).enable_checkpointing(interval=0.1)
+        world.storages[0].inject_flush_stall(1.0)
+        start_commit(world, client, oid, b"doomed")
+        world.run(until=world.kernel.now + 0.25)
+        assert world.storages[0].checkpoint is None
+        world.crash_server(0)
+        world.replace_server(0)
+        world.settle(3.0)
+        assert [read_value(world, world.new_client(s), oid) for s in (0, 1)] == [
+            b"before", b"before",
+        ]
+
+    def test_a_restored_apply_is_acked(self):
+        # Site 1 applies the record in memory at once, but its entry
+        # lands only at 0.3 s, behind the 0.25 s checkpoint that then
+        # becomes current.  The ACK it sent is lost to a partition, so
+        # the replacement restored from that checkpoint must ACK the
+        # record itself, or the origin never hears it is DS-durable.
+        world, client, oid = two_ec2_sites()
+        world.server(1).enable_checkpointing(interval=0.25)
+        world.storages[1].inject_flush_stall(0.3)
+        outcome = start_commit(world, client, oid, b"x")
+        world.run(until=0.2)
+        assert world.server(1).got_vts[0] == 1
+        world.network.partition(0, 1)
+        world.run(until=0.32)
+        assert world.storages[1].checkpoint.taken_at == 0.25
+        world.crash_server(1)
+        world.replace_server(1)
+        world.network.heal(0, 1)
+        world.settle(5.0)
+        assert outcome["status"] == "COMMITTED"
+        assert world.server(0)._acked_through[1] == 1
+        assert outcome["handle"].ds_at is not None

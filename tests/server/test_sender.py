@@ -40,7 +40,7 @@ def test_idle_time_costs_the_sender_nothing():
 
 def test_stopping_a_server_voids_all_its_timers(monkeypatch):
     calls = Counter()
-    for name in ("lease_sweep", "gc_histories"):
+    for name in ("lease_sweep", "gc_histories", "take_checkpoint"):
         original = getattr(WalterServer, name)
 
         def counted(self, *args, _name=name, _original=original, **kwargs):
@@ -76,7 +76,7 @@ def test_stopping_a_server_voids_all_its_timers(monkeypatch):
             server.stats.gc_removed,
             calls[site, "gc_histories"],
             calls[site, "lease_sweep"],
-            len(world.storages[site].checkpointer.checkpoints),
+            calls[site, "take_checkpoint"],
         )
 
     world.crash_server(1)
