@@ -24,6 +24,9 @@ parent's; host columns are printed, never gated.
 of this repository, which is exported (``git archive``) into a temporary
 directory for the duration of the run.  Each tree runs its *own* copy of
 ``benchmarks/ledger/``; a PR that claims a gain may not have edited it.
+Both trees are byte-compiled (``compileall`` over ``src/`` and
+``benchmarks/``) before a workload's first pair, so neither side pays
+for compiling modules the other loads from ``__pycache__``.
 
 ``--record`` appends two rows to ``BENCH_history.jsonl`` at the root of
 the repository, the parent's and then this tree's: per workload the
@@ -103,6 +106,18 @@ def record(rows: List[dict]) -> None:
         for row in rows:
             handle.write(json.dumps(row, sort_keys=True) + "\n")
     print("appended %d rows to %s" % (len(rows), HISTORY))
+
+
+def prime(tree: str) -> None:
+    """Byte-compile ``tree``'s ``src/`` and ``benchmarks/``.  With
+    ``PYTHONDONTWRITEBYTECODE`` set, an import writes no ``.pyc``, so a
+    fresh export would recompile every module on every run while a
+    working tree loads its ``__pycache__``: ``setup_s`` would compare
+    compile time, not the change."""
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "benchmarks"],
+        cwd=tree, check=True, capture_output=True,
+    )  # fmt: skip
 
 
 def run_once(tree: str, workload: str, seed: Optional[int]) -> Dict[str, float]:
@@ -206,7 +221,10 @@ def report(contract: dict, parent: List[dict], change: List[dict]) -> Dict[str, 
 
 
 def run_pairs(parent_tree: str, workload: str, seed: Optional[int], pairs: int):
-    """``pairs`` alternating parent / change runs of one workload."""
+    """``pairs`` alternating parent / change runs of one workload, both
+    trees primed (:func:`prime`) first."""
+    prime(parent_tree)
+    prime(ROOT)
     parent_runs: List[dict] = []
     change_runs: List[dict] = []
     for pair in range(pairs):

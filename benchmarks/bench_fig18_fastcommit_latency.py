@@ -74,11 +74,11 @@ def run_all():
     worlds = {}
     for name, platform, flush in CONFIGS:
         # Saturation for write-5 is ~60 clients/site; ~70% load below it.
-        # The EC2 cell runs with deep tracing for the latency-budget
+        # The EC2 cell runs traced for the latency-budget
         # table below; tracing is recording-only, so the measured
         # latencies are unaffected.
         results[name], worlds[name] = measure_commit_latency(
-            platform, flush, clients_per_site=40, tracing="deep" if name == "ec2" else False
+            platform, flush, clients_per_site=40, tracing=name == "ec2"
         )
     return results, worlds
 
@@ -107,7 +107,7 @@ def test_fig18_fast_commit_latency(once):
             ec2_world.obs.registry.histogram("server.commit_latency", site=0)
         )
     )
-    # Critical-path attribution from the deep traces (retained window):
+    # Critical-path attribution from the traces (retained window):
     # where the commit milliseconds go.  See benchmarks/
     # bench_latency_budget.py for the exactness (within-1%) assertions.
     budget_table = aggregate_budgets(ec2_world.obs.tracer.traces(), client_only=True)

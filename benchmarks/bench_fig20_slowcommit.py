@@ -33,7 +33,7 @@ def measure(tx_size):
     # recording-only, so the measured latencies are unaffected.
     world = Deployment(
         n_sites=4, costs=walter_costs("ec2"), flush_latency=FLUSH_EC2, seed=20,
-        tracing="deep",
+        tracing=True,
     )
     keys = populate(world, n_keys=1000)
     commit_rec = LatencyRecorder("slow-commit-%d" % tx_size)

@@ -1,7 +1,7 @@
-"""Latency-budget tables from deep traces (critical-path attribution).
+"""Latency-budget tables from traces (critical-path attribution).
 
 Re-runs the fig18 fast-commit and fig20 slow-commit scenarios with
-``Deployment(tracing="deep")`` and aggregates per-transaction
+``Deployment(tracing=True)`` and aggregates per-transaction
 critical-path budgets (see ``repro.obs.critical_path``) into the
 latency-budget table: where each millisecond of commit latency goes
 (request/reply network hops, CPU admission, the 2PC vote round, lock
@@ -45,13 +45,13 @@ TRACE_CAPACITY = 65536
 
 
 def run_fast(seed=18, flush_scale=1.0, small=False):
-    """Fig18's EC2 cell (write-5 fast commits) under deep tracing."""
+    """Fig18's EC2 cell (write-5 fast commits), traced."""
     world = Deployment(
         n_sites=2,
         costs=walter_costs("ec2"),
         flush_latency=DISK_PRESETS["ec2"] * flush_scale,
         seed=seed,
-        tracing="deep",
+        tracing=True,
         trace_capacity=TRACE_CAPACITY,
     )
     keys = populate(world, n_keys=4000)
@@ -84,10 +84,10 @@ def run_fast(seed=18, flush_scale=1.0, small=False):
 
 
 def run_slow(seed=20, small=False):
-    """Fig20's size-3 workload (VA-CA-IE slow commits) under deep tracing."""
+    """Fig20's size-3 workload (VA-CA-IE slow commits), traced."""
     world = Deployment(
         n_sites=4, costs=walter_costs("ec2"), flush_latency=FLUSH_EC2,
-        seed=seed, tracing="deep", trace_capacity=TRACE_CAPACITY,
+        seed=seed, tracing=True, trace_capacity=TRACE_CAPACITY,
     )
     keys = populate(world, n_keys=1000)
     commit_latencies = LatencyRecorder("slow-commit")
@@ -132,7 +132,7 @@ def test_latency_budget(once):
     slow_rec, slow_world = slow
 
     print()
-    print("Latency budget: critical-path attribution (deep traces)")
+    print("Latency budget: critical-path attribution (traces)")
     rows = []
     for cls, (rec, world) in (("fast", fast), ("slow", slow)):
         table, budget = budget_report(world, rec, cls)

@@ -9,7 +9,7 @@ from .calibration import (
     redis_costs,
     walter_costs,
 )
-from .harness import find_saturation, run_at_fraction_of_max, run_closed_loop, run_closed_loop_raw
+from .harness import run_closed_loop, run_closed_loop_raw
 from .metrics import BenchResult, LatencyRecorder
 from .reporting import (
     format_cdf,
@@ -42,7 +42,6 @@ __all__ = [
     "PAYLOAD",
     "bdb_costs",
     "cset_tx_factory",
-    "find_saturation",
     "format_cdf",
     "format_metric_histogram",
     "format_site_observability",
@@ -52,7 +51,6 @@ __all__ = [
     "populate",
     "read_tx_factory",
     "redis_costs",
-    "run_at_fraction_of_max",
     "run_closed_loop",
     "run_closed_loop_raw",
     "slow_commit_tx_factory",

@@ -3,16 +3,14 @@
 Mirrors the paper's methodology (§8.1): multiple clients per site issue
 operations back-to-back against their local server; the harness discards
 a warmup window and reports throughput and latency over the measurement
-window in *simulated* time.  Optionally the client count is swept to find
-the saturation throughput, or fixed to hit a target load fraction
-("moderate load ... 70% of maximal throughput", §8.3).
+window in *simulated* time.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..deployment import Deployment
 from ..sim import Interrupt
@@ -124,67 +122,3 @@ def run_closed_loop(
         # is the parallel executor's barrier loop.
         runner=lambda t: world.run(until=t),
     )
-
-
-def find_saturation(
-    make_world: Callable[[], Deployment],
-    op_factory: OpFactory,
-    clients_grid: Iterable[int] = (4, 8, 16, 32, 64),
-    **kwargs,
-) -> BenchResult:
-    """Sweep client counts; return the configuration with peak throughput.
-
-    Each grid point gets a fresh world so measurements are independent.
-    """
-    best: Optional[BenchResult] = None
-    for n in clients_grid:
-        world = make_world()
-        result = run_closed_loop(world, op_factory, clients_per_site=n, **kwargs)
-        result.name = "%s@%d-clients" % (result.name, n)
-        if best is None or result.throughput > best.throughput:
-            best = result
-    assert best is not None
-    return best
-
-
-def run_at_fraction_of_max(
-    make_world: Callable[[], Deployment],
-    op_factory: OpFactory,
-    fraction: float = 0.7,
-    saturation_clients: int = 48,
-    probe_clients: int = 2,
-    **kwargs,
-) -> BenchResult:
-    """Measure latency at a moderate load -- the paper's methodology for
-    Fig 18/22 ("clients issued enough requests to achieve 70% of maximal
-    throughput", §8.3).
-
-    Runs a saturation pass and a light probe pass (each on a fresh
-    world) to estimate per-client throughput, then sizes the client pool
-    to hit ``fraction`` of the saturation throughput.
-    """
-    peak = run_closed_loop(
-        make_world(), op_factory, clients_per_site=saturation_clients,
-        name="saturation", **kwargs
-    )
-    probe = run_closed_loop(
-        make_world(), op_factory, clients_per_site=probe_clients,
-        name="probe", **kwargs
-    )
-    n_sites = _n_sites(kwargs, make_world)
-    per_client_site = probe.throughput / max(1, probe_clients * n_sites)
-    target = peak.throughput * fraction
-    n_clients = max(1, round(target / max(per_client_site, 1e-9) / n_sites))
-    n_clients = min(n_clients, saturation_clients)
-    return run_closed_loop(
-        make_world(), op_factory, clients_per_site=n_clients,
-        name="%.0f%%-load" % (fraction * 100), **kwargs
-    )
-
-
-def _n_sites(kwargs, make_world) -> int:
-    sites = kwargs.get("sites")
-    if sites is not None:
-        return len(sites)
-    world = make_world()
-    return world.n_sites

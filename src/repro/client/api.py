@@ -208,8 +208,7 @@ class WalterClient(Host):
         if self.retry is not None:
             kwargs["ck"] = "%s#commit" % tx.tid
         tracer = self._tracer
-        deep = tracer is not None and tracer.deep
-        if deep:
+        if tracer is not None:
             sent = tracer.record(
                 tx.tid, CLIENT_COMMIT_SEND, self.site.id, self.kernel.now
             )
@@ -222,7 +221,7 @@ class WalterClient(Host):
             allow_fresh=not tx.started,
             **kwargs,
         )
-        if deep:
+        if tracer is not None:
             tracer.record(
                 tx.tid, CLIENT_COMMIT_REPLY, self.site.id, self.kernel.now,
                 parent=tracer.last_seq(tx.tid, COMMIT_RPC_END),

@@ -149,12 +149,8 @@ class Deployment:
         #: container's shard group (None = every site, the classic
         #: full-replication configuration).
         self.replication = replication
-        self._partial_replication = (
-            replication is not None and replication < self.n_base_sites
-        )
         #: Shared observability: the metrics registry is always on;
-        #: per-transaction span tracing is enabled with ``tracing=True``,
-        #: and ``tracing="deep"`` additionally records commit-path
+        #: ``tracing=True`` records per-transaction spans, commit-path
         #: milestones and causal parent edges (critical-path input).
         self.obs = Observability(tracing=tracing, trace_capacity=trace_capacity)
         self.network = Network(
@@ -252,7 +248,6 @@ class Deployment:
             anti_starvation=self.anti_starvation,
             takeover=takeover,
             obs=self.obs,
-            partial_replication=self._partial_replication,
         )
         server.chaos_bug = self.chaos_bug
         return server
@@ -434,11 +429,9 @@ class Deployment:
                 hist.__class__ = SharedHistory
                 image[oid] = hist
             for server in servers:
-                # Partial replication: a site only stores the shards it
-                # replicates; preloaded data follows the same placement.
-                if self._partial_replication and not self.config.container(
-                    oid.container
-                ).replicated_at(server.site_id):
+                # Partial replication: a site only stores the containers
+                # it replicates; preloaded data follows the same placement.
+                if self.config.partial and not self.config.replicated_at(oid, server.site_id):
                     continue
                 if held:
                     server.histories.apply(updates, version)

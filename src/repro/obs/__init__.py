@@ -75,19 +75,16 @@ from .profile import AccessProfiler
 class Observability:
     """The per-deployment bundle: one registry, optionally one tracer.
 
-    ``tracing`` accepts ``False`` (off), ``True`` (lifecycle spans), or
-    ``"deep"`` (lifecycle spans + commit-path milestones and causal
-    parent edges, the input to critical-path attribution).
+    ``tracing=True`` records lifecycle spans, commit-path milestones and
+    causal parent edges (the input to critical-path attribution);
+    ``"deep"`` is an older spelling of ``True``.
     """
 
     def __init__(self, tracing=False, trace_capacity: int = 8192):
+        if tracing not in (False, True, "deep"):
+            raise ValueError("tracing must be True or False, got %r" % (tracing,))
         self.registry = MetricsRegistry()
-        if tracing:
-            self.tracer: Optional[Tracer] = Tracer(
-                trace_capacity, deep=(tracing == "deep")
-            )
-        else:
-            self.tracer = None
+        self.tracer: Optional[Tracer] = Tracer(trace_capacity) if tracing else None
 
     @property
     def tracing(self) -> bool:

@@ -9,7 +9,7 @@ end of a run, one JSON object per line:
 * ``counter`` / ``gauge`` -- every registry counter and gauge, keyed
   ``name{label=value,...}``;
 * ``hist`` -- every registry histogram, reduced to count/mean/quantiles;
-* ``budget`` -- the per-commit-class latency-budget table (deep tracing
+* ``budget`` -- the per-commit-class latency-budget table (traced runs
   only; see :mod:`repro.obs.critical_path`);
 * ``profile`` -- the per-site access profiler snapshot (traced runs
   only).
@@ -60,7 +60,7 @@ def collect_run(world, name: str, meta: Optional[Dict[str, Any]] = None) -> Dict
     if "access_profile" in snap:
         out["profiles"] = {str(site): prof for site, prof in snap["access_profile"].items()}
     tracer = world.obs.tracer
-    if tracer is not None and tracer.deep:
+    if tracer is not None:
         table = aggregate_budgets(tracer.traces())
         out["budgets"] = table.classes
     return out

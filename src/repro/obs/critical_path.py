@@ -1,6 +1,6 @@
-"""Critical-path attribution over deep traces: where commit time goes.
+"""Critical-path attribution over traces: where commit time goes.
 
-Deep tracing (``Deployment(tracing="deep")``) records fine-grained
+Tracing (``Deployment(tracing=True)``) records fine-grained
 milestones along a transaction's commit path.  In canonical causal
 order:
 

@@ -21,14 +21,11 @@ transaction never loses spans mid-trace.  Tracing is opt-in; when
 disabled the servers hold no tracer and pay only a ``None`` check per
 hook.
 
-Deep tracing (``Tracer(deep=True)``, ``Deployment(tracing="deep")``)
-additionally records fine-grained commit-path milestones (the
-``commit.*``, ``rpc.*``, ``wal.*``, and ``client.*`` names below) and
-causal ``parent`` edges between spans, from which
-:mod:`repro.obs.critical_path` computes per-transaction latency budgets.
-Deep events and parent links are never emitted in default tracing mode,
-so the default span stream -- pinned by the schedule-digest tests --
-is byte-identical with or without this feature existing.
+Besides the lifecycle spans, a traced run records fine-grained
+commit-path milestones (the ``commit.*``, ``rpc.*``, ``wal.*`` and
+``client.*`` names below) and causal ``parent`` edges between spans,
+from which :mod:`repro.obs.critical_path` computes per-transaction
+latency budgets.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ GLOBALLY_VISIBLE = "globally_visible"
 #: injected faults appear on the same timeline as transaction spans.
 FAULT = "fault"
 
-# Deep-tracing milestone names (only emitted by a Tracer(deep=True)).
+# Commit-path milestone names.
 #: Client issued the commit RPC (recorded by the benchmark driver).
 CLIENT_COMMIT_SEND = "client.commit_send"
 #: Client received the commit reply.
@@ -102,9 +99,8 @@ class SpanEvent:
         t: float,
         extra: Optional[Dict[str, Any]] = None,
         #: Causal edge: the ``seq`` of the span event that caused this
-        #: one (across RPC hops and propagation).  Only set in deep
-        #: tracing mode; serialized only when present, so default-mode
-        #: JSONL is unchanged.
+        #: one (across RPC hops and propagation); serialized only when
+        #: present.
         parent: Optional[int] = None,
     ):
         self.seq = seq
@@ -160,10 +156,10 @@ class TxTrace:
     #: ones the ring buffer may evict.
     completed: bool = False
     #: Per-name index of the most recent event's ``seq``, maintained by
-    #: :meth:`Tracer.record` so the deep-tracing parent-edge lookup
+    #: :meth:`Tracer.record` so the parent-edge lookup
     #: (:meth:`Tracer.last_seq`) is a dict get instead of a reversed
-    #: scan of the event list -- that scan ran once per deep RPC edge
-    #: and dominated deep-tracing overhead on commit-heavy workloads.
+    #: scan of the event list -- that scan ran once per RPC edge
+    #: and dominated tracing overhead on commit-heavy workloads.
     last_seq_by_name: Dict[str, int] = field(default_factory=dict)
 
     def first(self, name: str, site: Optional[int] = None) -> Optional[SpanEvent]:
@@ -209,12 +205,14 @@ class Tracer:
     deterministic run.
     """
 
-    def __init__(self, capacity: int = 8192, deep: bool = False):
+    def __init__(self, capacity: int = 8192, deep: bool = True):
+        # ``deep=True`` is an older spelling of the one level some
+        # callers still pass; nothing records less.
+        if not deep:
+            raise ValueError("a Tracer has one level; deep=False is not accepted")
         if capacity < 1:
             raise ValueError("tracer capacity must be >= 1")
         self.capacity = capacity
-        #: Deep tracing: fine-grained commit milestones + parent edges.
-        self.deep = deep
         # Plain dict: insertion-ordered since 3.7, and both the per-event
         # get() and the eviction scan are cheaper than OrderedDict's.
         self._traces: Dict[str, TxTrace] = {}
@@ -290,7 +288,7 @@ class Tracer:
 
     def last_seq(self, tid: str, name: str) -> Optional[int]:
         """``seq`` of the most recent ``name`` event of ``tid`` (used to
-        attach causal parent edges in deep mode)."""
+        attach causal parent edges)."""
         trace = self._traces.get(tid)
         if trace is None:
             return None

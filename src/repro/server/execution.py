@@ -141,9 +141,7 @@ class ExecutionMixin:
             return value
         if self.profiler is not None:
             self.profiler.record_read(oid, owner)
-        target = container.preferred_site
-        if self.partial_replication:
-            target = self._nearest_replica(container)
+        target = self._nearest_replica(container)
         payload = None
         if target != container.preferred_site:
             # PaRiS-style non-blocking read (DESIGN.md §13): fetch from
@@ -169,7 +167,7 @@ class ExecutionMixin:
             start_vts=tx.start_vts,
             only_if_current=only_if_current,
             timeout=self._rpc_timeout,
-            span=self._deep_ctx(tx.tid, span.EXECUTE),
+            span=self._span_ctx(tx.tid, span.EXECUTE),
         )
 
     def _nearest_replica(self, container) -> int:

@@ -24,11 +24,11 @@ ABORTED = "ABORTED"
 
 class FastCommitMixin:
     def rpc_tx_commit(self, tid: str, notify: Optional[str] = None, allow_fresh: bool = True, ck: Optional[str] = None):
-        self._deep(tid, span.COMMIT_RPC_BEGIN)
+        self._span(tid, span.COMMIT_RPC_BEGIN)
         # Charged here, not declared: the milestones either side of the
         # charge are what obs/critical_path.py telescopes into its "cpu" stage.
         yield self.cpu.hold(self.costs.commit_op)
-        self._deep(tid, span.COMMIT_CPU)
+        self._span(tid, span.COMMIT_CPU)
         # ``ck`` is the client's at-most-once idempotency token: a commit
         # whose reply was lost can be re-asked safely -- the cached
         # outcome is returned instead of re-running the commit (which,
@@ -62,7 +62,7 @@ class FastCommitMixin:
             if landed is not None:
                 del self._commit_inflight[tid]
                 landed.trigger()
-        self._deep(tid, span.COMMIT_RPC_END, status=status)
+        self._span(tid, span.COMMIT_RPC_END, status=status)
         return status
 
     def _commit_tx(self, tx: Transaction, notify: Optional[str] = None):
@@ -141,7 +141,7 @@ class FastCommitMixin:
         for oid, site in holders.items():
             if not holds_lease(oid.container, site):
                 return False
-        if self.partial_replication:
+        if self.config.partial:
             preferred_site = self.config.preferred_site
             for oid in tx.touched:
                 if not holds_lease(oid.container, preferred_site(oid)):
@@ -155,7 +155,7 @@ class FastCommitMixin:
         voters checked theirs), re-check the leases and apply.  Returns
         ``(None, version)``, or ``(phase, None)`` for an abort."""
         yield self.commit_lock.acquire()
-        self._deep(tx.tid, span.COMMIT_LOCK_ACQUIRED)
+        self._span(tx.tid, span.COMMIT_LOCK_ACQUIRED)
         try:
             # The contended region that bounds per-site write throughput
             # (§8.3).  ``unmodified`` is O(sites) per object (per-site

@@ -291,7 +291,7 @@ class PropagationMixin:
         replicates, or None when it keeps them all -- always under full
         replication."""
         updates = record.updates
-        if not self.partial_replication or not updates:
+        if not self.config.partial or not updates:
             return None
         container = self.config.container
         keep = tuple(
@@ -622,7 +622,6 @@ class PropagationMixin:
         lag = self._replication_lag.observe
         now = self.kernel.now
         tracer = self._tracer
-        deep = tracer is not None and tracer.deep
         # The access profiler exists exactly on traced servers.
         profile = self.profiler.record_remote_apply if tracer is not None else None
         for record in chunk:
@@ -642,15 +641,12 @@ class PropagationMixin:
                 continue
             for oid in oids:
                 profile(oid)
-            if deep:
-                # Link the apply back to the origin's send, so the
-                # propagation hop is a causal edge in the span graph.
-                self._deep(
-                    record.tid, span.REMOTE_APPLY, origin=record.site,
-                    parent=tracer.last_seq(record.tid, span.PROPAGATE_SEND),
-                )
-            else:
-                self._span(record.tid, span.REMOTE_APPLY, origin=record.site)
+            # Link the apply back to the origin's send, so the
+            # propagation hop is a causal edge in the span graph.
+            self._span(
+                record.tid, span.REMOTE_APPLY, origin=record.site,
+                parent=tracer.last_seq(record.tid, span.PROPAGATE_SEND),
+            )
         last = chunk[-1]
         self.got_vts = self.got_vts.with_entry(last.site, last.seqno)
         self.stats.inc("remote_applied", len(chunk))

@@ -114,7 +114,7 @@ class RecoveryMixin:
         # Start from the preload image, the initial durable state.
         self.histories = SiteHistories()
         for hist in self.storage.image.values():
-            if not self.partial_replication or self.config.replicated_at(hist.oid, self.site_id):
+            if not self.config.partial or self.config.replicated_at(hist.oid, self.site_id):
                 self.histories.adopt(hist)
         frontier = self.storage.image_seqno
         self.got_vts = VectorTimestamp.zeros(len(self.got_vts)).with_entry(0, frontier)

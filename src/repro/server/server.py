@@ -108,7 +108,6 @@ class WalterServer(
         anti_starvation: bool = False,
         takeover: bool = False,
         obs: Optional[Observability] = None,
-        partial_replication: bool = False,
     ):
         super().__init__(kernel, network, site_id, name, takeover=takeover)
         if ds_mode not in ("all_sites", "f_plus_1"):
@@ -124,14 +123,6 @@ class WalterServer(
         self.ds_mode = ds_mode
         self.trace = trace
         self.anti_starvation = anti_starvation
-        #: Partial replication (DESIGN.md §13): propagation trims commit
-        #: records down to the updates each destination replicates (the
-        #: seqno/commit metadata still reaches every site, so vector
-        #: clocks, the got-guard, and 2PC lock release are untouched),
-        #: and remote reads prefer the nearest replica.  Off by default:
-        #: the trimmed wire messages and read routing would perturb
-        #: pinned schedule digests of full-replication runs.
-        self.partial_replication = partial_replication
 
         n_sites = len(network.topology)
         # Fig 9 variables.
@@ -274,41 +265,30 @@ class WalterServer(
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _span(self, tid: str, name: str, **extra):
+    def _span(self, tid: str, name: str, parent: Optional[int] = None, **extra):
         """Emit one transaction span event at the current simulated time.
 
         The single ``None`` check is the entire cost when tracing is off.
-        Returns the recorded event (or None) so deep milestones can chain
+        Returns the recorded event (or None) so milestones can chain
         parent edges off it.
         """
         if self._tracer is not None:
             return self._tracer.record(
-                tid, name, self.site_id, self.kernel.now, **extra
-            )
-        return None
-
-    def _deep(self, tid: str, name: str, parent: Optional[int] = None, **extra):
-        """Emit a deep-tracing milestone: recorded only when the tracer
-        runs in deep mode, so default-mode trace streams (and the pinned
-        schedule digests over them) are unchanged."""
-        tracer = self._tracer
-        if tracer is not None and tracer.deep:
-            return tracer.record(
                 tid, name, self.site_id, self.kernel.now, parent=parent, **extra
             )
         return None
 
-    def _deep_ctx(self, tid: str, name: str):
+    def _span_ctx(self, tid: str, name: str):
         """Span context ``(tid, parent_seq)`` for an outgoing RPC, or
-        None outside deep mode; the callee records the receive edge."""
+        None when tracing is off; the callee records the receive edge."""
         tracer = self._tracer
-        if tracer is not None and tracer.deep:
+        if tracer is not None:
             return (tid, tracer.last_seq(tid, name))
         return None
 
     def _on_rpc_span(self, method: str, span_ctx: tuple) -> None:
         tid, parent = span_ctx
-        self._deep(tid, span.RPC_RECV, parent=parent, method=method)
+        self._span(tid, span.RPC_RECV, parent=parent, method=method)
 
     # ------------------------------------------------------------------
     # Maintenance

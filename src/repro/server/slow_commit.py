@@ -80,7 +80,7 @@ class SlowCommitMixin:
         placement = {oid: self.config.preferred_site(oid) for oid in tx.write_set}
         sites = sorted(set(placement.values()))
         self._span(tx.tid, span.SLOW_COMMIT_PREPARE, participants=len(sites))
-        span_ctx = self._deep_ctx(tx.tid, span.SLOW_COMMIT_PREPARE)
+        span_ctx = self._span_ctx(tx.tid, span.SLOW_COMMIT_PREPARE)
 
         def ask(site: int):
             oids = [o for o in sorted(placement, key=str) if placement[o] == site]
@@ -104,7 +104,7 @@ class SlowCommitMixin:
             for site in sites
         ]
         votes: Dict[int, bool] = dict((yield AllOf(procs)))
-        self._deep(tx.tid, span.COMMIT_VOTES, yes=sum(votes.values()), asked=len(votes))
+        self._span(tx.tid, span.COMMIT_VOTES, yes=sum(votes.values()), asked=len(votes))
 
         phase = "slow_commit"
         if all(votes.values()):

@@ -15,7 +15,7 @@ modelled CPU.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, Set
 
 from ..core.objects import Container, ObjectId
 from ..errors import ConfigurationError, NoSuchContainerError
@@ -83,6 +83,14 @@ class LocalConfig:
     def __init__(self, n_sites: int):
         self.n_sites = n_sites
         self._containers: Dict[str, Container] = {}
+        #: Containers whose replica set is a strict subset of the sites.
+        self._subset_placed: Set[str] = set()
+        #: Partial replication (DESIGN.md §13): whether some container
+        #: sits at a strict subset of the sites.  Propagation then trims
+        #: records to what each destination stores, a read of a
+        #: container stored elsewhere goes to its nearest replica, and
+        #: preload and restore skip what a site does not store.
+        self.partial = False
         self._set_active(range(n_sites))
         #: cid -> site currently holding the preferred-site lease.
         self._lease_holder: Dict[str, int] = {}
@@ -99,9 +107,17 @@ class LocalConfig:
                 "container %r placed at sites %s outside [0, %d)"
                 % (container.id, unknown, self.n_sites)
             )
-        self._containers[container.id] = container
+        self._place(container)
         self._lease_holder[container.id] = container.preferred_site
         return container
+
+    def _place(self, container: Container) -> None:
+        self._containers[container.id] = container
+        if len(container.replica_sites) < self.n_sites:
+            self._subset_placed.add(container.id)
+        else:
+            self._subset_placed.discard(container.id)
+        self.partial = bool(self._subset_placed)
 
     def container(self, cid: str) -> Container:
         container = self._containers.get(cid)
@@ -180,7 +196,7 @@ class LocalConfig:
         if remember_original and cid not in self.displaced:
             self.displaced[cid] = old.preferred_site
         replicas = set(old.replica_sites) | {new_site}
-        self._containers[cid] = Container(cid, new_site, frozenset(replicas))
+        self._place(Container(cid, new_site, frozenset(replicas)))
         self._lease_holder[cid] = new_site
 
     def restore_displaced(self, site: int) -> List[str]:

@@ -34,7 +34,3 @@ class RandomStreams:
             rng = random.Random(derive_seed(self.root_seed, name))
             self._streams[name] = rng
         return rng
-
-    def fork(self, name: str) -> "RandomStreams":
-        """A child stream-space, e.g. one per site or per client."""
-        return RandomStreams(derive_seed(self.root_seed, "fork/%s" % name))

@@ -34,8 +34,8 @@ class SiteStorage:
     """The durable state of one site, surviving Walter-server restarts.
 
     The WAL and cache count into ``registry`` (``disklog.*`` and
-    ``cache.*``, labelled ``site=<site>``); with a ``tracer`` in deep
-    mode the WAL emits ``wal.flush`` spans."""
+    ``cache.*``, labelled ``site=<site>``); with a ``tracer`` the WAL
+    emits ``wal.flush`` spans."""
 
     #: Adaptive group-commit window of the WAL (DESIGN.md §14): a busy
     #: log holds a lone background record's flush open this long so

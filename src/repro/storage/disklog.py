@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Tuple
 
 from ..obs.metrics import CounterView, Histogram, MetricsRegistry, log_buckets
+from ..obs.trace import FAST_COMMIT, SLOW_COMMIT_COMMIT, WAL_FLUSH
 from ..sim import Event, Kernel
 
 #: Buckets of the ``disklog.flush_batch`` histogram (records per flush).
@@ -119,7 +120,7 @@ class DiskLog:
         self._records = counter("records")
         self._stalls = counter("stalls")
         self._batch_hist = self.stats.flush_batch
-        #: Deep tracing: a ``wal.flush`` span when a local commit record
+        #: Tracing: a ``wal.flush`` span when a local commit record
         #: lands on disk, parented to the transaction's commit span (the
         #: flush is the group-commit leg of the critical path).
         self._tracer = tracer
@@ -146,10 +147,6 @@ class DiskLog:
 
     def _trace_flush(self, commit_tid: str, batch: int) -> None:
         tracer = self._tracer
-        if not tracer.deep:
-            return
-        from ..obs.trace import FAST_COMMIT, SLOW_COMMIT_COMMIT, WAL_FLUSH
-
         parent = tracer.last_seq(commit_tid, FAST_COMMIT) or tracer.last_seq(
             commit_tid, SLOW_COMMIT_COMMIT
         )
@@ -184,7 +181,7 @@ class DiskLog:
 
         ``commit_tid`` names the transaction whose commit waits on this
         entry (a local commit record): such an entry never waits out the
-        flush window, and a deep tracer gets a ``wal.flush`` span for it.
+        flush window, and a tracer gets a ``wal.flush`` span for it.
         The payload itself is opaque to the log."""
         if records < 1:
             raise ValueError("a log entry holds at least one record")

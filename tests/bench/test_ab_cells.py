@@ -34,3 +34,32 @@ def test_host_metric_cells_keep_their_rule():
 def test_only_simulated_clock_metrics_are_exact():
     assert ab.is_exact("sim_ktps") and ab.is_exact("committed_share")
     assert not ab.is_exact("host_us_per_tx") and not ab.is_exact("setup_s")
+
+
+def test_both_trees_are_byte_compiled_before_the_first_run(tmp_path, monkeypatch):
+    """An import writes no ``.pyc`` under ``PYTHONDONTWRITEBYTECODE``, so
+    a fresh parent export would recompile every module in every run while
+    the working tree reuses its ``__pycache__``; both trees are compiled
+    before the first pair instead."""
+    trees = []
+    for side in ("parent", "change"):
+        for folder in ("src/pkg", "benchmarks/ledger"):
+            os.makedirs(tmp_path / side / folder)
+            (tmp_path / side / folder / "mod.py").write_text("X = 1\n")
+        trees.append(str(tmp_path / side))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(ab, "ROOT", trees[1])
+    runs = []
+
+    def run_once(tree, workload, seed):
+        for folder in ("src/pkg", "benchmarks/ledger"):
+            assert any(
+                name.startswith("mod.") and name.endswith(".pyc")
+                for name in os.listdir(os.path.join(tree, folder, "__pycache__"))
+            )
+        runs.append(tree)
+        return {"host_us_per_tx": 1.0}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    ab.run_pairs(trees[0], "w", None, 2)
+    assert runs == [trees[0], trees[1], trees[1], trees[0]]

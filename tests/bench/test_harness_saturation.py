@@ -1,12 +1,5 @@
-"""Tests for the saturation-finding and fraction-of-max harness helpers."""
+"""Tests for the benchmark harness's preload."""
 
-from repro.bench import (
-    find_saturation,
-    populate,
-    read_tx_factory,
-    run_at_fraction_of_max,
-    run_closed_loop,
-)
 from repro.core import CSet
 from repro.deployment import Deployment
 from repro.storage import FLUSH_MEMORY
@@ -15,65 +8,6 @@ from repro.storage import FLUSH_MEMORY
 def make_world():
     world = Deployment(n_sites=1, flush_latency=FLUSH_MEMORY, jitter_frac=0.0, seed=9)
     return world
-
-
-def factory_for(world):
-    keys = populate(world, n_keys=200)
-    return read_tx_factory(keys, 1)
-
-
-class _WorldFactory:
-    """Builds a fresh world + op factory pair per call; remembers the op
-    factory for the harness (which only takes make_world + op_factory)."""
-
-    def __init__(self):
-        self.latest_keys = None
-
-    def __call__(self):
-        world = make_world()
-        self.latest_keys = populate(world, n_keys=200)
-        return world
-
-
-def shared_factory(keyspace_holder):
-    def factory(client, rng):
-        # Rebuild against whatever world the client belongs to: key oids
-        # are deterministic across worlds (same seed), so reuse is safe.
-        return read_tx_factory(keyspace_holder.latest_keys, 1)(client, rng)
-
-    return factory
-
-
-def test_find_saturation_returns_peak():
-    holder = _WorldFactory()
-    best = find_saturation(
-        holder,
-        shared_factory(holder),
-        clients_grid=(1, 8),
-        warmup=0.02,
-        measure=0.1,
-        name="sat",
-    )
-    assert "8-clients" in best.name  # more clients => more throughput here
-    assert best.ops > 0
-
-
-def test_run_at_fraction_of_max_is_below_peak():
-    holder = _WorldFactory()
-    peak = run_closed_loop(
-        holder(), shared_factory(holder), clients_per_site=16,
-        warmup=0.02, measure=0.1,
-    )
-    moderate = run_at_fraction_of_max(
-        holder,
-        shared_factory(holder),
-        fraction=0.5,
-        saturation_clients=16,
-        warmup=0.02,
-        measure=0.1,
-    )
-    assert moderate.ops > 0
-    assert moderate.throughput <= peak.throughput * 1.1
 
 
 def test_preload_accepts_cset_and_dict_values():

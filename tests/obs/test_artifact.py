@@ -18,7 +18,7 @@ from repro.obs.artifact import summarize_artifact
 
 
 def _run(seed=11):
-    world = Deployment(n_sites=2, seed=seed, tracing="deep", trace_capacity=65536)
+    world = Deployment(n_sites=2, seed=seed, tracing=True, trace_capacity=65536)
     keys = populate(world, n_keys=100)
 
     def factory(client, rng):

@@ -38,7 +38,7 @@ def _record(tracer, tid, timeline, site=0):
 
 class TestComputeBudget:
     def test_fast_commit_full_chain(self):
-        tracer = Tracer(deep=True)
+        tracer = Tracer()
         _record(tracer, "t1", _FAST_TIMELINE)
         budget = compute_budget(tracer.get("t1"))
         assert budget.kind == "fast"
@@ -56,7 +56,7 @@ class TestComputeBudget:
         assert abs(sum(budget.segments.values()) - budget.total) < 1e-12
 
     def test_slow_commit_has_vote_segment(self):
-        tracer = Tracer(deep=True)
+        tracer = Tracer()
         _record(tracer, "t1", (
             (CLIENT_COMMIT_SEND, 0.000),
             (COMMIT_RPC_BEGIN, 0.010),
@@ -77,7 +77,7 @@ class TestComputeBudget:
     def test_missing_milestones_merge_into_next_segment(self):
         # Without the CPU milestone, its time lands in lock_wait: the
         # sum still telescopes to the total.
-        tracer = Tracer(deep=True)
+        tracer = Tracer()
         _record(tracer, "t1", [
             (name, t) for name, t in _FAST_TIMELINE if name != COMMIT_CPU
         ])
@@ -87,7 +87,7 @@ class TestComputeBudget:
         assert abs(sum(budget.segments.values()) - budget.total) < 1e-12
 
     def test_server_window_without_client_spans(self):
-        tracer = Tracer(deep=True)
+        tracer = Tracer()
         _record(tracer, "t1", [
             (name, t) for name, t in _FAST_TIMELINE
             if name not in (CLIENT_COMMIT_SEND, CLIENT_COMMIT_REPLY)
@@ -99,14 +99,14 @@ class TestComputeBudget:
         assert "request_net" not in budget.segments
 
     def test_no_commit_no_budget(self):
-        tracer = Tracer(deep=True)
+        tracer = Tracer()
         tracer.record("t1", EXECUTE, 0, 0.0)
         assert compute_budget(tracer.get("t1")) is None
 
 
 class TestAggregateBudgets:
     def _tracer_with(self, n_fast):
-        tracer = Tracer(deep=True)
+        tracer = Tracer()
         for i in range(n_fast):
             _record(tracer, "f%d" % i, _FAST_TIMELINE)
         return tracer

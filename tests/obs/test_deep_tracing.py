@@ -1,15 +1,14 @@
-"""Deep tracing integration: commit-path milestones, causal parent
-edges, exact latency budgets, and the completion-aware ring buffer.
+"""Tracing integration: commit-path milestones, causal parent edges,
+exact latency budgets, and the completion-aware ring buffer.
 
-Deep mode (``Deployment(tracing="deep")``) is recording-only -- it must
-never create kernel events -- so a deep-traced run has the identical
+Tracing (``Deployment(tracing=True)``) is recording-only -- it must
+never create kernel events -- so a traced run has the identical
 simulated schedule of an untraced one (asserted in
-``tests/sim/test_schedule_digest.py``).  These tests check what deep
-mode *adds*: the milestone spans, the cross-hop parent links, and the
-telescoping-budget exactness that critical-path attribution relies on.
+``tests/sim/test_schedule_digest.py``).  These tests check what it
+records beyond the lifecycle spans: the milestone spans, the cross-hop
+parent links, and the telescoping-budget exactness that critical-path
+attribution relies on.
 """
-
-import json
 
 from repro.bench import PAYLOAD, populate, run_closed_loop
 from repro.deployment import Deployment
@@ -17,6 +16,7 @@ from repro.obs import (
     ABORT,
     CLIENT_COMMIT_REPLY,
     CLIENT_COMMIT_SEND,
+    COMMIT_LOCK_ACQUIRED,
     COMMIT_RPC_BEGIN,
     COMMIT_RPC_END,
     EXECUTE,
@@ -29,11 +29,10 @@ from repro.obs import (
     collect_run,
     compute_budget,
     summarize_artifact,
-    trace_events_jsonl,
 )
 
-#: Deep-only span names that must never leak into default tracing mode.
-DEEP_NAMES = (
+#: Commit-path milestones a traced run records beside the lifecycle spans.
+MILESTONES = (
     CLIENT_COMMIT_SEND, CLIENT_COMMIT_REPLY, COMMIT_RPC_BEGIN,
     COMMIT_RPC_END, RPC_RECV, WAL_FLUSH,
 )
@@ -62,7 +61,7 @@ def _run_workload(tracing):
 
     run_closed_loop(
         world, factory, clients_per_site=3, warmup=0.05, measure=0.4,
-        name="deep", seed=5,
+        name="traced", seed=5,
     )
     world.settle(1.0)
     return world
@@ -70,15 +69,15 @@ def _run_workload(tracing):
 
 class TestDeepSpans:
     def test_milestones_and_both_commit_classes(self):
-        world = _run_workload("deep")
+        world = _run_workload(True)
         names = {e.name for e in world.obs.tracer.events()}
-        for name in DEEP_NAMES:
+        for name in MILESTONES:
             assert name in names, name
         kinds = {t.commit_kind for t in world.obs.tracer.traces()}
         assert {"fast", "slow"} <= kinds
 
     def test_parent_edges_resolve_within_trace(self):
-        world = _run_workload("deep")
+        world = _run_workload(True)
         linked = 0
         for trace in world.obs.tracer.traces():
             seqs = {e.seq for e in trace.events}
@@ -92,7 +91,7 @@ class TestDeepSpans:
         assert linked > 50  # rpc.recv + wal.flush + client replies
 
     def test_reply_parent_is_rpc_end(self):
-        world = _run_workload("deep")
+        world = _run_workload(True)
         checked = 0
         for trace in world.obs.tracer.traces():
             reply = trace.first(CLIENT_COMMIT_REPLY)
@@ -104,7 +103,7 @@ class TestDeepSpans:
         assert checked > 20
 
     def test_budgets_telescope_exactly(self):
-        world = _run_workload("deep")
+        world = _run_workload(True)
         budgets = 0
         for trace in world.obs.tracer.traces():
             budget = compute_budget(trace)
@@ -122,14 +121,18 @@ class TestDeepSpans:
         assert "2pc_votes" not in table.classes["fast"]["segments"]
         assert "2pc_votes" in table.classes["slow"]["segments"]
 
-    def test_default_mode_emits_no_deep_spans(self):
+    def test_traced_run_records_milestones_with_parents_and_a_budget(self):
+        """``tracing=True`` is the one level: it records the lock, WAL
+        and RPC-receive milestones with their causal parents, and the
+        run artifact carries the latency budget they feed."""
         world = _run_workload(True)
-        stream = trace_events_jsonl(world.obs.tracer)
-        assert stream
-        for line in stream.splitlines():
-            obj = json.loads(line)
-            assert obj["event"] not in DEEP_NAMES
-            assert "parent" not in obj
+        for name in (COMMIT_LOCK_ACQUIRED, WAL_FLUSH, RPC_RECV):
+            events = [e for e in world.obs.tracer.events() if e.name == name]
+            assert events, name
+            if name != COMMIT_LOCK_ACQUIRED:
+                assert all(e.parent is not None for e in events), name
+        budgets = collect_run(world, "run")["budgets"]
+        assert budgets["fast"]["count"] > 0
 
     def test_profiler_in_metrics_snapshot(self):
         world = _run_workload(True)

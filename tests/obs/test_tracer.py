@@ -3,12 +3,15 @@
 import io
 import json
 
+import pytest
+
 from repro.obs import (
     DS_DURABLE,
     EXECUTE,
     FAST_COMMIT,
     GLOBALLY_VISIBLE,
     REMOTE_APPLY,
+    Observability,
     Tracer,
     dump_jsonl,
     format_timeline,
@@ -62,6 +65,20 @@ class TestTracer:
         seqs = [e.seq for e in tracer.events()]
         assert seqs == sorted(seqs)
         assert [e.tid for e in tracer.events()] == ["a", "b", "a"]
+
+
+    def test_one_level(self):
+        """Tracing has one level: ``True`` and the older ``"deep"`` /
+        ``deep=True`` spellings all build the same tracer; asking for
+        less, or for another level, raises."""
+        assert Observability(tracing=True).tracer is not None
+        assert Observability(tracing="deep").tracer is not None
+        assert Observability(tracing=False).tracer is None
+        assert Tracer(capacity=4, deep=True).capacity == 4
+        with pytest.raises(ValueError):
+            Tracer(deep=False)
+        with pytest.raises(ValueError):
+            Observability(tracing="plain")
 
 
 class TestExporters:

@@ -7,6 +7,8 @@ from repro.core import ObjectKind
 from repro.deployment import Deployment
 from repro.storage import FLUSH_MEMORY
 
+from .test_chunk_equivalence import wal_records
+
 
 def make_world(n_sites=2, **kwargs):
     kwargs.setdefault("flush_latency", FLUSH_MEMORY)
@@ -340,6 +342,30 @@ def test_partial_replication_write_at_nonreplica_site():
         return value
 
     assert world.run_process(reader()) == b"from-site2"
+
+
+def test_replica_sets_alone_decide_trimming():
+    """A hand-placed container at sites {0, 1}, with no replication
+    factor: site 2 receives the record's metadata, but neither its
+    history nor its log ever holds the update."""
+    world = Deployment(n_sites=3, flush_latency=FLUSH_MEMORY, jitter_frac=0.0)
+    world.create_container("p", preferred_site=0, replica_sites={0, 1})
+    client0 = world.new_client(0)
+    oid = client0.new_id("p")
+
+    def writer():
+        tx = client0.start_tx()
+        yield from client0.write(tx, oid, b"v")
+        return (yield from client0.commit(tx))
+
+    assert world.run_process(writer()) == "COMMITTED"
+    world.settle(3.0)
+    assert oid in world.server(1).histories
+    site2 = world.server(2)
+    assert site2.got_vts[0] == 1
+    assert oid not in site2.histories
+    applied = [record for kind, record in wal_records(site2.storage.log) if kind == "remote_apply"]
+    assert [len(record.updates) for record in applied] == [0]
 
 
 def test_four_site_deployment_full_mesh_propagation():
