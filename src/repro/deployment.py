@@ -56,8 +56,6 @@ class Deployment:
         seed: int = 0,
         costs: Optional[ServerCosts] = None,
         flush_latency: float = FLUSH_EC2,
-        f: int = 1,
-        ds_mode: str = "all_sites",
         trace: bool = False,
         jitter_frac: float = 0.05,
         anti_starvation: bool = False,
@@ -83,6 +81,21 @@ class Deployment:
                 "wire was removed, and the batch sizes are constants "
                 "(PropagationMixin.MAX_BATCH, SiteStorage.WAL_WINDOW)"
             )
+        # Checked before the parallel handle stores the arguments, so it
+        # rejects what the serial constructor rejects.  The metrics
+        # registry is always on; ``tracing=True`` records spans,
+        # commit-path milestones and causal parent edges.
+        obs = Observability(tracing=tracing, trace_capacity=trace_capacity)
+        base_topology = topology or Topology.ec2(n_sites)
+        # The parallel executor shards the topology eagerly, so its
+        # cluster partitions align with logical sites: a worker gets it
+        # already expanded.
+        expanded = shards > 1 and getattr(base_topology, "shards", 1) == shards
+        n_base_sites = len(base_topology) // shards if expanded else len(base_topology)
+        if replication is not None and not 1 <= replication <= n_base_sites:
+            raise ValueError(
+                "replication must be in [1, %d], got %r" % (n_base_sites, replication)
+            )
         if executor == "parallel":
             # Driver-handle mode (DESIGN.md §12): no world is built here.
             # Each parallel worker constructs its own cluster-restricted
@@ -97,8 +110,6 @@ class Deployment:
                 seed=seed,
                 costs=costs,
                 flush_latency=flush_latency,
-                f=f,
-                ds_mode=ds_mode,
                 trace=trace,
                 jitter_frac=jitter_frac,
                 anti_starvation=anti_starvation,
@@ -120,7 +131,6 @@ class Deployment:
         )
         self.kernel = Kernel()
         self.streams = RandomStreams(seed)
-        base_topology = topology or Topology.ec2(n_sites)
         #: Intra-site keyspace sharding (DESIGN.md §13): every base site
         #: runs ``shards`` co-located shard servers, each a full logical
         #: site (own seqno stream, WAL, cache, propagation).  ``shards=1``
@@ -128,31 +138,18 @@ class Deployment:
         #: names -- so single-shard runs are bit-identical to the
         #: pre-sharding kernel.
         self.shards = shards
-        if shards > 1 and getattr(base_topology, "shards", 1) == shards:
-            # Already expanded: the parallel executor shards the topology
-            # eagerly so its cluster partitions align with logical sites.
-            self.topology = base_topology
-            self.n_base_sites = len(base_topology) // shards
-        elif shards > 1:
-            self.n_base_sites = len(base_topology)
-            self.topology = Topology.sharded(base_topology, shards)
-        else:
-            self.n_base_sites = len(base_topology)
-            self.topology = base_topology
+        self.n_base_sites = n_base_sites
+        self.topology = (
+            Topology.sharded(base_topology, shards)
+            if shards > 1 and not expanded
+            else base_topology
+        )
         self.n_sites = len(self.topology)
-        if replication is not None and not 1 <= replication <= self.n_base_sites:
-            raise ValueError(
-                "replication must be in [1, %d], got %r"
-                % (self.n_base_sites, replication)
-            )
         #: Per-shard replication factor: how many base sites store each
         #: container's shard group (None = every site, the classic
         #: full-replication configuration).
         self.replication = replication
-        #: Shared observability: the metrics registry is always on;
-        #: ``tracing=True`` records per-transaction spans, commit-path
-        #: milestones and causal parent edges (critical-path input).
-        self.obs = Observability(tracing=tracing, trace_capacity=trace_capacity)
+        self.obs = obs
         self.network = Network(
             self.kernel,
             self.topology,
@@ -167,8 +164,6 @@ class Deployment:
         self.config = LocalConfig(self.n_sites)
         self.trace = ExecutionTrace(n_sites=self.n_sites) if trace else None
         self.costs = costs or ServerCosts()
-        self.f = f
-        self.ds_mode = ds_mode
         self.anti_starvation = anti_starvation
         self._deploy_id = next(_deploy_seq)
         #: Versions legitimately sacrificed by aggressive site removal
@@ -242,8 +237,6 @@ class Deployment:
             storage=self.storages[site],
             peers=self.addresses,
             costs=self.costs,
-            f=self.f,
-            ds_mode=self.ds_mode,
             trace=self.trace,
             anti_starvation=self.anti_starvation,
             takeover=takeover,

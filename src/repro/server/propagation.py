@@ -7,9 +7,9 @@ After a transaction commits locally it is propagated in the background:
 2. a receiver applies the updates once it has (a) every transaction that
    causally precedes x per ``x.startVTS`` and (b) all of x's site's
    transactions with smaller seqnos (the GotVTS guard), then ACKs;
-3. when enough sites ACKed -- the experiments' definition is *all* sites
-   (§8.1), the spec's is f+1 sites per object including its preferred
-   site -- the transaction is **disaster-safe durable** and the origin
+3. once every other active site ACKed it -- the experiments' definition
+   (§8.1; the spec's f+1 sites per object is a deviation, DESIGN.md §2)
+   -- the transaction is **disaster-safe durable** and the origin
    broadcasts DS-DURABLE;
 4. a receiver *commits* x (advances CommittedVTS, releases x's locks)
    once x is DS-durable and the same causality guards hold against
@@ -53,23 +53,20 @@ class PropagationTracker:
 
     Which sites acknowledged it is not stored here: site ``s`` ACKed
     (resp. replied VISIBLE for) record ``q`` iff the origin's
-    ``_acked_through[s]`` (``_visible_through[s]``) is at least ``q``.
+    ``_acked_through[s]`` (``_visible_through[s]``) is at least ``q``,
+    and record ``q`` is DS-durable iff ``_ds_prefix`` is.
     An origin keeps one tracker per commit until it is globally visible,
     thousands at once on a fan-out, so the tracker is slotted (by hand:
     ``dataclass(slots=True)`` needs Python 3.10)."""
 
-    __slots__ = ("record", "client", "ds_durable", "committed_at", "ds_at", "awaited")
+    __slots__ = ("record", "client", "committed_at", "ds_at")
 
     def __init__(self, record: CommitRecord, client: Optional[str] = None,
                  committed_at: float = 0.0):
         self.record = record
         self.client = client
-        self.ds_durable = False
         self.committed_at = committed_at
         self.ds_at: Optional[float] = None
-        #: Sender generation of the batch in flight that waits for this
-        #: tracker's DS durability (see ``_send_next``), or None.
-        self.awaited: Optional[int] = None
 
 
 class PropagationBatch:
@@ -179,9 +176,9 @@ class PropagationMixin:
         self._outbox.append(record)
         if self._sender == IDLE:
             self._arm_sender(WOKEN, 0.0)
-        # Alone in the active set (or with f=0) it may be DS-durable now.
-        if self.ds_mode != "all_sites" or self.config.active_mask() == 1 << self.site_id:
-            self._settle(record.seqno - 1, record.seqno)
+        # Alone in the active set it is DS-durable now.
+        if self.config.active_mask() == 1 << self.site_id:
+            self._settle()
 
     def _arm_sender(self, state: int, delay: float) -> None:
         """Enter ``state`` with its one timer.  Every arm bumps the
@@ -208,20 +205,14 @@ class PropagationMixin:
         while self._outbox:
             records, self._outbox = self._outbox, []
             self._send_batch(records)
-            gen = self._sender_gen + 1  # what _arm_sender will give it
-            self._ds_awaited = 0
-            for record in records:
-                tracker = self._trackers.get(record.seqno)
-                if tracker is not None and not tracker.ds_durable and tracker.awaited != gen:
-                    tracker.awaited = gen
-                    self._ds_awaited += 1
-            if self._ds_awaited:
-                # Wait for the batch to become DS-durable (_mark_ds
-                # counts it down), but no longer than ~one max round
+            if records[-1].seqno > self._ds_prefix:
+                # Wait for the DS prefix to cover the batch (_mark_ds
+                # wakes the sender), but no longer than ~one max round
                 # trip: under load a receiver may still be applying the
                 # previous batch, and stalling dispatch would make the
                 # batch period grow without bound instead of staying
                 # ~RTTmax.
+                self._ds_awaited = records[-1].seqno
                 self._arm_sender(IN_FLIGHT, self._batch_period())
                 return
             self._resend_unacked()
@@ -250,7 +241,7 @@ class PropagationMixin:
         resend: List[CommitRecord] = []
         while undurable:
             stamped_at, tracker = undurable[0]
-            if tracker.ds_durable or tracker.committed_at != stamped_at:
+            if tracker.record.seqno <= self._ds_prefix or tracker.committed_at != stamped_at:
                 # Became durable, or was resent since this entry was
                 # appended (its live entry sits further back).
                 undurable.popleft()
@@ -261,10 +252,10 @@ class PropagationMixin:
             resend.append(tracker.record)
             tracker.committed_at = now  # back off further resends
             undurable.append((now, tracker))
+        upto = self._ds_prefix
         head = self._trackers.get(self._visible_prefix + 1)
-        if head is not None and head.ds_durable and now - head.ds_at > stale:
+        if head is not None and head.record.seqno <= upto and now - head.ds_at > stale:
             head.ds_at = now  # back off further re-announcements
-            upto = self._ds_prefix
             for site in self._others():
                 if self._visible_through[site] < upto:
                     self._cast_ds_durable(site)
@@ -384,10 +375,9 @@ class PropagationMixin:
     def on_propagate_ack(self, src: str, site: int, seqno: int, tid: str):
         """ACK frontier: ``site`` applied, durably, every record of this
         origin through ``seqno``.  Re-evaluate what it advanced over."""
-        acked = self._acked_through[site]
-        if seqno > acked and self._holds(self.site_id, seqno, tid):
+        if seqno > self._acked_through[site] and self._holds(self.site_id, seqno, tid):
             self._acked_through[site] = seqno
-            self._settle(acked, seqno)
+            self._settle()
 
     def on_visible_ack(self, src: str, site: int, seqno: int, tid: str):
         """VISIBLE frontier: ``site`` committed every record of this
@@ -405,35 +395,21 @@ class PropagationMixin:
             return tracker.record.committed_at
         return tracker.committed_at
 
-    def _settle(self, lo: int, hi: int) -> None:
-        """Mark DS-durable the trackers with seqno in ``(lo, hi]`` that
-        now are -- an ACK frontier advanced over them -- then announce
-        the DS prefix to every other active site if it grew, and retire
-        what became globally visible.
-
-        The prefix, not each DS-durable record, is what receivers learn:
-        under ``f_plus_1`` a record can be DS-durable before its
-        predecessor, and is then announced with it."""
+    def _settle(self) -> None:
+        """Advance the DS prefix over the records every other active site
+        ACKed -- §8.1: "we consider a transaction to be disaster-safe
+        durable when it is committed at all sites in the experiment" --
+        marking each once, in seqno order; then announce the prefix to
+        every other active site if it grew, and retire what became
+        globally visible.  The floor is recomputed here, so a site's
+        deactivation (``recheck_durability``) lifts it as an ACK does."""
         trackers = self._trackers
-        if self.ds_mode == "all_sites":
-            # §8.1: "we consider a transaction to be disaster-safe durable
-            # when it is committed at all sites in the experiment" -- the
-            # records every other active site ACKed, a prefix.
-            durable = None
-            lo, hi = max(lo, self._ds_prefix), min(hi, self._floor(self._acked_through))
-        else:
-            durable = self._f_plus_1_durable
-            lo = max(lo, self._visible_prefix)
-        for seqno in range(lo + 1, hi + 1):
-            tracker = trackers.get(seqno)
-            if tracker is not None and not tracker.ds_durable and (
-                durable is None or durable(tracker.record)
-            ):
-                self._mark_ds(tracker)
+        floor = self._floor(self._acked_through)
         seqno = self._ds_prefix
         tracker = trackers.get(seqno + 1)
-        while tracker is not None and tracker.ds_durable:
+        while tracker is not None and seqno < floor:
             seqno += 1
+            self._mark_ds(tracker)
             tracker = trackers.get(seqno + 1)
         if seqno > self._ds_prefix:
             self._ds_prefix = seqno
@@ -441,36 +417,20 @@ class PropagationMixin:
                 self._cast_ds_durable(site)
         self._retire()
 
-    def _f_plus_1_durable(self, record: CommitRecord) -> bool:
-        """Spec mode (§4.4/Fig 13): f+1 sites replicating each object
-        ACKed, including the object's preferred site."""
-        seqno = record.seqno
-        acked = [s for s, q in enumerate(self._acked_through) if s == self.site_id or q >= seqno]
-        for oid in touched_oids(record.updates):
-            container = self.config.container(oid.container)
-            if container.preferred_site not in acked:
-                return False
-            if sum(1 for s in acked if container.replicated_at(s)) < self.f + 1:
-                return False
-        return True
-
     def _mark_ds(self, tracker: PropagationTracker) -> None:
-        """One record became DS-durable: its lag, span, WAL entry and
-        client notification are per record."""
+        """One record became DS-durable: its lag, span and client
+        notification are per record, and the last record of the batch
+        in flight wakes the sender."""
         now = self.kernel.now
         record = tracker.record
-        tracker.ds_durable = True
         tracker.ds_at = now
-        if tracker.awaited == self._sender_gen:
-            self._ds_awaited -= 1
-            if not self._ds_awaited:
-                self.kernel.call_soon(self._sender_fired, self._sender_gen)
+        if record.seqno == self._ds_awaited and self._sender == IN_FLIGHT:
+            self.kernel.call_soon(self._sender_fired, self._sender_gen)
         self._ds_lag.observe(now - self._commit_time(tracker))
         if self._tracer is not None:
             acked = sum(1 for s, q in enumerate(self._acked_through)
                         if s == self.site_id or q >= record.seqno)
             self._span(record.tid, span.DS_DURABLE, acked=acked)
-        self.storage.log.append(("ds_durable", record.tid))
         if tracker.client is not None:
             self.cast(tracker.client, "tx_ds_durable", tid=record.tid)
 
@@ -478,13 +438,13 @@ class PropagationMixin:
         """Retire, in seqno order, the DS-durable trackers every other
         active site committed: they are globally visible.  The commit
         record stays in ``_records_by_version``."""
-        trackers = self._trackers
         seqno = self._visible_prefix + 1
-        tracker = trackers.get(seqno)
-        if tracker is None or not tracker.ds_durable:
+        if seqno > self._ds_prefix:
             return
-        floor = self._floor(self._visible_through)
-        while tracker is not None and tracker.ds_durable and seqno <= floor:
+        trackers = self._trackers
+        tracker = trackers.get(seqno)
+        upto = min(self._ds_prefix, self._floor(self._visible_through))
+        while tracker is not None and seqno <= upto:
             del trackers[seqno]
             self._visible_prefix = seqno
             tid = tracker.record.tid
@@ -500,7 +460,7 @@ class PropagationMixin:
         """Re-evaluate DS/visibility conditions, e.g. after the active-site
         set shrank during reconfiguration (§5.7)."""
         if self._trackers:
-            self._settle(self._visible_prefix, max(self._trackers))
+            self._settle()
 
     def rpc_recheck_durability(self):
         self.recheck_durability()

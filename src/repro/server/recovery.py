@@ -147,8 +147,7 @@ class RecoveryMixin:
     def _replay_log_record(self, payload: tuple) -> None:
         """Re-perform one WAL entry, a ``(kind, body)`` pair: the record
         of a ``local_commit``, the chunk of a ``remote_apply``, the
-        version list of a ``remote_commit``, the tid of a ``ds_durable``
-        (nothing to redo: a resumed record gathers its ACKs again) or
+        version list of a ``remote_commit``, the tid of a
         ``globally_visible`` (logged in seqno order), the history dump
         of a ``container_backfill`` and ``(failed_site, survive_upto,
         epoch)`` of a ``recovery_finalize``.  What was logged is durable, so the

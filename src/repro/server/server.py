@@ -50,7 +50,6 @@ class ServerStats(CounterView):
         "retransmissions",
         "sealed_holes",
         "gc_removed",
-        "gc_records_removed",
     )
 
     __slots__ = ()
@@ -79,11 +78,6 @@ class WalterServer(
         by the deployment so replacement servers can recover from it.
     peers:
         site id -> server address, for every site (including this one).
-    f:
-        Disaster-safe fault-tolerance parameter (§4.4); default 1.
-    ds_mode:
-        ``"all_sites"`` (the experiments' definition, §8.1) or
-        ``"f_plus_1"`` (the Fig 13 condition).
     """
 
     #: Commit-path lease deadlines (DESIGN.md §9), shared by every server.
@@ -102,16 +96,12 @@ class WalterServer(
         storage: SiteStorage,
         peers: Dict[int, str],
         costs: Optional[ServerCosts] = None,
-        f: int = 1,
-        ds_mode: str = "all_sites",
         trace: Optional[ExecutionTrace] = None,
         anti_starvation: bool = False,
         takeover: bool = False,
         obs: Optional[Observability] = None,
     ):
         super().__init__(kernel, network, site_id, name, takeover=takeover)
-        if ds_mode not in ("all_sites", "f_plus_1"):
-            raise ValueError("unknown ds_mode %r" % (ds_mode,))
         self.site_id = site_id
         #: Server->server RPC deadline; the topology never changes.
         self._rpc_timeout = 4.0 * network.topology.max_rtt_from(site_id) + 1.0
@@ -119,8 +109,6 @@ class WalterServer(
         self.storage = storage
         self.peers = dict(peers)
         self.costs = costs or ServerCosts()
-        self.f = f
-        self.ds_mode = ds_mode
         self.trace = trace
         self.anti_starvation = anti_starvation
 
@@ -148,7 +136,8 @@ class WalterServer(
         self._sender_gen = 0
         #: Generation of the ``_every`` chains; ``stop()`` ends them.
         self._every_gen = 0
-        #: Trackers of the batch in flight still short of DS durability.
+        #: Last seqno of the batch in flight: the sender waits for the DS
+        #: prefix to reach it.
         self._ds_awaited = 0
         self._pending_remote = PendingIndex()
         #: Entries examined by _drain_pending; perf regression tests
@@ -296,8 +285,8 @@ class WalterServer(
     def gc_watermark(self) -> VectorTimestamp:
         """The site-wide GC watermark: the meet of ``CommittedVTS`` with
         every active transaction's ``startVTS``.  No local snapshot the
-        site will still serve can be below it, so history entries and
-        commit records covered by it are collectible.
+        site will still serve can be below it, so history entries covered
+        by it are collectible.
 
         The own-site entry is additionally held below any own commit
         still mid-propagation: until globally visible it could be
@@ -313,9 +302,11 @@ class WalterServer(
     def gc_histories(self) -> int:
         """Garbage-collect below the watermark: drop superseded
         regular-object versions, fold locally-replicated cset histories
-        into their cached base, prune settled commit records, and refresh
-        the watermark gauge.  Returns the history-entry count collected
-        (record pruning is tracked separately in ``gc_records_removed``).
+        into their cached base, and refresh the watermark gauge.  Returns
+        the history-entry count collected.  Commit records are kept:
+        ``catch_up``, ``recovery_fetch`` and retransmission serve other
+        sites from them, and this site's watermark is local (DESIGN.md
+        §8).
 
         Skipped while the site is inactive (mid-removal/re-integration,
         §5.7): recovery may still truncate an abandoned suffix, and a
@@ -327,27 +318,8 @@ class WalterServer(
             watermark,
             fold_cset=lambda oid: self.config.replicated_at(oid, self.site_id),
         )
-        self.stats.gc_records_removed += self._gc_records(watermark)
         self._refresh_gc_gauges(watermark)
         return removed
-
-    def _gc_records(self, watermark: VectorTimestamp) -> int:
-        """Prune commit records no snapshot or propagation duty can still
-        need: covered by the watermark, not mid-propagation, and (for
-        own-site records) already globally visible, so a restart will
-        never have to resume them.  Histories no longer rebuild from
-        records at restore (they checkpoint their own state), so this
-        bounds ``_records_by_version``; the cost is that this site can no
-        longer serve ``recovery_fetch`` below its pruned frontier."""
-        drop = [
-            record
-            for record in self._records_by_version.records()
-            if record.seqno <= watermark[record.site]
-            and (record.site != self.site_id or record.seqno <= self._visible_prefix)
-        ]
-        for record in drop:
-            del self._records_by_version[record.version]
-        return len(drop)
 
     def _refresh_gc_gauges(self, watermark: Optional[VectorTimestamp] = None) -> None:
         if watermark is None:

@@ -74,34 +74,20 @@ def test_two_deployments_coexist():
     assert w1.addresses[0] != w2.addresses[0]
 
 
-def test_invalid_ds_mode_rejected():
-    with pytest.raises(ValueError):
-        Deployment(n_sites=1, ds_mode="quorum")
-
-
-def test_f_plus_1_ds_mode_durable_without_all_sites():
-    # With f=1 and ds_mode="f_plus_1", a transaction is DS-durable after
-    # reaching 2 of 3 sites -- before the farthest site acks.
-    world = Deployment(
-        n_sites=3, f=1, ds_mode="f_plus_1", flush_latency=FLUSH_MEMORY,
-        jitter_frac=0.0,
-    )
-    world.create_container("c", preferred_site=0)
-    client = world.new_client(0)
-    oid = client.new_id("c")
-
-    def scenario():
-        tx = client.start_tx()
-        yield from client.write(tx, oid, b"v")
-        yield from client.commit(tx)
-        committed = world.kernel.now
-        ds_at = yield tx.ds_event
-        return ds_at - committed
-
-    latency = world.run_process(scenario(), within=120.0)
-    # CA (82 ms RTT) acks long before IE (87 ms) in the 3-site world --
-    # DS is reached at ~the CA round trip, under the IE one.
-    assert latency < 0.087 + 0.020
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(tracing="bogus"), dict(tracing=True, trace_capacity=0), dict(replication=3)],
+    ids=["tracing", "trace_capacity", "replication"],
+)
+def test_parallel_handle_rejects_what_the_serial_constructor_rejects(kwargs):
+    # The parallel handle builds no world, but a bad argument must fail
+    # at construction, with the serial constructor's error, not later
+    # inside a worker.
+    with pytest.raises(ValueError) as serial:
+        Deployment(n_sites=2, **kwargs)
+    with pytest.raises(ValueError) as parallel:
+        Deployment(n_sites=2, executor="parallel", **kwargs)
+    assert str(parallel.value) == str(serial.value)
 
 
 def test_settle_advances_time():
@@ -109,29 +95,3 @@ def test_settle_advances_time():
     before = world.kernel.now
     world.settle(1.5)
     assert world.kernel.now == pytest.approx(before + 1.5)
-
-
-def test_f_plus_1_with_partial_replication_waits_for_replicas():
-    # Container replicated only at sites 0 and 2 (f=1): DS durability
-    # requires the ack from site 2 (the only other replica), so it takes
-    # about the VA-IE round trip even though CA acks much sooner.
-    world = Deployment(
-        n_sites=3, f=1, ds_mode="f_plus_1", flush_latency=FLUSH_MEMORY,
-        jitter_frac=0.0,
-    )
-    world.create_container("p", preferred_site=0, replica_sites={0, 2})
-    client = world.new_client(0)
-    oid = client.new_id("p")
-
-    def scenario():
-        tx = client.start_tx()
-        yield from client.write(tx, oid, b"v")
-        yield from client.commit(tx)
-        committed = world.kernel.now
-        yield tx.ds_event
-        return world.kernel.now - committed
-
-    latency = world.run_process(scenario(), within=120.0)
-    # Must wait for IE (87 ms RTT), not just CA (82 ms): the CA ack alone
-    # never satisfies the per-object replica condition.
-    assert latency >= 0.087 * 0.95

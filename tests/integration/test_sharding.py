@@ -252,16 +252,18 @@ class TestPartialReplication:
 
     def test_behind_nearest_replica_falls_back_to_preferred_site(self, monkeypatch):
         """Reader site 0 is 20 ms from replica 2 and 100 ms from the
-        preferred site 1.  With the 1-2 link cut, replica 2 misses a
-        commit that is DS-durable at replicas 1 and 3 and in site 0's
-        snapshot: replica 2 answers None (once per object) and every read
-        is served by the preferred site."""
+        preferred site 1.  The 1-2 link is cut once replica 2 ACKed the
+        second commit, before site 0's ACK makes it DS-durable: only the
+        DS-DURABLE announcement misses replica 2, which holds the commit
+        without committing it while it is in site 0's snapshot.  Replica
+        2 answers None (once per object) and every read is served by the
+        preferred site."""
         names = ["A", "B", "C", "D"]
         rtt = {(a, b): 60.0 for a in names for b in names if a < b}
         rtt.update({(a, a): 0.5 for a in names})
         rtt.update({("A", "B"): 100.0, ("A", "C"): 20.0, ("A", "D"): 150.0})
         world = Deployment(
-            topology=Topology(names, rtt), replication=3, f=1, ds_mode="f_plus_1",
+            topology=Topology(names, rtt), replication=3,
             flush_latency=FLUSH_MEMORY, jitter_frac=0.0, trace=True,
         )
         world.create_container("r", preferred_site=1, replica_sites=[1, 2, 3])
@@ -279,12 +281,21 @@ class TestPartialReplication:
                 return (yield from writer.commit(tx))
 
             assert world.run_process(op()) == "COMMITTED"
-            world.settle(2.0)
 
         commit(b"1")
-        world.network.partition(1, 2)
+        world.settle(2.0)
         commit(b"2")
-        replica = world.servers[2]
+        origin, replica = world.servers[1], world.servers[2]
+        seqno = origin.curr_seqno
+        world.kernel.run(
+            until=world.kernel.now + 1.0,
+            stop_when=lambda: origin._acked_through[2] >= seqno,
+        )
+        assert origin._acked_through[2] == seqno > origin._ds_prefix
+        world.network.partition(1, 2)
+        world.settle(2.0)
+        assert origin._ds_prefix == seqno
+        assert replica.got_vts[1] == seqno > replica.committed_vts[1]
         assert replica.committed_vts[1] < world.servers[0].committed_vts[1]
 
         answers = []

@@ -32,13 +32,12 @@ def test_frontiers_through_site_removal_and_reintegration():
     world.network.partition(0, 2)
     tx = commit_write(world, client, client.new_id("c0"), b"v")
     world.settle(0.5)
-    tracker = origin._trackers[1]
-    assert origin._acked_through == [0, 1, 0] and not tracker.ds_durable  # site 2 cut off
+    assert origin._acked_through == [0, 1, 0] and origin._ds_prefix == 0  # site 2 cut off
 
     # Removal: without site 2 the ACKs in are all the active set asks.
     world.config.deactivate_site(2)
     origin.recheck_durability()
-    assert tracker.ds_durable and origin._ds_prefix == 1
+    assert origin._ds_prefix == 1 and origin._trackers[1].ds_at is not None
 
     # Re-integration before the VISIBLE frontiers are in: the active set
     # grows back, so the tracker waits for site 2, which the resend
@@ -71,7 +70,6 @@ def test_wal_replay_covers_every_entry_kind():
         ("local_commit", record("a", 0, 1, mine, b"a")),
         ("remote_apply", remote),
         ("remote_commit", [r.version for r in remote]),
-        ("ds_durable", "a"),
         ("globally_visible", "a"),
         ("local_commit", record("b", 0, 2, mine, b"b")),
         ("container_backfill", donor.export_container("c2")),
@@ -79,7 +77,7 @@ def test_wal_replay_covers_every_entry_kind():
     ]:
         log.append(entry)
 
-    assert server.restore_from_storage() == 8
+    assert server.restore_from_storage() == 7
     assert server.curr_seqno == 2
     assert list(server.got_vts) == list(server.committed_vts) == [2, 2]
     assert sorted(server._records_by_version) == [
@@ -110,7 +108,8 @@ def test_bookkeeping_objects_carry_no_dict():
     world.settle(2.0)
     entries = world.storages[0].log.entries + world.storages[1].log.entries
     kinds = {entry.payload[0] for entry in entries}
-    assert kinds == {"local_commit", "remote_apply", "remote_commit", "ds_durable", "globally_visible"}
+    assert kinds == {"local_commit", "remote_apply", "remote_commit", "globally_visible"}
+    assert type(tracker).__slots__ == ("record", "client", "committed_at", "ds_at")
     for entry in entries:
         assert not hasattr(entry, "__dict__")
         assert type(entry.payload) is tuple and len(entry.payload) == 2

@@ -5,9 +5,8 @@ An ACK frontier moves only once the apply it covers is durable; a
 frontier naming a record other than the one held at its seqno is
 ignored, and recovery clamps the failed site's frontiers, because
 re-integration reuses abandoned seqnos for no-op records; retransmission
-goes only to the sites whose frontier lags; under ``f_plus_1`` the DS
-announcement is the DS-durable prefix while clients still hear of each
-record; a checkpoint carries the frontiers; and a recovery delivery
+goes only to the sites whose frontier lags; a checkpoint carries the
+frontiers; and a recovery delivery
 fetched before a site applied a finalize brings back nothing that
 finalize abandoned."""
 
@@ -112,14 +111,13 @@ def test_stale_frontiers_do_not_cover_reused_seqnos():
             server.on_propagate_ack("stale", site, 3, stale_tid)
             server.on_visible_ack("stale", site, 3, stale_tid)
         seen.append((
-            list(server._acked_through), list(server._visible_through),
-            [t.ds_durable for t in sealed], server._ds_prefix,
+            list(server._acked_through), list(server._visible_through), server._ds_prefix,
         ))
         return result
 
     with mock.patch.object(WalterServer, "rpc_recovery_finalize", finalize):
         world.reintegrate_site(2)
-    assert seen == [([1, 1, 0], [0, 0, 0], [False, False], 1)]
+    assert seen == [([1, 1, 0], [0, 0, 0], 1)]  # neither no-op DS-durable
     # The no-ops then propagate on their own frontiers.
     world.settle(3.0)
     returning = world.server(2)
@@ -168,37 +166,6 @@ def test_retransmission_goes_only_to_the_cut_off_site():
     world.settle(3.0)
     assert sends and {dst for _at, dst, _method, _args in sends} == {world.addresses[2]}
     assert not origin._trackers and world.server(2).committed_vts[0] == 1
-
-
-def test_f_plus_1_announces_the_ds_prefix_and_notifies_each_client():
-    """Record 1 writes a container replicated at sites 0 and 2, record 2
-    one replicated everywhere.  With site 2 cut off, site 1's ACK makes
-    record 2 DS-durable (f+1 = 2 sites, its preferred site among them)
-    but not record 1.  Record 2's client hears at once; receivers hear
-    of record 2 only when record 1 joins it, in one frontier."""
-    world = Deployment(
-        n_sites=3, f=1, ds_mode="f_plus_1", flush_latency=FLUSH_MEMORY, jitter_frac=0.0
-    )
-    world.create_container("pair", preferred_site=0, replica_sites={0, 2})
-    world.create_container("all", preferred_site=0)
-    origin = world.server(0)
-    client = world.new_client(0)
-    world.network.partition(0, 2)
-    announced = record_casts(origin, ("ds_durable",))
-    first = commit_write(world, client, client.new_id("pair"), b"1")
-    second = commit_write(world, client, client.new_id("all"), b"2")
-    world.settle(0.5)
-    assert second.ds_at is not None and first.ds_at is None
-    assert origin._ds_prefix == 0 and not announced
-    assert world.server(1).committed_vts[0] == 0
-
-    world.network.heal(0, 2)
-    world.settle(5.0)
-    assert first.ds_at > second.ds_at
-    seqnos = {args["seqno"] for _at, _dst, _method, args in announced}
-    assert seqnos == {2}
-    assert [world.server(s).committed_vts[0] for s in (1, 2)] == [2, 2]
-    assert not origin._trackers
 
 
 def test_checkpoint_round_trip_carries_the_frontiers():

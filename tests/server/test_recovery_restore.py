@@ -208,8 +208,8 @@ class TestRestoreFromStorage:
 
     def test_checkpoint_carries_gc_state(self):
         # After GC, commit records alone no longer cover object state:
-        # regular versions are pruned, cset entries live only in the
-        # folded base, and the record map itself is pruned.  The
+        # regular versions are pruned and cset entries live only in the
+        # folded base (the records themselves are kept).  The
         # checkpoint must carry the histories (base + watermark + suffix)
         # so a replacement reads exactly what the old server served.
         world = make_world(1)
@@ -229,7 +229,7 @@ class TestRestoreFromStorage:
         world.settle(1.0)
         server = world.server(0)
         assert server.gc_histories() == 5          # 2 pruned + 3 folded
-        assert server.stats.gc_records_removed == 3
+        assert len(server._records_by_version) == 3
         assert server.histories.get(cset).base_counts == {
             "e0": 1, "e1": 1, "e2": 1,
         }
