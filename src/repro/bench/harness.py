@@ -30,20 +30,12 @@ def run_closed_loop_raw(
     name: str = "bench",
     seed: int = 1234,
     obs=None,
-    runner=None,
 ) -> BenchResult:
     """Generic closed-loop driver over pre-built clients (used directly by
     the baseline benchmarks; Walter benchmarks use :func:`run_closed_loop`).
 
     ``obs`` (a :class:`repro.obs.Observability`) adds a metric snapshot to
-    the result, taken right after the measurement window closes.
-
-    ``runner`` overrides how simulated time advances: a callable taking
-    the absolute target time.  The parallel executor passes the
-    deployment's barrier loop here; the default drives ``kernel`` alone.
-    ``clients`` may contain ``None`` entries (cluster mode: a client
-    whose site another worker owns) -- they hold their global index, so
-    per-client seeds line up across workers, but drive no load locally."""
+    the result, taken right after the measurement window closes."""
     recorder = LatencyRecorder(name)
     by_label = {}
     state = {"ops": 0, "errors": 0, "measuring": False}
@@ -70,23 +62,20 @@ def run_closed_loop_raw(
         except Interrupt:
             return
 
-    run_until = runner or (lambda t: kernel.run(until=t))
     workers = []
     for i, client in enumerate(clients):
-        if client is None:
-            continue
         rng = random.Random(seed * 97 + i)
         workers.append(kernel.spawn(worker(client, rng), name="worker-%d" % i))
 
-    run_until(kernel.now + warmup)
+    kernel.run(until=kernel.now + warmup)
     state["measuring"] = True
     measure_start = kernel.now
-    run_until(measure_start + measure)
+    kernel.run(until=measure_start + measure)
     state["measuring"] = False
     duration = kernel.now - measure_start
     for proc in workers:
         proc.interrupt("bench done")
-    run_until(kernel.now + 0.001)
+    kernel.run(until=kernel.now + 0.001)
 
     return BenchResult(
         name=name,
@@ -118,7 +107,4 @@ def run_closed_loop(
         world.kernel, clients, op_factory,
         warmup=warmup, measure=measure, name=name, seed=seed,
         obs=getattr(world, "obs", None),
-        # world.run == kernel.run outside cluster mode; in cluster mode it
-        # is the parallel executor's barrier loop.
-        runner=lambda t: world.run(until=t),
     )

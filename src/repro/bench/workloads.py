@@ -173,100 +173,3 @@ def slow_commit_tx_factory(keys: KeySpace, tx_size: int):
         return op
 
     return factory
-
-
-# ----------------------------------------------------------------------
-# Scenario drivers (module-level, importable by parallel workers)
-# ----------------------------------------------------------------------
-def mixed_rw_scenario(
-    world: Deployment,
-    n_keys: int = 120,
-    clients_per_site: int = 3,
-    warmup: float = 0.05,
-    measure: float = 0.3,
-    seed: int = 99,
-    settle: float = 1.0,
-    remote_write_frac: float = 0.4,
-):
-    """The schedule-digest workload as a self-contained scenario driver:
-    read-modify-write transactions with an occasional remote write, then
-    a settle window for propagation.
-
-    This is the dual-executor gate's reference workload.  It is a
-    module-level function so the parallel executor's spawn workers can
-    import it by name, and it drives the world only through
-    cluster-deterministic APIs (``populate``/``run_closed_loop``/
-    ``settle``), so a serial run and any worker partitioning execute the
-    identical schedule.
-    """
-    from .harness import run_closed_loop
-
-    keys = populate(world, n_keys=n_keys)
-    n_sites = world.n_sites
-
-    def factory(client: WalterClient, rng: random.Random):
-        site = client.site.id
-
-        def op():
-            tx = client.start_tx()
-            oid = rng.choice(keys.by_site[site])
-            yield from client.read(tx, oid)
-            if rng.random() < remote_write_frac:
-                remote = keys.by_site[(site + 1) % n_sites]
-                yield from client.write(tx, rng.choice(remote), PAYLOAD)
-            yield from client.write(tx, oid, PAYLOAD)
-            status = yield from client.commit(tx)
-            return status
-
-        return op
-
-    result = run_closed_loop(
-        world, factory, clients_per_site=clients_per_site,
-        warmup=warmup, measure=measure, name="digest", seed=seed,
-    )
-    world.settle(settle)
-    return {"ops": result.ops, "errors": result.errors}
-
-
-def fig17_mixed_scenario(
-    world: Deployment,
-    n_keys: int = 4000,
-    clients_per_site: int = 16,
-    warmup: float = 0.1,
-    measure: float = 0.2,
-    settle: float = 0.5,
-):
-    """The Fig 17 mixed cell (90% size-1 reads, 10% size-5 writes) as a
-    dual-executor gate scenario."""
-    from .harness import run_closed_loop
-
-    keys = populate(world, n_keys=n_keys)
-    factory = mixed_tx_factory(keys, 1, 5)
-    result = run_closed_loop(
-        world, factory, clients_per_site=clients_per_site,
-        warmup=warmup, measure=measure, name="fig17-mixed",
-    )
-    world.settle(settle)
-    return {"ops": result.ops, "errors": result.errors, "now": round(world.kernel.now, 9)}
-
-
-def fig18_write5_scenario(
-    world: Deployment,
-    n_keys: int = 1000,
-    clients_per_site: int = 8,
-    warmup: float = 0.1,
-    measure: float = 0.2,
-    settle: float = 0.5,
-):
-    """The Fig 18 fast-commit latency workload shape (write-only
-    transactions of 5 local objects) as a dual-executor gate scenario."""
-    from .harness import run_closed_loop
-
-    keys = populate(world, n_keys=n_keys)
-    factory = write_tx_factory(keys, 5)
-    result = run_closed_loop(
-        world, factory, clients_per_site=clients_per_site,
-        warmup=warmup, measure=measure, name="fig18-write5",
-    )
-    world.settle(settle)
-    return {"ops": result.ops, "errors": result.errors, "now": round(world.kernel.now, 9)}

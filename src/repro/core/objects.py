@@ -55,8 +55,8 @@ class ObjectId:
     def __reduce__(self):
         # String hashing is per-process (PYTHONHASHSEED), so the cached
         # ``_hash`` must not travel inside pickled state: an id unpickled
-        # in another process (parallel executor workers) would never land
-        # in the same dict bucket as a locally minted equal id.  Rebuild
+        # in another process would never land in the same dict bucket as
+        # a locally minted equal id (tests/net/test_determinism.py).  Rebuild
         # through the constructor so ``__post_init__`` recomputes it.
         return (self.__class__, (self.container, self.local, self.kind))
 

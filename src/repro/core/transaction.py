@@ -179,12 +179,11 @@ class CommitRecord:
         return v
 
     def __reduce__(self):
-        # Commit records are the bulk of cross-cluster traffic in the
-        # parallel executor.  Constructor-args reduce is ~2x cheaper than
-        # the default dict pickle, drops the lazily rebuilt ``_version``
-        # cache from the wire, and inlines the snapshot vector as a bare
-        # int tuple (one fewer Python-level reduce per record; update
-        # objects stay as-is so shared oids keep their pickle-memo hits).
+        # Constructor-args reduce: drops the lazily rebuilt ``_version``
+        # cache from the pickled form and inlines the snapshot vector as
+        # a bare int tuple (update objects stay as-is so shared oids keep
+        # their pickle-memo hits); tests/net/test_determinism.py pins the
+        # hash-seed-free bytes and the missing cache.
         return (
             _restore_record,
             (self.tid, self.site, self.seqno, self.start_vts._seqnos,

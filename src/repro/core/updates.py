@@ -31,8 +31,8 @@ class DataUpdate:
             )
 
     def __reduce__(self):
-        # Hot on the parallel executor's barrier exchanges (every
-        # propagated commit record ships its update buffer).
+        # Constructor-args pickle: hash-seed-free bytes, portable
+        # across processes (tests/net/test_determinism.py).
         return (DataUpdate, (self.oid, self.data))
 
 

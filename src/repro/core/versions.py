@@ -43,10 +43,9 @@ class Version:
         return self._hash
 
     def __reduce__(self):
-        # Rebuild through the constructor: cheaper than the default
-        # state-dict pickle and keeps the cached hash out of the wire
-        # format (int hashes are process-stable, but the slim form wins
-        # on the parallel executor's barrier exchanges).
+        # Rebuild through the constructor, which keeps the cached hash
+        # out of the pickled form: the bytes do not depend on the
+        # process (tests/net/test_determinism.py).
         return (Version, (self.site, self.seqno))
 
     def __str__(self) -> str:
@@ -101,9 +100,9 @@ class VectorTimestamp:
         return hash(self._seqnos)
 
     def __reduce__(self):
-        # Every propagated commit record carries a snapshot vector, so
-        # these are pickled by the thousand at parallel-executor
-        # barriers; ``_wrap`` skips the per-entry validation on load.
+        # Pickle the bare seqno tuple, so the bytes carry no cached hash
+        # (tests/net/test_determinism.py); ``_wrap`` skips the per-entry
+        # validation on load.
         return (VectorTimestamp._wrap, (self._seqnos,))
 
     def __repr__(self) -> str:

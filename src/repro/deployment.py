@@ -10,15 +10,16 @@ one-call operations used by tests and examples.
 
 from __future__ import annotations
 
+import importlib
 import itertools
-import operator
+import types
 import zlib
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from .client import WalterClient
 from .core.objects import Container
 from .core.versions import Version
-from .net import ClusterGateway, Envelope, Host, Network, Topology
+from .net import Host, Network, Topology
 from .obs import Observability
 from .server import LocalConfig, ServerCosts, SiteRecoveryCoordinator, WalterServer
 from .sim import Kernel, RandomStreams
@@ -45,9 +46,8 @@ class Deployment:
         # The harness assigns this *after* construction, so propagate to
         # the already-running servers, not just future replacements.
         self._chaos_bug = value
-        for server in getattr(self, "servers", ()):
-            if server is not None:
-                server.chaos_bug = value
+        for server in self.servers:
+            server.chaos_bug = value
 
     def __init__(
         self,
@@ -61,13 +61,16 @@ class Deployment:
         anti_starvation: bool = False,
         tracing=False,
         trace_capacity: int = 8192,
-        cluster=None,
         executor: str = "serial",
         workers: int = 0,
         shards: int = 1,
         replication: Optional[int] = None,
         batching=None,
     ):
+        # ``executor=`` and ``workers=`` select nothing: there is one
+        # (serial) kernel, and the two are kept only for the ledger's
+        # parallel pass, which spells them out and calls run_scenario().
+        # They go when the ledger stops passing them.
         if executor not in ("serial", "parallel"):
             raise ValueError("executor must be 'serial' or 'parallel', got %r" % (executor,))
         if shards < 1:
@@ -81,54 +84,15 @@ class Deployment:
                 "wire was removed, and the batch sizes are constants "
                 "(PropagationMixin.MAX_BATCH, SiteStorage.WAL_WINDOW)"
             )
-        # Checked before the parallel handle stores the arguments, so it
-        # rejects what the serial constructor rejects.  The metrics
-        # registry is always on; ``tracing=True`` records spans,
-        # commit-path milestones and causal parent edges.
-        obs = Observability(tracing=tracing, trace_capacity=trace_capacity)
+        # The metrics registry is always on; ``tracing=True`` records
+        # spans, commit-path milestones and causal parent edges.
+        self.obs = Observability(tracing=tracing, trace_capacity=trace_capacity)
         base_topology = topology or Topology.ec2(n_sites)
-        # The parallel executor shards the topology eagerly, so its
-        # cluster partitions align with logical sites: a worker gets it
-        # already expanded.
-        expanded = shards > 1 and getattr(base_topology, "shards", 1) == shards
-        n_base_sites = len(base_topology) // shards if expanded else len(base_topology)
-        if replication is not None and not 1 <= replication <= n_base_sites:
+        self.n_base_sites = len(base_topology)
+        if replication is not None and not 1 <= replication <= self.n_base_sites:
             raise ValueError(
-                "replication must be in [1, %d], got %r" % (n_base_sites, replication)
+                "replication must be in [1, %d], got %r" % (self.n_base_sites, replication)
             )
-        if executor == "parallel":
-            # Driver-handle mode (DESIGN.md §12): no world is built here.
-            # Each parallel worker constructs its own cluster-restricted
-            # Deployment from these kwargs; drive it with run_scenario().
-            if cluster is not None:
-                raise ValueError("executor='parallel' builds its own cluster workers")
-            self.executor = "parallel"
-            self.workers = workers or 2
-            self._parallel_kwargs = dict(
-                n_sites=n_sites,
-                topology=topology,
-                seed=seed,
-                costs=costs,
-                flush_latency=flush_latency,
-                trace=trace,
-                jitter_frac=jitter_frac,
-                anti_starvation=anti_starvation,
-                tracing=tracing,
-                trace_capacity=trace_capacity,
-                shards=shards,
-                replication=replication,
-            )
-            return
-        self.executor = "serial"
-        self.workers = 0
-        #: Cluster mode (set by the parallel executor's workers): this
-        #: deployment simulates only ``cluster.spec.owned_sites``; the
-        #: rest of the topology lives in sibling workers, reached through
-        #: the network gateway at synchronization barriers.
-        self.cluster = cluster
-        self._owned = (
-            frozenset(cluster.spec.owned_sites) if cluster is not None else None
-        )
         self.kernel = Kernel()
         self.streams = RandomStreams(seed)
         #: Intra-site keyspace sharding (DESIGN.md §13): every base site
@@ -138,18 +102,14 @@ class Deployment:
         #: names -- so single-shard runs are bit-identical to the
         #: pre-sharding kernel.
         self.shards = shards
-        self.n_base_sites = n_base_sites
         self.topology = (
-            Topology.sharded(base_topology, shards)
-            if shards > 1 and not expanded
-            else base_topology
+            Topology.sharded(base_topology, shards) if shards > 1 else base_topology
         )
         self.n_sites = len(self.topology)
         #: Per-shard replication factor: how many base sites store each
         #: container's shard group (None = every site, the classic
         #: full-replication configuration).
         self.replication = replication
-        self.obs = obs
         self.network = Network(
             self.kernel,
             self.topology,
@@ -157,10 +117,6 @@ class Deployment:
             jitter_frac=jitter_frac,
             registry=self.obs.registry,
         )
-        if cluster is not None:
-            gateway = ClusterGateway(cluster.spec.cluster_id, cluster.spec.cluster_of)
-            self.network.attach_gateway(gateway)
-            cluster.gateway = gateway
         self.config = LocalConfig(self.n_sites)
         self.trace = ExecutionTrace(n_sites=self.n_sites) if trace else None
         self.costs = costs or ServerCosts()
@@ -179,53 +135,31 @@ class Deployment:
         #: removal agreed, or None while it is unfinished).
         self._removals: Dict[int, Tuple[int, Optional[int]]] = {}
 
-        self.storages: List[Optional[SiteStorage]] = [
+        self.storages: List[SiteStorage] = [
             SiteStorage(
                 self.kernel,
                 site,
                 flush_latency,
-                # Cluster workers cannot share the process-global deploy
-                # counter, so cluster-mode names are deploy-independent.
-                name=(
-                    "disk-p-%d" % site
-                    if cluster is not None
-                    else "disk-%d-%d" % (self._deploy_id, site)
-                ),
+                name="disk-%d-%d" % (self._deploy_id, site),
                 registry=self.obs.registry,
                 tracer=self.obs.tracer,
             )
-            if self.owns(site)
-            else None
             for site in range(self.n_sites)
         ]
         #: The preload image every storage shares (see :meth:`preload`).
         self._image: Dict = {}
         for storage in self.storages:
-            if storage is None:
-                continue
             storage.image = self._image
         self.addresses: Dict[int, str] = {
-            site: (
-                "walter-p-%d" % site
-                if cluster is not None
-                else "walter-%d-%d" % (self._deploy_id, site)
-            )
-            for site in range(self.n_sites)
+            site: "walter-%d-%d" % (self._deploy_id, site) for site in range(self.n_sites)
         }
-        self.servers: List[Optional[WalterServer]] = [
-            self._make_server(site) if self.owns(site) else None
-            for site in range(self.n_sites)
+        self.servers: List[WalterServer] = [
+            self._make_server(site) for site in range(self.n_sites)
         ]
-        if cluster is not None:
-            for site in range(self.n_sites):
-                if not self.owns(site):
-                    self.network.register_remote(self.addresses[site], site)
         for server in self.servers:
-            if server is not None:
-                server.start()
+            server.start()
         self._client_seq = itertools.count(1)
         self._container_seq = itertools.count(1)
-        self._preload_shadow_seq = 0
 
     def _make_server(self, site: int, takeover: bool = False) -> WalterServer:
         server = WalterServer(
@@ -248,43 +182,17 @@ class Deployment:
     # ------------------------------------------------------------------
     # Topology/objects
     # ------------------------------------------------------------------
-    def owns(self, site: int) -> bool:
-        """Whether this deployment simulates ``site`` (always true outside
-        cluster mode)."""
-        return self._owned is None or site in self._owned
-
-    def owned_sites(self) -> List[int]:
-        if self._owned is None:
-            return list(range(self.n_sites))
-        return sorted(self._owned)
-
-    def _owned_servers(self) -> List[WalterServer]:
-        return [server for server in self.servers if server is not None]
-
-    def _require_serial(self, operation: str) -> None:
-        if self.cluster is not None:
-            raise RuntimeError(
-                "%s is not available in cluster mode: the parallel executor "
-                "only supports fault-free, configuration-static workloads "
-                "(DESIGN.md §12)" % operation
-            )
-
-    def run_scenario(self, scenario, params=None, mode: str = "auto"):
-        """Parallel-handle entry point (``executor='parallel'``): run
-        ``scenario(world, **params)`` across ``self.workers`` cluster
-        workers and return the merged
-        :class:`~repro.sim.parallel.ParallelResult`."""
-        if getattr(self, "executor", "serial") != "parallel":
-            raise RuntimeError("run_scenario() requires Deployment(executor='parallel')")
-        from .sim.parallel import run_scenario
-
-        return run_scenario(
-            scenario,
-            deploy_kwargs=self._parallel_kwargs,
-            params=params,
-            workers=self.workers,
-            mode=mode,
-        )
+    def run_scenario(self, scenario, params=None):
+        """Run ``scenario(self, **params)`` on this deployment and return
+        an object whose ``scenario_results`` is ``[result]``.  ``scenario``
+        is a callable or a ``"module:function"`` name.  This is the
+        ledger's parallel-pass surface, kept with ``executor=`` and
+        ``workers=`` until the ledger stops calling it."""
+        if isinstance(scenario, str):
+            module, _, function = scenario.partition(":")
+            scenario = getattr(importlib.import_module(module), function)
+        result = scenario(self, **(params or {}))
+        return types.SimpleNamespace(scenario_results=[result])
 
     def server(self, site: int) -> WalterServer:
         return self.servers[site]
@@ -295,8 +203,8 @@ class Deployment:
     def shard_of(self, cid: str) -> int:
         """Deterministic container-id -> shard routing.  ``crc32`` rather
         than ``hash()``: the builtin string hash is salted per process
-        (PYTHONHASHSEED), which would break cross-process determinism in
-        the parallel executor and across replay runs."""
+        (PYTHONHASHSEED), so routing would differ between processes and
+        a replay run would not reproduce the recorded one."""
         return zlib.crc32(cid.encode("utf-8")) % self.shards
 
     def logical_site(self, base_site: int, shard: int = 0) -> int:
@@ -353,12 +261,6 @@ class Deployment:
         # No deploy id in the default name: client names feed into tids,
         # and traces must be byte-identical across same-seed runs.
         name = name or "client-%d-%d" % (site, next(self._client_seq))
-        if not self.owns(site):
-            # Cluster mode: the sequence number above is burned on
-            # purpose so every worker assigns the same name to the same
-            # global client index; the client itself lives in the worker
-            # that owns its site.
-            return None
         client = WalterClient(
             self.kernel,
             self.network,
@@ -388,17 +290,10 @@ class Deployment:
         from .core.cset import CSet
         from .core.history import ObjectHistory, SharedHistory
         from .core.updates import CSetAdd, CSetDel, DataUpdate
-        from .core.versions import VectorTimestamp, Version
 
-        servers = self._owned_servers()
-        if self.servers[0] is not None:
-            seq = self.servers[0].curr_seqno
-            start_vts = self.servers[0].committed_vts
-        else:
-            # Cluster mode without site 0: shadow the seqno stream so
-            # every worker mints identical preload versions.
-            seq = self._preload_shadow_seq
-            start_vts = VectorTimestamp.zeros(self.n_sites).with_entry(0, seq)
+        servers = self.servers
+        seq = servers[0].curr_seqno
+        start_vts = servers[0].committed_vts
         image = self._image
         for oid, value in values.items():
             seq += 1
@@ -438,63 +333,24 @@ class Deployment:
                         u.oid for u in updates if isinstance(u, DataUpdate)
                     ))
                 )
-                # Cluster mode: only the owning worker records a site's
-                # commit order, so the merged trace has each site once.
-                for site in self.owned_sites():
+                for site in range(self.n_sites):
                     self.trace.record_site_commit(site, version)
         for server in servers:
             server.got_vts = server.got_vts.with_entry(0, seq)
             server.committed_vts = server.committed_vts.with_entry(0, seq)
         for storage in self.storages:
-            if storage is not None:
-                storage.image_seqno = seq
-        if self.servers[0] is not None:
-            self.servers[0].curr_seqno = seq
-        self._preload_shadow_seq = seq
+            storage.image_seqno = seq
+        servers[0].curr_seqno = seq
 
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
-        """Advance the simulation.  In cluster mode this is the barrier
-        loop of the conservative parallel executor (DESIGN.md §12): run
-        the local kernel in windows of at most one lookahead, exchange
-        cross-cluster envelopes with the sibling workers at every window
-        boundary, and schedule the inbound ones (all strictly in the
-        future) in canonical order."""
-        if self.cluster is None:
-            return self.kernel.run(until=until)
-        if until is None:
-            raise RuntimeError(
-                "cluster mode requires a bounded run(until=...): the "
-                "barrier loop advances in lookahead-sized windows"
-            )
-        exchange = self.cluster.exchange
-        gateway = self.cluster.gateway
-        lookahead = self.cluster.spec.lookahead_s
-        # C-level sort key (same canonical order as Envelope.sort_key,
-        # without a Python call per envelope -- this sort sees every
-        # cross-cluster message of the run).
-        envelope_key = operator.attrgetter(
-            "deliver_at", "src_site", "dst_site", "link_seq"
-        )
-        deliver = self.network.deliver_envelope
-        while True:
-            if lookahead == float("inf"):
-                barrier = until
-            else:
-                barrier = min(until, self.kernel.now + lookahead)
-            self.kernel.run(until=barrier)
-            inbound = exchange.sync(barrier, gateway.drain())
-            inbound.sort(key=envelope_key)
-            for envelope in inbound:
-                deliver(envelope)
-            if barrier >= until:
-                return self.kernel.now
+        """Advance the simulation."""
+        return self.kernel.run(until=until)
 
     def run_process(self, gen: Generator, within: float = 60.0):
         """Spawn a process and run the world until it finishes."""
-        self._require_serial("run_process")
         return self.kernel.run_process(gen, until=self.kernel.now + within)
 
     def settle(self, duration: float = 2.0) -> None:
@@ -509,38 +365,30 @@ class Deployment:
         per-site ``access_profile`` when the deployment traces.  GC
         gauges (watermark, history entries, commit records) are refreshed
         first so they are current even if a server's GC loop is off."""
-        for server in self._owned_servers():
+        for server in self.servers:
             server._refresh_gc_gauges()
         snap = self.obs.snapshot()
         if self.obs.tracer is not None:
             snap["access_profile"] = {
-                site: server.profiler.as_dict()
-                for site, server in enumerate(self.servers)
-                if server is not None
+                site: server.profiler.as_dict() for site, server in enumerate(self.servers)
             }
         return snap
 
     def gc_watermarks(self) -> Dict[int, "VectorTimestamp"]:
         """Per-site GC watermarks (meet of CommittedVTS with every active
         transaction's startVTS) -- what a GC pass at each site would use."""
-        return {
-            site: server.gc_watermark()
-            for site, server in enumerate(self.servers)
-            if server is not None
-        }
+        return {site: server.gc_watermark() for site, server in enumerate(self.servers)}
 
     # ------------------------------------------------------------------
     # Failure handling (§5.7)
     # ------------------------------------------------------------------
     def crash_server(self, site: int) -> None:
         """Crash the Walter server process at a site (storage survives)."""
-        self._require_serial("crash_server")
         self.servers[site].crash()
 
     def replace_server(self, site: int) -> WalterServer:
         """Start a replacement server over the site's cluster storage; it
         recovers its state and resumes propagation (§5.7)."""
-        self._require_serial("replace_server")
         doomed = self._fence_storage(site)
         replacement = self._make_server(site, takeover=True)
         replacement.restore_from_storage()
@@ -609,7 +457,6 @@ class Deployment:
 
     def fail_site(self, site: int) -> None:
         """An entire site fails: server down, links severed."""
-        self._require_serial("fail_site")
         self.servers[site].crash()
         for other in range(self.n_sites):
             if other != site:

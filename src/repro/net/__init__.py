@@ -1,6 +1,6 @@
 """Simulated wide-area network: topology, message delivery, RPC."""
 
-from .network import ClusterGateway, Envelope, Message, Network, NetworkStats
+from .network import Message, Network, NetworkStats
 from .rpc import Cast, Host, RpcError, RpcRemoteError, RpcReply, RpcRequest, RpcTimeout
 from .rpc import service_time
 from .wire import (
@@ -19,10 +19,8 @@ from .topology import (
 
 __all__ = [
     "Cast",
-    "ClusterGateway",
     "decode_propagation_batch",
     "encode_propagation_batch",
-    "Envelope",
     "EC2_CROSS_SITE_BANDWIDTH_BPS",
     "EC2_INTRA_SITE_BANDWIDTH_BPS",
     "EC2_RTT_MS",

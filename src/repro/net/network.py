@@ -49,105 +49,6 @@ class Message:
         self.delivered_at = delivered_at
 
 
-@dataclass(init=False)
-class Envelope:
-    """A cross-cluster message in the parallel executor (DESIGN.md §12).
-
-    The sender computes the exact delivery time -- jitter, link FIFO
-    serialization and software overhead included, all of which are
-    sender-site state -- so the receiving cluster merely schedules
-    ``_deliver`` at ``deliver_at``.  ``link_seq`` is a per-directed-link
-    sequence number: together with ``(deliver_at, src_site, dst_site)``
-    it gives every envelope batch a total order that is identical no
-    matter which worker produced or observed it, which is what makes the
-    parallel schedule bit-reproducible.  Slotted by hand like
-    :class:`Message`.
-    """
-
-    __slots__ = (
-        "deliver_at", "src_site", "dst_site", "link_seq", "src", "dst", "payload",
-        "size_bytes", "sent_at", "delivered_at",
-    )
-
-    deliver_at: float
-    src_site: int
-    dst_site: int
-    link_seq: int
-    src: str
-    dst: str
-    payload: Any
-    size_bytes: int
-    sent_at: float
-    #: Stamped by ``_deliver``: an envelope doubles as the delivered
-    #: :class:`Message` (same field names), so the receive path schedules
-    #: it directly instead of materializing a second object per message.
-    delivered_at: Optional[float]
-
-    def __init__(self, deliver_at, src_site, dst_site, link_seq, src, dst, payload,
-                 size_bytes, sent_at, delivered_at=None):
-        self.deliver_at = deliver_at
-        self.src_site = src_site
-        self.dst_site = dst_site
-        self.link_seq = link_seq
-        self.src = src
-        self.dst = dst
-        self.payload = payload
-        self.size_bytes = size_bytes
-        self.sent_at = sent_at
-        self.delivered_at = delivered_at
-
-    def sort_key(self):
-        return (self.deliver_at, self.src_site, self.dst_site, self.link_seq)
-
-    def __reduce__(self):
-        # Envelopes are pickled in bulk at every parallel-executor
-        # barrier; rebuilding through the constructor skips the slot
-        # state-dict round trip (~2x cheaper either direction).
-        return (
-            Envelope,
-            (
-                self.deliver_at,
-                self.src_site,
-                self.dst_site,
-                self.link_seq,
-                self.src,
-                self.dst,
-                self.payload,
-                self.size_bytes,
-                self.sent_at,
-            ),
-        )
-
-
-class ClusterGateway:
-    """Routing state a :class:`Network` holds when it simulates only one
-    cluster of a partitioned deployment.
-
-    ``cluster_of`` maps every site id to its cluster; messages whose
-    destination site lives in another cluster are appended to ``outbox``
-    as :class:`Envelope`\\ s instead of being scheduled locally.  The
-    parallel executor drains the outbox at every synchronization barrier.
-    """
-
-    __slots__ = ("cluster_id", "cluster_of", "outbox", "_link_seqs")
-
-    def __init__(self, cluster_id: int, cluster_of: Dict[int, int]):
-        self.cluster_id = cluster_id
-        self.cluster_of = cluster_of
-        self.outbox: list = []
-        self._link_seqs: Dict[Tuple[int, int], int] = {}
-
-    def next_link_seq(self, src_site: int, dst_site: int) -> int:
-        link = (src_site, dst_site)
-        seq = self._link_seqs.get(link, 0) + 1
-        self._link_seqs[link] = seq
-        return seq
-
-    def drain(self) -> list:
-        out, self.outbox = self.outbox, []
-        return out
-
-
 class Route:
     """Everything :meth:`Network.send` needs about one directed site pair,
     resolved once: path latency and bandwidth, the link's jitter/loss
@@ -241,9 +142,6 @@ class Network:
         #: private one for a standalone network).
         self._registry = registry = registry or MetricsRegistry()
         self.stats = NetworkStats(registry)
-        #: Set in cluster mode (parallel executor): messages to sites in
-        #: other clusters become outbox envelopes instead of local events.
-        self._gateway: Optional[ClusterGateway] = None
         counter = self.stats._counter
         self._c_sent = counter("sent")
         self._c_delivered = counter("delivered")
@@ -285,22 +183,6 @@ class Network:
         detach its replacement."""
         if self._receivers[address] == receiver:
             self._receivers[address] = self._mailboxes[address].append
-
-    def register_remote(self, address: str, site) -> None:
-        """Make ``address`` routable without a local mailbox (cluster
-        mode): the host lives in another cluster's worker, but senders
-        here still need its site for latency/bandwidth resolution, and
-        ``_deliver`` needs the *source* site of inbound envelopes for the
-        partition check."""
-        if address in self._mailboxes:
-            return
-        resolved = self.topology.site(site)
-        self._host_sites[address] = resolved
-        self._host_site_ids[address] = resolved.id
-        self._routes.clear()
-
-    def attach_gateway(self, gateway: ClusterGateway) -> None:
-        self._gateway = gateway
 
     def crash_host(self, address: str) -> None:
         """Stop delivering to/from a host; queued mail is discarded."""
@@ -387,22 +269,6 @@ class Network:
         else:
             deliver_at = now + serialize + latency + self.SOFTWARE_OVERHEAD
 
-        gateway = self._gateway
-        if gateway is not None and gateway.cluster_of[dst_id] != gateway.cluster_id:
-            gateway.outbox.append(
-                Envelope(
-                    deliver_at,
-                    src_id,
-                    dst_id,
-                    gateway.next_link_seq(src_id, dst_id),
-                    src,
-                    dst,
-                    payload,
-                    size_bytes,
-                    now,
-                )
-            )
-            return
         message = Message(src, dst, payload, size_bytes, sent_at=now)
         self._call_at(deliver_at, self._deliver, message, route)
 
@@ -423,9 +289,9 @@ class Network:
             # One jitter/loss stream per *directed site link*, not one
             # shared stream: messages on a link draw in their
             # (deterministic) send order on that link, independent of how
-            # sends on other links interleave globally -- which the
-            # parallel executor, running each site cluster in its own
-            # worker, could not reproduce.
+            # sends on other links interleave globally, so traffic added
+            # on one link never moves another link's delays
+            # (tests/net/test_determinism.py).
             route = self._links[src_id, dst_id] = Route(
                 src_id,
                 dst_id,
@@ -436,24 +302,6 @@ class Network:
             )
         self._routes[src, dst] = route
         return route
-
-    def deliver_envelope(self, envelope: Envelope) -> None:
-        """Schedule a cross-cluster envelope received at a barrier.  The
-        sending cluster already resolved jitter, link FIFO serialization
-        and overhead into ``deliver_at``; conservative lookahead
-        guarantees it is still in this kernel's future (``call_at``
-        raises otherwise -- a lookahead-safety violation, not a race).
-
-        The envelope itself is scheduled as the message (it carries the
-        same fields): this path runs once per cross-cluster message of
-        the whole run, and skipping the per-message ``Message`` rebuild
-        is a measurable slice of the parallel executor's critical path."""
-        if envelope.src not in self._host_site_ids:
-            self.register_remote(envelope.src, envelope.src_site)
-        route = self._routes.get((envelope.src, envelope.dst)) or self._route(
-            envelope.src, envelope.dst
-        )
-        self._call_at(envelope.deliver_at, self._deliver, envelope, route)
 
     def _deliver(self, message: Message, route: Route) -> None:
         dst = message.dst

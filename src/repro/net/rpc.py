@@ -57,8 +57,8 @@ class RpcRequest:
         self.span = span
 
     def __reduce__(self):
-        # Wire messages cross process boundaries at every parallel
-        # barrier; constructor-args reduce beats the slot-state default.
+        # Constructor-args reduce: hash-seed-free bytes, portable across
+        # processes (tests/net/test_determinism.py).
         return (RpcRequest, (self.rpc_id, self.method, self.args, self.reply_to, self.span))
 
 

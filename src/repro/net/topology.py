@@ -186,7 +186,6 @@ class Topology:
             intra_bandwidth_bps=base.intra_bandwidth_bps,
             cross_bandwidth_bps=base.cross_bandwidth_bps,
         )
-        topo.shards = shards
         topo.base_of = {
             topo.site(name).id: base.site(origin[i][0]).id
             for i, name in enumerate(names)
@@ -237,41 +236,6 @@ class Topology:
         if groups is not None and groups.get(sa.id) == groups.get(sb.id):
             return self.intra_bandwidth_bps
         return self.cross_bandwidth_bps
-
-    def min_crossing_latency_s(self, groups: "Optional[Sequence[Sequence[int]]]" = None) -> float:
-        """Minimum jitter-free one-way latency between sites in *different*
-        groups, in seconds -- the conservative lookahead of the parallel
-        executor (DESIGN.md §12).
-
-        ``groups`` partitions site ids into clusters; with no argument
-        every site is its own group (the tightest lookahead any
-        partitioning can have).  Jitter in the network model is purely
-        additive (``latency *= 1 + U[0,1) * jitter_frac``), so no message
-        between different groups can ever arrive sooner than this bound.
-        Raises ``ValueError`` for a single all-encompassing group, which
-        has no crossing links.
-        """
-        if groups is None:
-            groups = [(s.id,) for s in self.sites]
-        group_of: Dict[int, int] = {}
-        for gi, members in enumerate(groups):
-            for site in members:
-                group_of[self.site(site).id] = gi
-        best: Optional[float] = None
-        for sa in self.sites:
-            for sb in self.sites:
-                if sa.id == sb.id:
-                    continue
-                if group_of.get(sa.id) == group_of.get(sb.id):
-                    continue
-                one_way = self._rtt_s[(sa.id, sb.id)] / 2.0
-                if best is None or one_way < best:
-                    best = one_way
-        if best is None:
-            raise ValueError(
-                "no crossing links: %d sites in %d group(s)" % (len(self.sites), len(groups))
-            )
-        return best
 
     def max_rtt_from(self, origin) -> float:
         """RTTmax as used by the paper's replication-latency analysis:

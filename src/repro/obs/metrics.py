@@ -233,71 +233,6 @@ class MetricsRegistry:
             },
         }
 
-    # ------------------------------------------------------------------
-    # Cross-worker merge (parallel executor, DESIGN.md §12)
-    # ------------------------------------------------------------------
-    def dump_state(self) -> Dict[str, Any]:
-        """Raw, picklable state -- the wire format a parallel worker ships
-        to the parent at the end of a run.  Unlike :meth:`snapshot` this
-        keeps labels structured and histograms as full bucket vectors, so
-        :meth:`merge_states` can rebuild a registry whose ``snapshot()``
-        is byte-identical to what a single-process run would produce."""
-        return {
-            "counters": [
-                (c.name, c.labels, c.value) for c in self.counters()
-            ],
-            "gauges": [
-                (g.name, g.labels, g.value, g.updated_at) for g in self.gauges()
-            ],
-            "histograms": [
-                (h.name, h.labels, h.bounds, list(h.counts), h.count, h.sum, h.min, h.max)
-                for h in self.histograms()
-            ],
-        }
-
-    @classmethod
-    def merge_states(cls, states: List[Dict[str, Any]]) -> "MetricsRegistry":
-        """Rebuild one registry from per-worker :meth:`dump_state` dumps.
-
-        Merge rules keep the result equal to a serial run's registry:
-        counters and histogram buckets are additive (every increment
-        happens in exactly one worker); a gauge key should be owned by
-        exactly one worker (all gauges carry a ``site`` label), but if
-        several workers set it the freshest ``updated_at`` wins, ties
-        broken by the larger value, so the merge is order-independent.
-        """
-        registry = cls()
-        for state in states:
-            for name, labels, value in state["counters"]:
-                registry.counter(name, **dict(labels)).value += value
-            for name, labels, value, updated_at in state["gauges"]:
-                gauge = registry.gauge(name, **dict(labels))
-                incoming = (updated_at is not None, updated_at or 0.0, value)
-                current = (
-                    gauge.updated_at is not None,
-                    gauge.updated_at or 0.0,
-                    gauge.value,
-                )
-                if gauge.updated_at is None and gauge.value == 0.0:
-                    gauge.set(value, at=updated_at)
-                elif incoming > current:
-                    gauge.set(value, at=updated_at)
-            for name, labels, bounds, counts, count, total, mn, mx in state["histograms"]:
-                hist = registry.histogram(name, buckets=bounds, **dict(labels))
-                if hist.bounds != tuple(bounds):
-                    raise ValueError(
-                        "histogram %r bucket mismatch across workers" % (name,)
-                    )
-                for i, n in enumerate(counts):
-                    hist.counts[i] += n
-                hist.count += count
-                hist.sum += total
-                if mn is not None and (hist.min is None or mn < hist.min):
-                    hist.min = mn
-                if mx is not None and (hist.max is None or mx > hist.max):
-                    hist.max = mx
-        return registry
-
 
 class CounterView:
     """Registry counters read and written as attributes: each name in

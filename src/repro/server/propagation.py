@@ -82,8 +82,7 @@ class PropagationBatch:
     update list per payload instead of one per destination (7 of them on
     an 8-site fan-out).  Records are never mutated after commit, which is
     what makes the sharing safe.
-    Only the entries pickle, so each parallel-executor worker that
-    receives a copy decodes it for itself.
+    Only the entries pickle, so an unpickled copy decodes for itself.
     """
 
     __slots__ = ("entries", "_records")

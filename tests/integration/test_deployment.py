@@ -80,14 +80,41 @@ def test_two_deployments_coexist():
     ids=["tracing", "trace_capacity", "replication"],
 )
 def test_parallel_handle_rejects_what_the_serial_constructor_rejects(kwargs):
-    # The parallel handle builds no world, but a bad argument must fail
-    # at construction, with the serial constructor's error, not later
-    # inside a worker.
+    # ``executor="parallel"`` selects nothing: a bad argument fails with
+    # the serial constructor's error.
     with pytest.raises(ValueError) as serial:
         Deployment(n_sites=2, **kwargs)
     with pytest.raises(ValueError) as parallel:
         Deployment(n_sites=2, executor="parallel", **kwargs)
     assert str(parallel.value) == str(serial.value)
+
+
+def _writes_scenario(world, n_keys, until):
+    """A small closed-loop write workload, importable by name."""
+    from repro.bench import populate, run_closed_loop, write_tx_factory
+
+    keys = populate(world, n_keys=n_keys)
+    result = run_closed_loop(
+        world, write_tx_factory(keys, 2), clients_per_site=2, warmup=0.05, measure=until,
+    )
+    world.settle(0.5)
+    return {"ops": result.ops, "errors": result.errors, "now": world.kernel.now}
+
+
+@pytest.mark.parametrize(
+    "spelling", [{}, dict(executor="parallel", workers=2)], ids=["serial", "parallel"]
+)
+def test_run_scenario_runs_the_named_scenario_in_process(spelling):
+    # The ledger's parallel pass calls run_scenario by "module:function";
+    # it must return exactly what calling the scenario directly returns.
+    kw = dict(n_sites=3, seed=5, flush_latency=FLUSH_MEMORY)
+    params = dict(n_keys=30, until=0.2)
+    expected = _writes_scenario(Deployment(**kw), **params)
+    assert expected["ops"] > 0
+    result = Deployment(**kw, **spelling).run_scenario(
+        __name__ + ":_writes_scenario", params=params
+    )
+    assert result.scenario_results == [expected]
 
 
 def test_settle_advances_time():

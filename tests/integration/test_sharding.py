@@ -63,7 +63,7 @@ class TestShardedTopology:
         base = Topology.ec2(3)
         topo = Topology.sharded(base, 4)
         assert len(topo) == 12
-        assert topo.shards == 4
+        assert set(topo.shard_of.values()) == set(range(4))
         # Names: "<base>/s<k>", grouped contiguously per base site.
         assert topo.sites[0].name == "%s/s0" % base.sites[0].name
         assert topo.sites[5].name == "%s/s1" % base.sites[1].name

@@ -26,9 +26,9 @@ from repro.obs import trace_events_jsonl
 from ..server.test_chunk_equivalence import wal_records
 
 # Digests re-recorded when network jitter moved from one shared RNG
-# stream to a per-directed-link stream ("net.jitter.<src>-<dst>"),
-# which the parallel executor needs: a link's jitter draws must not
-# depend on which other links' messages interleave with it.  The
+# stream to a per-directed-link stream ("net.jitter.<src>-<dst>"), so
+# a link's jitter draws do not depend on which other links' messages
+# interleave with it.  The
 # re-pin changed RNG draw *assignment*, not protocol behavior -- the
 # chaos corpus was re-recorded in the same commit and still passes.
 #
