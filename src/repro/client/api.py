@@ -155,23 +155,17 @@ class WalterClient(Host):
     def _call_op(self, method: str, idempotent: bool = False, span=None, **args):
         """Generator: one client->server RPC, with retry-on-timeout for
         idempotent operations when a :class:`RetryPolicy` is set."""
-        policy = self.retry
-        if policy is None or not idempotent:
-            result = yield from self.call(
-                self.server_address, method, timeout=self._op_timeout,
-                span=span, **args
-            )
-            return result
-        delay = policy.base_delay
-        for attempt in range(max(1, policy.attempts)):
+        policy = self.retry if idempotent else None
+        attempts = 1 if policy is None else max(1, policy.attempts)
+        delay = None if policy is None else policy.base_delay
+        for attempt in range(attempts):
             try:
-                result = yield from self.call(
+                return (yield self.send_request(
                     self.server_address, method, timeout=self._op_timeout,
                     span=span, **args
-                )
-                return result
+                ))
             except RpcTimeout:
-                if attempt >= policy.attempts - 1:
+                if attempt >= attempts - 1:
                     raise
                 self.retries_attempted += 1
                 sleep = min(delay, policy.max_delay)

@@ -10,6 +10,8 @@ expose RPC methods named ``rpc_<method>`` and one-way handlers named
 ``on_<method>``; handlers may be plain functions or generators (which may
 block on simulated I/O).  An RPC handler declares its CPU service time with
 :func:`service_time`; :meth:`Host._serve` is the one place that charges it.
+A handler runs inside a kernel callback and a process exists only while a
+generator handler blocks (:class:`_Handler`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Dict, Optional
 
-from ..sim import Event, Kernel
+from ..sim import Event, Kernel, Process
 from .network import Network
 
 
@@ -98,6 +100,10 @@ class Cast:
         return (Cast, (self.method, self.args, self.src))
 
 
+def _error_text(exc: Exception) -> str:
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def service_time(cost):
     """Declare what serving an ``rpc_*`` handler costs at the host's CPU
     station: :meth:`Host._serve` books one ``cpu`` core for that long
@@ -138,6 +144,8 @@ class Host:
         self._armed_at: Optional[float] = None
         self._next_rpc_id = 0
         self._running = False
+        #: Bumped by each crash, which voids the requests booked before it.
+        self._incarnation = 0
         self._children: list = []
         # Dead children are pruned when the list reaches this size; the
         # threshold then doubles with the surviving count so pruning is
@@ -179,18 +187,19 @@ class Host:
         self._deadlines.clear()
 
     def crash(self) -> None:
-        """Crash this host: stop dispatching, drop network traffic, and
-        kill in-flight handler processes.  A crashed OS process does not
-        keep executing, so work forked off a delivered message must not
-        either -- only effects already handed to durable storage or the
-        network survive the crash."""
+        """Crash this host: stop dispatching, drop network traffic, void
+        booked requests and kill in-flight handlers.  A crashed OS process
+        does not keep executing, so work forked off a delivered message
+        must not either -- only effects already handed to durable storage
+        or the network survive the crash."""
         self.network.crash_host(self.address)
         self.stop()
+        self._incarnation += 1
         children, self._children = self._children, []
         for proc in children:
             proc.interrupt("crashed")
         if self.cpu is not None:
-            # Its bookings belonged to the handlers just killed.
+            # Its bookings belonged to the requests just voided.
             self.cpu.reset()
 
     def spawn_child(self, gen, name: str = ""):
@@ -208,12 +217,6 @@ class Host:
         self._children.append(proc)
         return proc
 
-    def _start_handler(self, gen, name) -> None:
-        """Run a delivered message's handler as a child whose first step
-        is taken here, inside the delivery event: handlers still start in
-        delivery order, one scheduler hop earlier (DESIGN.md §10)."""
-        self._adopt(self.kernel.spawn_now(gen, name=name, absorb_interrupt=True))
-
     def _on_message(self, message) -> None:
         """The network's receiver for this host while it runs, called
         inside each delivery event.  An exception a cast handler raises
@@ -224,9 +227,7 @@ class Host:
         # check is the cheapest test on this per-message path.
         cls = payload.__class__
         if cls is RpcRequest:
-            self._start_handler(
-                self._serve(payload), ("serve:%s.%s", (self.address, payload.method))
-            )
+            self._serve(payload)
         elif cls is RpcReply:
             # A reply to a call that timed out (or died with stop()) finds
             # nothing pending and is dropped.  Otherwise the caller resumes
@@ -249,11 +250,17 @@ class Host:
                 self._cast_handlers[method] = handler
             result = handler(payload.src, **payload.args)
             if type(result) is GeneratorType:
-                self._start_handler(result, ("on:%s.%s", (self.address, method)))
+                try:
+                    target = result.send(None)
+                except StopIteration:
+                    return
+                _Handler(self, result, target, None, ("on:%s.%s", (self.address, method)))
         else:
             raise RpcError("unexpected payload %r" % (payload,))
 
-    def _serve(self, request: RpcRequest):
+    def _serve(self, request: RpcRequest) -> None:
+        """Serve a delivered request: in a kernel callback at the end of
+        its CPU booking, or here if it declares no service time (DESIGN.md §10)."""
         if request.span is not None:
             self._on_rpc_span(request.method, request.span)
         try:
@@ -263,32 +270,48 @@ class Host:
             cost = getattr(handler, "service_time", None)
             if handler is not None:
                 self._rpc_handlers[request.method] = (handler, cost)
-        reply = RpcReply(rpc_id=request.rpc_id)
         if handler is None:
-            reply.error = "no such method %r on %s" % (request.method, self.address)
-        else:
-            try:
-                if cost is not None:
-                    # The station (DESIGN.md §5): book the k-core calendar
-                    # FIFO for the service time, then serve.  A crash
-                    # mid-service frees the core (see crash()).
-                    cpu = self.cpu
-                    if cpu is None:
-                        raise RpcError(
-                            "rpc_%s declares a service time but %s has no cpu station"
-                            % (request.method, self.address)
-                        )
-                    if cost.__class__ is str:
-                        seconds = getattr(self.costs, cost)
-                    else:
-                        seconds = cost(self, **request.args)
-                    yield cpu.hold(seconds)
-                result = handler(**request.args)
-                if type(result) is GeneratorType:
-                    result = yield from result
-                reply.value = result
-            except Exception as exc:  # noqa: BLE001 - shipped to caller
-                reply.error = "%s: %s" % (type(exc).__name__, exc)
+            error = "no such method %r on %s" % (request.method, self.address)
+            return self._reply(request, None, error)
+        if cost is None:
+            return self._handle(request, handler, self._incarnation)
+        # The station (DESIGN.md §5): book the k-core calendar FIFO for
+        # the service time, then serve.  A crash voids the booking.
+        try:
+            if self.cpu is None:
+                raise RpcError("rpc_%s declares a service time but %s has no cpu station"
+                               % (request.method, self.address))
+            if cost.__class__ is str:
+                seconds = getattr(self.costs, cost)
+            else:
+                seconds = cost(self, **request.args)
+        except Exception as exc:  # noqa: BLE001 - shipped to caller
+            return self._reply(request, None, _error_text(exc))
+        end = self.cpu.book(seconds)
+        self.kernel.call_at(end, self._handle, request, handler, self._incarnation)
+
+    def _handle(self, request: RpcRequest, handler, incarnation: int) -> None:
+        """Run an RPC handler and reply, inside the current kernel event;
+        a generator that blocks becomes a :class:`_Handler` instead."""
+        if incarnation != self._incarnation:
+            return  # booked before a crash: the request died with the host
+        error = None
+        try:
+            value = handler(**request.args)
+            if type(value) is GeneratorType:
+                # StopIteration: the handler returned at its first step.
+                target = value.send(None)
+                name = ("serve:%s.%s", (self.address, request.method))
+                _Handler(self, value, target, request, name)
+                return
+        except StopIteration as stop:
+            value = stop.value
+        except Exception as exc:  # noqa: BLE001 - shipped to caller
+            value = None
+            error = _error_text(exc)
+        self._reply(request, value, error)
+
+    def _reply(self, request: RpcRequest, value, error: Optional[str]) -> None:
         if self._drop_reply_until:
             until = self._drop_reply_until.get(request.method)
             if until is not None:
@@ -296,9 +319,8 @@ class Host:
                     self._reply_dropped(request.method)
                     return
                 del self._drop_reply_until[request.method]
-        self.network.send(
-            self.address, request.reply_to, reply, size_bytes=self.DEFAULT_MSG_BYTES
-        )
+        reply = RpcReply(request.rpc_id, value, error)
+        self.network.send(self.address, request.reply_to, reply, size_bytes=self.DEFAULT_MSG_BYTES)
 
     def _on_rpc_span(self, method: str, span_ctx: tuple) -> None:
         """Observability hook: a request carrying span context arrived.
@@ -315,7 +337,12 @@ class Host:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
-    def call(
+    def call(self, dst: str, method: str, **kwargs):
+        """Generator: :meth:`send_request`, waited for.  Use as ``value =
+        yield from self.call(dst, "prepare", ...)``."""
+        return (yield self.send_request(dst, method, **kwargs))
+
+    def send_request(
         self,
         dst: str,
         method: str,
@@ -323,14 +350,11 @@ class Host:
         timeout: Optional[float] = None,
         span: Optional[tuple] = None,
         **args,
-    ):
-        """Generator: invoke ``method`` on host ``dst`` and return the value.
-
-        Use as ``value = yield from self.call(dst, "prepare", ...)``.
-        Raises :class:`RpcTimeout` if no reply arrives within ``timeout``
-        simulated seconds, and :class:`RpcRemoteError` if the remote handler
-        raised.
-        """
+    ) -> Event:
+        """Send a request for ``method`` to host ``dst``; return the event
+        its reply completes, which fails with :class:`RpcTimeout` if no
+        reply arrives within ``timeout`` simulated seconds and with
+        :class:`RpcRemoteError` if the remote handler raised."""
         self._next_rpc_id += 1
         rpc_id = self._next_rpc_id
         event = Event(self.kernel, ("rpc:%s->%s.%s", (self.address, dst, method)))
@@ -346,7 +370,7 @@ class Host:
             self._deadlines[rpc_id] = (deadline, dst, method, timeout)
             if self._armed_at is None or deadline < self._armed_at:
                 self._arm(deadline)
-        return (yield event)
+        return event
 
     def _arm(self, at: float) -> None:
         """Make ``at`` the instant the host's live deadline timer fires.
@@ -381,3 +405,29 @@ class Host:
             Cast(method=method, args=args, src=self.address),
             size_bytes=size_bytes or self.DEFAULT_MSG_BYTES,
         )
+
+
+class _Handler(Process):
+    """A handler that blocked: a child process of its host that finishes
+    the handler's generator, already suspended on ``target``, then replies
+    to ``request`` (None for a cast).  A crash interrupts it: its
+    ``finally`` blocks run and it sends nothing."""
+
+    __slots__ = ("_host", "_request")
+
+    def __init__(self, host: Host, gen, target, request: Optional[RpcRequest], name):
+        Process.__init__(self, host.kernel, gen, name, absorb_interrupt=True)
+        self._host = host
+        self._request = request
+        target._subscribe(host.kernel, self._step_cb)
+        host._adopt(self)
+
+    def _finish(self, value, exc) -> None:
+        host, request = self._host, self._request
+        self._host = self._request = None
+        if request is None or not (exc is None or isinstance(exc, Exception)):
+            Process._finish(self, value, exc)
+            return
+        Process._finish(self, value, None)
+        if not self._interrupted:
+            host._reply(request, value, None if exc is None else _error_text(exc))

@@ -52,17 +52,15 @@ class Counter:
 class Gauge:
     """A point-in-time value (replication lag, queue depth...)."""
 
-    __slots__ = ("name", "labels", "value", "updated_at")
+    __slots__ = ("name", "labels", "value")
 
     def __init__(self, name: str, labels: LabelKey):
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self.updated_at: Optional[float] = None
 
-    def set(self, value: float, at: Optional[float] = None) -> None:
+    def set(self, value: float) -> None:
         self.value = value
-        self.updated_at = at
 
 
 def log_buckets(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, Generator, List, Optional
 
-from ..net import Network, Topology
+from ..net import Host, Network, Topology
 from ..sim import Kernel, RandomStreams
 from ..spec.acceptance import Witness, violations
 from ..spec.checker import Violation
@@ -111,6 +111,41 @@ class ProtocolSession:
 
     def _do_abort(self, tid: str) -> Generator:
         raise NotImplementedError
+
+
+class RpcSession(ProtocolSession):
+    """A session that runs each operation as one RPC to ``server`` from
+    a host of its own: ``tx_begin``, :attr:`READ`, :attr:`WRITE`,
+    ``tx_commit`` (the reply is the status) and ``tx_abort``."""
+
+    READ, WRITE = "tx_read", "tx_write"
+
+    def __init__(self, backend: "ProtocolBackend", site: int, name: str, server: str,
+                 timeout: float):
+        super().__init__(backend, site, name)
+        self._host = Host(backend.kernel, backend.network, site, name)
+        self._host.start()
+        self._server = server
+        self._timeout = timeout
+
+    def _call(self, method: str, **args) -> Generator:
+        return (yield self._host.send_request(self._server, method, timeout=self._timeout, **args))
+
+    def _do_begin(self, tid: str) -> Generator:
+        yield from self._call("tx_begin", tid=tid)
+
+    def _do_read(self, tid: str, key: str) -> Generator:
+        return (yield from self._call(self.READ, tid=tid, key=key))
+
+    def _do_write(self, tid: str, key: str, value: Any) -> Generator:
+        yield from self._call(self.WRITE, tid=tid, key=key, value=value)
+
+    def _do_commit(self, tid: str) -> Generator:
+        status = yield from self._call("tx_commit", tid=tid)
+        return COMMITTED if status == COMMITTED else ABORTED
+
+    def _do_abort(self, tid: str) -> Generator:
+        yield from self._call("tx_abort", tid=tid)
 
 
 class ProtocolBackend:
@@ -208,5 +243,6 @@ __all__ = [
     "ERROR",
     "ProtocolBackend",
     "ProtocolSession",
+    "RpcSession",
     "key_site",
 ]

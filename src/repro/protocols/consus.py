@@ -42,10 +42,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..config_service.paxos import PaxosNode, ProposalFailed
-from ..net import Host
 from ..spec.acceptance import Witness
 from ..spec.checker import Violation
-from .base import ProtocolBackend, ProtocolSession
+from .base import ProtocolBackend, RpcSession
 from .history import ABORTED, COMMITTED
 from .levels import STRICT_SERIALIZABILITY
 
@@ -217,33 +216,9 @@ class ConsusServer(PaxosNode):
                 self._waiters = []
 
 
-class ConsusSession(ProtocolSession):
+class ConsusSession(RpcSession):
     def __init__(self, backend: "ConsusProtocol", site: int, name: str):
-        super().__init__(backend, site, name)
-        self._host = Host(backend.kernel, backend.network, site, name)
-        self._host.start()
-        self._server = backend.servers[site].address
-
-    def _call(self, method: str, **args) -> Generator:
-        result = yield from self._host.call(self._server, method, timeout=60.0, **args)
-        return result
-
-    def _do_begin(self, tid: str) -> Generator:
-        yield from self._call("tx_begin", tid=tid)
-
-    def _do_read(self, tid: str, key: str) -> Generator:
-        value = yield from self._call("tx_read", tid=tid, key=key)
-        return value
-
-    def _do_write(self, tid: str, key: str, value: Any) -> Generator:
-        yield from self._call("tx_write", tid=tid, key=key, value=value)
-
-    def _do_commit(self, tid: str) -> Generator:
-        status = yield from self._call("tx_commit", tid=tid)
-        return COMMITTED if status == COMMITTED else ABORTED
-
-    def _do_abort(self, tid: str) -> Generator:
-        yield from self._call("tx_abort", tid=tid)
+        super().__init__(backend, site, name, backend.servers[site].address, timeout=60.0)
 
 
 class ConsusProtocol(ProtocolBackend):

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TransactionStateError
 from ..net import Host, RpcError, service_time
@@ -50,7 +50,7 @@ from ..server.state import ServerCosts
 from ..sim import Interrupt, Resource
 from ..storage import DiskLog
 from ..spec.acceptance import Witness, witness_by_visibility
-from .base import ProtocolBackend, ProtocolSession, key_site
+from .base import ProtocolBackend, RpcSession, key_site
 from .history import ABORTED, COMMITTED
 from .levels import NMSI
 
@@ -409,33 +409,9 @@ class _Inconsistent:
 _INCONSISTENT = _Inconsistent()
 
 
-class NMSISession(ProtocolSession):
+class NMSISession(RpcSession):
     def __init__(self, backend: "NMSIProtocol", site: int, name: str):
-        super().__init__(backend, site, name)
-        self._host = Host(backend.kernel, backend.network, site, name)
-        self._host.start()
-        self._server = backend.servers[site].address
-
-    def _call(self, method: str, **args) -> Generator:
-        result = yield from self._host.call(self._server, method, timeout=30.0, **args)
-        return result
-
-    def _do_begin(self, tid: str) -> Generator:
-        yield from self._call("tx_begin", tid=tid)
-
-    def _do_read(self, tid: str, key: str) -> Generator:
-        value = yield from self._call("tx_read", tid=tid, key=key)
-        return value
-
-    def _do_write(self, tid: str, key: str, value: Any) -> Generator:
-        yield from self._call("tx_write", tid=tid, key=key, value=value)
-
-    def _do_commit(self, tid: str) -> Generator:
-        status = yield from self._call("tx_commit", tid=tid)
-        return COMMITTED if status == COMMITTED else ABORTED
-
-    def _do_abort(self, tid: str) -> Generator:
-        yield from self._call("tx_abort", tid=tid)
+        super().__init__(backend, site, name, backend.servers[site].address, timeout=30.0)
 
 
 class NMSIProtocol(ProtocolBackend):

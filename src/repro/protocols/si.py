@@ -15,45 +15,20 @@ writer whose commit timestamp is at most the reader's start timestamp.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List
+from typing import List
 
 from ..baselines.bdb import BDBServer
 from ..server.state import ServerCosts
 from ..spec.acceptance import Witness
-from .base import ProtocolBackend, ProtocolSession
-from .history import ABORTED, COMMITTED
+from .base import ProtocolBackend, RpcSession
 from .levels import SNAPSHOT_ISOLATION
 
 
-class SISession(ProtocolSession):
+class SISession(RpcSession):
+    READ, WRITE = "tx_get", "tx_put"
+
     def __init__(self, backend: "SIProtocol", site: int, name: str):
-        super().__init__(backend, site, name)
-        from ..net import Host
-
-        self._host = Host(backend.kernel, backend.network, site, name)
-        self._host.start()
-        self._primary = backend.primary.address
-
-    def _call(self, method: str, **args) -> Generator:
-        result = yield from self._host.call(self._primary, method, timeout=30.0, **args)
-        return result
-
-    def _do_begin(self, tid: str) -> Generator:
-        yield from self._call("tx_begin", tid=tid)
-
-    def _do_read(self, tid: str, key: str) -> Generator:
-        value = yield from self._call("tx_get", tid=tid, key=key)
-        return value
-
-    def _do_write(self, tid: str, key: str, value: Any) -> Generator:
-        yield from self._call("tx_put", tid=tid, key=key, value=value)
-
-    def _do_commit(self, tid: str) -> Generator:
-        status = yield from self._call("tx_commit", tid=tid)
-        return COMMITTED if status == COMMITTED else ABORTED
-
-    def _do_abort(self, tid: str) -> Generator:
-        yield from self._call("tx_abort", tid=tid)
+        super().__init__(backend, site, name, backend.primary.address, timeout=30.0)
 
 
 class SIProtocol(ProtocolBackend):

@@ -150,9 +150,9 @@ class ExecutionMixin:
             # version visible at startVTS is then guaranteed applied
             # there -- and a behind replica answers None, after which we
             # fall back to the classic preferred-site read.
-            payload = yield from self._remote_read_rpc(tx, target, oid, True)
+            payload = yield self._remote_read_rpc(tx, target, oid, True)
         if payload is None:
-            payload = yield from self._remote_read_rpc(
+            payload = yield self._remote_read_rpc(
                 tx, container.preferred_site, oid, False
             )
         value = self._compose_value(tx, oid, payload)
@@ -160,7 +160,7 @@ class ExecutionMixin:
         return value
 
     def _remote_read_rpc(self, tx: Transaction, target: int, oid: ObjectId, only_if_current: bool):
-        return self.call(
+        return self.send_request(
             self.peers[target],
             "remote_read",
             oid=oid,

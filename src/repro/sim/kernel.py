@@ -370,6 +370,9 @@ class Process(Waitable):
             self._finish(stop.value, None)
             return
         except BaseException as err:  # noqa: BLE001 - propagated to joiners
+            # A thrown exception that came back out names this frame in
+            # its traceback: unbind it here, or the two form a cycle.
+            exc = None
             if self._absorb_interrupt and isinstance(err, Interrupt):
                 self._finish(None, None)
             else:
@@ -495,18 +498,6 @@ class Kernel:
     ) -> Process:
         proc = Process(self, gen, name=name, absorb_interrupt=absorb_interrupt)
         proc._start()
-        return proc
-
-    def spawn_now(
-        self, gen: Generator, name: Name = "", absorb_interrupt: bool = False
-    ) -> Process:
-        """:meth:`spawn` whose process takes its first step inside the
-        caller's kernel event (it runs up to its first ``yield`` before
-        this returns) instead of through a ready-queue entry -- for a
-        caller that *is* the event the process starts on, such as a
-        message delivery starting its handler."""
-        proc = Process(self, gen, name=name, absorb_interrupt=absorb_interrupt)
-        proc._step(None, None)
         return proc
 
     def event(self, name: Name = "") -> Event:

@@ -91,9 +91,9 @@ class Resource:
         now = self.kernel.now
         return sum(1 for at in self._free_at if at > now)
 
-    def hold(self, seconds: float) -> At:
-        """Book one core for ``seconds``; yield the result to wait until
-        the service ends."""
+    def book(self, seconds: float) -> float:
+        """Book one core for ``seconds``; return the instant the service
+        ends."""
         free_at = self._free_at
         start = free_at[0]
         now = self.kernel.now
@@ -102,7 +102,12 @@ class Resource:
         end = start + seconds
         heapq.heapreplace(free_at, end)
         self.total_busy_time += seconds
-        return At(end)
+        return end
+
+    def hold(self, seconds: float) -> At:
+        """:meth:`book`, as a timer to yield to wait until the service
+        ends."""
+        return At(self.book(seconds))
 
     def use(self, seconds: float) -> Generator:
         """Generator form of :meth:`hold`, for ``yield from`` callers."""

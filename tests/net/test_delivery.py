@@ -4,13 +4,14 @@ that same event, and a host that is not running queues in its mailbox.
 
 The event budgets are the point of the design (DESIGN.md §10): a round
 trip costs the steps the model needs -- a delivery, the handler's own
-waits, a delivery back -- and nothing else.
+waits, a delivery back -- and nothing else.  So does the allocation
+budget: a handler is a ``Process`` only while it blocks.
 """
 
 import pytest
 
 from repro.net import Host, Network, Topology, service_time
-from repro.sim import Kernel, Resource
+from repro.sim import Kernel, Process, Resource
 
 
 class Server(Host):
@@ -28,6 +29,11 @@ class Server(Host):
     def rpc_serviced_echo(self, text):
         # The shape of rpc_tx_read: Host._serve books the CPU for the
         # declared service time before this runs.
+        return text
+
+    @service_time(lambda server, text: server.SERVICE_S)
+    def rpc_blocking_echo(self, text):
+        yield self.kernel.timeout(1e-3)
         return text
 
     def on_note(self, src, value):
@@ -93,6 +99,48 @@ def test_cast_costs_one_event():
     kernel.run()
     assert server.seen == [1]
     assert kernel.events_executed - before == 1  # parent: 2
+
+
+@pytest.fixture
+def processes_made(monkeypatch):
+    """A list that grows by one per ``Process`` constructed."""
+    made = []
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    return made
+
+
+@pytest.mark.parametrize(
+    "method, budget",
+    # Parent: 1 each (the _serve process).
+    [("echo", 0), ("serviced_echo", 0), ("blocking_echo", 1)],
+)
+def test_rpc_round_trip_process_budget(method, budget, processes_made):
+    kernel, _net, client, _server = make_world()
+    for _ in range(3):
+        del processes_made[:]
+        # No caller process either: the reply event alone is awaited.
+        reply = client.send_request("server", method, text="x", timeout=5.0)
+        kernel.run()
+        assert reply.value == "x"
+        assert len(processes_made) == budget
+
+
+@pytest.mark.parametrize(
+    "method, budget, seen",
+    [("note", 0, [1]), ("slow_note", 1, [("start", 1), ("end", 1)])],
+)
+def test_cast_process_budget(method, budget, seen, processes_made):
+    kernel, _net, client, server = make_world()
+    client.cast("server", method, value=1)
+    kernel.run()
+    assert server.seen == seen
+    assert len(processes_made) == budget
 
 
 def test_answered_calls_leave_no_timers_behind():

@@ -36,9 +36,8 @@ class TestCounterGauge:
     def test_gauge_set(self):
         reg = MetricsRegistry()
         g = reg.gauge("lag", site=2)
-        g.set(0.25, at=10.0)
+        g.set(0.25)
         assert g.value == 0.25
-        assert g.updated_at == 10.0
 
 
 class TestHistogram:

@@ -1,50 +1,10 @@
-"""Tests for the kernel's two inline entry points, ``Kernel.spawn_now``
-and ``Event.complete_now``: what ``spawn`` / ``trigger`` / ``fail`` do,
-minus the ready-queue hop (``tests/sim/test_kernel.py`` covers those)."""
+"""Tests for the kernel's inline entry point ``Event.complete_now``: what
+``trigger`` / ``fail`` do, minus the ready-queue hop
+(``tests/sim/test_kernel.py`` covers those)."""
 
 import pytest
 
 from repro.sim import Kernel, SimError
-
-
-def test_spawn_now_takes_first_step_before_returning():
-    kernel = Kernel()
-    log = []
-
-    def body():
-        log.append("first step")
-        yield kernel.timeout(1.0)
-        log.append("second step")
-        return 7
-
-    deferred = kernel.spawn(body())
-    assert log == []  # spawn: nothing ran yet
-    proc = kernel.spawn_now(body())
-    assert log == ["first step"] and not proc.done
-    kernel.run()
-    assert proc.value == 7 and deferred.value == 7
-    # 1 start + 1 timeout for the spawned process, the timeout alone for
-    # the inline one.
-    assert kernel.events_executed == 3
-
-
-def test_spawn_now_process_may_finish_or_fail_in_its_first_step():
-    kernel = Kernel()
-
-    def instant():
-        return "done"
-        yield  # pragma: no cover - makes this a generator
-
-    def broken():
-        raise ValueError("first step failed")
-        yield  # pragma: no cover
-
-    assert kernel.spawn_now(instant()).value == "done"
-    failed = kernel.spawn_now(broken())
-    assert failed.done
-    kernel.call_soon(lambda: None)
-    with pytest.raises(ValueError, match="first step failed"):
-        kernel.run()  # an unjoined failure still surfaces from run()
 
 
 def test_complete_now_wakes_waiters_inline_in_subscription_order():
