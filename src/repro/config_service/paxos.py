@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..net import Host, Network, RpcError
-from ..sim import AllOf, Kernel
+from ..sim import Kernel
 
 Ballot = Tuple[int, int]  # (round, node_index) -- totally ordered
 
@@ -203,23 +203,11 @@ class PaxosNode(Host):
         return value_to_use
 
     def _broadcast(self, method: str, args: Dict[str, Any]):
-        """Call every peer concurrently; None for timeouts/errors."""
-
-        def one(peer):
-            try:
-                result = yield from self.call(
-                    peer, method, timeout=self.PHASE_TIMEOUT, **args
-                )
-                return result
-            except RpcError:
-                return None
-
-        procs = [
-            self.kernel.spawn(one(peer), name="paxos-call:%s" % peer)
-            for peer in self.peers
-        ]
-        results = yield AllOf(procs)
-        return results
+        """Ask every peer at once; None for timeouts/errors."""
+        results = yield self.ask_all(
+            [(peer, method, args) for peer in self.peers], timeout=self.PHASE_TIMEOUT
+        )
+        return [None if isinstance(r, RpcError) else r for r in results]
 
     def _broadcast_learn(self, slot: int, value: Any) -> None:
         for peer in self.peers:

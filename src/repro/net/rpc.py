@@ -3,7 +3,8 @@
 Walter clients talk to their local server via remote procedure calls
 (paper §5.1), and servers talk to each other both via RPCs (the slow
 commit's prepare/abort) and via one-way protocol messages (PROPAGATE,
-DS-DURABLE, VISIBLE -- Fig 13).  Both styles are provided here.
+DS-DURABLE, VISIBLE -- Fig 13).  Both styles are provided here; a
+fan-out (a 2PC prepare round, a Paxos phase) is one :meth:`Host.ask_all`.
 
 :class:`Host` is the base class for every networked component.  Subclasses
 expose RPC methods named ``rpc_<method>`` and one-way handlers named
@@ -339,8 +340,39 @@ class Host:
     # ------------------------------------------------------------------
     def call(self, dst: str, method: str, **kwargs):
         """Generator: :meth:`send_request`, waited for.  Use as ``value =
-        yield from self.call(dst, "prepare", ...)``."""
+        yield from self.call(dst, "tx_read", ...)``."""
         return (yield self.send_request(dst, method, **kwargs))
+
+    def ask_all(self, requests, timeout: Optional[float] = None,
+                span: Optional[tuple] = None) -> Event:
+        """Send each ``(dst, method, args)`` of ``requests``; return an
+        event that completes with one result per request, in request
+        order: the reply value, or the :class:`RpcError` it failed with.
+
+        No process: the requests go out in one ready turn and the event
+        completes one turn after the last answer, where a process per
+        request joined by ``AllOf`` resumed its asker (DESIGN.md §10)."""
+        done = Event(self.kernel, ("ask_all:%s", (self.address,)))
+        if requests:
+            self.kernel.call_soon(self._ask_all, requests, timeout, span, done)
+        else:
+            done.trigger([])
+        return done
+
+    def _ask_all(self, requests, timeout, span, done: Event) -> None:
+        kernel = self.kernel
+        results = [None] * len(requests)
+        left = len(requests)
+        for index, (dst, method, args) in enumerate(requests):
+            def record(value, exc, index=index):
+                nonlocal left
+                results[index] = value if exc is None else exc
+                left -= 1
+                if not left:
+                    kernel.call_soon(done.complete_now, results)
+
+            event = self.send_request(dst, method, timeout=timeout, span=span, **args)
+            event._subscribe(kernel, record)
 
     def send_request(
         self,

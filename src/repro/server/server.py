@@ -359,7 +359,7 @@ class WalterServer(
           past its retention window.
 
         Returns the number of transactions reaped.  The sweep itself
-        sends no messages -- orphan queries run as child processes -- so
+        sends no messages -- orphan queries go out one ready turn later -- so
         an idle sweeper does not perturb simulated timings.  Every
         server runs it from ``start()``."""
         now = self.kernel.now
@@ -389,10 +389,7 @@ class WalterServer(
         if self._prepared and self.chaos_bug != "leak_prepare_locks":
             for tid, info in list(self._prepared.items()):
                 if info.deadline <= now and not info.querying:
-                    self.spawn_child(
-                        self._resolve_orphan_lock(tid),
-                        name="orphan:%s@%d" % (tid, self.site_id),
-                    )
+                    self.kernel.call_soon(self._resolve_orphan_lock, tid)
         if self._delayed_until:
             for oid, until in list(self._delayed_until.items()):
                 if until <= now:

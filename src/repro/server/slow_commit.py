@@ -49,7 +49,6 @@ from ..core.transaction import Transaction
 from ..core.versions import VectorTimestamp
 from ..net import RpcError, service_time
 from ..obs import trace as span
-from ..sim import AllOf
 
 COMMITTED = "COMMITTED"
 ABORTED = "ABORTED"
@@ -69,7 +68,7 @@ class PreparedLock:
     #: The oids this transaction holds in ``server.locked`` -- the lock
     #: table's index by owner, so a release never scans the table.
     oids: List[ObjectId]
-    #: An orphan-decision query is already in flight; don't spawn another.
+    #: An orphan-decision query is already in flight; don't send another.
     querying: bool = False
 
 
@@ -78,32 +77,23 @@ class SlowCommitMixin:
         """Fig 12 slowCommit: 2PC among preferred sites of written objects."""
         self.stats.inc("slow_commit_attempts")
         placement = {oid: self.config.preferred_site(oid) for oid in tx.write_set}
-        sites = sorted(set(placement.values()))
+        by_site: Dict[int, List[ObjectId]] = {}
+        for oid in sorted(placement, key=str):
+            by_site.setdefault(placement[oid], []).append(oid)
+        sites = sorted(by_site)
         self._span(tx.tid, span.SLOW_COMMIT_PREPARE, participants=len(sites))
         span_ctx = self._span_ctx(tx.tid, span.SLOW_COMMIT_PREPARE)
-
-        def ask(site: int):
-            oids = [o for o in sorted(placement, key=str) if placement[o] == site]
-            try:
-                vote = yield from self.call(
-                    self.peers[site],
-                    "prepare",
-                    tid=tx.tid,
-                    oids=oids,
-                    start_vts=tx.start_vts,
-                    coord_site=self.site_id,
-                    timeout=self._rpc_timeout,
-                    span=span_ctx,
-                )
-                return (site, bool(vote))
-            except RpcError:
-                return (site, False)
-
-        procs = [
-            self.spawn_child(ask(site), name="prepare:%s@%d" % (tx.tid, site))
-            for site in sites
-        ]
-        votes: Dict[int, bool] = dict((yield AllOf(procs)))
+        answers = yield self.ask_all(
+            [(self.peers[site], "prepare", {"tid": tx.tid, "oids": by_site[site],
+                                            "start_vts": tx.start_vts,
+                                            "coord_site": self.site_id})
+             for site in sites],
+            timeout=self._rpc_timeout,
+            span=span_ctx,
+        )
+        # An RpcError counts as NO.
+        votes = {site: not isinstance(answer, RpcError) and bool(answer)
+                 for site, answer in zip(sites, answers)}
         self._span(tx.tid, span.COMMIT_VOTES, yes=sum(votes.values()), asked=len(votes))
 
         phase = "slow_commit"
@@ -134,32 +124,31 @@ class SlowCommitMixin:
             # A timeout/RpcError vote is indistinguishable from "voted
             # YES, reply lost": the participant may hold locks.  Deliver
             # the abort to every contacted site, reliably.
-            for site in votes:
-                self.spawn_child(
-                    self._deliver_abort(tx.tid, site),
-                    name="release:%s@%d" % (tx.tid, site),
-                )
+            self.kernel.call_soon(self._deliver_abort, tx.tid, sites)
         return self._abort(tx, phase)
 
-    def _deliver_abort(self, tid: str, site: int):
-        """Retry the abort release to one participant until acked or its
-        lock lease has surely expired (after which its own sweeper will
-        query us and learn the ABORT from the decision table)."""
+    def _deliver_abort(self, tid: str, sites: List[int]) -> None:
+        """Send the abort release to each participant and retry it every
+        50 ms until acked or its lock lease has surely expired (after
+        which its own sweeper will query us and learn the ABORT from the
+        decision table).  A crash of this host ends the retries."""
         deadline = self.kernel.now + self.leases.lock_lease
-        while True:
-            try:
-                yield from self.call(
-                    self.peers[site],
-                    "release_prepare",
-                    tid=tid,
-                    outcome=ABORTED,
-                    timeout=self._rpc_timeout,
-                )
-                return
-            except RpcError:
-                if self.kernel.now >= deadline:
-                    return
-                yield self.kernel.timeout(0.05)
+        incarnation = self._incarnation
+        for site in sites:
+            self._send_abort(tid, site, deadline, incarnation)
+
+    def _send_abort(self, tid: str, site: int, deadline: float, incarnation: int) -> None:
+        if incarnation != self._incarnation:
+            return
+
+        def answered(_ack, exc):
+            if exc is not None and self.kernel.now < deadline:
+                self.kernel.call_after(0.05, self._send_abort, tid, site, deadline, incarnation)
+
+        self.send_request(
+            self.peers[site], "release_prepare", tid=tid, outcome=ABORTED,
+            timeout=self._rpc_timeout,
+        )._subscribe(self.kernel, answered)
 
     def _record_decision(self, tid: str, outcome: str) -> None:
         """At-most-once decision table: first write wins; retained for
@@ -249,38 +238,35 @@ class SlowCommitMixin:
                 return COMMITTED
         return UNKNOWN
 
-    def _resolve_orphan_lock(self, tid: str):
-        """Sweeper child: a prepare lock outlived its lease; ask the
-        coordinator what happened.  Only ABORTED/UNKNOWN answers release
-        the lock (presumed abort -- the decision cannot have been
-        COMMIT); COMMITTED/PENDING answers extend the lease and wait for
+    def _resolve_orphan_lock(self, tid: str) -> None:
+        """A prepare lock outlived its lease; ask the coordinator what
+        happened.  Only ABORTED/UNKNOWN answers release the lock
+        (presumed abort -- the decision cannot have been COMMIT);
+        COMMITTED/PENDING answers extend the lease and wait for
         propagation/the decision delivery to release it normally."""
         info = self._prepared.get(tid)
         if info is None:
             return
         info.querying = True
-        try:
-            decision = yield from self.call(
-                self.peers[info.coord_site],
-                "tx_decision",
-                tid=tid,
-                timeout=self._rpc_timeout,
-            )
-        except RpcError:
-            # Coordinator unreachable: keep the lock (the decision may
-            # have been COMMIT) and retry one sweep later.
-            info.deadline = self.kernel.now + self.leases.sweep_interval
+
+        def answered(decision, exc):
             info.querying = False
-            return
-        info.querying = False
-        if decision in (ABORTED, UNKNOWN):
-            self._record_decision(tid, ABORTED)
-            held = self._release_locks(tid)
-            self.obs.registry.counter(
-                "locks.leaked_released", site=self.site_id
-            ).inc(held)
-        else:
-            info.deadline = self.kernel.now + self.leases.lock_lease
+            if exc is not None:
+                # Coordinator unreachable: keep the lock (the decision
+                # may have been COMMIT) and retry one sweep later.
+                info.deadline = self.kernel.now + self.leases.sweep_interval
+            elif decision in (ABORTED, UNKNOWN):
+                self._record_decision(tid, ABORTED)
+                held = self._release_locks(tid)
+                self.obs.registry.counter(
+                    "locks.leaked_released", site=self.site_id
+                ).inc(held)
+            else:
+                info.deadline = self.kernel.now + self.leases.lock_lease
+
+        self.send_request(
+            self.peers[info.coord_site], "tx_decision", tid=tid, timeout=self._rpc_timeout
+        )._subscribe(self.kernel, answered)
 
     def _release_locks(self, tid: str) -> int:
         """Drop ``tid``'s prepare locks, if it holds any here (every

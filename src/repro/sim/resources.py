@@ -37,10 +37,6 @@ class Lock:
         self._held = False
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def held(self) -> bool:
-        return self._held
-
     def acquire(self) -> Event:
         event = Event(self.kernel, self._event_name)
         if not self._held and not self._waiters:
