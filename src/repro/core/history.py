@@ -433,11 +433,14 @@ class SiteHistories:
         history of a first-touched object, or copy a shared one.  Read
         paths must use :meth:`get` -- a read must not allocate."""
         hist = self._histories.get(oid)
-        if hist is None:
-            hist = ObjectHistory(oid)
-            self._histories[oid] = hist
-        elif hist.__class__ is SharedHistory:
-            hist = self._histories[oid] = hist.copy()
+        if hist is None or hist.__class__ is SharedHistory:
+            hist = self._own(oid, hist)
+        return hist
+
+    def _own(self, oid: ObjectId, hist: Optional[ObjectHistory]) -> ObjectHistory:
+        """Install a private history of ``oid`` in place of ``hist``:
+        a new one where there was none, else a copy of the shared one."""
+        hist = self._histories[oid] = ObjectHistory(oid) if hist is None else hist.copy()
         return hist
 
     def adopt(self, hist: SharedHistory) -> None:
@@ -459,9 +462,22 @@ class SiteHistories:
 
     def apply(self, updates: Iterable[Update], version: Version) -> None:
         """Fig 11's ``update(updates, version)``: append every update to
-        the matching object history, tagged with ``version``."""
+        the matching object history, tagged with ``version``.  One lookup
+        per update; a history is allocated or copied only for an object
+        absent or still shared."""
+        histories = self._histories
         for update in updates:
-            self.history(update.oid).append(update, version)
+            hist = histories.get(update.oid)
+            if hist is None or hist.__class__ is SharedHistory:
+                hist = self._own(update.oid, hist)
+            hist.append(update, version)
+
+    def apply_records(self, records) -> None:
+        """:meth:`apply` each of ``records`` (commit records) in order:
+        a remote chunk's pass."""
+        apply = self.apply
+        for record in records:
+            apply(record.updates, record.version)
 
     # ------------------------------------------------------------------
     # Snapshot reads

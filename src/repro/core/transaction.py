@@ -276,6 +276,19 @@ class RecordIndex(MutableMapping):
             self._len += 1
         slots[i] = record
 
+    def put_run(self, records: List["CommitRecord"]) -> None:
+        """Index ``records``, one origin's consecutive seqnos in order (an
+        applied chunk): one slice extend when they continue the origin's
+        run, else record by record."""
+        first = records[0]
+        run = self._runs.get(first.site)
+        if run is not None and first.seqno - run[0] == len(run[2]):
+            run[2] += records
+            self._len += len(records)
+            return
+        for record in records:
+            self[record.version] = record
+
     def __delitem__(self, version: Version) -> None:
         self[version]  # KeyError if absent
         run = self._runs[version.site]

@@ -16,7 +16,7 @@ iff ``seqno <= VTS[site]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -179,12 +179,18 @@ class PlanningClock:
     admits each transaction against a clock the previous one advanced,
     and :meth:`admit` advances in place where an immutable
     :class:`VectorTimestamp` would be rebuilt per record.  A plan is
-    never installed as the server's clock."""
+    never installed as the server's clock.
 
-    __slots__ = ("_seqnos",)
+    A plan's clock only grows, so a snapshot it once covered stays
+    covered: the plan remembers the last one (by identity) and skips
+    the comparison for it.  Records of one batch share their decoded
+    snapshot objects, so most admits pay no vector-wide loop."""
+
+    __slots__ = ("_seqnos", "_covered")
 
     def __init__(self, vts: VectorTimestamp):
         self._seqnos = list(vts._seqnos)
+        self._covered: Optional[VectorTimestamp] = None
 
     def __getitem__(self, site: int) -> int:
         return self._seqnos[site]
@@ -196,12 +202,14 @@ class PlanningClock:
         seqnos = self._seqnos
         if seqnos[site] != seqno - 1:
             return False
-        needed = start_vts._seqnos
-        if len(needed) != len(seqnos):
-            start_vts._check_same_width(self)
-        for have, need in zip(seqnos, needed):
-            if have < need:
-                return False
+        if start_vts is not self._covered:
+            needed = start_vts._seqnos
+            if len(needed) != len(seqnos):
+                start_vts._check_same_width(self)
+            for have, need in zip(seqnos, needed):
+                if have < need:
+                    return False
+            self._covered = start_vts
         seqnos[site] = seqno
         return True
 

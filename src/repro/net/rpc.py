@@ -12,12 +12,15 @@ expose RPC methods named ``rpc_<method>`` and one-way handlers named
 block on simulated I/O).  An RPC handler declares its CPU service time with
 :func:`service_time`; :meth:`Host._serve` is the one place that charges it.
 A handler runs inside a kernel callback and a process exists only while a
-generator handler blocks (:class:`_Handler`).
+generator handler blocks (:class:`_Handler`).  An RPC handler that goes on
+in a chain of kernel callbacks returns the :class:`~repro.sim.Event` the
+chain completes, and the reply goes out inside the callback completing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from types import GeneratorType
 from typing import Any, Dict, Optional
 
@@ -305,12 +308,21 @@ class Host:
                 name = ("serve:%s.%s", (self.address, request.method))
                 _Handler(self, value, target, request, name)
                 return
+            if type(value) is Event:
+                value._subscribe(self.kernel, partial(self._reply_done, request, incarnation))
+                return
         except StopIteration as stop:
             value = stop.value
         except Exception as exc:  # noqa: BLE001 - shipped to caller
             value = None
             error = _error_text(exc)
         self._reply(request, value, error)
+
+    def _reply_done(self, request: RpcRequest, incarnation: int, value, exc) -> None:
+        """Reply with what a handler's event completed with, unless the
+        host crashed meanwhile."""
+        if incarnation == self._incarnation:
+            self._reply(request, value, None if exc is None else _error_text(exc))
 
     def _reply(self, request: RpcRequest, value, error: Optional[str]) -> None:
         if self._drop_reply_until:

@@ -45,6 +45,7 @@ from ..net.wire import (
     encode_propagation_batch,
 )
 from ..obs import trace as span
+from ..sim import Event
 
 
 class PropagationTracker:
@@ -147,6 +148,121 @@ class PendingIndex:
             del self._entries[(site, heapq.heappop(heap))]
             run.append(record)
         return run
+
+
+class RemoteApply:
+    """A run of one origin's records going through the receiver's
+    applier (:meth:`PropagationMixin._apply_run`) as kernel callbacks
+    that subscribe where a process would block: to the commit-lock
+    grant, to one apply-cost timer per chunk and to the durability of
+    the last chunk applied.  A crash of the server ends the chain at its
+    next callback (``_incarnation``, as ``Host._handle`` does)."""
+
+    __slots__ = ("server", "records", "i", "last", "last_durable", "incarnation", "done")
+
+    def __init__(self, server, records: List[CommitRecord]):
+        self.server = server
+        self.records = records
+        self.i = 0  # the next record to triage
+        self.last: Optional[CommitRecord] = None  # the last record applied
+        self.last_durable: Optional[Event] = None  # ... and its WAL event
+        self.done: Optional[Event] = None  # see _apply_run
+        self.incarnation = server._incarnation
+
+    def next_chunk(self) -> bool:
+        """Triage up to the next record whose got guard holds and queue
+        for the commit lock; past the last record, wait for the applies
+        to land (or ACK now).  Returns whether the chain finished."""
+        server = self.server
+        records = self.records
+        i = self.i
+        while i < len(records):
+            record = records[i]
+            if server.got_vts[record.site] >= record.seqno:
+                i += 1  # duplicate: a retransmission, or recovery's copy
+                continue
+            if not server._got_guard(record):
+                server._park_remote(record)
+                i += 1
+                continue
+            self.i = i
+            server.commit_lock.acquire()._subscribe(server.kernel, self._granted)
+            return False
+        self.i = i
+        if self.last_durable is not None:
+            self.last_durable._subscribe(server.kernel, self._landed)
+            return False
+        self._ack()
+        return True
+
+    def _granted(self, _value, _exc) -> None:
+        server = self.server
+        if self.incarnation != server._incarnation:
+            return
+        # Plan the chunk against a scratch copy of GotVTS, charge ONE
+        # aggregated apply-cost timer (one per record would cost a kernel
+        # event per record per receiver for the same simulated time),
+        # then apply without further waits.  The plan reproduces the
+        # incremental guard exactly -- records in a run are same-origin
+        # contiguous seqnos, so each admitted record enables the next
+        # one's got guard.
+        records = self.records
+        i = self.i
+        chunk: List[CommitRecord] = []
+        plan = PlanningClock(server.got_vts)
+        while i < len(records) and len(chunk) < server.APPLY_CHUNK:
+            record = records[i]
+            i += 1
+            if plan[record.site] >= record.seqno:
+                # The authoritative duplicate check: the triage ran before
+                # we queued for the lock, and another copy of this version
+                # may have won it first.  Cset updates are not idempotent.
+                continue
+            if plan.admit(record.site, record.seqno, record.start_vts):
+                chunk.append(record)
+            else:
+                server._park_remote(record)
+        self.i = i
+        if chunk:
+            server.kernel.call_after(server.costs.apply_remote * len(chunk), self._timed, chunk)
+        else:
+            self._unlock()
+
+    def _timed(self, chunk: List[CommitRecord]) -> None:
+        if self.incarnation == self.server._incarnation:
+            self.last_durable = self.server._apply_chunk(chunk)
+            self.last = chunk[-1]
+            self._unlock()
+
+    def _unlock(self) -> None:
+        self.server.commit_lock.release()
+        self.server._drain_pending()
+        if self.next_chunk():
+            self.done.complete_now()
+
+    def _landed(self, _value, _exc) -> None:
+        # The ACK frontier moves once the apply lands.  Every record of
+        # the origin below ``last`` was applied, and so logged, before
+        # it: the FIFO WAL made them durable too.  Unless recovery
+        # truncated it meanwhile.
+        server = self.server
+        if self.incarnation != server._incarnation:
+            return
+        last = self.last
+        if (
+            last.seqno > server._ack_frontier[last.site][0]
+            and server._records_by_version.get(last.version) is last
+        ):
+            server._ack_frontier[last.site] = (last.seqno, last.tid)
+        self._ack()
+        self.done.complete_now()
+
+    def _ack(self) -> None:
+        if self.records:
+            site = self.records[0].site
+            frontier = self.server._ack_frontier[site]
+            if frontier[0] >= self.records[0].seqno:
+                self.server._cast_frontier(site, "propagate_ack", frontier)
 
 
 #: The origin's sender states (DESIGN.md §14): not started (or stopped);
@@ -480,17 +596,18 @@ class PropagationMixin:
     #: ~RTT-period batches of Fig 19 never split.
     MAX_BATCH = 512
 
-    def on_propagate_batch(self, src: str, batch: PropagationBatch):
+    def on_propagate_batch(self, src: str, batch: PropagationBatch) -> Optional[Event]:
         """PROPAGATE: open the delta-encoded payload (decoded once, shared
         with the other destinations it went to) and apply it in seqno
-        order; the origin gets one ACK frontier."""
-        yield from self._apply_propagate_batch(batch.records())
+        order; the origin gets one ACK frontier.  Returns what
+        :meth:`_apply_run` returns; the network ignores it."""
+        return self._apply_run(batch.records())
 
-    def _apply_propagate_batch(self, records: List[CommitRecord]):
-        """Apply a propagation batch (one origin's records) and, once the
-        applies are durable, send the origin this site's ACK frontier if
-        it covers any of them: a batch of duplicates re-ACKs (its origin
-        resent it because an ACK was lost), but only what has landed.
+    def _apply_run(self, records: List[CommitRecord]) -> Optional[Event]:
+        """Apply a run of one origin's records and, once the applies are
+        durable, send the origin this site's ACK frontier if it covers
+        any of them: a batch of duplicates re-ACKs (its origin resent it
+        because an ACK was lost), but only what has landed.
 
         The one place a remote record enters ``histories`` at run time:
         a fresh ``propagate_batch``, a run ``_drain_pending`` released
@@ -498,114 +615,62 @@ class PropagationMixin:
         each other on the same records.
 
         Applies run in chunks of ``APPLY_CHUNK`` under one commit-lock
-        acquisition, and durability is awaited once for the whole batch
+        acquisition, and durability is awaited once for the whole run
         (the WAL group-commits) -- otherwise a large batch would
         serialize thousands of lock handoffs and flushes.  ``records``
         may be shared with other receivers: it is only read.
-        """
-        last_durable = last = None
-        i = 0
-        while i < len(records):
-            record = records[i]
-            if self.got_vts[record.site] >= record.seqno:
-                i += 1  # duplicate: a retransmission, or recovery's copy
-                continue
-            if not self._got_guard(record):
-                self._park_remote(record)
-                i += 1
-                continue
-            yield self.commit_lock.acquire()
-            try:
-                # Plan the chunk against a scratch copy of GotVTS, charge
-                # ONE aggregated apply-cost timeout, then apply without
-                # further yields (a timeout per record would cost a
-                # kernel event per record per receiver for the same total
-                # simulated time).  The plan reproduces the incremental
-                # guard exactly -- records in a batch are same-origin
-                # contiguous seqnos, so each admitted record enables the
-                # next one's got guard.
-                chunk: List[CommitRecord] = []
-                plan = PlanningClock(self.got_vts)
-                while i < len(records) and len(chunk) < self.APPLY_CHUNK:
-                    record = records[i]
-                    i += 1
-                    if plan[record.site] >= record.seqno:
-                        # The authoritative duplicate check: the guard
-                        # above ran before we queued for the lock, and
-                        # another copy of this version may have won it
-                        # first.  Cset updates are not idempotent.
-                        continue
-                    if plan.admit(record.site, record.seqno, record.start_vts):
-                        chunk.append(record)
-                    else:
-                        self._park_remote(record)
-                if chunk:
-                    yield self.kernel.timeout(self.costs.apply_remote * len(chunk))
-                    last_durable = self._apply_chunk(chunk)
-                    last = chunk[-1]
-            finally:
-                self.commit_lock.release()
-            self._drain_pending()
-        if last_durable is not None:
-            yield last_durable  # the ACK frontier moves once the apply lands
-            # Every record of the origin below ``last`` was applied, and
-            # so logged, before it: the FIFO WAL made them durable too.
-            # Unless recovery truncated it meanwhile.
-            origin = last.site
-            if (
-                last.seqno > self._ack_frontier[origin][0]
-                and self._records_by_version.get(last.version) is last
-            ):
-                self._ack_frontier[origin] = (last.seqno, last.tid)
-        if records:
-            first = records[0]
-            if self._ack_frontier[first.site][0] >= first.seqno:
-                self._cast_frontier(first.site, "propagate_ack", self._ack_frontier[first.site])
+
+        No process: a :class:`RemoteApply` chain of kernel callbacks
+        (DESIGN.md §14).  Returns None when it finished here, else an
+        event completed inside the callback where it finishes."""
+        chain = RemoteApply(self, records)
+        if chain.next_chunk():
+            return None
+        chain.done = Event(self.kernel, "apply")
+        return chain.done
 
     def _apply_chunk(self, chunk: List[CommitRecord]):
-        """Apply a planned chunk under the commit lock in one pass.
-        Per record, in order: histories, the record index and the
-        observability (LRU refresh, replication lag -- origin commit to
-        applied here, on the clock the origin stamped into the record --
-        and, on traced servers, access profile and span).  Per chunk (of
-        one origin's records): one GotVTS replacement, one counter bump,
-        one WAL entry holding the chunk itself; returns the event that
-        fires when it is durable.
+        """Apply a planned chunk (of one origin's records) under the
+        commit lock, one pass per structure, each in record order:
+        histories, the record index, the LRU refresh (a record's objects
+        in ``touched_oids`` order), the replication lag -- origin commit
+        to applied here, on the clock the origin stamped into the record
+        -- and, on traced servers, the access profile and spans.  Then
+        one GotVTS replacement, one counter bump, one WAL entry holding
+        the chunk itself; returns the event that fires when it is
+        durable.
 
         GotVTS advances from its value *now*, not from the plan: that
-        was made before the apply-cost timeout, and recovery moves the
+        was made before the apply-cost timer, and recovery moves the
         clocks without holding the commit lock."""
-        apply = self.histories.apply
-        by_version = self._records_by_version
-        cache_put = self.storage.cache.put
+        self.histories.apply_records(chunk)
+        self._records_by_version.put_run(chunk)
+        oids = []
+        for record in chunk:
+            updates = record.updates
+            if len(updates) == 1:  # the common record: no set (and no hash)
+                oids.append(updates[0].oid)
+            elif updates:
+                oids += touched_oids(updates)  # several may repeat an object
+        self.storage.cache.touch(oids)
         lag = self._replication_lag.observe
         now = self.kernel.now
-        tracer = self._tracer
-        # The access profiler exists exactly on traced servers.
-        profile = self.profiler.record_remote_apply if tracer is not None else None
         for record in chunk:
-            version = record.version
-            updates = record.updates
-            apply(updates, version)
-            by_version[version] = record
-            if len(updates) > 1:
-                oids = touched_oids(updates)  # several may repeat an object
-            else:  # the common record: no set (and no hash) to name one object
-                oids = [update.oid for update in updates]
-            for oid in oids:
-                cache_put(oid, True)
             if record.committed_at is not None:
                 lag(now - record.committed_at)
-            if tracer is None:
-                continue
+        tracer = self._tracer
+        if tracer is not None:
+            # The access profiler exists exactly on traced servers.
+            profile = self.profiler.record_remote_apply
             for oid in oids:
                 profile(oid)
-            # Link the apply back to the origin's send, so the
-            # propagation hop is a causal edge in the span graph.
-            self._span(
-                record.tid, span.REMOTE_APPLY, origin=record.site,
-                parent=tracer.last_seq(record.tid, span.PROPAGATE_SEND),
-            )
+            for record in chunk:
+                # Link the apply back to the origin's send, so the
+                # propagation hop is a causal edge in the span graph.
+                self._span(
+                    record.tid, span.REMOTE_APPLY, origin=record.site,
+                    parent=tracer.last_seq(record.tid, span.PROPAGATE_SEND),
+                )
         last = chunk[-1]
         self.got_vts = self.got_vts.with_entry(last.site, last.seqno)
         self.stats.inc("remote_applied", len(chunk))
@@ -671,10 +736,11 @@ class PropagationMixin:
         whose guards now pass.  Called whenever GotVTS or CommittedVTS
         (or a DS frontier) advances.
 
-        GotVTS is fixed for the whole call (applies are spawned processes
-        that take the commit lock later), so each origin's releasable run
-        is known up front and goes to one :meth:`_apply_propagate_batch`
-        process.  The commit half runs inline: per origin, the applied
+        GotVTS is fixed for the whole call (an apply starts in its own
+        kernel callback and takes the commit lock later), so each
+        origin's releasable run is known up front and goes to one
+        :meth:`_apply_run`, queued with ``call_soon``.  The commit
+        half runs inline: per origin, the applied
         records up to its DS frontier (Fig 13's committed guard: x
         received, CommittedVTS at x.seqno - 1 and covering x.startVTS),
         and a commit of one origin can satisfy the startVTS of another's
@@ -690,10 +756,7 @@ class PropagationMixin:
                 run = pending_remote.pop_run(site, self.got_vts)
                 self._drain_scan_steps += len(run) + 1
                 if run:
-                    self.spawn_child(
-                        self._apply_propagate_batch(run),
-                        name=("apply:%s", (run[0].tid,)),
-                    )
+                    self.kernel.call_soon(self._apply_run, run)
 
         ds_through = self._ds_through
         heard = self._ds_heard

@@ -299,7 +299,9 @@ class RecoveryMixin:
         merged from several donors, may carry data this site does not
         replicate, and recovery must not widen what partial replication
         placed here), they take the propagation applier, which ACKs the
-        origin its frontier once they are durable.
+        origin its frontier once they are durable.  The reply (None)
+        goes out when the applier finishes: here, or inside the callback
+        that completes the event it returns.
 
         "As if propagated" includes the got guard: a record whose causal
         dependencies (startVTS) are not yet applied here is parked in
@@ -320,10 +322,7 @@ class RecoveryMixin:
             applied, bound = self._finalized.get(records[0].site, (0, 0))
             if epoch < applied:
                 records = [record for record in records if record.seqno <= bound]
-        yield from self._apply_propagate_batch(
-            [self._record_for(record, self.site_id) for record in records]
-        )
-        return "OK"
+        return self._apply_run([self._record_for(record, self.site_id) for record in records])
 
     def _discard_abandoned_suffix(self, failed_site: int, survive_upto: int,
                                   epoch: int) -> None:

@@ -84,6 +84,17 @@ class ObjectCache:
             return None
         return self._evict()
 
+    def touch(self, oids) -> None:
+        """``put(oid, True)`` for each of ``oids`` in order: a remote
+        chunk's LRU refresh pass.  Every value a server caches is True,
+        so refreshing a cached object is one move to the end."""
+        regular, cset = self._regular, self._cset
+        for oid in oids:
+            try:
+                (cset if oid.kind is ObjectKind.CSET else regular).move_to_end(oid)
+            except KeyError:
+                self.put(oid, True)
+
     def _evict(self) -> ObjectId:
         if self._regular:
             victim, _ = self._regular.popitem(last=False)

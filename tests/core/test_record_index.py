@@ -4,6 +4,8 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import VectorTimestamp, Version
 from repro.core.transaction import CommitRecord, RecordIndex
@@ -108,3 +110,41 @@ def test_dict_round_trip_and_copies():
 def test_none_is_not_a_record():
     with pytest.raises(ValueError):
         RecordIndex()[Version(0, 1)] = None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    present=st.lists(st.integers(1, 24), max_size=16),
+    dead=st.integers(0, 16),
+    other=st.booleans(),
+    start=st.integers(1, 30),
+    length=st.integers(1, 8),
+)
+@example(present=[], dead=0, other=False, start=1, length=3)  # empty index
+@example(present=[1, 2, 3], dead=0, other=False, start=4, length=3)  # next seqno
+@example(present=[1, 2], dead=0, other=True, start=5, length=2)  # gap
+@example(present=[10, 11], dead=0, other=False, start=3, length=4)  # below the base
+@example(present=list(range(1, 11)), dead=3, other=False, start=2, length=3)  # dead prefix
+def test_put_run_equals_record_by_record(present, dead, other, start, length):
+    """``put_run`` of one origin's consecutive records leaves the index
+    exactly as one ``__setitem__`` per record does."""
+    records = {}
+
+    def record(site, seqno):
+        return records.setdefault((site, seqno), rec(site, seqno))
+
+    index = RecordIndex()
+    for seqno in present:
+        index[Version(0, seqno)] = record(0, seqno)
+    if other:
+        index[Version(1, 1)] = record(1, 1)
+    for seqno in sorted(set(present))[:dead]:  # GC's in-order prefix deletion
+        del index[Version(0, seqno)]
+    reference = copy.deepcopy(index)
+    run = [record(0, seqno) for seqno in range(start, start + length)]
+    index.put_run(run)
+    for r in run:
+        reference[r.version] = r
+    assert len(index) == len(reference)
+    assert index.run(0) == reference.run(0) and index.run(1) == reference.run(1)
+    assert list(index.records()) == list(reference.records())

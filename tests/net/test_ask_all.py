@@ -11,7 +11,7 @@ draws) and the asker's resume position against it.
 import pytest
 
 from repro.net import Host, Network, RpcError, RpcRemoteError, RpcTimeout, Topology
-from repro.sim import AllOf, Kernel, Process, RandomStreams
+from repro.sim import AllOf, Kernel, RandomStreams
 
 
 class Peer(Host):
@@ -90,20 +90,6 @@ def test_crash_of_the_asker_never_resumes_it():
     kernel.call_at(0.01, asker.crash)
     kernel.run()
     assert resumed == [] and not asker._pending
-
-
-@pytest.fixture
-def processes_made(monkeypatch):
-    """A list that grows by one per ``Process`` constructed."""
-    made = []
-    init = Process.__init__
-
-    def counting_init(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Process, "__init__", counting_init)
-    return made
 
 
 def test_round_costs_two_entries_and_no_process(processes_made):

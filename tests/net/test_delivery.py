@@ -11,7 +11,7 @@ budget: a handler is a ``Process`` only while it blocks.
 import pytest
 
 from repro.net import Host, Network, Topology, service_time
-from repro.sim import Kernel, Process, Resource
+from repro.sim import Kernel, Resource
 
 
 class Server(Host):
@@ -99,20 +99,6 @@ def test_cast_costs_one_event():
     kernel.run()
     assert server.seen == [1]
     assert kernel.events_executed - before == 1  # parent: 2
-
-
-@pytest.fixture
-def processes_made(monkeypatch):
-    """A list that grows by one per ``Process`` constructed."""
-    made = []
-    init = Process.__init__
-
-    def counting_init(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Process, "__init__", counting_init)
-    return made
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,8 @@
 
 ``ObjectId.__hash__`` is a Python-level call, and every keyed structure
 the receive path touches pays it once per probe.  An applied update needs
-one history lookup, one LRU refresh (two probes: store, move to the end)
-and one access counter -- four probes; the parent spent 8.77.
+one history lookup, one LRU refresh (one probe: a move to the end) and
+one access counter -- three probes.
 """
 
 from unittest import mock
@@ -17,9 +17,9 @@ from repro.core.updates import DataUpdate
 from repro.core.versions import VectorTimestamp
 from repro.storage import FLUSH_MEMORY
 
-from .test_chunk_equivalence import FULL, RECEIVER, SHARDED, batch_of, build
+from .test_chunk_equivalence import FULL, RECEIVER, SHARDED, batch_of, build, until_applied
 
-HASHES_PER_APPLIED_UPDATE = 4
+HASHES_PER_APPLIED_UPDATE = 3
 
 
 @pytest.mark.parametrize("deploy", [FULL, SHARDED], ids=["full", "sharded-partial"])
@@ -61,7 +61,9 @@ def test_single_update_record_hash_budget(deploy):
 
     def deliver(records):
         del hashes[:]
-        world.run_process(receiver.on_propagate_batch("origin", batch_of(records)), within=60.0)
+        world.run_process(
+            until_applied(receiver.on_propagate_batch("origin", batch_of(records))), within=60.0
+        )
         return sum(len(record.updates) for record in records)
 
     # First touch: each structure also stores the new key (a second probe).

@@ -191,9 +191,9 @@ class TestBatchingConfig:
 
     def test_per_record_appliers_are_gone(self):
         # Fresh batches, parked runs and recovery deliveries all go
-        # through ``_apply_propagate_batch``; a per-record applier
+        # through ``_apply_run``; a per-record applier
         # growing back would be a second remote-apply path.
-        assert hasattr(WalterServer, "_apply_propagate_batch")
+        assert hasattr(WalterServer, "_apply_run")
         for name in ("_apply_remote", "_apply_remote_inner"):
             assert not hasattr(WalterServer, name)
 

@@ -99,6 +99,14 @@ def batch_of(records):
     return PropagationBatch(entries)
 
 
+def until_applied(done):
+    """Generator: wait for an apply the receiver started, given what
+    ``on_propagate_batch`` or ``rpc_recovery_deliver`` returned (None
+    when it finished inline)."""
+    if done is not None:
+        yield done
+
+
 def drive_propagate(world, receiver, stream_a, stream_b):
     """Deliveries in a fixed order, each left to finish: a first batch, a
     batch beyond a gap (parks), origin b's stream (its tail parks until
@@ -118,7 +126,7 @@ def drive_propagate(world, receiver, stream_a, stream_b):
 
     def deliver():
         for src, records in deliveries:
-            yield from receiver.on_propagate_batch(src, batch_of(records))
+            yield from until_applied(receiver.on_propagate_batch(src, batch_of(records)))
             yield world.kernel.timeout(0.05)
 
     world.run_process(deliver(), within=60.0)
@@ -211,7 +219,7 @@ def test_apply_chunk_turns_and_clock_replacements():
     log = receiver.storage.log
     with mock.patch.object(VectorTimestamp, "with_entry", with_entry):
         world.run_process(
-            receiver.on_propagate_batch("origin-a", batch_of(stream_a)), within=60.0
+            until_applied(receiver.on_propagate_batch("origin-a", batch_of(stream_a))), within=60.0
         )
     assert replaced == [(0, 16), (0, 32), (0, 40)]
     entries = log.payloads()

@@ -16,6 +16,8 @@ from repro.deployment import Deployment
 from repro.server import WalterServer
 from repro.storage import FLUSH_MEMORY
 
+from .test_chunk_equivalence import until_applied
+
 
 def commit_write(world, client, oid, data):
     def scenario():
@@ -55,9 +57,7 @@ def test_ack_frontier_waits_for_the_apply_to_land():
     def on_propagate_batch(src, batch):
         if not arrivals:
             arrivals.append(world.kernel.now)
-            world.kernel.call_after(
-                0.001, lambda: world.kernel.spawn(real_handler(src, batch), name="dup")
-            )
+            world.kernel.call_after(0.001, real_handler, src, batch)
         return real_handler(src, batch)
 
     receiver.on_propagate_batch = on_propagate_batch
@@ -144,11 +144,11 @@ def test_recovery_delivery_fetched_before_a_finalize_stays_within_its_bound():
     receiver = world.server(0)
     assert receiver.got_vts[2] == 0
     receiver.rpc_recovery_finalize(2, 1, epoch=1)
-    world.run_process(receiver.rpc_recovery_deliver(records, epoch), within=5.0)
+    world.run_process(until_applied(receiver.rpc_recovery_deliver(records, epoch)), within=5.0)
     assert receiver.got_vts[2] == 1
     receiver.rpc_recovery_finalize(2, 0, epoch=1)  # a late retry truncates nothing
     assert receiver.got_vts[2] == 1
-    world.run_process(receiver.rpc_recovery_deliver(records, 1), within=5.0)
+    world.run_process(until_applied(receiver.rpc_recovery_deliver(records, 1)), within=5.0)
     assert receiver.got_vts[2] == 2
 
 

@@ -18,6 +18,8 @@ from repro.net.wire import encode_propagation_batch
 from repro.server.propagation import PropagationBatch
 from repro.storage import FLUSH_MEMORY
 
+from .test_chunk_equivalence import until_applied
+
 
 def make_world(n_sites=2):
     world = Deployment(n_sites=n_sites, flush_latency=FLUSH_MEMORY, jitter_frac=0.0)
@@ -107,9 +109,9 @@ def test_drain_never_pops_what_it_cannot_apply():
             entries, _size = encode_propagation_batch(
                 [remote_record("b%d" % k, k, n_sites=3, site=2)]
             )
-            yield from receiver.on_propagate_batch(
+            yield from until_applied(receiver.on_propagate_batch(
                 "test-origin", PropagationBatch(entries)
-            )
+            ))
             # Exactly a_k left the index; nothing beyond it was touched.
             assert len(receiver._pending_remote) == n - k
 
@@ -145,9 +147,9 @@ def test_out_of_order_batch_applies_in_seqno_order():
 
     def deliver():
         entries, _size = encode_propagation_batch(records)
-        yield from receiver.on_propagate_batch(
+        yield from until_applied(receiver.on_propagate_batch(
             "test-origin", PropagationBatch(entries)
-        )
+        ))
 
     world.run_process(deliver())
     world.settle(2.0)

@@ -7,7 +7,7 @@ from repro.core import ObjectKind
 from repro.deployment import Deployment
 from repro.storage import FLUSH_EC2, FLUSH_MEMORY
 
-from .test_chunk_equivalence import FULL, RECEIVER, batch_of, build, make_records
+from .test_chunk_equivalence import FULL, RECEIVER, batch_of, build, make_records, until_applied
 
 
 def make_world(n_sites=1, **kwargs):
@@ -142,7 +142,7 @@ class TestRestoreFromStorage:
 
         def deliver(records):
             world.run_process(
-                receiver.on_propagate_batch("origin-a", batch_of(records)), within=60.0
+                until_applied(receiver.on_propagate_batch("origin-a", batch_of(records))), within=60.0
             )
 
         def state():

@@ -11,6 +11,8 @@ from repro.net.wire import encode_propagation_batch
 from repro.server.propagation import PropagationBatch
 from repro.storage import FLUSH_MEMORY
 
+from .test_chunk_equivalence import until_applied
+
 
 def make_world():
     d = Deployment(n_sites=2, flush_latency=FLUSH_MEMORY, jitter_frac=0.0)
@@ -140,20 +142,20 @@ def test_recovery_delivery_racing_retransmission_applies_once(recovery_first):
     entries, _size = encode_propagation_batch(records)
 
     copies = [
-        receiver.rpc_recovery_deliver(records, 0),
-        receiver.on_propagate_batch(origin.address, PropagationBatch(entries)),
+        lambda: receiver.rpc_recovery_deliver(records, 0),
+        lambda: receiver.on_propagate_batch(origin.address, PropagationBatch(entries)),
     ]
     if not recovery_first:
         copies.reverse()
 
     def race():
         yield receiver.commit_lock.acquire()
-        racers = [world.kernel.spawn(copy) for copy in copies]
+        racers = [copy() for copy in copies]
         yield world.kernel.timeout(0.001)
         assert len(receiver.commit_lock._waiters) == 2
         receiver.commit_lock.release()
         for racer in racers:
-            yield racer
+            yield from until_applied(racer)
 
     acks = []
     real_cast = receiver.cast
